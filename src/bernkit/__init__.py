@@ -14,6 +14,7 @@ from .errors import (
     PartsMismatch,
     PoleEncountered,
     QuadFailure,
+    RouteMismatch,
     UnknownName,
     ZeroDivisor,
     ZeroScale,
@@ -52,8 +53,10 @@ from .gammaalg import (
 )
 from .identities import (
     FAMILY_KINDS,
+    FLOORS,
     LEMMA_IDS,
     IdentityReport,
+    family_terms,
     multi_lhs,
     verify_euler,
     verify_euler_bernoulli,
@@ -66,6 +69,7 @@ from .identities import (
     verify_miki,
     verify_miki_modified,
     verify_mixed,
+    verify_multi,
     verify_p1,
 )
 from .floatcheck import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -19,73 +20,31 @@ import click
 
 from . import floatcheck, identities, sequences
 from . import series as series_engine
-from .errors import DomainError, PoleEncountered, QuadFailure, UnknownName
+from .errors import BernkitError, DomainError, QuadFailure, UnknownName
 
 _FORMATS = ("plain", "csv", "json")
 _SEQ_KINDS = ("bernoulli", "bbar", "euler", "harmonic", "h2")
-
-_SIMPLE_VERIFIERS = {
-    "euler": identities.verify_euler,
-    "miki": identities.verify_miki,
-    "miki-modified": identities.verify_miki_modified,
-    "fpz": identities.verify_fpz,
-    "mixed": identities.verify_mixed,
-    "gessel": identities.verify_gessel,
-    "gessel-modified": identities.verify_gessel_modified,
-    "fpz-cubic": identities.verify_fpz_cubic,
-    "euler-bernoulli": identities.verify_euler_bernoulli,
-}
-
-# smallest n each identity is stated for
-_FLOORS = {
-    "euler": 2,
-    "miki": 2,
-    "miki-modified": 2,
-    "fpz": 2,
-    "mixed": 2,
-    "family-miki": 2,
-    "family-fpz": 2,
-    "family-mixed": 2,
-    "p1-miki": 2,
-    "p1-fpz": 1,
-    "p1-mixed": 1,
-    "gessel": 3,
-    "gessel-modified": 3,
-    "fpz-cubic": 3,
-    "euler-bernoulli": 1,
-    "multi": 2,
-    "multi-bar": 2,
-}
 
 _REPORT_COLUMNS = ("identity", "n", "p", "lhs", "rhs", "residual", "ok")
 
 
 def _run_task(task: tuple) -> dict:
     """One scan row; top level so worker processes can pickle it."""
-    mode, ident, n, p_str, n_parts = task
+    mode, ident, n, p, n_parts = task
     try:
         if mode == "floatfam":
-            which = ident.removeprefix("family-")
-            return floatcheck.family_float(which, n, float(p_str)).as_dict()
-        if ident.startswith("family-"):
-            which = ident.removeprefix("family-")
-            return identities.verify_family(which, n, Fraction(p_str)).as_dict()
-        if ident.startswith("p1-"):
-            return identities.verify_p1(ident.removeprefix("p1-"), n).as_dict()
-        if ident in ("multi", "multi-bar"):
-            variant = "plain" if ident == "multi" else "bar"
-            value = identities.multi_lhs(n_parts, n, variant)
-            return {
-                "identity": ident,
-                "n": n,
-                "N": n_parts,
-                "lhs": str(value),
-                "rhs": str(value),
-                "residual": "0",
-                "ok": True,
-            }
-        return _SIMPLE_VERIFIERS[ident](n).as_dict()
-    except (DomainError, PoleEncountered, AssertionError) as exc:
+            report = floatcheck.family_float(ident.removeprefix("family-"), n, p)
+        elif ident.startswith("family-"):
+            report = identities.verify_family(ident.removeprefix("family-"), n, Fraction(p))
+        elif ident.startswith("p1-"):
+            report = identities.verify_p1(ident.removeprefix("p1-"), n)
+        elif ident.startswith("multi"):
+            report = identities.verify_multi(n_parts, n, "bar" if ident == "multi-bar" else "plain")
+        else:
+            # each remaining id names its verifier: miki-modified -> verify_miki_modified
+            report = getattr(identities, "verify_" + ident.replace("-", "_"))(n)
+        return report.as_dict()
+    except BernkitError as exc:
         row = {
             "identity": ident,
             "n": n,
@@ -95,8 +54,8 @@ def _run_task(task: tuple) -> dict:
             "ok": False,
             "error": str(exc) or exc.__class__.__name__,
         }
-        if p_str is not None:
-            row["p"] = p_str
+        if p is not None:
+            row["p"] = p
         return row
 
 
@@ -119,13 +78,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _emit_reports(rows: list[dict], fmt: str) -> None:
+def _emit_reports(rows: list[dict], fmt: str, columns: tuple = _REPORT_COLUMNS) -> None:
     if fmt == "json":
         click.echo(json.dumps(rows, indent=2))
         return
-    table = [[_format_cell(r.get(c)) for c in _REPORT_COLUMNS] for r in rows]
+    table = [[_format_cell(r.get(c)) for c in columns] for r in rows]
     if fmt == "csv":
-        _echo_csv(_REPORT_COLUMNS, table)
+        _echo_csv(columns, table)
     else:
         for cells in table:
             click.echo(",".join(cells))
@@ -168,7 +127,7 @@ def seq(kind: str, n_max: int, fmt: str) -> None:
 
 @main.command()
 @click.option("--identity", "idents", multiple=True, required=True,
-              help="identity id; repeatable")
+              type=click.Choice(list(identities.FLOORS)), help="identity id; repeatable")
 @click.option("--n-min", type=int, default=None,
               help="first n (default: the identity's own floor)")
 @click.option("--n-max", type=int, required=True)
@@ -187,16 +146,14 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
         jobs = int(os.environ.get("BERNKIT_JOBS", "1"))
     if jobs < 1:
         raise click.UsageError(f"--jobs must be >= 1, got {jobs}")
-    for ident in idents:
-        if ident not in _FLOORS:
-            raise click.UsageError(
-                f"unknown identity {ident!r}; known: {', '.join(sorted(_FLOORS))}")
     exact_ps = []
     for text in p_values:
         try:
             exact_ps.append(str(Fraction(text)))
         except (ValueError, ZeroDivisionError):
             raise click.UsageError(f"--p values must be exact rationals, got {text!r}")
+    if not all(math.isfinite(fp) for fp in float_ps):
+        raise click.UsageError(f"--float-p values must be finite, got {float_ps}")
     family_ids = [i for i in idents if i.startswith("family-")]
     if (exact_ps or float_ps) and not family_ids:
         raise click.UsageError("--p/--float-p apply only to family-* identities")
@@ -205,7 +162,7 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
 
     tasks = []
     for ident in idents:
-        floor = _FLOORS[ident]
+        floor = identities.FLOORS[ident]
         parts = None
         if ident in ("multi", "multi-bar"):
             parts = n_parts if n_parts is not None else 2
@@ -220,7 +177,7 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
                 for p_str in exact_ps:
                     tasks.append(("exact", ident, n, p_str, None))
                 for fp in float_ps:
-                    tasks.append(("floatfam", ident, n, str(fp), None))
+                    tasks.append(("floatfam", ident, n, fp, None))
             else:
                 tasks.append(("exact", ident, n, None, parts))
 
@@ -270,16 +227,7 @@ def quadcheck(name: str, xs, p: float, fmt: str) -> None:
             rows.append({"name": name, "x": x, "p": p, "value": None,
                          "target": None, "abs_dev": None, "ok": False,
                          "error": str(exc)})
-    if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
-    else:
-        columns = ("name", "x", "p", "value", "target", "abs_dev", "ok")
-        table = [[_format_cell(r.get(c)) for c in columns] for r in rows]
-        if fmt == "csv":
-            _echo_csv(columns, table)
-        else:
-            for cells in table:
-                click.echo(",".join(cells))
+    _emit_reports(rows, fmt, ("name", "x", "p", "value", "target", "abs_dev", "ok"))
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cross-route check."""
 
 __all__ = [
     "BernkitError",
@@ -11,6 +11,8 @@ __all__ = [
     "ZeroDivisor",
     "ExponentMismatch",
     "QuadFailure",
+    "RouteMismatch",
+    "check_routes",
 ]
 
 
@@ -52,3 +54,14 @@ class ExponentMismatch(BernkitError):
 
 class QuadFailure(BernkitError):
     """Quadrature error estimate exceeded the allowed bound."""
+
+
+class RouteMismatch(BernkitError):
+    """Two independent routes to one value disagree."""
+
+
+def check_routes(first: str, a, second: str, b) -> None:
+    """Raise RouteMismatch unless route ``first`` (value ``a``) and route
+    ``second`` (value ``b``) agree; unlike ``assert``, this runs under -O."""
+    if a != b:
+        raise RouteMismatch(f"{first} gives {a}, {second} gives {b}")

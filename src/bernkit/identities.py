@@ -10,9 +10,11 @@ one-parameter families evaluate gamma-weighted versions of the latter
 three at any rational p where no gamma factor is singular: both sides are
 assembled term by term as GammaProducts, reduced against the Gamma(p) and
 Gamma(2p) bases, checked for a common exponent pair, and compared through
-their rational cofactors.  The cubic identities are triple convolutions.
-Lemma-expansion checks reconstruct the intermediate asymptotic series of
-the squared generating functions by two independent routes.
+their rational cofactors; family_terms builds those terms for the float
+lane too.  The cubic identities are triple convolutions.  Lemma-expansion
+checks reconstruct the intermediate asymptotic series of the squared
+generating functions by two independent routes.  FLOORS maps every
+command-line identity id to the smallest n each verifier accepts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import DomainError, ExponentMismatch, UnknownName
+from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
 from .gammaalg import GammaProduct, beta_factor, gamma_reduce
 from .sequences import (
     Rational,
@@ -38,6 +40,7 @@ from .series import (
     ASYMPTOTIC,
     TAYLOR,
     TruncatedSeries,
+    _scale,
     laplace_asymptotic,
     named_series,
     series_add,
@@ -46,17 +49,20 @@ from .series import (
 )
 
 __all__ = [
+    "FLOORS",
     "IdentityReport",
     "verify_euler",
     "verify_miki",
     "verify_miki_modified",
     "verify_fpz",
     "verify_mixed",
+    "family_terms",
     "verify_family",
     "verify_p1",
     "verify_gessel",
     "verify_gessel_modified",
     "verify_fpz_cubic",
+    "verify_multi",
     "multi_lhs",
     "verify_euler_bernoulli",
     "verify_lemma_expansion",
@@ -66,6 +72,27 @@ __all__ = [
 
 FAMILY_KINDS = ("miki", "fpz", "mixed")
 LEMMA_IDS = ("coth-product", "coth-harmonic", "sinh-product", "sinh-harmonic")
+
+# smallest n each identity is stated for
+FLOORS = {
+    "euler": 2,
+    "miki": 2,
+    "miki-modified": 2,
+    "fpz": 2,
+    "mixed": 2,
+    "family-miki": 2,
+    "family-fpz": 2,
+    "family-mixed": 2,
+    "p1-miki": 2,
+    "p1-fpz": 1,
+    "p1-mixed": 1,
+    "gessel": 3,
+    "gessel-modified": 3,
+    "fpz-cubic": 3,
+    "euler-bernoulli": 1,
+    "multi": 2,
+    "multi-bar": 2,
+}
 
 
 @dataclass(frozen=True)
@@ -111,9 +138,14 @@ def _require(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
+def _require_floor(identity: str, n: int) -> None:
+    floor = FLOORS[identity]
+    _require(n >= floor, f"{identity} identity needs n >= {floor}, got {n}")
+
+
 def verify_euler(n: int, cache: SequenceCache | None = None) -> IdentityReport:
     """sum C(2n,2k) B_2k B_{2n-2k} = -(2n+1) B_2n, for n >= 2."""
-    _require(n >= 2, f"euler identity needs n >= 2, got {n}")
+    _require_floor("euler", n)
     lhs = sum(
         (
             binomial(2 * n, 2 * k) * bernoulli(2 * k, cache) * bernoulli(2 * n - 2 * k, cache)
@@ -135,9 +167,29 @@ def _quadratic_lhs(n: int, first, second) -> Fraction:
     )
 
 
+def _fpz_form(n: int, value, cache: SequenceCache | None) -> tuple[Fraction, Fraction]:
+    """Both sides of the FPZ-shaped identity for the sequence ``value``:
+    FPZ itself for bernoulli_bar, Miki's k=n form for bernoulli."""
+    B = lambda m: bernoulli(m, cache)
+    S = lambda m: value(m, cache)
+    lhs = _quadratic_lhs(n, S, S)
+    rhs = (
+        sum(
+            (
+                B(2 * k) * S(2 * n - 2 * k) / Fraction(2 * k) * binomial(2 * n, 2 * k)
+                for k in range(1, n + 1)
+            ),
+            Fraction(0),
+        )
+        / n
+        + S(2 * n) * harmonic(2 * n - 1) / n
+    )
+    return lhs, rhs
+
+
 def verify_miki(n: int, cache: SequenceCache | None = None) -> IdentityReport:
     """Miki's identity, the form with the full harmonic number H_2n."""
-    _require(n >= 2, f"miki identity needs n >= 2, got {n}")
+    _require_floor("miki", n)
     B = lambda m: bernoulli(m, cache)
     lhs = _quadratic_lhs(n, B, B)
     rhs = sum(
@@ -155,49 +207,24 @@ def verify_miki_modified(n: int, cache: SequenceCache | None = None) -> Identity
 
     The rewritten right side must equal the H_2n form exactly (the k=n
     term and the harmonic shift 1/(2n) trade off), so the two are
-    cross-asserted before reporting.
+    cross-checked before reporting.
     """
-    _require(n >= 2, f"miki identity needs n >= 2, got {n}")
-    B = lambda m: bernoulli(m, cache)
-    lhs = _quadratic_lhs(n, B, B)
-    rhs = (
-        sum(
-            (
-                B(2 * k) * B(2 * n - 2 * k) / Fraction(2 * k) * binomial(2 * n, 2 * k)
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        / n
-        + B(2 * n) * harmonic(2 * n - 1) / n
-    )
-    assert rhs == verify_miki(n, cache).rhs
+    _require_floor("miki-modified", n)
+    lhs, rhs = _fpz_form(n, bernoulli, cache)
+    check_routes("the k=n form", rhs, "the H_2n form", verify_miki(n, cache).rhs)
     return _report("miki-modified", n, lhs, rhs)
 
 
 def verify_fpz(n: int, cache: SequenceCache | None = None) -> IdentityReport:
     """The Faber-Pandharipande-Zagier identity for the Bbar numbers."""
-    _require(n >= 2, f"fpz identity needs n >= 2, got {n}")
-    B = lambda m: bernoulli(m, cache)
-    Bb = lambda m: bernoulli_bar(m, cache)
-    lhs = _quadratic_lhs(n, Bb, Bb)
-    rhs = (
-        sum(
-            (
-                B(2 * k) * Bb(2 * n - 2 * k) / Fraction(2 * k) * binomial(2 * n, 2 * k)
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        / n
-        + Bb(2 * n) * harmonic(2 * n - 1) / n
-    )
+    _require_floor("fpz", n)
+    lhs, rhs = _fpz_form(n, bernoulli_bar, cache)
     return _report("fpz", n, lhs, rhs)
 
 
 def verify_mixed(n: int, cache: SequenceCache | None = None) -> IdentityReport:
     """The mixed identity convolving B with Bbar via the doubling relation."""
-    _require(n >= 2, f"mixed identity needs n >= 2, got {n}")
+    _require_floor("mixed", n)
     B = lambda m: bernoulli(m, cache)
     Bb = lambda m: bernoulli_bar(m, cache)
     lhs = _quadratic_lhs(n, B, Bb)
@@ -227,20 +254,20 @@ def _reduce_side(terms: list[GammaProduct], p: Fraction) -> tuple[tuple[int, int
     return exponents.pop(), sum((r.value for r in reduced), Fraction(0))
 
 
-def verify_family(
-    which: str, n: int, p: Rational, cache: SequenceCache | None = None
-) -> IdentityReport:
-    """One-parameter gamma-weighted family of the quadratic identities.
+def family_terms(
+    which: str, n: int, cache: SequenceCache | None = None
+) -> tuple[list[GammaProduct], list[GammaProduct]]:
+    """Terms of both sides of one gamma-weighted family, symbolic in p.
 
-    which selects the plain (miki), Bbar (fpz) or mixed variant.  Both
-    sides are built as GammaProduct terms, reduced at the rational point p,
-    required to share one (Gamma(p), Gamma(2p)) exponent pair, and compared
-    through their rational cofactors.
+    which selects the plain (miki), Bbar (fpz) or mixed variant.  Each
+    term is a GammaProduct: an exact rational coefficient times Gamma(p+m)
+    and Gamma(2p+m) factors in canonical form, so equal factors are merged
+    (a k=n/2 left term carries Gamma(p+n)**2, the k=1 tail term
+    Gamma(p+1)**2).  Returns (lhs terms, rhs terms).
     """
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
-    _require(n >= 2, f"family identities need n >= 2, got {n}")
-    p = Fraction(p)
+    _require_floor(f"family-{which}", n)
     B = lambda m: bernoulli(m, cache)
     Bb = lambda m: bernoulli_bar(m, cache)
     lhs_first = Bb if which == "fpz" else B
@@ -276,7 +303,20 @@ def verify_family(
         tail = B(2 * n) / Fraction(factorial(2 * n)) / 2 ** (2 * n - 1)
     for k in range(1, 2 * n):
         rhs_terms.append(beta_factor(k) * GammaProduct((("2p", 2 * n, 1),), tail))
+    return lhs_terms, rhs_terms
 
+
+def verify_family(
+    which: str, n: int, p: Rational, cache: SequenceCache | None = None
+) -> IdentityReport:
+    """One-parameter gamma-weighted family of the quadratic identities.
+
+    Both sides' family_terms are reduced at the rational point p, required
+    to share one (Gamma(p), Gamma(2p)) exponent pair, and compared through
+    their rational cofactors.
+    """
+    lhs_terms, rhs_terms = family_terms(which, n, cache)
+    p = Fraction(p)
     lhs_exp, lhs_value = _reduce_side(lhs_terms, p)
     rhs_exp, rhs_value = _reduce_side(rhs_terms, p)
     if lhs_exp != rhs_exp:
@@ -291,44 +331,29 @@ def verify_p1(which: str, n: int, cache: SequenceCache | None = None) -> Identit
     absorbs that term into the right side, so against verify_family at
     p=1 the miki and fpz variants differ by exactly B_2n (resp. Bbar_2n)
     on both sides while the mixed variant coincides; both facts are
-    asserted where the domains overlap.
+    checked where the domains overlap.
     """
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
+    _require_floor(f"p1-{which}", n)
     B = lambda m: bernoulli(m, cache)
     Bb = lambda m: bernoulli_bar(m, cache)
-    if which == "miki":
-        _require(n >= 2, f"p=1 miki form needs n >= 2, got {n}")
-        lhs = sum((B(2 * k) * B(2 * n - 2 * k) for k in range(1, n + 1)), Fraction(0))
+    if which != "mixed":
+        S = B if which == "miki" else Bb
+        lhs = sum((S(2 * k) * S(2 * n - 2 * k) for k in range(1, n + 1)), Fraction(0))
         rhs = (
             sum(
                 (
-                    B(2 * k) * B(2 * n - 2 * k) * binomial(2 * n + 2, 2 * k + 2)
+                    B(2 * k) * S(2 * n - 2 * k) * binomial(2 * n + 2, 2 * k + 2)
                     for k in range(1, n + 1)
                 ),
                 Fraction(0),
             )
             / (n + 1)
-            + 2 * n * B(2 * n)
+            + 2 * n * S(2 * n)
         )
-        shift = B(2 * n)
-    elif which == "fpz":
-        _require(n >= 1, f"p=1 fpz form needs n >= 1, got {n}")
-        lhs = sum((Bb(2 * k) * Bb(2 * n - 2 * k) for k in range(1, n + 1)), Fraction(0))
-        rhs = (
-            sum(
-                (
-                    B(2 * k) * Bb(2 * n - 2 * k) * binomial(2 * n + 2, 2 * k + 2)
-                    for k in range(1, n + 1)
-                ),
-                Fraction(0),
-            )
-            / (n + 1)
-            + 2 * n * Bb(2 * n)
-        )
-        shift = Bb(2 * n)
+        shift = S(2 * n)
     else:
-        _require(n >= 1, f"p=1 mixed form needs n >= 1, got {n}")
         lhs = sum((B(2 * k) * Bb(2 * n - 2 * k) for k in range(1, n)), Fraction(0))
         rhs = (
             sum(
@@ -345,9 +370,10 @@ def verify_p1(which: str, n: int, cache: SequenceCache | None = None) -> Identit
             + (2 * n - 1) * B(2 * n) / Fraction(2) ** (2 * n)
         )
         shift = Fraction(0)
-    if n >= 2:
+    if n >= FLOORS[f"family-{which}"]:
         family = verify_family(which, n, Fraction(1), cache)
-        assert lhs == family.lhs + shift and rhs == family.rhs + shift
+        check_routes("the reduced lhs", lhs, "the shifted family lhs", family.lhs + shift)
+        check_routes("the reduced rhs", rhs, "the shifted family rhs", family.rhs + shift)
     return _report(f"p1-{which}", n, lhs, rhs)
 
 
@@ -363,7 +389,7 @@ def _gessel_polynomial_term(n: int, cache: SequenceCache | None) -> Fraction:
 
 def verify_gessel(n: int, cache: SequenceCache | None = None) -> IdentityReport:
     """Gessel's triple convolution identity, for n >= 3."""
-    _require(n >= 3, f"gessel identity needs n >= 3, got {n}")
+    _require_floor("gessel", n)
     B = lambda m: bernoulli(m, cache)
     lhs = multi_lhs(3, n, "plain", cache)
     rhs = (
@@ -395,7 +421,7 @@ def verify_gessel(n: int, cache: SequenceCache | None = None) -> IdentityReport:
 
 def verify_gessel_modified(n: int, cache: SequenceCache | None = None) -> IdentityReport:
     """The modified Gessel form produced by skipping the integration by parts."""
-    _require(n >= 3, f"gessel identity needs n >= 3, got {n}")
+    _require_floor("gessel-modified", n)
     B = lambda m: bernoulli(m, cache)
     lhs = multi_lhs(3, n, "plain", cache)
     rhs = (
@@ -425,7 +451,7 @@ def verify_gessel_modified(n: int, cache: SequenceCache | None = None) -> Identi
 
 def verify_fpz_cubic(n: int, cache: SequenceCache | None = None) -> IdentityReport:
     """Cubic analog of the FPZ identity, for n >= 3."""
-    _require(n >= 3, f"cubic identities need n >= 3, got {n}")
+    _require_floor("fpz-cubic", n)
     B = lambda m: bernoulli(m, cache)
     Bb = lambda m: bernoulli_bar(m, cache)
     lhs = multi_lhs(3, n, "bar", cache)
@@ -466,19 +492,21 @@ def verify_fpz_cubic(n: int, cache: SequenceCache | None = None) -> IdentityRepo
     return _report("fpz-cubic", n, lhs, rhs)
 
 
-def multi_lhs(
+def verify_multi(
     N: int, n: int, variant: str = "plain", cache: SequenceCache | None = None
-) -> Fraction:
+) -> IdentityReport:
     """N-fold convolution sum of B_2k/(2k) (or Bbar) over k_1+...+k_N = n.
 
-    Computed by direct nested summation and independently as the x^(-2n)
+    lhs is the direct nested summation; rhs is, independently, the x^(-2n)
     coefficient of the N-th power of the matching asymptotic series (up to
-    the sign (-1)^N); the two routes are asserted equal.
+    the sign (-1)^N).
     """
-    _require(N >= 2, f"convolution fold count must be >= 2, got {N}")
-    _require(n >= N, f"order n must be at least N={N}, got {n}")
     if variant not in ("plain", "bar"):
         raise UnknownName(f"no variant {variant!r}")
+    identity = "multi" if variant == "plain" else "multi-bar"
+    _require(N >= 2, f"convolution fold count must be >= 2, got {N}")
+    _require_floor(identity, n)
+    _require(n >= N, f"order n must be at least N={N}, got {n}")
     value = bernoulli if variant == "plain" else bernoulli_bar
 
     memo: dict[tuple[int, int], Fraction] = {}
@@ -499,13 +527,21 @@ def multi_lhs(
     direct = fold(N, n)
     base = named_series("psi_tilde" if variant == "plain" else "psi_bar", 2 * n, cache=cache)
     via_series = (-1) ** N * series_pow(base, N).coeff(2 * n)
-    assert direct == via_series
-    return direct
+    return _report(identity, n, direct, via_series, N=N)
+
+
+def multi_lhs(
+    N: int, n: int, variant: str = "plain", cache: SequenceCache | None = None
+) -> Fraction:
+    """The nested-fold value of verify_multi, once the series route agrees."""
+    report = verify_multi(N, n, variant, cache)
+    check_routes("the nested fold", report.lhs, "the series power", report.rhs)
+    return report.lhs
 
 
 def verify_euler_bernoulli(n: int, cache: SequenceCache | None = None) -> IdentityReport:
     """Euler-number convolution expressed through Bernoulli numbers, n >= 1."""
-    _require(n >= 1, f"euler-bernoulli identity needs n >= 1, got {n}")
+    _require_floor("euler-bernoulli", n)
     lhs = Fraction(
         sum(
             euler_number(2 * k - 2, cache) * euler_number(2 * n - 2 * k, cache)
@@ -529,10 +565,6 @@ def verify_euler_bernoulli(n: int, cache: SequenceCache | None = None) -> Identi
         )
     )
     return _report("euler-bernoulli", n, lhs, rhs)
-
-
-def _scaled(series: TruncatedSeries, c: Fraction) -> TruncatedSeries:
-    return TruncatedSeries(series.kind, {m: c * v for m, v in series.coeffs.items()}, series.trunc)
 
 
 def _lemma_closed_form(which: str, order: int, cache: SequenceCache | None) -> TruncatedSeries:
@@ -573,12 +605,12 @@ def _lemma_integral(which: str, order: int, cache: SequenceCache | None) -> Trun
     if which == "coth-product":
         coth = named_series("coth_minus_inv", order, cache=cache)
         log_ratio = named_series("log_sinh_ratio", order, cache=cache)
-        return laplace_asymptotic(_scaled(series_mul(coth, log_ratio), Fraction(2)))
+        return laplace_asymptotic(_scale(series_mul(coth, log_ratio), Fraction(2)))
     if which == "sinh-product":
         inv_sinh = named_series("inv_sinh_minus_inv", order, cache=cache)
         full = series_add(inv_sinh, TruncatedSeries(TAYLOR, {-1: Fraction(1)}, order))
         log_ratio = named_series("log_sinh_ratio", order, cache=cache)
-        return laplace_asymptotic(_scaled(series_mul(full, log_ratio), Fraction(2)))
+        return laplace_asymptotic(_scale(series_mul(full, log_ratio), Fraction(2)))
     # The harmonic-number lemmas: the inner integral of the bracketed
     # difference quotient turns each y^(2m-1) term into -H_2m (plain case,
     # bracket carries an extra u) or -H_{2m-1} (Bbar case, u-free bracket).

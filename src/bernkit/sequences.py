@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import PartsMismatch
+from .errors import PartsMismatch, check_routes
 
 __all__ = [
     "Rational",
@@ -100,7 +100,7 @@ def harmonic_second(n: int) -> Fraction:
     """Generalized harmonic number H_{2n,2} = sum(1/(i j), 1 <= i < j <= 2n).
 
     Computed both by the double sum and by sum(H_l/(l+1), l=1..2n-1); the
-    two forms are asserted equal before returning.
+    two forms must agree before the value is returned.
     """
     double = sum(
         (Fraction(1, i * j) for j in range(2, 2 * n + 1) for i in range(1, j)),
@@ -111,7 +111,7 @@ def harmonic_second(n: int) -> Fraction:
     for l in range(1, 2 * n):
         partial += Fraction(1, l)
         folded += partial / (l + 1)
-    assert double == folded
+    check_routes("double sum", double, "folded sum", folded)
     return double
 
 

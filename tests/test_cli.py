@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from bernkit import sequences
+from bernkit import identities, sequences
+from bernkit import series as series_engine
 from bernkit.cli import main
 
 F = Fraction
@@ -172,6 +173,8 @@ def test_verify_usage_errors():
         ["verify", "--identity", "family-miki", "--p", "1/0", "--n-max", "5"],
         ["verify", "--identity", "multi", "--N", "1", "--n-max", "5"],
         ["verify", "--identity", "miki", "--n-max", "5", "--jobs", "0"],
+        ["verify", "--identity", "family-miki", "--float-p", "nan", "--n-max", "5"],
+        ["verify", "--identity", "family-miki", "--float-p", "inf", "--n-max", "5"],
     ]
     for args in cases:
         result = runner.invoke(main, args)
@@ -186,6 +189,56 @@ def test_verify_below_floor_reports_error_rows():
     rows = json.loads(result.output)
     assert [row["ok"] for row in rows] == [False, False, True, True]
     assert "error" in rows[0] and rows[0]["lhs"] == ""
+
+
+def _floor_args(ident, lo, hi):
+    args = ["verify", "--identity", ident, "--n-min", str(lo), "--n-max", str(hi),
+            "--format", "json"]
+    if ident.startswith("family-"):
+        args += ["--p", "1/2"]
+    if ident.startswith("multi"):
+        args += ["--N", "2"]
+    return args
+
+
+@pytest.mark.parametrize("ident", sorted(identities.FLOORS))
+def test_verify_every_identity_at_its_floor(ident):
+    floor = identities.FLOORS[ident]
+    result = runner.invoke(main, _floor_args(ident, floor, floor))
+    assert result.exit_code == 0, result.output
+    assert [row["ok"] for row in json.loads(result.output)] == [True]
+    result = runner.invoke(main, _floor_args(ident, floor - 1, floor))
+    assert result.exit_code == 1
+    below, at = json.loads(result.output)
+    assert below["n"] == floor - 1 and not below["ok"] and below["error"]
+    assert at["ok"]
+
+
+def test_verify_float_out_of_range_row():
+    result = runner.invoke(
+        main, ["verify", "--identity", "family-fpz", "--float-p", "0.5",
+               "--n-min", "90", "--n-max", "90", "--format", "json"])
+    assert result.exit_code == 1
+    assert "Infinity" not in result.output and "NaN" not in result.output
+    [row] = json.loads(result.output)
+    assert row["p"] == 0.5 and row["ok"] is False
+    assert "double range" in row["error"]
+
+
+def test_route_mismatch_fails_rows(monkeypatch):
+    # a corrupted series route: multi rows show both routes, gessel's
+    # internal cross-check turns into a failed row with a reason
+    real_pow = identities.series_pow
+    monkeypatch.setattr(
+        identities, "series_pow",
+        lambda a, n: series_engine.series_add(real_pow(a, n), real_pow(a, n)))
+    result = runner.invoke(
+        main, ["verify", "--identity", "multi", "--identity", "gessel",
+               "--n-min", "3", "--n-max", "3", "--jobs", "1", "--format", "json"])
+    assert result.exit_code == 1
+    gessel, multi = json.loads(result.output)
+    assert not gessel["ok"] and "series power" in gessel["error"]
+    assert not multi["ok"] and F(multi["rhs"]) == 2 * F(multi["lhs"]) != 0
 
 
 def test_verify_family_pole_row():

@@ -8,11 +8,13 @@ asymptotic expansion: accuracy improves rapidly with the argument.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from bernkit import (
     DomainError,
+    FAMILY_KINDS,
     QUAD_NAMES,
     UnknownName,
     check_g_squared,
@@ -20,8 +22,11 @@ from bernkit import (
     check_zeta,
     digamma,
     family_float,
+    family_terms,
+    gamma_reduce,
     optimal_series,
     quad_rep,
+    verify_family,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -169,9 +174,50 @@ def test_family_float_grid():
                 assert r.identity == f"family-{which}"
 
 
+def _exact_sides(which, n, p):
+    """verify_family's sides as floats, scaled by their common gamma
+    factor Gamma(p)^a Gamma(2p)^b, each with the summed magnitude of its
+    terms (the scale that rounding errors in the float lane live on)."""
+    report = verify_family(which, n, p)
+    sides = []
+    for value, terms in zip((report.lhs, report.rhs), family_terms(which, n)):
+        reduced = [gamma_reduce(term, p) for term in terms]
+        assert sum(r.value for r in reduced) == value
+        a, b = reduced[0].exp_gamma_p, reduced[0].exp_gamma_2p
+        scale = (math.gamma(p) ** a if a else 1.0) * (math.gamma(2 * p) ** b if b else 1.0)
+        size = float(sum(abs(r.value) for r in reduced)) * abs(scale)
+        sides.append((float(value) * scale, size))
+    return sides
+
+
+@pytest.mark.parametrize("which", FAMILY_KINDS)
+def test_family_float_matches_exact_lane(which):
+    # n = 2 and n = 4 reach the merged Gamma(p+1)^2 and Gamma(p+n)^2 factors
+    for n in (2, 3, 4, 10, 40, 80):
+        for p in (Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(-1, 4), Fraction(5, 2)):
+            r = family_float(which, n, float(p))
+            (lhs, lhs_size), (rhs, rhs_size) = _exact_sides(which, n, p)
+            assert abs(r.lhs - lhs) <= 1e-12 * lhs_size, (n, p)
+            assert abs(r.rhs - rhs) <= 1e-12 * rhs_size, (n, p)
+            assert r.ok
+
+
+def test_family_float_has_no_vacuous_pass():
+    # once ok with lhs = -inf and rhs = +inf, and a spurious "gamma pole"
+    for which, n, p in (("fpz", 75, 2.95), ("miki", 60, 2.75)):
+        r = family_float(which, n, p)
+        assert r.ok and math.isfinite(r.lhs) and math.isfinite(r.rhs)
+        assert r.lhs == pytest.approx(_exact_sides(which, n, Fraction(p))[0][0], rel=1e-12)
+    # once an OverflowError traceback: out of double range is a DomainError
+    with pytest.raises(DomainError, match="double range"):
+        family_float("fpz", 90, 0.5)
+
+
 def test_family_float_errors():
     with pytest.raises(DomainError):
         family_float("miki", 2, -1.0)
+    with pytest.raises(DomainError):
+        family_float("miki", 2, math.nan)
     with pytest.raises(DomainError):
         family_float("miki", 1, 0.5)
     with pytest.raises(UnknownName):

@@ -5,11 +5,17 @@ shorter ranges plus the frozen point values, the error paths, and the
 cross-route agreements that make each verifier trustworthy.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bernkit
 from bernkit import (
     DomainError,
     FAMILY_KINDS,
@@ -232,6 +238,29 @@ def test_poisoned_cache_breaks_identities():
     assert not verify_miki_modified(4, cache).ok
     report = verify_gessel(4, cache)
     assert not report.ok
+
+
+def test_route_checks_survive_optimize():
+    # under python -O every assert is stripped; the second routes must
+    # still run, so a perturbed series route has to raise RouteMismatch
+    script = textwrap.dedent("""
+        import sys
+        from bernkit import RouteMismatch, identities, series
+        assert False, "assert statements must be stripped here"
+        real_pow = identities.series_pow
+        identities.series_pow = lambda a, n: series._scale(real_pow(a, n), 2)
+        try:
+            identities.multi_lhs(2, 4)
+        except RouteMismatch as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(3)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "nested fold" in done.stdout and "series power" in done.stdout
 
 
 @settings(deadline=None, max_examples=20)
