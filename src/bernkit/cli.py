@@ -25,7 +25,7 @@ from .errors import BernkitError, DomainError, QuadFailure, UnknownName
 _FORMATS = ("plain", "csv", "json")
 _SEQ_KINDS = ("bernoulli", "bbar", "euler", "harmonic", "h2")
 
-_REPORT_COLUMNS = ("identity", "n", "p", "lhs", "rhs", "residual", "ok")
+_REPORT_COLUMNS = ("identity", "n", "p", "lhs", "rhs", "residual", "ok", "error")
 
 
 def _run_task(task: tuple) -> dict:
@@ -218,6 +218,9 @@ def quadcheck(name: str, xs, p: float, fmt: str) -> None:
     if name not in floatcheck.QUAD_NAMES:
         raise click.UsageError(
             f"unknown representation {name!r}; known: {', '.join(floatcheck.QUAD_NAMES)}")
+    bad = [v for v in (*xs, p) if not math.isfinite(v)]
+    if bad:
+        raise click.UsageError(f"--x and --p must be finite, got {bad}")
     grid = sorted(xs) if xs else [2.0, 5.0, 10.0]
     rows = []
     for x in grid:
@@ -227,7 +230,7 @@ def quadcheck(name: str, xs, p: float, fmt: str) -> None:
             rows.append({"name": name, "x": x, "p": p, "value": None,
                          "target": None, "abs_dev": None, "ok": False,
                          "error": str(exc)})
-    _emit_reports(rows, fmt, ("name", "x", "p", "value", "target", "abs_dev", "ok"))
+    _emit_reports(rows, fmt, ("name", "x", "p", "value", "target", "abs_dev", "ok", "error"))
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 
 

@@ -187,19 +187,23 @@ def _fpz_form(n: int, value, cache: SequenceCache | None) -> tuple[Fraction, Fra
     return lhs, rhs
 
 
-def verify_miki(n: int, cache: SequenceCache | None = None) -> IdentityReport:
-    """Miki's identity, the form with the full harmonic number H_2n."""
-    _require_floor("miki", n)
+def _miki_rhs(n: int, cache: SequenceCache | None) -> Fraction:
+    """Right side of Miki's identity in the form with the full H_2n."""
     B = lambda m: bernoulli(m, cache)
-    lhs = _quadratic_lhs(n, B, B)
-    rhs = sum(
+    return sum(
         (
             B(2 * k) * B(2 * n - 2 * k) / Fraction(2 * k) / (2 * n - 2 * k) * binomial(2 * n, 2 * k)
             for k in range(1, n)
         ),
         Fraction(0),
     ) + B(2 * n) * harmonic(2 * n) / n
-    return _report("miki", n, lhs, rhs)
+
+
+def verify_miki(n: int, cache: SequenceCache | None = None) -> IdentityReport:
+    """Miki's identity, the form with the full harmonic number H_2n."""
+    _require_floor("miki", n)
+    B = lambda m: bernoulli(m, cache)
+    return _report("miki", n, _quadratic_lhs(n, B, B), _miki_rhs(n, cache))
 
 
 def verify_miki_modified(n: int, cache: SequenceCache | None = None) -> IdentityReport:
@@ -211,7 +215,7 @@ def verify_miki_modified(n: int, cache: SequenceCache | None = None) -> Identity
     """
     _require_floor("miki-modified", n)
     lhs, rhs = _fpz_form(n, bernoulli, cache)
-    check_routes("the k=n form", rhs, "the H_2n form", verify_miki(n, cache).rhs)
+    check_routes("the k=n form", rhs, "the H_2n form", _miki_rhs(n, cache))
     return _report("miki-modified", n, lhs, rhs)
 
 

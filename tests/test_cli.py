@@ -67,9 +67,9 @@ def test_verify_miki_csv_scan():
         main, ["verify", "--identity", "miki", "--n-max", "50", "--format", "csv"])
     assert result.exit_code == 0
     rows = lines(result)
-    assert rows[0] == "identity,n,p,lhs,rhs,residual,ok"
+    assert rows[0] == "identity,n,p,lhs,rhs,residual,ok,error"
     assert len(rows) == 1 + 49  # n = 2..50
-    assert all(row.endswith(",true") for row in rows[1:])
+    assert all(row.endswith(",true,") for row in rows[1:])  # ok rows: empty error
     assert rows[1].startswith("miki,2,,1/144,")
 
 
@@ -241,6 +241,23 @@ def test_route_mismatch_fails_rows(monkeypatch):
     assert not multi["ok"] and F(multi["rhs"]) == 2 * F(multi["lhs"]) != 0
 
 
+def test_failed_rows_carry_their_reason_in_csv_and_plain():
+    args = ["verify", "--identity", "gessel", "--n-min", "2", "--n-max", "3"]
+    result = runner.invoke(main, args + ["--format", "csv"])
+    assert result.exit_code == 1
+    header, below, at = lines(result)
+    assert header.endswith(",ok,error")
+    assert below == 'gessel,2,,,,,false,"gessel identity needs n >= 3, got 2"'
+    assert at.startswith("gessel,3,,") and at.endswith(",true,")
+    result = runner.invoke(main, args)
+    assert lines(result) == [below.replace('"', ""), at]
+    result = runner.invoke(
+        main, ["verify", "--identity", "family-fpz", "--float-p", "0.5",
+               "--n-min", "90", "--n-max", "90", "--format", "csv"])
+    assert lines(result)[1].startswith("family-fpz,90,0.5,,,,false,")
+    assert "double range" in lines(result)[1]
+
+
 def test_verify_family_pole_row():
     result = runner.invoke(
         main, ["verify", "--identity", "family-miki", "--p", "-1",
@@ -290,7 +307,7 @@ def test_quadcheck_default_grid():
     assert result.exit_code == 0
     rows = lines(result)
     assert len(rows) == 3
-    assert all(row.endswith(",true") for row in rows)
+    assert all(row.endswith(",true,") for row in rows)
 
 
 def test_quadcheck_json():
@@ -311,11 +328,21 @@ def test_quadcheck_weighted():
 def test_quadcheck_errors():
     assert runner.invoke(main, ["quadcheck", "zork"]).exit_code == 2
     # domain failures become rows, not usage errors
-    result = runner.invoke(main, ["quadcheck", "psi_tilde", "--x", "0.5"])
+    result = runner.invoke(main, ["quadcheck", "psi_tilde", "--x", "0.5", "--format", "csv"])
     assert result.exit_code == 1
-    assert "false" in result.output
+    assert lines(result) == ["name,x,p,value,target,abs_dev,ok,error",
+                             'psi_tilde,0.5,0.0,,,,false,"quadrature grid starts at x = 1, got 0.5"']
     result = runner.invoke(main, ["quadcheck", "psi_tilde", "--p", "1", "--x", "5"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--x", "nan"], ["--x", "inf"], ["--x", "2", "--x", "-inf"], ["--p", "nan", "--x", "5"],
+])
+def test_quadcheck_non_finite_is_usage_error(args):
+    result = runner.invoke(main, ["quadcheck", "psi_tilde_p", *args])
+    assert result.exit_code == 2, result.output
+    assert "must be finite" in result.output
 
 
 def test_poisoned_sequences_fail_scan(monkeypatch):

@@ -86,6 +86,14 @@ def test_quadratic_lhs_forms_agree():
         assert bar_square.coeff(2 * n) == verify_fpz(n).lhs
 
 
+def test_miki_modified_cross_checks_the_h2n_form(monkeypatch):
+    # shifting H_2n (not H_{2n-1}) breaks only the H_2n form of the right side
+    real = bernkit.identities.harmonic
+    monkeypatch.setattr(bernkit.identities, "harmonic", lambda i: real(i) + (i % 2 == 0))
+    with pytest.raises(bernkit.RouteMismatch, match="the H_2n form"):
+        verify_miki_modified(4)
+
+
 P_GRID = (F(0), F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 2), F(-1, 4))
 
 
@@ -242,11 +250,20 @@ def test_poisoned_cache_breaks_identities():
 
 def test_route_checks_survive_optimize():
     # under python -O every assert is stripped; the second routes must
-    # still run, so a perturbed series route has to raise RouteMismatch
+    # still run, so a perturbed H^(2) table or series route has to raise
+    # RouteMismatch
     script = textwrap.dedent("""
         import sys
-        from bernkit import RouteMismatch, identities, series
+        from bernkit import RouteMismatch, SequenceCache, identities, series
         assert False, "assert statements must be stripped here"
+        cache = SequenceCache()
+        cache.harmonic(10)
+        cache.harm2[10] += 1
+        try:
+            cache.harmonic_second(5)
+            sys.exit(4)
+        except RouteMismatch as exc:
+            print(exc)
         real_pow = identities.series_pow
         identities.series_pow = lambda a, n: series._scale(real_pow(a, n), 2)
         try:
@@ -261,6 +278,7 @@ def test_route_checks_survive_optimize():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "nested fold" in done.stdout and "series power" in done.stdout
+    assert "symmetric form" in done.stdout
 
 
 @settings(deadline=None, max_examples=20)

@@ -1,17 +1,24 @@
 """Exact-core tests.
 
-The Bernoulli/Euler oracle is the boustrophedon (Seidel zigzag) triangle:
-pure integer additions, no shared code with the package recurrences.
-Tangent numbers give B_2n through 4^n(4^n-1), secant numbers give E_2n.
+Two oracles share no code with the package's tangent/secant kernels:
+
+* the boustrophedon (Seidel zigzag) triangle, pure integer additions:
+  tangent numbers give B_2n through 4^n(4^n-1), secant numbers give E_2n;
+* the Fraction recurrences the package used before the kernels,
+  sum(C(n+1,k) B_k, k=0..n) = 0 and the cosh inversion
+  sum(C(2m,2j) E_{2m-2j}, j=0..m) = 0, checked to B_300 and E_300 under
+  several growth orders of the doubling tables.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bernkit import (
+    DomainError,
     PartsMismatch,
     SequenceCache,
     bernoulli,
@@ -47,6 +54,69 @@ def oracle_bernoulli(n: int) -> Fraction:
     return Fraction((-1) ** (n - 1) * Z[2 * n - 1] * 2 * n, four * (four - 1))
 
 
+ORACLE_MAX = 300
+
+
+@cache
+def recurrence_bernoulli() -> list[Fraction]:
+    """B_0..B_ORACLE_MAX by sum(C(m+1,k) B_k, k=0..m) = 0."""
+    bern = [Fraction(1)]
+    for m in range(1, ORACLE_MAX + 1):
+        bern.append(Fraction(-sum(comb(m + 1, k) * bern[k] for k in range(m)), m + 1))
+    return bern
+
+
+@cache
+def recurrence_euler() -> list[int]:
+    """E_0..E_ORACLE_MAX by inverting cosh: sum(C(2m,2j) E_{2m-2j}, j=0..m) = 0."""
+    eul = [1]
+    for m in range(1, ORACLE_MAX + 1):
+        eul.append(0 if m % 2 else -sum(comb(m, 2 * j) * eul[m - 2 * j] for j in range(1, m // 2 + 1)))
+    return eul
+
+
+# one request for the top index; every index in turn; requests that each
+# cross one or more doubling boundaries (8, 16, 32, 64, 128, 256)
+GROWTH_ORDERS = {
+    "one-shot": [ORACLE_MAX],
+    "stepwise": list(range(ORACLE_MAX + 1)),
+    "boundaries": [1, 2, 3, 7, 9, 16, 17, 70, 129, 257, ORACLE_MAX],
+}
+
+
+@pytest.mark.parametrize("order", sorted(GROWTH_ORDERS))
+def test_bernoulli_matches_recurrence_oracle(order):
+    cache = SequenceCache()
+    for n in GROWTH_ORDERS[order]:
+        assert cache.bernoulli(n) == recurrence_bernoulli()[n], n
+    assert cache.bern[: ORACLE_MAX + 1] == recurrence_bernoulli()
+
+
+@pytest.mark.parametrize("order", sorted(GROWTH_ORDERS))
+def test_euler_matches_recurrence_oracle(order):
+    cache = SequenceCache()
+    for n in GROWTH_ORDERS[order]:
+        assert cache.euler_number(n) == recurrence_euler()[n], n
+    assert cache.eul[: ORACLE_MAX + 1] == recurrence_euler()
+
+
+def test_growth_never_rewrites_entries():
+    # growth past a corrupted entry appends fresh entries and leaves the
+    # corrupted one (and every other existing entry) as it was
+    cache = SequenceCache()
+    cache.bernoulli(10)
+    cache.euler_number(10)
+    cache.bern[4] += 1
+    cache.eul[6] += 1
+    bern_before, eul_before = list(cache.bern), list(cache.eul)
+    assert cache.bernoulli(100) == recurrence_bernoulli()[100]
+    assert cache.euler_number(100) == recurrence_euler()[100]
+    assert cache.bern[: len(bern_before)] == bern_before
+    assert cache.eul[: len(eul_before)] == eul_before
+    assert cache.bern[4] == Fraction(-1, 30) + 1 and cache.eul[6] == -60
+    assert cache.bern[len(bern_before):] == recurrence_bernoulli()[len(bern_before):len(cache.bern)]
+
+
 def test_bernoulli_small_table():
     table = [
         Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0),
@@ -77,9 +147,10 @@ def _small_primes(limit: int) -> list[int]:
 
 def test_von_staudt_clausen():
     # B_2n + sum(1/q) over primes q with (q-1) | 2n is an integer
-    for n in range(1, 41):
+    primes = _small_primes(401)
+    for n in range(1, 201):
         total = bernoulli(2 * n) + sum(
-            Fraction(1, q) for q in _small_primes(2 * n + 1) if (2 * n) % (q - 1) == 0
+            Fraction(1, q) for q in primes if q <= 2 * n + 1 and (2 * n) % (q - 1) == 0
         )
         assert total.denominator == 1, n
 
@@ -137,6 +208,16 @@ def test_harmonic_step(i):
     assert harmonic(i + 1) - harmonic(i) == Fraction(1, i + 1)
 
 
+def test_harmonic_tables_are_prefix_sums():
+    cache = SequenceCache()
+    assert cache.harmonic(30) == sum(Fraction(1, j) for j in range(1, 31))
+    assert len(cache.harm) == len(cache.harm2) == 31
+    for i in range(31):
+        assert cache.harm2[i] == sum((Fraction(1, j * j) for j in range(1, i + 1)), Fraction(0))
+    with pytest.raises(DomainError):
+        cache.harmonic(-1)
+
+
 def test_binomial_matches_comb_and_clips():
     for n in range(0, 12):
         for k in range(-2, n + 3):
@@ -182,7 +263,6 @@ def test_cache_injection_is_isolated():
     poisoned.bernoulli(8)
     poisoned.bern[4] += 1
     assert bernoulli(4, poisoned) == Fraction(-1, 30) + 1
-    # later entries extend from the corrupted table
     assert bernoulli(6, poisoned) == Fraction(1, 42)  # already computed, untouched
     assert bernoulli(4) == Fraction(-1, 30)  # default cache unaffected
 
