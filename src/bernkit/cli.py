@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +25,7 @@ _FORMATS = ("plain", "csv", "json")
 _SEQ_KINDS = ("bernoulli", "bbar", "euler", "harmonic", "h2")
 
 _REPORT_COLUMNS = ("identity", "n", "p", "lhs", "rhs", "residual", "ok", "error")
+_QUAD_COLUMNS = ("name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok", "error")
 
 
 def _run_task(task: tuple) -> dict:
@@ -138,14 +138,10 @@ def seq(kind: str, n_max: int, fmt: str) -> None:
 @click.option("--float-p", "float_ps", multiple=True, type=float,
               help="float parameter: evaluate a family in double precision")
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default="plain")
-@click.option("--jobs", type=int, default=None,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="BERNKIT_JOBS",
               help="worker processes (default: BERNKIT_JOBS or 1)")
 def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None:
     """Scan identities over a range of n; exit 0 iff every row is ok."""
-    if jobs is None:
-        jobs = int(os.environ.get("BERNKIT_JOBS", "1"))
-    if jobs < 1:
-        raise click.UsageError(f"--jobs must be >= 1, got {jobs}")
     exact_ps = []
     for text in p_values:
         try:
@@ -227,10 +223,9 @@ def quadcheck(name: str, xs, p: float, fmt: str) -> None:
         try:
             rows.append(floatcheck.quad_rep(name, x, p).as_dict())
         except (DomainError, QuadFailure) as exc:
-            rows.append({"name": name, "x": x, "p": p, "value": None,
-                         "target": None, "abs_dev": None, "ok": False,
-                         "error": str(exc)})
-    _emit_reports(rows, fmt, ("name", "x", "p", "value", "target", "abs_dev", "ok", "error"))
+            rows.append({**dict.fromkeys(_QUAD_COLUMNS), "name": name, "x": x, "p": p,
+                         "ok": False, "error": str(exc)})
+    _emit_reports(rows, fmt, _QUAD_COLUMNS)
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 
 

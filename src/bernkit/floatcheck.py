@@ -26,7 +26,6 @@ from .errors import DomainError, QuadFailure, UnknownName
 from .gammaalg import GammaProduct
 from .identities import family_terms
 from .sequences import (
-    SequenceCache,
     bernoulli,
     bernoulli_bar,
     euler_number,
@@ -52,6 +51,9 @@ QUAD_NAMES = ("psi_tilde", "psi_bar", "psi_tilde_p", "psi_bar_p", "g")
 _SERIES_CUT = 0.1
 _TAIL_EPS = 1e-18
 _MAX_TERMS = 120
+# A target whose error bound exceeds this verifies nothing: the omitted
+# term of a divergent series grows without bound as x falls.
+_TOL_CAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,33 @@ class QuadResult:
     tol: float
 
     @property
+    def error(self) -> str | None:
+        """Why the row is not ok, or None when it is."""
+        if self.tol > _TOL_CAP:
+            return f"target unverified: its error bound {self.tol:.3e} exceeds the cap {_TOL_CAP:.0e}"
+        if not self.abs_dev <= self.tol:
+            return f"deviation {self.abs_dev:.3e} exceeds the tolerance {self.tol:.3e}"
+        return None
+
+    @property
     def ok(self) -> bool:
-        return self.abs_dev <= self.tol
+        return self.error is None
 
     def as_dict(self) -> dict:
-        return {
+        row = {
             "name": self.name,
             "x": self.x,
             "p": self.p,
             "value": self.value,
             "target": self.target,
             "abs_dev": self.abs_dev,
+            "tol": self.tol,
+            "est_error": self.est_error,
             "ok": self.ok,
         }
+        if not row["ok"]:
+            row["error"] = self.error
+        return row
 
 
 # psi(x) = ln x - 1/(2x) - sum B_2k/(2k x^2k); seven terms reach ~1e-15
@@ -228,7 +244,9 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     series (p >= 3).  Non-integer p drops the derivative prefactor and is
     compared against the term-wise transform of the kernel's Taylor
     series.  g has no elementary closed form; its target is the optimally
-    truncated Euler-number series.
+    truncated Euler-number series.  A series target is trusted to its
+    first omitted term; a row where that bound exceeds 1e-6 is not ok and
+    says so in its error, but still carries the quadrature value.
     """
     if name not in QUAD_NAMES:
         raise UnknownName(f"no representation named {name!r}")
@@ -245,28 +263,16 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     if err > 1e-8:
         raise QuadFailure(f"estimated quadrature error {err:.3e} exceeds 1e-8")
 
-    is_int = float(p).is_integer()
-    if name == "g":
-        value = raw
-        target, omitted = optimal_series("g", x)
-        tol = max(1e-8, omitted)
-    elif not is_int:
-        value = raw
+    ip = int(p) if float(p).is_integer() and name != "g" else None
+    value = raw if ip is None else -((-2.0) ** ip) * raw
+    closed = _psi_tilde_closed if name.startswith("psi_tilde") else _psi_bar_closed
+    if ip == 0:
+        target, tol = closed(x), 1e-8
+    elif ip in (1, 2):
+        target, tol = _difference_target(closed, x, ip), 1e-7
+    else:
         target, omitted = optimal_series(name, x, p)
         tol = max(1e-8, omitted)
-    else:
-        ip = int(p)
-        value = -((-2.0) ** ip) * raw
-        closed = _psi_tilde_closed if name.startswith("psi_tilde") else _psi_bar_closed
-        if ip == 0:
-            target = closed(x)
-            tol = 1e-8
-        elif ip in (1, 2):
-            target = _difference_target(closed, x, ip)
-            tol = 1e-7
-        else:
-            target, omitted = optimal_series(name, x, p)
-            tol = max(1e-8, omitted)
     return QuadResult(name, x, p, value, err, target, abs(value - target), tol)
 
 
@@ -277,7 +283,7 @@ def check_mixed_trig(s: float) -> float:
     return abs(lhs - rhs)
 
 
-def check_zeta(n: int, cache: SequenceCache | None = None) -> QuadResult:
+def check_zeta(n: int) -> QuadResult:
     """float(B_2n) against the even zeta value, 1 <= n <= 8.
 
     zeta(2n) is summed directly to k < 50 with an Euler-Maclaurin tail;
@@ -297,7 +303,7 @@ def check_zeta(n: int, cache: SequenceCache | None = None) -> QuadResult:
     est = s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * K ** (-s - 5) / 30240.0
     zeta = partial + tail
     target = (-1.0) ** (n + 1) * 2.0 * math.factorial(s) / (2.0 * math.pi) ** s * zeta
-    value = float(bernoulli(2 * n, cache))
+    value = float(bernoulli(2 * n))
     return QuadResult("zeta", float(n), 0.0, value, est, target, abs(value - target), 1e-12 * abs(target))
 
 
@@ -367,7 +373,7 @@ def _float_side(terms: list[GammaProduct], p: float) -> float:
     return math.ldexp(math.fsum(math.ldexp(m, e - top) for m, e in scaled), top)
 
 
-def family_float(which: str, n: int, p: float, cache: SequenceCache | None = None) -> FamilyFloat:
+def family_float(which: str, n: int, p: float) -> FamilyFloat:
     """Both sides of a family identity in double precision via math.gamma.
 
     The float twin of the exact family verifier: it evaluates the same
@@ -379,7 +385,7 @@ def family_float(which: str, n: int, p: float, cache: SequenceCache | None = Non
     """
     if not -1 < p < math.inf:
         raise DomainError(f"float family evaluation needs finite p > -1, got {p}")
-    lhs_terms, rhs_terms = family_terms(which, n, cache)
+    lhs_terms, rhs_terms = family_terms(which, n)
     try:
         lhs = _float_side(lhs_terms, p)
         rhs = _float_side(rhs_terms, p)

@@ -15,6 +15,14 @@ lane too.  The cubic identities are triple convolutions.  Lemma-expansion
 checks reconstruct the intermediate asymptotic series of the squared
 generating functions by two independent routes.  FLOORS maps every
 command-line identity id to the smallest n each verifier accepts.
+
+The x^(-2n) coefficients of the four lemma expansions (_coth_product,
+_coth_harmonic, _sinh_product, _sinh_harmonic) are written once and are
+the quadratic right sides: Miki's is the sum of the two coth
+coefficients, FPZ's the sum of the two sinh ones, and Gessel's reuses the
+coth product.  The lemma check therefore tests the very code those right
+sides run.  The cubic forms share _cubic_form, the B/Bbar mixed forms
+share _mixed_weight.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
 from .gammaalg import GammaProduct, beta_factor, gamma_reduce
 from .sequences import (
     Rational,
-    SequenceCache,
     bernoulli,
     bernoulli_bar,
     binomial,
@@ -143,17 +150,17 @@ def _require_floor(identity: str, n: int) -> None:
     _require(n >= floor, f"{identity} identity needs n >= {floor}, got {n}")
 
 
-def verify_euler(n: int, cache: SequenceCache | None = None) -> IdentityReport:
+def verify_euler(n: int) -> IdentityReport:
     """sum C(2n,2k) B_2k B_{2n-2k} = -(2n+1) B_2n, for n >= 2."""
     _require_floor("euler", n)
     lhs = sum(
         (
-            binomial(2 * n, 2 * k) * bernoulli(2 * k, cache) * bernoulli(2 * n - 2 * k, cache)
+            binomial(2 * n, 2 * k) * bernoulli(2 * k) * bernoulli(2 * n - 2 * k)
             for k in range(1, n)
         ),
         Fraction(0),
     )
-    rhs = -(2 * n + 1) * bernoulli(2 * n, cache)
+    rhs = -(2 * n + 1) * bernoulli(2 * n)
     return _report("euler", n, lhs, rhs)
 
 
@@ -167,46 +174,63 @@ def _quadratic_lhs(n: int, first, second) -> Fraction:
     )
 
 
-def _fpz_form(n: int, value, cache: SequenceCache | None) -> tuple[Fraction, Fraction]:
-    """Both sides of the FPZ-shaped identity for the sequence ``value``:
-    FPZ itself for bernoulli_bar, Miki's k=n form for bernoulli."""
-    B = lambda m: bernoulli(m, cache)
-    S = lambda m: value(m, cache)
-    lhs = _quadratic_lhs(n, S, S)
-    rhs = (
-        sum(
-            (
-                B(2 * k) * S(2 * n - 2 * k) / Fraction(2 * k) * binomial(2 * n, 2 * k)
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        / n
-        + S(2 * n) * harmonic(2 * n - 1) / n
-    )
-    return lhs, rhs
-
-
-def _miki_rhs(n: int, cache: SequenceCache | None) -> Fraction:
-    """Right side of Miki's identity in the form with the full H_2n."""
-    B = lambda m: bernoulli(m, cache)
+def _coth_product(n: int) -> Fraction:
+    """x^(-2n) coefficient of the coth-product lemma expansion."""
+    B = bernoulli
     return sum(
         (
             B(2 * k) * B(2 * n - 2 * k) / Fraction(2 * k) / (2 * n - 2 * k) * binomial(2 * n, 2 * k)
             for k in range(1, n)
         ),
         Fraction(0),
-    ) + B(2 * n) * harmonic(2 * n) / n
+    )
 
 
-def verify_miki(n: int, cache: SequenceCache | None = None) -> IdentityReport:
+def _coth_harmonic(n: int) -> Fraction:
+    """x^(-2n) coefficient of the coth-harmonic lemma expansion."""
+    return bernoulli(2 * n) * harmonic(2 * n) / n
+
+
+def _sinh_product(n: int, value) -> Fraction:
+    """x^(-2n) coefficient of the sinh-product lemma expansion for
+    ``value`` = bernoulli_bar; bernoulli gives Miki's k=n form."""
+    return (
+        sum(
+            (
+                bernoulli(2 * k) * value(2 * n - 2 * k) / Fraction(2 * k) * binomial(2 * n, 2 * k)
+                for k in range(1, n + 1)
+            ),
+            Fraction(0),
+        )
+        / n
+    )
+
+
+def _sinh_harmonic(n: int, value) -> Fraction:
+    """x^(-2n) coefficient of the sinh-harmonic lemma expansion for
+    ``value`` = bernoulli_bar."""
+    return value(2 * n) * harmonic(2 * n - 1) / n
+
+
+def _fpz_rhs(n: int, value) -> Fraction:
+    """Right side of the FPZ-shaped identity for the sequence ``value``:
+    FPZ itself for bernoulli_bar, Miki's k=n form for bernoulli."""
+    return _sinh_product(n, value) + _sinh_harmonic(n, value)
+
+
+def _miki_rhs(n: int) -> Fraction:
+    """Right side of Miki's identity in the form with the full H_2n."""
+    return _coth_product(n) + _coth_harmonic(n)
+
+
+def verify_miki(n: int) -> IdentityReport:
     """Miki's identity, the form with the full harmonic number H_2n."""
     _require_floor("miki", n)
-    B = lambda m: bernoulli(m, cache)
-    return _report("miki", n, _quadratic_lhs(n, B, B), _miki_rhs(n, cache))
+    B = bernoulli
+    return _report("miki", n, _quadratic_lhs(n, B, B), _miki_rhs(n))
 
 
-def verify_miki_modified(n: int, cache: SequenceCache | None = None) -> IdentityReport:
+def verify_miki_modified(n: int) -> IdentityReport:
     """Miki's identity rewritten with a k=n term and H_{2n-1}.
 
     The rewritten right side must equal the H_2n form exactly (the k=n
@@ -214,32 +238,34 @@ def verify_miki_modified(n: int, cache: SequenceCache | None = None) -> Identity
     cross-checked before reporting.
     """
     _require_floor("miki-modified", n)
-    lhs, rhs = _fpz_form(n, bernoulli, cache)
-    check_routes("the k=n form", rhs, "the H_2n form", _miki_rhs(n, cache))
-    return _report("miki-modified", n, lhs, rhs)
+    B = bernoulli
+    rhs = _fpz_rhs(n, B)
+    check_routes("the k=n form", rhs, "the H_2n form", _miki_rhs(n))
+    return _report("miki-modified", n, _quadratic_lhs(n, B, B), rhs)
 
 
-def verify_fpz(n: int, cache: SequenceCache | None = None) -> IdentityReport:
+def verify_fpz(n: int) -> IdentityReport:
     """The Faber-Pandharipande-Zagier identity for the Bbar numbers."""
     _require_floor("fpz", n)
-    lhs, rhs = _fpz_form(n, bernoulli_bar, cache)
-    return _report("fpz", n, lhs, rhs)
+    Bb = bernoulli_bar
+    return _report("fpz", n, _quadratic_lhs(n, Bb, Bb), _fpz_rhs(n, Bb))
 
 
-def verify_mixed(n: int, cache: SequenceCache | None = None) -> IdentityReport:
+def _mixed_weight(k: int, n: int) -> Fraction:
+    """(1 - 2^(2k-1)) / 2^(2n-1), the doubling weight of the B/Bbar forms."""
+    return Fraction(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1))
+
+
+def verify_mixed(n: int) -> IdentityReport:
     """The mixed identity convolving B with Bbar via the doubling relation."""
     _require_floor("mixed", n)
-    B = lambda m: bernoulli(m, cache)
-    Bb = lambda m: bernoulli_bar(m, cache)
-    lhs = _quadratic_lhs(n, B, Bb)
+    B = bernoulli
+    lhs = _quadratic_lhs(n, B, bernoulli_bar)
     rhs = (
         sum(
             (
-                B(2 * k)
-                * B(2 * n - 2 * k)
-                / Fraction(2 * k)
-                * binomial(2 * n, 2 * k)
-                * Fraction(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1))
+                B(2 * k) * B(2 * n - 2 * k) / Fraction(2 * k)
+                * binomial(2 * n, 2 * k) * _mixed_weight(k, n)
                 for k in range(1, n + 1)
             ),
             Fraction(0),
@@ -258,9 +284,7 @@ def _reduce_side(terms: list[GammaProduct], p: Fraction) -> tuple[tuple[int, int
     return exponents.pop(), sum((r.value for r in reduced), Fraction(0))
 
 
-def family_terms(
-    which: str, n: int, cache: SequenceCache | None = None
-) -> tuple[list[GammaProduct], list[GammaProduct]]:
+def family_terms(which: str, n: int) -> tuple[list[GammaProduct], list[GammaProduct]]:
     """Terms of both sides of one gamma-weighted family, symbolic in p.
 
     which selects the plain (miki), Bbar (fpz) or mixed variant.  Each
@@ -272,8 +296,7 @@ def family_terms(
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
     _require_floor(f"family-{which}", n)
-    B = lambda m: bernoulli(m, cache)
-    Bb = lambda m: bernoulli_bar(m, cache)
+    B, Bb = bernoulli, bernoulli_bar
     lhs_first = Bb if which == "fpz" else B
     lhs_second = B if which == "miki" else Bb
 
@@ -292,7 +315,7 @@ def family_terms(
     rhs_terms = []
     for k in range(1, n + 1):
         pair = B(2 * k) * (Bb(2 * n - 2 * k) if which == "fpz" else B(2 * n - 2 * k))
-        weight = Fraction(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1)) if which == "mixed" else Fraction(1)
+        weight = _mixed_weight(k, n) if which == "mixed" else Fraction(1)
         rat = 2 * pair * weight / Fraction(factorial(2 * k)) / factorial(2 * n - 2 * k)
         rhs_terms.append(
             GammaProduct(
@@ -310,16 +333,14 @@ def family_terms(
     return lhs_terms, rhs_terms
 
 
-def verify_family(
-    which: str, n: int, p: Rational, cache: SequenceCache | None = None
-) -> IdentityReport:
+def verify_family(which: str, n: int, p: Rational) -> IdentityReport:
     """One-parameter gamma-weighted family of the quadratic identities.
 
     Both sides' family_terms are reduced at the rational point p, required
     to share one (Gamma(p), Gamma(2p)) exponent pair, and compared through
     their rational cofactors.
     """
-    lhs_terms, rhs_terms = family_terms(which, n, cache)
+    lhs_terms, rhs_terms = family_terms(which, n)
     p = Fraction(p)
     lhs_exp, lhs_value = _reduce_side(lhs_terms, p)
     rhs_exp, rhs_value = _reduce_side(rhs_terms, p)
@@ -328,7 +349,7 @@ def verify_family(
     return _report(f"family-{which}", n, lhs_value, rhs_value, p=p)
 
 
-def verify_p1(which: str, n: int, cache: SequenceCache | None = None) -> IdentityReport:
+def verify_p1(which: str, n: int) -> IdentityReport:
     """The p = 1 specializations in their reduced binomial form.
 
     Each reduced form extends the family's left sum with its k=n term and
@@ -340,8 +361,7 @@ def verify_p1(which: str, n: int, cache: SequenceCache | None = None) -> Identit
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
     _require_floor(f"p1-{which}", n)
-    B = lambda m: bernoulli(m, cache)
-    Bb = lambda m: bernoulli_bar(m, cache)
+    B, Bb = bernoulli, bernoulli_bar
     if which != "mixed":
         S = B if which == "miki" else Bb
         lhs = sum((S(2 * k) * S(2 * n - 2 * k) for k in range(1, n + 1)), Fraction(0))
@@ -362,10 +382,7 @@ def verify_p1(which: str, n: int, cache: SequenceCache | None = None) -> Identit
         rhs = (
             sum(
                 (
-                    B(2 * k)
-                    * B(2 * n - 2 * k)
-                    * Fraction(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1))
-                    * binomial(2 * n + 2, 2 * k + 2)
+                    B(2 * k) * B(2 * n - 2 * k) * _mixed_weight(k, n) * binomial(2 * n + 2, 2 * k + 2)
                     for k in range(1, n + 1)
                 ),
                 Fraction(0),
@@ -375,7 +392,7 @@ def verify_p1(which: str, n: int, cache: SequenceCache | None = None) -> Identit
         )
         shift = Fraction(0)
     if n >= FLOORS[f"family-{which}"]:
-        family = verify_family(which, n, Fraction(1), cache)
+        family = verify_family(which, n, Fraction(1))
         check_routes("the reduced lhs", lhs, "the shifted family lhs", family.lhs + shift)
         check_routes("the reduced rhs", rhs, "the shifted family rhs", family.rhs + shift)
     return _report(f"p1-{which}", n, lhs, rhs)
@@ -387,15 +404,15 @@ def _triple_terms(n: int):
             yield k, l, n - k - l
 
 
-def _gessel_polynomial_term(n: int, cache: SequenceCache | None) -> Fraction:
-    return Fraction(4 * n * n - 6 * n + 5, 4) * bernoulli(2 * n - 2, cache) / (2 * n - 2)
+def _gessel_polynomial_term(n: int) -> Fraction:
+    return Fraction(4 * n * n - 6 * n + 5, 4) * bernoulli(2 * n - 2) / (2 * n - 2)
 
 
-def verify_gessel(n: int, cache: SequenceCache | None = None) -> IdentityReport:
+def verify_gessel(n: int) -> IdentityReport:
     """Gessel's triple convolution identity, for n >= 3."""
     _require_floor("gessel", n)
-    B = lambda m: bernoulli(m, cache)
-    lhs = multi_lhs(3, n, "plain", cache)
+    B = bernoulli
+    lhs = multi_lhs(3, n, "plain")
     rhs = (
         sum(
             (
@@ -408,31 +425,23 @@ def verify_gessel(n: int, cache: SequenceCache | None = None) -> IdentityReport:
             ),
             Fraction(0),
         )
-        + 3
-        * harmonic(2 * n)
-        * sum(
-            (
-                binomial(2 * n, 2 * k) * B(2 * k) * B(2 * n - 2 * k) / Fraction(2 * k) / (2 * n - 2 * k)
-                for k in range(1, n)
-            ),
-            Fraction(0),
-        )
+        + 3 * harmonic(2 * n) * _coth_product(n)
         + 6 * harmonic_second(n) * B(2 * n) / (2 * n)
-        - _gessel_polynomial_term(n, cache)
+        - _gessel_polynomial_term(n)
     )
     return _report("gessel", n, lhs, rhs)
 
 
-def verify_gessel_modified(n: int, cache: SequenceCache | None = None) -> IdentityReport:
-    """The modified Gessel form produced by skipping the integration by parts."""
-    _require_floor("gessel-modified", n)
-    B = lambda m: bernoulli(m, cache)
-    lhs = multi_lhs(3, n, "plain", cache)
-    rhs = (
+def _cubic_form(n: int, value) -> Fraction:
+    """The right-side terms that the modified Gessel form (``value`` =
+    bernoulli) and the cubic FPZ form (bernoulli_bar) share: the triple
+    sum, the H_2n sum and the H_{2n,2} term."""
+    B = bernoulli
+    return (
         Fraction(3, 2 * n)
         * sum(
             (
-                B(2 * k) * B(2 * l) * B(2 * m) / Fraction(4 * k * l)
+                B(2 * k) * B(2 * l) * value(2 * m) / Fraction(4 * k * l)
                 * multinomial(2 * n, [2 * k, 2 * l, 2 * m])
                 for k, l, m in _triple_terms(n)
             ),
@@ -442,63 +451,41 @@ def verify_gessel_modified(n: int, cache: SequenceCache | None = None) -> Identi
         * harmonic(2 * n)
         * sum(
             (
-                binomial(2 * n, 2 * k) * B(2 * k) * B(2 * n - 2 * k) / Fraction(2 * k)
+                binomial(2 * n, 2 * k) * B(2 * k) * value(2 * n - 2 * k) / Fraction(2 * k)
                 for k in range(1, n)
             ),
             Fraction(0),
         )
-        + 6 * harmonic_second(n) * B(2 * n) / (2 * n)
-        - _gessel_polynomial_term(n, cache)
+        + 6 * harmonic_second(n) * value(2 * n) / (2 * n)
     )
+
+
+def verify_gessel_modified(n: int) -> IdentityReport:
+    """The modified Gessel form produced by skipping the integration by parts."""
+    _require_floor("gessel-modified", n)
+    lhs = multi_lhs(3, n, "plain")
+    rhs = _cubic_form(n, bernoulli) - _gessel_polynomial_term(n)
     return _report("gessel-modified", n, lhs, rhs)
 
 
-def verify_fpz_cubic(n: int, cache: SequenceCache | None = None) -> IdentityReport:
-    """Cubic analog of the FPZ identity, for n >= 3."""
+def verify_fpz_cubic(n: int) -> IdentityReport:
+    """Cubic analog of the FPZ identity, for n >= 3.
+
+    Beyond the shared cubic terms its right side carries 3/(2n) times the
+    difference of the FPZ right sides for B and for Bbar (their k=n terms
+    cancel, as B_0 = Bbar_0 = 1).
+    """
     _require_floor("fpz-cubic", n)
-    B = lambda m: bernoulli(m, cache)
-    Bb = lambda m: bernoulli_bar(m, cache)
-    lhs = multi_lhs(3, n, "bar", cache)
+    lhs = multi_lhs(3, n, "bar")
     rhs = (
-        Fraction(3, 2 * n)
-        * sum(
-            (
-                B(2 * k) * B(2 * l) * Bb(2 * m) / Fraction(4 * k * l)
-                * multinomial(2 * n, [2 * k, 2 * l, 2 * m])
-                for k, l, m in _triple_terms(n)
-            ),
-            Fraction(0),
-        )
-        + Fraction(3, n)
-        * harmonic(2 * n)
-        * sum(
-            (
-                binomial(2 * n, 2 * k) * B(2 * k) * Bb(2 * n - 2 * k) / Fraction(2 * k)
-                for k in range(1, n)
-            ),
-            Fraction(0),
-        )
-        + Fraction(3, 2 * n * n)
-        * sum(
-            (
-                binomial(2 * n, 2 * k)
-                * B(2 * k)
-                / Fraction(2 * k)
-                * (B(2 * n - 2 * k) - Bb(2 * n - 2 * k))
-                for k in range(1, n)
-            ),
-            Fraction(0),
-        )
-        + Fraction(3, 2 * n * n) * harmonic(2 * n - 1) * (B(2 * n) - Bb(2 * n))
-        + 6 * harmonic_second(n) * Bb(2 * n) / (2 * n)
-        - Fraction(2 * n - 1, 4) * Bb(2 * n - 2)
+        _cubic_form(n, bernoulli_bar)
+        + Fraction(3, 2 * n) * (_fpz_rhs(n, bernoulli) - _fpz_rhs(n, bernoulli_bar))
+        - Fraction(2 * n - 1, 4) * bernoulli_bar(2 * n - 2)
     )
     return _report("fpz-cubic", n, lhs, rhs)
 
 
-def verify_multi(
-    N: int, n: int, variant: str = "plain", cache: SequenceCache | None = None
-) -> IdentityReport:
+def verify_multi(N: int, n: int, variant: str = "plain") -> IdentityReport:
     """N-fold convolution sum of B_2k/(2k) (or Bbar) over k_1+...+k_N = n.
 
     lhs is the direct nested summation; rhs is, independently, the x^(-2n)
@@ -517,11 +504,11 @@ def verify_multi(
 
     def fold(parts: int, total: int) -> Fraction:
         if parts == 1:
-            return value(2 * total, cache) / Fraction(2 * total)
+            return value(2 * total) / Fraction(2 * total)
         if (parts, total) in memo:
             return memo[(parts, total)]
         acc = sum(
-            (value(2 * k, cache) / Fraction(2 * k) * fold(parts - 1, total - k)
+            (value(2 * k) / Fraction(2 * k) * fold(parts - 1, total - k)
              for k in range(1, total - parts + 2)),
             Fraction(0),
         )
@@ -529,26 +516,24 @@ def verify_multi(
         return acc
 
     direct = fold(N, n)
-    base = named_series("psi_tilde" if variant == "plain" else "psi_bar", 2 * n, cache=cache)
+    base = named_series("psi_tilde" if variant == "plain" else "psi_bar", 2 * n)
     via_series = (-1) ** N * series_pow(base, N).coeff(2 * n)
     return _report(identity, n, direct, via_series, N=N)
 
 
-def multi_lhs(
-    N: int, n: int, variant: str = "plain", cache: SequenceCache | None = None
-) -> Fraction:
+def multi_lhs(N: int, n: int, variant: str = "plain") -> Fraction:
     """The nested-fold value of verify_multi, once the series route agrees."""
-    report = verify_multi(N, n, variant, cache)
+    report = verify_multi(N, n, variant)
     check_routes("the nested fold", report.lhs, "the series power", report.rhs)
     return report.lhs
 
 
-def verify_euler_bernoulli(n: int, cache: SequenceCache | None = None) -> IdentityReport:
+def verify_euler_bernoulli(n: int) -> IdentityReport:
     """Euler-number convolution expressed through Bernoulli numbers, n >= 1."""
     _require_floor("euler-bernoulli", n)
     lhs = Fraction(
         sum(
-            euler_number(2 * k - 2, cache) * euler_number(2 * n - 2 * k, cache)
+            euler_number(2 * k - 2) * euler_number(2 * n - 2 * k)
             for k in range(1, n + 1)
         )
     )
@@ -556,8 +541,8 @@ def verify_euler_bernoulli(n: int, cache: SequenceCache | None = None) -> Identi
         Fraction(2, n)
         * sum(
             (
-                bernoulli(2 * k, cache)
-                * bernoulli(2 * n - 2 * k, cache)
+                bernoulli(2 * k)
+                * bernoulli(2 * n - 2 * k)
                 / Fraction(k)
                 * (2 ** (2 * k) - 1)
                 * 2 ** (2 * k - 1)
@@ -571,61 +556,38 @@ def verify_euler_bernoulli(n: int, cache: SequenceCache | None = None) -> Identi
     return _report("euler-bernoulli", n, lhs, rhs)
 
 
-def _lemma_closed_form(which: str, order: int, cache: SequenceCache | None) -> TruncatedSeries:
-    B = lambda m: bernoulli(m, cache)
-    Bb = lambda m: bernoulli_bar(m, cache)
-    coeffs: dict[int, Fraction] = {}
-    for n in range(1, order // 2 + 1):
-        if which == "coth-product":
-            if n < 2:
-                continue
-            coeffs[2 * n] = sum(
-                (
-                    B(2 * k) * B(2 * n - 2 * k) / Fraction(2 * k) / (2 * n - 2 * k)
-                    * binomial(2 * n, 2 * k)
-                    for k in range(1, n)
-                ),
-                Fraction(0),
-            )
-        elif which == "coth-harmonic":
-            coeffs[2 * n] = B(2 * n) * harmonic(2 * n) / n
-        elif which == "sinh-product":
-            coeffs[2 * n] = (
-                sum(
-                    (
-                        B(2 * k) * Bb(2 * n - 2 * k) / Fraction(2 * k) * binomial(2 * n, 2 * k)
-                        for k in range(1, n + 1)
-                    ),
-                    Fraction(0),
-                )
-                / n
-            )
-        else:
-            coeffs[2 * n] = Bb(2 * n) * harmonic(2 * n - 1) / n
+def _lemma_closed_form(which: str, order: int) -> TruncatedSeries:
+    coefficient = {
+        "coth-product": _coth_product,
+        "coth-harmonic": _coth_harmonic,
+        "sinh-product": lambda n: _sinh_product(n, bernoulli_bar),
+        "sinh-harmonic": lambda n: _sinh_harmonic(n, bernoulli_bar),
+    }[which]
+    coeffs = {2 * n: coefficient(n) for n in range(1, order // 2 + 1)}
     return TruncatedSeries(ASYMPTOTIC, coeffs, order)
 
 
-def _lemma_integral(which: str, order: int, cache: SequenceCache | None) -> TruncatedSeries:
+def _lemma_integral(which: str, order: int) -> TruncatedSeries:
     if which == "coth-product":
-        coth = named_series("coth_minus_inv", order, cache=cache)
-        log_ratio = named_series("log_sinh_ratio", order, cache=cache)
+        coth = named_series("coth_minus_inv", order)
+        log_ratio = named_series("log_sinh_ratio", order)
         return laplace_asymptotic(_scale(series_mul(coth, log_ratio), Fraction(2)))
     if which == "sinh-product":
-        inv_sinh = named_series("inv_sinh_minus_inv", order, cache=cache)
+        inv_sinh = named_series("inv_sinh_minus_inv", order)
         full = series_add(inv_sinh, TruncatedSeries(TAYLOR, {-1: Fraction(1)}, order))
-        log_ratio = named_series("log_sinh_ratio", order, cache=cache)
+        log_ratio = named_series("log_sinh_ratio", order)
         return laplace_asymptotic(_scale(series_mul(full, log_ratio), Fraction(2)))
     # The harmonic-number lemmas: the inner integral of the bracketed
     # difference quotient turns each y^(2m-1) term into -H_2m (plain case,
     # bracket carries an extra u) or -H_{2m-1} (Bbar case, u-free bracket).
     name = "coth_minus_inv" if which == "coth-harmonic" else "inv_sinh_minus_inv"
-    source = named_series(name, order - 1, cache=cache)
+    source = named_series(name, order - 1)
     offset = 1 if which == "coth-harmonic" else 0
     coeffs = {m: 2 * c * harmonic(m + offset) for m, c in source.coeffs.items()}
     return laplace_asymptotic(TruncatedSeries(TAYLOR, coeffs, order - 1))
 
 
-def verify_lemma_expansion(which: str, order: int, cache: SequenceCache | None = None) -> bool:
+def verify_lemma_expansion(which: str, order: int) -> bool:
     """Check one intermediate expansion of a squared generating function.
 
     Each id names a kernel (coth-* for the plain series, sinh-* for the
@@ -639,6 +601,6 @@ def verify_lemma_expansion(which: str, order: int, cache: SequenceCache | None =
     if which not in LEMMA_IDS:
         raise UnknownName(f"no lemma expansion {which!r}")
     _require(order >= 4 and order % 2 == 0, f"order must be even and >= 4, got {order}")
-    closed = _lemma_closed_form(which, order, cache)
-    integral = _lemma_integral(which, order, cache)
+    closed = _lemma_closed_form(which, order)
+    integral = _lemma_integral(which, order)
     return all(closed.coeff(m) == integral.coeff(m) for m in range(order + 1))

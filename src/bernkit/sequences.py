@@ -20,10 +20,12 @@ entries are appended (one gcd each); existing entries are never rewritten.
 
 The cache also holds append-only prefix tables of H_i = sum 1/j and
 H^(2)_i = sum 1/j^2, from which ``harmonic`` reads H_i and
-``harmonic_second`` computes H_{2n,2} by two routes.  A module-level
-default cache backs the plain functions, and every consumer of the
-Bernoulli and Euler numbers accepts an explicit cache so a scan can own a
-private table (or a test can inject a corrupted one).
+``harmonic_second`` computes H_{2n,2} by two routes.  One process-wide
+cache, ``_DEFAULT``, backs every plain function here, and through them
+the exact lane, the series and the float lane, so every consumer reads
+the same tables.  A test replaces it with a fresh or corrupted instance
+through ``monkeypatch.setattr(sequences, "_DEFAULT", cache)``; the plain
+functions look it up at call time.
 """
 
 from __future__ import annotations
@@ -71,6 +73,11 @@ def _secant_numbers(N: int) -> list[int]:
     return S
 
 
+def _require_index(what: str, n: int) -> None:
+    if n < 0:
+        raise DomainError(f"{what} needs an index >= 0, got {n}")
+
+
 def _block_end(n: int) -> int:
     """Last index of the growth block holding n >= 1: the least power of two
     >= n, so blocks at least double, and a request just past the end (B_800
@@ -95,6 +102,7 @@ class SequenceCache:
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n from the tangent numbers; odd entries are 0 except B_1."""
+        _require_index("bernoulli", n)
         if n >= len(self.bern):
             top = _block_end(n)
             T = _tangent_numbers(top // 2)
@@ -108,6 +116,7 @@ class SequenceCache:
 
     def euler_number(self, n: int) -> int:
         """E_n from the secant numbers; odd entries are 0."""
+        _require_index("euler_number", n)
         if n >= len(self.eul):
             top = _block_end(n)
             S = _secant_numbers(top // 2)
@@ -119,8 +128,7 @@ class SequenceCache:
 
     def harmonic(self, i: int) -> Fraction:
         """H_i, growing the H_i and H^(2)_i prefix tables together."""
-        if i < 0:
-            raise DomainError(f"harmonic numbers need i >= 0, got {i}")
+        _require_index("harmonic", i)
         while len(self.harm) <= i:
             j = len(self.harm)
             self.harm.append(self.harm[-1] + Fraction(1, j))
@@ -140,24 +148,20 @@ class SequenceCache:
 _DEFAULT = SequenceCache()
 
 
-def _resolve(cache: SequenceCache | None) -> SequenceCache:
-    return _DEFAULT if cache is None else cache
-
-
-def bernoulli(n: int, cache: SequenceCache | None = None) -> Fraction:
+def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_0=1, B_1=-1/2, B_2=1/6, ...)."""
-    return _resolve(cache).bernoulli(n)
+    return _DEFAULT.bernoulli(n)
 
 
-def bernoulli_bar(n: int, cache: SequenceCache | None = None) -> Fraction:
+def bernoulli_bar(n: int) -> Fraction:
     """Modified Bernoulli number Bbar_n = ((1 - 2^(n-1)) / 2^(n-1)) B_n."""
     half_pow = Fraction(2) ** (n - 1)
-    return (1 - half_pow) / half_pow * bernoulli(n, cache)
+    return (1 - half_pow) / half_pow * bernoulli(n)
 
 
-def euler_number(n: int, cache: SequenceCache | None = None) -> int:
+def euler_number(n: int) -> int:
     """Euler number E_n (E_0=1, E_2=-1, E_4=5, ...); zero for odd n."""
-    return _resolve(cache).euler_number(n)
+    return _DEFAULT.euler_number(n)
 
 
 def harmonic(i: int) -> Fraction:
@@ -183,6 +187,8 @@ def binomial(n: int, k: int) -> int:
 
 def multinomial(n: int, parts: list[int]) -> int:
     """Multinomial coefficient n! / prod(part_i!)."""
+    if min(parts, default=0) < 0:
+        raise DomainError(f"multinomial parts must be >= 0, got {parts}")
     if sum(parts) != n:
         raise PartsMismatch(f"parts {parts} do not sum to {n}")
     result = factorial(n)
@@ -193,6 +199,7 @@ def multinomial(n: int, parts: list[int]) -> int:
 
 def rising_factorial(q: Fraction, m: int) -> Fraction:
     """Rising factorial (q)_m = q (q+1) ... (q+m-1); empty product is 1."""
+    _require_index("rising_factorial", m)
     result = Fraction(1)
     for j in range(m):
         result *= q + j

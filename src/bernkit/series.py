@@ -22,7 +22,6 @@ from math import factorial
 from .errors import DomainError, KindMismatch, UnknownName, ZeroScale
 from .sequences import (
     Rational,
-    SequenceCache,
     bernoulli,
     bernoulli_bar,
     euler_number,
@@ -143,12 +142,7 @@ def _derivative(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(TAYLOR, coeffs, a.trunc - 1)
 
 
-def named_series(
-    name: str,
-    order: int,
-    p: int | None = None,
-    cache: SequenceCache | None = None,
-) -> TruncatedSeries:
+def named_series(name: str, order: int, p: int | None = None) -> TruncatedSeries:
     """Exact truncated expansion of one of the built-in series.
 
     Taylor kind: b (the Bernoulli generating function x/(e^x-1)),
@@ -180,47 +174,45 @@ def named_series(
     coeffs: dict[int, Fraction] = {}
     if name == "b":
         for n in range(order + 1):
-            coeffs[n] = Fraction(bernoulli(n, cache), factorial(n))
+            coeffs[n] = Fraction(bernoulli(n), factorial(n))
         return TruncatedSeries(TAYLOR, coeffs, order)
     if name == "coth_minus_inv":
         for k in range(1, order // 2 + 2):
             if 2 * k - 1 <= order:
-                coeffs[2 * k - 1] = Fraction(4**k, factorial(2 * k)) * bernoulli(2 * k, cache)
+                coeffs[2 * k - 1] = Fraction(4**k, factorial(2 * k)) * bernoulli(2 * k)
         return TruncatedSeries(TAYLOR, coeffs, order)
     if name == "inv_sinh_minus_inv":
         for k in range(1, order // 2 + 2):
             if 2 * k - 1 <= order:
-                coeffs[2 * k - 1] = Fraction(4**k, factorial(2 * k)) * bernoulli_bar(2 * k, cache)
+                coeffs[2 * k - 1] = Fraction(4**k, factorial(2 * k)) * bernoulli_bar(2 * k)
         return TruncatedSeries(TAYLOR, coeffs, order)
     if name == "sech":
         for n in range(0, order // 2 + 1):
-            coeffs[2 * n] = Fraction(euler_number(2 * n, cache), factorial(2 * n))
+            coeffs[2 * n] = Fraction(euler_number(2 * n), factorial(2 * n))
         return TruncatedSeries(TAYLOR, coeffs, order)
     if name == "log_sinh_ratio":
         for k in range(1, order // 2 + 1):
-            coeffs[2 * k] = Fraction(2 ** (2 * k - 1), k * factorial(2 * k)) * bernoulli(2 * k, cache)
+            coeffs[2 * k] = Fraction(2 ** (2 * k - 1), k * factorial(2 * k)) * bernoulli(2 * k)
         return TruncatedSeries(TAYLOR, coeffs, order)
     if name == "psi_tilde":
         for k in range(1, order // 2 + 1):
-            coeffs[2 * k] = -bernoulli(2 * k, cache) / (2 * k)
+            coeffs[2 * k] = -bernoulli(2 * k) / (2 * k)
         return TruncatedSeries(ASYMPTOTIC, coeffs, order)
     if name == "psi_bar":
         for k in range(1, order // 2 + 1):
-            coeffs[2 * k] = -bernoulli_bar(2 * k, cache) / (2 * k)
+            coeffs[2 * k] = -bernoulli_bar(2 * k) / (2 * k)
         return TruncatedSeries(ASYMPTOTIC, coeffs, order)
     if name == "psi_tilde_deriv" or name == "psi_bar_deriv":
         value = bernoulli if name == "psi_tilde_deriv" else bernoulli_bar
         sign = (-1) ** (p + 1)
         n = 1
         while 2 * n + p <= order:
-            coeffs[2 * n + p] = (
-                sign * value(2 * n, cache) * rising_factorial(Fraction(2 * n), p) / (2 * n)
-            )
+            coeffs[2 * n + p] = sign * value(2 * n) * rising_factorial(Fraction(2 * n), p) / (2 * n)
             n += 1
         return TruncatedSeries(ASYMPTOTIC, coeffs, order)
     # g
     for n in range(0, (order - 1) // 2 + 1):
-        coeffs[2 * n + 1] = Fraction(euler_number(2 * n, cache), 2 ** (2 * n + 1))
+        coeffs[2 * n + 1] = Fraction(euler_number(2 * n), 2 ** (2 * n + 1))
     return TruncatedSeries(ASYMPTOTIC, coeffs, order)
 
 
@@ -255,11 +247,11 @@ def _agree_through(a: TruncatedSeries, b: TruncatedSeries, order: int) -> bool:
     return all(a.coeff(m) == b.coeff(m) for m in range(min(a.min_order, b.min_order), order + 1))
 
 
-def check_b_quadratic(order: int, cache: SequenceCache | None = None) -> bool:
+def check_b_quadratic(order: int) -> bool:
     """Check b(x)^2 = (1-x) b(x) - x b'(x) coefficient-wise through ``order``."""
     if order < 2:
         raise DomainError("order must be at least 2")
-    b = named_series("b", order + 1, cache=cache)
+    b = named_series("b", order + 1)
     lhs = series_mul(b, b)
     one_minus_x = TruncatedSeries(TAYLOR, {0: Fraction(1), 1: Fraction(-1)}, order + 1)
     x = TruncatedSeries(TAYLOR, {1: Fraction(1)}, order + 1)
@@ -267,15 +259,15 @@ def check_b_quadratic(order: int, cache: SequenceCache | None = None) -> bool:
     return _agree_through(lhs, rhs, order)
 
 
-def check_doubling(order: int, cache: SequenceCache | None = None) -> bool:
+def check_doubling(order: int) -> bool:
     """Check psi_tilde(x) + psi_bar(x) = 2 psi_tilde(2x) through ``order``.
 
     Coefficient-wise this is B_2k + Bbar_2k = 2 B_2k / 2^(2k).
     """
     if order < 2 or order % 2 != 0:
         raise DomainError("order must be even and at least 2")
-    tilde = named_series("psi_tilde", order, cache=cache)
-    bar = named_series("psi_bar", order, cache=cache)
+    tilde = named_series("psi_tilde", order)
+    bar = named_series("psi_bar", order)
     lhs = series_add(tilde, bar)
     rhs = _scale(argument_scale(tilde, Fraction(2)), Fraction(2))
     return _agree_through(lhs, rhs, order)

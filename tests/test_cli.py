@@ -173,6 +173,7 @@ def test_verify_usage_errors():
         ["verify", "--identity", "family-miki", "--p", "1/0", "--n-max", "5"],
         ["verify", "--identity", "multi", "--N", "1", "--n-max", "5"],
         ["verify", "--identity", "miki", "--n-max", "5", "--jobs", "0"],
+        ["verify", "--identity", "miki", "--n-max", "5", "--jobs", "abc"],
         ["verify", "--identity", "family-miki", "--float-p", "nan", "--n-max", "5"],
         ["verify", "--identity", "family-miki", "--float-p", "inf", "--n-max", "5"],
     ]
@@ -284,6 +285,16 @@ def test_verify_jobs_env_default():
     assert len(lines(result)) == 5
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_verify_jobs_env_usage_errors(value):
+    args = ["verify", "--identity", "miki", "--n-max", "3"]
+    result = runner.invoke(main, args, env={"BERNKIT_JOBS": value})
+    assert result.exit_code == 2, result.output
+    assert "--jobs" in result.output
+    # an explicit --jobs still wins over the variable
+    assert runner.invoke(main, args + ["--jobs", "1"], env={"BERNKIT_JOBS": value}).exit_code == 0
+
+
 def test_series_json_dump():
     result = runner.invoke(
         main, ["series", "psi_tilde", "--order", "6", "--format", "json"])
@@ -316,7 +327,8 @@ def test_quadcheck_json():
     assert result.exit_code == 0
     rows = json.loads(result.output)
     assert len(rows) == 1 and rows[0]["ok"] is True
-    assert list(rows[0]) == ["name", "x", "p", "value", "target", "abs_dev", "ok"]
+    assert list(rows[0]) == ["name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok"]
+    assert 0 < rows[0]["tol"] <= 1e-6 and 0 <= rows[0]["est_error"] <= 1e-8
 
 
 def test_quadcheck_weighted():
@@ -330,10 +342,20 @@ def test_quadcheck_errors():
     # domain failures become rows, not usage errors
     result = runner.invoke(main, ["quadcheck", "psi_tilde", "--x", "0.5", "--format", "csv"])
     assert result.exit_code == 1
-    assert lines(result) == ["name,x,p,value,target,abs_dev,ok,error",
-                             'psi_tilde,0.5,0.0,,,,false,"quadrature grid starts at x = 1, got 0.5"']
+    assert lines(result) == ["name,x,p,value,target,abs_dev,tol,est_error,ok,error",
+                             'psi_tilde,0.5,0.0,,,,,,false,"quadrature grid starts at x = 1, got 0.5"']
     result = runner.invoke(main, ["quadcheck", "psi_tilde", "--p", "1", "--x", "5"])
     assert result.exit_code == 1
+
+
+def test_quadcheck_loose_series_target_is_unverified():
+    # the omitted term at x = 1 is 6.7e-3: a deviation of 3.5e-3 used to pass
+    result = runner.invoke(
+        main, ["quadcheck", "psi_tilde_p", "--p", "0.5", "--x", "1", "--format", "json"])
+    assert result.exit_code == 1
+    [row] = json.loads(result.output)
+    assert row["ok"] is False and row["abs_dev"] <= row["tol"] and row["tol"] > 1e-6
+    assert row["error"].startswith("target unverified")
 
 
 @pytest.mark.parametrize("args", [
@@ -356,3 +378,32 @@ def test_poisoned_sequences_fail_scan(monkeypatch):
     assert result.exit_code == 1
     rows = json.loads(result.output)
     assert any(not row["ok"] for row in rows)
+
+
+def test_poisoned_table_reaches_every_consumer(monkeypatch):
+    # one injected table feeds the exact lane, the float lane and the
+    # harmonic tables: exactly the rows that read a corrupted entry fail
+    cache = sequences.SequenceCache()
+    cache.bernoulli(20)
+    cache.bern[20] += 1
+    cache.euler_number(6)
+    cache.eul[4] += 1
+    cache.harmonic(10)
+    cache.harm2[10] += 1
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+
+    def scan(*args):
+        result = runner.invoke(main, ["verify", *args, "--format", "json"])
+        assert result.exit_code == 1, result.output
+        return {(row["n"], str(row.get("p", ""))): row for row in json.loads(result.output)}
+
+    rows = scan("--identity", "gessel", "--n-max", "5")
+    assert [rows[n, ""]["ok"] for n in (3, 4, 5)] == [True, True, False]
+    assert "symmetric form" in rows[5, ""]["error"]
+    rows = scan("--identity", "euler-bernoulli", "--n-max", "3")
+    assert [rows[n, ""]["ok"] for n in (1, 2, 3)] == [True, True, False]
+    assert rows[3, ""]["lhs"] == "13"  # E_0 E_4 + E_2 E_2 + E_4 E_0 with E_4 = 6
+    rows = scan("--identity", "family-miki", "--p", "1", "--float-p", "0.5",
+                "--n-min", "9", "--n-max", "10")
+    assert rows[9, "1"]["ok"] and rows[9, "0.5"]["ok"]
+    assert not rows[10, "1"]["ok"] and not rows[10, "0.5"]["ok"]

@@ -94,6 +94,20 @@ def test_quad_g():
     assert quad_rep("g", 10.0).abs_dev < 1e-9
 
 
+@pytest.mark.parametrize("name, x, p", [("psi_tilde_p", 1.0, 3.0), ("g", 1.0, 0.0),
+                                        ("psi_tilde_p", 1.0, 0.5)])
+def test_loose_series_target_is_unverified(name, x, p):
+    # each of these passed against a tolerance that had grown to the
+    # omitted term itself (1.0, 0.125, 6.7e-3)
+    r = quad_rep(name, x, p)
+    assert r.abs_dev <= r.tol and r.tol > 1e-6
+    assert not r.ok
+    assert r.error.startswith("target unverified")
+    row = r.as_dict()
+    assert row["ok"] is False and row["error"] == r.error
+    assert math.isfinite(r.value)
+
+
 def test_quad_errors():
     with pytest.raises(UnknownName):
         quad_rep("psi", 5.0)
@@ -226,8 +240,9 @@ def test_family_float_errors():
 
 def test_quad_result_dict_keys():
     row = quad_rep("psi_tilde", 5.0).as_dict()
-    assert list(row) == ["name", "x", "p", "value", "target", "abs_dev", "ok"]
+    assert list(row) == ["name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok"]
     assert row["ok"] is True
+    assert row["tol"] == 1e-8 and 0 <= row["est_error"] <= 1e-8
     fam = family_float("mixed", 3, 0.5).as_dict()
     assert list(fam) == ["identity", "n", "p", "lhs", "rhs", "residual", "ok"]
 

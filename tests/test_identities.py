@@ -235,16 +235,17 @@ def test_report_as_dict():
     assert F(plain["lhs"]) - F(plain["rhs"]) == F(plain["residual"])
 
 
-def test_poisoned_cache_breaks_identities():
+def test_poisoned_cache_breaks_identities(monkeypatch):
     cache = SequenceCache()
     cache.bernoulli(12)
     cache.bern[4] += 1
-    assert not verify_euler(4, cache).ok
-    assert not verify_miki(4, cache).ok
-    assert not verify_fpz(3, cache).ok
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    assert not verify_euler(4).ok
+    assert not verify_miki(4).ok
+    assert not verify_fpz(3).ok
     # internal dual-route asserts survive a consistent corruption
-    assert not verify_miki_modified(4, cache).ok
-    report = verify_gessel(4, cache)
+    assert not verify_miki_modified(4).ok
+    report = verify_gessel(4)
     assert not report.ok
 
 

@@ -10,6 +10,7 @@ Two oracles share no code with the package's tangent/secant kernels:
   several growth orders of the doubling tables.
 """
 
+import inspect
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -17,6 +18,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+import bernkit
 from bernkit import (
     DomainError,
     PartsMismatch,
@@ -258,16 +260,50 @@ def test_rising_factorial():
     assert rising_factorial(Fraction(-2), 3) == 0
 
 
-def test_cache_injection_is_isolated():
+def test_cache_injection_is_isolated(monkeypatch):
     poisoned = SequenceCache()
     poisoned.bernoulli(8)
     poisoned.bern[4] += 1
-    assert bernoulli(4, poisoned) == Fraction(-1, 30) + 1
-    assert bernoulli(6, poisoned) == Fraction(1, 42)  # already computed, untouched
+    with monkeypatch.context() as patch:
+        patch.setattr(bernkit.sequences, "_DEFAULT", poisoned)
+        assert bernoulli(4) == Fraction(-1, 30) + 1
+        assert bernoulli(6) == Fraction(1, 42)  # already computed, untouched
     assert bernoulli(4) == Fraction(-1, 30)  # default cache unaffected
 
 
 def test_fresh_cache_matches_default():
     cache = SequenceCache()
-    assert [bernoulli(n, cache) for n in range(20)] == [bernoulli(n) for n in range(20)]
-    assert [euler_number(n, cache) for n in range(20)] == [euler_number(n) for n in range(20)]
+    assert [cache.bernoulli(n) for n in range(20)] == [bernoulli(n) for n in range(20)]
+    assert [cache.euler_number(n) for n in range(20)] == [euler_number(n) for n in range(20)]
+
+
+def _warm_bernoulli(n):
+    cache = SequenceCache()
+    cache.bernoulli(4)
+    return cache.bernoulli(n)
+
+
+@pytest.mark.parametrize("call, args", [
+    (lambda n: SequenceCache().bernoulli(n), (-1,)),
+    (_warm_bernoulli, (-1,)),
+    (lambda n: SequenceCache().euler_number(n), (-2,)),
+    (bernoulli, (-1,)),
+    (bernoulli_bar, (-3,)),
+    (euler_number, (-2,)),
+    (rising_factorial, (Fraction(1, 2), -2)),
+    (multinomial, (3, [-1, 4])),
+], ids=["fresh-bernoulli", "warm-bernoulli", "fresh-euler", "bernoulli", "bernoulli_bar",
+        "euler_number", "rising_factorial", "multinomial"])
+def test_negative_indices_are_domain_errors(call, args):
+    with pytest.raises(DomainError):
+        call(*args)
+
+
+def test_no_function_takes_a_cache():
+    # one table set: tests inject a table by replacing sequences._DEFAULT
+    from bernkit import cli, floatcheck, gammaalg, identities, series
+
+    for module in (bernkit.sequences, series, gammaalg, identities, floatcheck, cli):
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                assert "cache" not in inspect.signature(fn).parameters, f"{module.__name__}.{name}"
