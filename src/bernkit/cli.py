@@ -206,7 +206,7 @@ def series(name: str, order: int, fmt: str) -> None:
 @main.command()
 @click.argument("name")
 @click.option("--x", "xs", multiple=True, type=float,
-              help="grid point; repeatable (default 2, 5, 10)")
+              help="grid point; repeatable (default 5, 10, 20)")
 @click.option("--p", type=float, default=0.0)
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default="plain")
 def quadcheck(name: str, xs, p: float, fmt: str) -> None:
@@ -217,7 +217,7 @@ def quadcheck(name: str, xs, p: float, fmt: str) -> None:
     bad = [v for v in (*xs, p) if not math.isfinite(v)]
     if bad:
         raise click.UsageError(f"--x and --p must be finite, got {bad}")
-    grid = sorted(xs) if xs else [2.0, 5.0, 10.0]
+    grid = sorted(xs) if xs else [5.0, 10.0, 20.0]
     rows = []
     for x in grid:
         try:

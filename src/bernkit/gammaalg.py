@@ -8,8 +8,12 @@ bases Gamma(p) and Gamma(2p) through rising factorials,
     Gamma(t+m) = Gamma(t) * (t)_m,
 
 leaving an integer exponent for each base and an exact rational cofactor.
-No Legendre duplication is applied: the two bases stay independent, which
-keeps every cofactor rational.
+The cofactor (t)_m, or 1/(t+m)_(-m) for a negative offset, is read from
+the prefix table of its anchor (t, resp. t+m) in the process-wide
+``SequenceCache`` through ``sequences.rising_factorial``, so a scan
+multiplies once per new (anchor, offset) pair instead of once per step of
+every factor.  No Legendre duplication is applied: the two bases stay
+independent, which keeps every cofactor rational.
 
 When the anchor t (p or 2p) is itself a nonpositive integer, Gamma(t) has
 a pole even where Gamma(t+m) is finite, so such factors are folded all the
@@ -93,10 +97,11 @@ def gamma_reduce(g: GammaProduct, p: Rational) -> ReducedGamma:
     zero (unreachable once the pole guard has passed, but kept explicit).
     """
     p = Fraction(p)
+    anchors = {"p": p, "2p": 2 * p}
     value = g.scalar
     exponents = {"p": 0, "2p": 0}
     for base, offset, exponent in g.factors:
-        anchor = p if base == "p" else 2 * p
+        anchor = anchors[base]
         argument = anchor + offset
         if _nonpositive_integer(argument):
             raise PoleEncountered(f"Gamma({base}+{offset}) at p={p} has argument {argument}")

@@ -20,7 +20,17 @@ entries are appended (one gcd each); existing entries are never rewritten.
 
 The cache also holds append-only prefix tables of H_i = sum 1/j and
 H^(2)_i = sum 1/j^2, from which ``harmonic`` reads H_i and
-``harmonic_second`` computes H_{2n,2} by two routes.  One process-wide
+``harmonic_second`` computes H_{2n,2} by two routes; a table of the Bbar
+weights (1 - 2^(n-1)) / 2^(n-1), which ``bernoulli_bar`` multiplies by
+B_n (Bbar itself is not stored, so it always follows the B table); and
+one prefix table per anchor q of the rising factorials,
+``rising[q.numerator, q.denominator] = [(q)_0, (q)_1, ...]``, from which
+``rising_factorial`` reads (q)_m.  Growing an anchor's table from length
+L to m+1 costs m+1-L multiplies, so a scan that reduces many gamma
+products at a few anchors multiplies O(anchors x largest offset) times,
+not once per step of every product.  The key is the (numerator,
+denominator) pair, not the Fraction: hashing a Fraction computes a
+modular inverse on every lookup.  One process-wide
 cache, ``_DEFAULT``, backs every plain function here, and through them
 the exact lane, the series and the float lane, so every consumer reads
 the same tables.  A test replaces it with a fresh or corrupted instance
@@ -86,12 +96,14 @@ def _block_end(n: int) -> int:
 
 
 class SequenceCache:
-    """Growable Bernoulli, Euler and harmonic tables.
+    """Growable Bernoulli, Euler, harmonic and rising-factorial tables.
 
-    ``bern``, ``eul``, ``harm`` (H_i) and ``harm2`` (H^(2)_i) are plain
-    lists indexed by n.  Entries, once computed, are never recomputed or
-    rewritten; extension is append-only, so concurrent readers of a warmed
-    cache are safe.
+    ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and
+    ``bbar_weight`` are plain lists indexed by n; ``rising`` maps an
+    anchor's (numerator, denominator) to the list of its (q)_m indexed by
+    m.  Entries, once computed, are never recomputed or rewritten;
+    extension is append-only, so concurrent readers of a warmed cache are
+    safe.
     """
 
     def __init__(self) -> None:
@@ -99,6 +111,8 @@ class SequenceCache:
         self.eul: list[int] = [1]
         self.harm: list[Fraction] = [Fraction(0)]
         self.harm2: list[Fraction] = [Fraction(0)]
+        self.bbar_weight: list[Fraction] = []
+        self.rising: dict[tuple[int, int], list[Fraction]] = {}
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n from the tangent numbers; odd entries are 0 except B_1."""
@@ -113,6 +127,15 @@ class SequenceCache:
                     k, four = m // 2, 4 ** (m // 2)
                     self.bern.append(Fraction((-1) ** (k - 1) * m * T[k], four * (four - 1)))
         return self.bern[n]
+
+    def bernoulli_bar(self, n: int) -> Fraction:
+        """Bbar_n = w_n B_n, the weight w_n = 2^(1-n) - 1 from its own table."""
+        b = self.bernoulli(n)
+        weight = self.bbar_weight
+        while len(weight) <= n:
+            power = 2 ** len(weight)
+            weight.append(Fraction(2 - power, power))
+        return weight[n] * b
 
     def euler_number(self, n: int) -> int:
         """E_n from the secant numbers; odd entries are 0."""
@@ -144,6 +167,17 @@ class SequenceCache:
         check_routes("folded sum", folded, "symmetric form", symmetric)
         return folded
 
+    def rising_factorial(self, q: Fraction, m: int) -> Fraction:
+        """(q)_m from the prefix table of the anchor q, grown as needed."""
+        _require_index("rising_factorial", m)
+        key = (q.numerator, q.denominator)
+        table = self.rising.get(key)
+        if table is None:
+            table = self.rising[key] = [Fraction(1)]
+        for j in range(len(table) - 1, m):
+            table.append(table[j] * (q + j))
+        return table[m]
+
 
 _DEFAULT = SequenceCache()
 
@@ -155,8 +189,7 @@ def bernoulli(n: int) -> Fraction:
 
 def bernoulli_bar(n: int) -> Fraction:
     """Modified Bernoulli number Bbar_n = ((1 - 2^(n-1)) / 2^(n-1)) B_n."""
-    half_pow = Fraction(2) ** (n - 1)
-    return (1 - half_pow) / half_pow * bernoulli(n)
+    return _DEFAULT.bernoulli_bar(n)
 
 
 def euler_number(n: int) -> int:
@@ -199,8 +232,4 @@ def multinomial(n: int, parts: list[int]) -> int:
 
 def rising_factorial(q: Fraction, m: int) -> Fraction:
     """Rising factorial (q)_m = q (q+1) ... (q+m-1); empty product is 1."""
-    _require_index("rising_factorial", m)
-    result = Fraction(1)
-    for j in range(m):
-        result *= q + j
-    return result
+    return _DEFAULT.rising_factorial(q, m)

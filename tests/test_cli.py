@@ -321,6 +321,27 @@ def test_quadcheck_default_grid():
     assert all(row.endswith(",true,") for row in rows)
 
 
+@pytest.mark.parametrize("name, p", [
+    ("psi_tilde", None), ("psi_bar", None), ("psi_tilde_p", None), ("psi_bar_p", None), ("g", None),
+    *[(name, p) for name in ("psi_tilde_p", "psi_bar_p") for p in ("0.5", "1", "2", "3", "5")],
+])
+def test_quadcheck_default_grid_passes(name, p):
+    # the bare command, and the weighted names at each listed --p
+    args = ["--p", p] if p else []
+    result = runner.invoke(main, ["quadcheck", name, *args, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.output)
+    assert [row["x"] for row in rows] == [5.0, 10.0, 20.0]
+    assert all(row["ok"] for row in rows)
+
+
+def test_quadcheck_below_the_default_grid_is_unverified():
+    result = runner.invoke(main, ["quadcheck", "g", "--x", "2", "--format", "json"])
+    assert result.exit_code == 1
+    [row] = json.loads(result.output)
+    assert row["ok"] is False and row["error"].startswith("target unverified")
+
+
 def test_quadcheck_json():
     result = runner.invoke(
         main, ["quadcheck", "g", "--x", "5", "--format", "json"])
@@ -407,3 +428,24 @@ def test_poisoned_table_reaches_every_consumer(monkeypatch):
                 "--n-min", "9", "--n-max", "10")
     assert rows[9, "1"]["ok"] and rows[9, "0.5"]["ok"]
     assert not rows[10, "1"]["ok"] and not rows[10, "0.5"]["ok"]
+
+
+def test_poisoned_rising_table_fails_the_rows_that_read_it(monkeypatch):
+    # gamma_reduce reads (1)_8 from the table at p = 1: the rows whose terms
+    # carry Gamma(p+8) fail, n < 4 and every row at p = 2 stay ok
+    cache = sequences.SequenceCache()
+    cache.rising_factorial(F(1), 14)
+    cache.rising[1, 1][8] += 1
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+    result = runner.invoke(main, ["verify", "--identity", "family-miki", "--p", "1", "--p", "2",
+                                  "--n-max", "6", "--format", "json"])
+    assert result.exit_code == 1, result.output
+    ok = {(row["n"], row["p"]): row["ok"] for row in json.loads(result.output)}
+    reads = {
+        n: any(factor[:2] == ("p", 8) for term in sum(identities.family_terms("miki", n), [])
+               for factor in term.factors)
+        for n in range(2, 7)
+    }
+    assert reads == {2: False, 3: False, 4: True, 5: True, 6: True}
+    assert {n: not ok[n, "1"] for n in range(2, 7)} == reads
+    assert all(ok[n, "2"] for n in range(2, 7))

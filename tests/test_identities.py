@@ -127,6 +127,24 @@ def test_family_errors():
         verify_family("fpz", 3, F(-2))
 
 
+def test_family_rising_tables_stay_small(monkeypatch):
+    # one prefix table per anchor, no longer than the largest offset 2n+1
+    # needs, and a repeated reduction appends nothing
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    n, ps = 30, (F(1, 3), F(5, 2), F(-1, 2))
+    for which in FAMILY_KINDS:
+        for p in ps:
+            verify_family(which, n, p)
+    anchors = {(q.numerator, q.denominator) for p in ps for q in (p, 2 * p) if q != -1}
+    assert set(cache.rising) == anchors
+    assert all(len(table) <= 2 * n + 2 for table in cache.rising.values())
+    before = {key: list(table) for key, table in cache.rising.items()}
+    for which in FAMILY_KINDS:
+        verify_family(which, n, ps[0])
+    assert cache.rising == before
+
+
 def test_p1_forms_hold():
     # n >= 2 rows carry the built-in cross-assert against the family at p=1
     for which in FAMILY_KINDS:

@@ -8,6 +8,9 @@ Two oracles share no code with the package's tangent/secant kernels:
   sum(C(n+1,k) B_k, k=0..n) = 0 and the cosh inversion
   sum(C(2m,2j) E_{2m-2j}, j=0..m) = 0, checked to B_300 and E_300 under
   several growth orders of the doubling tables.
+
+The rising-factorial prefix tables are checked against the direct product
+q (q+1) ... (q+m-1), which the package no longer computes.
 """
 
 import inspect
@@ -118,6 +121,18 @@ def test_growth_never_rewrites_entries():
     assert cache.bern[4] == Fraction(-1, 30) + 1 and cache.eul[6] == -60
     assert cache.bern[len(bern_before):] == recurrence_bernoulli()[len(bern_before):len(cache.bern)]
 
+    # a rising-factorial table grows from its last entry: entries below the
+    # corruption and the new ones built from an intact last entry are right
+    q = Fraction(2, 3)
+    cache.rising_factorial(q, 6)
+    table = cache.rising[2, 3]
+    table[3] += 1
+    rising_before = list(table)
+    assert cache.rising_factorial(q, 20) == direct_rising(q, 20)
+    assert table[: len(rising_before)] == rising_before
+    assert table[3] == direct_rising(q, 3) + 1
+    assert table[len(rising_before):] == [direct_rising(q, m) for m in range(len(rising_before), 21)]
+
 
 def test_bernoulli_small_table():
     table = [
@@ -169,6 +184,17 @@ def test_bernoulli_bar_definition():
     for n in range(0, 40):
         half_pow = Fraction(2) ** (n - 1)
         assert bernoulli_bar(n) == (1 - half_pow) / half_pow * bernoulli(n)
+
+
+def test_bernoulli_bar_follows_a_corrupted_bernoulli_entry(monkeypatch):
+    # only the weights are cached: Bbar is rebuilt from B on every call
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    before = bernoulli_bar(10)
+    assert before == Fraction(-511, 512) * Fraction(5, 66)
+    cache.bern[10] += 1
+    assert bernoulli_bar(10) == Fraction(-511, 512) * (Fraction(5, 66) + 1) != before
+    assert len(cache.bbar_weight) == 11
 
 
 def test_euler_numbers():
@@ -260,6 +286,35 @@ def test_rising_factorial():
     assert rising_factorial(Fraction(-2), 3) == 0
 
 
+def direct_rising(q: Fraction, m: int) -> Fraction:
+    """(q)_m as the direct product q (q+1) ... (q+m-1), the test oracle."""
+    result = Fraction(1)
+    for j in range(m):
+        result *= q + j
+    return result
+
+
+RISING_ORDERS = {
+    "one-shot": lambda top: [top],
+    "stepwise": lambda top: list(range(top + 1)),
+    "descending": lambda top: list(range(top, -1, -1)),
+}
+
+
+@given(
+    st.fractions(min_value=-12, max_value=12, max_denominator=7)
+    | st.integers(min_value=-12, max_value=0).map(Fraction),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from(sorted(RISING_ORDERS)),
+)
+def test_rising_factorial_matches_direct_product(q, top, order):
+    # nonpositive integers q included: there (q)_m = 0 for every m > -q
+    cache = SequenceCache()
+    for m in RISING_ORDERS[order](top):
+        assert cache.rising_factorial(q, m) == direct_rising(q, m), (q, m)
+    assert cache.rising == {(q.numerator, q.denominator): [direct_rising(q, m) for m in range(top + 1)]}
+
+
 def test_cache_injection_is_isolated(monkeypatch):
     poisoned = SequenceCache()
     poisoned.bernoulli(8)
@@ -283,6 +338,19 @@ def _warm_bernoulli(n):
     return cache.bernoulli(n)
 
 
+def _warm_rising_factorial(m):
+    # a grown table must not answer a negative m from its end
+    cache = SequenceCache()
+    cache.rising_factorial(Fraction(1, 2), 5)
+    return cache.rising_factorial(Fraction(1, 2), m)
+
+
+def _warm_bernoulli_bar(n):
+    cache = SequenceCache()
+    cache.bernoulli_bar(6)
+    return cache.bernoulli_bar(n)
+
+
 @pytest.mark.parametrize("call, args", [
     (lambda n: SequenceCache().bernoulli(n), (-1,)),
     (_warm_bernoulli, (-1,)),
@@ -291,9 +359,12 @@ def _warm_bernoulli(n):
     (bernoulli_bar, (-3,)),
     (euler_number, (-2,)),
     (rising_factorial, (Fraction(1, 2), -2)),
+    (_warm_rising_factorial, (-1,)),
+    (_warm_bernoulli_bar, (-1,)),
     (multinomial, (3, [-1, 4])),
 ], ids=["fresh-bernoulli", "warm-bernoulli", "fresh-euler", "bernoulli", "bernoulli_bar",
-        "euler_number", "rising_factorial", "multinomial"])
+        "euler_number", "rising_factorial", "warm-rising_factorial", "warm-bernoulli_bar",
+        "multinomial"])
 def test_negative_indices_are_domain_errors(call, args):
     with pytest.raises(DomainError):
         call(*args)
