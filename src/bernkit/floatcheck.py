@@ -20,8 +20,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .errors import DomainError, QuadFailure, UnknownName
 from .gammaalg import GammaProduct
 from .identities import family_terms
@@ -166,6 +164,10 @@ _KERNELS = {
 
 def _integrate(f, x: float) -> tuple[float, float]:
     """Integral of f over [0, inf) for f carrying an exp(-2xs) factor."""
+    # imported here, not at the top: scipy takes most of a second to load,
+    # and no exact-lane command needs it
+    from scipy.integrate import quad
+
     cut = max(1.0, -math.log(_TAIL_EPS) / (2.0 * x))
     pieces = [(0.0, 1.0)]
     if cut > 1.0:

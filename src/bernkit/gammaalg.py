@@ -85,8 +85,13 @@ class ReducedGamma:
     value: Fraction
 
 
-def _nonpositive_integer(q: Fraction) -> bool:
-    return q.denominator == 1 and q <= 0
+def _scaled(value: Fraction, factor: Fraction | int, exponent: int) -> Fraction:
+    """value * factor**exponent, with no power taken at exponent 1 or -1."""
+    if exponent == 1:
+        return value * factor
+    if exponent == -1:
+        return value / factor
+    return value * Fraction(factor) ** exponent
 
 
 def gamma_reduce(g: GammaProduct, p: Rational) -> ReducedGamma:
@@ -102,24 +107,27 @@ def gamma_reduce(g: GammaProduct, p: Rational) -> ReducedGamma:
     exponents = {"p": 0, "2p": 0}
     for base, offset, exponent in g.factors:
         anchor = anchors[base]
-        argument = anchor + offset
-        if _nonpositive_integer(argument):
-            raise PoleEncountered(f"Gamma({base}+{offset}) at p={p} has argument {argument}")
-        if _nonpositive_integer(anchor):
-            # Gamma(anchor) itself is singular; the factor is a pure
-            # factorial here and contributes no base exponent.
-            value *= Fraction(factorial(int(argument) - 1)) ** exponent
-            continue
+        # t+m is a nonpositive integer only if the anchor t is an integer
+        if anchor.denominator == 1:
+            argument = anchor.numerator + offset
+            if argument <= 0:
+                raise PoleEncountered(f"Gamma({base}+{offset}) at p={p} has argument {argument}")
+            if anchor.numerator <= 0:
+                # Gamma(anchor) itself is singular; the factor is a pure
+                # factorial here and contributes no base exponent.
+                value = _scaled(value, factorial(argument - 1), exponent)
+                continue
         if offset >= 0:
             cofactor = rising_factorial(anchor, offset)
         else:
+            argument = anchor + offset
             divisor = rising_factorial(argument, -offset)
             if divisor == 0:
                 raise ZeroDivisor(f"({argument})_{-offset} vanishes at p={p}")
             cofactor = 1 / divisor
         if cofactor == 0 and exponent < 0:
             raise ZeroDivisor(f"({anchor})_{offset} vanishes in a denominator at p={p}")
-        value *= cofactor**exponent
+        value = _scaled(value, cofactor, exponent)
         exponents[base] += exponent
     return ReducedGamma(exponents["p"], exponents["2p"], value)
 

@@ -23,6 +23,15 @@ coefficients, FPZ's the sum of the two sinh ones, and Gessel's reuses the
 coth product.  The lemma check therefore tests the very code those right
 sides run.  The cubic forms share _cubic_form, the B/Bbar mixed forms
 share _mixed_weight.
+
+Work that does not depend on the row is done once per process, in
+append-only tables of the process-wide ``sequences._DEFAULT`` cache,
+looked up at call time so an injected cache replaces them too: the
+nested-fold memo of each variant (``fold``), the coefficients of each
+series power (``power``) and each family's term lists (``family``).  The
+fold and the series power keep separate tables, so the two routes of
+verify_multi stay independent, and multi_lhs still compares them on
+every row.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
 from .gammaalg import GammaProduct, beta_factor, gamma_reduce
 from .sequences import (
@@ -276,7 +286,7 @@ def verify_mixed(n: int) -> IdentityReport:
     return _report("mixed", n, lhs, rhs)
 
 
-def _reduce_side(terms: list[GammaProduct], p: Fraction) -> tuple[tuple[int, int], Fraction]:
+def _reduce_side(terms: tuple[GammaProduct, ...], p: Fraction) -> tuple[tuple[int, int], Fraction]:
     reduced = [gamma_reduce(term, p) for term in terms]
     exponents = {(r.exp_gamma_p, r.exp_gamma_2p) for r in reduced}
     if len(exponents) != 1:
@@ -284,18 +294,24 @@ def _reduce_side(terms: list[GammaProduct], p: Fraction) -> tuple[tuple[int, int
     return exponents.pop(), sum((r.value for r in reduced), Fraction(0))
 
 
-def family_terms(which: str, n: int) -> tuple[list[GammaProduct], list[GammaProduct]]:
+def family_terms(
+    which: str, n: int
+) -> tuple[tuple[GammaProduct, ...], tuple[GammaProduct, ...]]:
     """Terms of both sides of one gamma-weighted family, symbolic in p.
 
     which selects the plain (miki), Bbar (fpz) or mixed variant.  Each
     term is a GammaProduct: an exact rational coefficient times Gamma(p+m)
     and Gamma(2p+m) factors in canonical form, so equal factors are merged
     (a k=n/2 left term carries Gamma(p+n)**2, the k=1 tail term
-    Gamma(p+1)**2).  Returns (lhs terms, rhs terms).
+    Gamma(p+1)**2).  Returns (lhs terms, rhs terms), built once per
+    (which, n) into the cache's ``family`` table and shared by every p.
     """
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
     _require_floor(f"family-{which}", n)
+    table = sequences._DEFAULT.family
+    if (which, n) in table:
+        return table[which, n]
     B, Bb = bernoulli, bernoulli_bar
     lhs_first = Bb if which == "fpz" else B
     lhs_second = B if which == "miki" else Bb
@@ -330,7 +346,8 @@ def family_terms(which: str, n: int) -> tuple[list[GammaProduct], list[GammaProd
         tail = B(2 * n) / Fraction(factorial(2 * n)) / 2 ** (2 * n - 1)
     for k in range(1, 2 * n):
         rhs_terms.append(beta_factor(k) * GammaProduct((("2p", 2 * n, 1),), tail))
-    return lhs_terms, rhs_terms
+    table[which, n] = terms = (tuple(lhs_terms), tuple(rhs_terms))
+    return terms
 
 
 def verify_family(which: str, n: int, p: Rational) -> IdentityReport:
@@ -485,12 +502,46 @@ def verify_fpz_cubic(n: int) -> IdentityReport:
     return _report("fpz-cubic", n, lhs, rhs)
 
 
+def _fold(memo: dict[tuple[int, int], Fraction], value, parts: int, total: int) -> Fraction:
+    """Sum of the products value(2k_i)/(2k_i) over k_1+...+k_parts = total,
+    every k_i >= 1, by nested summation through ``memo``."""
+    if (parts, total) not in memo:
+        if parts == 1:
+            acc = value(2 * total) / Fraction(2 * total)
+        else:
+            acc = sum(
+                (_fold(memo, value, 1, k) * _fold(memo, value, parts - 1, total - k)
+                 for k in range(1, total - parts + 2)),
+                Fraction(0),
+            )
+        memo[parts, total] = acc
+    return memo[parts, total]
+
+
+def _power_coeff(variant: str, N: int, order: int) -> Fraction:
+    """x^(-order) coefficient of the N-th power of psi_tilde (plain) or
+    psi_bar (bar), from the cache's append-only ``power`` table.
+
+    The first build is at ``order`` itself; a later, higher order rebuilds
+    the power at the end of its growth block and appends only the new
+    coefficients, through the truncation order the power vouches for.
+    """
+    table = sequences._DEFAULT.power.setdefault((variant, N), [])
+    if order >= len(table):
+        build = sequences._block_end(order) if table else order
+        base = named_series("psi_tilde" if variant == "plain" else "psi_bar", build)
+        power = series_pow(base, N)
+        table.extend(power.coeff(m) for m in range(len(table), power.trunc + 1))
+    return table[order]
+
+
 def verify_multi(N: int, n: int, variant: str = "plain") -> IdentityReport:
     """N-fold convolution sum of B_2k/(2k) (or Bbar) over k_1+...+k_N = n.
 
     lhs is the direct nested summation; rhs is, independently, the x^(-2n)
     coefficient of the N-th power of the matching asymptotic series (up to
-    the sign (-1)^N).
+    the sign (-1)^N).  Each route reads its own table in the cache (fold
+    memo, series power), so neither is rebuilt from scratch per row.
     """
     if variant not in ("plain", "bar"):
         raise UnknownName(f"no variant {variant!r}")
@@ -499,25 +550,8 @@ def verify_multi(N: int, n: int, variant: str = "plain") -> IdentityReport:
     _require_floor(identity, n)
     _require(n >= N, f"order n must be at least N={N}, got {n}")
     value = bernoulli if variant == "plain" else bernoulli_bar
-
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def fold(parts: int, total: int) -> Fraction:
-        if parts == 1:
-            return value(2 * total) / Fraction(2 * total)
-        if (parts, total) in memo:
-            return memo[(parts, total)]
-        acc = sum(
-            (value(2 * k) / Fraction(2 * k) * fold(parts - 1, total - k)
-             for k in range(1, total - parts + 2)),
-            Fraction(0),
-        )
-        memo[(parts, total)] = acc
-        return acc
-
-    direct = fold(N, n)
-    base = named_series("psi_tilde" if variant == "plain" else "psi_bar", 2 * n)
-    via_series = (-1) ** N * series_pow(base, N).coeff(2 * n)
+    direct = _fold(sequences._DEFAULT.fold[variant], value, N, n)
+    via_series = (-1) ** N * _power_coeff(variant, N, 2 * n)
     return _report(identity, n, direct, via_series, N=N)
 
 

@@ -30,12 +30,22 @@ L to m+1 costs m+1-L multiplies, so a scan that reduces many gamma
 products at a few anchors multiplies O(anchors x largest offset) times,
 not once per step of every product.  The key is the (numerator,
 denominator) pair, not the Fraction: hashing a Fraction computes a
-modular inverse on every lookup.  One process-wide
-cache, ``_DEFAULT``, backs every plain function here, and through them
-the exact lane, the series and the float lane, so every consumer reads
-the same tables.  A test replaces it with a fresh or corrupted instance
-through ``monkeypatch.setattr(sequences, "_DEFAULT", cache)``; the plain
-functions look it up at call time.
+modular inverse on every lookup.
+
+Three more tables hold the row-independent work of the identity layer,
+which fills them (``identities`` reads them from ``_DEFAULT`` at call
+time): ``fold``, one nested-fold memo per variant of the N-fold sums;
+``power``, one coefficient list per (variant, N) of the N-th power of
+the psi series; and ``family``, the term lists of each gamma-weighted
+family, stored as tuples so no caller can change a shared entry.  The
+fold and the series power are the two routes of one cross-check, and
+each keeps its own table, so they stay independent.
+
+One process-wide cache, ``_DEFAULT``, backs every plain function here,
+and through them the exact lane, the series and the float lane, so every
+consumer reads the same tables.  A test replaces it with a fresh or
+corrupted instance through ``monkeypatch.setattr(sequences, "_DEFAULT",
+cache)``; the plain functions look it up at call time.
 """
 
 from __future__ import annotations
@@ -96,14 +106,18 @@ def _block_end(n: int) -> int:
 
 
 class SequenceCache:
-    """Growable Bernoulli, Euler, harmonic and rising-factorial tables.
+    """Growable Bernoulli, Euler, harmonic and rising-factorial tables,
+    and the identity layer's fold, series-power and family-term tables.
 
     ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and
     ``bbar_weight`` are plain lists indexed by n; ``rising`` maps an
     anchor's (numerator, denominator) to the list of its (q)_m indexed by
-    m.  Entries, once computed, are never recomputed or rewritten;
-    extension is append-only, so concurrent readers of a warmed cache are
-    safe.
+    m.  ``fold[variant]`` maps (parts, total) to a nested-fold value,
+    ``power[variant, N]`` lists the x^(-m) coefficients of the N-th power
+    of the variant's psi series indexed by m, and ``family[which, n]``
+    holds the (lhs, rhs) term tuples of ``identities.family_terms``.
+    Entries, once computed, are never recomputed or rewritten; extension
+    is append-only, so concurrent readers of a warmed cache are safe.
     """
 
     def __init__(self) -> None:
@@ -113,6 +127,9 @@ class SequenceCache:
         self.harm2: list[Fraction] = [Fraction(0)]
         self.bbar_weight: list[Fraction] = []
         self.rising: dict[tuple[int, int], list[Fraction]] = {}
+        self.fold: dict[str, dict[tuple[int, int], Fraction]] = {"plain": {}, "bar": {}}
+        self.power: dict[tuple[str, int], list[Fraction]] = {}
+        self.family: dict[tuple[str, int], tuple[tuple, tuple]] = {}
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n from the tangent numbers; odd entries are 0 except B_1."""

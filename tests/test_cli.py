@@ -7,11 +7,17 @@ rows are mostly cross-checked against direct library calls.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bernkit
 from bernkit import identities, sequences
 from bernkit import series as series_engine
 from bernkit.cli import main
@@ -228,7 +234,9 @@ def test_verify_float_out_of_range_row():
 
 def test_route_mismatch_fails_rows(monkeypatch):
     # a corrupted series route: multi rows show both routes, gessel's
-    # internal cross-check turns into a failed row with a reason
+    # internal cross-check turns into a failed row with a reason; a fresh
+    # cache, so no series power built by an earlier test hides the patch
+    monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
     real_pow = identities.series_pow
     monkeypatch.setattr(
         identities, "series_pow",
@@ -240,6 +248,27 @@ def test_route_mismatch_fails_rows(monkeypatch):
     gessel, multi = json.loads(result.output)
     assert not gessel["ok"] and "series power" in gessel["error"]
     assert not multi["ok"] and F(multi["rhs"]) == 2 * F(multi["lhs"]) != 0
+
+
+def test_exact_scan_does_not_import_scipy():
+    # only quadrature needs scipy; the CLI and the exact lane load without it
+    script = textwrap.dedent("""
+        import sys
+        from bernkit.cli import main
+        try:
+            main(["verify", "--identity", "miki", "--identity", "family-fpz", "--identity", "multi",
+                  "--p", "1/2", "--n-max", "4", "--format", "json"], standalone_mode=False)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    *rows, loaded = done.stdout.splitlines()
+    assert loaded == "[]"
+    assert all(row["ok"] for row in json.loads("\n".join(rows)))
 
 
 def test_failed_rows_carry_their_reason_in_csv_and_plain():
@@ -442,7 +471,7 @@ def test_poisoned_rising_table_fails_the_rows_that_read_it(monkeypatch):
     assert result.exit_code == 1, result.output
     ok = {(row["n"], row["p"]): row["ok"] for row in json.loads(result.output)}
     reads = {
-        n: any(factor[:2] == ("p", 8) for term in sum(identities.family_terms("miki", n), [])
+        n: any(factor[:2] == ("p", 8) for term in sum(identities.family_terms("miki", n), ())
                for factor in term.factors)
         for n in range(2, 7)
     }

@@ -21,10 +21,12 @@ from bernkit import (
     FAMILY_KINDS,
     LEMMA_IDS,
     PoleEncountered,
+    RouteMismatch,
     SequenceCache,
     UnknownName,
     bernoulli,
     bernoulli_bar,
+    family_terms,
     multi_lhs,
     named_series,
     series_pow,
@@ -39,8 +41,10 @@ from bernkit import (
     verify_miki,
     verify_miki_modified,
     verify_mixed,
+    verify_multi,
     verify_p1,
 )
+from bernkit import identities
 
 F = Fraction
 
@@ -209,6 +213,90 @@ def test_multi_lhs_series_route():
             for n in range(N, 13):
                 power = series_pow(named_series(name, 2 * n), N)
                 assert multi_lhs(N, n, variant) == (-1) ** N * power.coeff(2 * n)
+
+
+@pytest.mark.parametrize("name", ["psi_tilde", "psi_bar"])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_power_coefficients_do_not_depend_on_the_build_order(name, N):
+    # the power table keeps every coefficient through the power's truncation
+    # order and grows by rebuilding at a higher order, so each coefficient
+    # must be the same whatever order the power was built at
+    for n in range(2, 9):
+        low = series_pow(named_series(name, 2 * n), N)
+        high = series_pow(named_series(name, 4 * n), N)
+        assert low.trunc >= 2 * n
+        assert [low.coeff(m) for m in range(low.trunc + 1)] == [
+            high.coeff(m) for m in range(low.trunc + 1)], n
+
+
+def test_gessel_forms_share_one_fold_and_one_power(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    calls = []
+    real_pow = identities.series_pow
+
+    def counted(a, n):
+        calls.append((a.trunc, n))
+        return real_pow(a, n)
+
+    monkeypatch.setattr(identities, "series_pow", counted)
+    assert verify_gessel(7).ok
+    assert calls == [(14, 3)]  # the first build is at exactly 2n
+    folds = dict(cache.fold["plain"])
+    powers = {key: list(table) for key, table in cache.power.items()}
+    assert verify_gessel_modified(7).ok
+    assert calls == [(14, 3)]
+    assert cache.fold["plain"] == folds and cache.power == powers
+    assert (3, 7) in folds and list(powers) == [("plain", 3)]
+    # a later row past the table rebuilds once, at the end of its block
+    assert verify_gessel(10).ok
+    assert calls == [(14, 3), (32, 3)]
+    assert cache.power["plain", 3][:len(powers["plain", 3])] == powers["plain", 3]
+
+
+def test_fresh_cache_after_warm_rows_flips_the_rows_that_read_it(monkeypatch):
+    # warm the process-wide tables first: a fresh injected cache must not
+    # see any fold, power or family entry built from the true numbers
+    warm_multi = verify_multi(2, 5).lhs
+    assert verify_gessel(4).ok and verify_gessel(3).ok and verify_fpz_cubic(4).ok
+    assert verify_family("miki", 4, F(1, 2)).ok
+    cache = SequenceCache()
+    cache.bernoulli(16)
+    cache.bern[8] += 1
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    assert verify_gessel(3).ok and not verify_gessel(4).ok
+    assert not verify_fpz_cubic(4).ok
+    assert verify_family("miki", 3, F(1, 2)).ok
+    assert not verify_family("miki", 4, F(1, 2)).ok
+    # both routes of a multi row read B_8 here, so the row stays ok, but
+    # from the corrupted table
+    poisoned = verify_multi(2, 5)
+    assert poisoned.ok and poisoned.lhs != warm_multi
+
+
+def test_corrupted_power_entry_fails_the_multi_row_at_that_n(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    assert verify_multi(2, 4).ok
+    cache.power["plain", 2][8] += 1
+    assert [verify_multi(2, n).ok for n in range(2, 6)] == [True, True, False, True]
+    assert verify_multi(2, 12).ok  # grows the table past the corrupted entry
+    assert len(cache.power["plain", 2]) > 24
+    assert [n for n in range(2, 13) if not verify_multi(2, n).ok] == [4]
+    with pytest.raises(RouteMismatch, match="series power"):
+        multi_lhs(2, 4)
+
+
+def test_family_terms_are_built_once_per_cache(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    terms = family_terms("fpz", 5)
+    assert family_terms("fpz", 5) is terms
+    assert all(isinstance(side, tuple) for side in terms)
+    assert list(cache.family) == [("fpz", 5)]
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    rebuilt = family_terms("fpz", 5)
+    assert rebuilt is not terms and rebuilt == terms
 
 
 def test_multi_lhs_errors():
