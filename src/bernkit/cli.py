@@ -155,6 +155,8 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
         raise click.UsageError("--p/--float-p apply only to family-* identities")
     if family_ids and not exact_ps and not float_ps:
         raise click.UsageError("family-* identities need --p or --float-p")
+    if n_parts is not None and not {"multi", "multi-bar"} & set(idents):
+        raise click.UsageError("--N applies only to the multi and multi-bar identities")
 
     tasks = []
     for ident in idents:

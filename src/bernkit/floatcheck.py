@@ -248,7 +248,9 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     series.  g has no elementary closed form; its target is the optimally
     truncated Euler-number series.  A series target is trusted to its
     first omitted term; a row where that bound exceeds 1e-6 is not ok and
-    says so in its error, but still carries the quadrature value.
+    says so in its error, but still carries the quadrature value.  A
+    weight, prefactor or target that overflows a double (large p) raises
+    QuadFailure rather than OverflowError.
     """
     if name not in QUAD_NAMES:
         raise UnknownName(f"no representation named {name!r}")
@@ -261,20 +263,23 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
 
     kernel = _KERNELS[name]
     integrand = lambda s: math.exp(-2.0 * x * s) * s**p * kernel(s)
-    raw, err = _integrate(integrand, x)
-    if err > 1e-8:
-        raise QuadFailure(f"estimated quadrature error {err:.3e} exceeds 1e-8")
+    try:
+        raw, err = _integrate(integrand, x)
+        if err > 1e-8:
+            raise QuadFailure(f"estimated quadrature error {err:.3e} exceeds 1e-8")
 
-    ip = int(p) if float(p).is_integer() and name != "g" else None
-    value = raw if ip is None else -((-2.0) ** ip) * raw
-    closed = _psi_tilde_closed if name.startswith("psi_tilde") else _psi_bar_closed
-    if ip == 0:
-        target, tol = closed(x), 1e-8
-    elif ip in (1, 2):
-        target, tol = _difference_target(closed, x, ip), 1e-7
-    else:
-        target, omitted = optimal_series(name, x, p)
-        tol = max(1e-8, omitted)
+        ip = int(p) if float(p).is_integer() and name != "g" else None
+        value = raw if ip is None else -((-2.0) ** ip) * raw
+        closed = _psi_tilde_closed if name.startswith("psi_tilde") else _psi_bar_closed
+        if ip == 0:
+            target, tol = closed(x), 1e-8
+        elif ip in (1, 2):
+            target, tol = _difference_target(closed, x, ip), 1e-7
+        else:
+            target, omitted = optimal_series(name, x, p)
+            tol = max(1e-8, omitted)
+    except OverflowError:
+        raise QuadFailure(f"{name} at x = {x}, p = {p} leaves the double range") from None
     return QuadResult(name, x, p, value, err, target, abs(value - target), tol)
 
 

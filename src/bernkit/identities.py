@@ -16,18 +16,27 @@ checks reconstruct the intermediate asymptotic series of the squared
 generating functions by two independent routes.  FLOORS maps every
 command-line identity id to the smallest n each verifier accepts.
 
+Every sum over compositions k_1+...+k_parts = n, every k_i >= 1, is
+_fold(weight, parts, n) over a weight sequence named in _WEIGHTS: the
+multi sums and the Miki and FPZ left sides ("plain", "bar"), and the
+cubic right sides' multinomial triple sums, (2n)! times folds of "coth",
+B_2k/(2k (2k)!).  The mixed left side pairs B with Bbar and stays inline.
+
 The x^(-2n) coefficients of the four lemma expansions (_coth_product,
 _coth_harmonic, _sinh_product, _sinh_harmonic) are written once and are
 the quadratic right sides: Miki's is the sum of the two coth
-coefficients, FPZ's the sum of the two sinh ones, and Gessel's reuses the
-coth product.  The lemma check therefore tests the very code those right
-sides run.  The cubic forms share _cubic_form, the B/Bbar mixed forms
-share _mixed_weight.
+coefficients, FPZ's the sum of the two sinh ones, Gessel's reuses the
+coth product and the cubic H_2n sum the sinh product.  The lemma check
+therefore tests the very code those right sides run.  They keep their
+integer-binomial form: at n ~ 400, integer binomials times B products
+are cheaper than products of coth weights with factorial denominators.
+The cubic forms share _cubic_form, the B/Bbar mixed forms share
+_mixed_weight.
 
 Work that does not depend on the row is done once per process, in
 append-only tables of the process-wide ``sequences._DEFAULT`` cache,
 looked up at call time so an injected cache replaces them too: the
-nested-fold memo of each variant (``fold``), the coefficients of each
+nested-fold memo of each weight (``fold``), the coefficients of each
 series power (``power``) and each family's term lists (``family``).  The
 fold and the series power keep separate tables, so the two routes of
 verify_multi stay independent, and multi_lhs still compares them on
@@ -51,7 +60,6 @@ from .sequences import (
     euler_number,
     harmonic,
     harmonic_second,
-    multinomial,
 )
 from .series import (
     ASYMPTOTIC,
@@ -160,6 +168,33 @@ def _require_floor(identity: str, n: int) -> None:
     _require(n >= floor, f"{identity} identity needs n >= {floor}, got {n}")
 
 
+# the weight sequences w(k), k >= 1, of the composition sums; "coth" is the
+# x^(2k) coefficient of log(sinh x / x) divided by 4^k
+_WEIGHTS = {
+    "plain": lambda k: bernoulli(2 * k) / Fraction(2 * k),
+    "bar": lambda k: bernoulli_bar(2 * k) / Fraction(2 * k),
+    "coth": lambda k: bernoulli(2 * k) / Fraction(2 * k * factorial(2 * k)),
+}
+
+
+def _fold(weight: str, parts: int, total: int) -> Fraction:
+    """Sum of the products w(k_1)...w(k_parts) over k_1+...+k_parts = total,
+    every k_i >= 1, for w = _WEIGHTS[weight], by nested summation through
+    the cache's memo ``fold[weight]``."""
+    memo = sequences._DEFAULT.fold.setdefault(weight, {})
+    if (parts, total) not in memo:
+        if parts == 1:
+            acc = _WEIGHTS[weight](total)
+        else:
+            acc = sum(
+                (_fold(weight, 1, k) * _fold(weight, parts - 1, total - k)
+                 for k in range(1, total - parts + 2)),
+                Fraction(0),
+            )
+        memo[parts, total] = acc
+    return memo[parts, total]
+
+
 def verify_euler(n: int) -> IdentityReport:
     """sum C(2n,2k) B_2k B_{2n-2k} = -(2n+1) B_2n, for n >= 2."""
     _require_floor("euler", n)
@@ -172,16 +207,6 @@ def verify_euler(n: int) -> IdentityReport:
     )
     rhs = -(2 * n + 1) * bernoulli(2 * n)
     return _report("euler", n, lhs, rhs)
-
-
-def _quadratic_lhs(n: int, first, second) -> Fraction:
-    return sum(
-        (
-            first(2 * k) * second(2 * n - 2 * k) / Fraction(2 * k) / (2 * n - 2 * k)
-            for k in range(1, n)
-        ),
-        Fraction(0),
-    )
 
 
 def _coth_product(n: int) -> Fraction:
@@ -236,8 +261,7 @@ def _miki_rhs(n: int) -> Fraction:
 def verify_miki(n: int) -> IdentityReport:
     """Miki's identity, the form with the full harmonic number H_2n."""
     _require_floor("miki", n)
-    B = bernoulli
-    return _report("miki", n, _quadratic_lhs(n, B, B), _miki_rhs(n))
+    return _report("miki", n, _fold("plain", 2, n), _miki_rhs(n))
 
 
 def verify_miki_modified(n: int) -> IdentityReport:
@@ -248,17 +272,15 @@ def verify_miki_modified(n: int) -> IdentityReport:
     cross-checked before reporting.
     """
     _require_floor("miki-modified", n)
-    B = bernoulli
-    rhs = _fpz_rhs(n, B)
+    rhs = _fpz_rhs(n, bernoulli)
     check_routes("the k=n form", rhs, "the H_2n form", _miki_rhs(n))
-    return _report("miki-modified", n, _quadratic_lhs(n, B, B), rhs)
+    return _report("miki-modified", n, _fold("plain", 2, n), rhs)
 
 
 def verify_fpz(n: int) -> IdentityReport:
     """The Faber-Pandharipande-Zagier identity for the Bbar numbers."""
     _require_floor("fpz", n)
-    Bb = bernoulli_bar
-    return _report("fpz", n, _quadratic_lhs(n, Bb, Bb), _fpz_rhs(n, Bb))
+    return _report("fpz", n, _fold("bar", 2, n), _fpz_rhs(n, bernoulli_bar))
 
 
 def _mixed_weight(k: int, n: int) -> Fraction:
@@ -270,7 +292,13 @@ def verify_mixed(n: int) -> IdentityReport:
     """The mixed identity convolving B with Bbar via the doubling relation."""
     _require_floor("mixed", n)
     B = bernoulli
-    lhs = _quadratic_lhs(n, B, bernoulli_bar)
+    lhs = sum(
+        (
+            B(2 * k) * bernoulli_bar(2 * n - 2 * k) / Fraction(2 * k) / (2 * n - 2 * k)
+            for k in range(1, n)
+        ),
+        Fraction(0),
+    )
     rhs = (
         sum(
             (
@@ -415,12 +443,6 @@ def verify_p1(which: str, n: int) -> IdentityReport:
     return _report(f"p1-{which}", n, lhs, rhs)
 
 
-def _triple_terms(n: int):
-    for k in range(1, n - 1):
-        for l in range(1, n - k):
-            yield k, l, n - k - l
-
-
 def _gessel_polynomial_term(n: int) -> Fraction:
     return Fraction(4 * n * n - 6 * n + 5, 4) * bernoulli(2 * n - 2) / (2 * n - 2)
 
@@ -431,17 +453,7 @@ def verify_gessel(n: int) -> IdentityReport:
     B = bernoulli
     lhs = multi_lhs(3, n, "plain")
     rhs = (
-        sum(
-            (
-                B(2 * k)
-                * B(2 * l)
-                * B(2 * m)
-                / Fraction(8 * k * l * m)
-                * multinomial(2 * n, [2 * k, 2 * l, 2 * m])
-                for k, l, m in _triple_terms(n)
-            ),
-            Fraction(0),
-        )
+        factorial(2 * n) * _fold("coth", 3, n)
         + 3 * harmonic(2 * n) * _coth_product(n)
         + 6 * harmonic_second(n) * B(2 * n) / (2 * n)
         - _gessel_polynomial_term(n)
@@ -451,28 +463,18 @@ def verify_gessel(n: int) -> IdentityReport:
 
 def _cubic_form(n: int, value) -> Fraction:
     """The right-side terms that the modified Gessel form (``value`` =
-    bernoulli) and the cubic FPZ form (bernoulli_bar) share: the triple
-    sum, the H_2n sum and the H_{2n,2} term."""
-    B = bernoulli
+    bernoulli) and the cubic FPZ form (bernoulli_bar) share: the
+    multinomial triple sum, read from the coth fold; the H_2n sum, which
+    is the sinh product less its k=n term B_2n/(2n) (as value(0) = 1);
+    and the H_{2n,2} term."""
+    triple = sum(
+        (_fold("coth", 2, n - m) * value(2 * m) / factorial(2 * m) for m in range(1, n - 1)),
+        Fraction(0),
+    )
     return (
-        Fraction(3, 2 * n)
-        * sum(
-            (
-                B(2 * k) * B(2 * l) * value(2 * m) / Fraction(4 * k * l)
-                * multinomial(2 * n, [2 * k, 2 * l, 2 * m])
-                for k, l, m in _triple_terms(n)
-            ),
-            Fraction(0),
-        )
-        + Fraction(3, n)
-        * harmonic(2 * n)
-        * sum(
-            (
-                binomial(2 * n, 2 * k) * B(2 * k) * value(2 * n - 2 * k) / Fraction(2 * k)
-                for k in range(1, n)
-            ),
-            Fraction(0),
-        )
+        3 * factorial(2 * n - 1) * triple
+        + Fraction(3, n) * harmonic(2 * n)
+        * (n * _sinh_product(n, value) - bernoulli(2 * n) / (2 * n))
         + 6 * harmonic_second(n) * value(2 * n) / (2 * n)
     )
 
@@ -500,22 +502,6 @@ def verify_fpz_cubic(n: int) -> IdentityReport:
         - Fraction(2 * n - 1, 4) * bernoulli_bar(2 * n - 2)
     )
     return _report("fpz-cubic", n, lhs, rhs)
-
-
-def _fold(memo: dict[tuple[int, int], Fraction], value, parts: int, total: int) -> Fraction:
-    """Sum of the products value(2k_i)/(2k_i) over k_1+...+k_parts = total,
-    every k_i >= 1, by nested summation through ``memo``."""
-    if (parts, total) not in memo:
-        if parts == 1:
-            acc = value(2 * total) / Fraction(2 * total)
-        else:
-            acc = sum(
-                (_fold(memo, value, 1, k) * _fold(memo, value, parts - 1, total - k)
-                 for k in range(1, total - parts + 2)),
-                Fraction(0),
-            )
-        memo[parts, total] = acc
-    return memo[parts, total]
 
 
 def _power_coeff(variant: str, N: int, order: int) -> Fraction:
@@ -549,8 +535,7 @@ def verify_multi(N: int, n: int, variant: str = "plain") -> IdentityReport:
     _require(N >= 2, f"convolution fold count must be >= 2, got {N}")
     _require_floor(identity, n)
     _require(n >= N, f"order n must be at least N={N}, got {n}")
-    value = bernoulli if variant == "plain" else bernoulli_bar
-    direct = _fold(sequences._DEFAULT.fold[variant], value, N, n)
+    direct = _fold(variant, N, n)
     via_series = (-1) ** N * _power_coeff(variant, N, 2 * n)
     return _report(identity, n, direct, via_series, N=N)
 

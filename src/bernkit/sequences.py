@@ -34,7 +34,8 @@ modular inverse on every lookup.
 
 Three more tables hold the row-independent work of the identity layer,
 which fills them (``identities`` reads them from ``_DEFAULT`` at call
-time): ``fold``, one nested-fold memo per variant of the N-fold sums;
+time): ``fold[weight]``, the memo of ``identities._fold`` for one named
+weight sequence, which every composition sum of that layer reads;
 ``power``, one coefficient list per (variant, N) of the N-th power of
 the psi series; and ``family``, the term lists of each gamma-weighted
 family, stored as tuples so no caller can change a shared entry.  The
@@ -112,7 +113,7 @@ class SequenceCache:
     ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and
     ``bbar_weight`` are plain lists indexed by n; ``rising`` maps an
     anchor's (numerator, denominator) to the list of its (q)_m indexed by
-    m.  ``fold[variant]`` maps (parts, total) to a nested-fold value,
+    m.  ``fold[weight]`` maps (parts, total) to a fold of that weight,
     ``power[variant, N]`` lists the x^(-m) coefficients of the N-th power
     of the variant's psi series indexed by m, and ``family[which, n]``
     holds the (lhs, rhs) term tuples of ``identities.family_terms``.
@@ -127,7 +128,7 @@ class SequenceCache:
         self.harm2: list[Fraction] = [Fraction(0)]
         self.bbar_weight: list[Fraction] = []
         self.rising: dict[tuple[int, int], list[Fraction]] = {}
-        self.fold: dict[str, dict[tuple[int, int], Fraction]] = {"plain": {}, "bar": {}}
+        self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
         self.family: dict[tuple[str, int], tuple[tuple, tuple]] = {}
 

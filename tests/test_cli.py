@@ -182,6 +182,7 @@ def test_verify_usage_errors():
         ["verify", "--identity", "miki", "--n-max", "5", "--jobs", "abc"],
         ["verify", "--identity", "family-miki", "--float-p", "nan", "--n-max", "5"],
         ["verify", "--identity", "family-miki", "--float-p", "inf", "--n-max", "5"],
+        ["verify", "--identity", "miki", "--N", "3", "--n-max", "3"],
     ]
     for args in cases:
         result = runner.invoke(main, args)
@@ -406,6 +407,19 @@ def test_quadcheck_loose_series_target_is_unverified():
     [row] = json.loads(result.output)
     assert row["ok"] is False and row["abs_dev"] <= row["tol"] and row["tol"] > 1e-6
     assert row["error"].startswith("target unverified")
+
+
+@pytest.mark.parametrize("p, x", [("1000", "5"), ("1100", "30"), ("170.5", "30")])
+def test_quadcheck_overflow_is_a_failed_row(p, x):
+    # the weight s**p, the prefactor (-2)**p and math.gamma of the target
+    # each leave the double range at one of these points
+    result = runner.invoke(
+        main, ["quadcheck", "psi_tilde_p", "--p", p, "--x", x, "--format", "json"])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    [row] = json.loads(result.output)
+    assert row["ok"] is False and row["value"] is None
+    assert row["error"] == f"psi_tilde_p at x = {float(x)}, p = {float(p)} leaves the double range"
 
 
 @pytest.mark.parametrize("args", [

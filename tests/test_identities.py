@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -26,8 +27,12 @@ from bernkit import (
     UnknownName,
     bernoulli,
     bernoulli_bar,
+    binomial,
     family_terms,
+    harmonic,
+    harmonic_second,
     multi_lhs,
+    multinomial,
     named_series,
     series_pow,
     verify_euler,
@@ -243,15 +248,55 @@ def test_gessel_forms_share_one_fold_and_one_power(monkeypatch):
     assert verify_gessel(7).ok
     assert calls == [(14, 3)]  # the first build is at exactly 2n
     folds = dict(cache.fold["plain"])
+    memos = {weight: dict(memo) for weight, memo in cache.fold.items()}
     powers = {key: list(table) for key, table in cache.power.items()}
     assert verify_gessel_modified(7).ok
     assert calls == [(14, 3)]
     assert cache.fold["plain"] == folds and cache.power == powers
+    # the modified form's triple sum reads only coth folds gessel built
+    assert {weight: dict(memo) for weight, memo in cache.fold.items()} == memos
     assert (3, 7) in folds and list(powers) == [("plain", 3)]
     # a later row past the table rebuilds once, at the end of its block
     assert verify_gessel(10).ok
     assert calls == [(14, 3), (32, 3)]
     assert cache.power["plain", 3][:len(powers["plain", 3])] == powers["plain", 3]
+    # Gessel's triple sum alone reads the coth fold at parts = 3
+    cache.fold["coth"][3, 7] += 1
+    assert [n for n in range(3, 11) if not verify_gessel(n).ok] == [7]
+    assert verify_gessel_modified(7).ok
+
+
+def _multinomial_triple(n: int, first, second, third, divisor) -> Fraction:
+    """Brute-force reference for the cubic right sides' triple sums: the
+    products over k+l+m = n (all >= 1) with the multinomial (2n; 2k, 2l, 2m)."""
+    return sum(
+        (
+            first(2 * k) * second(2 * l) * third(2 * m) / divisor(k, l, m)
+            * multinomial(2 * n, [2 * k, 2 * l, 2 * m])
+            for k in range(1, n - 1)
+            for l in range(1, n - k)
+            for m in [n - k - l]
+        ),
+        F(0),
+    )
+
+
+@pytest.mark.parametrize("value", [bernoulli, bernoulli_bar])
+def test_coth_fold_matches_the_multinomial_triple_sums(value):
+    B = bernoulli
+    for n in range(3, 31):
+        gessel = _multinomial_triple(n, B, B, B, lambda k, l, m: F(8 * k * l * m))
+        assert factorial(2 * n) * identities._fold("coth", 3, n) == gessel, n
+        # the cubic forms' triple term, after their H_2n sum and H_{2n,2}
+        # term, each written out directly
+        cubic = F(3, 2 * n) * _multinomial_triple(n, B, B, value, lambda k, l, m: F(4 * k * l))
+        h_sum = sum(
+            (binomial(2 * n, 2 * k) * B(2 * k) * value(2 * n - 2 * k) / F(2 * k)
+             for k in range(1, n)),
+            F(0),
+        )
+        rest = F(3, n) * harmonic(2 * n) * h_sum + 6 * harmonic_second(n) * value(2 * n) / (2 * n)
+        assert identities._cubic_form(n, value) - rest == cubic, n
 
 
 def test_fresh_cache_after_warm_rows_flips_the_rows_that_read_it(monkeypatch):
