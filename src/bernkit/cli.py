@@ -9,6 +9,7 @@ checks ok, 1 some check failed, 2 usage error.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import sys
@@ -57,6 +58,25 @@ def _run_task(task: tuple) -> dict:
         if p is not None:
             row["p"] = p
         return row
+
+
+def _run_group(tasks: list[tuple]) -> list[dict]:
+    """The rows of one group, in one process; top level so worker
+    processes can pickle it."""
+    return [_run_task(task) for task in tasks]
+
+
+def _group_key(task: tuple) -> tuple:
+    """Exact family rows at one (n, p) form one group: they read the gamma
+    reductions stored at (n, p).  A p1-* row joins the group at (n, 1),
+    whose reductions its family rerun reads.  Every other row is a group
+    of its own."""
+    mode, ident, n, p, _ = task
+    if ident.startswith("p1-"):
+        return n, "1", ""
+    if mode == "exact" and ident.startswith("family-"):
+        return n, p, ""
+    return n, str(p), ident
 
 
 def _row_key(row: dict):
@@ -179,12 +199,16 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
             else:
                 tasks.append(("exact", ident, n, None, parts))
 
+    # the rows of a group run one after another in one worker, so the gamma
+    # reductions at their (n, p) are done once
+    tasks.sort(key=_group_key)
+    groups = [list(group) for _, group in itertools.groupby(tasks, key=_group_key)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_task, tasks))
+            chunks = list(pool.map(_run_group, groups))
     else:
-        rows = [_run_task(task) for task in tasks]
-    rows.sort(key=_row_key)
+        chunks = map(_run_group, groups)
+    rows = sorted((row for chunk in chunks for row in chunk), key=_row_key)
     _emit_reports(rows, fmt)
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 

@@ -16,6 +16,7 @@ is cut where exp(-2xs) drops under 1e-18.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,6 +53,10 @@ _MAX_TERMS = 120
 # A target whose error bound exceeds this verifies nothing: the omitted
 # term of a divergent series grows without bound as x falls.
 _TOL_CAP = 1e-6
+# A closed-form target is checked to 1e-8, but never looser than this
+# fraction of |target|: psi_tilde(x) ~ -1/(12 x^2) falls under 1e-8 near
+# x = 3000, past which an absolute 1e-8 would pass any value, 0 included.
+_REL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -243,12 +248,15 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     p-th derivative of the represented function when p is an integer;
     targets come from digamma closed forms (p = 0), Richardson-extrapolated
     finite differences (p = 1, 2) or the optimally truncated derivative
-    series (p >= 3).  Non-integer p drops the derivative prefactor and is
-    compared against the term-wise transform of the kernel's Taylor
-    series.  g has no elementary closed form; its target is the optimally
-    truncated Euler-number series.  A series target is trusted to its
-    first omitted term; a row where that bound exceeds 1e-6 is not ok and
-    says so in its error, but still carries the quadrature value.  A
+    series (p >= 3).  A closed-form row is checked to 1e-8 but never looser
+    than 1e-5 of |target|, so a far x cannot pass vacuously, and a target
+    below the normal double range raises QuadFailure.  Non-integer p
+    drops the derivative prefactor and is compared against the term-wise
+    transform of the kernel's Taylor series.  g has no elementary closed
+    form; its target is the optimally truncated Euler-number series.  A
+    series target is trusted to its first omitted term; a row where that
+    bound exceeds 1e-6 is not ok and says so in its error, but still
+    carries the quadrature value.  A
     weight, prefactor or target that overflows a double (large p) raises
     QuadFailure rather than OverflowError.
     """
@@ -272,7 +280,11 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
         value = raw if ip is None else -((-2.0) ** ip) * raw
         closed = _psi_tilde_closed if name.startswith("psi_tilde") else _psi_bar_closed
         if ip == 0:
-            target, tol = closed(x), 1e-8
+            target = closed(x)
+            if abs(target) < sys.float_info.min:
+                raise QuadFailure(
+                    f"{name} at x = {x} has a target {target:.3e} below the normal double range")
+            tol = min(1e-8, _REL_TOL * abs(target))
         elif ip in (1, 2):
             target, tol = _difference_target(closed, x, ip), 1e-7
         else:

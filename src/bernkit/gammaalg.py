@@ -15,6 +15,16 @@ multiplies once per new (anchor, offset) pair instead of once per step of
 every factor.  No Legendre duplication is applied: the two bases stay
 independent, which keeps every cofactor rational.
 
+gamma_reduce itself keeps no memo.  The family verifiers of
+``identities`` reduce each distinct factor tuple of a row at (n, p) once,
+with scalar 1, into the cache's ``reduced`` slot, which holds one (n, p)
+at a time, and take every term as its scalar times that cofactor;
+gamma_reduce is the only code that fills the slot, so it stays the only
+reader of the rising tables for the families.  A rising entry poisoned
+after a product that reads it has been stored no longer reaches the rows
+of that (n, p); the rows at the next (n, p), and a fresh cache, read the
+rising table again.
+
 When the anchor t (p or 2p) is itself a nonpositive integer, Gamma(t) has
 a pole even where Gamma(t+m) is finite, so such factors are folded all the
 way down to factorials instead (contributing exponent zero).  Any factor
@@ -42,7 +52,7 @@ __all__ = [
 BASES = ("p", "2p")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaProduct:
     """Product of Gamma(base+offset)**exponent factors times a scalar.
 
@@ -76,7 +86,7 @@ class GammaProduct:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedGamma:
     """Gamma(p)**a * Gamma(2p)**b * value, with value an exact rational."""
 

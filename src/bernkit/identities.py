@@ -41,6 +41,18 @@ series power (``power``) and each family's term lists (``family``).  The
 fold and the series power keep separate tables, so the two routes of
 verify_multi stay independent, and multi_lhs still compares them on
 every row.
+
+The family rows also share their gamma reductions, but only within one
+(n, p): the three kinds at n have the same factor tuples and differ in
+their scalars, and no tuple at n occurs at another n.  The cache's
+``reduced`` slot holds the gamma_reduce result of each distinct tuple
+at the latest (n, p) and is emptied when a row at another (n, p) comes,
+so its memory stays that of one row.  A row adds scalar x cofactor per
+term, and a scan ordered by (n, p), as ``cli verify`` runs it, reduces
+each product once per (n, p) for every kind and for verify_p1's rerun at
+p = 1.  gamma_reduce alone fills the slot and alone reads the rising
+tables for the families; a rising entry poisoned after the products that
+read it were stored no longer reaches the rows of that (n, p).
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from math import factorial
 
 from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
-from .gammaalg import GammaProduct, beta_factor, gamma_reduce
+from .gammaalg import GammaProduct, ReducedGamma, beta_factor, gamma_reduce
 from .sequences import (
     Rational,
     bernoulli,
@@ -314,12 +326,43 @@ def verify_mixed(n: int) -> IdentityReport:
     return _report("mixed", n, lhs, rhs)
 
 
-def _reduce_side(terms: tuple[GammaProduct, ...], p: Fraction) -> tuple[tuple[int, int], Fraction]:
-    reduced = [gamma_reduce(term, p) for term in terms]
-    exponents = {(r.exp_gamma_p, r.exp_gamma_2p) for r in reduced}
+def _reductions(n: int, p: Fraction) -> dict[tuple, ReducedGamma]:
+    """The cache's ``reduced`` slot for the family rows at (n, p).
+
+    Every family factor tuple at n carries Gamma(2p+2n) or a pair summing
+    to 2n, so only rows at the same (n, p) read a reduction again; the
+    slot keeps one (n, p) and starts empty when a row at another arrives.
+    The pair is read once, so a caller never writes into a table of
+    another (n, p) that a concurrent caller put in its place.
+    """
+    cache = sequences._DEFAULT
+    key = (n, p.numerator, p.denominator)
+    slot = cache.reduced
+    if slot[0] != key:
+        slot = cache.reduced = (key, {})
+    return slot[1]
+
+
+def _reduce_side(
+    terms: tuple[GammaProduct, ...], p: Fraction, table: dict[tuple, ReducedGamma]
+) -> tuple[tuple[int, int], Fraction]:
+    """Common exponent pair and cofactor sum of one side at p.
+
+    Each distinct factor tuple is reduced by gamma_reduce at scalar 1 into
+    ``table``; a term adds its scalar times that cofactor, and every
+    term's exponents must agree.
+    """
+    exponents = set()
+    total = Fraction(0)
+    for term in terms:
+        reduced = table.get(term.factors)
+        if reduced is None:
+            reduced = table[term.factors] = gamma_reduce(GammaProduct(term.factors), p)
+        exponents.add((reduced.exp_gamma_p, reduced.exp_gamma_2p))
+        total += term.scalar * reduced.value
     if len(exponents) != 1:
         raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
-    return exponents.pop(), sum((r.value for r in reduced), Fraction(0))
+    return exponents.pop(), total
 
 
 def family_terms(
@@ -381,14 +424,16 @@ def family_terms(
 def verify_family(which: str, n: int, p: Rational) -> IdentityReport:
     """One-parameter gamma-weighted family of the quadratic identities.
 
-    Both sides' family_terms are reduced at the rational point p, required
-    to share one (Gamma(p), Gamma(2p)) exponent pair, and compared through
-    their rational cofactors.
+    Both sides' family_terms are reduced at the rational point p, through
+    the cache's ``reduced`` slot for (n, p), required to share one
+    (Gamma(p), Gamma(2p)) exponent pair, and compared through their
+    rational cofactors.
     """
     lhs_terms, rhs_terms = family_terms(which, n)
     p = Fraction(p)
-    lhs_exp, lhs_value = _reduce_side(lhs_terms, p)
-    rhs_exp, rhs_value = _reduce_side(rhs_terms, p)
+    table = _reductions(n, p)
+    lhs_exp, lhs_value = _reduce_side(lhs_terms, p, table)
+    rhs_exp, rhs_value = _reduce_side(rhs_terms, p, table)
     if lhs_exp != rhs_exp:
         raise ExponentMismatch(f"sides reduce to gamma exponents {lhs_exp} vs {rhs_exp}")
     return _report(f"family-{which}", n, lhs_value, rhs_value, p=p)
@@ -401,7 +446,8 @@ def verify_p1(which: str, n: int) -> IdentityReport:
     absorbs that term into the right side, so against verify_family at
     p=1 the miki and fpz variants differ by exactly B_2n (resp. Bbar_2n)
     on both sides while the mixed variant coincides; both facts are
-    checked where the domains overlap.
+    checked where the domains overlap.  Run right after the family rows at
+    (n, 1), its family row reads the reductions they stored.
     """
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
@@ -461,12 +507,13 @@ def verify_gessel(n: int) -> IdentityReport:
     return _report("gessel", n, lhs, rhs)
 
 
-def _cubic_form(n: int, value) -> Fraction:
+def _cubic_form(n: int, value, sinh: Fraction) -> Fraction:
     """The right-side terms that the modified Gessel form (``value`` =
     bernoulli) and the cubic FPZ form (bernoulli_bar) share: the
     multinomial triple sum, read from the coth fold; the H_2n sum, which
-    is the sinh product less its k=n term B_2n/(2n) (as value(0) = 1);
-    and the H_{2n,2} term."""
+    is the sinh product ``sinh`` = _sinh_product(n, value) less its k=n
+    term B_2n/(2n) (as value(0) = 1); and the H_{2n,2} term.  The caller
+    passes ``sinh`` in, as the cubic FPZ form needs it once more."""
     triple = sum(
         (_fold("coth", 2, n - m) * value(2 * m) / factorial(2 * m) for m in range(1, n - 1)),
         Fraction(0),
@@ -474,7 +521,7 @@ def _cubic_form(n: int, value) -> Fraction:
     return (
         3 * factorial(2 * n - 1) * triple
         + Fraction(3, n) * harmonic(2 * n)
-        * (n * _sinh_product(n, value) - bernoulli(2 * n) / (2 * n))
+        * (n * sinh - bernoulli(2 * n) / (2 * n))
         + 6 * harmonic_second(n) * value(2 * n) / (2 * n)
     )
 
@@ -483,7 +530,7 @@ def verify_gessel_modified(n: int) -> IdentityReport:
     """The modified Gessel form produced by skipping the integration by parts."""
     _require_floor("gessel-modified", n)
     lhs = multi_lhs(3, n, "plain")
-    rhs = _cubic_form(n, bernoulli) - _gessel_polynomial_term(n)
+    rhs = _cubic_form(n, bernoulli, _sinh_product(n, bernoulli)) - _gessel_polynomial_term(n)
     return _report("gessel-modified", n, lhs, rhs)
 
 
@@ -496,9 +543,11 @@ def verify_fpz_cubic(n: int) -> IdentityReport:
     """
     _require_floor("fpz-cubic", n)
     lhs = multi_lhs(3, n, "bar")
+    sinh_bar = _sinh_product(n, bernoulli_bar)
+    fpz_bar = sinh_bar + _sinh_harmonic(n, bernoulli_bar)
     rhs = (
-        _cubic_form(n, bernoulli_bar)
-        + Fraction(3, 2 * n) * (_fpz_rhs(n, bernoulli) - _fpz_rhs(n, bernoulli_bar))
+        _cubic_form(n, bernoulli_bar, sinh_bar)
+        + Fraction(3, 2 * n) * (_fpz_rhs(n, bernoulli) - fpz_bar)
         - Fraction(2 * n - 1, 4) * bernoulli_bar(2 * n - 2)
     )
     return _report("fpz-cubic", n, lhs, rhs)

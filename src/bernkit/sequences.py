@@ -42,6 +42,17 @@ family, stored as tuples so no caller can change a shared entry.  The
 fold and the series power are the two routes of one cross-check, and
 each keeps its own table, so they stay independent.
 
+One slot, ``reduced``, is not append-only: it is the pair ((n,
+numerator, denominator), table) for the latest family point (n, p), the
+table mapping each distinct family factor tuple at n to its
+``gammaalg.gamma_reduce`` result at p with scalar 1.  The three family
+kinds at one (n, p), and ``verify_p1``'s rerun at p = 1, read it instead
+of reducing each product again; no tuple at n occurs at another n, so
+the slot is replaced, not grown, when a row at another (n, p) comes, and
+its memory stays that of one row.  A stored reduction does not read the
+rising table again, so a rising entry poisoned after the reduction was
+stored no longer reaches the rows of that (n, p).
+
 One process-wide cache, ``_DEFAULT``, backs every plain function here,
 and through them the exact lane, the series and the float lane, so every
 consumer reads the same tables.  A test replaces it with a fresh or
@@ -53,8 +64,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, PartsMismatch, check_routes
+
+if TYPE_CHECKING:
+    from .gammaalg import ReducedGamma
 
 __all__ = [
     "Rational",
@@ -108,7 +123,8 @@ def _block_end(n: int) -> int:
 
 class SequenceCache:
     """Growable Bernoulli, Euler, harmonic and rising-factorial tables,
-    and the identity layer's fold, series-power and family-term tables.
+    and the identity layer's fold, series-power and family-term tables
+    and its gamma-reduction slot.
 
     ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and
     ``bbar_weight`` are plain lists indexed by n; ``rising`` maps an
@@ -119,6 +135,9 @@ class SequenceCache:
     holds the (lhs, rhs) term tuples of ``identities.family_terms``.
     Entries, once computed, are never recomputed or rewritten; extension
     is append-only, so concurrent readers of a warmed cache are safe.
+    ``reduced`` is the exception: ``identities`` replaces the whole pair
+    ((n, p.numerator, p.denominator), {factor tuple: ReducedGamma}) in
+    one assignment when a family row at another (n, p) comes.
     """
 
     def __init__(self) -> None:
@@ -131,6 +150,7 @@ class SequenceCache:
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
         self.family: dict[tuple[str, int], tuple[tuple, tuple]] = {}
+        self.reduced: tuple[tuple[int, int, int] | None, dict[tuple, ReducedGamma]] = (None, {})
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n from the tangent numbers; odd entries are 0 except B_1."""

@@ -6,6 +6,7 @@ library.  Numeric correctness itself is pinned in the module tests; here
 rows are mostly cross-checked against direct library calls.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 import bernkit
-from bernkit import identities, sequences
+from bernkit import cli as cli_module, identities, sequences
 from bernkit import series as series_engine
 from bernkit.cli import main
 
@@ -299,12 +300,78 @@ def test_verify_family_pole_row():
 
 
 def test_verify_parallel_matches_serial():
-    args = ["verify", "--identity", "euler", "--identity", "miki",
-            "--n-max", "8", "--format", "csv"]
-    serial = runner.invoke(main, args + ["--jobs", "1"])
-    parallel = runner.invoke(main, args + ["--jobs", "3"])
-    assert serial.exit_code == parallel.exit_code == 0
-    assert serial.output == parallel.output
+    # (arguments, exit code, jobs): the second scan mixes family ids at
+    # several exact p (a pole row among them), a float p, a p1-* id and gessel
+    cases = [
+        (["--identity", "euler", "--identity", "miki", "--n-max", "8"], 0, "3"),
+        (["--identity", "family-miki", "--identity", "family-mixed", "--identity", "p1-miki",
+          "--identity", "gessel", "--n-max", "7", "--p", "1/2", "--p", "3", "--p", "-1",
+          "--float-p", "0.75"], 1, "2"),
+    ]
+    for args, code, jobs in cases:
+        args = ["verify", *args, "--format", "csv"]
+        serial = runner.invoke(main, args + ["--jobs", "1"])
+        parallel = runner.invoke(main, args + ["--jobs", jobs])
+        assert serial.exit_code == parallel.exit_code == code
+        assert serial.stdout_bytes == parallel.stdout_bytes
+    rows = list(csv.DictReader(serial.output.splitlines()))
+    assert {row["identity"] for row in rows} == {"family-miki", "family-mixed", "p1-miki", "gessel"}
+    assert {row["p"] for row in rows} == {"", "1/2", "3", "-1", "0.75"}
+    assert {row["identity"] for row in rows if row["ok"] == "false"} == {"family-miki", "family-mixed"}
+
+
+def test_verify_reduces_each_product_once_per_point(monkeypatch):
+    # the scan runs the rows of each (n, p) together, a p1-* row with the
+    # family rows at (n, 1), so each factor tuple is reduced once per point
+    monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+    calls = []
+    real = identities.gamma_reduce
+
+    def counted(g, p):
+        calls.append((g.factors, p))
+        return real(g, p)
+
+    monkeypatch.setattr(identities, "gamma_reduce", counted)
+    result = runner.invoke(main, ["verify", "--identity", "family-miki", "--identity", "family-fpz",
+                                  "--identity", "family-mixed", "--identity", "p1-mixed",
+                                  "--n-min", "2", "--n-max", "6", "--p", "1/2", "--p", "1"])
+    assert result.exit_code == 0, result.output
+    distinct = [{t.factors for t in sum(identities.family_terms("miki", n), ())} for n in range(2, 7)]
+    assert len(calls) == len(set(calls)) == 2 * sum(map(len, distinct))
+
+
+def test_verify_jobs_sends_each_family_point_as_one_task(monkeypatch):
+    # the exact family rows at one (n, p), and a p1-* row at (n, 1), are one
+    # pool task; every other row, a float family row included, is its own
+    sent = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            sent.extend(items)
+            return map(fn, sent)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    result = runner.invoke(main, ["verify", "--identity", "family-miki", "--identity", "family-fpz",
+                                  "--identity", "p1-fpz", "--identity", "miki", "--n-min", "2",
+                                  "--n-max", "3", "--p", "1", "--p", "1/2", "--float-p", "0.5",
+                                  "--jobs", "2"])
+    assert result.exit_code == 0, result.output
+    groups = sorted(sorted((ident, n, str(p)) for _, ident, n, p, _ in group) for group in sent)
+    assert groups == sorted(
+        [[("family-fpz", n, "1"), ("family-miki", n, "1"), ("p1-fpz", n, "None")] for n in (2, 3)]
+        + [[("family-fpz", n, "1/2"), ("family-miki", n, "1/2")] for n in (2, 3)]
+        + [[(ident, n, "0.5")] for ident in ("family-fpz", "family-miki") for n in (2, 3)]
+        + [[("miki", n, "None")] for n in (2, 3)]
+    )
 
 
 def test_verify_jobs_env_default():
@@ -370,6 +437,15 @@ def test_quadcheck_below_the_default_grid_is_unverified():
     assert result.exit_code == 1
     [row] = json.loads(result.output)
     assert row["ok"] is False and row["error"].startswith("target unverified")
+
+
+def test_quadcheck_far_x_is_a_failed_row():
+    result = runner.invoke(
+        main, ["quadcheck", "psi_tilde", "--x", "1e4", "--x", "1e6", "--x", "5", "--format", "json"])
+    assert result.exit_code == 1, result.output
+    rows = json.loads(result.output)
+    assert [row["ok"] for row in rows] == [True, False, False]
+    assert all("exceeds the tolerance" in row["error"] for row in rows[1:])
 
 
 def test_quadcheck_json():

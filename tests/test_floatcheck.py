@@ -16,6 +16,7 @@ from bernkit import (
     DomainError,
     FAMILY_KINDS,
     QUAD_NAMES,
+    QuadFailure,
     UnknownName,
     check_g_squared,
     check_mixed_trig,
@@ -106,6 +107,20 @@ def test_loose_series_target_is_unverified(name, x, p):
     row = r.as_dict()
     assert row["ok"] is False and row["error"] == r.error
     assert math.isfinite(r.value)
+
+
+@pytest.mark.parametrize("name", ["psi_tilde", "psi_bar"])
+def test_far_closed_form_rows_are_not_vacuous(name):
+    # past x ~ 3000 the target is under the old absolute 1e-8, and by
+    # x = 1e4 the quadrature has lost it; such rows fail, nearer ones pass
+    for x in (1e4, 1e6):
+        r = quad_rep(name, x)
+        assert not r.ok and r.tol < abs(r.target) * 1e-4, x
+        assert "exceeds the tolerance" in r.error
+    for x in (1000.0, 3000.0):
+        assert quad_rep(name, x).ok, x
+    with pytest.raises(QuadFailure, match="below the normal double range"):
+        quad_rep(name, 1e308)
 
 
 def test_quad_errors():

@@ -20,13 +20,16 @@ import bernkit
 from bernkit import (
     DomainError,
     FAMILY_KINDS,
+    GammaProduct,
     LEMMA_IDS,
     PoleEncountered,
+    ReducedGamma,
     RouteMismatch,
     SequenceCache,
     UnknownName,
     bernoulli,
     bernoulli_bar,
+    beta_factor,
     binomial,
     family_terms,
     harmonic,
@@ -296,7 +299,7 @@ def test_coth_fold_matches_the_multinomial_triple_sums(value):
             F(0),
         )
         rest = F(3, n) * harmonic(2 * n) * h_sum + 6 * harmonic_second(n) * value(2 * n) / (2 * n)
-        assert identities._cubic_form(n, value) - rest == cubic, n
+        assert identities._cubic_form(n, value, identities._sinh_product(n, value)) - rest == cubic, n
 
 
 def test_fresh_cache_after_warm_rows_flips_the_rows_that_read_it(monkeypatch):
@@ -342,6 +345,97 @@ def test_family_terms_are_built_once_per_cache(monkeypatch):
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     rebuilt = family_terms("fpz", 5)
     assert rebuilt is not terms and rebuilt == terms
+
+
+def _count_reductions(monkeypatch):
+    """Record the factor tuple of every gamma_reduce call the family rows make."""
+    calls = []
+    real = identities.gamma_reduce
+
+    def counted(g, p):
+        calls.append(g.factors)
+        return real(g, p)
+
+    monkeypatch.setattr(identities, "gamma_reduce", counted)
+    return calls
+
+
+def test_family_kinds_reduce_each_factor_tuple_once_per_point(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    calls = _count_reductions(monkeypatch)
+    for which in FAMILY_KINDS:
+        assert verify_family(which, 6, F(1, 2)).ok
+    terms = {which: sum(family_terms(which, 6), ()) for which in FAMILY_KINDS}
+    distinct = {term.factors for term in terms["miki"]}
+    assert all({term.factors for term in side} == distinct for side in terms.values())
+    assert len(calls) == len(set(calls)) == len(distinct) < len(terms["miki"])
+    assert set(calls) == distinct
+    assert cache.reduced[0] == (6, 1, 2) and set(cache.reduced[1]) == distinct
+    assert not hasattr(terms["miki"][0], "__dict__")
+    # a row at another (n, p) replaces the slot, so coming back reduces again
+    verify_family("fpz", 6, F(3))
+    assert cache.reduced[0] == (6, 3, 1) and len(calls) == 2 * len(distinct)
+    verify_family("mixed", 6, F(1, 2))
+    assert len(calls) == 3 * len(distinct)
+
+
+def test_reduction_slot_holds_one_point(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    for n in range(2, 16):
+        for p in (F(1, 2), F(3)):
+            assert verify_family("miki", n, p).ok
+    lhs, rhs = family_terms("miki", 15)
+    assert cache.reduced[0] == (15, 3, 1)
+    assert set(cache.reduced[1]) == {term.factors for term in lhs + rhs}
+
+
+@pytest.mark.parametrize("which", FAMILY_KINDS)
+def test_p1_rerun_reads_the_stored_reductions(monkeypatch, which):
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    calls = _count_reductions(monkeypatch)
+    assert verify_family(which, 5, F(1)).ok
+    stored = len(calls)
+    assert stored > 0
+    assert verify_p1(which, 5).ok
+    assert len(calls) == stored
+
+
+def test_corrupted_reduction_fails_the_rows_that_read_it(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    for which in FAMILY_KINDS:
+        assert verify_family(which, 5, F(1)).ok
+    # the k = 1 beta term of the right sides at n = 5 carries Gamma(2p+10)
+    key = (beta_factor(1) * GammaProduct((("2p", 10, 1),))).factors
+    assert all(key in {term.factors for term in family_terms(which, 5)[1]} for which in FAMILY_KINDS)
+    entry = cache.reduced[1][key]
+    cache.reduced[1][key] = ReducedGamma(entry.exp_gamma_p, entry.exp_gamma_2p, entry.value + 1)
+    assert not any(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
+    with pytest.raises(RouteMismatch):
+        verify_p1("miki", 5)
+    # every other point reads its own reductions; leaving (5, 1) drops the entry
+    assert verify_p1("miki", 4).ok
+    assert verify_family("miki", 5, F(1, 2)).ok
+    assert all(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
+    cache.reduced[1][key] = ReducedGamma(entry.exp_gamma_p, entry.exp_gamma_2p, entry.value + 1)
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    assert all(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
+
+
+def test_fpz_cubic_sums_each_sinh_product_once(monkeypatch):
+    assert verify_fpz_cubic(9).ok
+    seen = []
+    real = identities._sinh_product
+
+    def counted(n, value):
+        seen.append(value)
+        return real(n, value)
+
+    monkeypatch.setattr(identities, "_sinh_product", counted)
+    assert verify_fpz_cubic(9).ok
+    assert sorted(v.__name__ for v in seen) == ["bernoulli", "bernoulli_bar"]
 
 
 def test_multi_lhs_errors():
