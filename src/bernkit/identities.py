@@ -27,11 +27,20 @@ _coth_harmonic, _sinh_product, _sinh_harmonic) are written once and are
 the quadratic right sides: Miki's is the sum of the two coth
 coefficients, FPZ's the sum of the two sinh ones, Gessel's reuses the
 coth product and the cubic H_2n sum the sinh product.  The lemma check
-therefore tests the very code those right sides run.  They keep their
-integer-binomial form: at n ~ 400, integer binomials times B products
-are cheaper than products of coth weights with factorial denominators.
-The cubic forms share _cubic_form, the B/Bbar mixed forms share
-_mixed_weight.
+therefore tests the very code those right sides run.  They read C(2n, 2k)
+from one Pascal row, _binomial_row(2n), per call: at n ~ 400, integer
+binomials times B products are cheaper than products of coth weights
+with factorial denominators.  The cubic forms share _cubic_form, the
+B/Bbar mixed forms share _mixed_weight.
+
+Every exact sum of this layer is _dot: each fold step, the quadratic,
+p = 1 and cubic sums, and the cofactor sum of each family side.  It
+multiplies each term's factors as integer numerators and denominators
+and reduces the total once over one lcm, where a Fraction sum normalises
+through gcd after every multiply and add (at n ~ 400 the B numerators
+have about 1,350 digits).  series and floatcheck keep their own
+arithmetic: the series power and the float twin are the second routes
+of these sums, so they share no summation code with them.
 
 Work that does not depend on the row is done once per process, in
 append-only tables of the process-wide ``sequences._DEFAULT`` cache,
@@ -59,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
@@ -68,7 +77,6 @@ from .sequences import (
     Rational,
     bernoulli,
     bernoulli_bar,
-    binomial,
     euler_number,
     harmonic,
     harmonic_second,
@@ -180,6 +188,32 @@ def _require_floor(identity: str, n: int) -> None:
     _require(n >= floor, f"{identity} identity needs n >= {floor}, got {n}")
 
 
+def _dot(terms) -> Fraction:
+    """Exact sum of the products of each term's int or Fraction factors.
+
+    Each product is multiplied out as an integer numerator and denominator,
+    the products are brought over one lcm of those denominators, and the
+    total is reduced once, not after every multiply and add.
+    """
+    parts = []
+    for factors in terms:
+        num = den = 1
+        for factor in factors:
+            num *= factor.numerator
+            den *= factor.denominator
+        parts.append((num, den))
+    common = lcm(*(den for _, den in parts))
+    return Fraction(sum(num * (common // den) for num, den in parts), common)
+
+
+def _binomial_row(m: int) -> list[int]:
+    """The Pascal row C(m, 0), ..., C(m, m), by C(m, j+1) = C(m, j) (m-j)/(j+1)."""
+    row = [1]
+    for j in range(m):
+        row.append(row[-1] * (m - j) // (j + 1))
+    return row
+
+
 # the weight sequences w(k), k >= 1, of the composition sums; "coth" is the
 # x^(2k) coefficient of log(sinh x / x) divided by 4^k
 _WEIGHTS = {
@@ -198,10 +232,9 @@ def _fold(weight: str, parts: int, total: int) -> Fraction:
         if parts == 1:
             acc = _WEIGHTS[weight](total)
         else:
-            acc = sum(
-                (_fold(weight, 1, k) * _fold(weight, parts - 1, total - k)
-                 for k in range(1, total - parts + 2)),
-                Fraction(0),
+            acc = _dot(
+                (_fold(weight, 1, k), _fold(weight, parts - 1, total - k))
+                for k in range(1, total - parts + 2)
             )
         memo[parts, total] = acc
     return memo[parts, total]
@@ -210,26 +243,18 @@ def _fold(weight: str, parts: int, total: int) -> Fraction:
 def verify_euler(n: int) -> IdentityReport:
     """sum C(2n,2k) B_2k B_{2n-2k} = -(2n+1) B_2n, for n >= 2."""
     _require_floor("euler", n)
-    lhs = sum(
-        (
-            binomial(2 * n, 2 * k) * bernoulli(2 * k) * bernoulli(2 * n - 2 * k)
-            for k in range(1, n)
-        ),
-        Fraction(0),
-    )
+    row = _binomial_row(2 * n)
+    lhs = _dot((row[2 * k], bernoulli(2 * k), bernoulli(2 * n - 2 * k)) for k in range(1, n))
     rhs = -(2 * n + 1) * bernoulli(2 * n)
     return _report("euler", n, lhs, rhs)
 
 
 def _coth_product(n: int) -> Fraction:
     """x^(-2n) coefficient of the coth-product lemma expansion."""
-    B = bernoulli
-    return sum(
-        (
-            B(2 * k) * B(2 * n - 2 * k) / Fraction(2 * k) / (2 * n - 2 * k) * binomial(2 * n, 2 * k)
-            for k in range(1, n)
-        ),
-        Fraction(0),
+    B, row = bernoulli, _binomial_row(2 * n)
+    return _dot(
+        (B(2 * k), B(2 * n - 2 * k), Fraction(row[2 * k], 2 * k * (2 * n - 2 * k)))
+        for k in range(1, n)
     )
 
 
@@ -241,15 +266,10 @@ def _coth_harmonic(n: int) -> Fraction:
 def _sinh_product(n: int, value) -> Fraction:
     """x^(-2n) coefficient of the sinh-product lemma expansion for
     ``value`` = bernoulli_bar; bernoulli gives Miki's k=n form."""
-    return (
-        sum(
-            (
-                bernoulli(2 * k) * value(2 * n - 2 * k) / Fraction(2 * k) * binomial(2 * n, 2 * k)
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        / n
+    row = _binomial_row(2 * n)
+    return _dot(
+        (bernoulli(2 * k), value(2 * n - 2 * k), Fraction(row[2 * k], 2 * k * n))
+        for k in range(1, n + 1)
     )
 
 
@@ -303,26 +323,15 @@ def _mixed_weight(k: int, n: int) -> Fraction:
 def verify_mixed(n: int) -> IdentityReport:
     """The mixed identity convolving B with Bbar via the doubling relation."""
     _require_floor("mixed", n)
-    B = bernoulli
-    lhs = sum(
-        (
-            B(2 * k) * bernoulli_bar(2 * n - 2 * k) / Fraction(2 * k) / (2 * n - 2 * k)
-            for k in range(1, n)
-        ),
-        Fraction(0),
+    B, row = bernoulli, _binomial_row(2 * n)
+    lhs = _dot(
+        (B(2 * k), bernoulli_bar(2 * n - 2 * k), Fraction(1, 2 * k * (2 * n - 2 * k)))
+        for k in range(1, n)
     )
-    rhs = (
-        sum(
-            (
-                B(2 * k) * B(2 * n - 2 * k) / Fraction(2 * k)
-                * binomial(2 * n, 2 * k) * _mixed_weight(k, n)
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        / n
-        + B(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
-    )
+    rhs = _dot(
+        (B(2 * k), B(2 * n - 2 * k), Fraction(row[2 * k], 2 * k * n), _mixed_weight(k, n))
+        for k in range(1, n + 1)
+    ) + B(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
     return _report("mixed", n, lhs, rhs)
 
 
@@ -353,16 +362,16 @@ def _reduce_side(
     term's exponents must agree.
     """
     exponents = set()
-    total = Fraction(0)
+    pairs = []
     for term in terms:
         reduced = table.get(term.factors)
         if reduced is None:
             reduced = table[term.factors] = gamma_reduce(GammaProduct(term.factors), p)
         exponents.add((reduced.exp_gamma_p, reduced.exp_gamma_2p))
-        total += term.scalar * reduced.value
+        pairs.append((term.scalar, reduced.value))
     if len(exponents) != 1:
         raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
-    return exponents.pop(), total
+    return exponents.pop(), _dot(pairs)
 
 
 def family_terms(
@@ -453,34 +462,20 @@ def verify_p1(which: str, n: int) -> IdentityReport:
         raise UnknownName(f"no family {which!r}")
     _require_floor(f"p1-{which}", n)
     B, Bb = bernoulli, bernoulli_bar
+    row = _binomial_row(2 * n + 2)
     if which != "mixed":
         S = B if which == "miki" else Bb
-        lhs = sum((S(2 * k) * S(2 * n - 2 * k) for k in range(1, n + 1)), Fraction(0))
-        rhs = (
-            sum(
-                (
-                    B(2 * k) * S(2 * n - 2 * k) * binomial(2 * n + 2, 2 * k + 2)
-                    for k in range(1, n + 1)
-                ),
-                Fraction(0),
-            )
-            / (n + 1)
-            + 2 * n * S(2 * n)
-        )
+        lhs = _dot((S(2 * k), S(2 * n - 2 * k)) for k in range(1, n + 1))
+        rhs = _dot(
+            (B(2 * k), S(2 * n - 2 * k), Fraction(row[2 * k + 2], n + 1)) for k in range(1, n + 1)
+        ) + 2 * n * S(2 * n)
         shift = S(2 * n)
     else:
-        lhs = sum((B(2 * k) * Bb(2 * n - 2 * k) for k in range(1, n)), Fraction(0))
-        rhs = (
-            sum(
-                (
-                    B(2 * k) * B(2 * n - 2 * k) * _mixed_weight(k, n) * binomial(2 * n + 2, 2 * k + 2)
-                    for k in range(1, n + 1)
-                ),
-                Fraction(0),
-            )
-            / (n + 1)
-            + (2 * n - 1) * B(2 * n) / Fraction(2) ** (2 * n)
-        )
+        lhs = _dot((B(2 * k), Bb(2 * n - 2 * k)) for k in range(1, n))
+        rhs = _dot(
+            (B(2 * k), B(2 * n - 2 * k), _mixed_weight(k, n), Fraction(row[2 * k + 2], n + 1))
+            for k in range(1, n + 1)
+        ) + (2 * n - 1) * B(2 * n) / Fraction(2) ** (2 * n)
         shift = Fraction(0)
     if n >= FLOORS[f"family-{which}"]:
         family = verify_family(which, n, Fraction(1))
@@ -514,9 +509,9 @@ def _cubic_form(n: int, value, sinh: Fraction) -> Fraction:
     is the sinh product ``sinh`` = _sinh_product(n, value) less its k=n
     term B_2n/(2n) (as value(0) = 1); and the H_{2n,2} term.  The caller
     passes ``sinh`` in, as the cubic FPZ form needs it once more."""
-    triple = sum(
-        (_fold("coth", 2, n - m) * value(2 * m) / factorial(2 * m) for m in range(1, n - 1)),
-        Fraction(0),
+    triple = _dot(
+        (_fold("coth", 2, n - m), value(2 * m), Fraction(1, factorial(2 * m)))
+        for m in range(1, n - 1)
     )
     return (
         3 * factorial(2 * n - 1) * triple
@@ -605,21 +600,15 @@ def verify_euler_bernoulli(n: int) -> IdentityReport:
             for k in range(1, n + 1)
         )
     )
-    rhs = (
-        Fraction(2, n)
-        * sum(
-            (
-                bernoulli(2 * k)
-                * bernoulli(2 * n - 2 * k)
-                / Fraction(k)
-                * (2 ** (2 * k) - 1)
-                * 2 ** (2 * k - 1)
-                * (1 - Fraction(2) ** (2 * n - 2 * k - 1))
-                * binomial(2 * n, 2 * k)
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
+    row = _binomial_row(2 * n)
+    rhs = _dot(
+        (
+            bernoulli(2 * k),
+            bernoulli(2 * n - 2 * k),
+            Fraction((4 ** k - 1) * 4 ** k * row[2 * k], k * n),
+            1 - Fraction(2) ** (2 * n - 2 * k - 1),
         )
+        for k in range(1, n + 1)
     )
     return _report("euler-bernoulli", n, lhs, rhs)
 

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 import bernkit
 from bernkit import (
     DomainError,
+    ExponentMismatch,
     FAMILY_KINDS,
+    FLOORS,
     GammaProduct,
     LEMMA_IDS,
     PoleEncountered,
@@ -32,6 +34,7 @@ from bernkit import (
     beta_factor,
     binomial,
     family_terms,
+    gamma_reduce,
     harmonic,
     harmonic_second,
     multi_lhs,
@@ -52,7 +55,7 @@ from bernkit import (
     verify_multi,
     verify_p1,
 )
-from bernkit import identities
+from bernkit import floatcheck, identities
 
 F = Fraction
 
@@ -137,6 +140,17 @@ def test_family_errors():
         verify_family("miki", 2, F(-1))
     with pytest.raises(PoleEncountered):
         verify_family("fpz", 3, F(-2))
+
+
+def test_family_side_with_mixed_exponents_raises(monkeypatch):
+    # one left term carrying an extra Gamma(p) no longer shares the side's
+    # exponent pair, which the row must refuse rather than sum
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    lhs, rhs = family_terms("miki", 4)
+    cache.family["miki", 4] = (lhs[:-1] + (lhs[-1] * GammaProduct((("p", 0, 1),)),), rhs)
+    with pytest.raises(ExponentMismatch, match="mixed gamma exponents"):
+        verify_family("miki", 4, F(1, 2))
 
 
 def test_family_rising_tables_stay_small(monkeypatch):
@@ -300,6 +314,169 @@ def test_coth_fold_matches_the_multinomial_triple_sums(value):
         )
         rest = F(3, n) * harmonic(2 * n) * h_sum + 6 * harmonic_second(n) * value(2 * n) / (2 * n)
         assert identities._cubic_form(n, value, identities._sinh_product(n, value)) - rest == cubic, n
+
+
+# Plain transcriptions of the quadratic sums, each term normalised by
+# Fraction arithmetic: the references the one-reduction kernel _dot must match.
+
+
+def _plain_square(first, second, n):
+    return sum((first(2 * k) / F(2 * k) * second(2 * n - 2 * k) / (2 * n - 2 * k)
+                for k in range(1, n)), F(0))
+
+
+def _plain_coth_product(n):
+    B = bernoulli
+    return sum(
+        (B(2 * k) * B(2 * n - 2 * k) / F(2 * k) / (2 * n - 2 * k) * binomial(2 * n, 2 * k)
+         for k in range(1, n)),
+        F(0),
+    )
+
+
+def _plain_sinh_rhs(n, value):
+    product = sum(
+        (bernoulli(2 * k) * value(2 * n - 2 * k) / F(2 * k) * binomial(2 * n, 2 * k)
+         for k in range(1, n + 1)),
+        F(0),
+    ) / n
+    return product + value(2 * n) * harmonic(2 * n - 1) / n
+
+
+def _plain_sides(name, n):
+    """(lhs, rhs) of one quadratic verifier by the plain term-by-term sums."""
+    B, Bb = bernoulli, bernoulli_bar
+    if name == "verify_euler":
+        lhs = sum((binomial(2 * n, 2 * k) * B(2 * k) * B(2 * n - 2 * k) for k in range(1, n)), F(0))
+        return lhs, -(2 * n + 1) * B(2 * n)
+    if name == "verify_miki":
+        return _plain_square(B, B, n), _plain_coth_product(n) + B(2 * n) * harmonic(2 * n) / n
+    if name == "verify_miki_modified":
+        return _plain_square(B, B, n), _plain_sinh_rhs(n, B)
+    if name == "verify_fpz":
+        return _plain_square(Bb, Bb, n), _plain_sinh_rhs(n, Bb)
+    if name == "verify_mixed":
+        rhs = sum(
+            (B(2 * k) * B(2 * n - 2 * k) / F(2 * k) * binomial(2 * n, 2 * k)
+             * F(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1)) for k in range(1, n + 1)),
+            F(0),
+        ) / n + B(2 * n) * harmonic(2 * n - 1) / (n * F(2) ** (2 * n))
+        return _plain_square(B, Bb, n), rhs
+    assert name == "verify_euler_bernoulli"
+    lhs = F(sum(bernkit.euler_number(2 * k - 2) * bernkit.euler_number(2 * n - 2 * k)
+                for k in range(1, n + 1)))
+    rhs = F(2, n) * sum(
+        (B(2 * k) * B(2 * n - 2 * k) / F(k) * (2 ** (2 * k) - 1) * 2 ** (2 * k - 1)
+         * (1 - F(2) ** (2 * n - 2 * k - 1)) * binomial(2 * n, 2 * k) for k in range(1, n + 1)),
+        F(0),
+    )
+    return lhs, rhs
+
+
+def _plain_p1_sides(which, n):
+    B, Bb = bernoulli, bernoulli_bar
+    if which != "mixed":
+        S = B if which == "miki" else Bb
+        lhs = sum((S(2 * k) * S(2 * n - 2 * k) for k in range(1, n + 1)), F(0))
+        rhs = sum(
+            (B(2 * k) * S(2 * n - 2 * k) * binomial(2 * n + 2, 2 * k + 2) for k in range(1, n + 1)),
+            F(0),
+        ) / (n + 1) + 2 * n * S(2 * n)
+        return lhs, rhs
+    lhs = sum((B(2 * k) * Bb(2 * n - 2 * k) for k in range(1, n)), F(0))
+    rhs = sum(
+        (B(2 * k) * B(2 * n - 2 * k) * F(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1))
+         * binomial(2 * n + 2, 2 * k + 2) for k in range(1, n + 1)),
+        F(0),
+    ) / (n + 1) + (2 * n - 1) * B(2 * n) / F(2) ** (2 * n)
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("verify", QUADRATICS + (verify_euler_bernoulli,), ids=lambda f: f.__name__)
+def test_quadratic_sums_match_the_plain_sums(verify):
+    for n in [*range(2, 13), 150]:
+        report = verify(n)
+        assert (report.lhs, report.rhs) == _plain_sides(verify.__name__, n), n
+
+
+def test_p1_and_family_sums_match_the_plain_sums():
+    for which in FAMILY_KINDS:
+        for n in range(FLOORS[f"p1-{which}"], 13):
+            report = verify_p1(which, n)
+            assert (report.lhs, report.rhs) == _plain_p1_sides(which, n), (which, n)
+    for n, p in ((5, F(1, 2)), (9, F(-1, 4)), (12, F(3))):
+        for which in FAMILY_KINDS:
+            report = verify_family(which, n, p)
+            lhs, rhs = (sum((gamma_reduce(term, p).value for term in side), F(0))
+                        for side in family_terms(which, n))
+            assert (report.lhs, report.rhs) == (lhs, rhs), (which, n, p)
+
+
+_factors = st.one_of(
+    st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+    st.fractions(max_denominator=10 ** 12),
+    st.just(0),
+    st.just(F(0)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.lists(_factors, max_size=5).map(tuple), max_size=8))
+def test_dot_is_the_sum_of_the_products(terms):
+    expected = F(0)
+    for factors in terms:
+        product = F(1)
+        for factor in factors:
+            product *= factor
+        expected += product
+    total = identities._dot(iter(terms))
+    assert isinstance(total, F) and total == expected
+
+
+def test_dot_of_nothing_is_zero():
+    assert identities._dot([]) == 0 and isinstance(identities._dot(iter(())), F)
+    assert identities._dot([(), (F(-1, 2),)]) == F(1, 2)
+
+
+def test_binomial_row_is_the_pascal_row():
+    for m in [*range(65), 806]:
+        assert identities._binomial_row(m) == [comb(m, j) for j in range(m + 1)], m
+
+
+def test_euler_row_builds_one_binomial_row(monkeypatch):
+    assert "binomial" not in vars(identities)
+    monkeypatch.setattr(bernkit.sequences, "binomial", lambda n, k: pytest.fail("binomial called"))
+    rows = []
+    real = identities._binomial_row
+
+    def counted(m):
+        rows.append(m)
+        return real(m)
+
+    monkeypatch.setattr(identities, "_binomial_row", counted)
+    for n in (2, 7, 40):
+        rows.clear()
+        assert verify_euler(n).ok
+        assert rows == [2 * n]
+    assert verify_mixed(9).ok and verify_euler_bernoulli(9).ok
+    assert all(verify_p1(which, 9).ok for which in FAMILY_KINDS)
+
+
+def test_second_routes_do_not_use_the_sum_kernel(monkeypatch):
+    # the series power and the float twin check the exact sums, so neither
+    # may run through _dot, even on a cache with nothing built yet
+    def broken(terms):
+        raise AssertionError("_dot called")
+
+    folds = {(N, n): (-1) ** N * multi_lhs(N, n) for N in (2, 4) for n in (4, 6)}
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    monkeypatch.setattr(identities, "_dot", broken)
+    with pytest.raises(AssertionError, match="_dot called"):
+        verify_miki(6)
+    for (N, n), fold in folds.items():
+        assert series_pow(named_series("psi_tilde", 2 * n), N).coeff(2 * n) == fold
+    for which in FAMILY_KINDS:
+        assert floatcheck.family_float(which, 6, 0.75).ok
 
 
 def test_fresh_cache_after_warm_rows_flips_the_rows_that_read_it(monkeypatch):
@@ -492,6 +669,10 @@ def test_poisoned_cache_breaks_identities(monkeypatch):
     assert not verify_miki_modified(4).ok
     report = verify_gessel(4)
     assert not report.ok
+    assert not verify_mixed(4).ok
+    assert not verify_euler_bernoulli(4).ok
+    for which in FAMILY_KINDS:
+        assert not verify_p1(which, 4).ok, which
 
 
 def test_route_checks_survive_optimize():
