@@ -53,9 +53,10 @@ _MAX_TERMS = 120
 # A target whose error bound exceeds this verifies nothing: the omitted
 # term of a divergent series grows without bound as x falls.
 _TOL_CAP = 1e-6
-# A closed-form target is checked to 1e-8, but never looser than this
-# fraction of |target|: psi_tilde(x) ~ -1/(12 x^2) falls under 1e-8 near
-# x = 3000, past which an absolute 1e-8 would pass any value, 0 included.
+# A target is checked to 1e-8 (or its series' omitted term), but never
+# looser than this fraction of |target|: psi_tilde(x) ~ -1/(12 x^2) falls
+# under 1e-8 near x = 3000, past which an absolute 1e-8 would pass any
+# value, 0 included.
 _REL_TOL = 1e-5
 
 
@@ -212,7 +213,11 @@ def _asymptotic_terms(name: str, x: float, p: float):
         sign = (-1.0) ** (ip + 1)
         for k in range(1, _MAX_TERMS):
             c = float(value(2 * k)) / (2 * k) * float(rising_factorial(Fraction(2 * k), ip))
-            yield sign * c / x ** (2 * k + ip)
+            try:
+                term = c / x ** (2 * k + ip)
+            except OverflowError:  # x^(2k+p) leaves the double range, the term underflows
+                term = c * x ** -(2 * k + ip)
+            yield sign * term
     else:
         # raw transform: sum_m c_m Gamma(m+p+1) / (2x)^(m+p+1)
         series_name = "coth_minus_inv" if plain else "inv_sinh_minus_inv"
@@ -246,19 +251,21 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     For the psi kernels the value is -(-2)^p * integral of
     exp(-2xs) s^p (coth s - 1/s) ds (resp. the 1/sinh kernel), i.e. the
     p-th derivative of the represented function when p is an integer;
-    targets come from digamma closed forms (p = 0), Richardson-extrapolated
-    finite differences (p = 1, 2) or the optimally truncated derivative
-    series (p >= 3).  A closed-form row is checked to 1e-8 but never looser
-    than 1e-5 of |target|, so a far x cannot pass vacuously, and a target
-    below the normal double range raises QuadFailure.  Non-integer p
-    drops the derivative prefactor and is compared against the term-wise
-    transform of the kernel's Taylor series.  g has no elementary closed
-    form; its target is the optimally truncated Euler-number series.  A
-    series target is trusted to its first omitted term; a row where that
-    bound exceeds 1e-6 is not ok and says so in its error, but still
-    carries the quadrature value.  A
-    weight, prefactor or target that overflows a double (large p) raises
-    QuadFailure rather than OverflowError.
+    targets come from Richardson-extrapolated finite differences of the
+    digamma closed forms (p = 1, 2) or the optimally truncated derivative
+    series (p = 0 and p >= 3); at p = 0 the closed form itself is the
+    target below x ~ 7, where the series is not yet exact to double
+    precision.  Non-integer p drops the derivative prefactor and is
+    compared against the term-wise transform of the kernel's Taylor
+    series.  g has no elementary closed form; its target is the optimally
+    truncated Euler-number series.  Every target but a difference is
+    checked to the larger of min(1e-8, 1e-5 |target|) and its series'
+    first omitted term, so a far x cannot pass vacuously, and a target
+    below the normal double range raises QuadFailure.  A row whose
+    omitted term exceeds 1e-6 is not ok and says so in its error, but
+    still carries the quadrature value.  A weight, prefactor or target
+    that overflows a double (large p) raises QuadFailure rather than
+    OverflowError.
     """
     if name not in QUAD_NAMES:
         raise UnknownName(f"no representation named {name!r}")
@@ -279,17 +286,19 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
         ip = int(p) if float(p).is_integer() and name != "g" else None
         value = raw if ip is None else -((-2.0) ** ip) * raw
         closed = _psi_tilde_closed if name.startswith("psi_tilde") else _psi_bar_closed
-        if ip == 0:
-            target = closed(x)
-            if abs(target) < sys.float_info.min:
-                raise QuadFailure(
-                    f"{name} at x = {x} has a target {target:.3e} below the normal double range")
-            tol = min(1e-8, _REL_TOL * abs(target))
-        elif ip in (1, 2):
+        if ip in (1, 2):
             target, tol = _difference_target(closed, x, ip), 1e-7
         else:
             target, omitted = optimal_series(name, x, p)
-            tol = max(1e-8, omitted)
+            # the closed form is a difference of O(ln x) terms worth
+            # O(1/x^2), so it loses digits as x grows; the series takes
+            # over once it is exact to half an ulp (near x = 7)
+            if ip == 0 and omitted > 0.5 * math.ulp(target):
+                target, omitted = closed(x), 0.0
+            if abs(target) < sys.float_info.min:
+                raise QuadFailure(
+                    f"{name} at x = {x} has a target {target:.3e} below the normal double range")
+            tol = max(min(1e-8, _REL_TOL * abs(target)), omitted)
     except OverflowError:
         raise QuadFailure(f"{name} at x = {x}, p = {p} leaves the double range") from None
     return QuadResult(name, x, p, value, err, target, abs(value - target), tol)

@@ -20,10 +20,11 @@ entries are appended (one gcd each); existing entries are never rewritten.
 
 The cache also holds append-only prefix tables of H_i = sum 1/j and
 H^(2)_i = sum 1/j^2, from which ``harmonic`` reads H_i and
-``harmonic_second`` computes H_{2n,2} by two routes; a table of the Bbar
-weights (1 - 2^(n-1)) / 2^(n-1), which ``bernoulli_bar`` multiplies by
-B_n (Bbar itself is not stored, so it always follows the B table); and
-one prefix table per anchor q of the rising factorials,
+``harmonic_second`` computes H_{2n,2} by two routes; a table ``h2`` of
+those H_{2n,2}, so both routes run and are checked once per n; a table
+of the Bbar weights (1 - 2^(n-1)) / 2^(n-1), which ``bernoulli_bar``
+multiplies by B_n (Bbar itself is not stored, so it always follows the B
+table); and one prefix table per anchor q of the rising factorials,
 ``rising[q.numerator, q.denominator] = [(q)_0, (q)_1, ...]``, from which
 ``rising_factorial`` reads (q)_m.  Growing an anchor's table from length
 L to m+1 costs m+1-L multiplies, so a scan that reduces many gamma
@@ -127,12 +128,13 @@ class SequenceCache:
     and its gamma-reduction slot.
 
     ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and
-    ``bbar_weight`` are plain lists indexed by n; ``rising`` maps an
-    anchor's (numerator, denominator) to the list of its (q)_m indexed by
-    m.  ``fold[weight]`` maps (parts, total) to a fold of that weight,
-    ``power[variant, N]`` lists the x^(-m) coefficients of the N-th power
-    of the variant's psi series indexed by m, and ``family[which, n]``
-    holds the (lhs, rhs) term tuples of ``identities.family_terms``.
+    ``bbar_weight`` are plain lists indexed by n; ``h2`` maps n to the
+    checked H_{2n,2}; ``rising`` maps an anchor's (numerator, denominator)
+    to the list of its (q)_m indexed by m.  ``fold[weight]`` maps (parts,
+    total) to a fold of that weight, ``power[variant, N]`` lists the
+    x^(-m) coefficients of the N-th power of the variant's psi series
+    indexed by m, and ``family[which, n]`` holds the (lhs, rhs) term
+    tuples of ``identities.family_terms``.
     Entries, once computed, are never recomputed or rewritten; extension
     is append-only, so concurrent readers of a warmed cache are safe.
     ``reduced`` is the exception: ``identities`` replaces the whole pair
@@ -145,6 +147,7 @@ class SequenceCache:
         self.eul: list[int] = [1]
         self.harm: list[Fraction] = [Fraction(0)]
         self.harm2: list[Fraction] = [Fraction(0)]
+        self.h2: dict[int, Fraction] = {}
         self.bbar_weight: list[Fraction] = []
         self.rising: dict[tuple[int, int], list[Fraction]] = {}
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
@@ -198,12 +201,16 @@ class SequenceCache:
 
     def harmonic_second(self, n: int) -> Fraction:
         """H_{2n,2} by the fold sum(H_l/(l+1), l=1..2n-1) and, independently,
-        the elementary-symmetric form (H_2n^2 - H^(2)_2n) / 2."""
-        h = self.harmonic(2 * n)
-        folded = sum((self.harm[l] / (l + 1) for l in range(1, 2 * n)), Fraction(0))
-        symmetric = (h * h - self.harm2[2 * n]) / 2
-        check_routes("folded sum", folded, "symmetric form", symmetric)
-        return folded
+        the elementary-symmetric form (H_2n^2 - H^(2)_2n) / 2; both routes
+        run once per n, when the ``h2`` entry is filled."""
+        value = self.h2.get(n)
+        if value is None:
+            h = self.harmonic(2 * n)
+            value = sum((self.harm[l] / (l + 1) for l in range(1, 2 * n)), Fraction(0))
+            symmetric = (h * h - self.harm2[2 * n]) / 2
+            check_routes("folded sum", value, "symmetric form", symmetric)
+            self.h2[n] = value
+        return value
 
     def rising_factorial(self, q: Fraction, m: int) -> Fraction:
         """(q)_m from the prefix table of the anchor q, grown as needed."""

@@ -11,13 +11,22 @@ never enters: every check here is an exact statement about coefficients.
 Truncation bookkeeping for products is conservative: unknown terms of one
 factor first pollute the product at (trunc + min order of the other), so
 the product is trusted to the smaller of the two such bounds.
+
+``series_mul`` does its arithmetic in integers: each factor's terms that
+can land at or below the product's truncation are put over the lcm of
+their denominators, the integer products are summed per output order, and
+each output coefficient is built once as Fraction(total, den_a * den_b),
+so it is reduced by one gcd rather than after every product and add.  The
+N-th series power checks the nested folds of ``identities``, whose sums
+run through ``identities._dot``; this module keeps its own product and
+imports nothing from that layer, so the two routes share no summation code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DomainError, KindMismatch, UnknownName, ZeroScale
 from .sequences import (
@@ -107,17 +116,33 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.kind, coeffs, trunc)
 
 
+def _over_one_denominator(a: TruncatedSeries, top: int) -> tuple[list[tuple[int, int]], int]:
+    """a's terms of order <= top, in rising order, as (order, integer
+    numerator) pairs over one common denominator, the lcm of theirs."""
+    kept = sorted((m, c) for m, c in a.coeffs.items() if m <= top)
+    den = lcm(*(c.denominator for _, c in kept))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in kept], den
+
+
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated where unknown tail terms could first land."""
+    """Cauchy product, truncated where unknown tail terms could first land.
+
+    Each factor is put over one denominator, the products are summed as
+    integers per order, and each output coefficient is reduced once.
+    """
     _require_same_kind(a, b)
     trunc = min(a.trunc + b.min_order, b.trunc + a.min_order)
-    coeffs: dict[int, Fraction] = {}
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
+    terms_a, den_a = _over_one_denominator(a, trunc - b.min_order)
+    terms_b, den_b = _over_one_denominator(b, trunc - a.min_order)
+    totals: dict[int, int] = {}
+    for ma, na in terms_a:
+        for mb, nb in terms_b:
             m = ma + mb
-            if m <= trunc:
-                coeffs[m] = coeffs.get(m, Fraction(0)) + ca * cb
-    return TruncatedSeries(a.kind, coeffs, trunc)
+            if m > trunc:
+                break
+            totals[m] = totals.get(m, 0) + na * nb
+    den = den_a * den_b
+    return TruncatedSeries(a.kind, {m: Fraction(t, den) for m, t in totals.items() if t}, trunc)
 
 
 def series_pow(a: TruncatedSeries, n: int) -> TruncatedSeries:

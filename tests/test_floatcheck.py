@@ -123,6 +123,39 @@ def test_far_closed_form_rows_are_not_vacuous(name):
         quad_rep(name, 1e308)
 
 
+@pytest.mark.parametrize("name", ["psi_tilde", "psi_bar"])
+def test_p0_target_matches_mpmath(name):
+    # the digamma closed form cancels at large x (psi_bar at x = 3000 was
+    # off by 4.9e-7 relative); past x ~ 7 the target is the series
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in (5.0, 10.0, 20.0, 3000.0, 1e6):
+            m = mpmath.mpf(x)
+            if name == "psi_tilde":
+                exact = mpmath.digamma(m) - mpmath.log(m) + 1 / (2 * m)
+            else:
+                exact = mpmath.digamma(m + mpmath.mpf(1) / 2) - mpmath.log(m)
+            target = quad_rep(name, x).target
+            rel = abs((target - exact) / exact)
+            assert rel < (1e-12 if x < 7 else 1e-15), (x, float(rel))
+    expected = {"psi_tilde": "-8.350e-322", "psi_bar": "4.150e-322"}[name]
+    with pytest.raises(QuadFailure, match=f"target {expected} below the normal double range"):
+        quad_rep(name, 1e160)
+
+
+@pytest.mark.parametrize("name, x, p", [("psi_tilde_p", 1e4, 0.5), ("psi_tilde_p", 1e3, 2.5),
+                                        ("psi_bar_p", 1e3, 3.0)])
+def test_far_series_rows_are_not_vacuous(name, x, p):
+    # a series target is held to 1e-5 of |target| as well: each of these
+    # passed against an absolute 1e-8, or had no target at all (p = 3)
+    r = quad_rep(name, x, p)
+    assert not r.ok and r.tol <= abs(r.target) * 1e-5
+    assert "exceeds the tolerance" in r.error
+    assert quad_rep("psi_bar_p", 100.0, 3.0).ok
+    with pytest.raises(QuadFailure, match="below the normal double range"):
+        quad_rep(name, 1e100, 3.0)
+
+
 def test_quad_errors():
     with pytest.raises(UnknownName):
         quad_rep("psi", 5.0)

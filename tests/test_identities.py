@@ -5,6 +5,7 @@ shorter ranges plus the frozen point values, the error paths, and the
 cross-route agreements that make each verifier trustworthy.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -477,6 +478,41 @@ def test_second_routes_do_not_use_the_sum_kernel(monkeypatch):
         assert series_pow(named_series("psi_tilde", 2 * n), N).coeff(2 * n) == fold
     for which in FAMILY_KINDS:
         assert floatcheck.family_float(which, 6, 0.75).ok
+
+
+def test_series_power_route_shares_no_code_with_the_sum_kernel(monkeypatch):
+    # series.py imports nothing from identities, and a multi row's power
+    # route never reaches _dot while its fold route does
+    names = set()
+    for node in ast.walk(ast.parse(Path(bernkit.series.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.add(getattr(node, "module", None) or "")
+            names.update(alias.name for alias in node.names)
+    assert "identities" not in {part for name in names for part in name.split(".")}, names
+    real_dot, real_pow = identities._dot, identities.series_pow
+    depth, calls = [], {"dot": 0, "pow": 0}
+
+    def dot(terms):
+        if depth:
+            raise AssertionError("_dot called on the series power route")
+        calls["dot"] += 1
+        return real_dot(terms)
+
+    def power(base, N):
+        calls["pow"] += 1
+        depth.append(N)
+        try:
+            return real_pow(base, N)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    monkeypatch.setattr(identities, "_dot", dot)
+    monkeypatch.setattr(identities, "series_pow", power)
+    for variant in ("plain", "bar"):
+        for n in range(4, 51):
+            multi_lhs(4, n, variant)
+    assert calls["dot"] > 0 and calls["pow"] > 0
 
 
 def test_fresh_cache_after_warm_rows_flips_the_rows_that_read_it(monkeypatch):

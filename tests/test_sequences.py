@@ -231,6 +231,29 @@ def test_harmonic_second_brute_force():
         assert harmonic_second(n) == brute
 
 
+def test_harmonic_second_runs_both_routes_once_per_n(monkeypatch):
+    checked = []
+    real = bernkit.sequences.check_routes
+
+    def counted(*args):
+        checked.append(args[1])
+        real(*args)
+
+    monkeypatch.setattr(bernkit.sequences, "check_routes", counted)
+    cache = SequenceCache()
+    values = [cache.harmonic_second(n) for _ in range(3) for n in (4, 1, 9, 4)]
+    assert values == [harmonic_second(n) for _ in range(3) for n in (4, 1, 9, 4)]
+    assert checked == [cache.h2[4], cache.h2[1], cache.h2[9]]
+    assert sorted(cache.h2) == [1, 4, 9]
+    # a route mismatch stores nothing, so the next call checks again
+    cache.harmonic(20)
+    cache.harm2[20] += 1
+    for _ in range(2):
+        with pytest.raises(bernkit.RouteMismatch, match="symmetric form"):
+            cache.harmonic_second(10)
+    assert 10 not in cache.h2 and len(checked) == 5
+
+
 @given(st.integers(min_value=0, max_value=400))
 def test_harmonic_step(i):
     assert harmonic(i + 1) - harmonic(i) == Fraction(1, i + 1)

@@ -4,7 +4,7 @@ named expansions against frozen coefficients, and the transform ops."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bernkit import (
     ASYMPTOTIC,
@@ -81,6 +81,71 @@ def test_mul_truncation_is_sound():
         ps, pb = series_mul(small, small), series_mul(big, big)
         for m in range(ps.trunc + 1):
             assert ps.coeff(m) == pb.coeff(m)
+
+
+def plain_cauchy(a, b):
+    """The Fraction Cauchy product series_mul replaced, one gcd per product
+    and per add: the reference its integer arithmetic must match."""
+    if a.kind != b.kind:
+        raise KindMismatch(f"cannot combine {a.kind} with {b.kind}")
+    trunc = min(a.trunc + b.min_order, b.trunc + a.min_order)
+    coeffs = {}
+    for ma, ca in a.coeffs.items():
+        for mb, cb in b.coeffs.items():
+            m = ma + mb
+            if m <= trunc:
+                coeffs[m] = coeffs.get(m, F(0)) + ca * cb
+    return TruncatedSeries(a.kind, coeffs, trunc)
+
+
+huge = st.integers(-(10**300), 10**300)
+rationals = st.builds(
+    F, st.integers(-9, 9) | huge, st.integers(1, 9) | st.integers(1, 10**300)
+)
+
+
+def any_series(kind):
+    # orders from -3 (the 1/y Taylor term of the lemma routes) to 12; the
+    # slack gives unequal truncations, and an empty dict the empty series
+    return st.builds(
+        lambda coeffs, slack: TruncatedSeries(kind, coeffs, max(coeffs, default=-2) + slack),
+        st.dictionaries(st.integers(-3, 12), rationals | st.just(F(0)), max_size=8),
+        st.integers(0, 6),
+    )
+
+
+series_pairs = st.sampled_from([TAYLOR, ASYMPTOTIC]).flatmap(
+    lambda kind: st.tuples(any_series(kind), any_series(kind))
+)
+
+
+@settings(max_examples=300)
+@given(series_pairs)
+def test_mul_is_the_plain_cauchy_product(pair):
+    a, b = pair
+    product = series_mul(a, b)
+    assert product == plain_cauchy(a, b)
+    assert product.trunc == min(a.trunc + b.min_order, b.trunc + a.min_order)
+    assert all(type(c) is F and c != 0 for c in product.coeffs.values())
+
+
+def test_mul_drops_cancelled_orders():
+    one_plus = taylor({-1: 1, 0: 1, 1: 1}, 4)
+    one_minus = taylor({-1: 1, 0: -1, 1: 1}, 4)
+    product = series_mul(one_plus, one_minus)
+    assert product == plain_cauchy(one_plus, one_minus)
+    assert product.items() == [(-2, F(1)), (0, F(1)), (2, F(1))] and product.trunc == 3
+    empty = taylor({}, 5)
+    assert series_mul(empty, one_plus) == plain_cauchy(empty, one_plus) == taylor({}, 4)
+
+
+@pytest.mark.parametrize("variant", ["psi_tilde", "psi_bar"])
+def test_pow_is_the_plain_cauchy_power(variant):
+    base = named_series(variant, 128)
+    plain = base
+    for N in range(2, 5):
+        plain = plain_cauchy(plain, base)
+        assert series_pow(base, N) == plain, N
 
 
 def test_pow_basics():
