@@ -48,7 +48,6 @@ from .gammaalg import (
     GammaProduct,
     ReducedGamma,
     beta_factor,
-    beta_sum,
     gamma_reduce,
 )
 from .identities import (

@@ -11,6 +11,13 @@ Quadrature scheme: each kernel is smooth once the 1/s singularity is
 subtracted; integrands switch to their Taylor series below s = 0.1 to
 avoid cancellation, the range is split at s = 1, and the exponential tail
 is cut where exp(-2xs) drops under 1e-18.
+
+Targets: a psi row at integer p reads the derivative series at a shifted
+argument x + N, where it is exact to half an ulp, and steps back down to
+x with the recurrence psi(x+1) = psi(x) + 1/x (DLMF 5.5.2, 5.15), so one
+rule serves every x and p.  Other rows read the optimally truncated
+series at x itself.  The in-house ``digamma`` is not used for targets; it
+stays as public API and as an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ QUAD_NAMES = ("psi_tilde", "psi_bar", "psi_tilde_p", "psi_bar_p", "g")
 _SERIES_CUT = 0.1
 _TAIL_EPS = 1e-18
 _MAX_TERMS = 120
+# A psi target at integer p recurs up to at most x + _MAX_SHIFT.  Every p
+# whose series terms fit a double (p <= 124) has an exact series by x = 44.
+_MAX_SHIFT = 64
 # A target whose error bound exceeds this verifies nothing: the omitted
 # term of a divergent series grows without bound as x falls.
 _TOL_CAP = 1e-6
@@ -123,13 +133,6 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - z * tail
 
 
-def _psi_tilde_closed(x: float) -> float:
-    return digamma(x) - math.log(x) + 0.5 / x
-
-def _psi_bar_closed(x: float) -> float:
-    return digamma(x + 0.5) - math.log(x)
-
-
 @lru_cache(maxsize=None)
 def _kernel_coeffs(series_name: str) -> tuple[tuple[int, float], ...]:
     s = named_series(series_name, 21)
@@ -184,20 +187,9 @@ def _integrate(f, x: float) -> tuple[float, float]:
         v, e = quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
         total += v
         err += e
+    if err > 1e-8:
+        raise QuadFailure(f"estimated quadrature error {err:.3e} exceeds 1e-8")
     return total, err
-
-
-def _difference_target(closed, x: float, p: int) -> float:
-    """p-th derivative of a closed form by Richardson-extrapolated
-    central differences (two extrapolation levels, step halving)."""
-    if p == 1:
-        D = lambda h: (closed(x + h) - closed(x - h)) / (2.0 * h)
-    else:
-        D = lambda h: (closed(x + h) - 2.0 * closed(x) + closed(x - h)) / (h * h)
-    d1, d2, d3 = D(0.1), D(0.05), D(0.025)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
 
 
 def _asymptotic_terms(name: str, x: float, p: float):
@@ -245,27 +237,37 @@ def optimal_series(name: str, x: float, p: float = 0.0) -> tuple[float, float]:
     return math.fsum(terms[:smallest]), abs(terms[smallest])
 
 
+def _recurrence_step(name: str, x: float, p: int) -> float:
+    """p-th derivative of f(x) - f(x+1) for the psi function f named:
+    ln(1+1/x) - 1/(2x) - 1/(2(x+1)) for psi_tilde, ln(1+1/x) - 1/(x+1/2)
+    for psi_bar."""
+    inv = lambda a, k: (-1.0) ** k * math.factorial(k) * (x + a) ** -(k + 1)  # d^k 1/(x+a)
+    log = math.log1p(1.0 / x) if p == 0 else inv(1.0, p - 1) - inv(0.0, p - 1)
+    if name.startswith("psi_tilde"):
+        return log - 0.5 * (inv(0.0, p) + inv(1.0, p))
+    return log - inv(0.5, p)
+
+
 def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     """Adaptive quadrature of one integral representation vs. its target.
 
     For the psi kernels the value is -(-2)^p * integral of
     exp(-2xs) s^p (coth s - 1/s) ds (resp. the 1/sinh kernel), i.e. the
-    p-th derivative of the represented function when p is an integer;
-    targets come from Richardson-extrapolated finite differences of the
-    digamma closed forms (p = 1, 2) or the optimally truncated derivative
-    series (p = 0 and p >= 3); at p = 0 the closed form itself is the
-    target below x ~ 7, where the series is not yet exact to double
-    precision.  Non-integer p drops the derivative prefactor and is
-    compared against the term-wise transform of the kernel's Taylor
-    series.  g has no elementary closed form; its target is the optimally
-    truncated Euler-number series.  Every target but a difference is
-    checked to the larger of min(1e-8, 1e-5 |target|) and its series'
-    first omitted term, so a far x cannot pass vacuously, and a target
-    below the normal double range raises QuadFailure.  A row whose
-    omitted term exceeds 1e-6 is not ok and says so in its error, but
-    still carries the quadrature value.  A weight, prefactor or target
-    that overflows a double (large p) raises QuadFailure rather than
-    OverflowError.
+    p-th derivative of the represented function f when p is an integer.
+    Its target is the optimally truncated derivative series at the least
+    x + N (N >= 0) where the series' omitted term is at most half an ulp,
+    plus the N exact recurrence steps from f(x) = f(x+1) + [f(x) - f(x+1)],
+    each elementary by psi(x+1) = psi(x) + 1/x.  Non-integer p drops the
+    derivative prefactor and is compared against the term-wise transform
+    of the kernel's Taylor series at x; g has no elementary closed form,
+    and its target is the optimally truncated Euler-number series at x.
+    Every target is checked to the larger of min(1e-8, 1e-5 |target|) and
+    its series' first omitted term, so a far x cannot pass vacuously.  A
+    row whose bound exceeds 1e-6 is not ok and says so in its error, but
+    still carries the quadrature value; below that bound, a target under
+    the normal double range raises QuadFailure.  A weight, prefactor or
+    target that overflows a double (large p) raises QuadFailure rather
+    than OverflowError.
     """
     if name not in QUAD_NAMES:
         raise UnknownName(f"no representation named {name!r}")
@@ -280,25 +282,19 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     integrand = lambda s: math.exp(-2.0 * x * s) * s**p * kernel(s)
     try:
         raw, err = _integrate(integrand, x)
-        if err > 1e-8:
-            raise QuadFailure(f"estimated quadrature error {err:.3e} exceeds 1e-8")
-
-        ip = int(p) if float(p).is_integer() and name != "g" else None
-        value = raw if ip is None else -((-2.0) ** ip) * raw
-        closed = _psi_tilde_closed if name.startswith("psi_tilde") else _psi_bar_closed
-        if ip in (1, 2):
-            target, tol = _difference_target(closed, x, ip), 1e-7
-        else:
-            target, omitted = optimal_series(name, x, p)
-            # the closed form is a difference of O(ln x) terms worth
-            # O(1/x^2), so it loses digits as x grows; the series takes
-            # over once it is exact to half an ulp (near x = 7)
-            if ip == 0 and omitted > 0.5 * math.ulp(target):
-                target, omitted = closed(x), 0.0
-            if abs(target) < sys.float_info.min:
-                raise QuadFailure(
-                    f"{name} at x = {x} has a target {target:.3e} below the normal double range")
-            tol = max(min(1e-8, _REL_TOL * abs(target)), omitted)
+        # a psi row at integer p reads the series at the least x + shift
+        # where it is exact, and recurs back down to x
+        recur = name != "g" and float(p).is_integer()
+        value = -((-2.0) ** p) * raw if recur else raw
+        shift, (target, omitted) = 0, optimal_series(name, x, p)
+        while recur and omitted > 0.5 * math.ulp(target) and shift < _MAX_SHIFT:
+            shift += 1
+            target, omitted = optimal_series(name, x + shift, p)
+        target = math.fsum([target, *(_recurrence_step(name, x + j, int(p)) for j in range(shift))])
+        tol = max(min(1e-8, _REL_TOL * abs(target)), omitted)
+        if tol <= _TOL_CAP and abs(target) < sys.float_info.min:
+            raise QuadFailure(
+                f"{name} at x = {x} has a target {target:.3e} below the normal double range")
     except OverflowError:
         raise QuadFailure(f"{name} at x = {x}, p = {p} leaves the double range") from None
     return QuadResult(name, x, p, value, err, target, abs(value - target), tol)
@@ -361,8 +357,6 @@ def check_g_squared(x: float) -> QuadResult:
         raise DomainError(f"squared-g check needs x >= 2, got {x}")
     integrand = lambda y: 2.0 * math.exp(-2.0 * x * y) * _log_cosh_over_sinh(y)
     value, err = _integrate(integrand, x)
-    if err > 1e-8:
-        raise QuadFailure(f"estimated quadrature error {err:.3e} exceeds 1e-8")
     target = quad_rep("g", x).value ** 2
     tol = 1e-8 if x >= 5 else 1e-7
     return QuadResult("g_squared", x, 0.0, value, err, target, abs(value - target), tol)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import DomainError, ExponentMismatch, PoleEncountered, ZeroDivisor
+from .errors import DomainError, PoleEncountered, ZeroDivisor
 from .sequences import Rational, rising_factorial
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ReducedGamma",
     "gamma_reduce",
     "beta_factor",
-    "beta_sum",
 ]
 
 BASES = ("p", "2p")
@@ -150,21 +149,3 @@ def beta_factor(k: int) -> GammaProduct:
     if k < 1:
         raise DomainError(f"beta factor index must be positive, got {k}")
     return GammaProduct((("p", k, 1), ("p", 1, 1), ("2p", k + 1, -1)))
-
-
-def beta_sum(n: int, p: Rational) -> ReducedGamma:
-    """Sum of beta(p+k, p+1) for k = 1 .. 2n-1, reduced at ``p``.
-
-    Every summand must reduce to the same pair of base exponents; the
-    cofactors are then summed.  A disagreement would mean the summands are
-    not commensurable and raises ExponentMismatch.
-    """
-    if n < 1:
-        raise DomainError(f"beta sum requires n >= 1, got {n}")
-    terms = [gamma_reduce(beta_factor(k), p) for k in range(1, 2 * n)]
-    exponents = (terms[0].exp_gamma_p, terms[0].exp_gamma_2p)
-    for term in terms[1:]:
-        if (term.exp_gamma_p, term.exp_gamma_2p) != exponents:
-            raise ExponentMismatch(f"beta summands disagree at p={p}")
-    total = sum((term.value for term in terms), Fraction(0))
-    return ReducedGamma(exponents[0], exponents[1], total)

@@ -8,6 +8,7 @@ rows are mostly cross-checked against direct library calls.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -482,6 +483,17 @@ def test_quadcheck_loose_series_target_is_unverified():
     assert result.exit_code == 1
     [row] = json.loads(result.output)
     assert row["ok"] is False and row["abs_dev"] <= row["tol"] and row["tol"] > 1e-6
+    assert row["error"].startswith("target unverified")
+
+
+@pytest.mark.parametrize("name", ["psi_tilde_p", "psi_bar_p"])
+def test_quadcheck_smallest_first_term_is_unverified(name):
+    # the series' first term is its smallest, so the target is 0: that is
+    # an unverified target, not one below the normal double range
+    result = runner.invoke(main, ["quadcheck", name, "--p", "5.5", "--x", "1", "--format", "json"])
+    assert result.exit_code == 1
+    [row] = json.loads(result.output)
+    assert row["ok"] is False and math.isfinite(row["value"])
     assert row["error"].startswith("target unverified")
 
 

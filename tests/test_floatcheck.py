@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from bernkit import floatcheck
 from bernkit import (
     DomainError,
     FAMILY_KINDS,
@@ -83,7 +84,6 @@ def test_quad_first_derivative():
 def test_quad_higher_weights():
     assert quad_rep("psi_tilde_p", 6.0, p=2.0).ok
     assert quad_rep("psi_bar_p", 6.0, p=2.0).ok
-    # p >= 3 switches the target to the truncated derivative series
     assert quad_rep("psi_tilde_p", 8.0, p=3.0).ok
     # non-integer weight drops the prefactor, termwise-transform target
     assert quad_rep("psi_bar_p", 8.0, p=0.5).ok
@@ -95,11 +95,11 @@ def test_quad_g():
     assert quad_rep("g", 10.0).abs_dev < 1e-9
 
 
-@pytest.mark.parametrize("name, x, p", [("psi_tilde_p", 1.0, 3.0), ("g", 1.0, 0.0),
+@pytest.mark.parametrize("name, x, p", [("g", 1.0, 0.0),
                                         ("psi_tilde_p", 1.0, 0.5)])
 def test_loose_series_target_is_unverified(name, x, p):
     # each of these passed against a tolerance that had grown to the
-    # omitted term itself (1.0, 0.125, 6.7e-3)
+    # omitted term itself (0.125, 6.7e-3)
     r = quad_rep(name, x, p)
     assert r.abs_dev <= r.tol and r.tol > 1e-6
     assert not r.ok
@@ -107,6 +107,61 @@ def test_loose_series_target_is_unverified(name, x, p):
     row = r.as_dict()
     assert row["ok"] is False and row["error"] == r.error
     assert math.isfinite(r.value)
+
+
+@pytest.mark.parametrize("name, x, p", [("psi_tilde_p", 1.0, 3.0), ("psi_bar_p", 1.0, 5.0)])
+def test_recurred_target_is_verified(name, x, p):
+    # an integer-p psi target is the series at a shifted x plus exact
+    # recurrence steps, so it is exact at x = 1 too; p = 3 used to be
+    # unverified here (omitted term 1.0)
+    r = quad_rep(name, x, p)
+    assert r.ok, r.error
+    assert r.tol == min(1e-8, 1e-5 * abs(r.target))
+    assert r.abs_dev <= r.tol
+
+
+def test_recurrence_bound_keeps_the_series_tolerance(monkeypatch):
+    # with no shift allowed the target is the series at x itself, held to
+    # its omitted term, so the row says it is unverified
+    monkeypatch.setattr(floatcheck, "_MAX_SHIFT", 0)
+    r = quad_rep("psi_tilde_p", 1.0, 3.0)
+    assert r.tol == optimal_series("psi_tilde_p", 1.0, 3.0)[1] > 1e-6
+    assert r.error.startswith("target unverified")
+
+
+def _mp_derivative(mpmath, name, x, p):
+    """p-th derivative of the psi function named, by mpmath.diff of its
+    digamma form at the working precision."""
+    if name.startswith("psi_tilde"):
+        f = lambda t: mpmath.digamma(t) - mpmath.log(t) + 1 / (2 * t)
+    else:
+        f = lambda t: mpmath.digamma(t + mpmath.mpf(1) / 2) - mpmath.log(t)
+    return mpmath.diff(f, mpmath.mpf(x), p)
+
+
+@pytest.mark.parametrize("name", ["psi_tilde_p", "psi_bar_p"])
+def test_integer_p_target_matches_mpmath(name):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for p in (1, 2, 3):
+            for x in (1.0, 1.5, 2.0, 5.0, 7.0, 10.0, 20.0):
+                exact = _mp_derivative(mpmath, name, x, p)
+                target = quad_rep(name, x, float(p)).target
+                rel = abs((target - exact) / exact)
+                assert rel < 1e-12, (p, x, float(rel))
+
+
+@pytest.mark.parametrize("name", ["psi_tilde_p", "psi_bar_p"])
+@pytest.mark.parametrize("p, x", [(1, 1e4), (2, 1e3), (2, 3e3), (2, 1e4)])
+def test_far_integer_p_rows_are_not_vacuous(name, p, x):
+    # these passed against Richardson differences held to an absolute
+    # 1e-7; the target is now exact, and the quadrature value is wrong
+    mpmath = pytest.importorskip("mpmath")
+    r = quad_rep(name, x, float(p))
+    assert not r.ok and "exceeds the tolerance" in r.error
+    with mpmath.workdps(40):
+        exact = _mp_derivative(mpmath, name, x, p)
+        assert abs((r.target - exact) / exact) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["psi_tilde", "psi_bar"])
