@@ -9,8 +9,9 @@ rational arithmetic, so the two lanes cannot fail in the same way.
 
 Quadrature scheme: each kernel is smooth once the 1/s singularity is
 subtracted; integrands switch to their Taylor series below s = 0.1 to
-avoid cancellation, the range is split at s = 1, and the exponential tail
-is cut where exp(-2xs) drops under 1e-18.
+avoid cancellation, the range is split at s = 1, and the tail is cut
+where the weight s^p exp(-2xs) has fallen 1e-18 below its peak at
+s = p/(2x).
 
 Targets: a psi row at integer p reads the derivative series at a shifted
 argument x + N, where it is exact to half an ulp, and steps back down to
@@ -171,13 +172,28 @@ _KERNELS = {
 }
 
 
-def _integrate(f, x: float) -> tuple[float, float]:
-    """Integral of f over [0, inf) for f carrying an exp(-2xs) factor."""
+def _tail_cut(x: float, p: float) -> float:
+    """The s past the peak p/(2x) of s^p exp(-2xs) where the weight has
+    fallen to _TAIL_EPS of the peak: the fixed point of
+    s = peak + (ln(1/_TAIL_EPS) + p ln(s/peak)) / (2x), which the
+    iteration climbs from below (the map's slope there is peak/s < 1)."""
+    peak, drop = p / (2.0 * x), -math.log(_TAIL_EPS)
+    s = peak + drop / (2.0 * x)
+    while p:
+        step = peak + (drop + p * math.log(s / peak)) / (2.0 * x)
+        if step - s <= 1e-9 * s:
+            break
+        s = step
+    return s
+
+
+def _integrate(f, x: float, p: float = 0.0) -> tuple[float, float]:
+    """Integral of f over [0, inf) for f carrying an s^p exp(-2xs) weight."""
     # imported here, not at the top: scipy takes most of a second to load,
     # and no exact-lane command needs it
     from scipy.integrate import quad
 
-    cut = max(1.0, -math.log(_TAIL_EPS) / (2.0 * x))
+    cut = max(1.0, _tail_cut(x, p))
     pieces = [(0.0, 1.0)]
     if cut > 1.0:
         pieces.append((1.0, cut))
@@ -207,8 +223,8 @@ def _asymptotic_terms(name: str, x: float, p: float):
             c = float(value(2 * k)) / (2 * k) * float(rising_factorial(Fraction(2 * k), ip))
             try:
                 term = c / x ** (2 * k + ip)
-            except OverflowError:  # x^(2k+p) leaves the double range, the term underflows
-                term = c * x ** -(2 * k + ip)
+            except OverflowError:  # x^(2k+p) leaves the double range, c may be huge
+                term = math.copysign(math.exp(math.log(abs(c)) - (2 * k + ip) * math.log(x)), c)
             yield sign * term
     else:
         # raw transform: sum_m c_m Gamma(m+p+1) / (2x)^(m+p+1)
@@ -281,7 +297,7 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     kernel = _KERNELS[name]
     integrand = lambda s: math.exp(-2.0 * x * s) * s**p * kernel(s)
     try:
-        raw, err = _integrate(integrand, x)
+        raw, err = _integrate(integrand, x, p)
         # a psi row at integer p reads the series at the least x + shift
         # where it is exact, and recurs back down to x
         recur = name != "g" and float(p).is_integer()

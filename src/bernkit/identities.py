@@ -20,7 +20,7 @@ Every sum over compositions k_1+...+k_parts = n, every k_i >= 1, is
 _fold(weight, parts, n) over a weight sequence named in _WEIGHTS: the
 multi sums and the Miki and FPZ left sides ("plain", "bar"), and the
 cubic right sides' multinomial triple sums, (2n)! times folds of "coth",
-B_2k/(2k (2k)!).  The mixed left side pairs B with Bbar and stays inline.
+B_2k/(2k (2k)!).  The mixed left side pairs B with Bbar through _paired.
 
 The x^(-2n) coefficients of the four lemma expansions (_coth_product,
 _coth_harmonic, _sinh_product, _sinh_harmonic) are written once and are
@@ -30,8 +30,22 @@ coth product and the cubic H_2n sum the sinh product.  The lemma check
 therefore tests the very code those right sides run.  They read C(2n, 2k)
 from one Pascal row, _binomial_row(2n), per call: at n ~ 400, integer
 binomials times B products are cheaper than products of coth weights
-with factorial denominators.  The cubic forms share _cubic_form, the
-B/Bbar mixed forms share _mixed_weight.
+with factorial denominators.  The cubic forms share _cubic_form.  The
+mixed family terms weigh by _mixed_weight; the mixed and p = 1 mixed
+right sides weigh by its numerator and divide the sum by its common
+denominator 2^(2n-1) once.
+
+Every quadratic sum over products B_2k B_{2n-2k} times a small weight
+w(k) is _paired(n, weight): the Euler left side, the coth and sinh
+products, both mixed sides, the Euler-Bernoulli right side and the p = 1
+sums.  Bbar_m enters as B_m times the weight (2 - 2^m)/2^m.  Terms k and
+n-k share one product of numerators of about 1,350 digits at n ~ 400, so
+each k < n/2 carries w(k) + w(n-k), an unreduced integer pair, and the
+middle k = n/2 of an even n counts once; each sum then does half the big
+products.  _fold(weight, 2, n) and the Euler-number left side pair their
+equal terms the same way.  Each sum pairs its own terms: no table of
+products per n is shared between verifiers, so the two sides of Miki's
+identity stay independent routes.
 
 Every exact sum of this layer is _dot: each fold step, the quadratic,
 p = 1 and cubic sums, and the cofactor sum of each family side.  It
@@ -189,7 +203,7 @@ def _require_floor(identity: str, n: int) -> None:
 
 
 def _dot(terms) -> Fraction:
-    """Exact sum of the products of each term's int or Fraction factors.
+    """Exact sum of the products of each term's int, Fraction or _Ratio factors.
 
     Each product is multiplied out as an integer numerator and denominator,
     the products are brought over one lcm of those denominators, and the
@@ -204,6 +218,49 @@ def _dot(terms) -> Fraction:
         parts.append((num, den))
     common = lcm(*(den for _, den in parts))
     return Fraction(sum(num * (common // den) for num, den in parts), common)
+
+
+class _Ratio:
+    """An integer ratio that need not be in lowest terms, a factor that
+    _dot reads as it reads a Fraction."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int) -> None:
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+def _paired(n: int, weight) -> Fraction:
+    """Sum of B_2k B_{2n-2k} w(k) over 1 <= k <= n-1, for w(k) = weight(k)
+    an integer (numerator, denominator) pair.
+
+    Terms k and n-k share the product B_2k B_{2n-2k}, so one _dot runs over
+    k <= n/2: each k < n/2 carries w(k) + w(n-k), added over the product of
+    the two denominators without a gcd, and the middle term k = n/2 of an
+    even n counts once.
+    """
+    def terms():
+        for k in range(1, n // 2 + 1):
+            num, den = weight(k)
+            if 2 * k < n:
+                other, other_den = weight(n - k)
+                num, den = num * other_den + other * den, den * other_den
+            yield bernoulli(2 * k), bernoulli(2 * n - 2 * k), _Ratio(num, den)
+
+    return _dot(terms())
+
+
+def _bar_scale(m: int) -> tuple[int, int]:
+    """Bbar_m = B_m (2 - 2^m) / 2^m: the factor as an integer pair."""
+    power = 1 << m
+    return 2 - power, power
+
+
+# value(m) = B_m times scale(m), for each sequence the B/Bbar forms take;
+# keyed by the function's name, which a wrapper made by functools.wraps
+# keeps, so a traced or patched sequence function still finds its scale
+_SCALES = {"bernoulli": lambda m: (1, 1), "bernoulli_bar": _bar_scale}
 
 
 def _binomial_row(m: int) -> list[int]:
@@ -231,6 +288,12 @@ def _fold(weight: str, parts: int, total: int) -> Fraction:
     if (parts, total) not in memo:
         if parts == 1:
             acc = _WEIGHTS[weight](total)
+        elif parts == 2:
+            # terms k and total-k are equal: twice each k < total/2, once the middle
+            acc = _dot(
+                (2 if 2 * k < total else 1, _fold(weight, 1, k), _fold(weight, 1, total - k))
+                for k in range(1, total // 2 + 1)
+            )
         else:
             acc = _dot(
                 (_fold(weight, 1, k), _fold(weight, parts - 1, total - k))
@@ -244,18 +307,15 @@ def verify_euler(n: int) -> IdentityReport:
     """sum C(2n,2k) B_2k B_{2n-2k} = -(2n+1) B_2n, for n >= 2."""
     _require_floor("euler", n)
     row = _binomial_row(2 * n)
-    lhs = _dot((row[2 * k], bernoulli(2 * k), bernoulli(2 * n - 2 * k)) for k in range(1, n))
+    lhs = _paired(n, lambda k: (row[2 * k], 1))
     rhs = -(2 * n + 1) * bernoulli(2 * n)
     return _report("euler", n, lhs, rhs)
 
 
 def _coth_product(n: int) -> Fraction:
     """x^(-2n) coefficient of the coth-product lemma expansion."""
-    B, row = bernoulli, _binomial_row(2 * n)
-    return _dot(
-        (B(2 * k), B(2 * n - 2 * k), Fraction(row[2 * k], 2 * k * (2 * n - 2 * k)))
-        for k in range(1, n)
-    )
+    row = _binomial_row(2 * n)
+    return _paired(n, lambda k: (row[2 * k], 2 * k * (2 * n - 2 * k)))
 
 
 def _coth_harmonic(n: int) -> Fraction:
@@ -265,12 +325,15 @@ def _coth_harmonic(n: int) -> Fraction:
 
 def _sinh_product(n: int, value) -> Fraction:
     """x^(-2n) coefficient of the sinh-product lemma expansion for
-    ``value`` = bernoulli_bar; bernoulli gives Miki's k=n form."""
-    row = _binomial_row(2 * n)
-    return _dot(
-        (bernoulli(2 * k), value(2 * n - 2 * k), Fraction(row[2 * k], 2 * k * n))
-        for k in range(1, n + 1)
-    )
+    ``value`` = bernoulli_bar; bernoulli gives Miki's k=n form.  The
+    k = n term, B_2n value(0) / (2n^2), has no partner."""
+    row, scale = _binomial_row(2 * n), _SCALES[value.__name__]
+
+    def weight(k):
+        num, den = scale(2 * n - 2 * k)
+        return row[2 * k] * num, 2 * k * n * den
+
+    return _paired(n, weight) + bernoulli(2 * n) * value(0) / (2 * n * n)
 
 
 def _sinh_harmonic(n: int, value) -> Fraction:
@@ -324,14 +387,17 @@ def verify_mixed(n: int) -> IdentityReport:
     """The mixed identity convolving B with Bbar via the doubling relation."""
     _require_floor("mixed", n)
     B, row = bernoulli, _binomial_row(2 * n)
-    lhs = _dot(
-        (B(2 * k), bernoulli_bar(2 * n - 2 * k), Fraction(1, 2 * k * (2 * n - 2 * k)))
-        for k in range(1, n)
-    )
-    rhs = _dot(
-        (B(2 * k), B(2 * n - 2 * k), Fraction(row[2 * k], 2 * k * n), _mixed_weight(k, n))
-        for k in range(1, n + 1)
-    ) + B(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
+
+    def lhs_weight(k):
+        num, den = _bar_scale(2 * n - 2 * k)
+        return num, den * 2 * k * (2 * n - 2 * k)
+
+    # the rhs weights share the denominator 2^(2n-1) of _mixed_weight
+    lhs = _paired(n, lhs_weight)
+    rhs = (
+        _paired(n, lambda k: (row[2 * k] * (1 - 2 ** (2 * k - 1)), 2 * k * n))
+        + B(2 * n) * B(0) * (1 - 2 ** (2 * n - 1)) / (2 * n * n)
+    ) / 2 ** (2 * n - 1) + B(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
     return _report("mixed", n, lhs, rhs)
 
 
@@ -448,6 +514,36 @@ def verify_family(which: str, n: int, p: Rational) -> IdentityReport:
     return _report(f"family-{which}", n, lhs_value, rhs_value, p=p)
 
 
+def _p1_sums(which: str, n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Both sides of the reduced p = 1 form, and the shift from the family
+    sides at p = 1.  Each sum runs over B_2k B_{2n-2k} products through
+    _paired; the k = n terms, which carry B_0, stand apart."""
+    B = bernoulli
+    row = _binomial_row(2 * n + 2)
+    if which != "mixed":
+        S = B if which == "miki" else bernoulli_bar
+        scale = _SCALES[S.__name__]
+
+        def square(k):
+            a, b = scale(2 * k)
+            c, d = scale(2 * n - 2 * k)
+            return a * c, b * d
+
+        def rhs_weight(k):
+            num, den = scale(2 * n - 2 * k)
+            return row[2 * k + 2] * num, (n + 1) * den
+
+        lhs = _paired(n, square) + S(2 * n) * S(0)
+        rhs = _paired(n, rhs_weight) + B(2 * n) * S(0) / (n + 1) + 2 * n * S(2 * n)
+        return lhs, rhs, S(2 * n)
+    lhs = _paired(n, lambda k: _bar_scale(2 * n - 2 * k))
+    rhs = (
+        _paired(n, lambda k: (row[2 * k + 2] * (1 - 2 ** (2 * k - 1)), n + 1))
+        + B(2 * n) * B(0) * (1 - 2 ** (2 * n - 1)) / (n + 1)
+    ) / 2 ** (2 * n - 1) + (2 * n - 1) * B(2 * n) / Fraction(2) ** (2 * n)
+    return lhs, rhs, Fraction(0)
+
+
 def verify_p1(which: str, n: int) -> IdentityReport:
     """The p = 1 specializations in their reduced binomial form.
 
@@ -461,22 +557,7 @@ def verify_p1(which: str, n: int) -> IdentityReport:
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
     _require_floor(f"p1-{which}", n)
-    B, Bb = bernoulli, bernoulli_bar
-    row = _binomial_row(2 * n + 2)
-    if which != "mixed":
-        S = B if which == "miki" else Bb
-        lhs = _dot((S(2 * k), S(2 * n - 2 * k)) for k in range(1, n + 1))
-        rhs = _dot(
-            (B(2 * k), S(2 * n - 2 * k), Fraction(row[2 * k + 2], n + 1)) for k in range(1, n + 1)
-        ) + 2 * n * S(2 * n)
-        shift = S(2 * n)
-    else:
-        lhs = _dot((B(2 * k), Bb(2 * n - 2 * k)) for k in range(1, n))
-        rhs = _dot(
-            (B(2 * k), B(2 * n - 2 * k), _mixed_weight(k, n), Fraction(row[2 * k + 2], n + 1))
-            for k in range(1, n + 1)
-        ) + (2 * n - 1) * B(2 * n) / Fraction(2) ** (2 * n)
-        shift = Fraction(0)
+    lhs, rhs, shift = _p1_sums(which, n)
     if n >= FLOORS[f"family-{which}"]:
         family = verify_family(which, n, Fraction(1))
         check_routes("the reduced lhs", lhs, "the shifted family lhs", family.lhs + shift)
@@ -548,6 +629,12 @@ def verify_fpz_cubic(n: int) -> IdentityReport:
     return _report("fpz-cubic", n, lhs, rhs)
 
 
+def _block_end(order: int) -> int:
+    """Growth rule of the ``power`` table: the least power of two >= order,
+    so a table that grows by small steps rebuilds its power O(log) times."""
+    return 1 << (order - 1).bit_length()
+
+
 def _power_coeff(variant: str, N: int, order: int) -> Fraction:
     """x^(-order) coefficient of the N-th power of psi_tilde (plain) or
     psi_bar (bar), from the cache's append-only ``power`` table.
@@ -558,7 +645,7 @@ def _power_coeff(variant: str, N: int, order: int) -> Fraction:
     """
     table = sequences._DEFAULT.power.setdefault((variant, N), [])
     if order >= len(table):
-        build = sequences._block_end(order) if table else order
+        build = _block_end(order) if table else order
         base = named_series("psi_tilde" if variant == "plain" else "psi_bar", build)
         power = series_pow(base, N)
         table.extend(power.coeff(m) for m in range(len(table), power.trunc + 1))
@@ -594,22 +681,17 @@ def multi_lhs(N: int, n: int, variant: str = "plain") -> Fraction:
 def verify_euler_bernoulli(n: int) -> IdentityReport:
     """Euler-number convolution expressed through Bernoulli numbers, n >= 1."""
     _require_floor("euler-bernoulli", n)
-    lhs = Fraction(
-        sum(
-            euler_number(2 * k - 2) * euler_number(2 * n - 2 * k)
-            for k in range(1, n + 1)
-        )
-    )
+    E = euler_number
+    # terms k and n+1-k are equal: twice each k < (n+1)/2, once the middle
+    lhs = Fraction(sum(
+        (2 if 2 * k < n + 1 else 1) * E(2 * k - 2) * E(2 * n - 2 * k)
+        for k in range(1, (n + 1) // 2 + 1)
+    ))
     row = _binomial_row(2 * n)
-    rhs = _dot(
-        (
-            bernoulli(2 * k),
-            bernoulli(2 * n - 2 * k),
-            Fraction((4 ** k - 1) * 4 ** k * row[2 * k], k * n),
-            1 - Fraction(2) ** (2 * n - 2 * k - 1),
-        )
-        for k in range(1, n + 1)
-    )
+    # 1 - 2^(2n-2k-1) = (2 - 2^(2n-2k)) / 2; the k = n term carries B_0
+    rhs = _paired(
+        n, lambda k: ((4 ** k - 1) * 4 ** k * row[2 * k] * (2 - 4 ** (n - k)), 2 * k * n)
+    ) + bernoulli(2 * n) * bernoulli(0) * (4 ** n - 1) * 4 ** n / (2 * n * n)
     return _report("euler-bernoulli", n, lhs, rhs)
 
 

@@ -8,15 +8,20 @@ plain integers, so every downstream identity check is exact.  Conventions:
 * Euler numbers are the sech coefficients, sech s = sum E_n s^n / n!.
 
 Bernoulli and Euler tables grow on demand inside a ``SequenceCache``;
-computing index n fills every lower index.  Both come from the integer
-kernels of Brent and Harvey, "Fast computation of Bernoulli, Tangent and
-Secant numbers" (arXiv:1108.0286): ``_tangent_numbers`` gives T_1..T_N and
-B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)); ``_secant_numbers`` gives
-S_0..S_N and E_2n = (-1)^n S_n.  Each kernel runs in place for a fixed N
-with integer multiply-adds only, so a table grows in doubling blocks, to
-the least power of two >= n; the kernel runs of a growing table then cost
-a constant factor more than one run at the final size.  Only the new
-entries are appended (one gcd each); existing entries are never rewritten.
+computing index n fills every lower index and no higher one.  Both come
+from the integer triangles of Brent and Harvey, "Fast computation of
+Bernoulli, Tangent and Secant numbers" (arXiv:1108.0286), filled one
+column at a time instead of one pass at a time: column j of the tangent
+triangle ends in T_j, and B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1));
+column j of the secant triangle ends in S_j, and E_2j = (-1)^j S_j.
+``_next_tangent_column`` and ``_next_secant_column`` build column j+1
+from column j with integer multiply-adds only, and the cache keeps the
+latest column of each (``tangent_col``, ``secant_col``), so B_n adds just
+the columns up to n//2.  Any order of requests then does the work of one
+run at the final size.  Only the new entries are appended (one gcd each);
+existing entries are never rewritten, and the columns are the kernels'
+state, not tables, so a corrupted ``bern`` or ``eul`` entry never feeds
+later growth.
 
 The cache also holds append-only prefix tables of H_i = sum 1/j and
 H^(2)_i = sum 1/j^2, from which ``harmonic`` reads H_i and
@@ -88,38 +93,49 @@ __all__ = [
 Rational = Fraction
 
 
-def _tangent_numbers(N: int) -> list[int]:
-    """T[k] = T_k, the tangent numbers 1, 2, 16, 272, ..., for 1 <= k <= N."""
-    T = [0, 1] + [0] * (N - 1)
-    for k in range(2, N + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, N + 1):
-        for j in range(k, N + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    return T
+def _next_tangent_column(col: list[int]) -> list[int]:
+    """Column j+1 of the tangent triangle from column j = [A_1(j), ...,
+    A_j(j)], whose last entry is T_j; the empty column 0 gives [1]:
+    A_1(j+1) = j A_1(j), A_k(j+1) = (j+1-k) A_k(j) + (j+3-k) A_(k-1)(j+1)
+    for 2 <= k <= j, and A_(j+1)(j+1) = 2 A_j(j+1)."""
+    j = len(col)
+    if not j:
+        return [1]
+    prev = j * col[0]
+    nxt = [prev]
+    append = nxt.append
+    u = j  # stepped down to j+1-k for each row k = 2, ..., j
+    for a in col[1:]:
+        u -= 1
+        prev = u * a + (u + 2) * prev
+        append(prev)
+    append(2 * prev)
+    return nxt
 
 
-def _secant_numbers(N: int) -> list[int]:
-    """S[k] = S_k, the secant numbers 1, 1, 5, 61, 1385, ..., for 0 <= k <= N."""
-    S = [1] + [0] * N
-    for k in range(1, N + 1):
-        S[k] = k * S[k - 1]
-    for k in range(1, N + 1):
-        for j in range(k + 1, N + 1):
-            S[j] = (j - k) * S[j - 1] + (j - k + 1) * S[j]
-    return S
+def _next_secant_column(col: list[int]) -> list[int]:
+    """Column j+1 of the secant triangle from column j = [A_0(j), ...,
+    A_(j-1)(j)], whose last entry is S_j; the empty column 0 gives [1]:
+    A_0(j+1) = (j+1) A_0(j), A_k(j+1) = (j+1-k) A_k(j) + (j+2-k) A_(k-1)(j+1)
+    for 1 <= k <= j-1, and A_j(j+1) = A_(j-1)(j) + 2 A_(j-1)(j+1)."""
+    j = len(col)
+    if not j:
+        return [1]
+    prev = (j + 1) * col[0]
+    nxt = [prev]
+    append = nxt.append
+    u = j + 1  # stepped down to j+1-k for each row k = 1, ..., j-1
+    for a in col[1:]:
+        u -= 1
+        prev = u * a + (u + 1) * prev
+        append(prev)
+    append(col[-1] + 2 * prev)
+    return nxt
 
 
 def _require_index(what: str, n: int) -> None:
     if n < 0:
         raise DomainError(f"{what} needs an index >= 0, got {n}")
-
-
-def _block_end(n: int) -> int:
-    """Last index of the growth block holding n >= 1: the least power of two
-    >= n, so blocks at least double, and a request just past the end (B_800
-    after B_798) does not rerun the kernel at twice the size it needs."""
-    return 1 << (n - 1).bit_length()
 
 
 class SequenceCache:
@@ -139,12 +155,17 @@ class SequenceCache:
     is append-only, so concurrent readers of a warmed cache are safe.
     ``reduced`` is the exception: ``identities`` replaces the whole pair
     ((n, p.numerator, p.denominator), {factor tuple: ReducedGamma}) in
-    one assignment when a family row at another (n, p) comes.
+    one assignment when a family row at another (n, p) comes.  So are
+    ``tangent_col`` and ``secant_col``, the kernels' state: the latest
+    column of each triangle, column (len(bern) - 1) // 2 and
+    (len(eul) - 1) // 2, replaced by the next one as a table grows.
     """
 
     def __init__(self) -> None:
         self.bern: list[Fraction] = [Fraction(1)]
         self.eul: list[int] = [1]
+        self.tangent_col: list[int] = []
+        self.secant_col: list[int] = []
         self.harm: list[Fraction] = [Fraction(0)]
         self.harm2: list[Fraction] = [Fraction(0)]
         self.h2: dict[int, Fraction] = {}
@@ -159,14 +180,15 @@ class SequenceCache:
         """B_n from the tangent numbers; odd entries are 0 except B_1."""
         _require_index("bernoulli", n)
         if n >= len(self.bern):
-            top = _block_end(n)
-            T = _tangent_numbers(top // 2)
-            for m in range(len(self.bern), top + 1):
+            for m in range(len(self.bern), n + 1):
                 if m % 2:
                     self.bern.append(Fraction(-1, 2) if m == 1 else Fraction(0))
                 else:
                     k, four = m // 2, 4 ** (m // 2)
-                    self.bern.append(Fraction((-1) ** (k - 1) * m * T[k], four * (four - 1)))
+                    while len(self.tangent_col) < k:
+                        self.tangent_col = _next_tangent_column(self.tangent_col)
+                    T = self.tangent_col[-1]
+                    self.bern.append(Fraction((-1) ** (k - 1) * m * T, four * (four - 1)))
         return self.bern[n]
 
     def bernoulli_bar(self, n: int) -> Fraction:
@@ -182,12 +204,13 @@ class SequenceCache:
         """E_n from the secant numbers; odd entries are 0."""
         _require_index("euler_number", n)
         if n >= len(self.eul):
-            top = _block_end(n)
-            S = _secant_numbers(top // 2)
-            self.eul.extend(
-                0 if m % 2 else (-1) ** (m // 2) * S[m // 2]
-                for m in range(len(self.eul), top + 1)
-            )
+            for m in range(len(self.eul), n + 1):
+                if m % 2:
+                    self.eul.append(0)
+                else:
+                    while len(self.secant_col) < m // 2:
+                        self.secant_col = _next_secant_column(self.secant_col)
+                    self.eul.append((-1) ** (m // 2) * self.secant_col[-1])
         return self.eul[n]
 
     def harmonic(self, i: int) -> Fraction:

@@ -211,6 +211,54 @@ def test_far_series_rows_are_not_vacuous(name, x, p):
         quad_rep(name, 1e100, 3.0)
 
 
+def _mp_polygamma_form(mpmath, name, x, p):
+    """p-th derivative of the psi function named, p >= 1, from mpmath's
+    polygamma and the derivatives of ln x and 1/(2x) written out."""
+    x = mpmath.mpf(x)
+    log_term = (-1) ** (p - 1) * mpmath.factorial(p - 1) / x ** p
+    if name.startswith("psi_tilde"):
+        return mpmath.polygamma(p, x) - log_term + (-1) ** p * mpmath.factorial(p) / (2 * x ** (p + 1))
+    return mpmath.polygamma(p, x + mpmath.mpf(1) / 2) - log_term
+
+
+@pytest.mark.parametrize("name", ["psi_tilde_p", "psi_bar_p"])
+@pytest.mark.parametrize("x", [1.0, 2.0])
+def test_high_weight_quadrature_keeps_its_tail(name, x):
+    # the tail was cut where exp(-2xs) < 1e-18, where s^10 exp(-2xs) still
+    # carried mass: psi_bar_p read 320771.14077 at x = 1 against an exact
+    # 320771.14123, and psi_tilde_p at x = 2 was off by 4.3e-6
+    mpmath = pytest.importorskip("mpmath")
+    r = quad_rep(name, x, 10.0)
+    assert r.ok, r.error
+    with mpmath.workdps(40):
+        exact = _mp_polygamma_form(mpmath, name, x, 10)
+        assert abs((r.value - exact) / exact) < 1e-12
+        assert abs((r.target - exact) / exact) < 1e-12
+
+
+@pytest.mark.parametrize("x, p", [(1.0, 0.0), (5.0, 0.0), (1.0, 0.5), (1.0, 10.0), (2.0, 10.0),
+                                  (1.0, 60.0), (30.0, 3.0)])
+def test_tail_cut_is_where_the_weight_has_fallen(x, p):
+    # s^p exp(-2xs) at the cut is 1e-18 of its value at the peak p/(2x)
+    cut = floatcheck._tail_cut(x, p)
+    peak = p / (2.0 * x)
+    assert cut > peak
+    log_ratio = (p * math.log(cut / peak) if p else 0.0) - 2.0 * x * (cut - peak)
+    assert log_ratio == pytest.approx(math.log(floatcheck._TAIL_EPS), rel=1e-8)
+
+
+@pytest.mark.parametrize("name", ["psi_tilde_p", "psi_bar_p"])
+def test_overflowed_series_terms_keep_a_real_bound(name):
+    # past k = 50, 35^(2k+100) overflows a double; such a term was formed as
+    # c * 35^-(2k+100), which underflowed to 0 and became the omitted term
+    mpmath = pytest.importorskip("mpmath")
+    value, omitted = optimal_series(name, 35.0, 100)
+    assert 0 < omitted < 1e-15 * abs(value)
+    with mpmath.workdps(60):
+        exact = _mp_polygamma_form(mpmath, name, 35.0, 100)
+        assert abs((value - exact) / exact) < 1e-15
+
+
 def test_quad_errors():
     with pytest.raises(UnknownName):
         quad_rep("psi", 5.0)

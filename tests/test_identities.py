@@ -6,6 +6,7 @@ cross-route agreements that make each verifier trustworthy.
 """
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -411,6 +412,108 @@ def test_p1_and_family_sums_match_the_plain_sums():
             lhs, rhs = (sum((gamma_reduce(term, p).value for term in side), F(0))
                         for side in family_terms(which, n))
             assert (report.lhs, report.rhs) == (lhs, rhs), (which, n, p)
+
+
+# The B.B sums as single _dot sums, one term per k, each weight a reduced
+# Fraction: the references the paired sums (terms k and n-k share one
+# product) must match, at both parities of n.
+
+
+def _unpaired_sums(n):
+    """{name: value} of every paired sum at n, each summed term by term."""
+    dot, B, Bb = identities._dot, bernoulli, bernoulli_bar
+    E = bernkit.euler_number
+    row, row2 = identities._binomial_row(2 * n), identities._binomial_row(2 * n + 2)
+    mixed = lambda k: F(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1))
+    sums = {
+        "euler-lhs": dot((row[2 * k], B(2 * k), B(2 * n - 2 * k)) for k in range(1, n)),
+        "coth-product": dot((B(2 * k), B(2 * n - 2 * k), F(row[2 * k], 2 * k * (2 * n - 2 * k)))
+                            for k in range(1, n)),
+        "mixed-lhs": dot((B(2 * k), Bb(2 * n - 2 * k), F(1, 2 * k * (2 * n - 2 * k)))
+                         for k in range(1, n)),
+        "mixed-rhs": dot((B(2 * k), B(2 * n - 2 * k), F(row[2 * k], 2 * k * n), mixed(k))
+                         for k in range(1, n + 1))
+        + B(2 * n) * harmonic(2 * n - 1) / (n * F(2) ** (2 * n)),
+        "euler-bernoulli-lhs": F(sum(E(2 * k - 2) * E(2 * n - 2 * k) for k in range(1, n + 1))),
+        "euler-bernoulli-rhs": dot(
+            (B(2 * k), B(2 * n - 2 * k), F((4 ** k - 1) * 4 ** k * row[2 * k], k * n),
+             1 - F(2) ** (2 * n - 2 * k - 1)) for k in range(1, n + 1)),
+        "p1-mixed": (
+            dot((B(2 * k), Bb(2 * n - 2 * k)) for k in range(1, n)),
+            dot((B(2 * k), B(2 * n - 2 * k), mixed(k), F(row2[2 * k + 2], n + 1))
+                for k in range(1, n + 1)) + (2 * n - 1) * B(2 * n) / F(2) ** (2 * n),
+            F(0),
+        ),
+    }
+    for value in (B, Bb):
+        sums[f"sinh-product-{value.__name__}"] = dot(
+            (B(2 * k), value(2 * n - 2 * k), F(row[2 * k], 2 * k * n)) for k in range(1, n + 1))
+    for which, S in (("miki", B), ("fpz", Bb)):
+        sums[f"p1-{which}"] = (
+            dot((S(2 * k), S(2 * n - 2 * k)) for k in range(1, n + 1)),
+            dot((B(2 * k), S(2 * n - 2 * k), F(row2[2 * k + 2], n + 1)) for k in range(1, n + 1))
+            + 2 * n * S(2 * n),
+            S(2 * n),
+        )
+    for weight, w in identities._WEIGHTS.items():
+        sums[f"fold-{weight}"] = dot((w(k), w(n - k)) for k in range(1, n))
+    return sums
+
+
+def _paired_sums(n):
+    B, Bb = bernoulli, bernoulli_bar
+    sums = {
+        "euler-lhs": verify_euler(n).lhs if n >= 2 else F(0),
+        "coth-product": identities._coth_product(n),
+        "euler-bernoulli-lhs": verify_euler_bernoulli(n).lhs,
+        "euler-bernoulli-rhs": verify_euler_bernoulli(n).rhs,
+        "sinh-product-bernoulli": identities._sinh_product(n, B),
+        "sinh-product-bernoulli_bar": identities._sinh_product(n, Bb),
+    }
+    if n >= 2:
+        report = verify_mixed(n)
+        sums["mixed-lhs"], sums["mixed-rhs"] = report.lhs, report.rhs
+    for which in FAMILY_KINDS:
+        sums[f"p1-{which}"] = identities._p1_sums(which, n)
+    for weight in identities._WEIGHTS:
+        sums[f"fold-{weight}"] = identities._fold(weight, 2, n)
+    return sums
+
+
+@pytest.mark.parametrize("n", [*range(1, 42), 400, 401])
+def test_paired_sums_match_the_unpaired_sums(n):
+    paired, unpaired = _paired_sums(n), _unpaired_sums(n)
+    if n < 2:
+        del unpaired["mixed-lhs"], unpaired["mixed-rhs"]
+    assert paired.keys() == unpaired.keys()
+    for name in paired:
+        assert paired[name] == unpaired[name], (name, n)
+
+
+def test_paired_weights_need_no_common_factor():
+    # w(k) + w(n-k) over the product of the two denominators: the pair
+    # need not be in lowest terms, and the middle k = n/2 counts once
+    B = bernoulli
+    for n in (6, 7):
+        weight = lambda k: (k, 3 * (n - k))
+        expected = sum((B(2 * k) * B(2 * n - 2 * k) * F(k, 3 * (n - k)) for k in range(1, n)), F(0))
+        assert identities._paired(n, weight) == expected
+    assert identities._paired(1, lambda k: pytest.fail("no term at n = 1")) == 0
+
+
+def test_paired_sums_accept_a_wrapped_sequence_function(monkeypatch):
+    # a tracer or profiler puts a functools.wraps wrapper of bernoulli_bar
+    # in the module's namespace; the B/Bbar sums must still weigh by Bbar
+    real = identities.bernoulli_bar
+
+    @functools.wraps(real)
+    def wrapped(n):
+        return real(n)
+
+    monkeypatch.setattr(identities, "bernoulli_bar", wrapped)
+    assert verify_fpz(12).ok and verify_fpz_cubic(9).ok and verify_p1("fpz", 7).ok
+    assert identities._sinh_product(12, wrapped) == identities._sinh_product(12, real)
+    assert verify_lemma_expansion("sinh-product", 12)
 
 
 _factors = st.one_of(

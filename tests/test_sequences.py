@@ -1,13 +1,15 @@
 """Exact-core tests.
 
-Two oracles share no code with the package's tangent/secant kernels:
+Three oracles share no code with the package's column kernels:
 
 * the boustrophedon (Seidel zigzag) triangle, pure integer additions:
   tangent numbers give B_2n through 4^n(4^n-1), secant numbers give E_2n;
 * the Fraction recurrences the package used before the kernels,
   sum(C(n+1,k) B_k, k=0..n) = 0 and the cosh inversion
   sum(C(2m,2j) E_{2m-2j}, j=0..m) = 0, checked to B_300 and E_300 under
-  several growth orders of the doubling tables.
+  several growth orders of the tables;
+* Brent and Harvey's in-place kernels for one fixed N, which the package
+  ran before it grew the same triangles one column at a time.
 
 The rising-factorial prefix tables are checked against the direct product
 q (q+1) ... (q+m-1), which the package no longer computes.
@@ -80,13 +82,68 @@ def recurrence_euler() -> list[int]:
     return eul
 
 
-# one request for the top index; every index in turn; requests that each
-# cross one or more doubling boundaries (8, 16, 32, 64, 128, 256)
+# one request for the top index; every index in turn; jumps of uneven
+# length, odd and even, that each add a different number of columns; a
+# late upward scan by 2, as a deep scan asks for B_2n at n, n+1, ...
 GROWTH_ORDERS = {
     "one-shot": [ORACLE_MAX],
     "stepwise": list(range(ORACLE_MAX + 1)),
     "boundaries": [1, 2, 3, 7, 9, 16, 17, 70, 129, 257, ORACLE_MAX],
+    "upward-by-2": list(range(250, ORACLE_MAX + 1, 2)),
 }
+
+
+def tangent_numbers(N: int) -> list[int]:
+    """T[k] = T_k, 1 <= k <= N, by Brent and Harvey's in-place kernel."""
+    T = [0, 1] + [0] * (N - 1)
+    for k in range(2, N + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, N + 1):
+        for j in range(k, N + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T
+
+
+def secant_numbers(N: int) -> list[int]:
+    """S[k] = S_k, 0 <= k <= N, by Brent and Harvey's in-place kernel."""
+    S = [1] + [0] * N
+    for k in range(1, N + 1):
+        S[k] = k * S[k - 1]
+    for k in range(1, N + 1):
+        for j in range(k + 1, N + 1):
+            S[j] = (j - k) * S[j - 1] + (j - k + 1) * S[j]
+    return S
+
+
+def test_column_kernels_match_the_in_place_kernels():
+    N = ORACLE_MAX
+    tangent, secant = [0], [1]
+    t_col, s_col = [], []
+    for j in range(1, N + 1):
+        t_col = bernkit.sequences._next_tangent_column(t_col)
+        s_col = bernkit.sequences._next_secant_column(s_col)
+        assert len(t_col) == len(s_col) == j
+        tangent.append(t_col[-1])
+        secant.append(s_col[-1])
+    assert tangent == tangent_numbers(N)
+    assert secant == secant_numbers(N)
+    assert tangent[:6] == [0, 1, 2, 16, 272, 7936] and secant[:6] == [1, 1, 5, 61, 1385, 50521]
+
+
+def test_tables_grow_to_the_requested_index():
+    # no growth block: a deep scan's B_806 and E_804 add exactly the
+    # columns up to 403 and 402
+    cache = SequenceCache()
+    cache.bernoulli(806)
+    cache.euler_number(804)
+    assert len(cache.bern) == 807 and len(cache.eul) == 805
+    assert len(cache.tangent_col) == 403 and len(cache.secant_col) == 402
+    cache.bernoulli(807)
+    cache.euler_number(805)
+    assert len(cache.bern) == 808 and len(cache.eul) == 806
+    assert len(cache.tangent_col) == 403 and len(cache.secant_col) == 402
+    cache.bernoulli(808)
+    assert len(cache.bern) == 809 and len(cache.tangent_col) == 404
 
 
 @pytest.mark.parametrize("order", sorted(GROWTH_ORDERS))
