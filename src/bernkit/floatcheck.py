@@ -61,14 +61,23 @@ _MAX_TERMS = 120
 # A psi target at integer p recurs up to at most x + _MAX_SHIFT.  Every p
 # whose series terms fit a double (p <= 124) has an exact series by x = 44.
 _MAX_SHIFT = 64
-# A target whose error bound exceeds this verifies nothing: the omitted
-# term of a divergent series grows without bound as x falls.
+# A target whose error bound exceeds this (or _ULP_TOL ulps of a larger
+# target) verifies nothing: the omitted term of a divergent series grows
+# without bound as x falls.
 _TOL_CAP = 1e-6
 # A target is checked to 1e-8 (or its series' omitted term), but never
 # looser than this fraction of |target|: psi_tilde(x) ~ -1/(12 x^2) falls
 # under 1e-8 near x = 3000, past which an absolute 1e-8 would pass any
 # value, 0 included.
 _REL_TOL = 1e-5
+# Nor is it tighter than this many ulps of the target: a large value
+# cannot be rounded to a double any closer.
+_ULP_TOL = 4
+# quad is asked for this relative error, and an integral is not converged
+# while its error estimate exceeds both it times |value| and 1e-8.  A few
+# ulps would be too tight a floor here: quad's estimate carries a rounding
+# term of 50 machine epsilons times the integral of |f| on every piece.
+_QUAD_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,8 +96,9 @@ class QuadResult:
     @property
     def error(self) -> str | None:
         """Why the row is not ok, or None when it is."""
-        if self.tol > _TOL_CAP:
-            return f"target unverified: its error bound {self.tol:.3e} exceeds the cap {_TOL_CAP:.0e}"
+        cap = max(_TOL_CAP, _ULP_TOL * math.ulp(self.target))
+        if self.tol > cap:
+            return f"target unverified: its error bound {self.tol:.3e} exceeds the cap {cap:.3g}"
         if not self.abs_dev <= self.tol:
             return f"deviation {self.abs_dev:.3e} exceeds the tolerance {self.tol:.3e}"
         return None
@@ -200,19 +210,30 @@ def _integrate(f, x: float, p: float = 0.0) -> tuple[float, float]:
     total = 0.0
     err = 0.0
     for a, b in pieces:
-        v, e = quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
+        v, e = quad(f, a, b, epsabs=1e-12, epsrel=_QUAD_REL, limit=200)
         total += v
         err += e
-    if err > 1e-8:
-        raise QuadFailure(f"estimated quadrature error {err:.3e} exceeds 1e-8")
+    bound = max(1e-8, _QUAD_REL * abs(total))
+    if err > bound:
+        raise QuadFailure(f"estimated quadrature error {err:.3e} exceeds {bound:.3e}")
     return total, err
+
+
+def _over_power(c: float | int, base: float, power: int) -> float:
+    """c / base**power, formed through logarithms where c or base**power
+    leaves the double range though the ratio need not."""
+    try:
+        return float(c) / base**power
+    except OverflowError:
+        ratio = math.exp(math.log(abs(c)) - power * math.log(base))
+        return -ratio if c < 0 else ratio
 
 
 def _asymptotic_terms(name: str, x: float, p: float):
     """Lazy terms of the asymptotic expansion matching quad_rep(name, x, p)."""
     if name == "g":
         for n in range(0, _MAX_TERMS):
-            yield float(euler_number(2 * n)) / (2.0 * x) ** (2 * n + 1)
+            yield _over_power(euler_number(2 * n), 2.0 * x, 2 * n + 1)
         return
     plain = name.startswith("psi_tilde")
     value = bernoulli if plain else bernoulli_bar
@@ -221,11 +242,7 @@ def _asymptotic_terms(name: str, x: float, p: float):
         sign = (-1.0) ** (ip + 1)
         for k in range(1, _MAX_TERMS):
             c = float(value(2 * k)) / (2 * k) * float(rising_factorial(Fraction(2 * k), ip))
-            try:
-                term = c / x ** (2 * k + ip)
-            except OverflowError:  # x^(2k+p) leaves the double range, c may be huge
-                term = math.copysign(math.exp(math.log(abs(c)) - (2 * k + ip) * math.log(x)), c)
-            yield sign * term
+            yield sign * _over_power(c, x, 2 * k + ip)
     else:
         # raw transform: sum_m c_m Gamma(m+p+1) / (2x)^(m+p+1)
         series_name = "coth_minus_inv" if plain else "inv_sinh_minus_inv"
@@ -277,8 +294,9 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     derivative prefactor and is compared against the term-wise transform
     of the kernel's Taylor series at x; g has no elementary closed form,
     and its target is the optimally truncated Euler-number series at x.
-    Every target is checked to the larger of min(1e-8, 1e-5 |target|) and
-    its series' first omitted term, so a far x cannot pass vacuously.  A
+    Every target is checked to the largest of min(1e-8, 1e-5 |target|),
+    its series' first omitted term and 4 ulps of the target, so a far x
+    cannot pass vacuously and a large value is not held past its rounding.  A
     row whose bound exceeds 1e-6 is not ok and says so in its error, but
     still carries the quadrature value; below that bound, a target under
     the normal double range raises QuadFailure.  A weight, prefactor or
@@ -307,7 +325,7 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
             shift += 1
             target, omitted = optimal_series(name, x + shift, p)
         target = math.fsum([target, *(_recurrence_step(name, x + j, int(p)) for j in range(shift))])
-        tol = max(min(1e-8, _REL_TOL * abs(target)), omitted)
+        tol = max(min(1e-8, _REL_TOL * abs(target)), omitted, _ULP_TOL * math.ulp(target))
         if tol <= _TOL_CAP and abs(target) < sys.float_info.min:
             raise QuadFailure(
                 f"{name} at x = {x} has a target {target:.3e} below the normal double range")

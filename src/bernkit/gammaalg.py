@@ -13,12 +13,18 @@ the prefix table of its anchor (t, resp. t+m) in the process-wide
 ``SequenceCache`` through ``sequences.rising_factorial``, so a scan
 multiplies once per new (anchor, offset) pair instead of once per step of
 every factor.  No Legendre duplication is applied: the two bases stay
-independent, which keeps every cofactor rational.
+independent, which keeps every cofactor rational.  The cofactor is
+carried as one integer numerator and one integer denominator, which each
+factor multiplies by its rising entry's numerator and denominator
+(swapped for a negative offset or a negative exponent), and it becomes
+one Fraction at the end, so a reduction normalises once, not once per
+factor.
 
 gamma_reduce itself keeps no memo.  The family verifiers of
-``identities`` reduce each distinct factor tuple of a row at (n, p) once,
-with scalar 1, into the cache's ``reduced`` slot, which holds one (n, p)
-at a time, and take every term as its scalar times that cofactor;
+``identities`` read the cache's ``merged`` table, one product of scalar 1
+per distinct factor tuple of a side, reduce each product of a row at
+(n, p) once into the cache's ``reduced`` slot, which holds one (n, p) at
+a time, and take every tuple as its summed scalar times that cofactor;
 gamma_reduce is the only code that fills the slot, so it stays the only
 reader of the rising tables for the families.  A rising entry poisoned
 after a product that reads it has been stored no longer reaches the rows
@@ -74,7 +80,10 @@ class GammaProduct:
             for (base, offset), exponent in sorted(merged.items())
             if exponent != 0
         )
-        object.__setattr__(self, "factors", canonical)
+        # an already canonical tuple is kept, so products built from another
+        # product's factors share them
+        if canonical != self.factors:
+            object.__setattr__(self, "factors", canonical)
         object.__setattr__(self, "scalar", Fraction(self.scalar))
 
     def __mul__(self, other: "GammaProduct | Rational | int") -> "GammaProduct":
@@ -94,17 +103,13 @@ class ReducedGamma:
     value: Fraction
 
 
-def _scaled(value: Fraction, factor: Fraction | int, exponent: int) -> Fraction:
-    """value * factor**exponent, with no power taken at exponent 1 or -1."""
-    if exponent == 1:
-        return value * factor
-    if exponent == -1:
-        return value / factor
-    return value * Fraction(factor) ** exponent
-
-
 def gamma_reduce(g: GammaProduct, p: Rational) -> ReducedGamma:
     """Reduce ``g`` at the rational point ``p`` to base exponents and cofactor.
+
+    The cofactor is carried as one integer numerator and one integer
+    denominator: each factor multiplies them by the numerator and
+    denominator of its rising entry (swapped for a negative offset or
+    exponent), and one Fraction is built at the end.
 
     Raises PoleEncountered when any factor's argument is a nonpositive
     integer, and ZeroDivisor if a rising-factorial step would divide by
@@ -112,7 +117,7 @@ def gamma_reduce(g: GammaProduct, p: Rational) -> ReducedGamma:
     """
     p = Fraction(p)
     anchors = {"p": p, "2p": 2 * p}
-    value = g.scalar
+    num, den = g.scalar.numerator, g.scalar.denominator
     exponents = {"p": 0, "2p": 0}
     for base, offset, exponent in g.factors:
         anchor = anchors[base]
@@ -124,21 +129,28 @@ def gamma_reduce(g: GammaProduct, p: Rational) -> ReducedGamma:
             if anchor.numerator <= 0:
                 # Gamma(anchor) itself is singular; the factor is a pure
                 # factorial here and contributes no base exponent.
-                value = _scaled(value, factorial(argument - 1), exponent)
+                if exponent > 0:
+                    num *= factorial(argument - 1) ** exponent
+                else:
+                    den *= factorial(argument - 1) ** -exponent
                 continue
         if offset >= 0:
-            cofactor = rising_factorial(anchor, offset)
+            rising = rising_factorial(anchor, offset)
+            top, bottom = rising.numerator, rising.denominator
         else:
             argument = anchor + offset
             divisor = rising_factorial(argument, -offset)
             if divisor == 0:
                 raise ZeroDivisor(f"({argument})_{-offset} vanishes at p={p}")
-            cofactor = 1 / divisor
-        if cofactor == 0 and exponent < 0:
+            top, bottom = divisor.denominator, divisor.numerator
+        if top == 0 and exponent < 0:
             raise ZeroDivisor(f"({anchor})_{offset} vanishes in a denominator at p={p}")
-        value = _scaled(value, cofactor, exponent)
         exponents[base] += exponent
-    return ReducedGamma(exponents["p"], exponents["2p"], value)
+        if exponent < 0:
+            top, bottom, exponent = bottom, top, -exponent
+        num *= top**exponent
+        den *= bottom**exponent
+    return ReducedGamma(exponents["p"], exponents["2p"], Fraction(num, den))
 
 
 def beta_factor(k: int) -> GammaProduct:

@@ -31,9 +31,9 @@ therefore tests the very code those right sides run.  They read C(2n, 2k)
 from one Pascal row, _binomial_row(2n), per call: at n ~ 400, integer
 binomials times B products are cheaper than products of coth weights
 with factorial denominators.  The cubic forms share _cubic_form.  The
-mixed family terms weigh by _mixed_weight; the mixed and p = 1 mixed
-right sides weigh by its numerator and divide the sum by its common
-denominator 2^(2n-1) once.
+mixed family terms weigh by (1 - 2^(2k-1)) / 2^(2n-1); the mixed and
+p = 1 mixed right sides weigh by its numerator and divide the sum by its
+common denominator 2^(2n-1) once.
 
 Every quadratic sum over products B_2k B_{2n-2k} times a small weight
 w(k) is _paired(n, weight): the Euler left side, the coth and sinh
@@ -60,21 +60,29 @@ Work that does not depend on the row is done once per process, in
 append-only tables of the process-wide ``sequences._DEFAULT`` cache,
 looked up at call time so an injected cache replaces them too: the
 nested-fold memo of each weight (``fold``), the coefficients of each
-series power (``power``) and each family's term lists (``family``).  The
+series power (``power``), each family's term lists (``family``) and
+those lists with like terms merged (``merged``).  The
 fold and the series power keep separate tables, so the two routes of
 verify_multi stay independent, and multi_lhs still compares them on
 every row.
+
+family_terms keeps one term per summand, as the float twin reads them;
+the exact rows read only _merged_terms, which adds the scalars of like
+terms once per (which, n): the left terms k and n-k share a factor
+tuple, and so do the beta term at an even k' and the first right term
+at k'/2.  Each distinct tuple is one GammaProduct of scalar 1, shared by
+the three kinds at n, so gamma_reduce takes it as it is.
 
 The family rows also share their gamma reductions, but only within one
 (n, p): the three kinds at n have the same factor tuples and differ in
 their scalars, and no tuple at n occurs at another n.  The cache's
 ``reduced`` slot holds the gamma_reduce result of each distinct tuple
 at the latest (n, p) and is emptied when a row at another (n, p) comes,
-so its memory stays that of one row.  A row adds scalar x cofactor per
-term, and a scan ordered by (n, p), as ``cli verify`` runs it, reduces
-each product once per (n, p) for every kind and for verify_p1's rerun at
-p = 1.  gamma_reduce alone fills the slot and alone reads the rising
-tables for the families; a rising entry poisoned after the products that
+so its memory stays that of one row.  A row adds summed scalar x
+cofactor per tuple, and a scan ordered by (n, p), as ``cli verify`` runs
+it, reduces each product once per (n, p) for every kind and for
+verify_p1's rerun at p = 1.  gamma_reduce alone fills the slot and alone
+reads the rising tables for the families; a rising entry poisoned after the products that
 read it were stored no longer reaches the rows of that (n, p).
 """
 
@@ -86,7 +94,7 @@ from math import factorial, lcm
 
 from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
-from .gammaalg import GammaProduct, ReducedGamma, beta_factor, gamma_reduce
+from .gammaalg import GammaProduct, ReducedGamma, gamma_reduce
 from .sequences import (
     Rational,
     bernoulli,
@@ -378,11 +386,6 @@ def verify_fpz(n: int) -> IdentityReport:
     return _report("fpz", n, _fold("bar", 2, n), _fpz_rhs(n, bernoulli_bar))
 
 
-def _mixed_weight(k: int, n: int) -> Fraction:
-    """(1 - 2^(2k-1)) / 2^(2n-1), the doubling weight of the B/Bbar forms."""
-    return Fraction(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1))
-
-
 def verify_mixed(n: int) -> IdentityReport:
     """The mixed identity convolving B with Bbar via the doubling relation."""
     _require_floor("mixed", n)
@@ -392,7 +395,7 @@ def verify_mixed(n: int) -> IdentityReport:
         num, den = _bar_scale(2 * n - 2 * k)
         return num, den * 2 * k * (2 * n - 2 * k)
 
-    # the rhs weights share the denominator 2^(2n-1) of _mixed_weight
+    # the rhs weights (1 - 2^(2k-1)) / 2^(2n-1) share their denominator
     lhs = _paired(n, lhs_weight)
     rhs = (
         _paired(n, lambda k: (row[2 * k] * (1 - 2 ** (2 * k - 1)), 2 * k * n))
@@ -419,22 +422,24 @@ def _reductions(n: int, p: Fraction) -> dict[tuple, ReducedGamma]:
 
 
 def _reduce_side(
-    terms: tuple[GammaProduct, ...], p: Fraction, table: dict[tuple, ReducedGamma]
+    side: tuple[tuple[GammaProduct, Fraction], ...],
+    p: Fraction,
+    table: dict[tuple, ReducedGamma],
 ) -> tuple[tuple[int, int], Fraction]:
-    """Common exponent pair and cofactor sum of one side at p.
+    """Common exponent pair and cofactor sum of one merged side at p.
 
-    Each distinct factor tuple is reduced by gamma_reduce at scalar 1 into
-    ``table``; a term adds its scalar times that cofactor, and every
-    term's exponents must agree.
+    Each product, of scalar 1, is reduced by gamma_reduce into ``table``
+    unless a row at the same (n, p) stored it; the side adds its summed
+    scalar times that cofactor, and every product's exponents must agree.
     """
     exponents = set()
     pairs = []
-    for term in terms:
-        reduced = table.get(term.factors)
+    for product, scalar in side:
+        reduced = table.get(product.factors)
         if reduced is None:
-            reduced = table[term.factors] = gamma_reduce(GammaProduct(term.factors), p)
+            reduced = table[product.factors] = gamma_reduce(product, p)
         exponents.add((reduced.exp_gamma_p, reduced.exp_gamma_2p))
-        pairs.append((term.scalar, reduced.value))
+        pairs.append((scalar, reduced.value))
     if len(exponents) != 1:
         raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
     return exponents.pop(), _dot(pairs)
@@ -451,6 +456,8 @@ def family_terms(
     (a k=n/2 left term carries Gamma(p+n)**2, the k=1 tail term
     Gamma(p+1)**2).  Returns (lhs terms, rhs terms), built once per
     (which, n) into the cache's ``family`` table and shared by every p.
+    Each coefficient is built as one integer ratio, and each term as one
+    GammaProduct.
     """
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
@@ -461,54 +468,104 @@ def family_terms(
     B, Bb = bernoulli, bernoulli_bar
     lhs_first = Bb if which == "fpz" else B
     lhs_second = B if which == "miki" else Bb
+    rhs_second = Bb if which == "fpz" else B
+    fact = [1]
+    for j in range(1, 2 * n + 1):
+        fact.append(fact[-1] * j)
 
     lhs_terms = []
     for k in range(1, n):
-        rat = (
-            lhs_first(2 * k)
-            * lhs_second(2 * n - 2 * k)
-            / Fraction(2 * k)
-            / (2 * n - 2 * k)
-            / factorial(2 * k - 1)
-            / factorial(2 * n - 2 * k - 1)
+        # first(2k) second(2n-2k) / (2k (2n-2k) (2k-1)! (2n-2k-1)!), whose
+        # denominator is (2k)! (2n-2k)!
+        a, b = lhs_first(2 * k), lhs_second(2 * n - 2 * k)
+        rat = Fraction(
+            a.numerator * b.numerator,
+            a.denominator * b.denominator * fact[2 * k] * fact[2 * n - 2 * k],
         )
         lhs_terms.append(GammaProduct((("p", 2 * k, 1), ("p", 2 * n - 2 * k, 1)), rat))
 
     rhs_terms = []
     for k in range(1, n + 1):
-        pair = B(2 * k) * (Bb(2 * n - 2 * k) if which == "fpz" else B(2 * n - 2 * k))
-        weight = _mixed_weight(k, n) if which == "mixed" else Fraction(1)
-        rat = 2 * pair * weight / Fraction(factorial(2 * k)) / factorial(2 * n - 2 * k)
+        # 2 B_2k second(2n-2k) w_k / ((2k)! (2n-2k)!), with the mixed
+        # weight w_k = (1 - 2^(2k-1)) / 2^(2n-1), else 1
+        a, b = B(2 * k), rhs_second(2 * n - 2 * k)
+        w_num, w_den = (1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1)) if which == "mixed" else (1, 1)
+        rat = Fraction(
+            2 * a.numerator * b.numerator * w_num,
+            a.denominator * b.denominator * w_den * fact[2 * k] * fact[2 * n - 2 * k],
+        )
         rhs_terms.append(
             GammaProduct(
                 (("p", 1, 1), ("p", 2 * k, 1), ("2p", 2 * n, 1), ("2p", 2 * k + 1, -1)), rat
             )
         )
-    if which == "miki":
-        tail = 2 * B(2 * n) / Fraction(factorial(2 * n))
-    elif which == "fpz":
-        tail = 2 * Bb(2 * n) / Fraction(factorial(2 * n))
+    b = rhs_second(2 * n)
+    if which == "mixed":
+        tail = Fraction(b.numerator, b.denominator * fact[2 * n] * 2 ** (2 * n - 1))
     else:
-        tail = B(2 * n) / Fraction(factorial(2 * n)) / 2 ** (2 * n - 1)
+        tail = Fraction(2 * b.numerator, b.denominator * fact[2 * n])
     for k in range(1, 2 * n):
-        rhs_terms.append(beta_factor(k) * GammaProduct((("2p", 2 * n, 1),), tail))
+        # the beta factor beta(p+k, p+1) = Gamma(p+k) Gamma(p+1) / Gamma(2p+k+1)
+        # of gammaalg.beta_factor, times Gamma(2p+2n)
+        rhs_terms.append(
+            GammaProduct((("p", k, 1), ("p", 1, 1), ("2p", k + 1, -1), ("2p", 2 * n, 1)), tail)
+        )
     table[which, n] = terms = (tuple(lhs_terms), tuple(rhs_terms))
     return terms
+
+
+def _merged_terms(
+    which: str, n: int
+) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
+    """Both sides of family_terms(which, n) with like terms merged: one
+    (GammaProduct of scalar 1, summed scalar) pair per distinct factor
+    tuple, in order of first occurrence.
+
+    The left terms k and n-k share a tuple, and so do the beta term at an
+    even k' and the first right term at k = k'/2; at n = 30 this leaves
+    15 + 60 of the 29 + 89 terms.  Built once per (which, n) into the
+    cache's ``merged`` table; the three kinds at n share their products.
+    """
+    table = sequences._DEFAULT.merged
+    if (which, n) in table:
+        return table[which, n]
+    products = {
+        product.factors: product
+        for kind in FAMILY_KINDS
+        for side in table.get((kind, n), ())
+        for product, _ in side
+    }
+    sides = []
+    for terms in family_terms(which, n):
+        scalars: dict[tuple, Fraction] = {}
+        for term in terms:
+            if term.factors in scalars:
+                scalars[term.factors] += term.scalar
+            else:
+                scalars[term.factors] = term.scalar
+        side = []
+        for factors, scalar in scalars.items():
+            if factors not in products:
+                products[factors] = GammaProduct(factors)
+            side.append((products[factors], scalar))
+        sides.append(tuple(side))
+    table[which, n] = merged = tuple(sides)
+    return merged
 
 
 def verify_family(which: str, n: int, p: Rational) -> IdentityReport:
     """One-parameter gamma-weighted family of the quadratic identities.
 
-    Both sides' family_terms are reduced at the rational point p, through
+    Both sides' merged terms are reduced at the rational point p, through
     the cache's ``reduced`` slot for (n, p), required to share one
     (Gamma(p), Gamma(2p)) exponent pair, and compared through their
     rational cofactors.
     """
-    lhs_terms, rhs_terms = family_terms(which, n)
+    lhs_side, rhs_side = _merged_terms(which, n)
     p = Fraction(p)
     table = _reductions(n, p)
-    lhs_exp, lhs_value = _reduce_side(lhs_terms, p, table)
-    rhs_exp, rhs_value = _reduce_side(rhs_terms, p, table)
+    lhs_exp, lhs_value = _reduce_side(lhs_side, p, table)
+    rhs_exp, rhs_value = _reduce_side(rhs_side, p, table)
     if lhs_exp != rhs_exp:
         raise ExponentMismatch(f"sides reduce to gamma exponents {lhs_exp} vs {rhs_exp}")
     return _report(f"family-{which}", n, lhs_value, rhs_value, p=p)

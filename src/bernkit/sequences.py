@@ -43,10 +43,14 @@ which fills them (``identities`` reads them from ``_DEFAULT`` at call
 time): ``fold[weight]``, the memo of ``identities._fold`` for one named
 weight sequence, which every composition sum of that layer reads;
 ``power``, one coefficient list per (variant, N) of the N-th power of
-the psi series; and ``family``, the term lists of each gamma-weighted
-family, stored as tuples so no caller can change a shared entry.  The
-fold and the series power are the two routes of one cross-check, and
-each keeps its own table, so they stay independent.
+the psi series; ``family``, the term lists of each gamma-weighted
+family, stored as tuples so no caller can change a shared entry, which
+the float twin reads; and ``merged``, the same lists with like terms
+added once, one (GammaProduct of scalar 1, summed scalar) pair per
+distinct factor tuple, which is all the exact family rows read.  The
+three kinds at one n share the products of ``merged``.  The fold and the
+series power are the two routes of one cross-check, and each keeps its
+own table, so they stay independent.
 
 One slot, ``reduced``, is not append-only: it is the pair ((n,
 numerator, denominator), table) for the latest family point (n, p), the
@@ -149,8 +153,10 @@ class SequenceCache:
     to the list of its (q)_m indexed by m.  ``fold[weight]`` maps (parts,
     total) to a fold of that weight, ``power[variant, N]`` lists the
     x^(-m) coefficients of the N-th power of the variant's psi series
-    indexed by m, and ``family[which, n]`` holds the (lhs, rhs) term
-    tuples of ``identities.family_terms``.
+    indexed by m, ``family[which, n]`` holds the (lhs, rhs) term tuples
+    of ``identities.family_terms``, and ``merged[which, n]`` the (lhs,
+    rhs) tuples of (product, summed scalar) pairs of
+    ``identities._merged_terms``.
     Entries, once computed, are never recomputed or rewritten; extension
     is append-only, so concurrent readers of a warmed cache are safe.
     ``reduced`` is the exception: ``identities`` replaces the whole pair
@@ -174,6 +180,7 @@ class SequenceCache:
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
         self.family: dict[tuple[str, int], tuple[tuple, tuple]] = {}
+        self.merged: dict[tuple[str, int], tuple[tuple, tuple]] = {}
         self.reduced: tuple[tuple[int, int, int] | None, dict[tuple, ReducedGamma]] = (None, {})
 
     def bernoulli(self, n: int) -> Fraction:

@@ -259,6 +259,57 @@ def test_overflowed_series_terms_keep_a_real_bound(name):
         assert abs((value - exact) / exact) < 1e-15
 
 
+def _mp_g(mpmath, x):
+    """g(x) = integral of exp(-2xs) sech s over s >= 0, which is Dirichlet's
+    beta function at z = x + 1/2: (psi((z+1)/2) - psi(z/2)) / 2."""
+    z = mpmath.mpf(x) + mpmath.mpf(1) / 2
+    return (mpmath.digamma((z + 1) / 2) - mpmath.digamma(z / 2)) / 2
+
+
+@pytest.mark.parametrize("x", [50.0, 100.0, 1000.0])
+def test_far_g_rows_form_their_terms_through_logarithms(x):
+    # E_2n and (2x)^(2n+1) leave the double range from x ~ 50 on, though
+    # their ratio does not; these rows raised "leaves the double range"
+    mpmath = pytest.importorskip("mpmath")
+    r = quad_rep("g", x)
+    assert r.ok, r.error
+    with mpmath.workdps(40):
+        exact = _mp_g(mpmath, x)
+        assert abs((r.value - exact) / exact) < 1e-15
+        assert abs((r.target - exact) / exact) < 1e-15
+
+
+@pytest.mark.parametrize("name, x, p", [("psi_tilde_p", 1.5, 15), ("psi_bar_p", 1.5, 15),
+                                        ("psi_tilde_p", 2.0, 20)])
+def test_large_values_are_held_to_their_rounding(name, x, p):
+    # near 8e8, 2e8 and 5e11 an absolute 1e-8 is under one ulp: the p = 15
+    # rows failed on 1-ulp deviations, and at p = 20 quad's error estimate
+    # 4.1e-8 (9e-14 of the integral) raised QuadFailure
+    mpmath = pytest.importorskip("mpmath")
+    r = quad_rep(name, x, float(p))
+    assert r.ok, r.error
+    assert r.tol == 4 * math.ulp(r.target) > 1e-8
+    with mpmath.workdps(40):
+        exact = _mp_polygamma_form(mpmath, name, x, p)
+        assert abs(r.value - exact) <= 2 * math.ulp(r.target)
+        assert abs(r.target - exact) <= math.ulp(r.target)
+
+
+def test_quadrature_bound_is_relative_to_the_value(monkeypatch):
+    # x = 1, p = 0 integrates two pieces, each reported as (value, error)
+    integrate = pytest.importorskip("scipy.integrate")
+    piece = {}
+    monkeypatch.setattr(integrate, "quad", lambda f, a, b, **options: piece["result"])
+    piece["result"] = (1e6, 5e-7)
+    assert floatcheck._integrate(None, 1.0) == (2e6, 1e-6)
+    piece["result"] = (1e6, 2e-6)
+    with pytest.raises(QuadFailure, match="exceeds 2.000e-06"):
+        floatcheck._integrate(None, 1.0)
+    piece["result"] = (1.0, 1e-8)
+    with pytest.raises(QuadFailure, match="exceeds 1.000e-08"):
+        floatcheck._integrate(None, 1.0)
+
+
 def test_quad_errors():
     with pytest.raises(UnknownName):
         quad_rep("psi", 5.0)

@@ -2,21 +2,28 @@
 
 Everything reduces against the Gamma(p)/Gamma(2p) bases; the oracle for
 most cases is the functional equation Gamma(t+1) = t Gamma(t) applied by
-hand, plus the telescoping closed forms of the beta sums.
+hand, plus the telescoping closed forms of the beta sums.  The integer
+gamma_reduce is also held to a Fraction-arithmetic reduction kept here.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+import bernkit.sequences
 from bernkit import (
     DomainError,
     GammaProduct,
     PoleEncountered,
+    ReducedGamma,
+    SequenceCache,
+    ZeroDivisor,
     beta_factor,
     gamma_reduce,
     harmonic,
+    rising_factorial,
 )
 
 F = Fraction
@@ -147,3 +154,119 @@ def test_beta_sum_telescopes_at_one():
 def test_beta_sum_errors():
     with pytest.raises(PoleEncountered):
         _beta_sum(2, F(-1))
+
+
+def _fraction_reduce(g, p):
+    """gamma_reduce as it was before it carried integers: a Fraction value
+    scaled by each factor's cofactor, read from the same rising tables."""
+    p = F(p)
+    anchors = {"p": p, "2p": 2 * p}
+    value = g.scalar
+    exponents = {"p": 0, "2p": 0}
+    for base, offset, exponent in g.factors:
+        anchor = anchors[base]
+        if anchor.denominator == 1:
+            argument = anchor.numerator + offset
+            if argument <= 0:
+                raise PoleEncountered(f"Gamma({base}+{offset}) at p={p} has argument {argument}")
+            if anchor.numerator <= 0:
+                value *= F(factorial(argument - 1)) ** exponent
+                continue
+        if offset >= 0:
+            cofactor = rising_factorial(anchor, offset)
+        else:
+            argument = anchor + offset
+            divisor = rising_factorial(argument, -offset)
+            if divisor == 0:
+                raise ZeroDivisor(f"({argument})_{-offset} vanishes at p={p}")
+            cofactor = 1 / divisor
+        if cofactor == 0 and exponent < 0:
+            raise ZeroDivisor(f"({anchor})_{offset} vanishes in a denominator at p={p}")
+        value *= F(cofactor) ** exponent
+        exponents[base] += exponent
+    return ReducedGamma(exponents["p"], exponents["2p"], value)
+
+
+def _outcome(reduce, g, p):
+    """The reduction, or the type and message of the error it raises."""
+    try:
+        return reduce(g, p)
+    except (PoleEncountered, ZeroDivisor) as error:
+        return type(error), str(error)
+
+
+ORACLE_PS = (F(0), F(1), F(3), F(-1, 4), F(-1, 2), F(1, 3), F(5, 2), F(7, 3))
+OFFSETS = range(-5, 13)
+EXPONENTS = (1, -1, 2, -2)
+
+
+def _products(scalar=F(3, 7)):
+    """Every one-factor product on the offset and exponent grid, and a
+    two-base product per offset pair, so factors of both bases and both
+    signs meet in one reduction."""
+    for base in ("p", "2p"):
+        for offset in OFFSETS:
+            for exponent in EXPONENTS:
+                yield GammaProduct(((base, offset, exponent),), scalar)
+    for offset in OFFSETS:
+        for other in OFFSETS:
+            yield GammaProduct(
+                (("p", offset, 1), ("2p", other, -1), ("p", other - offset, -2)), scalar)
+
+
+@pytest.mark.parametrize("p", ORACLE_PS)
+def test_integer_reduction_matches_the_fraction_reduction(p):
+    # an integer anchor (p = 0, 1, 3, 5/2, -1/2) puts some products of the
+    # grid on a pole; those must raise the same error
+    reduced = 0
+    for g in _products():
+        expected = _outcome(_fraction_reduce, g, p)
+        outcome = _outcome(gamma_reduce, g, p)
+        assert outcome == expected, (g.factors, p)
+        if isinstance(outcome, ReducedGamma):
+            assert type(outcome.value) is Fraction
+            reduced += 1
+    assert reduced >= 2 * len(OFFSETS) * len(EXPONENTS)
+
+
+@pytest.mark.parametrize("p", (F(-1), F(-3, 2)))
+def test_integer_reduction_raises_where_the_fraction_reduction_does(p):
+    # at p = -1 both anchors are poles; at p = -3/2 only 2p = -3 is
+    raised = 0
+    for g in _products():
+        expected = _outcome(_fraction_reduce, g, p)
+        assert _outcome(gamma_reduce, g, p) == expected, (g.factors, p)
+        raised += isinstance(expected, tuple)
+    assert raised > 0
+
+
+def test_vanishing_rising_entry_raises_zero_divisor(monkeypatch):
+    # past the pole guard no rising entry is 0; a corrupted one must still
+    # be refused in a denominator, by either offset sign
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    p = F(1, 3)
+    cache.rising_factorial(p, 4)
+    cache.rising_factorial(p - 2, 2)
+    cache.rising[1, 3][4] = F(0)
+    cache.rising[-5, 3][2] = F(0)
+    for g in (GammaProduct((("p", 4, -1),)), GammaProduct((("p", -2, 1),))):
+        outcome = _outcome(gamma_reduce, g, p)
+        assert outcome[0] is ZeroDivisor
+        assert outcome == _outcome(_fraction_reduce, g, p)
+    # in a numerator the zero entry is a zero value
+    assert gamma_reduce(GammaProduct((("p", 4, 2),)), p).value == 0
+
+
+def test_poisoned_rising_entry_changes_the_reduction(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    p = F(5, 2)
+    products = [GammaProduct((("2p", 6, 1), ("p", 3, -1))), GammaProduct((("2p", -1, 2),))]
+    clean = [gamma_reduce(g, p) for g in products]
+    cache.rising[5, 1][6] *= 3  # (5)_6, read by Gamma(2p+6)
+    cache.rising[4, 1][1] *= 5  # (4)_1, read by Gamma(2p-1) = Gamma(2p) / (2p-1)_1
+    poisoned = [gamma_reduce(g, p) for g in products]
+    assert poisoned[0].value == 3 * clean[0].value
+    assert poisoned[1].value == clean[1].value / 25
+    assert poisoned == [_fraction_reduce(g, p) for g in products]

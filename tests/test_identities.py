@@ -740,6 +740,78 @@ def test_corrupted_reduction_fails_the_rows_that_read_it(monkeypatch):
     assert all(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
 
 
+MERGE_PS = (F(0), F(1), F(3), F(-1, 4), F(-1, 2), F(1, 3), F(5, 2), F(7, 3))
+
+
+def test_merged_table_sums_each_factor_tuple_once(monkeypatch):
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    for n in range(2, 31):
+        sides = {which: (family_terms(which, n), identities._merged_terms(which, n))
+                 for which in FAMILY_KINDS}
+        for terms, merged in sides.values():
+            for unmerged, side in zip(terms, merged):
+                factors = [product.factors for product, _ in side]
+                assert len(factors) == len(set(factors)) <= len(unmerged)
+                assert set(factors) == {term.factors for term in unmerged}
+                assert all(product.scalar == 1 for product, _ in side)
+        for p in MERGE_PS:
+            table: dict = {}
+            for terms, merged in sides.values():
+                for unmerged, side in zip(terms, merged):
+                    exponents, total = identities._reduce_side(side, p, table)
+                    # the unmerged sum: one scalar x cofactor per term
+                    plain = sum(
+                        (term.scalar * table[term.factors].value for term in unmerged), F(0))
+                    assert total == plain, (n, p)
+                    assert {(table[term.factors].exp_gamma_p, table[term.factors].exp_gamma_2p)
+                            for term in unmerged} == {exponents}
+    # 29 + 89 terms at n = 30: k and 30-k pair on the left, and each even
+    # beta term joins a right term on the right
+    for which in FAMILY_KINDS:
+        lhs, rhs = family_terms(which, 30)
+        assert (len(lhs), len(rhs)) == (29, 89)
+        assert tuple(map(len, identities._merged_terms(which, 30))) == (15, 60)
+
+
+def test_family_kinds_share_the_merged_products(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    for which in FAMILY_KINDS:
+        assert verify_family(which, 7, F(2, 3)).ok
+    products = [
+        {product.factors: product for side in cache.merged[which, 7] for product, _ in side}
+        for which in FAMILY_KINDS
+    ]
+    assert products[0].keys() == products[1].keys() == products[2].keys()
+    assert all(products[0][key] is other[key] for other in products[1:] for key in products[0])
+
+
+def test_injected_cache_replaces_the_merged_table(monkeypatch):
+    assert verify_family("fpz", 6, F(1, 2)).ok
+    warm = bernkit.sequences._DEFAULT.merged["fpz", 6]
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    assert verify_family("fpz", 6, F(1, 2)).ok
+    assert list(cache.merged) == [("fpz", 6)]
+    assert cache.merged["fpz", 6] == warm and cache.merged["fpz", 6] is not warm
+    # the rows read the merged table alone: with the term lists gone they
+    # still hold, and a changed merged scalar flips them at every p
+    cache.family.clear()
+    assert verify_family("fpz", 6, F(3)).ok and verify_p1("fpz", 6).ok
+    assert not cache.family
+    (product, scalar), *rest = cache.merged["fpz", 6][0]
+    cache.merged["fpz", 6] = (((product, scalar + 1), *rest), cache.merged["fpz", 6][1])
+    assert not verify_family("fpz", 6, F(1, 2)).ok
+    assert not verify_family("fpz", 6, F(3)).ok
+    with pytest.raises(RouteMismatch):
+        verify_p1("fpz", 6)
+    assert verify_family("miki", 6, F(3)).ok
+    # neither the process-wide table nor a fresh cache sees the change
+    assert bernkit.sequences._DEFAULT is cache
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    assert verify_family("fpz", 6, F(1, 2)).ok
+
+
 def test_fpz_cubic_sums_each_sinh_product_once(monkeypatch):
     assert verify_fpz_cubic(9).ok
     seen = []
