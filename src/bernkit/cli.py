@@ -4,6 +4,11 @@ Subcommands: sequence tables (seq), identity scans (verify), series
 coefficient dumps (series), quadrature checks (quadcheck).  Every
 subcommand emits plain/csv/json and uses CI-friendly exit codes: 0 all
 checks ok, 1 some check failed, 2 usage error.
+
+`verify --jobs` runs a scan on min(jobs, task groups) worker processes.
+At one worker the scan runs in process and never imports the pool
+(concurrent.futures, multiprocessing), which keeps the start-up of each
+short scan process small.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
@@ -27,6 +31,13 @@ _SEQ_KINDS = ("bernoulli", "bbar", "euler", "harmonic", "h2")
 
 _REPORT_COLUMNS = ("identity", "n", "p", "lhs", "rhs", "residual", "ok", "error")
 _QUAD_COLUMNS = ("name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok", "error")
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The worker pool of a parallel scan, imported on the first call."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _run_task(task: tuple) -> dict:
@@ -203,8 +214,9 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
     # reductions at their (n, p) are done once
     tasks.sort(key=_group_key)
     groups = [list(group) for _, group in itertools.groupby(tasks, key=_group_key)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(groups))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_group, groups))
     else:
         chunks = map(_run_group, groups)

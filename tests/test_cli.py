@@ -254,7 +254,9 @@ def test_route_mismatch_fails_rows(monkeypatch):
 
 
 def test_exact_scan_does_not_import_scipy():
-    # only quadrature needs scipy; the CLI and the exact lane load without it
+    # only quadrature needs scipy, and only a pool of two or more workers
+    # needs concurrent.futures and multiprocessing; the CLI and an exact
+    # --jobs 1 scan load none of them
     script = textwrap.dedent("""
         import sys
         from bernkit.cli import main
@@ -263,7 +265,8 @@ def test_exact_scan_does_not_import_scipy():
                   "--p", "1/2", "--n-max", "4", "--format", "json"], standalone_mode=False)
         except SystemExit as exc:
             assert exc.code == 0, exc.code
-        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] in ("scipy", "concurrent", "multiprocessing")))
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
@@ -272,6 +275,23 @@ def test_exact_scan_does_not_import_scipy():
     *rows, loaded = done.stdout.splitlines()
     assert loaded == "[]"
     assert all(row["ok"] for row in json.loads("\n".join(rows)))
+
+
+def test_cli_import_loads_floatcheck_eagerly():
+    # the benchmark's --trace 1 reads bernkit.floatcheck's line from
+    # `python -X importtime -c "import bernkit.cli"` and stops without it,
+    # so the float lane stays an eager import, re-exported as plain names
+    script = textwrap.dedent("""
+        import sys
+        import bernkit.cli
+        import bernkit
+        assert "bernkit.floatcheck" in sys.modules
+        assert vars(bernkit)["quad_rep"] is sys.modules["bernkit.floatcheck"].quad_rep
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_failed_rows_carry_their_reason_in_csv_and_plain():
@@ -373,6 +393,38 @@ def test_verify_jobs_sends_each_family_point_as_one_task(monkeypatch):
         + [[(ident, n, "0.5")] for ident in ("family-fpz", "family-miki") for n in (2, 3)]
         + [[("miki", n, "None")] for n in (2, 3)]
     )
+
+
+def test_verify_pool_is_sized_to_the_task_groups(monkeypatch):
+    # min(jobs, groups) workers: one group runs in process at any --jobs,
+    # two groups at --jobs 4 start a pool of two
+    built = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    args = ["verify", "--identity", "euler", "--n-min", "5", "--n-max", "5"]
+    serial = runner.invoke(main, args + ["--jobs", "1"])
+    single = runner.invoke(main, args + ["--jobs", "4"])
+    assert built == []
+    assert serial.exit_code == single.exit_code == 0
+    assert serial.stdout_bytes == single.stdout_bytes
+    result = runner.invoke(main, ["verify", "--identity", "euler", "--n-min", "5",
+                                  "--n-max", "6", "--jobs", "4"])
+    assert result.exit_code == 0, result.output
+    assert built == [2]
+    assert len(lines(result)) == 2
 
 
 def test_verify_jobs_env_default():
