@@ -11,7 +11,6 @@ from .errors import (
     DomainError,
     ExponentMismatch,
     KindMismatch,
-    PartsMismatch,
     PoleEncountered,
     QuadFailure,
     RouteMismatch,
@@ -20,15 +19,12 @@ from .errors import (
     ZeroScale,
 )
 from .sequences import (
-    Rational,
     SequenceCache,
     bernoulli,
     bernoulli_bar,
-    binomial,
     euler_number,
     harmonic,
     harmonic_second,
-    multinomial,
     rising_factorial,
 )
 from .series import (
@@ -76,7 +72,6 @@ from .floatcheck import (
     FamilyFloat,
     QuadResult,
     check_g_squared,
-    check_mixed_trig,
     check_zeta,
     digamma,
     family_float,

@@ -169,10 +169,10 @@ def seq(kind: str, n_max: int, fmt: str) -> None:
 @click.option("--float-p", "float_ps", multiple=True, type=float,
               help="float parameter: evaluate a family in double precision")
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default="plain")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="BERNKIT_JOBS",
-              help="worker processes (default: BERNKIT_JOBS or 1)")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, help="worker processes")
 def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None:
-    """Scan identities over a range of n; exit 0 iff every row is ok."""
+    """Scan identities over a range of n; exit 0 iff every row is ok.
+    A repeated --identity, --p or --float-p value gives its rows once."""
     exact_ps = []
     for text in p_values:
         try:
@@ -181,6 +181,7 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
             raise click.UsageError(f"--p values must be exact rationals, got {text!r}")
     if not all(math.isfinite(fp) for fp in float_ps):
         raise click.UsageError(f"--float-p values must be finite, got {float_ps}")
+    idents, exact_ps, float_ps = (tuple(dict.fromkeys(v)) for v in (idents, exact_ps, float_ps))
     family_ids = [i for i in idents if i.startswith("family-")]
     if (exact_ps or float_ps) and not family_ids:
         raise click.UsageError("--p/--float-p apply only to family-* identities")

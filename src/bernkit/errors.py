@@ -6,7 +6,6 @@ __all__ = [
     "KindMismatch",
     "UnknownName",
     "ZeroScale",
-    "PartsMismatch",
     "PoleEncountered",
     "ZeroDivisor",
     "ExponentMismatch",
@@ -34,10 +33,6 @@ class UnknownName(BernkitError):
 
 class ZeroScale(BernkitError):
     """Argument scaling by zero."""
-
-
-class PartsMismatch(BernkitError):
-    """Multinomial parts do not sum to the top index."""
 
 
 class PoleEncountered(BernkitError):

@@ -46,7 +46,6 @@ __all__ = [
     "digamma",
     "quad_rep",
     "optimal_series",
-    "check_mixed_trig",
     "check_zeta",
     "check_g_squared",
     "family_float",
@@ -334,13 +333,6 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     return QuadResult(name, x, p, value, err, target, abs(value - target), tol)
 
 
-def check_mixed_trig(s: float) -> float:
-    """Residual of coth s + 1/sinh s = coth(s/2) in double precision."""
-    lhs = math.cosh(s) / math.sinh(s) + 1.0 / math.sinh(s)
-    rhs = math.cosh(s / 2.0) / math.sinh(s / 2.0)
-    return abs(lhs - rhs)
-
-
 def check_zeta(n: int) -> QuadResult:
     """float(B_2n) against the even zeta value, 1 <= n <= 8.
 
@@ -412,15 +404,15 @@ class FamilyFloat:
         return asdict(self)
 
 
-def _float_side(terms: list[GammaProduct], p: float) -> float:
-    """Sum of the terms at float p.  Each product is carried as a mantissa
-    and a binary exponent, so it overflows only if the sum itself does.
-    The rational coefficients shrink like (2 pi)^(-2n) and stay far inside
-    the double range wherever math.gamma does not overflow."""
+def _float_side(terms: tuple[tuple[GammaProduct, Fraction], ...], p: float) -> float:
+    """Sum of the (product, scalar) terms at float p.  Each term is carried
+    as a mantissa and a binary exponent, so it overflows only if the sum
+    itself does.  The rational scalars shrink like (2 pi)^(-2n) and stay
+    far inside the double range wherever math.gamma does not overflow."""
     scaled = []
-    for term in terms:
-        m, e = math.frexp(float(term.scalar))
-        for base, offset, exponent in term.factors:
+    for product, scalar in terms:
+        m, e = math.frexp(float(scalar))
+        for base, offset, exponent in product.factors:
             gm, ge = math.frexp(math.gamma((p if base == "p" else 2.0 * p) + offset))
             m, de = math.frexp(m * gm**exponent)
             e += de + ge * exponent

@@ -1,8 +1,9 @@
 """Exact reduction of gamma-function products at rational argument.
 
 The objects here are finite products of Gamma(p+m) and Gamma(2p+m) factors
-with integer offsets m and integer exponents, times a rational scalar.
-At a concrete rational p every factor is rewritten against the canonical
+with integer offsets m and integer exponents; a family term pairs one
+with its rational scalar (see the ``identities`` docstring).  At a
+concrete rational p every factor is rewritten against the canonical
 bases Gamma(p) and Gamma(2p) through rising factorials,
 
     Gamma(t+m) = Gamma(t) * (t)_m,
@@ -18,18 +19,8 @@ carried as one integer numerator and one integer denominator, which each
 factor multiplies by its rising entry's numerator and denominator
 (swapped for a negative offset or a negative exponent), and it becomes
 one Fraction at the end, so a reduction normalises once, not once per
-factor.
-
-gamma_reduce itself keeps no memo.  The family verifiers of
-``identities`` read the cache's ``merged`` table, one product of scalar 1
-per distinct factor tuple of a side, reduce each product of a row at
-(n, p) once into the cache's ``reduced`` slot, which holds one (n, p) at
-a time, and take every tuple as its summed scalar times that cofactor;
-gamma_reduce is the only code that fills the slot, so it stays the only
-reader of the rising tables for the families.  A rising entry poisoned
-after a product that reads it has been stored no longer reaches the rows
-of that (n, p); the rows at the next (n, p), and a fresh cache, read the
-rising table again.
+factor.  gamma_reduce itself keeps no memo; the family rows keep its
+results in the cache's ``reduced`` slot (see ``identities``).
 
 When the anchor t (p or 2p) is itself a nonpositive integer, Gamma(t) has
 a pole even where Gamma(t+m) is finite, so such factors are folded all the
@@ -45,7 +36,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError, PoleEncountered, ZeroDivisor
-from .sequences import Rational, rising_factorial
+from .sequences import rising_factorial
 
 __all__ = [
     "GammaProduct",
@@ -59,15 +50,13 @@ BASES = ("p", "2p")
 
 @dataclass(frozen=True, slots=True)
 class GammaProduct:
-    """Product of Gamma(base+offset)**exponent factors times a scalar.
+    """Product of Gamma(base+offset)**exponent factors.
 
     ``factors`` is kept canonical: merged by (base, offset), zero exponents
-    dropped, sorted.  Multiplication by another product or by a rational
-    works through ``*``.
+    dropped, sorted.
     """
 
     factors: tuple[tuple[str, int, int], ...] = ()
-    scalar: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         merged: dict[tuple[str, int], int] = {}
@@ -84,14 +73,6 @@ class GammaProduct:
         # product's factors share them
         if canonical != self.factors:
             object.__setattr__(self, "factors", canonical)
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
-
-    def __mul__(self, other: "GammaProduct | Rational | int") -> "GammaProduct":
-        if isinstance(other, GammaProduct):
-            return GammaProduct(self.factors + other.factors, self.scalar * other.scalar)
-        return GammaProduct(self.factors, self.scalar * Fraction(other))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +84,7 @@ class ReducedGamma:
     value: Fraction
 
 
-def gamma_reduce(g: GammaProduct, p: Rational) -> ReducedGamma:
+def gamma_reduce(g: GammaProduct, p: Fraction) -> ReducedGamma:
     """Reduce ``g`` at the rational point ``p`` to base exponents and cofactor.
 
     The cofactor is carried as one integer numerator and one integer
@@ -117,7 +98,7 @@ def gamma_reduce(g: GammaProduct, p: Rational) -> ReducedGamma:
     """
     p = Fraction(p)
     anchors = {"p": p, "2p": 2 * p}
-    num, den = g.scalar.numerator, g.scalar.denominator
+    num = den = 1
     exponents = {"p": 0, "2p": 0}
     for base, offset, exponent in g.factors:
         anchor = anchors[base]

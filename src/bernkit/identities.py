@@ -8,13 +8,14 @@ The quadratic identities (Euler, Miki, the modified Miki form, the FPZ
 identity and the mixed B/Bbar identity) are plain folded sums.  The
 one-parameter families evaluate gamma-weighted versions of the latter
 three at any rational p where no gamma factor is singular: both sides are
-assembled term by term as GammaProducts, reduced against the Gamma(p) and
-Gamma(2p) bases, checked for a common exponent pair, and compared through
-their rational cofactors; family_terms builds those terms for the float
-lane too.  The cubic identities are triple convolutions.  Lemma-expansion
-checks reconstruct the intermediate asymptotic series of the squared
-generating functions by two independent routes.  FLOORS maps every
-command-line identity id to the smallest n each verifier accepts.
+assembled term by term as (GammaProduct, scalar) pairs, reduced against
+the Gamma(p) and Gamma(2p) bases, checked for a common exponent pair, and
+compared through their rational cofactors; family_terms builds those
+terms for the float lane too.  The cubic identities are triple
+convolutions.  Lemma-expansion checks reconstruct the intermediate
+asymptotic series of the squared generating functions by two independent
+routes.  FLOORS maps every command-line identity id to the smallest n
+each verifier accepts.
 
 Every sum over compositions k_1+...+k_parts = n, every k_i >= 1, is
 _fold(weight, parts, n) over a weight sequence named in _WEIGHTS: the
@@ -57,33 +58,38 @@ arithmetic: the series power and the float twin are the second routes
 of these sums, so they share no summation code with them.
 
 Work that does not depend on the row is done once per process, in
-append-only tables of the process-wide ``sequences._DEFAULT`` cache,
-looked up at call time so an injected cache replaces them too: the
-nested-fold memo of each weight (``fold``), the coefficients of each
-series power (``power``), each family's term lists (``family``) and
-those lists with like terms merged (``merged``).  The
-fold and the series power keep separate tables, so the two routes of
-verify_multi stay independent, and multi_lhs still compares them on
-every row.
+tables of the process-wide ``sequences._DEFAULT`` cache, looked up at
+call time so an injected cache replaces them too:
 
-family_terms keeps one term per summand, as the float twin reads them;
-the exact rows read only _merged_terms, which adds the scalars of like
-terms once per (which, n): the left terms k and n-k share a factor
-tuple, and so do the beta term at an even k' and the first right term
-at k'/2.  Each distinct tuple is one GammaProduct of scalar 1, shared by
-the three kinds at n, so gamma_reduce takes it as it is.
+* ``fold[weight]`` maps (parts, total) to _fold(weight, parts, total).
+* ``power[variant, N]`` lists the x^(-m) coefficients of the N-th power
+  of psi_tilde (plain) or psi_bar (bar), indexed by m.  The fold and the
+  series power keep separate tables, so the two routes of verify_multi
+  stay independent, and multi_lhs still compares them on every row.
+* ``family[which, n]`` holds family_terms(which, n): the (lhs, rhs)
+  tuples of one (GammaProduct, Fraction scalar) pair per summand, the
+  product holding the canonical gamma factors and the scalar the exact
+  rational coefficient.  The float twin reads these.
+* ``merged[which, n]`` holds _merged_terms(which, n), the same pairs with
+  like terms added: one pair per distinct factor tuple, whose product is
+  the first family_terms product of that tuple and whose scalar is the
+  sum of the tuple's scalars.  The left terms k and n-k share a tuple,
+  and so do the beta term at an even k' and the first right term at
+  k'/2.  The exact family rows read only this table.
 
-The family rows also share their gamma reductions, but only within one
-(n, p): the three kinds at n have the same factor tuples and differ in
-their scalars, and no tuple at n occurs at another n.  The cache's
-``reduced`` slot holds the gamma_reduce result of each distinct tuple
-at the latest (n, p) and is emptied when a row at another (n, p) comes,
-so its memory stays that of one row.  A row adds summed scalar x
+The one slot that is not append-only, ``reduced``, is the pair ((n,
+p.numerator, p.denominator), {factor tuple: ReducedGamma}) of the latest
+family point (n, p): the gamma_reduce result of each distinct factor
+tuple at n.  The three kinds at n have the same factor tuples and differ
+in their scalars, and no tuple at n occurs at another n, so the slot is
+replaced in one assignment, not grown, when a row at another (n, p)
+comes, and its memory stays that of one row.  A row adds scalar x
 cofactor per tuple, and a scan ordered by (n, p), as ``cli verify`` runs
 it, reduces each product once per (n, p) for every kind and for
 verify_p1's rerun at p = 1.  gamma_reduce alone fills the slot and alone
-reads the rising tables for the families; a rising entry poisoned after the products that
-read it were stored no longer reaches the rows of that (n, p).
+reads the rising tables for the families; a rising entry poisoned after
+the products that read it were stored no longer reaches the rows of that
+(n, p).
 """
 
 from __future__ import annotations
@@ -96,7 +102,6 @@ from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
 from .gammaalg import GammaProduct, ReducedGamma, gamma_reduce
 from .sequences import (
-    Rational,
     bernoulli,
     bernoulli_bar,
     euler_number,
@@ -428,9 +433,9 @@ def _reduce_side(
 ) -> tuple[tuple[int, int], Fraction]:
     """Common exponent pair and cofactor sum of one merged side at p.
 
-    Each product, of scalar 1, is reduced by gamma_reduce into ``table``
-    unless a row at the same (n, p) stored it; the side adds its summed
-    scalar times that cofactor, and every product's exponents must agree.
+    Each product is reduced by gamma_reduce into ``table`` unless a row at
+    the same (n, p) stored it; the side adds its scalar times that
+    cofactor, and every product's exponents must agree.
     """
     exponents = set()
     pairs = []
@@ -445,19 +450,14 @@ def _reduce_side(
     return exponents.pop(), _dot(pairs)
 
 
-def family_terms(
-    which: str, n: int
-) -> tuple[tuple[GammaProduct, ...], tuple[GammaProduct, ...]]:
-    """Terms of both sides of one gamma-weighted family, symbolic in p.
+def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
+    """(lhs, rhs) terms of one gamma-weighted family, symbolic in p: one
+    (GammaProduct, scalar) pair per summand, built once per (which, n).
 
-    which selects the plain (miki), Bbar (fpz) or mixed variant.  Each
-    term is a GammaProduct: an exact rational coefficient times Gamma(p+m)
-    and Gamma(2p+m) factors in canonical form, so equal factors are merged
-    (a k=n/2 left term carries Gamma(p+n)**2, the k=1 tail term
-    Gamma(p+1)**2).  Returns (lhs terms, rhs terms), built once per
-    (which, n) into the cache's ``family`` table and shared by every p.
-    Each coefficient is built as one integer ratio, and each term as one
-    GammaProduct.
+    which selects the plain (miki), Bbar (fpz) or mixed variant.  Equal
+    factors of a product are merged (a k=n/2 left term carries
+    Gamma(p+n)**2, the k=1 tail term Gamma(p+1)**2), and each scalar is
+    built as one integer ratio.
     """
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
@@ -482,7 +482,7 @@ def family_terms(
             a.numerator * b.numerator,
             a.denominator * b.denominator * fact[2 * k] * fact[2 * n - 2 * k],
         )
-        lhs_terms.append(GammaProduct((("p", 2 * k, 1), ("p", 2 * n - 2 * k, 1)), rat))
+        lhs_terms.append((GammaProduct((("p", 2 * k, 1), ("p", 2 * n - 2 * k, 1))), rat))
 
     rhs_terms = []
     for k in range(1, n + 1):
@@ -494,11 +494,8 @@ def family_terms(
             2 * a.numerator * b.numerator * w_num,
             a.denominator * b.denominator * w_den * fact[2 * k] * fact[2 * n - 2 * k],
         )
-        rhs_terms.append(
-            GammaProduct(
-                (("p", 1, 1), ("p", 2 * k, 1), ("2p", 2 * n, 1), ("2p", 2 * k + 1, -1)), rat
-            )
-        )
+        factors = (("p", 1, 1), ("p", 2 * k, 1), ("2p", 2 * n, 1), ("2p", 2 * k + 1, -1))
+        rhs_terms.append((GammaProduct(factors), rat))
     b = rhs_second(2 * n)
     if which == "mixed":
         tail = Fraction(b.numerator, b.denominator * fact[2 * n] * 2 ** (2 * n - 1))
@@ -507,53 +504,29 @@ def family_terms(
     for k in range(1, 2 * n):
         # the beta factor beta(p+k, p+1) = Gamma(p+k) Gamma(p+1) / Gamma(2p+k+1)
         # of gammaalg.beta_factor, times Gamma(2p+2n)
-        rhs_terms.append(
-            GammaProduct((("p", k, 1), ("p", 1, 1), ("2p", k + 1, -1), ("2p", 2 * n, 1)), tail)
-        )
+        factors = (("p", k, 1), ("p", 1, 1), ("2p", k + 1, -1), ("2p", 2 * n, 1))
+        rhs_terms.append((GammaProduct(factors), tail))
     table[which, n] = terms = (tuple(lhs_terms), tuple(rhs_terms))
     return terms
 
 
-def _merged_terms(
-    which: str, n: int
-) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
-    """Both sides of family_terms(which, n) with like terms merged: one
-    (GammaProduct of scalar 1, summed scalar) pair per distinct factor
-    tuple, in order of first occurrence.
-
-    The left terms k and n-k share a tuple, and so do the beta term at an
-    even k' and the first right term at k = k'/2; at n = 30 this leaves
-    15 + 60 of the 29 + 89 terms.  Built once per (which, n) into the
-    cache's ``merged`` table; the three kinds at n share their products.
-    """
+def _merged_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
+    """Both sides of family_terms(which, n) with the scalars of each factor
+    tuple added, in order of first occurrence, into the cache's ``merged``
+    table; at n = 30 this leaves 15 + 60 of the 29 + 89 terms."""
     table = sequences._DEFAULT.merged
-    if (which, n) in table:
-        return table[which, n]
-    products = {
-        product.factors: product
-        for kind in FAMILY_KINDS
-        for side in table.get((kind, n), ())
-        for product, _ in side
-    }
-    sides = []
-    for terms in family_terms(which, n):
-        scalars: dict[tuple, Fraction] = {}
-        for term in terms:
-            if term.factors in scalars:
-                scalars[term.factors] += term.scalar
-            else:
-                scalars[term.factors] = term.scalar
-        side = []
-        for factors, scalar in scalars.items():
-            if factors not in products:
-                products[factors] = GammaProduct(factors)
-            side.append((products[factors], scalar))
-        sides.append(tuple(side))
-    table[which, n] = merged = tuple(sides)
-    return merged
+    if (which, n) not in table:
+        sides = []
+        for terms in family_terms(which, n):
+            merged: dict[tuple, list] = {}
+            for product, scalar in terms:
+                merged.setdefault(product.factors, [product, 0])[1] += scalar
+            sides.append(tuple(map(tuple, merged.values())))
+        table[which, n] = tuple(sides)
+    return table[which, n]
 
 
-def verify_family(which: str, n: int, p: Rational) -> IdentityReport:
+def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     """One-parameter gamma-weighted family of the quadratic identities.
 
     Both sides' merged terms are reduced at the rational point p, through

@@ -38,30 +38,7 @@ not once per step of every product.  The key is the (numerator,
 denominator) pair, not the Fraction: hashing a Fraction computes a
 modular inverse on every lookup.
 
-Three more tables hold the row-independent work of the identity layer,
-which fills them (``identities`` reads them from ``_DEFAULT`` at call
-time): ``fold[weight]``, the memo of ``identities._fold`` for one named
-weight sequence, which every composition sum of that layer reads;
-``power``, one coefficient list per (variant, N) of the N-th power of
-the psi series; ``family``, the term lists of each gamma-weighted
-family, stored as tuples so no caller can change a shared entry, which
-the float twin reads; and ``merged``, the same lists with like terms
-added once, one (GammaProduct of scalar 1, summed scalar) pair per
-distinct factor tuple, which is all the exact family rows read.  The
-three kinds at one n share the products of ``merged``.  The fold and the
-series power are the two routes of one cross-check, and each keeps its
-own table, so they stay independent.
-
-One slot, ``reduced``, is not append-only: it is the pair ((n,
-numerator, denominator), table) for the latest family point (n, p), the
-table mapping each distinct family factor tuple at n to its
-``gammaalg.gamma_reduce`` result at p with scalar 1.  The three family
-kinds at one (n, p), and ``verify_p1``'s rerun at p = 1, read it instead
-of reducing each product again; no tuple at n occurs at another n, so
-the slot is replaced, not grown, when a row at another (n, p) comes, and
-its memory stays that of one row.  A stored reduction does not read the
-rising table again, so a rising entry poisoned after the reduction was
-stored no longer reaches the rows of that (n, p).
+The identity layer's tables and slot are described in ``identities``.
 
 One process-wide cache, ``_DEFAULT``, backs every plain function here,
 and through them the exact lane, the series and the float lane, so every
@@ -73,28 +50,22 @@ cache)``; the plain functions look it up at call time.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, PartsMismatch, check_routes
+from .errors import DomainError, check_routes
 
 if TYPE_CHECKING:
     from .gammaalg import ReducedGamma
 
 __all__ = [
-    "Rational",
     "SequenceCache",
     "bernoulli",
     "bernoulli_bar",
     "euler_number",
     "harmonic",
     "harmonic_second",
-    "binomial",
-    "multinomial",
     "rising_factorial",
 ]
-
-Rational = Fraction
 
 
 def _next_tangent_column(col: list[int]) -> list[int]:
@@ -150,21 +121,14 @@ class SequenceCache:
     ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and
     ``bbar_weight`` are plain lists indexed by n; ``h2`` maps n to the
     checked H_{2n,2}; ``rising`` maps an anchor's (numerator, denominator)
-    to the list of its (q)_m indexed by m.  ``fold[weight]`` maps (parts,
-    total) to a fold of that weight, ``power[variant, N]`` lists the
-    x^(-m) coefficients of the N-th power of the variant's psi series
-    indexed by m, ``family[which, n]`` holds the (lhs, rhs) term tuples
-    of ``identities.family_terms``, and ``merged[which, n]`` the (lhs,
-    rhs) tuples of (product, summed scalar) pairs of
-    ``identities._merged_terms``.
+    to the list of its (q)_m indexed by m.  The ``identities`` docstring
+    describes the rest.
     Entries, once computed, are never recomputed or rewritten; extension
     is append-only, so concurrent readers of a warmed cache are safe.
-    ``reduced`` is the exception: ``identities`` replaces the whole pair
-    ((n, p.numerator, p.denominator), {factor tuple: ReducedGamma}) in
-    one assignment when a family row at another (n, p) comes.  So are
-    ``tangent_col`` and ``secant_col``, the kernels' state: the latest
-    column of each triangle, column (len(bern) - 1) // 2 and
-    (len(eul) - 1) // 2, replaced by the next one as a table grows.
+    ``reduced`` is the exception, and so are ``tangent_col`` and
+    ``secant_col``, the kernels' state: the latest column of each
+    triangle, column (len(bern) - 1) // 2 and (len(eul) - 1) // 2,
+    replaced by the next one as a table grows.
     """
 
     def __init__(self) -> None:
@@ -284,25 +248,6 @@ def harmonic_second(n: int) -> Fraction:
     before the value is returned; see ``SequenceCache.harmonic_second``.
     """
     return _DEFAULT.harmonic_second(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n,k); zero outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
-def multinomial(n: int, parts: list[int]) -> int:
-    """Multinomial coefficient n! / prod(part_i!)."""
-    if min(parts, default=0) < 0:
-        raise DomainError(f"multinomial parts must be >= 0, got {parts}")
-    if sum(parts) != n:
-        raise PartsMismatch(f"parts {parts} do not sum to {n}")
-    result = factorial(n)
-    for part in parts:
-        result //= factorial(part)
-    return result
 
 
 def rising_factorial(q: Fraction, m: int) -> Fraction:

@@ -30,7 +30,6 @@ from math import factorial, lcm
 
 from .errors import DomainError, KindMismatch, UnknownName, ZeroScale
 from .sequences import (
-    Rational,
     bernoulli,
     bernoulli_bar,
     euler_number,
@@ -155,7 +154,7 @@ def series_pow(a: TruncatedSeries, n: int) -> TruncatedSeries:
     return result
 
 
-def _scale(a: TruncatedSeries, c: Rational) -> TruncatedSeries:
+def _scale(a: TruncatedSeries, c: Fraction) -> TruncatedSeries:
     return TruncatedSeries(a.kind, {m: c * v for m, v in a.coeffs.items()}, a.trunc)
 
 
@@ -201,15 +200,11 @@ def named_series(name: str, order: int, p: int | None = None) -> TruncatedSeries
         for n in range(order + 1):
             coeffs[n] = Fraction(bernoulli(n), factorial(n))
         return TruncatedSeries(TAYLOR, coeffs, order)
-    if name == "coth_minus_inv":
+    if name == "coth_minus_inv" or name == "inv_sinh_minus_inv":
+        value = bernoulli if name == "coth_minus_inv" else bernoulli_bar
         for k in range(1, order // 2 + 2):
             if 2 * k - 1 <= order:
-                coeffs[2 * k - 1] = Fraction(4**k, factorial(2 * k)) * bernoulli(2 * k)
-        return TruncatedSeries(TAYLOR, coeffs, order)
-    if name == "inv_sinh_minus_inv":
-        for k in range(1, order // 2 + 2):
-            if 2 * k - 1 <= order:
-                coeffs[2 * k - 1] = Fraction(4**k, factorial(2 * k)) * bernoulli_bar(2 * k)
+                coeffs[2 * k - 1] = Fraction(4**k, factorial(2 * k)) * value(2 * k)
         return TruncatedSeries(TAYLOR, coeffs, order)
     if name == "sech":
         for n in range(0, order // 2 + 1):
@@ -219,13 +214,10 @@ def named_series(name: str, order: int, p: int | None = None) -> TruncatedSeries
         for k in range(1, order // 2 + 1):
             coeffs[2 * k] = Fraction(2 ** (2 * k - 1), k * factorial(2 * k)) * bernoulli(2 * k)
         return TruncatedSeries(TAYLOR, coeffs, order)
-    if name == "psi_tilde":
+    if name == "psi_tilde" or name == "psi_bar":
+        value = bernoulli if name == "psi_tilde" else bernoulli_bar
         for k in range(1, order // 2 + 1):
-            coeffs[2 * k] = -bernoulli(2 * k) / (2 * k)
-        return TruncatedSeries(ASYMPTOTIC, coeffs, order)
-    if name == "psi_bar":
-        for k in range(1, order // 2 + 1):
-            coeffs[2 * k] = -bernoulli_bar(2 * k) / (2 * k)
+            coeffs[2 * k] = -value(2 * k) / (2 * k)
         return TruncatedSeries(ASYMPTOTIC, coeffs, order)
     if name == "psi_tilde_deriv" or name == "psi_bar_deriv":
         value = bernoulli if name == "psi_tilde_deriv" else bernoulli_bar
@@ -255,7 +247,7 @@ def laplace_asymptotic(t: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(ASYMPTOTIC, coeffs, t.trunc + 1)
 
 
-def argument_scale(a: TruncatedSeries, lam: Rational) -> TruncatedSeries:
+def argument_scale(a: TruncatedSeries, lam: Fraction) -> TruncatedSeries:
     """Substitute y -> lam*y (Taylor) or x -> lam*x (asymptotic)."""
     lam = Fraction(lam)
     if lam == 0:

@@ -357,7 +357,8 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch):
                                   "--identity", "family-mixed", "--identity", "p1-mixed",
                                   "--n-min", "2", "--n-max", "6", "--p", "1/2", "--p", "1"])
     assert result.exit_code == 0, result.output
-    distinct = [{t.factors for t in sum(identities.family_terms("miki", n), ())} for n in range(2, 7)]
+    distinct = [{product.factors for product, _ in sum(identities.family_terms("miki", n), ())}
+                for n in range(2, 7)]
     assert len(calls) == len(set(calls)) == 2 * sum(map(len, distinct))
 
 
@@ -427,22 +428,28 @@ def test_verify_pool_is_sized_to_the_task_groups(monkeypatch):
     assert len(lines(result)) == 2
 
 
-def test_verify_jobs_env_default():
-    result = runner.invoke(
-        main, ["verify", "--identity", "euler", "--n-max", "6"],
-        env={"BERNKIT_JOBS": "2"})
-    assert result.exit_code == 0
-    assert len(lines(result)) == 5
+@pytest.mark.parametrize("repeated, once", [
+    (["--identity", "miki", "--identity", "euler", "--identity", "miki"],
+     ["--identity", "miki", "--identity", "euler"]),
+    (["--identity", "family-fpz", "--p", "1", "--p", "2/2", "--p", "1/2", "--p", "2/4"],
+     ["--identity", "family-fpz", "--p", "1", "--p", "1/2"]),
+    (["--identity", "family-fpz", "--float-p", "0.5", "--float-p", "0.50", "--float-p", "1.5"],
+     ["--identity", "family-fpz", "--float-p", "0.5", "--float-p", "1.5"]),
+], ids=["identity", "p", "float-p"])
+def test_verify_repeated_values_give_each_row_once(repeated, once):
+    # a repeated value, equal rationals and equal floats included, is one value
+    args = ["verify", "--n-max", "4"]
+    result = runner.invoke(main, args + repeated)
+    assert result.exit_code == 0, result.output
+    assert result.output == runner.invoke(main, args + once).output
+    assert len(set(lines(result))) == len(lines(result))
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_verify_jobs_env_usage_errors(value):
-    args = ["verify", "--identity", "miki", "--n-max", "3"]
-    result = runner.invoke(main, args, env={"BERNKIT_JOBS": value})
-    assert result.exit_code == 2, result.output
-    assert "--jobs" in result.output
-    # an explicit --jobs still wins over the variable
-    assert runner.invoke(main, args + ["--jobs", "1"], env={"BERNKIT_JOBS": value}).exit_code == 0
+def test_verify_reads_no_jobs_variable():
+    args = ["verify", "--identity", "euler", "--n-max", "6"]
+    result = runner.invoke(main, args, env={"BERNKIT_JOBS": "abc"})
+    assert result.exit_code == 0, result.output
+    assert result.output == runner.invoke(main, args).output
 
 
 def test_series_json_dump():
@@ -625,8 +632,8 @@ def test_poisoned_rising_table_fails_the_rows_that_read_it(monkeypatch):
     assert result.exit_code == 1, result.output
     ok = {(row["n"], row["p"]): row["ok"] for row in json.loads(result.output)}
     reads = {
-        n: any(factor[:2] == ("p", 8) for term in sum(identities.family_terms("miki", n), ())
-               for factor in term.factors)
+        n: any(factor[:2] == ("p", 8) for product, _ in sum(identities.family_terms("miki", n), ())
+               for factor in product.factors)
         for n in range(2, 7)
     }
     assert reads == {2: False, 3: False, 4: True, 5: True, 6: True}

@@ -30,24 +30,25 @@ F = Fraction
 
 
 def test_factor_canonicalization():
-    g = GammaProduct((("p", 2, 1), ("p", 2, 3), ("2p", 1, -1), ("p", 0, 0)), F(5))
+    g = GammaProduct((("p", 2, 1), ("p", 2, 3), ("2p", 1, -1), ("p", 0, 0)))
     assert g.factors == (("2p", 1, -1), ("p", 2, 4))
-    assert g.scalar == 5
+    # a product carries its factors and nothing else; a family term's
+    # scalar stands beside it
+    assert GammaProduct.__slots__ == ("factors",)
+    assert not hasattr(GammaProduct, "__mul__")
 
 
 def test_multiplication():
-    a = GammaProduct((("p", 1, 1),), F(2))
-    b = GammaProduct((("p", 1, -1), ("2p", 3, 2)), F(1, 3))
-    prod = a * b
-    assert prod.factors == (("2p", 3, 2),)
-    assert prod.scalar == F(2, 3)
-    assert (3 * a).scalar == 6
-    assert (a * F(1, 2)).scalar == 1
+    # a product of products is the product of their concatenated factors
+    a = GammaProduct((("p", 1, 1),))
+    b = GammaProduct((("p", 1, -1), ("2p", 3, 2)))
+    assert GammaProduct(a.factors + b.factors).factors == (("2p", 3, 2),)
+    assert GammaProduct(a.factors + a.factors).factors == (("p", 1, 2),)
 
 
 def test_bad_base_rejected():
     with pytest.raises(DomainError):
-        GammaProduct((("3p", 1, 1),), F(1))
+        GammaProduct((("3p", 1, 1),))
 
 
 def test_reduce_identity_factor():
@@ -110,9 +111,13 @@ def test_functional_equation(p, m):
 
 @given(st.fractions(min_value=F(1, 5), max_value=F(7, 2)))
 def test_reduce_is_multiplicative(p):
-    a = GammaProduct((("p", 2, 1), ("2p", 1, -1)), F(3, 7))
-    b = GammaProduct((("p", -1, 1), ("2p", 4, 2)), F(2))
-    ra, rb, rab = gamma_reduce(a, p), gamma_reduce(b, p), gamma_reduce(a * b, p)
+    # reducing the concatenated factors of two products, which merge where
+    # they share a (base, offset), multiplies the two reductions
+    a = GammaProduct((("p", 2, 1), ("2p", 1, -1), ("2p", 4, -1)))
+    b = GammaProduct((("p", -1, 1), ("2p", 4, 2), ("p", 2, -1)))
+    ab = GammaProduct(a.factors + b.factors)
+    assert ab.factors == (("2p", 1, -1), ("2p", 4, 1), ("p", -1, 1))
+    ra, rb, rab = gamma_reduce(a, p), gamma_reduce(b, p), gamma_reduce(ab, p)
     assert rab.value == ra.value * rb.value
     assert rab.exp_gamma_p == ra.exp_gamma_p + rb.exp_gamma_p
     assert rab.exp_gamma_2p == ra.exp_gamma_2p + rb.exp_gamma_2p
@@ -161,7 +166,7 @@ def _fraction_reduce(g, p):
     scaled by each factor's cofactor, read from the same rising tables."""
     p = F(p)
     anchors = {"p": p, "2p": 2 * p}
-    value = g.scalar
+    value = F(1)
     exponents = {"p": 0, "2p": 0}
     for base, offset, exponent in g.factors:
         anchor = anchors[base]
@@ -200,18 +205,17 @@ OFFSETS = range(-5, 13)
 EXPONENTS = (1, -1, 2, -2)
 
 
-def _products(scalar=F(3, 7)):
+def _products():
     """Every one-factor product on the offset and exponent grid, and a
     two-base product per offset pair, so factors of both bases and both
     signs meet in one reduction."""
     for base in ("p", "2p"):
         for offset in OFFSETS:
             for exponent in EXPONENTS:
-                yield GammaProduct(((base, offset, exponent),), scalar)
+                yield GammaProduct(((base, offset, exponent),))
     for offset in OFFSETS:
         for other in OFFSETS:
-            yield GammaProduct(
-                (("p", offset, 1), ("2p", other, -1), ("p", other - offset, -2)), scalar)
+            yield GammaProduct((("p", offset, 1), ("2p", other, -1), ("p", other - offset, -2)))
 
 
 @pytest.mark.parametrize("p", ORACLE_PS)

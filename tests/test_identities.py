@@ -34,13 +34,11 @@ from bernkit import (
     bernoulli,
     bernoulli_bar,
     beta_factor,
-    binomial,
     family_terms,
     gamma_reduce,
     harmonic,
     harmonic_second,
     multi_lhs,
-    multinomial,
     named_series,
     series_pow,
     verify_euler,
@@ -150,7 +148,9 @@ def test_family_side_with_mixed_exponents_raises(monkeypatch):
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     lhs, rhs = family_terms("miki", 4)
-    cache.family["miki", 4] = (lhs[:-1] + (lhs[-1] * GammaProduct((("p", 0, 1),)),), rhs)
+    product, scalar = lhs[-1]
+    extra = (GammaProduct(product.factors + (("p", 0, 1),)), scalar)
+    cache.family["miki", 4] = (lhs[:-1] + (extra,), rhs)
     with pytest.raises(ExponentMismatch, match="mixed gamma exponents"):
         verify_family("miki", 4, F(1, 2))
 
@@ -287,11 +287,12 @@ def test_gessel_forms_share_one_fold_and_one_power(monkeypatch):
 
 def _multinomial_triple(n: int, first, second, third, divisor) -> Fraction:
     """Brute-force reference for the cubic right sides' triple sums: the
-    products over k+l+m = n (all >= 1) with the multinomial (2n; 2k, 2l, 2m)."""
+    products over k+l+m = n (all >= 1) with the multinomial (2n; 2k, 2l, 2m)
+    = (2n)! / ((2k)! (2l)! (2m)!)."""
     return sum(
         (
             first(2 * k) * second(2 * l) * third(2 * m) / divisor(k, l, m)
-            * multinomial(2 * n, [2 * k, 2 * l, 2 * m])
+            * (factorial(2 * n) // (factorial(2 * k) * factorial(2 * l) * factorial(2 * m)))
             for k in range(1, n - 1)
             for l in range(1, n - k)
             for m in [n - k - l]
@@ -310,7 +311,7 @@ def test_coth_fold_matches_the_multinomial_triple_sums(value):
         # term, each written out directly
         cubic = F(3, 2 * n) * _multinomial_triple(n, B, B, value, lambda k, l, m: F(4 * k * l))
         h_sum = sum(
-            (binomial(2 * n, 2 * k) * B(2 * k) * value(2 * n - 2 * k) / F(2 * k)
+            (comb(2 * n, 2 * k) * B(2 * k) * value(2 * n - 2 * k) / F(2 * k)
              for k in range(1, n)),
             F(0),
         )
@@ -330,7 +331,7 @@ def _plain_square(first, second, n):
 def _plain_coth_product(n):
     B = bernoulli
     return sum(
-        (B(2 * k) * B(2 * n - 2 * k) / F(2 * k) / (2 * n - 2 * k) * binomial(2 * n, 2 * k)
+        (B(2 * k) * B(2 * n - 2 * k) / F(2 * k) / (2 * n - 2 * k) * comb(2 * n, 2 * k)
          for k in range(1, n)),
         F(0),
     )
@@ -338,7 +339,7 @@ def _plain_coth_product(n):
 
 def _plain_sinh_rhs(n, value):
     product = sum(
-        (bernoulli(2 * k) * value(2 * n - 2 * k) / F(2 * k) * binomial(2 * n, 2 * k)
+        (bernoulli(2 * k) * value(2 * n - 2 * k) / F(2 * k) * comb(2 * n, 2 * k)
          for k in range(1, n + 1)),
         F(0),
     ) / n
@@ -349,7 +350,7 @@ def _plain_sides(name, n):
     """(lhs, rhs) of one quadratic verifier by the plain term-by-term sums."""
     B, Bb = bernoulli, bernoulli_bar
     if name == "verify_euler":
-        lhs = sum((binomial(2 * n, 2 * k) * B(2 * k) * B(2 * n - 2 * k) for k in range(1, n)), F(0))
+        lhs = sum((comb(2 * n, 2 * k) * B(2 * k) * B(2 * n - 2 * k) for k in range(1, n)), F(0))
         return lhs, -(2 * n + 1) * B(2 * n)
     if name == "verify_miki":
         return _plain_square(B, B, n), _plain_coth_product(n) + B(2 * n) * harmonic(2 * n) / n
@@ -359,7 +360,7 @@ def _plain_sides(name, n):
         return _plain_square(Bb, Bb, n), _plain_sinh_rhs(n, Bb)
     if name == "verify_mixed":
         rhs = sum(
-            (B(2 * k) * B(2 * n - 2 * k) / F(2 * k) * binomial(2 * n, 2 * k)
+            (B(2 * k) * B(2 * n - 2 * k) / F(2 * k) * comb(2 * n, 2 * k)
              * F(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1)) for k in range(1, n + 1)),
             F(0),
         ) / n + B(2 * n) * harmonic(2 * n - 1) / (n * F(2) ** (2 * n))
@@ -369,7 +370,7 @@ def _plain_sides(name, n):
                 for k in range(1, n + 1)))
     rhs = F(2, n) * sum(
         (B(2 * k) * B(2 * n - 2 * k) / F(k) * (2 ** (2 * k) - 1) * 2 ** (2 * k - 1)
-         * (1 - F(2) ** (2 * n - 2 * k - 1)) * binomial(2 * n, 2 * k) for k in range(1, n + 1)),
+         * (1 - F(2) ** (2 * n - 2 * k - 1)) * comb(2 * n, 2 * k) for k in range(1, n + 1)),
         F(0),
     )
     return lhs, rhs
@@ -381,14 +382,14 @@ def _plain_p1_sides(which, n):
         S = B if which == "miki" else Bb
         lhs = sum((S(2 * k) * S(2 * n - 2 * k) for k in range(1, n + 1)), F(0))
         rhs = sum(
-            (B(2 * k) * S(2 * n - 2 * k) * binomial(2 * n + 2, 2 * k + 2) for k in range(1, n + 1)),
+            (B(2 * k) * S(2 * n - 2 * k) * comb(2 * n + 2, 2 * k + 2) for k in range(1, n + 1)),
             F(0),
         ) / (n + 1) + 2 * n * S(2 * n)
         return lhs, rhs
     lhs = sum((B(2 * k) * Bb(2 * n - 2 * k) for k in range(1, n)), F(0))
     rhs = sum(
         (B(2 * k) * B(2 * n - 2 * k) * F(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1))
-         * binomial(2 * n + 2, 2 * k + 2) for k in range(1, n + 1)),
+         * comb(2 * n + 2, 2 * k + 2) for k in range(1, n + 1)),
         F(0),
     ) / (n + 1) + (2 * n - 1) * B(2 * n) / F(2) ** (2 * n)
     return lhs, rhs
@@ -409,7 +410,8 @@ def test_p1_and_family_sums_match_the_plain_sums():
     for n, p in ((5, F(1, 2)), (9, F(-1, 4)), (12, F(3))):
         for which in FAMILY_KINDS:
             report = verify_family(which, n, p)
-            lhs, rhs = (sum((gamma_reduce(term, p).value for term in side), F(0))
+            lhs, rhs = (sum((scalar * gamma_reduce(product, p).value for product, scalar in side),
+                            F(0))
                         for side in family_terms(which, n))
             assert (report.lhs, report.rhs) == (lhs, rhs), (which, n, p)
 
@@ -549,7 +551,6 @@ def test_binomial_row_is_the_pascal_row():
 
 def test_euler_row_builds_one_binomial_row(monkeypatch):
     assert "binomial" not in vars(identities)
-    monkeypatch.setattr(bernkit.sequences, "binomial", lambda n, k: pytest.fail("binomial called"))
     rows = []
     real = identities._binomial_row
 
@@ -651,6 +652,26 @@ def test_corrupted_power_entry_fails_the_multi_row_at_that_n(monkeypatch):
         multi_lhs(2, 4)
 
 
+def test_family_terms_are_product_scalar_pairs():
+    # one (GammaProduct, Fraction) pair per summand; the three kinds at n
+    # list the same factor tuples in the same order and differ in scalars
+    sides = {which: family_terms(which, 6) for which in FAMILY_KINDS}
+    for lhs, rhs in sides.values():
+        assert (len(lhs), len(rhs)) == (5, 17)
+        for product, scalar in lhs + rhs:
+            assert type(product) is GammaProduct and type(scalar) is F and scalar != 0
+    tuples = {which: [[product.factors for product, _ in side] for side in terms]
+              for which, terms in sides.items()}
+    assert tuples["miki"] == tuples["fpz"] == tuples["mixed"]
+    assert sides["miki"][0][0][1] != sides["fpz"][0][0][1]
+
+
+def test_package_exports_no_test_only_helpers():
+    for name in ("binomial", "multinomial", "PartsMismatch", "check_mixed_trig", "Rational"):
+        assert not hasattr(bernkit, name), name
+    assert not hasattr(bernkit.sequences, "Rational")
+
+
 def test_family_terms_are_built_once_per_cache(monkeypatch):
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
@@ -683,8 +704,8 @@ def test_family_kinds_reduce_each_factor_tuple_once_per_point(monkeypatch):
     for which in FAMILY_KINDS:
         assert verify_family(which, 6, F(1, 2)).ok
     terms = {which: sum(family_terms(which, 6), ()) for which in FAMILY_KINDS}
-    distinct = {term.factors for term in terms["miki"]}
-    assert all({term.factors for term in side} == distinct for side in terms.values())
+    distinct = {product.factors for product, _ in terms["miki"]}
+    assert all({product.factors for product, _ in side} == distinct for side in terms.values())
     assert len(calls) == len(set(calls)) == len(distinct) < len(terms["miki"])
     assert set(calls) == distinct
     assert cache.reduced[0] == (6, 1, 2) and set(cache.reduced[1]) == distinct
@@ -704,7 +725,7 @@ def test_reduction_slot_holds_one_point(monkeypatch):
             assert verify_family("miki", n, p).ok
     lhs, rhs = family_terms("miki", 15)
     assert cache.reduced[0] == (15, 3, 1)
-    assert set(cache.reduced[1]) == {term.factors for term in lhs + rhs}
+    assert set(cache.reduced[1]) == {product.factors for product, _ in lhs + rhs}
 
 
 @pytest.mark.parametrize("which", FAMILY_KINDS)
@@ -724,8 +745,9 @@ def test_corrupted_reduction_fails_the_rows_that_read_it(monkeypatch):
     for which in FAMILY_KINDS:
         assert verify_family(which, 5, F(1)).ok
     # the k = 1 beta term of the right sides at n = 5 carries Gamma(2p+10)
-    key = (beta_factor(1) * GammaProduct((("2p", 10, 1),))).factors
-    assert all(key in {term.factors for term in family_terms(which, 5)[1]} for which in FAMILY_KINDS)
+    key = GammaProduct(beta_factor(1).factors + (("2p", 10, 1),)).factors
+    assert all(key in {product.factors for product, _ in family_terms(which, 5)[1]}
+               for which in FAMILY_KINDS)
     entry = cache.reduced[1][key]
     cache.reduced[1][key] = ReducedGamma(entry.exp_gamma_p, entry.exp_gamma_2p, entry.value + 1)
     assert not any(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
@@ -752,19 +774,16 @@ def test_merged_table_sums_each_factor_tuple_once(monkeypatch):
             for unmerged, side in zip(terms, merged):
                 factors = [product.factors for product, _ in side]
                 assert len(factors) == len(set(factors)) <= len(unmerged)
-                assert set(factors) == {term.factors for term in unmerged}
-                assert all(product.scalar == 1 for product, _ in side)
+                assert set(factors) == {product.factors for product, _ in unmerged}
         for p in MERGE_PS:
             table: dict = {}
             for terms, merged in sides.values():
                 for unmerged, side in zip(terms, merged):
                     exponents, total = identities._reduce_side(side, p, table)
                     # the unmerged sum: one scalar x cofactor per term
-                    plain = sum(
-                        (term.scalar * table[term.factors].value for term in unmerged), F(0))
-                    assert total == plain, (n, p)
-                    assert {(table[term.factors].exp_gamma_p, table[term.factors].exp_gamma_2p)
-                            for term in unmerged} == {exponents}
+                    reduced = [(scalar, table[product.factors]) for product, scalar in unmerged]
+                    assert total == sum((scalar * r.value for scalar, r in reduced), F(0)), (n, p)
+                    assert {(r.exp_gamma_p, r.exp_gamma_2p) for _, r in reduced} == {exponents}
     # 29 + 89 terms at n = 30: k and 30-k pair on the left, and each even
     # beta term joins a right term on the right
     for which in FAMILY_KINDS:
@@ -773,17 +792,20 @@ def test_merged_table_sums_each_factor_tuple_once(monkeypatch):
         assert tuple(map(len, identities._merged_terms(which, 30))) == (15, 60)
 
 
-def test_family_kinds_share_the_merged_products(monkeypatch):
-    cache = SequenceCache()
-    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+def test_merged_terms_reuse_the_family_products(monkeypatch):
+    # the merge only adds scalars: each merged product is the first
+    # family_terms product of its factor tuple, and none is built anew
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    terms = {which: family_terms(which, 7) for which in FAMILY_KINDS}
+    monkeypatch.setattr(identities, "GammaProduct", lambda *a: pytest.fail("product built"))
     for which in FAMILY_KINDS:
+        for unmerged, side in zip(terms[which], identities._merged_terms(which, 7)):
+            first = {}
+            for product, _ in unmerged:
+                first.setdefault(product.factors, product)
+            assert [product for product, _ in side] == list(first.values())
+            assert all(product is first[product.factors] for product, _ in side)
         assert verify_family(which, 7, F(2, 3)).ok
-    products = [
-        {product.factors: product for side in cache.merged[which, 7] for product, _ in side}
-        for which in FAMILY_KINDS
-    ]
-    assert products[0].keys() == products[1].keys() == products[2].keys()
-    assert all(products[0][key] is other[key] for other in products[1:] for key in products[0])
 
 
 def test_injected_cache_replaces_the_merged_table(monkeypatch):

@@ -26,17 +26,15 @@ from hypothesis import given, strategies as st
 import bernkit
 from bernkit import (
     DomainError,
-    PartsMismatch,
     SequenceCache,
     bernoulli,
     bernoulli_bar,
-    binomial,
     euler_number,
     harmonic,
     harmonic_second,
-    multinomial,
     rising_factorial,
 )
+from bernkit.identities import _binomial_row
 
 
 def zigzag(n_max: int) -> list[int]:
@@ -326,37 +324,13 @@ def test_harmonic_tables_are_prefix_sums():
         cache.harmonic(-1)
 
 
-def test_binomial_matches_comb_and_clips():
-    for n in range(0, 12):
-        for k in range(-2, n + 3):
-            expected = comb(n, k) if 0 <= k <= n else 0
-            assert binomial(n, k) == expected
-
-
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=200))
 def test_binomial_pascal(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_multinomial():
-    assert multinomial(6, [2, 2, 2]) == 90
-    assert multinomial(4, [4]) == 1
-    assert multinomial(0, []) == 1
-    with pytest.raises(PartsMismatch):
-        multinomial(5, [2, 2])
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=4)
-)
-def test_multinomial_as_binomial_chain(parts):
-    n = sum(parts)
-    expected = 1
-    rest = n
-    for part in parts:
-        expected *= comb(rest, part)
-        rest -= part
-    assert multinomial(n, parts) == expected
+    # the package's binomials, the Pascal rows of identities, against
+    # Pascal's rule C(n, k) = C(n-1, k-1) + C(n-1, k)
+    k = min(k, n)
+    above, row = _binomial_row(n - 1), _binomial_row(n)
+    assert row[k] == (above[k - 1] if k else 0) + (above[k] if k < n else 0)
 
 
 def test_rising_factorial():
@@ -441,10 +415,8 @@ def _warm_bernoulli_bar(n):
     (rising_factorial, (Fraction(1, 2), -2)),
     (_warm_rising_factorial, (-1,)),
     (_warm_bernoulli_bar, (-1,)),
-    (multinomial, (3, [-1, 4])),
 ], ids=["fresh-bernoulli", "warm-bernoulli", "fresh-euler", "bernoulli", "bernoulli_bar",
-        "euler_number", "rising_factorial", "warm-rising_factorial", "warm-bernoulli_bar",
-        "multinomial"])
+        "euler_number", "rising_factorial", "warm-rising_factorial", "warm-bernoulli_bar"])
 def test_negative_indices_are_domain_errors(call, args):
     with pytest.raises(DomainError):
         call(*args)

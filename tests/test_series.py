@@ -206,6 +206,13 @@ def test_named_deriv_series():
     assert named_series("psi_bar_deriv", 8, p=0) == named_series("psi_bar", 8)
 
 
+def test_named_psi_tilde_is_its_p0_derivative():
+    # the twin of test_named_deriv_series' psi_bar check: each psi series
+    # reads its own sequence, B for psi_tilde and Bbar for psi_bar
+    assert named_series("psi_tilde_deriv", 40, p=0) == named_series("psi_tilde", 40)
+    assert named_series("psi_tilde", 40) != named_series("psi_bar", 40)
+
+
 def test_named_series_errors():
     with pytest.raises(UnknownName):
         named_series("psi_hat", 6)
