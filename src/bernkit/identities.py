@@ -8,11 +8,11 @@ The quadratic identities (Euler, Miki, the modified Miki form, the FPZ
 identity and the mixed B/Bbar identity) are plain folded sums.  The
 one-parameter families evaluate gamma-weighted versions of the latter
 three at any rational p where no gamma factor is singular: both sides are
-assembled term by term as (GammaProduct, scalar) pairs, reduced against
-the Gamma(p) and Gamma(2p) bases, checked for a common exponent pair, and
-compared through their rational cofactors; family_terms builds those
-terms for the float lane too.  The cubic identities are triple
-convolutions.  Lemma-expansion checks reconstruct the intermediate
+assembled as (GammaProduct, scalar) pairs, one per distinct factor tuple,
+reduced against the Gamma(p) and Gamma(2p) bases, checked for one
+exponent pair common to both sides, and compared through their rational
+cofactors; the float lane reads the same family_terms.  The cubic
+identities are triple convolutions.  Lemma-expansion checks reconstruct the intermediate
 asymptotic series of the squared generating functions by two independent
 routes.  FLOORS maps every command-line identity id to the smallest n
 each verifier accepts.
@@ -43,8 +43,9 @@ sums.  Bbar_m enters as B_m times the weight (2 - 2^m)/2^m.  Terms k and
 n-k share one product of numerators of about 1,350 digits at n ~ 400, so
 each k < n/2 carries w(k) + w(n-k), an unreduced integer pair, and the
 middle k = n/2 of an even n counts once; each sum then does half the big
-products.  _fold(weight, 2, n) and the Euler-number left side pair their
-equal terms the same way.  Each sum pairs its own terms: no table of
+products.  A sum that runs through k = n takes its unpaired term,
+B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
+Euler-number left side pair their equal terms the same way.  Each sum pairs its own terms: no table of
 products per n is shared between verifiers, so the two sides of Miki's
 identity stay independent routes.
 
@@ -67,15 +68,12 @@ call time so an injected cache replaces them too:
   series power keep separate tables, so the two routes of verify_multi
   stay independent, and multi_lhs still compares them on every row.
 * ``family[which, n]`` holds family_terms(which, n): the (lhs, rhs)
-  tuples of one (GammaProduct, Fraction scalar) pair per summand, the
-  product holding the canonical gamma factors and the scalar the exact
-  rational coefficient.  The float twin reads these.
-* ``merged[which, n]`` holds _merged_terms(which, n), the same pairs with
-  like terms added: one pair per distinct factor tuple, whose product is
-  the first family_terms product of that tuple and whose scalar is the
-  sum of the tuple's scalars.  The left terms k and n-k share a tuple,
-  and so do the beta term at an even k' and the first right term at
-  k'/2.  The exact family rows read only this table.
+  tuples of one (GammaProduct, Fraction scalar) pair per distinct factor
+  tuple, the product holding the canonical gamma factors and the scalar
+  the sum of the exact rational coefficients of the summands with that
+  tuple.  The left terms k and n-k share a tuple, and so do the beta
+  term at an even k' and the right term at k'/2.  The exact family rows
+  and the float twin both read this table.
 
 The one slot that is not append-only, ``reduced``, is the pair ((n,
 p.numerator, p.denominator), {factor tuple: ReducedGamma}) of the latest
@@ -244,14 +242,15 @@ class _Ratio:
         self.denominator = denominator
 
 
-def _paired(n: int, weight) -> Fraction:
-    """Sum of B_2k B_{2n-2k} w(k) over 1 <= k <= n-1, for w(k) = weight(k)
-    an integer (numerator, denominator) pair.
+def _paired(n: int, weight, through_n: bool = False) -> Fraction:
+    """Sum of B_2k B_{2n-2k} w(k) over 1 <= k <= n-1, or over 1 <= k <= n
+    if ``through_n``, for w(k) = weight(k) an integer (numerator,
+    denominator) pair.
 
     Terms k and n-k share the product B_2k B_{2n-2k}, so one _dot runs over
     k <= n/2: each k < n/2 carries w(k) + w(n-k), added over the product of
     the two denominators without a gcd, and the middle term k = n/2 of an
-    even n counts once.
+    even n counts once.  The k = n term, B_2n B_0 w(n), has no partner.
     """
     def terms():
         for k in range(1, n // 2 + 1):
@@ -260,6 +259,8 @@ def _paired(n: int, weight) -> Fraction:
                 other, other_den = weight(n - k)
                 num, den = num * other_den + other * den, den * other_den
             yield bernoulli(2 * k), bernoulli(2 * n - 2 * k), _Ratio(num, den)
+        if through_n:
+            yield bernoulli(2 * n), bernoulli(0), _Ratio(*weight(n))
 
     return _dot(terms())
 
@@ -338,15 +339,14 @@ def _coth_harmonic(n: int) -> Fraction:
 
 def _sinh_product(n: int, value) -> Fraction:
     """x^(-2n) coefficient of the sinh-product lemma expansion for
-    ``value`` = bernoulli_bar; bernoulli gives Miki's k=n form.  The
-    k = n term, B_2n value(0) / (2n^2), has no partner."""
+    ``value`` = bernoulli_bar; bernoulli gives Miki's k=n form."""
     row, scale = _binomial_row(2 * n), _SCALES[value.__name__]
 
     def weight(k):
         num, den = scale(2 * n - 2 * k)
         return row[2 * k] * num, 2 * k * n * den
 
-    return _paired(n, weight) + bernoulli(2 * n) * value(0) / (2 * n * n)
+    return _paired(n, weight, through_n=True)
 
 
 def _sinh_harmonic(n: int, value) -> Fraction:
@@ -402,9 +402,8 @@ def verify_mixed(n: int) -> IdentityReport:
 
     # the rhs weights (1 - 2^(2k-1)) / 2^(2n-1) share their denominator
     lhs = _paired(n, lhs_weight)
-    rhs = (
-        _paired(n, lambda k: (row[2 * k] * (1 - 2 ** (2 * k - 1)), 2 * k * n))
-        + B(2 * n) * B(0) * (1 - 2 ** (2 * n - 1)) / (2 * n * n)
+    rhs = _paired(
+        n, lambda k: (row[2 * k] * (1 - 2 ** (2 * k - 1)), 2 * k * n), through_n=True
     ) / 2 ** (2 * n - 1) + B(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
     return _report("mixed", n, lhs, rhs)
 
@@ -430,14 +429,15 @@ def _reduce_side(
     side: tuple[tuple[GammaProduct, Fraction], ...],
     p: Fraction,
     table: dict[tuple, ReducedGamma],
-) -> tuple[tuple[int, int], Fraction]:
-    """Common exponent pair and cofactor sum of one merged side at p.
+    exponents: set[tuple[int, int]],
+) -> Fraction:
+    """Cofactor sum of one family side at p.
 
     Each product is reduced by gamma_reduce into ``table`` unless a row at
     the same (n, p) stored it; the side adds its scalar times that
-    cofactor, and every product's exponents must agree.
+    cofactor, and adds the product's (Gamma(p), Gamma(2p)) exponent pair
+    to ``exponents``, which verify_family checks once for both sides.
     """
-    exponents = set()
     pairs = []
     for product, scalar in side:
         reduced = table.get(product.factors)
@@ -445,19 +445,20 @@ def _reduce_side(
             reduced = table[product.factors] = gamma_reduce(product, p)
         exponents.add((reduced.exp_gamma_p, reduced.exp_gamma_2p))
         pairs.append((scalar, reduced.value))
-    if len(exponents) != 1:
-        raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
-    return exponents.pop(), _dot(pairs)
+    return _dot(pairs)
 
 
 def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
     """(lhs, rhs) terms of one gamma-weighted family, symbolic in p: one
-    (GammaProduct, scalar) pair per summand, built once per (which, n).
+    (GammaProduct, scalar) pair per distinct factor tuple, in order of first
+    occurrence, built once per (which, n).
 
     which selects the plain (miki), Bbar (fpz) or mixed variant.  Equal
     factors of a product are merged (a k=n/2 left term carries
-    Gamma(p+n)**2, the k=1 tail term Gamma(p+1)**2), and each scalar is
-    built as one integer ratio.
+    Gamma(p+n)**2, the k=1 tail term Gamma(p+1)**2), each summand's scalar
+    is built as one integer ratio, and the scalars of the summands that
+    share a factor tuple are added: at n = 30 the 29 + 89 summands leave
+    15 + 60 pairs.
     """
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
@@ -472,8 +473,13 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     fact = [1]
     for j in range(1, 2 * n + 1):
         fact.append(fact[-1] * j)
+    lhs_terms: dict[tuple, list] = {}
+    rhs_terms: dict[tuple, list] = {}
 
-    lhs_terms = []
+    def add(terms, factors, scalar):
+        product = GammaProduct(factors)
+        terms.setdefault(product.factors, [product, 0])[1] += scalar
+
     for k in range(1, n):
         # first(2k) second(2n-2k) / (2k (2n-2k) (2k-1)! (2n-2k-1)!), whose
         # denominator is (2k)! (2n-2k)!
@@ -482,9 +488,7 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
             a.numerator * b.numerator,
             a.denominator * b.denominator * fact[2 * k] * fact[2 * n - 2 * k],
         )
-        lhs_terms.append((GammaProduct((("p", 2 * k, 1), ("p", 2 * n - 2 * k, 1))), rat))
-
-    rhs_terms = []
+        add(lhs_terms, (("p", 2 * k, 1), ("p", 2 * n - 2 * k, 1)), rat)
     for k in range(1, n + 1):
         # 2 B_2k second(2n-2k) w_k / ((2k)! (2n-2k)!), with the mixed
         # weight w_k = (1 - 2^(2k-1)) / 2^(2n-1), else 1
@@ -494,8 +498,7 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
             2 * a.numerator * b.numerator * w_num,
             a.denominator * b.denominator * w_den * fact[2 * k] * fact[2 * n - 2 * k],
         )
-        factors = (("p", 1, 1), ("p", 2 * k, 1), ("2p", 2 * n, 1), ("2p", 2 * k + 1, -1))
-        rhs_terms.append((GammaProduct(factors), rat))
+        add(rhs_terms, (("p", 1, 1), ("p", 2 * k, 1), ("2p", 2 * n, 1), ("2p", 2 * k + 1, -1)), rat)
     b = rhs_second(2 * n)
     if which == "mixed":
         tail = Fraction(b.numerator, b.denominator * fact[2 * n] * 2 ** (2 * n - 1))
@@ -504,50 +507,35 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     for k in range(1, 2 * n):
         # the beta factor beta(p+k, p+1) = Gamma(p+k) Gamma(p+1) / Gamma(2p+k+1)
         # of gammaalg.beta_factor, times Gamma(2p+2n)
-        factors = (("p", k, 1), ("p", 1, 1), ("2p", k + 1, -1), ("2p", 2 * n, 1))
-        rhs_terms.append((GammaProduct(factors), tail))
-    table[which, n] = terms = (tuple(lhs_terms), tuple(rhs_terms))
+        add(rhs_terms, (("p", k, 1), ("p", 1, 1), ("2p", k + 1, -1), ("2p", 2 * n, 1)), tail)
+    table[which, n] = terms = tuple(
+        tuple(map(tuple, side.values())) for side in (lhs_terms, rhs_terms)
+    )
     return terms
-
-
-def _merged_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
-    """Both sides of family_terms(which, n) with the scalars of each factor
-    tuple added, in order of first occurrence, into the cache's ``merged``
-    table; at n = 30 this leaves 15 + 60 of the 29 + 89 terms."""
-    table = sequences._DEFAULT.merged
-    if (which, n) not in table:
-        sides = []
-        for terms in family_terms(which, n):
-            merged: dict[tuple, list] = {}
-            for product, scalar in terms:
-                merged.setdefault(product.factors, [product, 0])[1] += scalar
-            sides.append(tuple(map(tuple, merged.values())))
-        table[which, n] = tuple(sides)
-    return table[which, n]
 
 
 def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     """One-parameter gamma-weighted family of the quadratic identities.
 
-    Both sides' merged terms are reduced at the rational point p, through
-    the cache's ``reduced`` slot for (n, p), required to share one
-    (Gamma(p), Gamma(2p)) exponent pair, and compared through their
-    rational cofactors.
+    Both sides of family_terms are reduced at the rational point p, through
+    the cache's ``reduced`` slot for (n, p); every product of either side
+    must reduce to one (Gamma(p), Gamma(2p)) exponent pair, checked once
+    per row, and the sides are compared through their rational cofactors.
     """
-    lhs_side, rhs_side = _merged_terms(which, n)
+    lhs_side, rhs_side = family_terms(which, n)
     p = Fraction(p)
-    table = _reductions(n, p)
-    lhs_exp, lhs_value = _reduce_side(lhs_side, p, table)
-    rhs_exp, rhs_value = _reduce_side(rhs_side, p, table)
-    if lhs_exp != rhs_exp:
-        raise ExponentMismatch(f"sides reduce to gamma exponents {lhs_exp} vs {rhs_exp}")
-    return _report(f"family-{which}", n, lhs_value, rhs_value, p=p)
+    table, exponents = _reductions(n, p), set()
+    lhs = _reduce_side(lhs_side, p, table, exponents)
+    rhs = _reduce_side(rhs_side, p, table, exponents)
+    if len(exponents) != 1:
+        raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
+    return _report(f"family-{which}", n, lhs, rhs, p=p)
 
 
 def _p1_sums(which: str, n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Both sides of the reduced p = 1 form, and the shift from the family
     sides at p = 1.  Each sum runs over B_2k B_{2n-2k} products through
-    _paired; the k = n terms, which carry B_0, stand apart."""
+    _paired: the mixed left side through k = n-1, every other through n."""
     B = bernoulli
     row = _binomial_row(2 * n + 2)
     if which != "mixed":
@@ -563,13 +551,12 @@ def _p1_sums(which: str, n: int) -> tuple[Fraction, Fraction, Fraction]:
             num, den = scale(2 * n - 2 * k)
             return row[2 * k + 2] * num, (n + 1) * den
 
-        lhs = _paired(n, square) + S(2 * n) * S(0)
-        rhs = _paired(n, rhs_weight) + B(2 * n) * S(0) / (n + 1) + 2 * n * S(2 * n)
+        lhs = _paired(n, square, through_n=True)
+        rhs = _paired(n, rhs_weight, through_n=True) + 2 * n * S(2 * n)
         return lhs, rhs, S(2 * n)
     lhs = _paired(n, lambda k: _bar_scale(2 * n - 2 * k))
-    rhs = (
-        _paired(n, lambda k: (row[2 * k + 2] * (1 - 2 ** (2 * k - 1)), n + 1))
-        + B(2 * n) * B(0) * (1 - 2 ** (2 * n - 1)) / (n + 1)
+    rhs = _paired(
+        n, lambda k: (row[2 * k + 2] * (1 - 2 ** (2 * k - 1)), n + 1), through_n=True
     ) / 2 ** (2 * n - 1) + (2 * n - 1) * B(2 * n) / Fraction(2) ** (2 * n)
     return lhs, rhs, Fraction(0)
 
@@ -618,8 +605,9 @@ def _cubic_form(n: int, value, sinh: Fraction) -> Fraction:
     bernoulli) and the cubic FPZ form (bernoulli_bar) share: the
     multinomial triple sum, read from the coth fold; the H_2n sum, which
     is the sinh product ``sinh`` = _sinh_product(n, value) less its k=n
-    term B_2n/(2n) (as value(0) = 1); and the H_{2n,2} term.  The caller
-    passes ``sinh`` in, as the cubic FPZ form needs it once more."""
+    term B_2n/(2n^2) (as B_0 = Bbar_0 = 1), times n; and the H_{2n,2}
+    term.  The caller passes ``sinh`` in, as the cubic FPZ form needs it
+    once more."""
     triple = _dot(
         (_fold("coth", 2, n - m), value(2 * m), Fraction(1, factorial(2 * m)))
         for m in range(1, n - 1)
@@ -718,10 +706,11 @@ def verify_euler_bernoulli(n: int) -> IdentityReport:
         for k in range(1, (n + 1) // 2 + 1)
     ))
     row = _binomial_row(2 * n)
-    # 1 - 2^(2n-2k-1) = (2 - 2^(2n-2k)) / 2; the k = n term carries B_0
+    # 1 - 2^(2n-2k-1) = (2 - 2^(2n-2k)) / 2
     rhs = _paired(
-        n, lambda k: ((4 ** k - 1) * 4 ** k * row[2 * k] * (2 - 4 ** (n - k)), 2 * k * n)
-    ) + bernoulli(2 * n) * bernoulli(0) * (4 ** n - 1) * 4 ** n / (2 * n * n)
+        n, lambda k: ((4 ** k - 1) * 4 ** k * row[2 * k] * (2 - 4 ** (n - k)), 2 * k * n),
+        through_n=True,
+    )
     return _report("euler-bernoulli", n, lhs, rhs)
 
 

@@ -115,8 +115,8 @@ def _require_index(what: str, n: int) -> None:
 
 class SequenceCache:
     """Growable Bernoulli, Euler, harmonic and rising-factorial tables,
-    and the identity layer's fold, series-power and family-term tables
-    and its gamma-reduction slot.
+    and the identity layer's tables ``fold``, ``power`` and ``family``
+    and its gamma-reduction slot ``reduced``.
 
     ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and
     ``bbar_weight`` are plain lists indexed by n; ``h2`` maps n to the
@@ -144,7 +144,6 @@ class SequenceCache:
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
         self.family: dict[tuple[str, int], tuple[tuple, tuple]] = {}
-        self.merged: dict[tuple[str, int], tuple[tuple, tuple]] = {}
         self.reduced: tuple[tuple[int, int, int] | None, dict[tuple, ReducedGamma]] = (None, {})
 
     def bernoulli(self, n: int) -> Fraction:

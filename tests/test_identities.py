@@ -155,6 +155,24 @@ def test_family_side_with_mixed_exponents_raises(monkeypatch):
         verify_family("miki", 4, F(1, 2))
 
 
+def test_family_sides_with_different_exponents_raise(monkeypatch):
+    # every left product carrying an extra Gamma(p): each side shares one
+    # exponent pair, but the two sides' pairs differ, which the row must
+    # refuse rather than compare
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    lhs, rhs = family_terms("miki", 4)
+    shifted = tuple((GammaProduct(product.factors + (("p", 0, 1),)), scalar)
+                    for product, scalar in lhs)
+    cache.family["miki", 4] = (shifted, rhs)
+    pairs = [{(r.exp_gamma_p, r.exp_gamma_2p) for r in (gamma_reduce(product, F(1, 2))
+                                                        for product, _ in side)}
+             for side in (shifted, rhs)]
+    assert len(pairs[0]) == len(pairs[1]) == 1 and pairs[0] != pairs[1]
+    with pytest.raises(ExponentMismatch, match="mixed gamma exponents"):
+        verify_family("miki", 4, F(1, 2))
+
+
 def test_family_rising_tables_stay_small(monkeypatch):
     # one prefix table per anchor, no longer than the largest offset 2n+1
     # needs, and a repeated reduction appends nothing
@@ -652,14 +670,52 @@ def test_corrupted_power_entry_fails_the_multi_row_at_that_n(monkeypatch):
         multi_lhs(2, 4)
 
 
+def _family_summands(which, n):
+    """(lhs, rhs) of one gamma-weighted family written out term by term, one
+    (GammaProduct, scalar) pair per summand: the reference that the
+    collected sides of family_terms must add up to."""
+    B, Bb = bernoulli, bernoulli_bar
+    lhs_first = Bb if which == "fpz" else B
+    lhs_second = B if which == "miki" else Bb
+    rhs_second = Bb if which == "fpz" else B
+    fact = [factorial(j) for j in range(2 * n + 1)]
+    mixed = which == "mixed"
+    lhs = [(GammaProduct((("p", 2 * k, 1), ("p", 2 * n - 2 * k, 1))),
+            lhs_first(2 * k) * lhs_second(2 * n - 2 * k) / (fact[2 * k] * fact[2 * n - 2 * k]))
+           for k in range(1, n)]
+    weight = lambda k: F(1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1)) if mixed else 1
+    rhs = [(GammaProduct((("p", 1, 1), ("p", 2 * k, 1), ("2p", 2 * n, 1), ("2p", 2 * k + 1, -1))),
+            2 * B(2 * k) * rhs_second(2 * n - 2 * k) * weight(k)
+            / (fact[2 * k] * fact[2 * n - 2 * k]))
+           for k in range(1, n + 1)]
+    tail = rhs_second(2 * n) / fact[2 * n] * (F(1, 2 ** (2 * n - 1)) if mixed else 2)
+    rhs += [(GammaProduct((("p", k, 1), ("p", 1, 1), ("2p", k + 1, -1), ("2p", 2 * n, 1))), tail)
+            for k in range(1, 2 * n)]
+    return lhs, rhs
+
+
+def _collected(summands):
+    """{factor tuple: sum of its scalars}, in order of first occurrence."""
+    totals = {}
+    for product, scalar in summands:
+        totals[product.factors] = totals.get(product.factors, 0) + scalar
+    return totals
+
+
 def test_family_terms_are_product_scalar_pairs():
-    # one (GammaProduct, Fraction) pair per summand; the three kinds at n
-    # list the same factor tuples in the same order and differ in scalars
+    # one (GammaProduct, Fraction) pair per distinct factor tuple, whose
+    # scalar adds the summands of that tuple; the three kinds at n list the
+    # same factor tuples in the same order and differ in scalars
     sides = {which: family_terms(which, 6) for which in FAMILY_KINDS}
-    for lhs, rhs in sides.values():
-        assert (len(lhs), len(rhs)) == (5, 17)
-        for product, scalar in lhs + rhs:
-            assert type(product) is GammaProduct and type(scalar) is F and scalar != 0
+    for which, terms in sides.items():
+        summands = _family_summands(which, 6)
+        assert tuple(map(len, summands)) == (5, 17)
+        assert tuple(map(len, terms)) == (3, 12)
+        for side, each in zip(terms, summands):
+            for product, scalar in side:
+                assert type(product) is GammaProduct and type(scalar) is F and scalar != 0
+            assert [(product.factors, scalar) for product, scalar in side] == list(
+                _collected(each).items())
     tuples = {which: [[product.factors for product, _ in side] for side in terms]
               for which, terms in sides.items()}
     assert tuples["miki"] == tuples["fpz"] == tuples["mixed"]
@@ -706,7 +762,8 @@ def test_family_kinds_reduce_each_factor_tuple_once_per_point(monkeypatch):
     terms = {which: sum(family_terms(which, 6), ()) for which in FAMILY_KINDS}
     distinct = {product.factors for product, _ in terms["miki"]}
     assert all({product.factors for product, _ in side} == distinct for side in terms.values())
-    assert len(calls) == len(set(calls)) == len(distinct) < len(terms["miki"])
+    summands = sum(_family_summands("miki", 6), [])
+    assert len(calls) == len(set(calls)) == len(distinct) == len(terms["miki"]) < len(summands)
     assert set(calls) == distinct
     assert cache.reduced[0] == (6, 1, 2) and set(cache.reduced[1]) == distinct
     assert not hasattr(terms["miki"][0], "__dict__")
@@ -765,66 +822,79 @@ def test_corrupted_reduction_fails_the_rows_that_read_it(monkeypatch):
 MERGE_PS = (F(0), F(1), F(3), F(-1, 4), F(-1, 2), F(1, 3), F(5, 2), F(7, 3))
 
 
-def test_merged_table_sums_each_factor_tuple_once(monkeypatch):
+def test_family_sides_sum_each_factor_tuple_once(monkeypatch):
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     for n in range(2, 31):
-        sides = {which: (family_terms(which, n), identities._merged_terms(which, n))
+        sides = {which: (_family_summands(which, n), family_terms(which, n))
                  for which in FAMILY_KINDS}
-        for terms, merged in sides.values():
-            for unmerged, side in zip(terms, merged):
+        order = [[[product.factors for product, _ in side] for side in terms]
+                 for _, terms in sides.values()]
+        assert order[0] == order[1] == order[2], n
+        for summands, terms in sides.values():
+            for each, side in zip(summands, terms):
                 factors = [product.factors for product, _ in side]
-                assert len(factors) == len(set(factors)) <= len(unmerged)
-                assert set(factors) == {product.factors for product, _ in unmerged}
+                assert len(factors) == len(set(factors)) <= len(each)
+                assert set(factors) == {product.factors for product, _ in each}
         for p in MERGE_PS:
             table: dict = {}
-            for terms, merged in sides.values():
-                for unmerged, side in zip(terms, merged):
-                    exponents, total = identities._reduce_side(side, p, table)
-                    # the unmerged sum: one scalar x cofactor per term
-                    reduced = [(scalar, table[product.factors]) for product, scalar in unmerged]
+            for summands, terms in sides.values():
+                for each, side in zip(summands, terms):
+                    exponents = set()
+                    total = identities._reduce_side(side, p, table, exponents)
+                    # the per-summand sum: one scalar x cofactor per term
+                    reduced = [(scalar, table[product.factors]) for product, scalar in each]
                     assert total == sum((scalar * r.value for scalar, r in reduced), F(0)), (n, p)
-                    assert {(r.exp_gamma_p, r.exp_gamma_2p) for _, r in reduced} == {exponents}
-    # 29 + 89 terms at n = 30: k and 30-k pair on the left, and each even
+                    assert len(exponents) == 1
+                    assert {(r.exp_gamma_p, r.exp_gamma_2p) for _, r in reduced} == exponents
+    # 29 + 89 summands at n = 30: k and 30-k pair on the left, and each even
     # beta term joins a right term on the right
     for which in FAMILY_KINDS:
-        lhs, rhs = family_terms(which, 30)
-        assert (len(lhs), len(rhs)) == (29, 89)
-        assert tuple(map(len, identities._merged_terms(which, 30))) == (15, 60)
+        assert tuple(map(len, _family_summands(which, 30))) == (29, 89)
+        assert tuple(map(len, family_terms(which, 30))) == (15, 60)
 
 
-def test_merged_terms_reuse_the_family_products(monkeypatch):
-    # the merge only adds scalars: each merged product is the first
-    # family_terms product of its factor tuple, and none is built anew
+def test_family_rows_reuse_the_family_products(monkeypatch):
+    # family_terms builds one product per summand and keeps the first of
+    # each factor tuple; the rows read those and build none of their own
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
-    terms = {which: family_terms(which, 7) for which in FAMILY_KINDS}
+    built = []
+    real = identities.GammaProduct
+
+    def counted(factors):
+        built.append(real(factors))
+        return built[-1]
+
+    monkeypatch.setattr(identities, "GammaProduct", counted)
+    for which in FAMILY_KINDS:
+        built.clear()
+        terms = family_terms(which, 7)
+        summands = sum(_family_summands(which, 7), [])
+        assert len(built) == len(summands)
+        first = {}
+        for product in built:
+            first.setdefault(product.factors, product)
+        assert [product.factors for product, _ in sum(terms, ())] == list(first)
+        assert all(product is first[product.factors] for product, _ in sum(terms, ()))
     monkeypatch.setattr(identities, "GammaProduct", lambda *a: pytest.fail("product built"))
     for which in FAMILY_KINDS:
-        for unmerged, side in zip(terms[which], identities._merged_terms(which, 7)):
-            first = {}
-            for product, _ in unmerged:
-                first.setdefault(product.factors, product)
-            assert [product for product, _ in side] == list(first.values())
-            assert all(product is first[product.factors] for product, _ in side)
         assert verify_family(which, 7, F(2, 3)).ok
 
 
-def test_injected_cache_replaces_the_merged_table(monkeypatch):
+def test_injected_cache_replaces_the_family_table(monkeypatch):
     assert verify_family("fpz", 6, F(1, 2)).ok
-    warm = bernkit.sequences._DEFAULT.merged["fpz", 6]
+    warm = bernkit.sequences._DEFAULT.family["fpz", 6]
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     assert verify_family("fpz", 6, F(1, 2)).ok
-    assert list(cache.merged) == [("fpz", 6)]
-    assert cache.merged["fpz", 6] == warm and cache.merged["fpz", 6] is not warm
-    # the rows read the merged table alone: with the term lists gone they
-    # still hold, and a changed merged scalar flips them at every p
-    cache.family.clear()
-    assert verify_family("fpz", 6, F(3)).ok and verify_p1("fpz", 6).ok
-    assert not cache.family
-    (product, scalar), *rest = cache.merged["fpz", 6][0]
-    cache.merged["fpz", 6] = (((product, scalar + 1), *rest), cache.merged["fpz", 6][1])
+    assert list(cache.family) == [("fpz", 6)]
+    assert cache.family["fpz", 6] == warm and cache.family["fpz", 6] is not warm
+    # the exact rows and the float twin read the one family table: a
+    # changed collected scalar flips them at every p
+    (product, scalar), *rest = cache.family["fpz", 6][0]
+    cache.family["fpz", 6] = (((product, scalar + 1), *rest), cache.family["fpz", 6][1])
     assert not verify_family("fpz", 6, F(1, 2)).ok
     assert not verify_family("fpz", 6, F(3)).ok
+    assert not floatcheck.family_float("fpz", 6, 0.5).ok
     with pytest.raises(RouteMismatch):
         verify_p1("fpz", 6)
     assert verify_family("miki", 6, F(3)).ok
