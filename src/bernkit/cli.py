@@ -68,6 +68,8 @@ def _run_task(task: tuple) -> dict:
         }
         if p is not None:
             row["p"] = p
+        if n_parts is not None:
+            row["N"] = n_parts
         return row
 
 

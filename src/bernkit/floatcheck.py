@@ -427,7 +427,8 @@ def family_float(which: str, n: int, p: float) -> FamilyFloat:
     The float twin of the exact family verifier: it evaluates the same
     family_terms, but takes each gamma factor from math.gamma instead of
     reducing it exactly, which makes it the only check of non-integer p.
-    Agreement is relative to 1e-8.
+    Agreement is relative, to 1e-8 of the larger side, with no absolute
+    floor under small sides.
     A side outside the double range (about 2n + 2p > 171) raises
     DomainError rather than passing with infinite sides.
     """
@@ -441,5 +442,5 @@ def family_float(which: str, n: int, p: float) -> FamilyFloat:
         raise DomainError(f"family-{which} at n = {n}, p = {p} leaves the double range") from None
     residual = lhs - rhs
     # never ok with a non-finite side or residual
-    ok = math.isfinite(residual) and abs(residual) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
+    ok = math.isfinite(residual) and abs(residual) <= 1e-8 * max(abs(lhs), abs(rhs))
     return FamilyFloat(f"family-{which}", n, p, lhs, rhs, residual, ok)

@@ -201,6 +201,17 @@ def test_verify_below_floor_reports_error_rows():
     assert "error" in rows[0] and rows[0]["lhs"] == ""
 
 
+def test_multi_error_rows_carry_their_N():
+    # rows below n = N fail, and say which fold count they were asked for
+    result = runner.invoke(
+        main, ["verify", "--identity", "multi", "--N", "5", "--n-min", "3", "--n-max", "5",
+               "--format", "json"])
+    assert result.exit_code == 1
+    rows = json.loads(result.output)
+    assert [(row["n"], row["ok"]) for row in rows] == [(3, False), (4, False), (5, True)]
+    assert all(row["N"] == 5 for row in rows)
+
+
 def _floor_args(ident, lo, hi):
     args = ["verify", "--identity", ident, "--n-min", str(lo), "--n-max", str(hi),
             "--format", "json"]

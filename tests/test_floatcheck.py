@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernkit import floatcheck
+from bernkit import floatcheck, sequences
 from bernkit import (
     DomainError,
     FAMILY_KINDS,
@@ -431,6 +431,21 @@ def test_family_float_has_no_vacuous_pass():
     # once an OverflowError traceback: out of double range is a DomainError
     with pytest.raises(DomainError, match="double range"):
         family_float("fpz", 90, 0.5)
+
+
+def test_family_float_is_relative_on_small_sides(monkeypatch):
+    # fpz at n = 5, p = -0.999 has sides near 5.3e-5: a left scalar off by
+    # a relative 1e-6 moves the residual by about 5e-11, under an absolute
+    # 1e-8 but 1e-6 of the sides
+    assert family_float("fpz", 5, -0.999).ok
+    lhs, rhs = family_terms("fpz", 5)
+    (product, scalar), *rest = lhs
+    cache = sequences.SequenceCache()
+    cache.family["fpz", 5] = (((product, scalar * (1 + Fraction(1, 10**6))), *rest), rhs)
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+    r = family_float("fpz", 5, -0.999)
+    assert abs(r.lhs) < 1e-4 and abs(r.residual) < 1e-8
+    assert not r.ok
 
 
 def test_family_float_errors():

@@ -8,6 +8,7 @@ cross-route agreements that make each verifier trustworthy.
 import ast
 import functools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -415,7 +416,9 @@ def _plain_p1_sides(which, n):
 
 @pytest.mark.parametrize("verify", QUADRATICS + (verify_euler_bernoulli,), ids=lambda f: f.__name__)
 def test_quadratic_sums_match_the_plain_sums(verify):
-    for n in [*range(2, 13), 150]:
+    # at n = 263 a paired sum has 131 terms: two pairwise rounds in _dot,
+    # the first with an odd carry, before the one-lcm sum
+    for n in [*range(2, 13), 150, 263]:
         report = verify(n)
         assert (report.lhs, report.rhs) == _plain_sides(verify.__name__, n), n
 
@@ -544,17 +547,51 @@ _factors = st.one_of(
 )
 
 
+def _plain_dot(terms):
+    return sum((functools.reduce(lambda a, b: a * F(b.numerator, b.denominator), factors, F(1))
+                for factors in terms), F(0))
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.lists(_factors, max_size=5).map(tuple), max_size=8))
 def test_dot_is_the_sum_of_the_products(terms):
-    expected = F(0)
-    for factors in terms:
-        product = F(1)
-        for factor in factors:
-            product *= factor
-        expected += product
     total = identities._dot(iter(terms))
-    assert isinstance(total, F) and total == expected
+    assert isinstance(total, F) and total == _plain_dot(terms)
+
+
+def _long_terms(length, seed):
+    """length terms of 0 to 3 factors each, the kinds of a long sum where
+    _dot adds neighbours pairwise before the one lcm: integers the size of
+    deep-row B numerators, fractions whose denominators share little, zeros
+    and an unreduced ratio.  Drawn from a seeded generator, since hypothesis
+    caps the entropy of one example far below 300 such terms."""
+    rng = random.Random(seed)
+    kinds = (
+        lambda: rng.randint(-(10 ** 400), 10 ** 400),
+        lambda: F(rng.randint(-(10 ** 40), 10 ** 40), rng.randint(1, 10 ** 40)),
+        lambda: 0,
+        lambda: identities._Ratio(6, 4),
+    )
+    return [tuple(rng.choice(kinds)() for _ in range(rng.randint(0, 3))) for _ in range(length)]
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=2 ** 32))
+def test_long_dot_is_the_sum_of_the_products(length, seed):
+    terms = _long_terms(length, seed)
+    total = identities._dot(iter(terms))
+    assert isinstance(total, F) and total == _plain_dot(terms)
+
+
+@pytest.mark.parametrize("length", [64, 65, 128, 129, 130])
+def test_dot_at_the_merge_lengths(length):
+    # 64 terms take no pairwise round; 65 one, with an odd carry; 128 one;
+    # 129 two, the first with an odd carry; 130 two, the second with one
+    assert identities._MERGE_ABOVE == 64
+    for seed in range(3):
+        terms = _long_terms(length, seed)
+        total = identities._dot(iter(terms))
+        assert isinstance(total, F) and total == _plain_dot(terms), seed
 
 
 def test_dot_of_nothing_is_zero():
