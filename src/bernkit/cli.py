@@ -5,6 +5,9 @@ coefficient dumps (series), quadrature checks (quadcheck).  Every
 subcommand emits plain/csv/json and uses CI-friendly exit codes: 0 all
 checks ok, 1 some check failed, 2 usage error.
 
+Every verify and quadcheck row is built by _row from its result's fields,
+so the column tuples here are the one statement of each row layout.
+
 `verify --jobs` runs a scan on min(jobs, task groups) worker processes.
 At one worker the scan runs in process and never imports the pool
 (concurrent.futures, multiprocessing), which keeps the start-up of each
@@ -29,8 +32,15 @@ from .errors import BernkitError, DomainError, QuadFailure, UnknownName
 _FORMATS = ("plain", "csv", "json")
 _SEQ_KINDS = ("bernoulli", "bbar", "euler", "harmonic", "h2")
 
-_REPORT_COLUMNS = ("identity", "n", "p", "lhs", "rhs", "residual", "ok", "error")
+_REPORT_COLUMNS = ("identity", "n", "p", "N", "lhs", "rhs", "residual", "ok", "error")
 _QUAD_COLUMNS = ("name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok", "error")
+
+
+def _row(fields, columns: tuple) -> dict:
+    """The output row of one result: its fields in column order, a missing
+    or None field left out, a Fraction written as str."""
+    return {c: str(v) if isinstance(v, Fraction) else v
+            for c in columns if (v := fields.get(c)) is not None}
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -55,22 +65,11 @@ def _run_task(task: tuple) -> dict:
         else:
             # each remaining id names its verifier: miki-modified -> verify_miki_modified
             report = getattr(identities, "verify_" + ident.replace("-", "_"))(n)
-        return report.as_dict()
+        return _row(vars(report), _REPORT_COLUMNS)
     except BernkitError as exc:
-        row = {
-            "identity": ident,
-            "n": n,
-            "lhs": "",
-            "rhs": "",
-            "residual": "",
-            "ok": False,
-            "error": str(exc) or exc.__class__.__name__,
-        }
-        if p is not None:
-            row["p"] = p
-        if n_parts is not None:
-            row["N"] = n_parts
-        return row
+        return _row({"identity": ident, "n": n, "p": p, "N": n_parts, "lhs": "", "rhs": "",
+                     "residual": "", "ok": False, "error": str(exc) or exc.__class__.__name__},
+                    _REPORT_COLUMNS)
 
 
 def _run_group(tasks: list[tuple]) -> list[dict]:
@@ -104,8 +103,6 @@ def _echo_csv(columns, rows) -> None:
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -115,7 +112,7 @@ def _emit_reports(rows: list[dict], fmt: str, columns: tuple = _REPORT_COLUMNS) 
     if fmt == "json":
         click.echo(json.dumps(rows, indent=2))
         return
-    table = [[_format_cell(r.get(c)) for c in columns] for r in rows]
+    table = [[_format_cell(r.get(c, "")) for c in columns] for r in rows]
     if fmt == "csv":
         _echo_csv(columns, table)
     else:
@@ -262,10 +259,11 @@ def quadcheck(name: str, xs, p: float, fmt: str) -> None:
     rows = []
     for x in grid:
         try:
-            rows.append(floatcheck.quad_rep(name, x, p).as_dict())
+            result = floatcheck.quad_rep(name, x, p)
+            fields = {**vars(result), "ok": result.ok, "error": result.error}
         except (DomainError, QuadFailure) as exc:
-            rows.append({**dict.fromkeys(_QUAD_COLUMNS), "name": name, "x": x, "p": p,
-                         "ok": False, "error": str(exc)})
+            fields = {"name": name, "x": x, "p": p, "ok": False, "error": str(exc)}
+        rows.append(_row(fields, _QUAD_COLUMNS))
     _emit_reports(rows, fmt, _QUAD_COLUMNS)
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 

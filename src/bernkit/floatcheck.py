@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -105,22 +105,6 @@ class QuadResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    def as_dict(self) -> dict:
-        row = {
-            "name": self.name,
-            "x": self.x,
-            "p": self.p,
-            "value": self.value,
-            "target": self.target,
-            "abs_dev": self.abs_dev,
-            "tol": self.tol,
-            "est_error": self.est_error,
-            "ok": self.ok,
-        }
-        if not row["ok"]:
-            row["error"] = self.error
-        return row
 
 
 # psi(x) = ln x - 1/(2x) - sum B_2k/(2k x^2k); seven terms reach ~1e-15
@@ -399,9 +383,6 @@ class FamilyFloat:
     rhs: float
     residual: float
     ok: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _float_side(terms: tuple[tuple[GammaProduct, Fraction], ...], p: float) -> float:

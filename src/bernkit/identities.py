@@ -39,7 +39,7 @@ common denominator 2^(2n-1) once.
 Every quadratic sum over products B_2k B_{2n-2k} times a small weight
 w(k) is _paired(n, weight): the Euler left side, the coth and sinh
 products, both mixed sides, the Euler-Bernoulli right side and the p = 1
-sums.  Bbar_m enters as B_m times the weight (2 - 2^m)/2^m.  Terms k and
+sums.  Bbar_m enters as B_m times its weight bbar_scale(m).  Terms k and
 n-k share one product of numerators of about 1,350 digits at n ~ 400, so
 each k < n/2 carries w(k) + w(n-k), an unreduced integer pair, and the
 middle k = n/2 of an even n counts once; each sum then does half the big
@@ -106,6 +106,7 @@ from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
 from .gammaalg import GammaProduct, ReducedGamma, gamma_reduce
 from .sequences import (
+    bbar_scale,
     bernoulli,
     bernoulli_bar,
     euler_number,
@@ -183,18 +184,6 @@ class IdentityReport:
     ok: bool
     p: Fraction | None = None
     N: int | None = None
-
-    def as_dict(self) -> dict:
-        row: dict = {"identity": self.identity, "n": self.n}
-        if self.p is not None:
-            row["p"] = str(self.p)
-        if self.N is not None:
-            row["N"] = self.N
-        row["lhs"] = str(self.lhs)
-        row["rhs"] = str(self.rhs)
-        row["residual"] = str(self.residual)
-        row["ok"] = self.ok
-        return row
 
 
 def _report(
@@ -297,16 +286,10 @@ def _paired(n: int, weight, through_n: bool = False) -> Fraction:
     return _dot(terms())
 
 
-def _bar_scale(m: int) -> tuple[int, int]:
-    """Bbar_m = B_m (2 - 2^m) / 2^m: the factor as an integer pair."""
-    power = 1 << m
-    return 2 - power, power
-
-
 # value(m) = B_m times scale(m), for each sequence the B/Bbar forms take;
 # keyed by the function's name, which a wrapper made by functools.wraps
 # keeps, so a traced or patched sequence function still finds its scale
-_SCALES = {"bernoulli": lambda m: (1, 1), "bernoulli_bar": _bar_scale}
+_SCALES = {"bernoulli": lambda m: (1, 1), "bernoulli_bar": bbar_scale}
 
 
 def _binomial_row(m: int) -> list[int]:
@@ -341,6 +324,11 @@ def _fold(weight: str, parts: int, total: int) -> Fraction:
                 for k in range(1, total // 2 + 1)
             )
         else:
+            # fill the smaller folds this one reaches in rising order of
+            # parts, so the recursion below stays a few frames deep for any
+            # parts instead of one level per part
+            for q in range(3, parts):
+                _fold(weight, q, total - parts + q)
             acc = _dot(
                 (_fold(weight, 1, k), _fold(weight, parts - 1, total - k))
                 for k in range(1, total - parts + 2)
@@ -429,7 +417,7 @@ def verify_mixed(n: int) -> IdentityReport:
     B, row = bernoulli, _binomial_row(2 * n)
 
     def lhs_weight(k):
-        num, den = _bar_scale(2 * n - 2 * k)
+        num, den = bbar_scale(2 * n - 2 * k)
         return num, den * 2 * k * (2 * n - 2 * k)
 
     # the rhs weights (1 - 2^(2k-1)) / 2^(2n-1) share their denominator
@@ -586,7 +574,7 @@ def _p1_sums(which: str, n: int) -> tuple[Fraction, Fraction, Fraction]:
         lhs = _paired(n, square, through_n=True)
         rhs = _paired(n, rhs_weight, through_n=True) + 2 * n * S(2 * n)
         return lhs, rhs, S(2 * n)
-    lhs = _paired(n, lambda k: _bar_scale(2 * n - 2 * k))
+    lhs = _paired(n, lambda k: bbar_scale(2 * n - 2 * k))
     rhs = _paired(
         n, lambda k: (row[2 * k + 2] * (1 - 2 ** (2 * k - 1)), n + 1), through_n=True
     ) / 2 ** (2 * n - 1) + (2 * n - 1) * B(2 * n) / Fraction(2) ** (2 * n)

@@ -4,7 +4,9 @@ All values are ``fractions.Fraction`` (reduced, positive denominator) or
 plain integers, so every downstream identity check is exact.  Conventions:
 
 * Bernoulli numbers follow x/(e^x - 1) = sum B_n x^n / n!, so B_1 = -1/2.
-* Modified Bernoulli numbers are Bbar_n = ((1 - 2^(n-1)) / 2^(n-1)) B_n.
+* Modified Bernoulli numbers are Bbar_n = ((1 - 2^(n-1)) / 2^(n-1)) B_n,
+  the weight written once, as the integer pair ``bbar_scale(n)``; Bbar is
+  not stored, so it always follows the B table.
 * Euler numbers are the sech coefficients, sech s = sum E_n s^n / n!.
 
 Bernoulli and Euler tables grow on demand inside a ``SequenceCache``;
@@ -26,10 +28,8 @@ later growth.
 The cache also holds append-only prefix tables of H_i = sum 1/j and
 H^(2)_i = sum 1/j^2, from which ``harmonic`` reads H_i and
 ``harmonic_second`` computes H_{2n,2} by two routes; a table ``h2`` of
-those H_{2n,2}, so both routes run and are checked once per n; a table
-of the Bbar weights (1 - 2^(n-1)) / 2^(n-1), which ``bernoulli_bar``
-multiplies by B_n (Bbar itself is not stored, so it always follows the B
-table); and one prefix table per anchor q of the rising factorials,
+those H_{2n,2}, so both routes run and are checked once per n; and one
+prefix table per anchor q of the rising factorials,
 ``rising[q.numerator, q.denominator] = [(q)_0, (q)_1, ...]``, from which
 ``rising_factorial`` reads (q)_m.  Growing an anchor's table from length
 L to m+1 costs m+1-L multiplies, so a scan that reduces many gamma
@@ -66,6 +66,12 @@ __all__ = [
     "harmonic_second",
     "rising_factorial",
 ]
+
+
+def bbar_scale(m: int) -> tuple[int, int]:
+    """Bbar_m = B_m (2 - 2^m) / 2^m: the factor as an integer pair."""
+    power = 1 << m
+    return 2 - power, power
 
 
 def _next_tangent_column(col: list[int]) -> list[int]:
@@ -118,10 +124,10 @@ class SequenceCache:
     and the identity layer's tables ``fold``, ``power`` and ``family``
     and its gamma-reduction slot ``reduced``.
 
-    ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and
-    ``bbar_weight`` are plain lists indexed by n; ``h2`` maps n to the
-    checked H_{2n,2}; ``rising`` maps an anchor's (numerator, denominator)
-    to the list of its (q)_m indexed by m.  The ``identities`` docstring
+    ``bern``, ``eul``, ``harm`` (H_i) and ``harm2`` (H^(2)_i) are plain
+    lists indexed by n; ``h2`` maps n to the checked H_{2n,2}; ``rising``
+    maps an anchor's (numerator, denominator) to the list of its (q)_m
+    indexed by m.  The ``identities`` docstring
     describes the rest.
     Entries, once computed, are never recomputed or rewritten; extension
     is append-only, so concurrent readers of a warmed cache are safe.
@@ -139,7 +145,6 @@ class SequenceCache:
         self.harm: list[Fraction] = [Fraction(0)]
         self.harm2: list[Fraction] = [Fraction(0)]
         self.h2: dict[int, Fraction] = {}
-        self.bbar_weight: list[Fraction] = []
         self.rising: dict[tuple[int, int], list[Fraction]] = {}
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
@@ -162,13 +167,10 @@ class SequenceCache:
         return self.bern[n]
 
     def bernoulli_bar(self, n: int) -> Fraction:
-        """Bbar_n = w_n B_n, the weight w_n = 2^(1-n) - 1 from its own table."""
+        """Bbar_n = B_n times the weight bbar_scale(n)."""
         b = self.bernoulli(n)
-        weight = self.bbar_weight
-        while len(weight) <= n:
-            power = 2 ** len(weight)
-            weight.append(Fraction(2 - power, power))
-        return weight[n] * b
+        num, den = bbar_scale(n)
+        return Fraction(b.numerator * num, b.denominator * den)
 
     def euler_number(self, n: int) -> int:
         """E_n from the secant numbers; odd entries are 0."""

@@ -20,7 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 import bernkit
-from bernkit import cli as cli_module, identities, sequences
+from bernkit import cli as cli_module, floatcheck, identities, sequences
 from bernkit import series as series_engine
 from bernkit.cli import main
 
@@ -75,10 +75,10 @@ def test_verify_miki_csv_scan():
         main, ["verify", "--identity", "miki", "--n-max", "50", "--format", "csv"])
     assert result.exit_code == 0
     rows = lines(result)
-    assert rows[0] == "identity,n,p,lhs,rhs,residual,ok,error"
+    assert rows[0] == "identity,n,p,N,lhs,rhs,residual,ok,error"
     assert len(rows) == 1 + 49  # n = 2..50
     assert all(row.endswith(",true,") for row in rows[1:])  # ok rows: empty error
-    assert rows[1].startswith("miki,2,,1/144,")
+    assert rows[1].startswith("miki,2,,,1/144,")
 
 
 def test_verify_json_round_trip():
@@ -212,6 +212,71 @@ def test_multi_error_rows_carry_their_N():
     assert all(row["N"] == 5 for row in rows)
 
 
+def test_verify_json_rows_follow_the_report_columns():
+    # ok exact rows, float rows, multi rows and error rows (n below the
+    # floor, a pole at p = -1) share one layout: no null, no other order
+    result = runner.invoke(
+        main, ["verify", "--identity", "euler", "--identity", "multi", "--N", "3",
+               "--identity", "family-mixed", "--p", "1/2", "--p", "-1", "--float-p", "0.5",
+               "--n-min", "1", "--n-max", "4", "--format", "json"])
+    assert result.exit_code == 1
+    rows = json.loads(result.output)
+    kinds = {(row["identity"], row["ok"], type(row.get("p"))) for row in rows}
+    assert {("euler", True, type(None)), ("euler", False, type(None)), ("multi", True, type(None)),
+            ("multi", False, type(None)), ("family-mixed", True, str),
+            ("family-mixed", True, float), ("family-mixed", False, str)} <= kinds
+    for row in rows:
+        assert list(row) == [c for c in cli_module._REPORT_COLUMNS if c in row], row
+        assert None not in row.values(), row
+        assert ("N" in row) == (row["identity"] == "multi"), row
+        assert ("error" in row) == (not row["ok"]), row
+
+
+def test_verify_json_row_fields():
+    result = runner.invoke(
+        main, ["verify", "--identity", "family-mixed", "--p", "1/2", "--float-p", "0.5",
+               "--n-min", "3", "--n-max", "3", "--format", "json"])
+    floated, exact = json.loads(result.output)  # sorted by str(p): "0.5" < "1/2"
+    assert list(exact) == ["identity", "n", "p", "lhs", "rhs", "residual", "ok"]
+    assert exact["identity"] == "family-mixed"
+    assert exact["p"] == "1/2"
+    assert exact["residual"] == "0"
+    assert exact["ok"] is True
+    assert list(floated) == ["identity", "n", "p", "lhs", "rhs", "residual", "ok"]
+    assert floated["p"] == 0.5
+    result = runner.invoke(
+        main, ["verify", "--identity", "euler", "--n-min", "4", "--n-max", "4", "--format", "json"])
+    [plain] = json.loads(result.output)
+    assert "p" not in plain and "N" not in plain
+    assert F(plain["lhs"]) - F(plain["rhs"]) == F(plain["residual"])
+
+
+def test_csv_rows_carry_their_N():
+    result = runner.invoke(
+        main, ["verify", "--identity", "multi", "--N", "3", "--n-max", "4", "--format", "csv"])
+    assert result.exit_code == 0
+    assert lines(result)[:2] == ["identity,n,p,N,lhs,rhs,residual,ok,error",
+                                 "multi,3,,3,1/1728,1/1728,0,true,"]
+
+
+def test_multi_scan_runs_under_a_low_recursion_limit():
+    # a fold fills its smaller folds in rising order of parts, so N = 60
+    # needs a few frames, not several per part
+    script = textwrap.dedent("""
+        import sys
+        from bernkit.cli import main
+        sys.setrecursionlimit(150)
+        main(["verify", "--identity", "multi", "--N", "60", "--n-min", "60", "--n-max", "60",
+              "--format", "json"])
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    [row] = json.loads(done.stdout)
+    assert row["ok"] is True and row["N"] == 60
+
+
 def _floor_args(ident, lo, hi):
     args = ["verify", "--identity", ident, "--n-min", str(lo), "--n-max", str(hi),
             "--format", "json"]
@@ -311,14 +376,14 @@ def test_failed_rows_carry_their_reason_in_csv_and_plain():
     assert result.exit_code == 1
     header, below, at = lines(result)
     assert header.endswith(",ok,error")
-    assert below == 'gessel,2,,,,,false,"gessel identity needs n >= 3, got 2"'
+    assert below == 'gessel,2,,,,,,false,"gessel identity needs n >= 3, got 2"'
     assert at.startswith("gessel,3,,") and at.endswith(",true,")
     result = runner.invoke(main, args)
     assert lines(result) == [below.replace('"', ""), at]
     result = runner.invoke(
         main, ["verify", "--identity", "family-fpz", "--float-p", "0.5",
                "--n-min", "90", "--n-max", "90", "--format", "csv"])
-    assert lines(result)[1].startswith("family-fpz,90,0.5,,,,false,")
+    assert lines(result)[1].startswith("family-fpz,90,0.5,,,,,false,")
     assert "double range" in lines(result)[1]
 
 
@@ -567,6 +632,25 @@ def test_quadcheck_smallest_first_term_is_unverified(name):
     assert row["error"].startswith("target unverified")
 
 
+def test_quad_json_row_fields():
+    result = runner.invoke(main, ["quadcheck", "psi_tilde", "--x", "5", "--format", "json"])
+    [row] = json.loads(result.output)
+    assert list(row) == ["name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok"]
+    assert row["ok"] is True
+    assert row["tol"] == 1e-8 and 0 <= row["est_error"] <= 1e-8
+    # a row that ran and failed keeps its values and adds its reason
+    result = runner.invoke(main, ["quadcheck", "g", "--x", "1", "--format", "json"])
+    [row] = json.loads(result.output)
+    assert list(row) == ["name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok",
+                         "error"]
+    assert row["ok"] is False and row["error"] == floatcheck.quad_rep("g", 1.0).error
+    # a row that could not run has no values at all
+    result = runner.invoke(
+        main, ["quadcheck", "psi_tilde_p", "--p", "1000", "--x", "5", "--format", "json"])
+    [row] = json.loads(result.output)
+    assert list(row) == ["name", "x", "p", "ok", "error"]
+
+
 @pytest.mark.parametrize("p, x", [("1000", "5"), ("1100", "30"), ("170.5", "30")])
 def test_quadcheck_overflow_is_a_failed_row(p, x):
     # the weight s**p, the prefactor (-2)**p and math.gamma of the target
@@ -576,7 +660,7 @@ def test_quadcheck_overflow_is_a_failed_row(p, x):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     [row] = json.loads(result.output)
-    assert row["ok"] is False and row["value"] is None
+    assert row["ok"] is False and "value" not in row
     assert row["error"] == f"psi_tilde_p at x = {float(x)}, p = {float(p)} leaves the double range"
 
 

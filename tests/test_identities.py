@@ -258,6 +258,14 @@ def test_multi_lhs_series_route():
                 assert multi_lhs(N, n, variant) == (-1) ** N * power.coeff(2 * n)
 
 
+def test_deep_fold_stays_within_the_recursion_limit(monkeypatch):
+    # the one composition of 400 into 400 parts is 1 + ... + 1, so the fold
+    # is w(1)^400 = (B_2 / 2)^400; from a fresh cache it used to recurse
+    # once per part, past Python's default limit of 1000 frames
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    assert identities._fold("plain", 400, 400) == F(1, 12) ** 400
+
+
 @pytest.mark.parametrize("name", ["psi_tilde", "psi_bar"])
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_power_coefficients_do_not_depend_on_the_build_order(name, N):
@@ -982,19 +990,6 @@ def test_lemma_expansions():
         verify_lemma_expansion("coth-product", 7)
     with pytest.raises(DomainError):
         verify_lemma_expansion("coth-product", 2)
-
-
-def test_report_as_dict():
-    report = verify_family("mixed", 3, F(1, 2))
-    row = report.as_dict()
-    assert list(row) == ["identity", "n", "p", "lhs", "rhs", "residual", "ok"]
-    assert row["identity"] == "family-mixed"
-    assert row["p"] == "1/2"
-    assert row["residual"] == "0"
-    assert row["ok"] is True
-    plain = verify_euler(4).as_dict()
-    assert "p" not in plain and "N" not in plain
-    assert F(plain["lhs"]) - F(plain["rhs"]) == F(plain["residual"])
 
 
 def test_poisoned_cache_breaks_identities(monkeypatch):
