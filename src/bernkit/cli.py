@@ -230,11 +230,19 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
 @click.option("--order", type=int, required=True)
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default="plain")
 def series(name: str, order: int, fmt: str) -> None:
-    """Dump the exact coefficients of a named series through --order."""
+    """Dump the exact coefficients of a named series through --order.
+    A derivative series takes its integer p inline: psi_tilde_deriv(2)."""
     if order < 0:
         raise click.UsageError(f"--order must be >= 0, got {order}")
+    base, p = name, None
+    if name.endswith(")") and "(" in name:
+        base, _, arg = name.partition("(")
+        try:
+            p = int(arg[:-1])
+        except ValueError:
+            raise click.UsageError(f"bad series parameter in {name!r}")
     try:
-        expansion = series_engine.named_series(name, order)
+        expansion = series_engine.named_series(base, order, p=p)
     except (UnknownName, DomainError) as exc:
         raise click.UsageError(str(exc))
     rows = [(m, str(c)) for m, c in expansion.items()]

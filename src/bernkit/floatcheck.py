@@ -17,8 +17,12 @@ Targets: a psi row at integer p reads the derivative series at a shifted
 argument x + N, where it is exact to half an ulp, and steps back down to
 x with the recurrence psi(x+1) = psi(x) + 1/x (DLMF 5.5.2, 5.15), so one
 rule serves every x and p.  Other rows read the optimally truncated
-series at x itself.  The in-house ``digamma`` is not used for targets; it
-stays as public API and as an independent oracle for the tests.
+series at x itself.  The coefficients of the psi derivative series and of
+g are the exact ones of ``series.named_series``, which the exact lane
+reads too, so the quadrature checks that code and not a float copy of it;
+at non-integer p the kernel's Taylor series is transformed term by term.
+The in-house ``digamma`` is not used for targets; it stays as public API
+and as an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -32,12 +36,7 @@ from functools import lru_cache
 from .errors import DomainError, QuadFailure, UnknownName
 from .gammaalg import GammaProduct
 from .identities import family_terms
-from .sequences import (
-    bernoulli,
-    bernoulli_bar,
-    euler_number,
-    rising_factorial,
-)
+from .sequences import bernoulli
 from .series import named_series
 
 __all__ = [
@@ -202,35 +201,38 @@ def _integrate(f, x: float, p: float = 0.0) -> tuple[float, float]:
     return total, err
 
 
-def _over_power(c: float | int, base: float, power: int) -> float:
-    """c / base**power, formed through logarithms where c or base**power
-    leaves the double range though the ratio need not."""
+def _over_power(c: Fraction, base: float, power: int) -> float:
+    """c / base**power, formed through the logarithms of c's numerator and
+    denominator where c or base**power leaves the double range though the
+    ratio need not."""
     try:
         return float(c) / base**power
     except OverflowError:
-        ratio = math.exp(math.log(abs(c)) - power * math.log(base))
+        ratio = math.exp(math.log(abs(c.numerator)) - math.log(c.denominator) - power * math.log(base))
         return -ratio if c < 0 else ratio
+
+
+@lru_cache(maxsize=None)
+def _series_coeffs(name: str, p: int) -> tuple[tuple[int, Fraction], ...]:
+    """The exact named_series coefficients that the quad_rep row ``name``
+    reads at integer p (any p for g): _MAX_TERMS terms of g, and the
+    _MAX_TERMS - 1 of the psi derivative series, which start at x^-(p+2)."""
+    if name == "g":
+        return tuple(named_series("g", 2 * _MAX_TERMS - 1).items())
+    deriv = "psi_tilde_deriv" if name.startswith("psi_tilde") else "psi_bar_deriv"
+    return tuple(named_series(deriv, 2 * _MAX_TERMS - 2 + p, p=p).items())
 
 
 def _asymptotic_terms(name: str, x: float, p: float):
     """Lazy terms of the asymptotic expansion matching quad_rep(name, x, p)."""
-    if name == "g":
-        for n in range(0, _MAX_TERMS):
-            yield _over_power(euler_number(2 * n), 2.0 * x, 2 * n + 1)
+    if name == "g" or float(p).is_integer():
+        for m, c in _series_coeffs(name, int(p)):
+            yield _over_power(c, x, m)
         return
-    plain = name.startswith("psi_tilde")
-    value = bernoulli if plain else bernoulli_bar
-    if float(p).is_integer():
-        ip = int(p)
-        sign = (-1.0) ** (ip + 1)
-        for k in range(1, _MAX_TERMS):
-            c = float(value(2 * k)) / (2 * k) * float(rising_factorial(Fraction(2 * k), ip))
-            yield sign * _over_power(c, x, 2 * k + ip)
-    else:
-        # raw transform: sum_m c_m Gamma(m+p+1) / (2x)^(m+p+1)
-        series_name = "coth_minus_inv" if plain else "inv_sinh_minus_inv"
-        for m, c in _kernel_coeffs(series_name):
-            yield c * math.gamma(m + p + 1.0) / (2.0 * x) ** (m + p + 1.0)
+    # raw transform: sum_m c_m Gamma(m+p+1) / (2x)^(m+p+1)
+    series_name = "coth_minus_inv" if name.startswith("psi_tilde") else "inv_sinh_minus_inv"
+    for m, c in _kernel_coeffs(series_name):
+        yield c * math.gamma(m + p + 1.0) / (2.0 * x) ** (m + p + 1.0)
 
 
 def optimal_series(name: str, x: float, p: float = 0.0) -> tuple[float, float]:

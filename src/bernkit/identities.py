@@ -39,9 +39,10 @@ common denominator 2^(2n-1) once.
 Every quadratic sum over products B_2k B_{2n-2k} times a small weight
 w(k) is _paired(n, weight): the Euler left side, the coth and sinh
 products, both mixed sides, the Euler-Bernoulli right side and the p = 1
-sums.  Bbar_m enters as B_m times its weight bbar_scale(m).  Terms k and
-n-k share one product of numerators of about 1,350 digits at n ~ 400, so
-each k < n/2 carries w(k) + w(n-k), an unreduced integer pair, and the
+sums.  Bbar_m enters as B_m times its weight bbar_scale(m): a form
+shared by B and Bbar takes the weight, bbar_scale or _unit_scale.
+Terms k and n-k share one product of numerators of about 1,350 digits at
+n ~ 400, so each k < n/2 carries w(k) + w(n-k), an unreduced integer pair, and the
 middle k = n/2 of an even n counts once; each sum then does half the big
 products.  A sum that runs through k = n takes its unpaired term,
 B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
@@ -286,10 +287,15 @@ def _paired(n: int, weight, through_n: bool = False) -> Fraction:
     return _dot(terms())
 
 
-# value(m) = B_m times scale(m), for each sequence the B/Bbar forms take;
-# keyed by the function's name, which a wrapper made by functools.wraps
-# keeps, so a traced or patched sequence function still finds its scale
-_SCALES = {"bernoulli": lambda m: (1, 1), "bernoulli_bar": bbar_scale}
+def _unit_scale(m: int) -> tuple[int, int]:
+    """The weight of B_m in the B forms, 1, as the pair bbar_scale gives Bbar's."""
+    return 1, 1
+
+
+def _scaled(m: int, scale) -> Fraction:
+    """B_m times its weight scale(m): B_m for _unit_scale, Bbar_m for bbar_scale."""
+    b, (num, den) = bernoulli(m), scale(m)
+    return Fraction(b.numerator * num, b.denominator * den)
 
 
 def _binomial_row(m: int) -> list[int]:
@@ -357,10 +363,10 @@ def _coth_harmonic(n: int) -> Fraction:
     return bernoulli(2 * n) * harmonic(2 * n) / n
 
 
-def _sinh_product(n: int, value) -> Fraction:
+def _sinh_product(n: int, scale) -> Fraction:
     """x^(-2n) coefficient of the sinh-product lemma expansion for
-    ``value`` = bernoulli_bar; bernoulli gives Miki's k=n form."""
-    row, scale = _binomial_row(2 * n), _SCALES[value.__name__]
+    ``scale`` = bbar_scale; _unit_scale gives Miki's k=n form."""
+    row = _binomial_row(2 * n)
 
     def weight(k):
         num, den = scale(2 * n - 2 * k)
@@ -369,16 +375,16 @@ def _sinh_product(n: int, value) -> Fraction:
     return _paired(n, weight, through_n=True)
 
 
-def _sinh_harmonic(n: int, value) -> Fraction:
+def _sinh_harmonic(n: int, scale) -> Fraction:
     """x^(-2n) coefficient of the sinh-harmonic lemma expansion for
-    ``value`` = bernoulli_bar."""
-    return value(2 * n) * harmonic(2 * n - 1) / n
+    ``scale`` = bbar_scale."""
+    return _scaled(2 * n, scale) * harmonic(2 * n - 1) / n
 
 
-def _fpz_rhs(n: int, value) -> Fraction:
-    """Right side of the FPZ-shaped identity for the sequence ``value``:
-    FPZ itself for bernoulli_bar, Miki's k=n form for bernoulli."""
-    return _sinh_product(n, value) + _sinh_harmonic(n, value)
+def _fpz_rhs(n: int, scale) -> Fraction:
+    """Right side of the FPZ-shaped identity for the weight ``scale``:
+    FPZ itself for bbar_scale, Miki's k=n form for _unit_scale."""
+    return _sinh_product(n, scale) + _sinh_harmonic(n, scale)
 
 
 def _miki_rhs(n: int) -> Fraction:
@@ -400,7 +406,7 @@ def verify_miki_modified(n: int) -> IdentityReport:
     cross-checked before reporting.
     """
     _require_floor("miki-modified", n)
-    rhs = _fpz_rhs(n, bernoulli)
+    rhs = _fpz_rhs(n, _unit_scale)
     check_routes("the k=n form", rhs, "the H_2n form", _miki_rhs(n))
     return _report("miki-modified", n, _fold("plain", 2, n), rhs)
 
@@ -408,7 +414,7 @@ def verify_miki_modified(n: int) -> IdentityReport:
 def verify_fpz(n: int) -> IdentityReport:
     """The Faber-Pandharipande-Zagier identity for the Bbar numbers."""
     _require_floor("fpz", n)
-    return _report("fpz", n, _fold("bar", 2, n), _fpz_rhs(n, bernoulli_bar))
+    return _report("fpz", n, _fold("bar", 2, n), _fpz_rhs(n, bbar_scale))
 
 
 def verify_mixed(n: int) -> IdentityReport:
@@ -559,8 +565,8 @@ def _p1_sums(which: str, n: int) -> tuple[Fraction, Fraction, Fraction]:
     B = bernoulli
     row = _binomial_row(2 * n + 2)
     if which != "mixed":
-        S = B if which == "miki" else bernoulli_bar
-        scale = _SCALES[S.__name__]
+        scale = _unit_scale if which == "miki" else bbar_scale
+        shift = _scaled(2 * n, scale)
 
         def square(k):
             a, b = scale(2 * k)
@@ -572,8 +578,8 @@ def _p1_sums(which: str, n: int) -> tuple[Fraction, Fraction, Fraction]:
             return row[2 * k + 2] * num, (n + 1) * den
 
         lhs = _paired(n, square, through_n=True)
-        rhs = _paired(n, rhs_weight, through_n=True) + 2 * n * S(2 * n)
-        return lhs, rhs, S(2 * n)
+        rhs = _paired(n, rhs_weight, through_n=True) + 2 * n * shift
+        return lhs, rhs, shift
     lhs = _paired(n, lambda k: bbar_scale(2 * n - 2 * k))
     rhs = _paired(
         n, lambda k: (row[2 * k + 2] * (1 - 2 ** (2 * k - 1)), n + 1), through_n=True
@@ -620,23 +626,23 @@ def verify_gessel(n: int) -> IdentityReport:
     return _report("gessel", n, lhs, rhs)
 
 
-def _cubic_form(n: int, value, sinh: Fraction) -> Fraction:
-    """The right-side terms that the modified Gessel form (``value`` =
-    bernoulli) and the cubic FPZ form (bernoulli_bar) share: the
+def _cubic_form(n: int, scale, sinh: Fraction) -> Fraction:
+    """The right-side terms that the modified Gessel form (``scale`` =
+    _unit_scale) and the cubic FPZ form (bbar_scale) share: the
     multinomial triple sum, read from the coth fold; the H_2n sum, which
-    is the sinh product ``sinh`` = _sinh_product(n, value) less its k=n
+    is the sinh product ``sinh`` = _sinh_product(n, scale) less its k=n
     term B_2n/(2n^2) (as B_0 = Bbar_0 = 1), times n; and the H_{2n,2}
     term.  The caller passes ``sinh`` in, as the cubic FPZ form needs it
     once more."""
     triple = _dot(
-        (_fold("coth", 2, n - m), value(2 * m), Fraction(1, factorial(2 * m)))
+        (_fold("coth", 2, n - m), _scaled(2 * m, scale), Fraction(1, factorial(2 * m)))
         for m in range(1, n - 1)
     )
     return (
         3 * factorial(2 * n - 1) * triple
         + Fraction(3, n) * harmonic(2 * n)
         * (n * sinh - bernoulli(2 * n) / (2 * n))
-        + 6 * harmonic_second(n) * value(2 * n) / (2 * n)
+        + 6 * harmonic_second(n) * _scaled(2 * n, scale) / (2 * n)
     )
 
 
@@ -644,7 +650,7 @@ def verify_gessel_modified(n: int) -> IdentityReport:
     """The modified Gessel form produced by skipping the integration by parts."""
     _require_floor("gessel-modified", n)
     lhs = multi_lhs(3, n, "plain")
-    rhs = _cubic_form(n, bernoulli, _sinh_product(n, bernoulli)) - _gessel_polynomial_term(n)
+    rhs = _cubic_form(n, _unit_scale, _sinh_product(n, _unit_scale)) - _gessel_polynomial_term(n)
     return _report("gessel-modified", n, lhs, rhs)
 
 
@@ -657,11 +663,11 @@ def verify_fpz_cubic(n: int) -> IdentityReport:
     """
     _require_floor("fpz-cubic", n)
     lhs = multi_lhs(3, n, "bar")
-    sinh_bar = _sinh_product(n, bernoulli_bar)
-    fpz_bar = sinh_bar + _sinh_harmonic(n, bernoulli_bar)
+    sinh_bar = _sinh_product(n, bbar_scale)
+    fpz_bar = sinh_bar + _sinh_harmonic(n, bbar_scale)
     rhs = (
-        _cubic_form(n, bernoulli_bar, sinh_bar)
-        + Fraction(3, 2 * n) * (_fpz_rhs(n, bernoulli) - fpz_bar)
+        _cubic_form(n, bbar_scale, sinh_bar)
+        + Fraction(3, 2 * n) * (_fpz_rhs(n, _unit_scale) - fpz_bar)
         - Fraction(2 * n - 1, 4) * bernoulli_bar(2 * n - 2)
     )
     return _report("fpz-cubic", n, lhs, rhs)
@@ -738,8 +744,8 @@ def _lemma_closed_form(which: str, order: int) -> TruncatedSeries:
     coefficient = {
         "coth-product": _coth_product,
         "coth-harmonic": _coth_harmonic,
-        "sinh-product": lambda n: _sinh_product(n, bernoulli_bar),
-        "sinh-harmonic": lambda n: _sinh_harmonic(n, bernoulli_bar),
+        "sinh-product": lambda n: _sinh_product(n, bbar_scale),
+        "sinh-harmonic": lambda n: _sinh_harmonic(n, bbar_scale),
     }[which]
     coeffs = {2 * n: coefficient(n) for n in range(1, order // 2 + 1)}
     return TruncatedSeries(ASYMPTOTIC, coeffs, order)

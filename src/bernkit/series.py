@@ -26,15 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, perm
 
 from .errors import DomainError, KindMismatch, UnknownName, ZeroScale
-from .sequences import (
-    bernoulli,
-    bernoulli_bar,
-    euler_number,
-    rising_factorial,
-)
+from .sequences import bernoulli, bernoulli_bar, euler_number
 
 __all__ = [
     "TAYLOR",
@@ -145,13 +140,20 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_pow(a: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Repeated Cauchy product a**n for n >= 1."""
+    """a**n for n >= 1 by binary powering, in about 2 log2(n) Cauchy
+    products.  The coefficients are exact and the truncation order of a
+    product of powers of a depends only on their sum, so any bracketing
+    gives the same series as n - 1 repeated products."""
     if n < 1:
         raise DomainError(f"series power requires n >= 1, got {n}")
-    result = a
-    for _ in range(n - 1):
-        result = series_mul(result, a)
-    return result
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else series_mul(result, a)
+        n >>= 1
+        if not n:
+            return result
+        a = series_mul(a, a)
 
 
 def _scale(a: TruncatedSeries, c: Fraction) -> TruncatedSeries:
@@ -166,30 +168,22 @@ def _derivative(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(TAYLOR, coeffs, a.trunc - 1)
 
 
-def named_series(name: str, order: int, p: int | None = None) -> TruncatedSeries:
+def named_series(name: str, order: int, *, p: int | None = None) -> TruncatedSeries:
     """Exact truncated expansion of one of the built-in series.
 
     Taylor kind: b (the Bernoulli generating function x/(e^x-1)),
     coth_minus_inv (coth y - 1/y), inv_sinh_minus_inv (1/sinh y - 1/y),
-    sech, log_sinh_ratio (ln(sinh y / y)).  Asymptotic kind: psi_tilde,
-    psi_bar, psi_tilde_deriv / psi_bar_deriv (p-th derivative, integer
-    p >= 0 passed either as the ``p`` argument or inline as e.g.
-    "psi_tilde_deriv(2)"), g (the sech transform, odd orders E_2n/2^(2n+1)).
+    sech, log_sinh_ratio (ln(sinh y / y)).  Asymptotic kind (DLMF 5.11,
+    5.15): psi_tilde, sum -B_2k/(2k) x^(-2k), and psi_bar, the same over
+    Bbar_2k; psi_tilde_deriv / psi_bar_deriv, their p-th derivatives for
+    the integer keyword p >= 0, with p = 0 the series itself; g (the sech
+    transform, odd orders E_2n/2^(2n+1)).  These are the coefficients the
+    exact lane reads and the float lane's quadrature targets are built
+    from.
     """
-    if name.endswith(")") and "(" in name:
-        base, _, arg = name.partition("(")
-        try:
-            inline = int(arg[:-1])
-        except ValueError:
-            raise UnknownName(f"bad series parameter in {name!r}") from None
-        if p is not None and p != inline:
-            raise UnknownName(f"conflicting p for {name!r}")
-        name, p = base, inline
     if name not in NAMED:
         raise UnknownName(f"no series named {name!r}")
-
-    deriv = name in ("psi_tilde_deriv", "psi_bar_deriv")
-    if deriv:
+    if name.endswith("_deriv"):
         if p is None or p < 0:
             raise UnknownName(f"{name} requires an integer p >= 0")
     elif p not in (None, 0):
@@ -214,18 +208,12 @@ def named_series(name: str, order: int, p: int | None = None) -> TruncatedSeries
         for k in range(1, order // 2 + 1):
             coeffs[2 * k] = Fraction(2 ** (2 * k - 1), k * factorial(2 * k)) * bernoulli(2 * k)
         return TruncatedSeries(TAYLOR, coeffs, order)
-    if name == "psi_tilde" or name == "psi_bar":
-        value = bernoulli if name == "psi_tilde" else bernoulli_bar
-        for k in range(1, order // 2 + 1):
-            coeffs[2 * k] = -value(2 * k) / (2 * k)
-        return TruncatedSeries(ASYMPTOTIC, coeffs, order)
-    if name == "psi_tilde_deriv" or name == "psi_bar_deriv":
-        value = bernoulli if name == "psi_tilde_deriv" else bernoulli_bar
-        sign = (-1) ** (p + 1)
-        n = 1
-        while 2 * n + p <= order:
-            coeffs[2 * n + p] = sign * value(2 * n) * rising_factorial(Fraction(2 * n), p) / (2 * n)
-            n += 1
+    if name.startswith("psi_"):
+        # d^p/dx^p x^(-2k) = (-1)^p (2k)_p x^(-2k-p), (2k)_p = perm(2k+p-1, p)
+        value = bernoulli if name.startswith("psi_tilde") else bernoulli_bar
+        p = p or 0
+        for k in range(1, (order - p) // 2 + 1):
+            coeffs[2 * k + p] = value(2 * k) * Fraction((-1) ** (p + 1) * perm(2 * k + p - 1, p), 2 * k)
         return TruncatedSeries(ASYMPTOTIC, coeffs, order)
     # g
     for n in range(0, (order - 1) // 2 + 1):

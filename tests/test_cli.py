@@ -536,9 +536,19 @@ def test_series_json_dump():
 
 
 def test_series_inline_parameter():
-    result = runner.invoke(main, ["series", "psi_tilde_deriv(2)", "--order", "6"])
+    result = runner.invoke(main, ["series", "psi_tilde_deriv(2)", "--order", "8"])
     assert result.exit_code == 0
-    assert len(lines(result)) > 0
+    expected = series_engine.named_series("psi_tilde_deriv", 8, p=2)
+    assert lines(result) == [f"{m},{c}" for m, c in expected.items()]
+
+
+@pytest.mark.parametrize("name", [
+    "psi_tilde_deriv(x)", "psi_tilde_deriv", "psi_tilde_deriv(-1)", "sech(1)", "nope(1)",
+])
+def test_series_inline_parameter_errors(name):
+    # a bad, missing or negative p, or a p on a series that takes none
+    result = runner.invoke(main, ["series", name, "--order", "6"])
+    assert result.exit_code == 2, result.output
 
 
 def test_series_usage_errors():

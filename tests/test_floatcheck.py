@@ -18,6 +18,7 @@ from bernkit import (
     FAMILY_KINDS,
     QUAD_NAMES,
     QuadFailure,
+    TruncatedSeries,
     UnknownName,
     check_g_squared,
     check_zeta,
@@ -256,6 +257,28 @@ def test_overflowed_series_terms_keep_a_real_bound(name):
         assert abs((value - exact) / exact) < 1e-15
 
 
+def test_quad_target_reads_named_series(monkeypatch):
+    # the float target is built from the exact coefficients the identity
+    # lane reads, so a wrong named_series coefficient fails the row
+    assert quad_rep("psi_tilde_p", 10.0, 1.0).ok
+    real = floatcheck.named_series
+
+    def perturbed(name, order, **kwargs):
+        series = real(name, order, **kwargs)
+        if name != "psi_tilde_deriv" or kwargs.get("p") != 1:
+            return series
+        coeffs = dict(series.coeffs)
+        coeffs[3] *= 2
+        return TruncatedSeries(series.kind, coeffs, series.trunc)
+
+    monkeypatch.setattr(floatcheck, "named_series", perturbed)
+    floatcheck._series_coeffs.cache_clear()
+    try:
+        assert not quad_rep("psi_tilde_p", 10.0, 1.0).ok
+    finally:
+        floatcheck._series_coeffs.cache_clear()
+
+
 def _mp_g(mpmath, x):
     """g(x) = integral of exp(-2xs) sech s over s >= 0, which is Dirichlet's
     beta function at z = x + 1/2: (psi((z+1)/2) - psi(z/2)) / 2."""
@@ -265,8 +288,8 @@ def _mp_g(mpmath, x):
 
 @pytest.mark.parametrize("x", [50.0, 100.0, 1000.0])
 def test_far_g_rows_form_their_terms_through_logarithms(x):
-    # E_2n and (2x)^(2n+1) leave the double range from x ~ 50 on, though
-    # their ratio does not; these rows raised "leaves the double range"
+    # E_2n/2^(2n+1) and x^(2n+1) leave the double range from x ~ 50 on,
+    # though their ratio does not; these rows raised "leaves the double range"
     mpmath = pytest.importorskip("mpmath")
     r = quad_rep("g", x)
     assert r.ok, r.error

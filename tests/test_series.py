@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bernkit.series
 from bernkit import (
     ASYMPTOTIC,
     TAYLOR,
@@ -148,6 +149,31 @@ def test_pow_is_the_plain_cauchy_power(variant):
         assert series_pow(base, N) == plain, N
 
 
+@pytest.mark.parametrize("name", ["psi_tilde", "psi_bar", "b", "zero"])
+def test_pow_is_the_repeated_product(name):
+    # binary powering brackets the products differently: the coefficients
+    # and the truncation order (both compared by ==) must be those of
+    # N - 1 repeated products
+    base = taylor({}, 6) if name == "zero" else named_series(name, 12)
+    repeated = base
+    for N in range(1, 10):
+        assert series_pow(base, N) == repeated, N
+        repeated = series_mul(repeated, base)
+
+
+def test_pow_squares_its_way_up(monkeypatch):
+    calls = []
+    real = bernkit.series.series_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(bernkit.series, "series_mul", counted)
+    series_pow(named_series("psi_tilde", 8), 64)
+    assert len(calls) <= 2 * (64).bit_length()
+
+
 def test_pow_basics():
     b = named_series("b", 8)
     assert series_pow(b, 1) == b
@@ -197,13 +223,17 @@ def test_named_trig_series():
 
 
 def test_named_deriv_series():
-    inline = named_series("psi_tilde_deriv(2)", 8)
-    explicit = named_series("psi_tilde_deriv", 8, p=2)
-    assert inline == explicit
+    deriv = named_series("psi_tilde_deriv", 8, p=2)
     # d^2/dx^2 of -1/(12 x^2) contributes -6/12 = -1/2 at x^-4
-    assert inline.coeff(4) == F(-1, 2)
+    assert deriv.coeff(4) == F(-1, 2)
     # p = 0 reproduces the function itself
     assert named_series("psi_bar_deriv", 8, p=0) == named_series("psi_bar", 8)
+    # p is passed as the keyword only; the inline text form
+    # psi_tilde_deriv(2) belongs to the CLI (test_cli)
+    with pytest.raises(TypeError):
+        named_series("psi_tilde_deriv", 8, 2)
+    with pytest.raises(UnknownName):
+        named_series("psi_tilde_deriv(2)", 8)
 
 
 def test_named_psi_tilde_is_its_p0_derivative():
@@ -219,9 +249,7 @@ def test_named_series_errors():
     with pytest.raises(UnknownName):
         named_series("psi_tilde_deriv", 6)  # missing p
     with pytest.raises(UnknownName):
-        named_series("psi_tilde_deriv(x)", 6)
-    with pytest.raises(UnknownName):
-        named_series("psi_tilde_deriv(2)", 6, p=3)  # conflicting parameter
+        named_series("psi_bar_deriv", 6, p=-1)
     with pytest.raises(UnknownName):
         named_series("sech", 6, p=1)
 
