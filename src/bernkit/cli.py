@@ -5,6 +5,15 @@ coefficient dumps (series), quadrature checks (quadcheck).  Every
 subcommand emits plain/csv/json and uses CI-friendly exit codes: 0 all
 checks ok, 1 some check failed, 2 usage error.
 
+The parser is the standard library's argparse, and every result record is
+a plain slotted class, so a scan process loads neither a third-party
+package nor dataclasses and inspect before its first row.  Every option
+here takes one value, and main joins a value that starts with '-' to its
+option (--p=-1/4) before parsing, because argparse would read -1/4,
+-0.25 or -1e-3 as an option of its own.  Options may not be abbreviated.
+A usage error prints the usage line and an argparse-style message
+("bernkit verify: error: ...") on stderr and exits 2.
+
 Every verify and quadcheck row is built by _row from its result's fields,
 so the column tuples here are the one statement of each row layout.
 
@@ -16,14 +25,15 @@ short scan process small.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
-
-import click
+from types import SimpleNamespace
 
 from . import floatcheck, identities, sequences
 from . import series as series_engine
@@ -36,11 +46,25 @@ _REPORT_COLUMNS = ("identity", "n", "p", "N", "lhs", "rhs", "residual", "ok", "e
 _QUAD_COLUMNS = ("name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok", "error")
 
 
-def _row(fields, columns: tuple) -> dict:
+class UsageError(Exception):
+    """A bad command line; ``parser`` is the (sub)command it was given to,
+    or None when the command itself found it."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None) -> None:
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise UsageError(message, self)
+
+
+def _row(result, columns: tuple) -> dict:
     """The output row of one result: its fields in column order, a missing
     or None field left out, a Fraction written as str."""
     return {c: str(v) if isinstance(v, Fraction) else v
-            for c in columns if (v := fields.get(c)) is not None}
+            for c in columns if (v := getattr(result, c, None)) is not None}
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -65,11 +89,10 @@ def _run_task(task: tuple) -> dict:
         else:
             # each remaining id names its verifier: miki-modified -> verify_miki_modified
             report = getattr(identities, "verify_" + ident.replace("-", "_"))(n)
-        return _row(vars(report), _REPORT_COLUMNS)
     except BernkitError as exc:
-        return _row({"identity": ident, "n": n, "p": p, "N": n_parts, "lhs": "", "rhs": "",
-                     "residual": "", "ok": False, "error": str(exc) or exc.__class__.__name__},
-                    _REPORT_COLUMNS)
+        report = SimpleNamespace(identity=ident, n=n, p=p, N=n_parts, lhs="", rhs="", residual="",
+                                 ok=False, error=str(exc) or exc.__class__.__name__)
+    return _row(report, _REPORT_COLUMNS)
 
 
 def _run_group(tasks: list[tuple]) -> list[dict]:
@@ -110,39 +133,30 @@ def _format_cell(value) -> str:
 
 def _emit_reports(rows: list[dict], fmt: str, columns: tuple = _REPORT_COLUMNS) -> None:
     if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
+        print(json.dumps(rows, indent=2))
         return
     table = [[_format_cell(r.get(c, "")) for c in columns] for r in rows]
     if fmt == "csv":
         _echo_csv(columns, table)
     else:
         for cells in table:
-            click.echo(",".join(cells))
+            print(",".join(cells))
 
 
 def _emit_pairs(rows: list[tuple], fmt: str, columns: tuple) -> None:
     if fmt == "json":
-        click.echo(json.dumps([list(r) for r in rows]))
+        print(json.dumps([list(r) for r in rows]))
     elif fmt == "csv":
         _echo_csv(columns, rows)
     else:
         for row in rows:
-            click.echo(",".join(str(c) for c in row))
+            print(",".join(str(c) for c in row))
 
 
-@click.group()
-def main() -> None:
-    """Exact Bernoulli/Euler convolution-identity toolkit."""
-
-
-@main.command()
-@click.argument("kind", type=click.Choice(_SEQ_KINDS))
-@click.option("--n-max", type=int, required=True, help="largest index to print")
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default="plain")
 def seq(kind: str, n_max: int, fmt: str) -> None:
     """Print a sequence table from index 0 (even indices for euler)."""
     if n_max < 0:
-        raise click.UsageError(f"--n-max must be >= 0, got {n_max}")
+        raise UsageError(f"--n-max must be >= 0, got {n_max}")
     getter = {
         "bernoulli": sequences.bernoulli,
         "bbar": sequences.bernoulli_bar,
@@ -155,39 +169,27 @@ def seq(kind: str, n_max: int, fmt: str) -> None:
     _emit_pairs(rows, fmt, ("n", "value"))
 
 
-@main.command()
-@click.option("--identity", "idents", multiple=True, required=True,
-              type=click.Choice(list(identities.FLOORS)), help="identity id; repeatable")
-@click.option("--n-min", type=int, default=None,
-              help="first n (default: the identity's own floor)")
-@click.option("--n-max", type=int, required=True)
-@click.option("--p", "p_values", multiple=True,
-              help="exact rational parameter for family identities, e.g. 1/2")
-@click.option("--N", "n_parts", type=int, default=None,
-              help="fold count for the multi identities (default 2)")
-@click.option("--float-p", "float_ps", multiple=True, type=float,
-              help="float parameter: evaluate a family in double precision")
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default="plain")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, help="worker processes")
 def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None:
     """Scan identities over a range of n; exit 0 iff every row is ok.
     A repeated --identity, --p or --float-p value gives its rows once."""
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     exact_ps = []
     for text in p_values:
         try:
             exact_ps.append(str(Fraction(text)))
         except (ValueError, ZeroDivisionError):
-            raise click.UsageError(f"--p values must be exact rationals, got {text!r}")
+            raise UsageError(f"--p values must be exact rationals, got {text!r}")
     if not all(math.isfinite(fp) for fp in float_ps):
-        raise click.UsageError(f"--float-p values must be finite, got {float_ps}")
+        raise UsageError(f"--float-p values must be finite, got {tuple(float_ps)}")
     idents, exact_ps, float_ps = (tuple(dict.fromkeys(v)) for v in (idents, exact_ps, float_ps))
     family_ids = [i for i in idents if i.startswith("family-")]
     if (exact_ps or float_ps) and not family_ids:
-        raise click.UsageError("--p/--float-p apply only to family-* identities")
+        raise UsageError("--p/--float-p apply only to family-* identities")
     if family_ids and not exact_ps and not float_ps:
-        raise click.UsageError("family-* identities need --p or --float-p")
+        raise UsageError("family-* identities need --p or --float-p")
     if n_parts is not None and not {"multi", "multi-bar"} & set(idents):
-        raise click.UsageError("--N applies only to the multi and multi-bar identities")
+        raise UsageError("--N applies only to the multi and multi-bar identities")
 
     tasks = []
     for ident in idents:
@@ -196,11 +198,11 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
         if ident in ("multi", "multi-bar"):
             parts = n_parts if n_parts is not None else 2
             if parts < 2:
-                raise click.UsageError(f"--N must be >= 2, got {parts}")
+                raise UsageError(f"--N must be >= 2, got {parts}")
             floor = max(floor, parts)
         lo = n_min if n_min is not None else floor
         if lo > n_max:
-            raise click.UsageError(f"empty scan range for {ident}: {lo}..{n_max}")
+            raise UsageError(f"empty scan range for {ident}: {lo}..{n_max}")
         for n in range(lo, n_max + 1):
             if ident.startswith("family-"):
                 for p_str in exact_ps:
@@ -225,55 +227,129 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 
 
-@main.command()
-@click.argument("name")
-@click.option("--order", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default="plain")
 def series(name: str, order: int, fmt: str) -> None:
     """Dump the exact coefficients of a named series through --order.
     A derivative series takes its integer p inline: psi_tilde_deriv(2)."""
     if order < 0:
-        raise click.UsageError(f"--order must be >= 0, got {order}")
+        raise UsageError(f"--order must be >= 0, got {order}")
     base, p = name, None
     if name.endswith(")") and "(" in name:
         base, _, arg = name.partition("(")
         try:
             p = int(arg[:-1])
         except ValueError:
-            raise click.UsageError(f"bad series parameter in {name!r}")
+            raise UsageError(f"bad series parameter in {name!r}")
     try:
         expansion = series_engine.named_series(base, order, p=p)
     except (UnknownName, DomainError) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     rows = [(m, str(c)) for m, c in expansion.items()]
     _emit_pairs(rows, fmt, ("order", "coeff"))
 
 
-@main.command()
-@click.argument("name")
-@click.option("--x", "xs", multiple=True, type=float,
-              help="grid point; repeatable (default 5, 10, 20)")
-@click.option("--p", type=float, default=0.0)
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default="plain")
 def quadcheck(name: str, xs, p: float, fmt: str) -> None:
     """Compare integral representations against their targets on a grid."""
     if name not in floatcheck.QUAD_NAMES:
-        raise click.UsageError(
+        raise UsageError(
             f"unknown representation {name!r}; known: {', '.join(floatcheck.QUAD_NAMES)}")
     bad = [v for v in (*xs, p) if not math.isfinite(v)]
     if bad:
-        raise click.UsageError(f"--x and --p must be finite, got {bad}")
+        raise UsageError(f"--x and --p must be finite, got {bad}")
     grid = sorted(xs) if xs else [5.0, 10.0, 20.0]
     rows = []
     for x in grid:
         try:
             result = floatcheck.quad_rep(name, x, p)
-            fields = {**vars(result), "ok": result.ok, "error": result.error}
         except (DomainError, QuadFailure) as exc:
-            fields = {"name": name, "x": x, "p": p, "ok": False, "error": str(exc)}
-        rows.append(_row(fields, _QUAD_COLUMNS))
+            result = SimpleNamespace(name=name, x=x, p=p, ok=False, error=str(exc))
+        rows.append(_row(result, _QUAD_COLUMNS))
     _emit_reports(rows, fmt, _QUAD_COLUMNS)
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="bernkit", allow_abbrev=False,
+                     description="Exact Bernoulli/Euler convolution-identity toolkit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(fn):
+        sub = commands.add_parser(fn.__name__, allow_abbrev=False, description=fn.__doc__,
+                                  help=fn.__doc__.split("\n")[0])
+        sub.set_defaults(command=fn, parser=sub)
+        sub.add_argument("--format", dest="fmt", choices=_FORMATS, default="plain")
+        return sub
+
+    sub = command(seq)
+    sub.add_argument("kind", choices=_SEQ_KINDS)
+    sub.add_argument("--n-max", type=int, required=True, help="largest index to print")
+
+    sub = command(verify)
+    sub.add_argument("--identity", dest="idents", action="append", required=True,
+                     choices=list(identities.FLOORS), metavar="ID",
+                     help="identity id; repeatable (%(choices)s)")
+    sub.add_argument("--n-min", type=int, default=None,
+                     help="first n (default: the identity's own floor)")
+    sub.add_argument("--n-max", type=int, required=True)
+    sub.add_argument("--p", dest="p_values", action="append", default=[], metavar="P",
+                     help="exact rational parameter for family identities, e.g. 1/2")
+    sub.add_argument("--N", dest="n_parts", type=int, default=None, metavar="N",
+                     help="fold count for the multi identities (default 2)")
+    sub.add_argument("--float-p", dest="float_ps", action="append", type=float, default=[],
+                     metavar="P",
+                     help="float parameter: evaluate a family in double precision")
+    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+
+    sub = command(series)
+    sub.add_argument("name")
+    sub.add_argument("--order", type=int, required=True)
+
+    sub = command(quadcheck)
+    sub.add_argument("name")
+    sub.add_argument("--x", dest="xs", action="append", type=float, default=[], metavar="X",
+                     help="grid point; repeatable (default 5, 10, 20)")
+    sub.add_argument("--p", type=float, default=0.0)
+    return parser
+
+
+def _glue_values(argv: list[str]) -> list[str]:
+    """``argv`` with each token that starts with '-' and follows an option
+    joined to it (--p -1/4 -> --p=-1/4), so argparse reads it as the
+    option's value.  Every option but --help takes one value."""
+    glued: list[str] = []
+    for token in argv:
+        last = glued[-1] if glued else ""
+        if (token.startswith("-") and last.startswith("--") and "=" not in last
+                and last not in ("--", "--help")):
+            glued[-1] = f"{last}={token}"
+        else:
+            glued.append(token)
+    return glued
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one subcommand on ``argv`` (default: the process arguments).
+    verify and quadcheck exit 0 or 1 by their rows.  A usage error prints
+    the usage line and its message on stderr and exits 2; with
+    standalone_mode=False it raises UsageError instead.  A reader that
+    closes stdout early (bernkit seq ... | head) ends the run with exit 1
+    and no traceback."""
+    parser = _parser()
+    try:
+        args = vars(parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv)))
+        command = args.pop("command")
+        parser = args.pop("parser")
+        command(**args)
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        parser = exc.parser or parser
+        parser.print_usage(sys.stderr)
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except BrokenPipeError:
+        # stdout goes to devnull, or the interpreter would report the closed
+        # pipe again when it flushes stdout at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

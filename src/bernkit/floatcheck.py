@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,18 +77,21 @@ _ULP_TOL = 4
 _QUAD_REL = 1e-12
 
 
-@dataclass(frozen=True)
 class QuadResult:
     """One quadrature value against its independent target."""
 
-    name: str
-    x: float
-    p: float
-    value: float
-    est_error: float
-    target: float
-    abs_dev: float
-    tol: float
+    __slots__ = ("name", "x", "p", "value", "est_error", "target", "abs_dev", "tol")
+
+    def __init__(self, name: str, x: float, p: float, value: float, est_error: float,
+                 target: float, abs_dev: float, tol: float) -> None:
+        self.name = name
+        self.x = x
+        self.p = p
+        self.value = value
+        self.est_error = est_error
+        self.target = target
+        self.abs_dev = abs_dev
+        self.tol = tol
 
     @property
     def error(self) -> str | None:
@@ -374,17 +376,20 @@ def check_g_squared(x: float) -> QuadResult:
     return QuadResult("g_squared", x, 0.0, value, err, target, abs(value - target), tol)
 
 
-@dataclass(frozen=True)
 class FamilyFloat:
     """Float evaluation of one gamma-weighted family identity."""
 
-    identity: str
-    n: int
-    p: float
-    lhs: float
-    rhs: float
-    residual: float
-    ok: bool
+    __slots__ = ("identity", "n", "p", "lhs", "rhs", "residual", "ok")
+
+    def __init__(self, identity: str, n: int, p: float, lhs: float, rhs: float,
+                 residual: float, ok: bool) -> None:
+        self.identity = identity
+        self.n = n
+        self.p = p
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
+        self.ok = ok
 
 
 def _float_side(terms: tuple[tuple[GammaProduct, Fraction], ...], p: float) -> float:

@@ -31,7 +31,6 @@ and raises PoleEncountered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -48,19 +47,19 @@ __all__ = [
 BASES = ("p", "2p")
 
 
-@dataclass(frozen=True, slots=True)
 class GammaProduct:
     """Product of Gamma(base+offset)**exponent factors.
 
     ``factors`` is kept canonical: merged by (base, offset), zero exponents
-    dropped, sorted.
+    dropped, sorted.  Treat it as read-only: products are compared and
+    hashed by it.
     """
 
-    factors: tuple[tuple[str, int, int], ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, factors: tuple[tuple[str, int, int], ...] = ()) -> None:
         merged: dict[tuple[str, int], int] = {}
-        for base, offset, exponent in self.factors:
+        for base, offset, exponent in factors:
             if base not in BASES:
                 raise DomainError(f"unknown gamma base {base!r}")
             merged[(base, offset)] = merged.get((base, offset), 0) + exponent
@@ -71,17 +70,38 @@ class GammaProduct:
         )
         # an already canonical tuple is kept, so products built from another
         # product's factors share them
-        if canonical != self.factors:
-            object.__setattr__(self, "factors", canonical)
+        self.factors = factors if canonical == factors else canonical
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GammaProduct:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"GammaProduct({self.factors!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class ReducedGamma:
     """Gamma(p)**a * Gamma(2p)**b * value, with value an exact rational."""
 
-    exp_gamma_p: int
-    exp_gamma_2p: int
-    value: Fraction
+    __slots__ = ("exp_gamma_p", "exp_gamma_2p", "value")
+
+    def __init__(self, exp_gamma_p: int, exp_gamma_2p: int, value: Fraction) -> None:
+        self.exp_gamma_p = exp_gamma_p
+        self.exp_gamma_2p = exp_gamma_2p
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ReducedGamma:
+            return NotImplemented
+        return (self.exp_gamma_p, self.exp_gamma_2p, self.value) == (
+            other.exp_gamma_p, other.exp_gamma_2p, other.value)
+
+    def __repr__(self) -> str:
+        return f"ReducedGamma({self.exp_gamma_p}, {self.exp_gamma_2p}, {self.value!r})"
 
 
 def gamma_reduce(g: GammaProduct, p: Fraction) -> ReducedGamma:

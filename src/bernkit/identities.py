@@ -99,7 +99,6 @@ the products that read it were stored no longer reaches the rows of that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -173,18 +172,30 @@ FLOORS = {
 }
 
 
-@dataclass(frozen=True)
 class IdentityReport:
     """Exact evaluation of one identity at one parameter point."""
 
-    identity: str
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-    residual: Fraction
-    ok: bool
-    p: Fraction | None = None
-    N: int | None = None
+    __slots__ = ("identity", "n", "lhs", "rhs", "residual", "ok", "p", "N")
+
+    def __init__(
+        self,
+        identity: str,
+        n: int,
+        lhs: Fraction,
+        rhs: Fraction,
+        residual: Fraction,
+        ok: bool,
+        p: Fraction | None = None,
+        N: int | None = None,
+    ) -> None:
+        self.identity = identity
+        self.n = n
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
+        self.ok = ok
+        self.p = p
+        self.N = N
 
 
 def _report(

@@ -24,7 +24,6 @@ imports nothing from that layer, so the two routes share no summation code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, perm
 
@@ -62,24 +61,32 @@ NAMED = (
 )
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Finite piece of a formal series, trusted through order ``trunc``."""
+    """Finite piece of a formal series, trusted through order ``trunc``.
+    Every operation builds a new series; none changes one in place."""
 
-    kind: str
-    coeffs: dict[int, Fraction]
-    trunc: int
+    __slots__ = ("kind", "coeffs", "trunc")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (TAYLOR, ASYMPTOTIC):
-            raise KindMismatch(f"unknown series kind {self.kind!r}")
+    def __init__(self, kind: str, coeffs: dict[int, Fraction], trunc: int) -> None:
+        if kind not in (TAYLOR, ASYMPTOTIC):
+            raise KindMismatch(f"unknown series kind {kind!r}")
         clean = {}
-        for m, c in self.coeffs.items():
-            if m > self.trunc:
-                raise DomainError(f"order {m} beyond truncation {self.trunc}")
+        for m, c in coeffs.items():
+            if m > trunc:
+                raise DomainError(f"order {m} beyond truncation {trunc}")
             if c != 0:
                 clean[m] = Fraction(c)
-        object.__setattr__(self, "coeffs", clean)
+        self.kind = kind
+        self.coeffs = clean
+        self.trunc = trunc
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TruncatedSeries:
+            return NotImplemented
+        return (self.kind, self.coeffs, self.trunc) == (other.kind, other.coeffs, other.trunc)
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries({self.kind!r}, {self.coeffs!r}, {self.trunc!r})"
 
     def coeff(self, m: int) -> Fraction:
         return self.coeffs.get(m, Fraction(0))
@@ -184,7 +191,7 @@ def named_series(name: str, order: int, *, p: int | None = None) -> TruncatedSer
     if name not in NAMED:
         raise UnknownName(f"no series named {name!r}")
     if name.endswith("_deriv"):
-        if p is None or p < 0:
+        if not isinstance(p, int) or p < 0:
             raise UnknownName(f"{name} requires an integer p >= 0")
     elif p not in (None, 0):
         raise UnknownName(f"{name} takes no parameter")

@@ -10,7 +10,7 @@ import json
 import math
 from fractions import Fraction
 
-from click.testing import CliRunner
+from conftest import CliRunner
 
 from bernkit import (
     bernoulli,

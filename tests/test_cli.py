@@ -1,4 +1,4 @@
-"""End-to-end CLI tests via click's test runner.
+"""End-to-end CLI tests through the in-process runner of conftest.py.
 
 Covers the output formats, the exit-code contract (0 ok, 1 failed rows,
 2 usage), parallel/serial agreement, and the wiring from command line to
@@ -6,7 +6,9 @@ library.  Numeric correctness itself is pinned in the module tests; here
 rows are mostly cross-checked against direct library calls.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -17,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 
 import bernkit
 from bernkit import cli as cli_module, floatcheck, identities, sequences
@@ -368,6 +370,91 @@ def test_cli_import_loads_floatcheck_eagerly():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_no_click_dataclasses_or_inspect():
+    # a scan process starts on the standard library: argparse parses, and
+    # the result records are plain slotted classes
+    script = textwrap.dedent("""
+        import sys
+        import bernkit.cli
+        print(sorted(m for m in ("click", "dataclasses", "inspect") if m in sys.modules))
+        print("bernkit.floatcheck" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]
+
+
+@pytest.mark.parametrize("args, p", [
+    (["--p", "-1/4"], "-1/4"), (["--p", "-1"], "-1"),
+    (["--float-p", "-0.25"], -0.25), (["--float-p", "-1e-3"], -0.001),
+])
+def test_verify_reads_negative_values_as_values(args, p):
+    # argparse alone takes -1/4, -0.25 or -1e-3 for an option string
+    result = runner.invoke(main, ["verify", "--identity", "family-fpz", *args,
+                                  "--n-min", "2", "--n-max", "2", "--format", "json"])
+    assert result.exit_code in (0, 1), result.output
+    [row] = json.loads(result.output)
+    assert row["p"] == p
+
+
+def test_quadcheck_reads_negative_values_as_values():
+    result = runner.invoke(main, ["quadcheck", "psi_tilde_p", "--p", "-0.5", "--x", "-1",
+                                  "--x", "-1e-3", "--format", "json"])
+    assert result.exit_code == 1, result.output
+    rows = json.loads(result.output)
+    assert [(row["x"], row["p"]) for row in rows] == [(-1.0, -0.5), (-0.001, -0.5)]
+    assert not any(row["ok"] for row in rows)
+
+
+def test_usage_error_exit_codes():
+    # no subcommand, an abbreviated option, an option missing its value,
+    # an unknown option: exit 2 with the message on stderr
+    for args in ([], ["verify", "--identity", "miki", "--n-max", "3", "--form", "json"],
+                 ["verify", "--identity", "miki", "--n-max"],
+                 ["seq", "bernoulli", "--n-max", "3", "--bogus", "-1"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.stdout_bytes == b"" and "error:" in result.output, args
+
+
+@pytest.mark.parametrize("command", [[], ["seq"], ["verify"], ["series"], ["quadcheck"]])
+def test_help_exits_0(command):
+    result = runner.invoke(main, [*command, "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("usage: bernkit")
+
+
+def test_main_without_standalone_mode():
+    # the benchmark's traced scan calls main(argv, standalone_mode=False):
+    # the scan still ends in SystemExit with its code, and a usage error
+    # raises instead of exiting 2
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), pytest.raises(SystemExit) as done:
+        main(["verify", "--identity", "euler", "--n-max", "3", "--format", "json"],
+             standalone_mode=False)
+    assert done.value.code == 0
+    assert [row["n"] for row in json.loads(buffer.getvalue())] == [2, 3]
+    with pytest.raises(cli_module.UsageError, match="family-\\* identities need"):
+        main(["verify", "--identity", "family-fpz", "--n-max", "3"], standalone_mode=False)
+    with pytest.raises(cli_module.UsageError, match="--n-max"):
+        main(["verify", "--identity", "euler"], standalone_mode=False)
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops early (bernkit seq ... | head) gets exit 1 and no
+    # traceback, as under the former click front end
+    env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "bernkit.cli", "seq", "bernoulli", "--n-max", "1200"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"0,1\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert stderr == b""
 
 
 def test_failed_rows_carry_their_reason_in_csv_and_plain():

@@ -236,6 +236,14 @@ def test_named_deriv_series():
         named_series("psi_tilde_deriv(2)", 8)
 
 
+@pytest.mark.parametrize("p", [2.0, F(1, 2), F(2), "2"])
+def test_named_deriv_series_needs_an_int_p(p):
+    # a non-int p, even an integral float or Fraction, is a package error
+    # and not a TypeError from the coefficient arithmetic
+    with pytest.raises(UnknownName, match="integer p"):
+        named_series("psi_tilde_deriv", 8, p=p)
+
+
 def test_named_psi_tilde_is_its_p0_derivative():
     # the twin of test_named_deriv_series' psi_bar check: each psi series
     # reads its own sequence, B for psi_tilde and Bbar for psi_bar
