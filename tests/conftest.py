@@ -8,8 +8,8 @@ from unittest import mock
 
 
 class CliRunner:
-    """Runs a command-line entry point in this process, the way
-    click.testing.CliRunner did: ``invoke(main, args, env=None)`` gives
+    """Runs a command-line entry point in this process, with the call shape
+    of click.testing.CliRunner: ``invoke(main, args, env=None)`` gives
     ``exit_code``, ``output`` (stdout then stderr), ``stdout_bytes`` and
     ``exception`` (the SystemExit of a non-zero exit, else None)."""
 
