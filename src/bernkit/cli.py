@@ -332,8 +332,12 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     the usage line and its message on stderr and exits 2; with
     standalone_mode=False it raises UsageError instead.  A reader that
     closes stdout early (bernkit seq ... | head) ends the run with exit 1
-    and no traceback."""
+    and no traceback.  Exact values are written in full, however many
+    digits they have: the interpreter's int-to-str digit limit is lifted
+    while main runs and restored when it returns."""
     parser = _parser()
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = vars(parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv)))
         command = args.pop("command")
@@ -350,6 +354,8 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
         # pipe again when it flushes stdout at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

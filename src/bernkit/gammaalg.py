@@ -9,18 +9,24 @@ bases Gamma(p) and Gamma(2p) through rising factorials,
     Gamma(t+m) = Gamma(t) * (t)_m,
 
 leaving an integer exponent for each base and an exact rational cofactor.
-The cofactor (t)_m, or 1/(t+m)_(-m) for a negative offset, is read from
+The cofactor (t)_m, or 1/(t+m)_(-m) for a negative offset, comes from
 the prefix table of its anchor (t, resp. t+m) in the process-wide
-``SequenceCache`` through ``sequences.rising_factorial``, so a scan
-multiplies once per new (anchor, offset) pair instead of once per step of
-every factor.  No Legendre duplication is applied: the two bases stay
-independent, which keeps every cofactor rational.  The cofactor is
-carried as one integer numerator and one integer denominator, which each
-factor multiplies by its rising entry's numerator and denominator
-(swapped for a negative offset or a negative exponent), and it becomes
-one Fraction at the end, so a reduction normalises once, not once per
-factor.  gamma_reduce itself keeps no memo; the family rows keep its
-results in the cache's ``reduced`` slot (see ``identities``).
+``SequenceCache``, so a scan multiplies once per new (anchor, offset)
+pair instead of once per step of every factor.  The anchors p and 2p are
+held as reduced integer (numerator, denominator) pairs, the very keys of
+``SequenceCache.rising`` (2p is (a, b/2) for an even b, else (2a, b)), so
+no Fraction is built for them.  An entry that exists is read straight
+from ``sequences._DEFAULT.rising``, looked up at call time so an injected
+or corrupted cache reaches every reduction; a missing one is made by
+``sequences.rising_factorial``, the one place where a table grows.  No
+Legendre duplication is applied: the two bases stay independent, which
+keeps every cofactor rational.  The cofactor is carried as one integer
+numerator and one integer denominator, which each factor multiplies by
+its rising entry's numerator and denominator (swapped for a negative
+offset or a negative exponent), and it becomes one Fraction at the end,
+so a reduction normalises once, not once per factor.  gamma_reduce
+itself keeps no memo; the family rows keep its results in the cache's
+``reduced`` slot (see ``identities``).
 
 When the anchor t (p or 2p) is itself a nonpositive integer, Gamma(t) has
 a pole even where Gamma(t+m) is finite, so such factors are folded all the
@@ -34,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from . import sequences
 from .errors import DomainError, PoleEncountered, ZeroDivisor
 from .sequences import rising_factorial
 
@@ -107,27 +114,38 @@ class ReducedGamma:
 def gamma_reduce(g: GammaProduct, p: Fraction) -> ReducedGamma:
     """Reduce ``g`` at the rational point ``p`` to base exponents and cofactor.
 
-    The cofactor is carried as one integer numerator and one integer
-    denominator: each factor multiplies them by the numerator and
-    denominator of its rising entry (swapped for a negative offset or
-    exponent), and one Fraction is built at the end.
+    ``p`` is anything Fraction accepts; it is converted only when it is not
+    a Fraction already.  The anchors p and 2p are held as reduced integer
+    (numerator, denominator) pairs, the keys of the rising tables.  A
+    rising entry that exists is read straight from the table of
+    ``sequences._DEFAULT``, looked up at call time; a missing one is made
+    by ``rising_factorial``, the one place a table grows.  The cofactor is
+    carried as one integer numerator and one integer denominator: each
+    factor multiplies them by the numerator and denominator of its rising
+    entry (swapped for a negative offset or exponent), and one Fraction is
+    built at the end.
 
     Raises PoleEncountered when any factor's argument is a nonpositive
     integer, and ZeroDivisor if a rising-factorial step would divide by
     zero (unreachable once the pole guard has passed, but kept explicit).
     """
-    p = Fraction(p)
-    anchors = {"p": p, "2p": 2 * p}
+    if not isinstance(p, Fraction):
+        p = Fraction(p)
+    a, b = p.numerator, p.denominator
+    # 2p in lowest terms: b is odd or halves, so no gcd is needed
+    anchor_p, anchor_2p = (a, b), ((a, b // 2) if b % 2 == 0 else (2 * a, b))
+    tables = sequences._DEFAULT.rising
     num = den = 1
-    exponents = {"p": 0, "2p": 0}
+    exp_p = exp_2p = 0
     for base, offset, exponent in g.factors:
-        anchor = anchors[base]
+        anchor = anchor_p if base == "p" else anchor_2p
+        t_num, t_den = anchor
         # t+m is a nonpositive integer only if the anchor t is an integer
-        if anchor.denominator == 1:
-            argument = anchor.numerator + offset
+        if t_den == 1:
+            argument = t_num + offset
             if argument <= 0:
                 raise PoleEncountered(f"Gamma({base}+{offset}) at p={p} has argument {argument}")
-            if anchor.numerator <= 0:
+            if t_num <= 0:
                 # Gamma(anchor) itself is singular; the factor is a pure
                 # factorial here and contributes no base exponent.
                 if exponent > 0:
@@ -135,23 +153,37 @@ def gamma_reduce(g: GammaProduct, p: Fraction) -> ReducedGamma:
                 else:
                     den *= factorial(argument - 1) ** -exponent
                 continue
-        if offset >= 0:
-            rising = rising_factorial(anchor, offset)
-            top, bottom = rising.numerator, rising.denominator
+        # (t)_m for m >= 0; 1/(t+m)_(-m), read at the anchor t+m, for m < 0
+        key, steps = anchor, offset
+        if offset < 0:
+            key, steps = (t_num + offset * t_den, t_den), -offset
+        table = tables.get(key)
+        if table is not None and steps < len(table):
+            entry = table[steps]
         else:
-            argument = anchor + offset
-            divisor = rising_factorial(argument, -offset)
-            if divisor == 0:
-                raise ZeroDivisor(f"({argument})_{-offset} vanishes at p={p}")
-            top, bottom = divisor.denominator, divisor.numerator
-        if top == 0 and exponent < 0:
-            raise ZeroDivisor(f"({anchor})_{offset} vanishes in a denominator at p={p}")
-        exponents[base] += exponent
-        if exponent < 0:
-            top, bottom, exponent = bottom, top, -exponent
-        num *= top**exponent
-        den *= bottom**exponent
-    return ReducedGamma(exponents["p"], exponents["2p"], Fraction(num, den))
+            entry = rising_factorial(Fraction(*key), steps)
+        if offset >= 0:
+            top, bottom = entry.numerator, entry.denominator
+            if top == 0 and exponent < 0:
+                raise ZeroDivisor(
+                    f"({Fraction(*anchor)})_{offset} vanishes in a denominator at p={p}")
+        else:
+            top, bottom = entry.denominator, entry.numerator
+            if bottom == 0:
+                raise ZeroDivisor(f"({Fraction(*key)})_{steps} vanishes at p={p}")
+        if base == "p":
+            exp_p += exponent
+        else:
+            exp_2p += exponent
+        if exponent == 1:
+            num *= top
+            den *= bottom
+        else:
+            if exponent < 0:
+                top, bottom, exponent = bottom, top, -exponent
+            num *= top**exponent
+            den *= bottom**exponent
+    return ReducedGamma(exp_p, exp_2p, Fraction(num, den))
 
 
 def beta_factor(k: int) -> GammaProduct:

@@ -79,8 +79,11 @@ call time so an injected cache replaces them too:
   tuple, the product holding the canonical gamma factors and the scalar
   the sum of the exact rational coefficients of the summands with that
   tuple.  The left terms k and n-k share a tuple, and so do the beta
-  term at an even k' and the right term at k'/2.  The exact family rows
-  and the float twin both read this table.
+  term at an even k' and the right term at k'/2.  Each summand writes
+  its tuple in canonical order and adds its scalar as an integer pair,
+  so one product and one Fraction are built per distinct tuple, not per
+  summand.  The exact family rows and the float twin both read this
+  table.
 
 The one slot that is not append-only, ``reduced``, is the pair ((n,
 p.numerator, p.denominator), {factor tuple: ReducedGamma}) of the latest
@@ -490,12 +493,14 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     (GammaProduct, scalar) pair per distinct factor tuple, in order of first
     occurrence, built once per (which, n).
 
-    which selects the plain (miki), Bbar (fpz) or mixed variant.  Equal
-    factors of a product are merged (a k=n/2 left term carries
-    Gamma(p+n)**2, the k=1 tail term Gamma(p+1)**2), each summand's scalar
-    is built as one integer ratio, and the scalars of the summands that
-    share a factor tuple are added: at n = 30 the 29 + 89 summands leave
-    15 + 60 pairs.
+    which selects the plain (miki), Bbar (fpz) or mixed variant.  Each
+    summand's factor tuple is written in GammaProduct's canonical order
+    ("2p" before "p", offsets ascending, equal factors merged): a k = n/2
+    left term carries ("p", n, 2), the k = 1 tail term ("p", 1, 2), and
+    at k = 2n-1 the tail's Gamma(2p+2n) / Gamma(2p+k+1) cancels.  Each
+    summand's scalar is an unreduced integer pair, added to the pair of
+    its tuple; one GammaProduct and one Fraction are built per distinct
+    tuple at the end: at n = 30 the 29 + 89 summands leave 15 + 60 pairs.
     """
     if which not in FAMILY_KINDS:
         raise UnknownName(f"no family {which!r}")
@@ -510,43 +515,50 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     fact = [1]
     for j in range(1, 2 * n + 1):
         fact.append(fact[-1] * j)
-    lhs_terms: dict[tuple, list] = {}
-    rhs_terms: dict[tuple, list] = {}
+    lhs_terms: dict[tuple, tuple[int, int]] = {}
+    rhs_terms: dict[tuple, tuple[int, int]] = {}
 
-    def add(terms, factors, scalar):
-        product = GammaProduct(factors)
-        terms.setdefault(product.factors, [product, 0])[1] += scalar
+    def add(terms, factors, num, den):
+        if factors in terms:
+            other, other_den = terms[factors]
+            num, den = num * other_den + other * den, den * other_den
+        terms[factors] = num, den
 
     for k in range(1, n):
         # first(2k) second(2n-2k) / (2k (2n-2k) (2k-1)! (2n-2k-1)!), whose
         # denominator is (2k)! (2n-2k)!
         a, b = lhs_first(2 * k), lhs_second(2 * n - 2 * k)
-        rat = Fraction(
-            a.numerator * b.numerator,
-            a.denominator * b.denominator * fact[2 * k] * fact[2 * n - 2 * k],
-        )
-        add(lhs_terms, (("p", 2 * k, 1), ("p", 2 * n - 2 * k, 1)), rat)
+        low, high = sorted((2 * k, 2 * n - 2 * k))
+        factors = (("p", low, 2),) if low == high else (("p", low, 1), ("p", high, 1))
+        add(lhs_terms, factors, a.numerator * b.numerator,
+            a.denominator * b.denominator * fact[2 * k] * fact[2 * n - 2 * k])
     for k in range(1, n + 1):
         # 2 B_2k second(2n-2k) w_k / ((2k)! (2n-2k)!), with the mixed
-        # weight w_k = (1 - 2^(2k-1)) / 2^(2n-1), else 1
+        # weight w_k = (1 - 2^(2k-1)) / 2^(2n-1), else 1, times
+        # Gamma(p+1) Gamma(p+2k) Gamma(2p+2n) / Gamma(2p+2k+1)
         a, b = B(2 * k), rhs_second(2 * n - 2 * k)
         w_num, w_den = (1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1)) if which == "mixed" else (1, 1)
-        rat = Fraction(
+        if k < n:
+            gamma_2p = (("2p", 2 * k + 1, -1), ("2p", 2 * n, 1))
+        else:
+            gamma_2p = (("2p", 2 * n, 1), ("2p", 2 * n + 1, -1))
+        add(rhs_terms, gamma_2p + (("p", 1, 1), ("p", 2 * k, 1)),
             2 * a.numerator * b.numerator * w_num,
-            a.denominator * b.denominator * w_den * fact[2 * k] * fact[2 * n - 2 * k],
-        )
-        add(rhs_terms, (("p", 1, 1), ("p", 2 * k, 1), ("2p", 2 * n, 1), ("2p", 2 * k + 1, -1)), rat)
+            a.denominator * b.denominator * w_den * fact[2 * k] * fact[2 * n - 2 * k])
     b = rhs_second(2 * n)
     if which == "mixed":
-        tail = Fraction(b.numerator, b.denominator * fact[2 * n] * 2 ** (2 * n - 1))
+        tail = b.numerator, b.denominator * fact[2 * n] * 2 ** (2 * n - 1)
     else:
-        tail = Fraction(2 * b.numerator, b.denominator * fact[2 * n])
+        tail = 2 * b.numerator, b.denominator * fact[2 * n]
     for k in range(1, 2 * n):
         # the beta factor beta(p+k, p+1) = Gamma(p+k) Gamma(p+1) / Gamma(2p+k+1)
         # of gammaalg.beta_factor, times Gamma(2p+2n)
-        add(rhs_terms, (("p", k, 1), ("p", 1, 1), ("2p", k + 1, -1), ("2p", 2 * n, 1)), tail)
+        gamma_2p = (("2p", k + 1, -1), ("2p", 2 * n, 1)) if k < 2 * n - 1 else ()
+        gamma_p = (("p", 1, 2),) if k == 1 else (("p", 1, 1), ("p", k, 1))
+        add(rhs_terms, gamma_2p + gamma_p, *tail)
     table[which, n] = terms = tuple(
-        tuple(map(tuple, side.values())) for side in (lhs_terms, rhs_terms)
+        tuple((GammaProduct(factors), Fraction(num, den)) for factors, (num, den) in side.items())
+        for side in (lhs_terms, rhs_terms)
     )
     return terms
 

@@ -31,7 +31,9 @@ H^(2)_i = sum 1/j^2, from which ``harmonic`` reads H_i and
 those H_{2n,2}, so both routes run and are checked once per n; and one
 prefix table per anchor q of the rising factorials,
 ``rising[q.numerator, q.denominator] = [(q)_0, (q)_1, ...]``, from which
-``rising_factorial`` reads (q)_m.  Growing an anchor's table from length
+``rising_factorial`` reads (q)_m; ``gammaalg.gamma_reduce`` reads an
+existing entry straight from the table and grows one only through
+``rising_factorial``.  Growing an anchor's table from length
 L to m+1 costs m+1-L multiplies, so a scan that reduces many gamma
 products at a few anchors multiplies O(anchors x largest offset) times,
 not once per step of every product.  The key is the (numerator,

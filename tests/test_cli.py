@@ -72,6 +72,31 @@ def test_seq_negative_bound_is_usage_error():
     assert result.exit_code == 2
 
 
+def test_seq_writes_values_past_the_int_str_digit_limit(monkeypatch):
+    # B_2100 has more than 4300 digits, the interpreter's default limit on
+    # int-to-str conversion
+    monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+    result = runner.invoke(main, ["seq", "bernoulli", "--n-max", "2100"])
+    assert result.exit_code == 0, result.output
+    index, value = lines(result)[-1].split(",")
+    assert index == "2100" and len(value) > 4300
+
+
+def test_main_restores_the_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for args in (["seq", "bernoulli", "--n-max", "4"], ["seq", "bernoulli", "--n-max", "-1"],
+                     ["verify", "--identity", "euler", "--n-max", "3"]):
+            runner.invoke(main, args)
+            assert sys.get_int_max_str_digits() == 5000, args
+        with pytest.raises(cli_module.UsageError):
+            main(["verify", "--identity", "euler"], standalone_mode=False)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_verify_miki_csv_scan():
     result = runner.invoke(
         main, ["verify", "--identity", "miki", "--n-max", "50", "--format", "csv"])

@@ -200,7 +200,10 @@ def _outcome(reduce, g, p):
         return type(error), str(error)
 
 
-ORACLE_PS = (F(0), F(1), F(3), F(-1, 4), F(-1, 2), F(1, 3), F(5, 2), F(7, 3))
+# 3/4, 5/6 and -5/4 halve the denominator of 2p, at a positive and a
+# negative anchor
+ORACLE_PS = (F(0), F(1), F(3), F(-1, 4), F(-1, 2), F(1, 3), F(5, 2), F(7, 3),
+             F(3, 4), F(5, 6), F(-5, 4))
 OFFSETS = range(-5, 13)
 EXPONENTS = (1, -1, 2, -2)
 
@@ -231,6 +234,14 @@ def test_integer_reduction_matches_the_fraction_reduction(p):
             assert type(outcome.value) is Fraction
             reduced += 1
     assert reduced >= 2 * len(OFFSETS) * len(EXPONENTS)
+
+
+def test_reduction_takes_any_rational_form_of_p():
+    # an int or a string p reduces, and fails, as its Fraction does
+    for g in _products():
+        assert _outcome(gamma_reduce, g, 2) == _outcome(gamma_reduce, g, F(2))
+        assert _outcome(gamma_reduce, g, "1/3") == _outcome(gamma_reduce, g, F(1, 3))
+        assert _outcome(gamma_reduce, g, -1) == _outcome(gamma_reduce, g, F(-1))
 
 
 @pytest.mark.parametrize("p", (F(-1), F(-3, 2)))

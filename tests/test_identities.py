@@ -733,24 +733,44 @@ def _collected(summands):
     return totals
 
 
-def test_family_terms_are_product_scalar_pairs():
+def test_family_terms_are_product_scalar_pairs(monkeypatch):
     # one (GammaProduct, Fraction) pair per distinct factor tuple, whose
     # scalar adds the summands of that tuple; the three kinds at n list the
-    # same factor tuples in the same order and differ in scalars
-    sides = {which: family_terms(which, 6) for which in FAMILY_KINDS}
-    for which, terms in sides.items():
-        summands = _family_summands(which, 6)
-        assert tuple(map(len, summands)) == (5, 17)
-        assert tuple(map(len, terms)) == (3, 12)
-        for side, each in zip(terms, summands):
-            for product, scalar in side:
-                assert type(product) is GammaProduct and type(scalar) is F and scalar != 0
-            assert [(product.factors, scalar) for product, scalar in side] == list(
-                _collected(each).items())
-    tuples = {which: [[product.factors for product, _ in side] for side in terms]
-              for which, terms in sides.items()}
-    assert tuples["miki"] == tuples["fpz"] == tuples["mixed"]
-    assert sides["miki"][0][0][1] != sides["fpz"][0][0][1]
+    # same factor tuples in the same order and differ in scalars.  The
+    # hand-written tuples must be GammaProduct's canonical ones, among them
+    # the k = n/2 square, the k = 1 tail square and the k = 2n-1 tail whose
+    # Gamma(2p+...) pair cancels
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    written = []
+    real = identities.GammaProduct
+
+    def recorded(factors):
+        written.append(factors)
+        return real(factors)
+
+    monkeypatch.setattr(identities, "GammaProduct", recorded)
+    for n in range(2, 13):
+        written.clear()
+        sides = {which: family_terms(which, n) for which in FAMILY_KINDS}
+        assert len(written) == 3 * (n // 2 + 2 * n)
+        assert all(real(factors).factors == factors for factors in written), n
+        for which, terms in sides.items():
+            summands = _family_summands(which, n)
+            assert tuple(map(len, summands)) == (n - 1, 3 * n - 1)
+            assert tuple(map(len, terms)) == (n // 2, 2 * n)
+            for side, each in zip(terms, summands):
+                for product, scalar in side:
+                    assert type(product) is GammaProduct and type(scalar) is F and scalar != 0
+                assert [(product.factors, scalar) for product, scalar in side] == list(
+                    _collected(each).items()), (which, n)
+        tuples = {which: [[product.factors for product, _ in side] for side in terms]
+                  for which, terms in sides.items()}
+        assert tuples["miki"] == tuples["fpz"] == tuples["mixed"]
+        assert sides["miki"][0][0][1] != sides["fpz"][0][0][1]
+        lhs, rhs = tuples["miki"]
+        assert ((("p", n, 2),) in lhs) == (n % 2 == 0)
+        assert (("2p", 2, -1), ("2p", 2 * n, 1), ("p", 1, 2)) in rhs
+        assert (("p", 1, 1), ("p", 2 * n - 1, 1)) in rhs
 
 
 def test_package_exports_no_test_only_helpers():
@@ -885,8 +905,8 @@ def test_family_sides_sum_each_factor_tuple_once(monkeypatch):
 
 
 def test_family_rows_reuse_the_family_products(monkeypatch):
-    # family_terms builds one product per summand and keeps the first of
-    # each factor tuple; the rows read those and build none of their own
+    # family_terms builds one product per distinct factor tuple; the rows
+    # read those and build none of their own
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     built = []
     real = identities.GammaProduct
@@ -900,7 +920,7 @@ def test_family_rows_reuse_the_family_products(monkeypatch):
         built.clear()
         terms = family_terms(which, 7)
         summands = sum(_family_summands(which, 7), [])
-        assert len(built) == len(summands)
+        assert len(built) == len(_collected(summands)) < len(summands)
         first = {}
         for product in built:
             first.setdefault(product.factors, product)
