@@ -17,17 +17,15 @@ A usage error prints the usage line and an argparse-style message
 Every verify and quadcheck row is built by _row from its result's fields,
 so the column tuples here are the one statement of each row layout.
 
-`verify --jobs` runs a scan on min(jobs, task groups) worker processes.
-At one worker the scan runs in process and never imports the pool
-(concurrent.futures, multiprocessing), which keeps the start-up of each
-short scan process small.
+A verify scan runs in one process.  `verify --jobs` is accepted and
+checked (an integer >= 1) but ignored, until the benchmark retires it
+together with its --jobs 2 workload.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
@@ -67,15 +65,8 @@ def _row(result, columns: tuple) -> dict:
             for c in columns if (v := getattr(result, c, None)) is not None}
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """The worker pool of a parallel scan, imported on the first call."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-
-    return pool(max_workers=max_workers)
-
-
 def _run_task(task: tuple) -> dict:
-    """One scan row; top level so worker processes can pickle it."""
+    """One scan row."""
     mode, ident, n, p, n_parts = task
     try:
         if mode == "floatfam":
@@ -95,17 +86,11 @@ def _run_task(task: tuple) -> dict:
     return _row(report, _REPORT_COLUMNS)
 
 
-def _run_group(tasks: list[tuple]) -> list[dict]:
-    """The rows of one group, in one process; top level so worker
-    processes can pickle it."""
-    return [_run_task(task) for task in tasks]
-
-
-def _group_key(task: tuple) -> tuple:
-    """Exact family rows at one (n, p) form one group: they read the gamma
-    reductions stored at (n, p).  A p1-* row joins the group at (n, 1),
-    whose reductions its family rerun reads.  Every other row is a group
-    of its own."""
+def _run_order(task: tuple) -> tuple:
+    """The place of a task in the scan: the exact family rows at one (n, p)
+    run one after another, so the ``reduced`` slot (the gamma reductions of
+    the latest (n, p)) is filled once per point and then read.  A p1-* row
+    runs with the rows at (n, 1), whose reductions its family rerun reads."""
     mode, ident, n, p, _ = task
     if ident.startswith("p1-"):
         return n, "1", ""
@@ -212,17 +197,7 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
             else:
                 tasks.append(("exact", ident, n, None, parts))
 
-    # the rows of a group run one after another in one worker, so the gamma
-    # reductions at their (n, p) are done once
-    tasks.sort(key=_group_key)
-    groups = [list(group) for _, group in itertools.groupby(tasks, key=_group_key)]
-    workers = min(jobs, len(groups))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_group, groups))
-    else:
-        chunks = map(_run_group, groups)
-    rows = sorted((row for chunk in chunks for row in chunk), key=_row_key)
+    rows = sorted(map(_run_task, sorted(tasks, key=_run_order)), key=_row_key)
     _emit_reports(rows, fmt)
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 
@@ -297,7 +272,9 @@ def _parser() -> _Parser:
     sub.add_argument("--float-p", dest="float_ps", action="append", type=float, default=[],
                      metavar="P",
                      help="float parameter: evaluate a family in double precision")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="accepted (>= 1) and ignored until the benchmark retires it;"
+                          " a scan runs in one process")
 
     sub = command(series)
     sub.add_argument("name")

@@ -204,14 +204,12 @@ def _integrate(f, x: float, p: float = 0.0) -> tuple[float, float]:
 
 
 def _over_power(c: Fraction, base: float, power: int) -> float:
-    """c / base**power, formed through the logarithms of c's numerator and
-    denominator where c or base**power leaves the double range though the
-    ratio need not."""
+    """c / base**power; where c or base**power leaves the double range
+    though the ratio need not, the exact rational ratio, correctly rounded."""
     try:
         return float(c) / base**power
     except OverflowError:
-        ratio = math.exp(math.log(abs(c.numerator)) - math.log(c.denominator) - power * math.log(base))
-        return -ratio if c < 0 else ratio
+        return float(c / Fraction(base) ** power)
 
 
 @lru_cache(maxsize=None)

@@ -306,10 +306,16 @@ def _unit_scale(m: int) -> tuple[int, int]:
     return 1, 1
 
 
-def _scaled(m: int, scale) -> Fraction:
-    """B_m times its weight scale(m): B_m for _unit_scale, Bbar_m for bbar_scale."""
+def _scaled_pair(m: int, scale) -> tuple[int, int]:
+    """B_m times its weight scale(m) as an unreduced integer pair: B_m for
+    _unit_scale, Bbar_m for bbar_scale."""
     b, (num, den) = bernoulli(m), scale(m)
-    return Fraction(b.numerator * num, b.denominator * den)
+    return b.numerator * num, b.denominator * den
+
+
+def _scaled(m: int, scale) -> Fraction:
+    """B_m times its weight scale(m), reduced."""
+    return Fraction(*_scaled_pair(m, scale))
 
 
 def _binomial_row(m: int) -> list[int]:
@@ -454,8 +460,6 @@ def _reductions(n: int, p: Fraction) -> dict[tuple, ReducedGamma]:
     Every family factor tuple at n carries Gamma(2p+2n) or a pair summing
     to 2n, so only rows at the same (n, p) read a reduction again; the
     slot keeps one (n, p) and starts empty when a row at another arrives.
-    The pair is read once, so a caller never writes into a table of
-    another (n, p) that a concurrent caller put in its place.
     """
     cache = sequences._DEFAULT
     key = (n, p.numerator, p.denominator)
@@ -508,10 +512,10 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     table = sequences._DEFAULT.family
     if (which, n) in table:
         return table[which, n]
-    B, Bb = bernoulli, bernoulli_bar
-    lhs_first = Bb if which == "fpz" else B
-    lhs_second = B if which == "miki" else Bb
-    rhs_second = Bb if which == "fpz" else B
+    # B and Bbar enter as unreduced integer pairs, B_m times its weight
+    lhs_first = bbar_scale if which == "fpz" else _unit_scale
+    lhs_second = _unit_scale if which == "miki" else bbar_scale
+    rhs_second = bbar_scale if which == "fpz" else _unit_scale
     fact = [1]
     for j in range(1, 2 * n + 1):
         fact.append(fact[-1] * j)
@@ -527,29 +531,29 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     for k in range(1, n):
         # first(2k) second(2n-2k) / (2k (2n-2k) (2k-1)! (2n-2k-1)!), whose
         # denominator is (2k)! (2n-2k)!
-        a, b = lhs_first(2 * k), lhs_second(2 * n - 2 * k)
+        a, a_den = _scaled_pair(2 * k, lhs_first)
+        b, b_den = _scaled_pair(2 * n - 2 * k, lhs_second)
         low, high = sorted((2 * k, 2 * n - 2 * k))
         factors = (("p", low, 2),) if low == high else (("p", low, 1), ("p", high, 1))
-        add(lhs_terms, factors, a.numerator * b.numerator,
-            a.denominator * b.denominator * fact[2 * k] * fact[2 * n - 2 * k])
+        add(lhs_terms, factors, a * b, a_den * b_den * fact[2 * k] * fact[2 * n - 2 * k])
     for k in range(1, n + 1):
         # 2 B_2k second(2n-2k) w_k / ((2k)! (2n-2k)!), with the mixed
         # weight w_k = (1 - 2^(2k-1)) / 2^(2n-1), else 1, times
         # Gamma(p+1) Gamma(p+2k) Gamma(2p+2n) / Gamma(2p+2k+1)
-        a, b = B(2 * k), rhs_second(2 * n - 2 * k)
+        a, a_den = _scaled_pair(2 * k, _unit_scale)
+        b, b_den = _scaled_pair(2 * n - 2 * k, rhs_second)
         w_num, w_den = (1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1)) if which == "mixed" else (1, 1)
         if k < n:
             gamma_2p = (("2p", 2 * k + 1, -1), ("2p", 2 * n, 1))
         else:
             gamma_2p = (("2p", 2 * n, 1), ("2p", 2 * n + 1, -1))
         add(rhs_terms, gamma_2p + (("p", 1, 1), ("p", 2 * k, 1)),
-            2 * a.numerator * b.numerator * w_num,
-            a.denominator * b.denominator * w_den * fact[2 * k] * fact[2 * n - 2 * k])
-    b = rhs_second(2 * n)
+            2 * a * b * w_num, a_den * b_den * w_den * fact[2 * k] * fact[2 * n - 2 * k])
+    b, b_den = _scaled_pair(2 * n, rhs_second)
     if which == "mixed":
-        tail = b.numerator, b.denominator * fact[2 * n] * 2 ** (2 * n - 1)
+        tail = b, b_den * fact[2 * n] * 2 ** (2 * n - 1)
     else:
-        tail = 2 * b.numerator, b.denominator * fact[2 * n]
+        tail = 2 * b, b_den * fact[2 * n]
     for k in range(1, 2 * n):
         # the beta factor beta(p+k, p+1) = Gamma(p+k) Gamma(p+1) / Gamma(2p+k+1)
         # of gammaalg.beta_factor, times Gamma(2p+2n)

@@ -1,7 +1,7 @@
 """End-to-end CLI tests through the in-process runner of conftest.py.
 
 Covers the output formats, the exit-code contract (0 ok, 1 failed rows,
-2 usage), parallel/serial agreement, and the wiring from command line to
+2 usage), agreement across --jobs values, and the wiring from command line to
 library.  Numeric correctness itself is pinned in the module tests; here
 rows are mostly cross-checked against direct library calls.
 """
@@ -357,15 +357,16 @@ def test_route_mismatch_fails_rows(monkeypatch):
 
 
 def test_exact_scan_does_not_import_scipy():
-    # only quadrature needs scipy, and only a pool of two or more workers
-    # needs concurrent.futures and multiprocessing; the CLI and an exact
-    # --jobs 1 scan load none of them
+    # only quadrature needs scipy, and a scan runs in one process at any
+    # --jobs: the CLI and an exact scan load neither scipy nor a worker
+    # pool (concurrent.futures, multiprocessing)
     script = textwrap.dedent("""
         import sys
         from bernkit.cli import main
         try:
             main(["verify", "--identity", "miki", "--identity", "family-fpz", "--identity", "multi",
-                  "--p", "1/2", "--n-max", "4", "--format", "json"], standalone_mode=False)
+                  "--p", "1/2", "--n-max", "4", "--jobs", "4", "--format", "json"],
+                 standalone_mode=False)
         except SystemExit as exc:
             assert exc.code == 0, exc.code
         print(sorted(name for name in sys.modules
@@ -509,29 +510,32 @@ def test_verify_family_pole_row():
 
 
 def test_verify_parallel_matches_serial():
-    # (arguments, exit code, jobs): the second scan mixes family ids at
-    # several exact p (a pole row among them), a float p, a p1-* id and gessel
+    # --jobs is accepted and ignored: every value gives the same bytes and
+    # exit code; the second scan mixes family ids at several exact p (a
+    # pole row among them), a float p, a p1-* id and gessel
     cases = [
-        (["--identity", "euler", "--identity", "miki", "--n-max", "8"], 0, "3"),
+        (["--identity", "euler", "--identity", "miki", "--n-max", "8"], 0),
         (["--identity", "family-miki", "--identity", "family-mixed", "--identity", "p1-miki",
           "--identity", "gessel", "--n-max", "7", "--p", "1/2", "--p", "3", "--p", "-1",
-          "--float-p", "0.75"], 1, "2"),
+          "--float-p", "0.75"], 1),
     ]
-    for args, code, jobs in cases:
+    for args, code in cases:
         args = ["verify", *args, "--format", "csv"]
-        serial = runner.invoke(main, args + ["--jobs", "1"])
-        parallel = runner.invoke(main, args + ["--jobs", jobs])
-        assert serial.exit_code == parallel.exit_code == code
-        assert serial.stdout_bytes == parallel.stdout_bytes
+        serial, *others = (runner.invoke(main, args + ["--jobs", jobs]) for jobs in ("1", "2", "4"))
+        for other in others:
+            assert serial.exit_code == other.exit_code == code
+            assert serial.stdout_bytes == other.stdout_bytes
     rows = list(csv.DictReader(serial.output.splitlines()))
     assert {row["identity"] for row in rows} == {"family-miki", "family-mixed", "p1-miki", "gessel"}
     assert {row["p"] for row in rows} == {"", "1/2", "3", "-1", "0.75"}
     assert {row["identity"] for row in rows if row["ok"] == "false"} == {"family-miki", "family-mixed"}
 
 
-def test_verify_reduces_each_product_once_per_point(monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
     # the scan runs the rows of each (n, p) together, a p1-* row with the
     # family rows at (n, 1), so each factor tuple is reduced once per point
+    # at any --jobs
     monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
     calls = []
     real = identities.gamma_reduce
@@ -543,77 +547,12 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch):
     monkeypatch.setattr(identities, "gamma_reduce", counted)
     result = runner.invoke(main, ["verify", "--identity", "family-miki", "--identity", "family-fpz",
                                   "--identity", "family-mixed", "--identity", "p1-mixed",
-                                  "--n-min", "2", "--n-max", "6", "--p", "1/2", "--p", "1"])
+                                  "--n-min", "2", "--n-max", "6", "--p", "1/2", "--p", "1",
+                                  "--jobs", jobs])
     assert result.exit_code == 0, result.output
     distinct = [{product.factors for product, _ in sum(identities.family_terms("miki", n), ())}
                 for n in range(2, 7)]
     assert len(calls) == len(set(calls)) == 2 * sum(map(len, distinct))
-
-
-def test_verify_jobs_sends_each_family_point_as_one_task(monkeypatch):
-    # the exact family rows at one (n, p), and a p1-* row at (n, 1), are one
-    # pool task; every other row, a float family row included, is its own
-    sent = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            assert max_workers == 2
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            sent.extend(items)
-            return map(fn, sent)
-
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
-    result = runner.invoke(main, ["verify", "--identity", "family-miki", "--identity", "family-fpz",
-                                  "--identity", "p1-fpz", "--identity", "miki", "--n-min", "2",
-                                  "--n-max", "3", "--p", "1", "--p", "1/2", "--float-p", "0.5",
-                                  "--jobs", "2"])
-    assert result.exit_code == 0, result.output
-    groups = sorted(sorted((ident, n, str(p)) for _, ident, n, p, _ in group) for group in sent)
-    assert groups == sorted(
-        [[("family-fpz", n, "1"), ("family-miki", n, "1"), ("p1-fpz", n, "None")] for n in (2, 3)]
-        + [[("family-fpz", n, "1/2"), ("family-miki", n, "1/2")] for n in (2, 3)]
-        + [[(ident, n, "0.5")] for ident in ("family-fpz", "family-miki") for n in (2, 3)]
-        + [[("miki", n, "None")] for n in (2, 3)]
-    )
-
-
-def test_verify_pool_is_sized_to_the_task_groups(monkeypatch):
-    # min(jobs, groups) workers: one group runs in process at any --jobs,
-    # two groups at --jobs 4 start a pool of two
-    built = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            built.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
-    args = ["verify", "--identity", "euler", "--n-min", "5", "--n-max", "5"]
-    serial = runner.invoke(main, args + ["--jobs", "1"])
-    single = runner.invoke(main, args + ["--jobs", "4"])
-    assert built == []
-    assert serial.exit_code == single.exit_code == 0
-    assert serial.stdout_bytes == single.stdout_bytes
-    result = runner.invoke(main, ["verify", "--identity", "euler", "--n-min", "5",
-                                  "--n-max", "6", "--jobs", "4"])
-    assert result.exit_code == 0, result.output
-    assert built == [2]
-    assert len(lines(result)) == 2
 
 
 @pytest.mark.parametrize("repeated, once", [

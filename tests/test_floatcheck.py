@@ -245,15 +245,20 @@ def test_tail_cut_is_where_the_weight_has_fallen(x, p):
     assert log_ratio == pytest.approx(math.log(floatcheck._TAIL_EPS), rel=1e-8)
 
 
-@pytest.mark.parametrize("name", ["psi_tilde_p", "psi_bar_p"])
-def test_overflowed_series_terms_keep_a_real_bound(name):
+@pytest.mark.parametrize("name, x, p", [
+    ("psi_tilde_p", 35.0, 100), ("psi_bar_p", 35.0, 100),
+    ("psi_tilde_p", 100.0, 200), ("psi_bar_p", 100.0, 200),
+], ids=["psi_tilde_p", "psi_bar_p", "psi_tilde_p-x100", "psi_bar_p-x100"])
+def test_overflowed_series_terms_keep_a_real_bound(name, x, p):
     # past k = 50, 35^(2k+100) overflows a double; such a term was formed as
-    # c * 35^-(2k+100), which underflowed to 0 and became the omitted term
+    # c * 35^-(2k+100), which underflowed to 0 and became the omitted term.
+    # At x = 100, p = 200 every term overflows; formed through logarithms,
+    # the sum was 2.2e-13 (psi_tilde_p) and 1.7e-13 (psi_bar_p) off
     mpmath = pytest.importorskip("mpmath")
-    value, omitted = optimal_series(name, 35.0, 100)
+    value, omitted = optimal_series(name, x, p)
     assert 0 < omitted < 1e-15 * abs(value)
     with mpmath.workdps(60):
-        exact = _mp_polygamma_form(mpmath, name, 35.0, 100)
+        exact = _mp_polygamma_form(mpmath, name, x, p)
         assert abs((value - exact) / exact) < 1e-15
 
 
