@@ -6,7 +6,7 @@ subcommand emits plain/csv/json and uses CI-friendly exit codes: 0 all
 checks ok, 1 some check failed, 2 usage error.
 
 The parser is the standard library's argparse, and every result record is
-a plain slotted class, so a scan process loads neither a third-party
+a typing.NamedTuple, so a scan process loads neither a third-party
 package nor dataclasses and inspect before its first row.  Every option
 here takes one value, and main joins a value that starts with '-' to its
 option (--p=-1/4) before parsing, because argparse would read -1/4,
@@ -66,10 +66,11 @@ def _row(result, columns: tuple) -> dict:
 
 
 def _run_task(task: tuple) -> dict:
-    """One scan row."""
-    mode, ident, n, p, n_parts = task
+    """One scan row.  A family row's p is a str on the exact lane and a
+    float on the float twin."""
+    ident, n, p, n_parts = task
     try:
-        if mode == "floatfam":
+        if isinstance(p, float):
             report = floatcheck.family_float(ident.removeprefix("family-"), n, p)
         elif ident.startswith("family-"):
             report = identities.verify_family(ident.removeprefix("family-"), n, Fraction(p))
@@ -87,14 +88,14 @@ def _run_task(task: tuple) -> dict:
 
 
 def _run_order(task: tuple) -> tuple:
-    """The place of a task in the scan: the exact family rows at one (n, p)
-    run one after another, so the ``reduced`` slot (the gamma reductions of
+    """The place of a task in the scan: the exact family rows at one (n, p),
+    whose p is a str, run one after another, so the ``reduced`` slot (the gamma reductions of
     the latest (n, p)) is filled once per point and then read.  A p1-* row
     runs with the rows at (n, 1), whose reductions its family rerun reads."""
-    mode, ident, n, p, _ = task
+    ident, n, p, _ = task
     if ident.startswith("p1-"):
         return n, "1", ""
-    if mode == "exact" and ident.startswith("family-"):
+    if isinstance(p, str):
         return n, p, ""
     return n, str(p), ident
 
@@ -190,12 +191,10 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
             raise UsageError(f"empty scan range for {ident}: {lo}..{n_max}")
         for n in range(lo, n_max + 1):
             if ident.startswith("family-"):
-                for p_str in exact_ps:
-                    tasks.append(("exact", ident, n, p_str, None))
-                for fp in float_ps:
-                    tasks.append(("floatfam", ident, n, fp, None))
+                for p in (*exact_ps, *float_ps):
+                    tasks.append((ident, n, p, None))
             else:
-                tasks.append(("exact", ident, n, None, parts))
+                tasks.append((ident, n, None, parts))
 
     rows = sorted(map(_run_task, sorted(tasks, key=_run_order)), key=_row_key)
     _emit_reports(rows, fmt)

@@ -31,16 +31,16 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, QuadFailure, UnknownName
 from .gammaalg import GammaProduct
-from .identities import family_terms
+from .identities import IdentityReport, family_terms
 from .sequences import bernoulli
 from .series import named_series
 
 __all__ = [
     "QuadResult",
-    "FamilyFloat",
     "digamma",
     "quad_rep",
     "optimal_series",
@@ -77,21 +77,17 @@ _ULP_TOL = 4
 _QUAD_REL = 1e-12
 
 
-class QuadResult:
+class QuadResult(NamedTuple):
     """One quadrature value against its independent target."""
 
-    __slots__ = ("name", "x", "p", "value", "est_error", "target", "abs_dev", "tol")
-
-    def __init__(self, name: str, x: float, p: float, value: float, est_error: float,
-                 target: float, abs_dev: float, tol: float) -> None:
-        self.name = name
-        self.x = x
-        self.p = p
-        self.value = value
-        self.est_error = est_error
-        self.target = target
-        self.abs_dev = abs_dev
-        self.tol = tol
+    name: str
+    x: float
+    p: float
+    value: float
+    est_error: float
+    target: float
+    abs_dev: float
+    tol: float
 
     @property
     def error(self) -> str | None:
@@ -249,7 +245,7 @@ def optimal_series(name: str, x: float, p: float = 0.0) -> tuple[float, float]:
         if terms and abs(t) > abs(terms[-1]) * 1e6:
             break
         terms.append(t)
-        if len(terms) >= 2 and abs(terms[-1]) >= abs(terms[-2]) and len(terms) > 3:
+        if len(terms) > 3 and abs(terms[-1]) >= abs(terms[-2]):
             break
     smallest = min(range(len(terms)), key=lambda i: abs(terms[i]))
     return math.fsum(terms[:smallest]), abs(terms[smallest])
@@ -374,22 +370,6 @@ def check_g_squared(x: float) -> QuadResult:
     return QuadResult("g_squared", x, 0.0, value, err, target, abs(value - target), tol)
 
 
-class FamilyFloat:
-    """Float evaluation of one gamma-weighted family identity."""
-
-    __slots__ = ("identity", "n", "p", "lhs", "rhs", "residual", "ok")
-
-    def __init__(self, identity: str, n: int, p: float, lhs: float, rhs: float,
-                 residual: float, ok: bool) -> None:
-        self.identity = identity
-        self.n = n
-        self.p = p
-        self.lhs = lhs
-        self.rhs = rhs
-        self.residual = residual
-        self.ok = ok
-
-
 def _float_side(terms: tuple[tuple[GammaProduct, Fraction], ...], p: float) -> float:
     """Sum of the (product, scalar) terms at float p.  Each term is carried
     as a mantissa and a binary exponent, so it overflows only if the sum
@@ -407,12 +387,13 @@ def _float_side(terms: tuple[tuple[GammaProduct, Fraction], ...], p: float) -> f
     return math.ldexp(math.fsum(math.ldexp(m, e - top) for m, e in scaled), top)
 
 
-def family_float(which: str, n: int, p: float) -> FamilyFloat:
+def family_float(which: str, n: int, p: float) -> IdentityReport:
     """Both sides of a family identity in double precision via math.gamma.
 
     The float twin of the exact family verifier: it evaluates the same
     family_terms, but takes each gamma factor from math.gamma instead of
     reducing it exactly, which makes it the only check of non-integer p.
+    Its IdentityReport carries float sides, residual and p.
     Agreement is relative, to 1e-8 of the larger side, with no absolute
     floor under small sides.
     A side outside the double range (about 2n + 2p > 171) raises
@@ -429,4 +410,4 @@ def family_float(which: str, n: int, p: float) -> FamilyFloat:
     residual = lhs - rhs
     # never ok with a non-finite side or residual
     ok = math.isfinite(residual) and abs(residual) <= 1e-8 * max(abs(lhs), abs(rhs))
-    return FamilyFloat(f"family-{which}", n, p, lhs, rhs, residual, ok)
+    return IdentityReport(f"family-{which}", n, lhs, rhs, residual, ok, p)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from . import sequences
 from .errors import DomainError, PoleEncountered, ZeroDivisor
@@ -59,7 +60,8 @@ class GammaProduct:
 
     ``factors`` is kept canonical: merged by (base, offset), zero exponents
     dropped, sorted.  Treat it as read-only: products are compared and
-    hashed by it.
+    hashed by it.  It is a slotted class, not a NamedTuple, because its
+    constructor canonicalises the factors it is given.
     """
 
     __slots__ = ("factors",)
@@ -91,24 +93,12 @@ class GammaProduct:
         return f"GammaProduct({self.factors!r})"
 
 
-class ReducedGamma:
+class ReducedGamma(NamedTuple):
     """Gamma(p)**a * Gamma(2p)**b * value, with value an exact rational."""
 
-    __slots__ = ("exp_gamma_p", "exp_gamma_2p", "value")
-
-    def __init__(self, exp_gamma_p: int, exp_gamma_2p: int, value: Fraction) -> None:
-        self.exp_gamma_p = exp_gamma_p
-        self.exp_gamma_2p = exp_gamma_2p
-        self.value = value
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ReducedGamma:
-            return NotImplemented
-        return (self.exp_gamma_p, self.exp_gamma_2p, self.value) == (
-            other.exp_gamma_p, other.exp_gamma_2p, other.value)
-
-    def __repr__(self) -> str:
-        return f"ReducedGamma({self.exp_gamma_p}, {self.exp_gamma_2p}, {self.value!r})"
+    exp_gamma_p: int
+    exp_gamma_2p: int
+    value: Fraction
 
 
 def gamma_reduce(g: GammaProduct, p: Fraction) -> ReducedGamma:

@@ -104,6 +104,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
@@ -175,30 +176,18 @@ FLOORS = {
 }
 
 
-class IdentityReport:
-    """Exact evaluation of one identity at one parameter point."""
+class IdentityReport(NamedTuple):
+    """One identity at one parameter point.  The verifiers give exact sides
+    and residual; floatcheck.family_float gives float ones at a float p."""
 
-    __slots__ = ("identity", "n", "lhs", "rhs", "residual", "ok", "p", "N")
-
-    def __init__(
-        self,
-        identity: str,
-        n: int,
-        lhs: Fraction,
-        rhs: Fraction,
-        residual: Fraction,
-        ok: bool,
-        p: Fraction | None = None,
-        N: int | None = None,
-    ) -> None:
-        self.identity = identity
-        self.n = n
-        self.lhs = lhs
-        self.rhs = rhs
-        self.residual = residual
-        self.ok = ok
-        self.p = p
-        self.N = N
+    identity: str
+    n: int
+    lhs: Fraction | float
+    rhs: Fraction | float
+    residual: Fraction | float
+    ok: bool
+    p: Fraction | float | None = None
+    N: int | None = None
 
 
 def _report(
@@ -267,15 +256,12 @@ def _dot(terms) -> Fraction:
     return Fraction(sum(num * (common // den) for num, den in parts), common)
 
 
-class _Ratio:
+class _Ratio(NamedTuple):
     """An integer ratio that need not be in lowest terms, a factor that
     _dot reads as it reads a Fraction."""
 
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int) -> None:
-        self.numerator = numerator
-        self.denominator = denominator
+    numerator: int
+    denominator: int
 
 
 def _paired(n: int, weight, through_n: bool = False) -> Fraction:

@@ -131,8 +131,9 @@ class SequenceCache:
     maps an anchor's (numerator, denominator) to the list of its (q)_m
     indexed by m.  The ``identities`` docstring
     describes the rest.
-    Entries, once computed, are never recomputed or rewritten; extension
-    is append-only, so concurrent readers of a warmed cache are safe.
+    Entries, once computed, are never recomputed or rewritten: a table
+    only grows by appending, so an entry or a list read once keeps its
+    value however far the table grows later.
     ``reduced`` is the exception, and so are ``tangent_col`` and
     ``secant_col``, the kernels' state: the latest column of each
     triangle, column (len(bern) - 1) // 2 and (len(eul) - 1) // 2,

@@ -63,7 +63,9 @@ NAMED = (
 
 class TruncatedSeries:
     """Finite piece of a formal series, trusted through order ``trunc``.
-    Every operation builds a new series; none changes one in place."""
+    Every operation builds a new series; none changes one in place.  It is
+    a slotted class, not a NamedTuple, because its constructor checks the
+    kind and the orders and keeps only the nonzero coefficients, as Fractions."""
 
     __slots__ = ("kind", "coeffs", "trunc")
 

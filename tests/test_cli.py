@@ -400,7 +400,7 @@ def test_cli_import_loads_floatcheck_eagerly():
 
 def test_cli_import_loads_no_click_dataclasses_or_inspect():
     # a scan process starts on the standard library: argparse parses, and
-    # the result records are plain slotted classes
+    # the result records are NamedTuples
     script = textwrap.dedent("""
         import sys
         import bernkit.cli

@@ -16,6 +16,7 @@ from bernkit import floatcheck, sequences
 from bernkit import (
     DomainError,
     FAMILY_KINDS,
+    IdentityReport,
     QUAD_NAMES,
     QuadFailure,
     TruncatedSeries,
@@ -417,6 +418,14 @@ def test_family_float_grid():
                 r = family_float(which, n, p)
                 assert r.ok, (which, n, p, r.residual)
                 assert r.identity == f"family-{which}"
+
+
+def test_family_float_row_is_an_identity_report():
+    # the float twin's row is the exact lane's record, with float fields
+    r = family_float("miki", 5, 0.5)
+    assert type(r) is IdentityReport
+    assert (r.identity, r.n, r.p, r.N) == ("family-miki", 5, 0.5, None)
+    assert isinstance(r.lhs, float) and r.residual == r.lhs - r.rhs
 
 
 def _exact_sides(which, n, p):

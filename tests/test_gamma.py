@@ -46,6 +46,21 @@ def test_multiplication():
     assert GammaProduct(a.factors + a.factors).factors == (("p", 1, 2),)
 
 
+def test_product_hash_agrees_with_equality():
+    # two spellings of one product, reordered or with an exponent split in
+    # two, are one set element and one dict key
+    product = GammaProduct((("p", 1, 1), ("2p", 3, -1)))
+    reordered = GammaProduct((("2p", 3, -1), ("p", 1, 1)))
+    split = GammaProduct((("p", 1, 2), ("2p", 3, -1), ("p", 1, -1)))
+    assert product == reordered == split
+    assert hash(product) == hash(reordered) == hash(split)
+    assert len({product, reordered, split}) == 1
+    table = {product: "one"}
+    assert table[reordered] == table[split] == "one"
+    other = GammaProduct((("p", 1, 1), ("2p", 3, -2)))
+    assert other != product and other not in table
+
+
 def test_bad_base_rejected():
     with pytest.raises(DomainError):
         GammaProduct((("3p", 1, 1),))
