@@ -66,8 +66,7 @@ def _row(result, columns: tuple) -> dict:
 
 
 def _run_task(task: tuple) -> dict:
-    """One scan row.  A family row's p is a str on the exact lane and a
-    float on the float twin."""
+    """One scan row; a float p selects the float lane."""
     ident, n, p, n_parts = task
     try:
         if isinstance(p, float):
@@ -88,14 +87,15 @@ def _run_task(task: tuple) -> dict:
 
 
 def _run_order(task: tuple) -> tuple:
-    """The place of a task in the scan: the exact family rows at one (n, p),
-    whose p is a str, run one after another, so the ``reduced`` slot (the gamma reductions of
-    the latest (n, p)) is filled once per point and then read.  A p1-* row
-    runs with the rows at (n, 1), whose reductions its family rerun reads."""
+    """The place of a task in the scan: the exact family rows at one (n, p)
+    run one after another, so the ``reduced`` slot (the gamma reductions
+    of the latest (n, p)) is filled once per point and then read.  A p1-*
+    row runs with the rows at (n, 1), whose reductions its family rerun
+    reads."""
     ident, n, p, _ = task
     if ident.startswith("p1-"):
         return n, "1", ""
-    if isinstance(p, str):
+    if ident.startswith("family-") and not isinstance(p, float):
         return n, p, ""
     return n, str(p), ident
 
@@ -177,6 +177,8 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
     if n_parts is not None and not {"multi", "multi-bar"} & set(idents):
         raise UsageError("--N applies only to the multi and multi-bar identities")
 
+    # a task is (ident, n, p, n_parts); a family row's p is a str on the
+    # exact lane and a float on the float lane: its type picks the lane
     tasks = []
     for ident in idents:
         floor = identities.FLOORS[ident]

@@ -94,7 +94,11 @@ class GammaProduct:
 
 
 class ReducedGamma(NamedTuple):
-    """Gamma(p)**a * Gamma(2p)**b * value, with value an exact rational."""
+    """Gamma(p)**a * Gamma(2p)**b * value, with value an exact rational.
+
+    A NamedTuple, so it compares, orders and hashes as the plain tuple
+    (exp_gamma_p, exp_gamma_2p, value); neither isinstance(x, tuple) nor
+    == tells it from that tuple."""
 
     exp_gamma_p: int
     exp_gamma_2p: int

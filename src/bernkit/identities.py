@@ -178,7 +178,10 @@ FLOORS = {
 
 class IdentityReport(NamedTuple):
     """One identity at one parameter point.  The verifiers give exact sides
-    and residual; floatcheck.family_float gives float ones at a float p."""
+    and residual; floatcheck.family_float gives float ones at a float p.
+
+    A NamedTuple, so it compares, orders and hashes as the plain tuple of
+    its fields; neither isinstance(x, tuple) nor == tells it from that tuple."""
 
     identity: str
     n: int
