@@ -88,10 +88,9 @@ def _run_task(task: tuple) -> dict:
 
 def _run_order(task: tuple) -> tuple:
     """The place of a task in the scan: the exact family rows at one (n, p)
-    run one after another, so the ``reduced`` slot (the gamma reductions
-    of the latest (n, p)) is filled once per point and then read.  A p1-*
-    row runs with the rows at (n, 1), whose reductions its family rerun
-    reads."""
+    run one after another, so each point fills the ``reduced`` slot (see
+    ``identities``) once.  A p1-* row runs with the rows at (n, 1), whose
+    reductions its family rerun reads."""
     ident, n, p, _ = task
     if ident.startswith("p1-"):
         return n, "1", ""
@@ -104,39 +103,26 @@ def _row_key(row: dict):
     return (row["identity"], row["n"], str(row.get("p", "")), row.get("N") or 0)
 
 
-def _echo_csv(columns, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-
-
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 
 
-def _emit_reports(rows: list[dict], fmt: str, columns: tuple = _REPORT_COLUMNS) -> None:
+def _emit(rows: list[dict], fmt: str, columns: tuple, pairs: bool = False) -> None:
+    """Print rows as csv (a header, then each row's cells in column order),
+    plain (those cells joined by ',') or json: the rows themselves, or for
+    the seq and series ``pairs`` one [cell, cell] list per row."""
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([[r[c] for c in columns] for r in rows]) if pairs
+              else json.dumps(rows, indent=2))
         return
     table = [[_format_cell(r.get(c, "")) for c in columns] for r in rows]
     if fmt == "csv":
-        _echo_csv(columns, table)
+        csv.writer(sys.stdout, lineterminator="\n").writerows([columns, *table])
     else:
         for cells in table:
             print(",".join(cells))
-
-
-def _emit_pairs(rows: list[tuple], fmt: str, columns: tuple) -> None:
-    if fmt == "json":
-        print(json.dumps([list(r) for r in rows]))
-    elif fmt == "csv":
-        _echo_csv(columns, rows)
-    else:
-        for row in rows:
-            print(",".join(str(c) for c in row))
 
 
 def seq(kind: str, n_max: int, fmt: str) -> None:
@@ -151,8 +137,8 @@ def seq(kind: str, n_max: int, fmt: str) -> None:
         "h2": sequences.harmonic_second,
     }[kind]
     step = 2 if kind == "euler" else 1
-    rows = [(i, str(getter(i))) for i in range(0, n_max + 1, step)]
-    _emit_pairs(rows, fmt, ("n", "value"))
+    rows = [{"n": i, "value": str(getter(i))} for i in range(0, n_max + 1, step)]
+    _emit(rows, fmt, ("n", "value"), pairs=True)
 
 
 def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None:
@@ -199,7 +185,7 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
                 tasks.append((ident, n, None, parts))
 
     rows = sorted(map(_run_task, sorted(tasks, key=_run_order)), key=_row_key)
-    _emit_reports(rows, fmt)
+    _emit(rows, fmt, _REPORT_COLUMNS)
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 
 
@@ -219,8 +205,8 @@ def series(name: str, order: int, fmt: str) -> None:
         expansion = series_engine.named_series(base, order, p=p)
     except (UnknownName, DomainError) as exc:
         raise UsageError(str(exc))
-    rows = [(m, str(c)) for m, c in expansion.items()]
-    _emit_pairs(rows, fmt, ("order", "coeff"))
+    rows = [{"order": m, "coeff": str(c)} for m, c in expansion.items()]
+    _emit(rows, fmt, ("order", "coeff"), pairs=True)
 
 
 def quadcheck(name: str, xs, p: float, fmt: str) -> None:
@@ -239,7 +225,7 @@ def quadcheck(name: str, xs, p: float, fmt: str) -> None:
         except (DomainError, QuadFailure) as exc:
             result = SimpleNamespace(name=name, x=x, p=p, ok=False, error=str(exc))
         rows.append(_row(result, _QUAD_COLUMNS))
-    _emit_reports(rows, fmt, _QUAD_COLUMNS)
+    _emit(rows, fmt, _QUAD_COLUMNS)
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 
 

@@ -130,35 +130,21 @@ def _kernel_coeffs(series_name: str) -> tuple[tuple[int, float], ...]:
     return tuple((m, float(c)) for m, c in s.items())
 
 
-def _series_eval(series_name: str, s: float) -> float:
+def _taylor(coeffs: tuple[tuple[int, float], ...], s: float) -> float:
     acc = 0.0
-    for m, c in _kernel_coeffs(series_name):
+    for m, c in coeffs:
         acc += c * s**m
     return acc
 
 
-def _coth_minus_inv(s: float) -> float:
-    if s < _SERIES_CUT:
-        return _series_eval("coth_minus_inv", s)
-    return math.cosh(s) / math.sinh(s) - 1.0 / s
-
-
-def _inv_sinh_minus_inv(s: float) -> float:
-    if s < _SERIES_CUT:
-        return _series_eval("inv_sinh_minus_inv", s)
-    return 1.0 / math.sinh(s) - 1.0 / s
-
-
-def _sech(s: float) -> float:
-    return 1.0 / math.cosh(s)
-
-
-_KERNELS = {
-    "psi_tilde": _coth_minus_inv,
-    "psi_tilde_p": _coth_minus_inv,
-    "psi_bar": _inv_sinh_minus_inv,
-    "psi_bar_p": _inv_sinh_minus_inv,
-    "g": _sech,
+# Each psi kernel, shared by its _p name: the named_series of its Taylor
+# expansion at s = 0, read below _SERIES_CUT where the closed form cancels;
+# the closed form; and the (a, w) terms of the recurrence
+# f(x) - f(x+1) = ln(1+1/x) - sum w / (x+a) of the function f it represents.
+_PSI_KERNELS = {
+    "psi_tilde": ("coth_minus_inv", lambda s: math.cosh(s) / math.sinh(s) - 1.0 / s,
+                  ((0.0, 0.5), (1.0, 0.5))),
+    "psi_bar": ("inv_sinh_minus_inv", lambda s: 1.0 / math.sinh(s) - 1.0 / s, ((0.5, 1.0),)),
 }
 
 
@@ -215,7 +201,7 @@ def _series_coeffs(name: str, p: int) -> tuple[tuple[int, Fraction], ...]:
     _MAX_TERMS - 1 of the psi derivative series, which start at x^-(p+2)."""
     if name == "g":
         return tuple(named_series("g", 2 * _MAX_TERMS - 1).items())
-    deriv = "psi_tilde_deriv" if name.startswith("psi_tilde") else "psi_bar_deriv"
+    deriv = name.removesuffix("_p") + "_deriv"
     return tuple(named_series(deriv, 2 * _MAX_TERMS - 2 + p, p=p).items())
 
 
@@ -226,8 +212,7 @@ def _asymptotic_terms(name: str, x: float, p: float):
             yield _over_power(c, x, m)
         return
     # raw transform: sum_m c_m Gamma(m+p+1) / (2x)^(m+p+1)
-    series_name = "coth_minus_inv" if name.startswith("psi_tilde") else "inv_sinh_minus_inv"
-    for m, c in _kernel_coeffs(series_name):
+    for m, c in _kernel_coeffs(_PSI_KERNELS[name.removesuffix("_p")][0]):
         yield c * math.gamma(m + p + 1.0) / (2.0 * x) ** (m + p + 1.0)
 
 
@@ -257,9 +242,7 @@ def _recurrence_step(name: str, x: float, p: int) -> float:
     for psi_bar."""
     inv = lambda a, k: (-1.0) ** k * math.factorial(k) * (x + a) ** -(k + 1)  # d^k 1/(x+a)
     log = math.log1p(1.0 / x) if p == 0 else inv(1.0, p - 1) - inv(0.0, p - 1)
-    if name.startswith("psi_tilde"):
-        return log - 0.5 * (inv(0.0, p) + inv(1.0, p))
-    return log - inv(0.5, p)
+    return log - sum(w * inv(a, p) for a, w in _PSI_KERNELS[name.removesuffix("_p")][2])
 
 
 def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
@@ -286,6 +269,8 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     """
     if name not in QUAD_NAMES:
         raise UnknownName(f"no representation named {name!r}")
+    if not math.isfinite(x) or not math.isfinite(p):
+        raise DomainError(f"quadrature needs a finite x and p, got x = {x}, p = {p}")
     if x < 1:
         raise DomainError(f"quadrature grid starts at x = 1, got {x}")
     if p < 0:
@@ -293,7 +278,11 @@ def quad_rep(name: str, x: float, p: float = 0.0) -> QuadResult:
     if p != 0 and name in ("psi_tilde", "psi_bar", "g"):
         raise DomainError(f"{name} takes p = 0 only; use the _p variant")
 
-    kernel = _KERNELS[name]
+    if name == "g":
+        kernel = lambda s: 1.0 / math.cosh(s)
+    else:
+        series_name, closed, _ = _PSI_KERNELS[name.removesuffix("_p")]
+        kernel = lambda s: _taylor(_kernel_coeffs(series_name), s) if s < _SERIES_CUT else closed(s)
     integrand = lambda s: math.exp(-2.0 * x * s) * s**p * kernel(s)
     try:
         raw, err = _integrate(integrand, x, p)
@@ -351,18 +340,15 @@ def _log_cosh_over_sinh(y: float) -> float:
     if y == 0.0:
         return 0.0
     if y < _SERIES_CUT:
-        num = 0.0
-        for m, c in _log_cosh_coeffs():
-            num += c * y**m
-        return num / math.sinh(y)
+        return _taylor(_log_cosh_coeffs(), y) / math.sinh(y)
     return math.log(math.cosh(y)) / math.sinh(y)
 
 
 def check_g_squared(x: float) -> QuadResult:
     """Quadrature of 2 * integral exp(-2xy) ln(cosh y)/sinh y dy against
     the square of the g representation's value."""
-    if x < 2:
-        raise DomainError(f"squared-g check needs x >= 2, got {x}")
+    if not 2 <= x < math.inf:
+        raise DomainError(f"squared-g check needs a finite x >= 2, got {x}")
     integrand = lambda y: 2.0 * math.exp(-2.0 * x * y) * _log_cosh_over_sinh(y)
     value, err = _integrate(integrand, x)
     target = quad_rep("g", x).value ** 2

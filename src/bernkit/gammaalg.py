@@ -169,14 +169,12 @@ def gamma_reduce(g: GammaProduct, p: Fraction) -> ReducedGamma:
             exp_p += exponent
         else:
             exp_2p += exponent
-        if exponent == 1:
-            num *= top
-            den *= bottom
-        else:
-            if exponent < 0:
-                top, bottom, exponent = bottom, top, -exponent
-            num *= top**exponent
-            den *= bottom**exponent
+        if exponent < 0:
+            top, bottom, exponent = bottom, top, -exponent
+        if exponent != 1:
+            top, bottom = top**exponent, bottom**exponent
+        num *= top
+        den *= bottom
     return ReducedGamma(exp_p, exp_2p, Fraction(num, den))
 
 

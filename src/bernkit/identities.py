@@ -88,16 +88,17 @@ call time so an injected cache replaces them too:
 The one slot that is not append-only, ``reduced``, is the pair ((n,
 p.numerator, p.denominator), {factor tuple: ReducedGamma}) of the latest
 family point (n, p): the gamma_reduce result of each distinct factor
-tuple at n.  The three kinds at n have the same factor tuples and differ
-in their scalars, and no tuple at n occurs at another n, so the slot is
-replaced in one assignment, not grown, when a row at another (n, p)
-comes, and its memory stays that of one row.  A row adds scalar x
-cofactor per tuple, and a scan ordered by (n, p), as ``cli verify`` runs
-it, reduces each product once per (n, p) for every kind and for
-verify_p1's rerun at p = 1.  gamma_reduce alone fills the slot and alone
-reads the rising tables for the families; a rising entry poisoned after
-the products that read it were stored no longer reaches the rows of that
-(n, p).
+tuple at n.  verify_family alone fills and reads it.  Every family factor
+tuple at n carries Gamma(2p+2n) or a pair summing to 2n, so no tuple at n
+occurs at another n, while the three kinds at n have the same tuples and
+differ in their scalars.  The slot is therefore replaced in one
+assignment, not grown, when a row at another (n, p) comes, and its memory
+stays that of one row.  A row adds scalar x cofactor per tuple, and a
+scan ordered by (n, p), as ``cli verify`` runs it, reduces each product
+once per (n, p) for every kind and for verify_p1's rerun at p = 1.
+gamma_reduce alone reads the rising tables for the families; a rising
+entry poisoned after the products that read it were stored no longer
+reaches the rows of that (n, p).
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ from typing import NamedTuple
 
 from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
-from .gammaalg import GammaProduct, ReducedGamma, gamma_reduce
+from .gammaalg import GammaProduct, gamma_reduce
 from .sequences import (
     bbar_scale,
     bernoulli,
@@ -443,44 +444,6 @@ def verify_mixed(n: int) -> IdentityReport:
     return _report("mixed", n, lhs, rhs)
 
 
-def _reductions(n: int, p: Fraction) -> dict[tuple, ReducedGamma]:
-    """The cache's ``reduced`` slot for the family rows at (n, p).
-
-    Every family factor tuple at n carries Gamma(2p+2n) or a pair summing
-    to 2n, so only rows at the same (n, p) read a reduction again; the
-    slot keeps one (n, p) and starts empty when a row at another arrives.
-    """
-    cache = sequences._DEFAULT
-    key = (n, p.numerator, p.denominator)
-    slot = cache.reduced
-    if slot[0] != key:
-        slot = cache.reduced = (key, {})
-    return slot[1]
-
-
-def _reduce_side(
-    side: tuple[tuple[GammaProduct, Fraction], ...],
-    p: Fraction,
-    table: dict[tuple, ReducedGamma],
-    exponents: set[tuple[int, int]],
-) -> Fraction:
-    """Cofactor sum of one family side at p.
-
-    Each product is reduced by gamma_reduce into ``table`` unless a row at
-    the same (n, p) stored it; the side adds its scalar times that
-    cofactor, and adds the product's (Gamma(p), Gamma(2p)) exponent pair
-    to ``exponents``, which verify_family checks once for both sides.
-    """
-    pairs = []
-    for product, scalar in side:
-        reduced = table.get(product.factors)
-        if reduced is None:
-            reduced = table[product.factors] = gamma_reduce(product, p)
-        exponents.add((reduced.exp_gamma_p, reduced.exp_gamma_2p))
-        pairs.append((scalar, reduced.value))
-    return _dot(pairs)
-
-
 def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
     """(lhs, rhs) terms of one gamma-weighted family, symbolic in p: one
     (GammaProduct, scalar) pair per distinct factor tuple, in order of first
@@ -512,10 +475,8 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     rhs_terms: dict[tuple, tuple[int, int]] = {}
 
     def add(terms, factors, num, den):
-        if factors in terms:
-            other, other_den = terms[factors]
-            num, den = num * other_den + other * den, den * other_den
-        terms[factors] = num, den
+        other, other_den = terms.get(factors, (0, 1))
+        terms[factors] = num * other_den + other * den, den * other_den
 
     for k in range(1, n):
         # first(2k) second(2n-2k) / (2k (2n-2k) (2k-1)! (2n-2k-1)!), whose
@@ -559,19 +520,31 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
 def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     """One-parameter gamma-weighted family of the quadratic identities.
 
-    Both sides of family_terms are reduced at the rational point p, through
-    the cache's ``reduced`` slot for (n, p); every product of either side
-    must reduce to one (Gamma(p), Gamma(2p)) exponent pair, checked once
-    per row, and the sides are compared through their rational cofactors.
+    Both sides of family_terms are reduced at the rational point p, each
+    product by gamma_reduce unless the ``reduced`` slot (see the module
+    docstring) holds it for (n, p); every product of either side must
+    reduce to one (Gamma(p), Gamma(2p)) exponent pair, checked once per
+    row, and the sides are compared through their rational cofactors.
     """
-    lhs_side, rhs_side = family_terms(which, n)
+    sides = family_terms(which, n)
     p = Fraction(p)
-    table, exponents = _reductions(n, p), set()
-    lhs = _reduce_side(lhs_side, p, table, exponents)
-    rhs = _reduce_side(rhs_side, p, table, exponents)
+    cache = sequences._DEFAULT
+    key = (n, p.numerator, p.denominator)
+    if cache.reduced[0] != key:
+        cache.reduced = (key, {})
+    table, exponents, sums = cache.reduced[1], set(), []
+    for side in sides:
+        pairs = []
+        for product, scalar in side:
+            reduced = table.get(product.factors)
+            if reduced is None:
+                reduced = table[product.factors] = gamma_reduce(product, p)
+            exponents.add((reduced.exp_gamma_p, reduced.exp_gamma_2p))
+            pairs.append((scalar, reduced.value))
+        sums.append(_dot(pairs))
     if len(exponents) != 1:
         raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
-    return _report(f"family-{which}", n, lhs, rhs, p=p)
+    return _report(f"family-{which}", n, *sums, p=p)
 
 
 def _p1_sums(which: str, n: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -500,6 +500,28 @@ def test_failed_rows_carry_their_reason_in_csv_and_plain():
     assert "double range" in lines(result)[1]
 
 
+
+@pytest.mark.parametrize("args, columns", [
+    (["seq", "euler", "--n-max", "6"], ("n", "value")),
+    (["series", "psi_bar", "--order", "6"], ("order", "coeff")),
+    (["verify", "--identity", "gessel", "--identity", "family-miki", "--p", "-1", "--p", "1/2",
+      "--float-p", "0.5", "--n-min", "2", "--n-max", "3"],
+     ("identity", "n", "p", "N", "lhs", "rhs", "residual", "ok", "error")),
+    (["quadcheck", "psi_tilde", "--x", "0.5", "--x", "5", "--x", "1e4"],
+     ("name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok", "error")),
+])
+def test_output_formats_agree(args, columns):
+    # csv gives the header and each json row's cells; plain joins them by ','
+    out = {fmt: runner.invoke(main, [*args, "--format", fmt]).stdout_bytes.decode()
+           for fmt in ("json", "csv", "plain")}
+    rows = json.loads(out["json"])
+    if isinstance(rows[0], dict):
+        assert {row["ok"] for row in rows} == {True, False}
+        rows = [[row.get(c, "") for c in columns] for row in rows]
+    cells = [["true" if v is True else "false" if v is False else str(v) for v in row] for row in rows]
+    assert list(csv.reader(io.StringIO(out["csv"]))) == [list(columns), *cells]
+    assert out["plain"].splitlines() == [",".join(row) for row in cells]
+
 def test_verify_family_pole_row():
     result = runner.invoke(
         main, ["verify", "--identity", "family-miki", "--p", "-1",

@@ -349,6 +349,23 @@ def test_quad_errors():
         quad_rep("g", 5.0, p=2.0)
 
 
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("arg", ["x", "p"])
+def test_non_finite_arguments_are_domain_errors(arg, value):
+    # unchecked, a nan or inf p gives _tail_cut a nan step that never ends
+    # its loop, and a nan x meets a bare ValueError from Fraction
+    args = {"x": 5.0, "p": 2.0, arg: value}
+    with pytest.raises(DomainError):
+        quad_rep("psi_tilde_p", **args)
+    with pytest.raises(DomainError):
+        quad_rep("psi_bar_p", **args)
+    if arg == "x":
+        with pytest.raises(DomainError):
+            quad_rep("g", value)
+        with pytest.raises(DomainError):
+            check_g_squared(value)
+
 def test_quad_sum_identity():
     # psi_tilde(x) + psi_bar(x) = 2 psi_tilde(2x), inherited from digamma
     # doubling; holds for the quadrature values themselves

@@ -887,16 +887,14 @@ def test_family_sides_sum_each_factor_tuple_once(monkeypatch):
                 assert len(factors) == len(set(factors)) <= len(each)
                 assert set(factors) == {product.factors for product, _ in each}
         for p in MERGE_PS:
-            table: dict = {}
-            for summands, terms in sides.values():
-                for each, side in zip(summands, terms):
-                    exponents = set()
-                    total = identities._reduce_side(side, p, table, exponents)
-                    # the per-summand sum: one scalar x cofactor per term
-                    reduced = [(scalar, table[product.factors]) for product, scalar in each]
-                    assert total == sum((scalar * r.value for scalar, r in reduced), F(0)), (n, p)
-                    assert len(exponents) == 1
-                    assert {(r.exp_gamma_p, r.exp_gamma_2p) for _, r in reduced} == exponents
+            for which, (summands, _) in sides.items():
+                row = verify_family(which, n, p)
+                reduced = [[(scalar, bernkit.sequences._DEFAULT.reduced[1][product.factors])
+                            for product, scalar in each] for each in summands]
+                # the per-summand sums: one scalar x cofactor per summand
+                assert [row.lhs, row.rhs] == [sum((s * r.value for s, r in each), F(0))
+                                              for each in reduced], (n, p, which)
+                assert len({(r.exp_gamma_p, r.exp_gamma_2p) for each in reduced for _, r in each}) == 1
     # 29 + 89 summands at n = 30: k and 30-k pair on the left, and each even
     # beta term joins a right term on the right
     for which in FAMILY_KINDS:

@@ -1,5 +1,6 @@
 """The package namespace and the README's library examples."""
 
+import ast
 import doctest
 import importlib
 from pathlib import Path
@@ -30,3 +31,16 @@ def test_readme_library_examples():
     results = doctest.testfile(str(README), module_relative=False)
     assert results.failed == 0
     assert results.attempted >= 6
+
+
+def test_modules_use_every_name_they_import():
+    # no linter runs on the package, so an import left behind by a change
+    # is caught here; the package's own star imports re-export by design
+    for path in sorted(Path(bernkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names if alias.name != "*"}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
