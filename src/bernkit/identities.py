@@ -53,17 +53,20 @@ identity stay independent routes.
 Every exact sum of this layer is _dot: each fold step, the quadratic,
 p = 1 and cubic sums, and the cofactor sum of each family side.  It
 multiplies each term's factors as integer numerators and denominators
-and reduces the total once over one lcm, where a Fraction sum normalises
-through gcd after every multiply and add (at n ~ 400 the B numerators
-have about 1,350 digits).  A sum of more than _MERGE_ABOVE = 64 terms
-first adds neighbours pairwise, over the product of their denominators
-divided by their gcd, until at most 64 partial sums remain: the lcm of
-all denominators of a deep sum has about 455 digits, and bringing some
-200 numerators over it costs more than the merges.  The paired B.B sums
-and the two-part folds take that path from n = 128 or 130.  series and
-floatcheck keep their own arithmetic: the series power and the float
-twin are the second routes of these sums, so they share no summation
-code with them.
+and reduces the total once, where a Fraction sum normalises through gcd
+after every multiply and add (at n ~ 400 the B numerators have about
+1,350 digits).  How it adds the products depends on their size,
+measured as they are built.  When some product's numerator has more
+than _MERGE_BITS = 1024 bits, neighbours are added pairwise, over the
+product of their denominators divided by their gcd, down to one partial
+sum: the lcm of all denominators of a deep sum has about 455 digits,
+and bringing some 200 numerators over it costs more than the merges.
+Smaller products are brought over one lcm.  Every paired B.B sum and
+two-part fold of a deep row (n ~ 400, products of 4,400 bits or more)
+takes the pairwise path, and every family and cubic sum (at most 600
+bits) the one-lcm path.  series and floatcheck keep their own
+arithmetic: the series power and the float twin are the second routes
+of these sums, so they share no summation code with them.
 
 Work that does not depend on the row is done once per process, in
 tables of the process-wide ``sequences._DEFAULT`` cache, looked up at
@@ -216,35 +219,38 @@ def _require_floor(identity: str, n: int) -> None:
     _require(n >= floor, f"{identity} identity needs n >= {floor}, got {n}")
 
 
-# _dot adds neighbouring partial sums pairwise while more than this many
-# remain.  The one-lcm sum is as fast as the merges at 30 terms (the B.B
-# sums at n = 60) and slower from 50 (n = 100) on, but merging all the way
-# down slowed the short family and cubic sums by 13-20%, so these, at most
-# 60 and 48 terms, keep the one-lcm sum.
-_MERGE_ABOVE = 64
+# _dot adds its partial sums pairwise down to one when some product's
+# numerator has more than this many bits, and otherwise sums them over one
+# lcm.  The deep B.B sums break even near 500 bits (n ~ 60) and merge
+# 30-40% faster from 1,000 bits on, while the family and cubic sums, at
+# most 600 bits, ran 13-20% slower merged than over one lcm.
+_MERGE_BITS = 1024
 
 
 def _dot(terms) -> Fraction:
     """Exact sum of the products of each term's int, Fraction or _Ratio factors.
 
     Each product is multiplied out as an integer numerator and denominator.
-    While more than _MERGE_ABOVE partial sums remain, neighbours are added
+    If any numerator has more than _MERGE_BITS bits, neighbours are added
     in place, (a, b) + (c, d) = (a (d/g) + c (b/g), (b/g) d) for g =
-    gcd(b, d), and an odd count carries its last one to the next round:
-    the multipliers stay about the size of one denominator, where the lcm
-    of a long sum's denominators runs to hundreds of digits (binary
-    splitting, Haible and Papanikolaou 1998).  The rest are brought over
-    one lcm of their denominators, and the total is reduced once, not
-    after every multiply and add.
+    gcd(b, d), an odd count carrying its last one to the next round, until
+    one partial sum remains: the multipliers stay about the size of one
+    denominator, where the lcm of a long sum's denominators runs to
+    hundreds of digits (binary splitting, Haible and Papanikolaou 1998).
+    Otherwise the products are brought over one lcm of their denominators.
+    Either way the total is reduced once, not after every multiply and add.
     """
     parts = []
+    large = False
     for factors in terms:
         num = den = 1
         for factor in factors:
             num *= factor.numerator
             den *= factor.denominator
         parts.append((num, den))
-    while len(parts) > _MERGE_ABOVE:
+        if num.bit_length() > _MERGE_BITS:
+            large = True
+    while large and len(parts) > 1:
         half = len(parts) // 2
         for i in range(half):
             a, b = parts[2 * i]
@@ -277,16 +283,20 @@ def _paired(n: int, weight, through_n: bool = False) -> Fraction:
     k <= n/2: each k < n/2 carries w(k) + w(n-k), added over the product of
     the two denominators without a gcd, and the middle term k = n/2 of an
     even n counts once.  The k = n term, B_2n B_0 w(n), has no partner.
+    One bernoulli(2n) grows the table, and the terms read its list.
     """
+    bernoulli(2 * n)
+    bern = sequences._DEFAULT.bern
+
     def terms():
         for k in range(1, n // 2 + 1):
             num, den = weight(k)
             if 2 * k < n:
                 other, other_den = weight(n - k)
                 num, den = num * other_den + other * den, den * other_den
-            yield bernoulli(2 * k), bernoulli(2 * n - 2 * k), _Ratio(num, den)
+            yield bern[2 * k], bern[2 * n - 2 * k], _Ratio(num, den)
         if through_n:
-            yield bernoulli(2 * n), bernoulli(0), _Ratio(*weight(n))
+            yield bern[2 * n], bern[0], _Ratio(*weight(n))
 
     return _dot(terms())
 

@@ -10,20 +10,24 @@ plain integers, so every downstream identity check is exact.  Conventions:
 * Euler numbers are the sech coefficients, sech s = sum E_n s^n / n!.
 
 Bernoulli and Euler tables grow on demand inside a ``SequenceCache``;
-computing index n fills every lower index and no higher one.  Both come
-from the integer triangles of Brent and Harvey, "Fast computation of
-Bernoulli, Tangent and Secant numbers" (arXiv:1108.0286), filled one
-column at a time instead of one pass at a time: column j of the tangent
-triangle ends in T_j, and B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1));
-column j of the secant triangle ends in S_j, and E_2j = (-1)^j S_j.
-``_next_tangent_column`` and ``_next_secant_column`` build column j+1
-from column j with integer multiply-adds only, and the cache keeps the
-latest column of each (``tangent_col``, ``secant_col``), so B_n adds just
-the columns up to n//2.  Any order of requests then does the work of one
-run at the final size.  Only the new entries are appended (one gcd each);
-existing entries are never rewritten, and the columns are the kernels'
-state, not tables, so a corrupted ``bern`` or ``eul`` entry never feeds
-later growth.
+computing index n fills every lower index and no higher one.  B comes
+from Seidel's triangle for the Genocchi numbers G_2k = 2(1 - 4^k) B_2k
+(D. Dumont, Duke Math. J. 41 (1974) 305-318), with additions only: from
+the row of step k, whose end is |G_2k|, a running sum left to right ends
+in |G_2k+2|, the row repeats that end, and a running sum right to left
+gives the row of step k+1; the row of step 1 is [1], and
+B_2k = (-1)^(k-1) |G_2k| / (2 (4^k - 1)).  E comes from the secant
+triangle of Brent and Harvey, "Fast computation of Bernoulli, Tangent and
+Secant numbers" (arXiv:1108.0286), filled one column at a time: column j
+ends in S_j, and E_2j = (-1)^j S_j.  ``_next_genocchi_row`` and
+``_next_secant_column`` step their triangle with integer adds and small
+multiply-adds only, and the cache keeps the latest row or column of each
+(``genocchi_row``, ``secant_col``), so B_n adds just the steps up to n//2.
+Any order of requests then does the work of one run at the final size.
+Only the new entries are appended (one gcd each); existing entries are
+never rewritten, and the row and column are the kernels' state, not
+tables, so a corrupted ``bern`` or ``eul`` entry never feeds later
+growth.
 
 The cache also holds append-only prefix tables of H_i = sum 1/j and
 H^(2)_i = sum 1/j^2, from which ``harmonic`` reads H_i and
@@ -52,6 +56,7 @@ cache)``; the plain functions look it up at call time.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, check_routes
@@ -76,24 +81,14 @@ def bbar_scale(m: int) -> tuple[int, int]:
     return 2 - power, power
 
 
-def _next_tangent_column(col: list[int]) -> list[int]:
-    """Column j+1 of the tangent triangle from column j = [A_1(j), ...,
-    A_j(j)], whose last entry is T_j; the empty column 0 gives [1]:
-    A_1(j+1) = j A_1(j), A_k(j+1) = (j+1-k) A_k(j) + (j+3-k) A_(k-1)(j+1)
-    for 2 <= k <= j, and A_(j+1)(j+1) = 2 A_j(j+1)."""
-    j = len(col)
-    if not j:
-        return [1]
-    prev = j * col[0]
-    nxt = [prev]
-    append = nxt.append
-    u = j  # stepped down to j+1-k for each row k = 2, ..., j
-    for a in col[1:]:
-        u -= 1
-        prev = u * a + (u + 2) * prev
-        append(prev)
-    append(2 * prev)
-    return nxt
+def _next_genocchi_row(row: list[int]) -> list[int]:
+    """Row k+1 of Seidel's Genocchi triangle from row k, both kept in the
+    order the right-to-left pass writes them, so row[0] = |G_2k| and
+    len(row) = k: a running sum over the row left to right ends in
+    |G_2k+2|, and the running sum right to left over that pass, started
+    from its repeated end, is the next row."""
+    up = list(accumulate(reversed(row)))
+    return list(accumulate(reversed(up), initial=up[-1]))
 
 
 def _next_secant_column(col: list[int]) -> list[int]:
@@ -134,16 +129,16 @@ class SequenceCache:
     Entries, once computed, are never recomputed or rewritten: a table
     only grows by appending, so an entry or a list read once keeps its
     value however far the table grows later.
-    ``reduced`` is the exception, and so are ``tangent_col`` and
-    ``secant_col``, the kernels' state: the latest column of each
-    triangle, column (len(bern) - 1) // 2 and (len(eul) - 1) // 2,
-    replaced by the next one as a table grows.
+    ``reduced`` is the exception, and so are ``genocchi_row`` and
+    ``secant_col``, the kernels' state: row max(1, (len(bern) - 1) // 2)
+    of Seidel's Genocchi triangle and column (len(eul) - 1) // 2 of the
+    secant triangle, each replaced by the next one as its table grows.
     """
 
     def __init__(self) -> None:
         self.bern: list[Fraction] = [Fraction(1)]
         self.eul: list[int] = [1]
-        self.tangent_col: list[int] = []
+        self.genocchi_row: list[int] = [1]
         self.secant_col: list[int] = []
         self.harm: list[Fraction] = [Fraction(0)]
         self.harm2: list[Fraction] = [Fraction(0)]
@@ -155,18 +150,18 @@ class SequenceCache:
         self.reduced: tuple[tuple[int, int, int] | None, dict[tuple, ReducedGamma]] = (None, {})
 
     def bernoulli(self, n: int) -> Fraction:
-        """B_n from the tangent numbers; odd entries are 0 except B_1."""
+        """B_n from the Genocchi numbers; odd entries are 0 except B_1."""
         _require_index("bernoulli", n)
         if n >= len(self.bern):
             for m in range(len(self.bern), n + 1):
                 if m % 2:
                     self.bern.append(Fraction(-1, 2) if m == 1 else Fraction(0))
                 else:
-                    k, four = m // 2, 4 ** (m // 2)
-                    while len(self.tangent_col) < k:
-                        self.tangent_col = _next_tangent_column(self.tangent_col)
-                    T = self.tangent_col[-1]
-                    self.bern.append(Fraction((-1) ** (k - 1) * m * T, four * (four - 1)))
+                    k = m // 2
+                    while len(self.genocchi_row) < k:
+                        self.genocchi_row = _next_genocchi_row(self.genocchi_row)
+                    G = self.genocchi_row[0]
+                    self.bern.append(Fraction((-1) ** (k - 1) * G, 2 * ((1 << m) - 1)))
         return self.bern[n]
 
     def bernoulli_bar(self, n: int) -> Fraction:

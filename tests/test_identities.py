@@ -577,15 +577,70 @@ def test_long_dot_is_the_sum_of_the_products(length, seed):
     assert isinstance(total, F) and total == _plain_dot(terms)
 
 
+def _product_bits(terms):
+    return max(abs(functools.reduce(lambda a, f: a * f.numerator, factors, 1)).bit_length()
+               for factors in terms)
+
+
 @pytest.mark.parametrize("length", [64, 65, 128, 129, 130])
 def test_dot_at_the_merge_lengths(length):
-    # 64 terms take no pairwise round; 65 one, with an odd carry; 128 one;
-    # 129 two, the first with an odd carry; 130 two, the second with one
-    assert identities._MERGE_ABOVE == 64
+    # _long_terms' integers near 10^400 put these sums past the size gate,
+    # so they merge down to one partial sum: 64 and 128 halve evenly to
+    # one; 65 and 129 carry an odd partial sum in every round but the last,
+    # and 130 from its second round on
+    assert identities._MERGE_BITS == 1024
     for seed in range(3):
         terms = _long_terms(length, seed)
+        assert _product_bits(terms) > identities._MERGE_BITS, seed
         total = identities._dot(iter(terms))
         assert isinstance(total, F) and total == _plain_dot(terms), seed
+
+
+def _large_terms(length, seed):
+    """length terms, each product past _dot's size gate: an integer of
+    more than _MERGE_BITS bits, a fraction whose denominator shares little
+    with the others', and an unreduced ratio, as in a deep row's B.B
+    terms."""
+    rng = random.Random(seed)
+    low = identities._MERGE_BITS
+    return [
+        (
+            rng.choice((-1, 1)) * rng.randint(2 ** low, 2 ** (low + 400)),
+            F(rng.randint(1, 10 ** 40), rng.randint(1, 10 ** 40)),
+            identities._Ratio(rng.randint(1, 9), 2 * rng.randint(1, 9)),
+        )
+        for _ in range(length)
+    ]
+
+
+def _counted_gcd(monkeypatch):
+    calls = []
+    real = identities.gcd
+    monkeypatch.setattr(identities, "gcd", lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 17, 63, 64, 65, 129, 202])
+def test_dot_past_the_size_gate(length, monkeypatch):
+    # past the gate every sum merges down to one partial sum, one gcd per merge
+    calls = _counted_gcd(monkeypatch)
+    for seed in range(3):
+        terms = _large_terms(length, seed)
+        calls.clear()
+        total = identities._dot(iter(terms))
+        assert isinstance(total, F) and total == _plain_dot(terms), seed
+        assert len(calls) == length - 1, seed
+
+
+def test_dot_below_the_size_gate_takes_one_lcm(monkeypatch):
+    # however long, a sum of products at or below the gate takes no merge
+    calls = _counted_gcd(monkeypatch)
+    rng = random.Random(0)
+    top = 2 ** identities._MERGE_BITS - 1
+    terms = [(rng.randint(-top, top), F(1, rng.randint(1, 10 ** 40))) for _ in range(202)]
+    terms.append((top,))
+    assert identities._dot(iter(terms)) == _plain_dot(terms)
+    assert not calls
 
 
 def test_dot_of_nothing_is_zero():

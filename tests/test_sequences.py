@@ -1,6 +1,9 @@
 """Exact-core tests.
 
-Three oracles share no code with the package's column kernels:
+The package's B kernel is Seidel's triangle for the Genocchi numbers
+G_2n = 2(1 - 4^n) B_2n, and its E kernel the secant triangle of Brent and
+Harvey grown one column at a time.  Three oracles share no code with
+them, and the B kernel shares its triangle with none of them:
 
 * the boustrophedon (Seidel zigzag) triangle, pure integer additions:
   tangent numbers give B_2n through 4^n(4^n-1), secant numbers give E_2n;
@@ -8,8 +11,9 @@ Three oracles share no code with the package's column kernels:
   sum(C(n+1,k) B_k, k=0..n) = 0 and the cosh inversion
   sum(C(2m,2j) E_{2m-2j}, j=0..m) = 0, checked to B_300 and E_300 under
   several growth orders of the tables;
-* Brent and Harvey's in-place kernels for one fixed N, which the package
-  ran before it grew the same triangles one column at a time.
+* Brent and Harvey's in-place kernels for one fixed N: the tangent
+  numbers, tied to the Genocchi row by |G_2n| = n T_n / 4^(n-1), and the
+  secant numbers, the triangle the E kernel grows one column at a time.
 
 The rising-factorial prefix tables are checked against the direct product
 q (q+1) ... (q+m-1), which the package no longer computes.
@@ -115,33 +119,44 @@ def secant_numbers(N: int) -> list[int]:
 
 def test_column_kernels_match_the_in_place_kernels():
     N = ORACLE_MAX
-    tangent, secant = [0], [1]
-    t_col, s_col = [], []
+    genocchi, secant = [1], [1]
+    g_row, s_col = [1], []
+    for j in range(2, N + 1):
+        g_row = bernkit.sequences._next_genocchi_row(g_row)
+        assert len(g_row) == j
+        genocchi.append(g_row[0])
     for j in range(1, N + 1):
-        t_col = bernkit.sequences._next_tangent_column(t_col)
         s_col = bernkit.sequences._next_secant_column(s_col)
-        assert len(t_col) == len(s_col) == j
-        tangent.append(t_col[-1])
+        assert len(s_col) == j
         secant.append(s_col[-1])
-    assert tangent == tangent_numbers(N)
+    tangent = tangent_numbers(N)
+    assert genocchi == [Fraction(n * tangent[n], 4 ** (n - 1)) for n in range(1, N + 1)]
     assert secant == secant_numbers(N)
-    assert tangent[:6] == [0, 1, 2, 16, 272, 7936] and secant[:6] == [1, 1, 5, 61, 1385, 50521]
+    assert genocchi[:6] == [1, 1, 3, 17, 155, 2073] and secant[:6] == [1, 1, 5, 61, 1385, 50521]
 
 
-def test_tables_grow_to_the_requested_index():
-    # no growth block: a deep scan's B_806 and E_804 add exactly the
-    # columns up to 403 and 402
+def test_tables_grow_to_the_requested_index(monkeypatch):
+    # no growth block: a deep scan's B_806 and E_804 step the Genocchi row
+    # to exactly k = 403 and the secant column to 402, and no step goes
+    # past the request
+    steps = []
+    step = bernkit.sequences._next_genocchi_row
+    monkeypatch.setattr(bernkit.sequences, "_next_genocchi_row", lambda row: steps.append(1) or step(row))
     cache = SequenceCache()
+    cache.bernoulli(3)
+    assert cache.genocchi_row == [1] and not steps
     cache.bernoulli(806)
     cache.euler_number(804)
     assert len(cache.bern) == 807 and len(cache.eul) == 805
-    assert len(cache.tangent_col) == 403 and len(cache.secant_col) == 402
+    assert len(cache.genocchi_row) == 403 and len(cache.secant_col) == 402
+    assert len(steps) == 402
     cache.bernoulli(807)
     cache.euler_number(805)
     assert len(cache.bern) == 808 and len(cache.eul) == 806
-    assert len(cache.tangent_col) == 403 and len(cache.secant_col) == 402
+    assert len(cache.genocchi_row) == 403 and len(cache.secant_col) == 402
+    assert len(steps) == 402
     cache.bernoulli(808)
-    assert len(cache.bern) == 809 and len(cache.tangent_col) == 404
+    assert len(cache.bern) == 809 and len(cache.genocchi_row) == 404 and len(steps) == 403
 
 
 @pytest.mark.parametrize("order", sorted(GROWTH_ORDERS))
