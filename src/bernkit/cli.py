@@ -17,6 +17,11 @@ A usage error prints the usage line and an argparse-style message
 Every verify and quadcheck row is built by _row from its result's fields,
 so the column tuples here are the one statement of each row layout.
 
+verify reads every fact about an identity id from identities.IDENTITIES:
+its floor, its runner and its parameter kind, which decides whether a row
+takes --p/--float-p or --N and where it runs in the scan.  The help texts
+of those options list the ids of their kind from the same registry.
+
 A verify scan runs in one process.  `verify --jobs` is accepted and
 checked (an integer >= 1) but ignored, until the benchmark retires it
 together with its --jobs 2 workload.
@@ -65,21 +70,19 @@ def _row(result, columns: tuple) -> dict:
             for c in columns if (v := getattr(result, c, None)) is not None}
 
 
+def _ids(param: str) -> str:
+    """The ids whose parameter kind is ``param``, for a help text."""
+    return ", ".join(i for i, spec in identities.IDENTITIES.items() if spec.param == param)
+
+
 def _run_task(task: tuple) -> dict:
-    """One scan row; a float p selects the float lane."""
+    """One scan row, run with its p or its N; a float p selects the float lane."""
     ident, n, p, n_parts = task
     try:
         if isinstance(p, float):
             report = floatcheck.family_float(ident.removeprefix("family-"), n, p)
-        elif ident.startswith("family-"):
-            report = identities.verify_family(ident.removeprefix("family-"), n, Fraction(p))
-        elif ident.startswith("p1-"):
-            report = identities.verify_p1(ident.removeprefix("p1-"), n)
-        elif ident.startswith("multi"):
-            report = identities.verify_multi(n_parts, n, "bar" if ident == "multi-bar" else "plain")
         else:
-            # each remaining id names its verifier: miki-modified -> verify_miki_modified
-            report = getattr(identities, "verify_" + ident.replace("-", "_"))(n)
+            report = identities.IDENTITIES[ident].run(n, n_parts if p is None else p)
     except BernkitError as exc:
         report = SimpleNamespace(identity=ident, n=n, p=p, N=n_parts, lhs="", rhs="", residual="",
                                  ok=False, error=str(exc) or exc.__class__.__name__)
@@ -92,9 +95,10 @@ def _run_order(task: tuple) -> tuple:
     ``identities``) once.  A p1-* row runs with the rows at (n, 1), whose
     reductions its family rerun reads."""
     ident, n, p, _ = task
-    if ident.startswith("p1-"):
-        return n, "1", ""
-    if ident.startswith("family-") and not isinstance(p, float):
+    spec = identities.IDENTITIES[ident]
+    if spec.rerun_p is not None:
+        return n, str(spec.rerun_p), ""
+    if spec.param == "p" and not isinstance(p, float):
         return n, p, ""
     return n, str(p), ident
 
@@ -155,21 +159,21 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
     if not all(math.isfinite(fp) for fp in float_ps):
         raise UsageError(f"--float-p values must be finite, got {tuple(float_ps)}")
     idents, exact_ps, float_ps = (tuple(dict.fromkeys(v)) for v in (idents, exact_ps, float_ps))
-    family_ids = [i for i in idents if i.startswith("family-")]
-    if (exact_ps or float_ps) and not family_ids:
+    params = {identities.IDENTITIES[i].param for i in idents}
+    if (exact_ps or float_ps) and "p" not in params:
         raise UsageError("--p/--float-p apply only to family-* identities")
-    if family_ids and not exact_ps and not float_ps:
+    if "p" in params and not exact_ps and not float_ps:
         raise UsageError("family-* identities need --p or --float-p")
-    if n_parts is not None and not {"multi", "multi-bar"} & set(idents):
+    if n_parts is not None and "N" not in params:
         raise UsageError("--N applies only to the multi and multi-bar identities")
 
     # a task is (ident, n, p, n_parts); a family row's p is a str on the
     # exact lane and a float on the float lane: its type picks the lane
     tasks = []
     for ident in idents:
-        floor = identities.FLOORS[ident]
-        parts = None
-        if ident in ("multi", "multi-bar"):
+        spec = identities.IDENTITIES[ident]
+        floor, parts = spec.floor, None
+        if spec.param == "N":
             parts = n_parts if n_parts is not None else 2
             if parts < 2:
                 raise UsageError(f"--N must be >= 2, got {parts}")
@@ -178,9 +182,8 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
         if lo > n_max:
             raise UsageError(f"empty scan range for {ident}: {lo}..{n_max}")
         for n in range(lo, n_max + 1):
-            if ident.startswith("family-"):
-                for p in (*exact_ps, *float_ps):
-                    tasks.append((ident, n, p, None))
+            if spec.param == "p":
+                tasks.extend((ident, n, p, None) for p in (*exact_ps, *float_ps))
             else:
                 tasks.append((ident, n, None, parts))
 
@@ -247,18 +250,17 @@ def _parser() -> _Parser:
 
     sub = command(verify)
     sub.add_argument("--identity", dest="idents", action="append", required=True,
-                     choices=list(identities.FLOORS), metavar="ID",
+                     choices=list(identities.IDENTITIES), metavar="ID",
                      help="identity id; repeatable (%(choices)s)")
     sub.add_argument("--n-min", type=int, default=None,
                      help="first n (default: the identity's own floor)")
     sub.add_argument("--n-max", type=int, required=True)
     sub.add_argument("--p", dest="p_values", action="append", default=[], metavar="P",
-                     help="exact rational parameter for family identities, e.g. 1/2")
+                     help=f"exact rational parameter of {_ids('p')}, e.g. 1/2")
     sub.add_argument("--N", dest="n_parts", type=int, default=None, metavar="N",
-                     help="fold count for the multi identities (default 2)")
+                     help=f"fold count of {_ids('N')} (default 2)")
     sub.add_argument("--float-p", dest="float_ps", action="append", type=float, default=[],
-                     metavar="P",
-                     help="float parameter: evaluate a family in double precision")
+                     metavar="P", help=f"float parameter: evaluate {_ids('p')} in double precision")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted (>= 1) and ignored until the benchmark retires it;"
                           " a scan runs in one process")
@@ -282,7 +284,7 @@ def _glue_values(argv: list[str]) -> list[str]:
     glued: list[str] = []
     for token in argv:
         last = glued[-1] if glued else ""
-        if (token.startswith("-") and last.startswith("--") and "=" not in last
+        if (token[:1] == "-" and last[:2] == "--" and "=" not in last
                 and last not in ("--", "--help")):
             glued[-1] = f"{last}={token}"
         else:

@@ -12,10 +12,16 @@ assembled as (GammaProduct, scalar) pairs, one per distinct factor tuple,
 reduced against the Gamma(p) and Gamma(2p) bases, checked for one
 exponent pair common to both sides, and compared through their rational
 cofactors; the float lane reads the same family_terms.  The cubic
-identities are triple convolutions.  Lemma-expansion checks reconstruct the intermediate
-asymptotic series of the squared generating functions by two independent
-routes.  FLOORS maps every command-line identity id to the smallest n
-each verifier accepts.
+identities are triple convolutions.  Lemma-expansion checks reconstruct
+the intermediate asymptotic series of the squared generating functions by
+two independent routes.
+
+IDENTITIES is the one statement of each command-line identity id, an
+Identity record of its floor, parameter kind and runner.  Every verifier
+reads its floor there, so a name the registry lacks raises UnknownName,
+and cli dispatches, orders its tasks and checks its options through the
+registry alone.  Each runner looks its verifier up when it is called, so
+a verifier replaced on the module from outside is the one that runs.
 
 Every sum over compositions k_1+...+k_parts = n, every k_i >= 1, is
 _fold(weight, parts, n) over a weight sequence named in _WEIGHTS: the
@@ -108,7 +114,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
@@ -134,7 +140,8 @@ from .series import (
 )
 
 __all__ = [
-    "FLOORS",
+    "IDENTITIES",
+    "Identity",
     "IdentityReport",
     "verify_euler",
     "verify_miki",
@@ -158,27 +165,6 @@ __all__ = [
 FAMILY_KINDS = ("miki", "fpz", "mixed")
 LEMMA_IDS = ("coth-product", "coth-harmonic", "sinh-product", "sinh-harmonic")
 
-# smallest n each identity is stated for
-FLOORS = {
-    "euler": 2,
-    "miki": 2,
-    "miki-modified": 2,
-    "fpz": 2,
-    "mixed": 2,
-    "family-miki": 2,
-    "family-fpz": 2,
-    "family-mixed": 2,
-    "p1-miki": 2,
-    "p1-fpz": 1,
-    "p1-mixed": 1,
-    "gessel": 3,
-    "gessel-modified": 3,
-    "fpz-cubic": 3,
-    "euler-bernoulli": 1,
-    "multi": 2,
-    "multi-bar": 2,
-}
-
 
 class IdentityReport(NamedTuple):
     """One identity at one parameter point.  The verifiers give exact sides
@@ -195,6 +181,39 @@ class IdentityReport(NamedTuple):
     ok: bool
     p: Fraction | float | None = None
     N: int | None = None
+
+
+class Identity(NamedTuple):
+    """One command-line identity id: the smallest n it is stated for, the
+    kind of its second parameter (None, "p" or "N"), its runner, called as
+    run(n, value) with that parameter's value, and for a p1-* id the family
+    point p = 1 that its row reruns."""
+
+    floor: int
+    param: str | None
+    run: Callable[[int, Any], IdentityReport]
+    rerun_p: Fraction | None = None
+
+
+IDENTITIES = {
+    "euler": Identity(2, None, lambda n, _: verify_euler(n)),
+    "miki": Identity(2, None, lambda n, _: verify_miki(n)),
+    "miki-modified": Identity(2, None, lambda n, _: verify_miki_modified(n)),
+    "fpz": Identity(2, None, lambda n, _: verify_fpz(n)),
+    "mixed": Identity(2, None, lambda n, _: verify_mixed(n)),
+    "family-miki": Identity(2, "p", lambda n, p: verify_family("miki", n, p)),
+    "family-fpz": Identity(2, "p", lambda n, p: verify_family("fpz", n, p)),
+    "family-mixed": Identity(2, "p", lambda n, p: verify_family("mixed", n, p)),
+    "p1-miki": Identity(2, None, lambda n, _: verify_p1("miki", n), Fraction(1)),
+    "p1-fpz": Identity(1, None, lambda n, _: verify_p1("fpz", n), Fraction(1)),
+    "p1-mixed": Identity(1, None, lambda n, _: verify_p1("mixed", n), Fraction(1)),
+    "gessel": Identity(3, None, lambda n, _: verify_gessel(n)),
+    "gessel-modified": Identity(3, None, lambda n, _: verify_gessel_modified(n)),
+    "fpz-cubic": Identity(3, None, lambda n, _: verify_fpz_cubic(n)),
+    "euler-bernoulli": Identity(1, None, lambda n, _: verify_euler_bernoulli(n)),
+    "multi": Identity(2, "N", lambda n, N: verify_multi(N, n, "plain")),
+    "multi-bar": Identity(2, "N", lambda n, N: verify_multi(N, n, "bar")),
+}
 
 
 def _report(
@@ -215,7 +234,9 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _require_floor(identity: str, n: int) -> None:
-    floor = FLOORS[identity]
+    if identity not in IDENTITIES:
+        raise UnknownName(f"no identity {identity!r}")
+    floor = IDENTITIES[identity].floor
     _require(n >= floor, f"{identity} identity needs n >= {floor}, got {n}")
 
 
@@ -468,8 +489,6 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     its tuple; one GammaProduct and one Fraction are built per distinct
     tuple at the end: at n = 30 the 29 + 89 summands leave 15 + 60 pairs.
     """
-    if which not in FAMILY_KINDS:
-        raise UnknownName(f"no family {which!r}")
     _require_floor(f"family-{which}", n)
     table = sequences._DEFAULT.family
     if (which, n) in table:
@@ -593,15 +612,15 @@ def verify_p1(which: str, n: int) -> IdentityReport:
     absorbs that term into the right side, so against verify_family at
     p=1 the miki and fpz variants differ by exactly B_2n (resp. Bbar_2n)
     on both sides while the mixed variant coincides; both facts are
-    checked where the domains overlap.  Run right after the family rows at
-    (n, 1), its family row reads the reductions they stored.
+    checked where the domains overlap.  That family row is rerun at the
+    registry's rerun_p, the point where cli's scan order also places this
+    row: right after the family rows at (n, 1), it reads the reductions
+    they stored.
     """
-    if which not in FAMILY_KINDS:
-        raise UnknownName(f"no family {which!r}")
     _require_floor(f"p1-{which}", n)
     lhs, rhs, shift = _p1_sums(which, n)
-    if n >= FLOORS[f"family-{which}"]:
-        family = verify_family(which, n, Fraction(1))
+    if n >= IDENTITIES[f"family-{which}"].floor:
+        family = verify_family(which, n, IDENTITIES[f"p1-{which}"].rerun_p)
         check_routes("the reduced lhs", lhs, "the shifted family lhs", family.lhs + shift)
         check_routes("the reduced rhs", rhs, "the shifted family rhs", family.rhs + shift)
     return _report(f"p1-{which}", n, lhs, rhs)
@@ -703,9 +722,7 @@ def verify_multi(N: int, n: int, variant: str = "plain") -> IdentityReport:
     the sign (-1)^N).  Each route reads its own table in the cache (fold
     memo, series power), so neither is rebuilt from scratch per row.
     """
-    if variant not in ("plain", "bar"):
-        raise UnknownName(f"no variant {variant!r}")
-    identity = "multi" if variant == "plain" else "multi-bar"
+    identity = "multi" if variant == "plain" else f"multi-{variant}"
     _require(N >= 2, f"convolution fold count must be >= 2, got {N}")
     _require_floor(identity, n)
     _require(n >= N, f"order n must be at least N={N}, got {n}")
@@ -724,10 +741,12 @@ def multi_lhs(N: int, n: int, variant: str = "plain") -> Fraction:
 def verify_euler_bernoulli(n: int) -> IdentityReport:
     """Euler-number convolution expressed through Bernoulli numbers, n >= 1."""
     _require_floor("euler-bernoulli", n)
-    E = euler_number
-    # terms k and n+1-k are equal: twice each k < (n+1)/2, once the middle
+    # one euler_number grows the table, and the terms read its list; terms
+    # k and n+1-k are equal: twice each k < (n+1)/2, once the middle
+    euler_number(2 * n - 2)
+    eul = sequences._DEFAULT.eul
     lhs = Fraction(sum(
-        (2 if 2 * k < n + 1 else 1) * E(2 * k - 2) * E(2 * n - 2 * k)
+        (2 if 2 * k < n + 1 else 1) * eul[2 * k - 2] * eul[2 * n - 2 * k]
         for k in range(1, (n + 1) // 2 + 1)
     ))
     row = _binomial_row(2 * n)

@@ -307,16 +307,17 @@ def test_multi_scan_runs_under_a_low_recursion_limit():
 def _floor_args(ident, lo, hi):
     args = ["verify", "--identity", ident, "--n-min", str(lo), "--n-max", str(hi),
             "--format", "json"]
-    if ident.startswith("family-"):
+    param = identities.IDENTITIES[ident].param
+    if param == "p":
         args += ["--p", "1/2"]
-    if ident.startswith("multi"):
+    if param == "N":
         args += ["--N", "2"]
     return args
 
 
-@pytest.mark.parametrize("ident", sorted(identities.FLOORS))
+@pytest.mark.parametrize("ident", sorted(identities.IDENTITIES))
 def test_verify_every_identity_at_its_floor(ident):
-    floor = identities.FLOORS[ident]
+    floor = identities.IDENTITIES[ident].floor
     result = runner.invoke(main, _floor_args(ident, floor, floor))
     assert result.exit_code == 0, result.output
     assert [row["ok"] for row in json.loads(result.output)] == [True]
@@ -452,6 +453,15 @@ def test_help_exits_0(command):
     result = runner.invoke(main, [*command, "--help"])
     assert result.exit_code == 0, result.output
     assert result.output.startswith("usage: bernkit")
+
+
+def test_verify_help_names_the_ids_of_each_parameter():
+    # the --p, --float-p and --N texts list their ids from the registry
+    text = " ".join(runner.invoke(main, ["verify", "--help"]).output.split())
+    family = "family-miki, family-fpz, family-mixed"
+    assert f"--p P exact rational parameter of {family}, e.g. 1/2" in text
+    assert f"--float-p P float parameter: evaluate {family} in double precision" in text
+    assert "--N N fold count of multi, multi-bar (default 2)" in text
 
 
 def test_main_without_standalone_mode():

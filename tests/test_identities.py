@@ -24,8 +24,8 @@ from bernkit import (
     DomainError,
     ExponentMismatch,
     FAMILY_KINDS,
-    FLOORS,
     GammaProduct,
+    IDENTITIES,
     LEMMA_IDS,
     PoleEncountered,
     ReducedGamma,
@@ -132,9 +132,29 @@ def test_family_p0_rows_bit_identical():
             assert fam.rhs == ref.rhs
 
 
+# the value each parameter kind's runner is given in the registry test
+_REGISTRY_VALUES = {None: None, "p": F(1, 2), "N": 2}
+
+
+@pytest.mark.parametrize("ident", IDENTITIES)
+def test_registry_runs_each_identity_from_its_floor(ident):
+    # the runner answers for its own id, carries p or N exactly when its
+    # parameter kind says so, and refuses the n just below its floor
+    spec = IDENTITIES[ident]
+    value = _REGISTRY_VALUES[spec.param]
+    report = spec.run(spec.floor, value)
+    assert report.identity == ident and report.n == spec.floor and report.ok
+    assert (report.p is not None, report.N is not None) == (spec.param == "p", spec.param == "N")
+    with pytest.raises(DomainError) as caught:
+        spec.run(spec.floor - 1, value)
+    assert str(caught.value) == f"{ident} identity needs n >= {spec.floor}, got {spec.floor - 1}"
+
+
 def test_family_errors():
     with pytest.raises(UnknownName):
         verify_family("euler", 3, F(1))
+    with pytest.raises(UnknownName):
+        family_terms("euler", 3)
     with pytest.raises(DomainError):
         verify_family("miki", 1, F(1))
     with pytest.raises(PoleEncountered):
@@ -203,6 +223,8 @@ def test_p1_forms_hold():
         verify_p1("miki", 1)
     with pytest.raises(UnknownName):
         verify_p1("gessel", 3)
+    with pytest.raises(UnknownName):
+        verify_p1("plain", 3)
 
 
 def test_p1_frozen_points():
@@ -434,7 +456,7 @@ def test_quadratic_sums_match_the_plain_sums(verify):
 
 def test_p1_and_family_sums_match_the_plain_sums():
     for which in FAMILY_KINDS:
-        for n in range(FLOORS[f"p1-{which}"], 13):
+        for n in range(IDENTITIES[f"p1-{which}"].floor, 13):
             report = verify_p1(which, n)
             assert (report.lhs, report.rhs) == _plain_p1_sides(which, n), (which, n)
     for n, p in ((5, F(1, 2)), (9, F(-1, 4)), (12, F(3))):
@@ -1029,6 +1051,8 @@ def test_multi_lhs_errors():
         multi_lhs(3, 2)
     with pytest.raises(UnknownName):
         multi_lhs(2, 4, "hat")
+    with pytest.raises(UnknownName):
+        verify_multi(2, 4, "hat")
 
 
 def test_euler_bernoulli_holds():
