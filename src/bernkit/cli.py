@@ -19,8 +19,10 @@ so the column tuples here are the one statement of each row layout.
 
 verify reads every fact about an identity id from identities.IDENTITIES:
 its floor, its runner and its parameter kind, which decides whether a row
-takes --p/--float-p or --N and where it runs in the scan.  The help texts
-of those options list the ids of their kind from the same registry.
+takes --p/--float-p or --N.  The help texts and usage errors of those
+options list the ids of their kind from the same registry.  verify runs
+its rows n by n, so the family rows at one n reuse the gamma reductions
+that ``identities`` keeps per n, and sorts them for output.
 
 A verify scan runs in one process.  `verify --jobs` is accepted and
 checked (an integer >= 1) but ignored, until the benchmark retires it
@@ -71,7 +73,7 @@ def _row(result, columns: tuple) -> dict:
 
 
 def _ids(param: str) -> str:
-    """The ids whose parameter kind is ``param``, for a help text."""
+    """The ids whose parameter kind is ``param``, for a help text or a usage error."""
     return ", ".join(i for i, spec in identities.IDENTITIES.items() if spec.param == param)
 
 
@@ -87,20 +89,6 @@ def _run_task(task: tuple) -> dict:
         report = SimpleNamespace(identity=ident, n=n, p=p, N=n_parts, lhs="", rhs="", residual="",
                                  ok=False, error=str(exc) or exc.__class__.__name__)
     return _row(report, _REPORT_COLUMNS)
-
-
-def _run_order(task: tuple) -> tuple:
-    """The place of a task in the scan: the exact family rows at one (n, p)
-    run one after another, so each point fills the ``reduced`` slot (see
-    ``identities``) once.  A p1-* row runs with the rows at (n, 1), whose
-    reductions its family rerun reads."""
-    ident, n, p, _ = task
-    spec = identities.IDENTITIES[ident]
-    if spec.rerun_p is not None:
-        return n, str(spec.rerun_p), ""
-    if spec.param == "p" and not isinstance(p, float):
-        return n, p, ""
-    return n, str(p), ident
 
 
 def _row_key(row: dict):
@@ -161,11 +149,11 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
     idents, exact_ps, float_ps = (tuple(dict.fromkeys(v)) for v in (idents, exact_ps, float_ps))
     params = {identities.IDENTITIES[i].param for i in idents}
     if (exact_ps or float_ps) and "p" not in params:
-        raise UsageError("--p/--float-p apply only to family-* identities")
+        raise UsageError(f"--p/--float-p apply only to {_ids('p')}")
     if "p" in params and not exact_ps and not float_ps:
-        raise UsageError("family-* identities need --p or --float-p")
+        raise UsageError(f"{_ids('p')} need --p or --float-p")
     if n_parts is not None and "N" not in params:
-        raise UsageError("--N applies only to the multi and multi-bar identities")
+        raise UsageError(f"--N applies only to {_ids('N')}")
 
     # a task is (ident, n, p, n_parts); a family row's p is a str on the
     # exact lane and a float on the float lane: its type picks the lane
@@ -187,7 +175,7 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
             else:
                 tasks.append((ident, n, None, parts))
 
-    rows = sorted(map(_run_task, sorted(tasks, key=_run_order)), key=_row_key)
+    rows = sorted(map(_run_task, sorted(tasks, key=lambda task: task[1])), key=_row_key)
     _emit(rows, fmt, _REPORT_COLUMNS)
     sys.exit(0 if all(row["ok"] for row in rows) else 1)
 

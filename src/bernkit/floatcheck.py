@@ -378,10 +378,11 @@ def family_float(which: str, n: int, p: float) -> IdentityReport:
 
     The float twin of the exact family verifier: it evaluates the same
     family_terms, but takes each gamma factor from math.gamma instead of
-    reducing it exactly, which makes it the only check of non-integer p.
-    Its IdentityReport carries float sides, residual and p.
-    Agreement is relative, to 1e-8 of the larger side, with no absolute
-    floor under small sides.
+    reducing it exactly, so it is the only lane that takes a float p; the
+    exact lane checks rational p, integer or not (1/2, 3/2, 5/2 and -1/4
+    on every acceptance scan).  Its IdentityReport carries float sides,
+    residual and p.  Agreement is relative, to 1e-8 of the larger side,
+    with no absolute floor under small sides.
     A side outside the double range (about 2n + 2p > 171) raises
     DomainError rather than passing with infinite sides.
     """

@@ -25,8 +25,8 @@ numerator and one integer denominator, which each factor multiplies by
 its rising entry's numerator and denominator (swapped for a negative
 offset or a negative exponent), and it becomes one Fraction at the end,
 so a reduction normalises once, not once per factor.  gamma_reduce
-itself keeps no memo; the family rows keep its results in the cache's
-``reduced`` slot (see ``identities``).
+itself keeps no memo; the family rows keep its results for every p at
+the latest n in the cache's ``reduced`` slot (see ``identities``).
 
 When the anchor t (p or 2p) is itself a nonpositive integer, Gamma(t) has
 a pole even where Gamma(t+m) is finite, so such factors are folded all the

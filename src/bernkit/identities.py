@@ -19,9 +19,9 @@ two independent routes.
 IDENTITIES is the one statement of each command-line identity id, an
 Identity record of its floor, parameter kind and runner.  Every verifier
 reads its floor there, so a name the registry lacks raises UnknownName,
-and cli dispatches, orders its tasks and checks its options through the
-registry alone.  Each runner looks its verifier up when it is called, so
-a verifier replaced on the module from outside is the one that runs.
+and cli dispatches and checks its options through the registry alone.
+Each runner looks its verifier up when it is called, so a verifier
+replaced on the module from outside is the one that runs.
 
 Every sum over compositions k_1+...+k_parts = n, every k_i >= 1, is
 _fold(weight, parts, n) over a weight sequence named in _WEIGHTS: the
@@ -48,13 +48,13 @@ products, both mixed sides, the Euler-Bernoulli right side and the p = 1
 sums.  Bbar_m enters as B_m times its weight bbar_scale(m): a form
 shared by B and Bbar takes the weight, bbar_scale or _unit_scale.
 Terms k and n-k share one product of numerators of about 1,350 digits at
-n ~ 400, so each k < n/2 carries w(k) + w(n-k), an unreduced integer pair, and the
-middle k = n/2 of an even n counts once; each sum then does half the big
-products.  A sum that runs through k = n takes its unpaired term,
-B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
-Euler-number left side pair their equal terms the same way.  Each sum pairs its own terms: no table of
-products per n is shared between verifiers, so the two sides of Miki's
-identity stay independent routes.
+n ~ 400, so each k < n/2 carries w(k) + w(n-k), an unreduced integer
+pair, and the middle k = n/2 of an even n counts once; each sum then does
+half the big products.  A sum that runs through k = n takes its unpaired
+term, B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
+Euler-number left side pair their equal terms the same way.  Each sum
+pairs its own terms: no table of products per n is shared between
+verifiers, so the two sides of Miki's identity stay independent routes.
 
 Every exact sum of this layer is _dot: each fold step, the quadratic,
 p = 1 and cubic sums, and the cofactor sum of each family side.  It
@@ -94,17 +94,18 @@ call time so an injected cache replaces them too:
   summand.  The exact family rows and the float twin both read this
   table.
 
-The one slot that is not append-only, ``reduced``, is the pair ((n,
-p.numerator, p.denominator), {factor tuple: ReducedGamma}) of the latest
-family point (n, p): the gamma_reduce result of each distinct factor
-tuple at n.  verify_family alone fills and reads it.  Every family factor
-tuple at n carries Gamma(2p+2n) or a pair summing to 2n, so no tuple at n
-occurs at another n, while the three kinds at n have the same tuples and
-differ in their scalars.  The slot is therefore replaced in one
-assignment, not grown, when a row at another (n, p) comes, and its memory
-stays that of one row.  A row adds scalar x cofactor per tuple, and a
-scan ordered by (n, p), as ``cli verify`` runs it, reduces each product
-once per (n, p) for every kind and for verify_p1's rerun at p = 1.
+The one slot that is not append-only, ``reduced``, is the pair (n,
+{(p.numerator, p.denominator): {factor tuple: ReducedGamma}}) of the
+latest family n: the gamma_reduce result of each distinct factor tuple
+at each p met at n.  verify_family alone fills and reads it.  Every
+family factor tuple at n carries Gamma(2p+2n) or a pair summing to 2n, so
+no tuple at n occurs at another n, while the three kinds at n have the
+same tuples and differ in their scalars.  The slot is therefore replaced
+in one assignment, not grown, when a row at another n comes, and it
+holds one n's reductions at most (about 600 at n = 30 and eight p).  A
+row adds scalar x cofactor per tuple, and the rows at one n, in any
+order, reduce each product once per (n, p) for every kind and for
+verify_p1's rerun at p = 1; ``cli verify`` only runs its rows n by n.
 gamma_reduce alone reads the rising tables for the families; a rising
 entry poisoned after the products that read it were stored no longer
 reaches the rows of that (n, p).
@@ -185,14 +186,12 @@ class IdentityReport(NamedTuple):
 
 class Identity(NamedTuple):
     """One command-line identity id: the smallest n it is stated for, the
-    kind of its second parameter (None, "p" or "N"), its runner, called as
-    run(n, value) with that parameter's value, and for a p1-* id the family
-    point p = 1 that its row reruns."""
+    kind of its second parameter (None, "p" or "N") and its runner, called
+    as run(n, value) with that parameter's value."""
 
     floor: int
     param: str | None
     run: Callable[[int, Any], IdentityReport]
-    rerun_p: Fraction | None = None
 
 
 IDENTITIES = {
@@ -204,9 +203,9 @@ IDENTITIES = {
     "family-miki": Identity(2, "p", lambda n, p: verify_family("miki", n, p)),
     "family-fpz": Identity(2, "p", lambda n, p: verify_family("fpz", n, p)),
     "family-mixed": Identity(2, "p", lambda n, p: verify_family("mixed", n, p)),
-    "p1-miki": Identity(2, None, lambda n, _: verify_p1("miki", n), Fraction(1)),
-    "p1-fpz": Identity(1, None, lambda n, _: verify_p1("fpz", n), Fraction(1)),
-    "p1-mixed": Identity(1, None, lambda n, _: verify_p1("mixed", n), Fraction(1)),
+    "p1-miki": Identity(2, None, lambda n, _: verify_p1("miki", n)),
+    "p1-fpz": Identity(1, None, lambda n, _: verify_p1("fpz", n)),
+    "p1-mixed": Identity(1, None, lambda n, _: verify_p1("mixed", n)),
     "gessel": Identity(3, None, lambda n, _: verify_gessel(n)),
     "gessel-modified": Identity(3, None, lambda n, _: verify_gessel_modified(n)),
     "fpz-cubic": Identity(3, None, lambda n, _: verify_fpz_cubic(n)),
@@ -233,10 +232,15 @@ def _require(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _require_floor(identity: str, n: int) -> None:
+def _floor(identity: str) -> int:
+    """The floor of a registry id; UnknownName for an id the registry lacks."""
     if identity not in IDENTITIES:
         raise UnknownName(f"no identity {identity!r}")
-    floor = IDENTITIES[identity].floor
+    return IDENTITIES[identity].floor
+
+
+def _require_floor(identity: str, n: int) -> None:
+    floor = _floor(identity)
     _require(n >= floor, f"{identity} identity needs n >= {floor}, got {n}")
 
 
@@ -551,17 +555,19 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
 
     Both sides of family_terms are reduced at the rational point p, each
     product by gamma_reduce unless the ``reduced`` slot (see the module
-    docstring) holds it for (n, p); every product of either side must
+    docstring) holds it: the slot keeps every p met at the latest n, so
+    the rows at one n reduce each product once per p, in any order, and a
+    row at another n replaces it.  Every product of either side must
     reduce to one (Gamma(p), Gamma(2p)) exponent pair, checked once per
     row, and the sides are compared through their rational cofactors.
     """
     sides = family_terms(which, n)
     p = Fraction(p)
     cache = sequences._DEFAULT
-    key = (n, p.numerator, p.denominator)
-    if cache.reduced[0] != key:
-        cache.reduced = (key, {})
-    table, exponents, sums = cache.reduced[1], set(), []
+    if cache.reduced[0] != n:
+        cache.reduced = (n, {})
+    table = cache.reduced[1].setdefault((p.numerator, p.denominator), {})
+    exponents, sums = set(), []
     for side in sides:
         pairs = []
         for product, scalar in side:
@@ -612,15 +618,14 @@ def verify_p1(which: str, n: int) -> IdentityReport:
     absorbs that term into the right side, so against verify_family at
     p=1 the miki and fpz variants differ by exactly B_2n (resp. Bbar_2n)
     on both sides while the mixed variant coincides; both facts are
-    checked where the domains overlap.  That family row is rerun at the
-    registry's rerun_p, the point where cli's scan order also places this
-    row: right after the family rows at (n, 1), it reads the reductions
-    they stored.
+    checked where the domains overlap.  That family row is rerun at
+    p = 1; when a family row at (n, 1) ran since the last row at another
+    n, the rerun reads the reductions it stored in the ``reduced`` slot.
     """
     _require_floor(f"p1-{which}", n)
     lhs, rhs, shift = _p1_sums(which, n)
-    if n >= IDENTITIES[f"family-{which}"].floor:
-        family = verify_family(which, n, IDENTITIES[f"p1-{which}"].rerun_p)
+    if n >= _floor(f"family-{which}"):
+        family = verify_family(which, n, 1)
         check_routes("the reduced lhs", lhs, "the shifted family lhs", family.lhs + shift)
         check_routes("the reduced rhs", rhs, "the shifted family rhs", family.rhs + shift)
     return _report(f"p1-{which}", n, lhs, rhs)

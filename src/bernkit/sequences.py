@@ -124,12 +124,14 @@ class SequenceCache:
     ``bern``, ``eul``, ``harm`` (H_i) and ``harm2`` (H^(2)_i) are plain
     lists indexed by n; ``h2`` maps n to the checked H_{2n,2}; ``rising``
     maps an anchor's (numerator, denominator) to the list of its (q)_m
-    indexed by m.  The ``identities`` docstring
-    describes the rest.
+    indexed by m.  ``reduced`` is the pair (n, {(p numerator, p
+    denominator): {factor tuple: ReducedGamma}}) of the latest family n;
+    the ``identities`` docstring describes it and the other tables.
     Entries, once computed, are never recomputed or rewritten: a table
     only grows by appending, so an entry or a list read once keeps its
     value however far the table grows later.
-    ``reduced`` is the exception, and so are ``genocchi_row`` and
+    ``reduced`` is the exception, replaced whole when a family row at
+    another n comes, and so are ``genocchi_row`` and
     ``secant_col``, the kernels' state: row max(1, (len(bern) - 1) // 2)
     of Seidel's Genocchi triangle and column (len(eul) - 1) // 2 of the
     secant triangle, each replaced by the next one as its table grows.
@@ -147,7 +149,7 @@ class SequenceCache:
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
         self.family: dict[tuple[str, int], tuple[tuple, tuple]] = {}
-        self.reduced: tuple[tuple[int, int, int] | None, dict[tuple, ReducedGamma]] = (None, {})
+        self.reduced: tuple[int | None, dict[tuple[int, int], dict[tuple, ReducedGamma]]] = (None, {})
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n from the Genocchi numbers; odd entries are 0 except B_1."""

@@ -464,6 +464,30 @@ def test_verify_help_names_the_ids_of_each_parameter():
     assert "--N N fold count of multi, multi-bar (default 2)" in text
 
 
+def test_verify_usage_errors_name_the_ids_of_each_parameter(monkeypatch):
+    # the three parameter-kind messages list their ids from the registry,
+    # so an id added there is named without a message edit
+    def error(*args):
+        result = runner.invoke(main, ["verify", *args, "--n-max", "3"])
+        assert result.exit_code == 2 and result.stdout_bytes == b"", args
+        return result.output.splitlines()[-1]
+
+    family = "family-miki, family-fpz, family-mixed"
+    assert error("--identity", "miki", "--p", "1") == (
+        f"bernkit verify: error: --p/--float-p apply only to {family}")
+    assert error("--identity", "miki", "--float-p", "0.5") == (
+        f"bernkit verify: error: --p/--float-p apply only to {family}")
+    assert error("--identity", "family-fpz") == (
+        f"bernkit verify: error: {family} need --p or --float-p")
+    assert error("--identity", "miki", "--N", "3") == (
+        "bernkit verify: error: --N applies only to multi, multi-bar")
+    monkeypatch.setitem(identities.IDENTITIES, "family-copy", identities.IDENTITIES["family-fpz"])
+    monkeypatch.setitem(identities.IDENTITIES, "multi-copy", identities.IDENTITIES["multi"])
+    assert error("--identity", "family-copy").endswith(
+        f"{family}, family-copy need --p or --float-p")
+    assert error("--identity", "miki", "--N", "3").endswith("multi, multi-bar, multi-copy")
+
+
 def test_main_without_standalone_mode():
     # the benchmark's traced scan calls main(argv, standalone_mode=False):
     # the scan still ends in SystemExit with its code, and a usage error
@@ -474,7 +498,7 @@ def test_main_without_standalone_mode():
              standalone_mode=False)
     assert done.value.code == 0
     assert [row["n"] for row in json.loads(buffer.getvalue())] == [2, 3]
-    with pytest.raises(cli_module.UsageError, match="family-\\* identities need"):
+    with pytest.raises(cli_module.UsageError, match="family-miki, family-fpz, family-mixed need"):
         main(["verify", "--identity", "family-fpz", "--n-max", "3"], standalone_mode=False)
     with pytest.raises(cli_module.UsageError, match="--n-max"):
         main(["verify", "--identity", "euler"], standalone_mode=False)
@@ -565,10 +589,9 @@ def test_verify_parallel_matches_serial():
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
-    # the scan runs the rows of each (n, p) together, a p1-* row with the
-    # family rows at (n, 1), so each factor tuple is reduced once per point
-    # at any --jobs
-    monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+    # the family rows at one n share the reductions of each p, a p1-* row's
+    # rerun at p = 1 included, so each factor tuple is reduced once per
+    # (n, p) at any --jobs and in any order of --identity and --p
     calls = []
     real = identities.gamma_reduce
 
@@ -577,14 +600,22 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
         return real(g, p)
 
     monkeypatch.setattr(identities, "gamma_reduce", counted)
-    result = runner.invoke(main, ["verify", "--identity", "family-miki", "--identity", "family-fpz",
-                                  "--identity", "family-mixed", "--identity", "p1-mixed",
-                                  "--n-min", "2", "--n-max", "6", "--p", "1/2", "--p", "1",
-                                  "--jobs", jobs])
-    assert result.exit_code == 0, result.output
     distinct = [{product.factors for product, _ in sum(identities.family_terms("miki", n), ())}
                 for n in range(2, 7)]
-    assert len(calls) == len(set(calls)) == 2 * sum(map(len, distinct))
+    forward = ["--identity", "family-miki", "--identity", "family-fpz", "--identity", "family-mixed",
+               "--identity", "p1-mixed", "--p", "1/2", "--p", "1"]
+    reverse = ["--identity", "p1-mixed", "--identity", "family-mixed", "--identity", "family-fpz",
+               "--identity", "family-miki", "--p", "1", "--p", "1/2"]
+    outputs = []
+    for order in (forward, reverse):
+        monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+        calls.clear()
+        result = runner.invoke(main, ["verify", *order, "--n-min", "2", "--n-max", "6",
+                                      "--jobs", jobs])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == len(set(calls)) == 2 * sum(map(len, distinct)), order
+        outputs.append(result.stdout_bytes)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("repeated, once", [

@@ -893,24 +893,33 @@ def test_family_kinds_reduce_each_factor_tuple_once_per_point(monkeypatch):
     summands = sum(_family_summands("miki", 6), [])
     assert len(calls) == len(set(calls)) == len(distinct) == len(terms["miki"]) < len(summands)
     assert set(calls) == distinct
-    assert cache.reduced[0] == (6, 1, 2) and set(cache.reduced[1]) == distinct
+    assert cache.reduced[0] == 6 and list(cache.reduced[1]) == [(1, 2)]
+    assert set(cache.reduced[1][1, 2]) == distinct
     assert not hasattr(terms["miki"][0], "__dict__")
-    # a row at another (n, p) replaces the slot, so coming back reduces again
+    # another p at the same n joins the slot, so coming back reduces nothing
     verify_family("fpz", 6, F(3))
-    assert cache.reduced[0] == (6, 3, 1) and len(calls) == 2 * len(distinct)
+    assert cache.reduced[0] == 6 and list(cache.reduced[1]) == [(1, 2), (3, 1)]
+    assert len(calls) == 2 * len(distinct)
     verify_family("mixed", 6, F(1, 2))
-    assert len(calls) == 3 * len(distinct)
+    assert len(calls) == 2 * len(distinct)
+    # a row at another n replaces the slot, so coming back to n = 6 reduces again
+    verify_family("miki", 7, F(1, 2))
+    assert cache.reduced[0] == 7 and list(cache.reduced[1]) == [(1, 2)]
+    calls.clear()
+    verify_family("mixed", 6, F(1, 2))
+    assert set(calls) == distinct and len(calls) == len(distinct)
 
 
-def test_reduction_slot_holds_one_point(monkeypatch):
+def test_reduction_slot_holds_one_n(monkeypatch):
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     for n in range(2, 16):
         for p in (F(1, 2), F(3)):
             assert verify_family("miki", n, p).ok
     lhs, rhs = family_terms("miki", 15)
-    assert cache.reduced[0] == (15, 3, 1)
-    assert set(cache.reduced[1]) == {product.factors for product, _ in lhs + rhs}
+    assert cache.reduced[0] == 15 and list(cache.reduced[1]) == [(1, 2), (3, 1)]
+    for table in cache.reduced[1].values():
+        assert set(table) == {product.factors for product, _ in lhs + rhs}
 
 
 @pytest.mark.parametrize("which", FAMILY_KINDS)
@@ -933,16 +942,23 @@ def test_corrupted_reduction_fails_the_rows_that_read_it(monkeypatch):
     key = GammaProduct(beta_factor(1).factors + (("2p", 10, 1),)).factors
     assert all(key in {product.factors for product, _ in family_terms(which, 5)[1]}
                for which in FAMILY_KINDS)
-    entry = cache.reduced[1][key]
-    cache.reduced[1][key] = ReducedGamma(entry.exp_gamma_p, entry.exp_gamma_2p, entry.value + 1)
+
+    def corrupt():
+        entry = cache.reduced[1][1, 1][key]
+        cache.reduced[1][1, 1][key] = ReducedGamma(
+            entry.exp_gamma_p, entry.exp_gamma_2p, entry.value + 1)
+
+    corrupt()
     assert not any(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
     with pytest.raises(RouteMismatch):
         verify_p1("miki", 5)
-    # every other point reads its own reductions; leaving (5, 1) drops the entry
-    assert verify_p1("miki", 4).ok
+    # another p at n = 5 reads its own reductions and keeps the corrupted one
     assert verify_family("miki", 5, F(1, 2)).ok
+    assert not verify_family("fpz", 5, F(1)).ok
+    # leaving n = 5 drops the slot, the corrupted entry with it
+    assert verify_p1("miki", 4).ok
     assert all(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
-    cache.reduced[1][key] = ReducedGamma(entry.exp_gamma_p, entry.exp_gamma_2p, entry.value + 1)
+    corrupt()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     assert all(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
 
@@ -966,8 +982,9 @@ def test_family_sides_sum_each_factor_tuple_once(monkeypatch):
         for p in MERGE_PS:
             for which, (summands, _) in sides.items():
                 row = verify_family(which, n, p)
-                reduced = [[(scalar, bernkit.sequences._DEFAULT.reduced[1][product.factors])
-                            for product, scalar in each] for each in summands]
+                table = bernkit.sequences._DEFAULT.reduced[1][p.numerator, p.denominator]
+                reduced = [[(scalar, table[product.factors]) for product, scalar in each]
+                           for each in summands]
                 # the per-summand sums: one scalar x cofactor per summand
                 assert [row.lhs, row.rhs] == [sum((s * r.value for s, r in each), F(0))
                                               for each in reduced], (n, p, which)
