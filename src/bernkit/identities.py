@@ -34,13 +34,16 @@ _coth_harmonic, _sinh_product, _sinh_harmonic) are written once and are
 the quadratic right sides: Miki's is the sum of the two coth
 coefficients, FPZ's the sum of the two sinh ones, Gessel's reuses the
 coth product and the cubic H_2n sum the sinh product.  The lemma check
-therefore tests the very code those right sides run.  They read C(2n, 2k)
-from one Pascal row, _binomial_row(2n), per call: at n ~ 400, integer
-binomials times B products are cheaper than products of coth weights
-with factorial denominators.  The cubic forms share _cubic_form.  The
-mixed family terms weigh by (1 - 2^(2k-1)) / 2^(2n-1); the mixed and
-p = 1 mixed right sides weigh by its numerator and divide the sum by its
-common denominator 2^(2n-1) once.
+therefore tests the very code those right sides run.  Each product
+coefficient is summed once per n and kept in the ``lemma`` table; the
+harmonic ones are computed on every call.  They read C(2n, 2k) from the
+Pascal row _binomial_row(2n), which the cache's one-slot memo ``pascal``
+keeps until another row is asked for, so the rows at one n build it
+once: at n ~ 400, integer binomials times B products are cheaper than
+products of coth weights with factorial denominators.  The cubic forms
+share _cubic_form.  The mixed family terms weigh by (1 - 2^(2k-1)) /
+2^(2n-1); the mixed and p = 1 mixed right sides weigh by its numerator
+and divide the sum by its common denominator 2^(2n-1) once.
 
 Every quadratic sum over products B_2k B_{2n-2k} times a small weight
 w(k) is _paired(n, weight): the Euler left side, the coth and sinh
@@ -53,8 +56,9 @@ pair, and the middle k = n/2 of an even n counts once; each sum then does
 half the big products.  A sum that runs through k = n takes its unpaired
 term, B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
 Euler-number left side pair their equal terms the same way.  Each sum
-pairs its own terms: no table of products per n is shared between
-verifiers, so the two sides of Miki's identity stay independent routes.
+pairs its own terms, and no B.B product is shared between sums: only
+finished lemma coefficients are shared, so the two sides of Miki's
+identity stay independent routes, the fold and the coth product.
 
 Every exact sum of this layer is _dot: each fold step, the quadratic,
 p = 1 and cubic sums, and the cofactor sum of each family side.  It
@@ -93,22 +97,28 @@ call time so an injected cache replaces them too:
   so one product and one Fraction are built per distinct tuple, not per
   summand.  The exact family rows and the float twin both read this
   table.
+* ``lemma[kind, weight, n]`` holds the x^(-2n) coefficient of the
+  product lemma expansion ``kind`` ("coth-product" or "sinh-product")
+  for the B weight ``weight`` ("plain" or "bar"): at most three entries
+  per n, each written by the first row that sums it and read by every
+  later one (Miki, the modified Miki form, FPZ, Gessel and its modified
+  form, the cubic FPZ form and the lemma check).
 
-The one slot that is not append-only, ``reduced``, is the pair (n,
-{(p.numerator, p.denominator): {factor tuple: ReducedGamma}}) of the
-latest family n: the gamma_reduce result of each distinct factor tuple
-at each p met at n.  verify_family alone fills and reads it.  Every
-family factor tuple at n carries Gamma(2p+2n) or a pair summing to 2n, so
-no tuple at n occurs at another n, while the three kinds at n have the
-same tuples and differ in their scalars.  The slot is therefore replaced
-in one assignment, not grown, when a row at another n comes, and it
-holds one n's reductions at most (about 600 at n = 30 and eight p).  A
-row adds scalar x cofactor per tuple, and the rows at one n, in any
-order, reduce each product once per (n, p) for every kind and for
-verify_p1's rerun at p = 1; ``cli verify`` only runs its rows n by n.
-gamma_reduce alone reads the rising tables for the families; a rising
-entry poisoned after the products that read it were stored no longer
-reaches the rows of that (n, p).
+Besides the ``pascal`` memo, the one slot that is not append-only,
+``reduced``, is the pair (n, {(p.numerator, p.denominator): {factor
+tuple: ReducedGamma}}) of the latest family n: the gamma_reduce result
+of each distinct factor tuple at each p met at n.  verify_family alone
+fills and reads it.  Every family factor tuple at n carries Gamma(2p+2n)
+or a pair summing to 2n, so no tuple at n occurs at another n, while the
+three kinds at n have the same tuples and differ in their scalars.  The
+slot is therefore replaced in one assignment, not grown, when a row at
+another n comes, and it holds one n's reductions at most (about 600 at
+n = 30 and eight p).  A row adds scalar x cofactor per tuple, and the
+rows at one n, in any order, reduce each product once per (n, p) for
+every kind and for verify_p1's rerun at p = 1; ``cli verify`` only runs
+its rows n by n.  gamma_reduce alone reads the rising tables for the
+families; a rising entry poisoned after the products that read it were
+stored no longer reaches the rows of that (n, p).
 """
 
 from __future__ import annotations
@@ -338,25 +348,47 @@ def _scaled_pair(m: int, scale) -> tuple[int, int]:
     return b.numerator * num, b.denominator * den
 
 
-def _scaled(m: int, scale) -> Fraction:
-    """B_m times its weight scale(m), reduced."""
-    return Fraction(*_scaled_pair(m, scale))
+def _scaled(m: int, scale, divisor: int = 1) -> Fraction:
+    """B_m times its weight scale(m), divided by ``divisor``, reduced once."""
+    num, den = _scaled_pair(m, scale)
+    return Fraction(num, den * divisor)
+
+
+# the name of each B weight in the ``lemma`` table's keys, as in _WEIGHTS
+_WEIGHT_NAMES = {_unit_scale: "plain", bbar_scale: "bar"}
+
+
+def _lemma(kind: str, scale, n: int, coefficient: Callable[[], Fraction]) -> Fraction:
+    """The x^(-2n) coefficient of the lemma expansion ``kind`` for the B
+    weight ``scale``: coefficient() the first time, then the entry it left
+    in the cache's append-only ``lemma`` table."""
+    table = sequences._DEFAULT.lemma
+    key = kind, _WEIGHT_NAMES[scale], n
+    value = table.get(key)
+    if value is None:
+        value = table[key] = coefficient()
+    return value
 
 
 def _binomial_row(m: int) -> list[int]:
-    """The Pascal row C(m, 0), ..., C(m, m), by C(m, j+1) = C(m, j) (m-j)/(j+1)."""
-    row = [1]
-    for j in range(m):
-        row.append(row[-1] * (m - j) // (j + 1))
-    return row
+    """The Pascal row C(m, 0), ..., C(m, m), by C(m, j+1) = C(m, j) (m-j)/(j+1),
+    held in the cache's one-slot memo ``pascal`` until another row is asked
+    for.  Callers only read it."""
+    cache = sequences._DEFAULT
+    if len(cache.pascal) != m + 1:
+        row = [1]
+        for j in range(m):
+            row.append(row[-1] * (m - j) // (j + 1))
+        cache.pascal = row
+    return cache.pascal
 
 
 # the weight sequences w(k), k >= 1, of the composition sums; "coth" is the
 # x^(2k) coefficient of log(sinh x / x) divided by 4^k
 _WEIGHTS = {
-    "plain": lambda k: bernoulli(2 * k) / Fraction(2 * k),
-    "bar": lambda k: bernoulli_bar(2 * k) / Fraction(2 * k),
-    "coth": lambda k: bernoulli(2 * k) / Fraction(2 * k * factorial(2 * k)),
+    "plain": lambda k: _scaled(2 * k, _unit_scale, 2 * k),
+    "bar": lambda k: _scaled(2 * k, bbar_scale, 2 * k),
+    "coth": lambda k: _scaled(2 * k, _unit_scale, 2 * k * factorial(2 * k)),
 }
 
 
@@ -398,9 +430,14 @@ def verify_euler(n: int) -> IdentityReport:
 
 
 def _coth_product(n: int) -> Fraction:
-    """x^(-2n) coefficient of the coth-product lemma expansion."""
-    row = _binomial_row(2 * n)
-    return _paired(n, lambda k: (row[2 * k], 2 * k * (2 * n - 2 * k)))
+    """x^(-2n) coefficient of the coth-product lemma expansion, summed once
+    per n."""
+
+    def coefficient():
+        row = _binomial_row(2 * n)
+        return _paired(n, lambda k: (row[2 * k], 2 * k * (2 * n - 2 * k)))
+
+    return _lemma("coth-product", _unit_scale, n, coefficient)
 
 
 def _coth_harmonic(n: int) -> Fraction:
@@ -410,14 +447,19 @@ def _coth_harmonic(n: int) -> Fraction:
 
 def _sinh_product(n: int, scale) -> Fraction:
     """x^(-2n) coefficient of the sinh-product lemma expansion for
-    ``scale`` = bbar_scale; _unit_scale gives Miki's k=n form."""
-    row = _binomial_row(2 * n)
+    ``scale`` = bbar_scale; _unit_scale gives Miki's k=n form.  Summed
+    once per (n, scale)."""
 
-    def weight(k):
-        num, den = scale(2 * n - 2 * k)
-        return row[2 * k] * num, 2 * k * n * den
+    def coefficient():
+        row = _binomial_row(2 * n)
 
-    return _paired(n, weight, through_n=True)
+        def weight(k):
+            num, den = scale(2 * n - 2 * k)
+            return row[2 * k] * num, 2 * k * n * den
+
+        return _paired(n, weight, through_n=True)
+
+    return _lemma("sinh-product", scale, n, coefficient)
 
 
 def _sinh_harmonic(n: int, scale) -> Fraction:
@@ -649,14 +691,12 @@ def verify_gessel(n: int) -> IdentityReport:
     return _report("gessel", n, lhs, rhs)
 
 
-def _cubic_form(n: int, scale, sinh: Fraction) -> Fraction:
+def _cubic_form(n: int, scale) -> Fraction:
     """The right-side terms that the modified Gessel form (``scale`` =
     _unit_scale) and the cubic FPZ form (bbar_scale) share: the
     multinomial triple sum, read from the coth fold; the H_2n sum, which
-    is the sinh product ``sinh`` = _sinh_product(n, scale) less its k=n
-    term B_2n/(2n^2) (as B_0 = Bbar_0 = 1), times n; and the H_{2n,2}
-    term.  The caller passes ``sinh`` in, as the cubic FPZ form needs it
-    once more."""
+    is the sinh product _sinh_product(n, scale) less its k=n term
+    B_2n/(2n^2) (as B_0 = Bbar_0 = 1), times n; and the H_{2n,2} term."""
     triple = _dot(
         (_fold("coth", 2, n - m), _scaled(2 * m, scale), Fraction(1, factorial(2 * m)))
         for m in range(1, n - 1)
@@ -664,7 +704,7 @@ def _cubic_form(n: int, scale, sinh: Fraction) -> Fraction:
     return (
         3 * factorial(2 * n - 1) * triple
         + Fraction(3, n) * harmonic(2 * n)
-        * (n * sinh - bernoulli(2 * n) / (2 * n))
+        * (n * _sinh_product(n, scale) - bernoulli(2 * n) / (2 * n))
         + 6 * harmonic_second(n) * _scaled(2 * n, scale) / (2 * n)
     )
 
@@ -673,7 +713,7 @@ def verify_gessel_modified(n: int) -> IdentityReport:
     """The modified Gessel form produced by skipping the integration by parts."""
     _require_floor("gessel-modified", n)
     lhs = multi_lhs(3, n, "plain")
-    rhs = _cubic_form(n, _unit_scale, _sinh_product(n, _unit_scale)) - _gessel_polynomial_term(n)
+    rhs = _cubic_form(n, _unit_scale) - _gessel_polynomial_term(n)
     return _report("gessel-modified", n, lhs, rhs)
 
 
@@ -686,11 +726,9 @@ def verify_fpz_cubic(n: int) -> IdentityReport:
     """
     _require_floor("fpz-cubic", n)
     lhs = multi_lhs(3, n, "bar")
-    sinh_bar = _sinh_product(n, bbar_scale)
-    fpz_bar = sinh_bar + _sinh_harmonic(n, bbar_scale)
     rhs = (
-        _cubic_form(n, bbar_scale, sinh_bar)
-        + Fraction(3, 2 * n) * (_fpz_rhs(n, _unit_scale) - fpz_bar)
+        _cubic_form(n, bbar_scale)
+        + Fraction(3, 2 * n) * (_fpz_rhs(n, _unit_scale) - _fpz_rhs(n, bbar_scale))
         - Fraction(2 * n - 1, 4) * bernoulli_bar(2 * n - 2)
     )
     return _report("fpz-cubic", n, lhs, rhs)

@@ -21,9 +21,10 @@ triangle of Brent and Harvey, "Fast computation of Bernoulli, Tangent and
 Secant numbers" (arXiv:1108.0286), filled one column at a time: column j
 ends in S_j, and E_2j = (-1)^j S_j.  ``_next_genocchi_row`` and
 ``_next_secant_column`` step their triangle with integer adds and small
-multiply-adds only, and the cache keeps the latest row or column of each
-(``genocchi_row``, ``secant_col``), so B_n adds just the steps up to n//2.
-Any order of requests then does the work of one run at the final size.
+multiply-adds only (one small multiply per secant entry), and the cache
+keeps the latest row or column of each (``genocchi_row``,
+``secant_col``), so B_n adds just the steps up to n//2.  Any order of
+requests then does the work of one run at the final size.
 Only the new entries are appended (one gcd each); existing entries are
 never rewritten, and the row and column are the kernels' state, not
 tables, so a corrupted ``bern`` or ``eul`` entry never feeds later
@@ -44,7 +45,8 @@ not once per step of every product.  The key is the (numerator,
 denominator) pair, not the Fraction: hashing a Fraction computes a
 modular inverse on every lookup.
 
-The identity layer's tables and slot are described in ``identities``.
+The identity layer's tables, its Pascal-row memo and its reduction slot
+are described in ``identities``.
 
 One process-wide cache, ``_DEFAULT``, backs every plain function here,
 and through them the exact lane, the series and the float lane, so every
@@ -95,7 +97,10 @@ def _next_secant_column(col: list[int]) -> list[int]:
     """Column j+1 of the secant triangle from column j = [A_0(j), ...,
     A_(j-1)(j)], whose last entry is S_j; the empty column 0 gives [1]:
     A_0(j+1) = (j+1) A_0(j), A_k(j+1) = (j+1-k) A_k(j) + (j+2-k) A_(k-1)(j+1)
-    for 1 <= k <= j-1, and A_j(j+1) = A_(j-1)(j) + 2 A_(j-1)(j+1)."""
+    for 1 <= k <= j-1, and A_j(j+1) = A_(j-1)(j) + 2 A_(j-1)(j+1).  The
+    middle entries are stepped as u (A_k(j) + A_(k-1)(j+1)) + A_(k-1)(j+1)
+    for u = j+1-k: one small multiply and two adds per entry, not two
+    multiplies and an add."""
     j = len(col)
     if not j:
         return [1]
@@ -105,7 +110,7 @@ def _next_secant_column(col: list[int]) -> list[int]:
     u = j + 1  # stepped down to j+1-k for each row k = 1, ..., j-1
     for a in col[1:]:
         u -= 1
-        prev = u * a + (u + 1) * prev
+        prev = u * (a + prev) + prev
         append(prev)
     append(col[-1] + 2 * prev)
     return nxt
@@ -118,23 +123,27 @@ def _require_index(what: str, n: int) -> None:
 
 class SequenceCache:
     """Growable Bernoulli, Euler, harmonic and rising-factorial tables,
-    and the identity layer's tables ``fold``, ``power`` and ``family``
-    and its gamma-reduction slot ``reduced``.
+    and the identity layer's tables ``fold``, ``power``, ``family`` and
+    ``lemma``, its Pascal-row memo ``pascal`` and its gamma-reduction slot
+    ``reduced``.
 
     ``bern``, ``eul``, ``harm`` (H_i) and ``harm2`` (H^(2)_i) are plain
     lists indexed by n; ``h2`` maps n to the checked H_{2n,2}; ``rising``
     maps an anchor's (numerator, denominator) to the list of its (q)_m
-    indexed by m.  ``reduced`` is the pair (n, {(p numerator, p
-    denominator): {factor tuple: ReducedGamma}}) of the latest family n;
-    the ``identities`` docstring describes it and the other tables.
+    indexed by m.  ``lemma`` maps (lemma id, weight name, n) to a
+    finished lemma coefficient, and ``pascal`` is the latest Pascal row
+    built.  ``reduced`` is the pair (n, {(p numerator, p denominator):
+    {factor tuple: ReducedGamma}}) of the latest family n; the
+    ``identities`` docstring describes it and the other tables.
     Entries, once computed, are never recomputed or rewritten: a table
     only grows by appending, so an entry or a list read once keeps its
-    value however far the table grows later.
-    ``reduced`` is the exception, replaced whole when a family row at
-    another n comes, and so are ``genocchi_row`` and
-    ``secant_col``, the kernels' state: row max(1, (len(bern) - 1) // 2)
-    of Seidel's Genocchi triangle and column (len(eul) - 1) // 2 of the
-    secant triangle, each replaced by the next one as its table grows.
+    value however far the table grows later.  ``reduced`` is the
+    exception, replaced whole when a family row at another n comes, and
+    so are ``pascal``, replaced when another row is asked for, and
+    ``genocchi_row`` and ``secant_col``, the kernels' state: row
+    max(1, (len(bern) - 1) // 2) of Seidel's Genocchi triangle and column
+    (len(eul) - 1) // 2 of the secant triangle, each replaced by the next
+    one as its table grows.
     """
 
     def __init__(self) -> None:
@@ -149,6 +158,8 @@ class SequenceCache:
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
         self.family: dict[tuple[str, int], tuple[tuple, tuple]] = {}
+        self.lemma: dict[tuple[str, str, int], Fraction] = {}
+        self.pascal: list[int] = [1]
         self.reduced: tuple[int | None, dict[tuple[int, int], dict[tuple, ReducedGamma]]] = (None, {})
 
     def bernoulli(self, n: int) -> Fraction:

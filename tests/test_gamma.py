@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import bernkit.sequences
 from bernkit import (
@@ -125,6 +125,7 @@ def test_functional_equation(p, m):
 
 
 @given(st.fractions(min_value=F(1, 5), max_value=F(7, 2)))
+@example(F(1))
 def test_reduce_is_multiplicative(p):
     # reducing the concatenated factors of two products, which merge where
     # they share a (base, offset), multiplies the two reductions
@@ -132,6 +133,13 @@ def test_reduce_is_multiplicative(p):
     b = GammaProduct((("p", -1, 1), ("2p", 4, 2), ("p", 2, -1)))
     ab = GammaProduct(a.factors + b.factors)
     assert ab.factors == (("2p", 1, -1), ("2p", 4, 1), ("p", -1, 1))
+    if p == 1:
+        # Gamma(p-1), a factor of b and of ab, has its pole at p = 1, the
+        # one point of the range where either product is singular
+        for product in (b, ab):
+            with pytest.raises(PoleEncountered):
+                gamma_reduce(product, p)
+        return
     ra, rb, rab = gamma_reduce(a, p), gamma_reduce(b, p), gamma_reduce(ab, p)
     assert rab.value == ra.value * rb.value
     assert rab.exp_gamma_p == ra.exp_gamma_p + rb.exp_gamma_p

@@ -366,7 +366,7 @@ def test_coth_fold_matches_the_multinomial_triple_sums(value):
         )
         rest = F(3, n) * harmonic(2 * n) * h_sum + 6 * harmonic_second(n) * value(2 * n) / (2 * n)
         scale = identities._unit_scale if value is bernoulli else bernkit.sequences.bbar_scale
-        assert identities._cubic_form(n, scale, identities._sinh_product(n, scale)) - rest == cubic, n
+        assert identities._cubic_form(n, scale) - rest == cubic, n
 
 
 # Plain transcriptions of the quadratic sums, each term normalised by
@@ -670,9 +670,70 @@ def test_dot_of_nothing_is_zero():
     assert identities._dot([(), (F(-1, 2),)]) == F(1, 2)
 
 
-def test_binomial_row_is_the_pascal_row():
-    for m in [*range(65), 806]:
-        assert identities._binomial_row(m) == [comb(m, j) for j in range(m + 1)], m
+def test_binomial_row_is_the_pascal_row(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    for m in [*range(65), 806, 3]:
+        row = identities._binomial_row(m)
+        assert row == [comb(m, j) for j in range(m + 1)], m
+        # the memo holds the latest row: asking again builds nothing
+        assert cache.pascal is row and identities._binomial_row(m) is row
+
+
+def test_fold_weights_are_the_reduced_fractions():
+    # each weight is one Fraction from the B_2k pair; the references are the
+    # Fraction expressions it replaced
+    old = {
+        "plain": lambda k: bernoulli(2 * k) / F(2 * k),
+        "bar": lambda k: bernoulli_bar(2 * k) / F(2 * k),
+        "coth": lambda k: bernoulli(2 * k) / F(2 * k * factorial(2 * k)),
+    }
+    assert old.keys() == identities._WEIGHTS.keys()
+    for weight, w in identities._WEIGHTS.items():
+        for k in range(1, 201):
+            assert w(k) == old[weight](k), (weight, k)
+
+
+def _count_paired(monkeypatch):
+    """Counts the _paired sums run from here on, in a list of one entry."""
+    calls = [0]
+    real = identities._paired
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "_paired", counted)
+    return calls
+
+
+def test_coth_product_is_summed_once_per_n(monkeypatch):
+    # miki sums the coth product; miki-modified sums only its sinh product
+    # and reads the coth product for its H_2n cross-check; gessel reads it
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    calls = _count_paired(monkeypatch)
+    n, counts = 9, []
+    for verify in (verify_miki, verify_miki_modified, verify_gessel):
+        calls[0] = 0
+        assert verify(n).ok
+        counts.append(calls[0])
+    assert counts == [1, 1, 0]
+    assert sorted(cache.lemma) == [("coth-product", "plain", n), ("sinh-product", "plain", n)]
+    row = identities._binomial_row(2 * n)
+    assert cache.lemma["coth-product", "plain", n] == identities._paired(
+        n, lambda k: (row[2 * k], 2 * k * (2 * n - 2 * k)))
+
+
+def test_poisoned_lemma_entry_fails_the_rows_that_read_it(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    assert verify_miki(6).ok and verify_miki(7).ok
+    cache.lemma["coth-product", "plain", 6] += 1
+    assert not verify_miki(6).ok and verify_miki(7).ok
+    with pytest.raises(RouteMismatch, match="the H_2n form"):
+        verify_miki_modified(6)
+    assert verify_miki_modified(7).ok
 
 
 def test_euler_row_builds_one_binomial_row(monkeypatch):
@@ -1048,17 +1109,16 @@ def test_injected_cache_replaces_the_family_table(monkeypatch):
 
 
 def test_fpz_cubic_sums_each_sinh_product_once(monkeypatch):
+    # the B and the Bbar sinh products are its only paired sums, each run
+    # once however often the right side reads it; a rerun reads both
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    calls = _count_paired(monkeypatch)
     assert verify_fpz_cubic(9).ok
-    seen = []
-    real = identities._sinh_product
-
-    def counted(n, scale):
-        seen.append(scale)
-        return real(n, scale)
-
-    monkeypatch.setattr(identities, "_sinh_product", counted)
+    assert calls == [2]
+    assert sorted(cache.lemma) == [("sinh-product", "bar", 9), ("sinh-product", "plain", 9)]
     assert verify_fpz_cubic(9).ok
-    assert sorted(seen, key=id) == sorted([identities._unit_scale, bernkit.sequences.bbar_scale], key=id)
+    assert calls == [2]
 
 
 def test_multi_lhs_errors():

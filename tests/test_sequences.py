@@ -135,6 +135,33 @@ def test_column_kernels_match_the_in_place_kernels():
     assert genocchi[:6] == [1, 1, 3, 17, 155, 2073] and secant[:6] == [1, 1, 5, 61, 1385, 50521]
 
 
+def two_multiply_secant_column(col: list[int]) -> list[int]:
+    """Column j+1 of the secant triangle by the recurrence as written,
+    A_k(j+1) = (j+1-k) A_k(j) + (j+2-k) A_(k-1)(j+1), two multiplies per entry."""
+    j = len(col)
+    if not j:
+        return [1]
+    nxt = [(j + 1) * col[0]]
+    for k in range(1, j):
+        nxt.append((j + 1 - k) * col[k] + (j + 2 - k) * nxt[k - 1])
+    nxt.append(col[-1] + 2 * nxt[-1])
+    return nxt
+
+
+def test_secant_column_steps_with_one_multiply_per_entry():
+    # whole columns, not only their ends, match the two-multiply recurrence,
+    # and the ends E_2n = (-1)^n S_n invert cosh: sum C(2n, 2k) E_2k = 0
+    col, ends = [], [1]
+    for j in range(1, 101):
+        step = bernkit.sequences._next_secant_column(col)
+        if j <= 60:
+            assert step == two_multiply_secant_column(col), j
+        col = step
+        ends.append((-1) ** j * col[-1])
+    for n in range(1, 101):
+        assert sum(comb(2 * n, 2 * k) * ends[k] for k in range(n + 1)) == 0, n
+
+
 def test_tables_grow_to_the_requested_index(monkeypatch):
     # no growth block: a deep scan's B_806 and E_804 step the Genocchi row
     # to exactly k = 403 and the secant column to 402, and no step goes
