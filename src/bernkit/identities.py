@@ -694,11 +694,21 @@ def verify_gessel(n: int) -> IdentityReport:
 def _cubic_form(n: int, scale) -> Fraction:
     """The right-side terms that the modified Gessel form (``scale`` =
     _unit_scale) and the cubic FPZ form (bbar_scale) share: the
-    multinomial triple sum, read from the coth fold; the H_2n sum, which
+    multinomial triple sum, read from the coth folds; the H_2n sum, which
     is the sinh product _sinh_product(n, scale) less its k=n term
-    B_2n/(2n^2) (as B_0 = Bbar_0 = 1), times n; and the H_{2n,2} term."""
+    B_2n/(2n^2) (as B_0 = Bbar_0 = 1), times n; and the H_{2n,2} term.
+
+    The triple sum runs over B_2m scale(2m) / (2m)!, which is 2m scale(2m)
+    times the coth weight B_2m/(2m (2m)!), _fold("coth", 1, m): each term
+    reads that memo entry and carries 2m scale(2m) as an unreduced
+    _Ratio, so no B weight or factorial is rebuilt per (n, m)."""
+
+    def weight(m):
+        num, den = scale(2 * m)
+        return _Ratio(2 * m * num, den)
+
     triple = _dot(
-        (_fold("coth", 2, n - m), _scaled(2 * m, scale), Fraction(1, factorial(2 * m)))
+        (_fold("coth", 2, n - m), _fold("coth", 1, m), weight(m))
         for m in range(1, n - 1)
     )
     return (

@@ -30,10 +30,11 @@ never rewritten, and the row and column are the kernels' state, not
 tables, so a corrupted ``bern`` or ``eul`` entry never feeds later
 growth.
 
-The cache also holds append-only prefix tables of H_i = sum 1/j and
-H^(2)_i = sum 1/j^2, from which ``harmonic`` reads H_i and
-``harmonic_second`` computes H_{2n,2} by two routes; a table ``h2`` of
-those H_{2n,2}, so both routes run and are checked once per n; and one
+The cache also holds append-only prefix tables of H_i = sum 1/j,
+H^(2)_i = sum 1/j^2 and F_m = sum(H_l/(l+1), l=1..m), from which
+``harmonic`` reads H_i and ``harmonic_second`` reads H_{2n,2} by two
+routes, F_{2n-1} and (H_2n^2 - H^(2)_2n) / 2; a table ``h2`` of those
+H_{2n,2}, so both routes run and are checked once per n; and one
 prefix table per anchor q of the rising factorials,
 ``rising[q.numerator, q.denominator] = [(q)_0, (q)_1, ...]``, from which
 ``rising_factorial`` reads (q)_m; ``gammaalg.gamma_reduce`` reads an
@@ -127,8 +128,9 @@ class SequenceCache:
     ``lemma``, its Pascal-row memo ``pascal`` and its gamma-reduction slot
     ``reduced``.
 
-    ``bern``, ``eul``, ``harm`` (H_i) and ``harm2`` (H^(2)_i) are plain
-    lists indexed by n; ``h2`` maps n to the checked H_{2n,2}; ``rising``
+    ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and ``hfold``
+    (F_m = sum(H_l/(l+1), l=1..m), F_0 = 0) are plain lists indexed by n;
+    ``h2`` maps n to the checked H_{2n,2}; ``rising``
     maps an anchor's (numerator, denominator) to the list of its (q)_m
     indexed by m.  ``lemma`` maps (lemma id, weight name, n) to a
     finished lemma coefficient, and ``pascal`` is the latest Pascal row
@@ -153,6 +155,7 @@ class SequenceCache:
         self.secant_col: list[int] = []
         self.harm: list[Fraction] = [Fraction(0)]
         self.harm2: list[Fraction] = [Fraction(0)]
+        self.hfold: list[Fraction] = [Fraction(0)]
         self.h2: dict[int, Fraction] = {}
         self.rising: dict[tuple[int, int], list[Fraction]] = {}
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
@@ -206,13 +209,19 @@ class SequenceCache:
         return self.harm[i]
 
     def harmonic_second(self, n: int) -> Fraction:
-        """H_{2n,2} by the fold sum(H_l/(l+1), l=1..2n-1) and, independently,
-        the elementary-symmetric form (H_2n^2 - H^(2)_2n) / 2; both routes
-        run once per n, when the ``h2`` entry is filled."""
+        """H_{2n,2} as the fold F_{2n-1} = sum(H_l/(l+1), l=1..2n-1), read
+        from the prefix table ``hfold`` (one add per new index; F_0 = 0 at
+        n = 0), and, independently, as the elementary-symmetric form
+        (H_2n^2 - H^(2)_2n) / 2; both routes run once per n, when the
+        ``h2`` entry is filled."""
         value = self.h2.get(n)
         if value is None:
             h = self.harmonic(2 * n)
-            value = sum((self.harm[l] / (l + 1) for l in range(1, 2 * n)), Fraction(0))
+            fold = self.hfold
+            for l in range(len(fold), 2 * n):
+                fold.append(fold[-1] + self.harm[l] / (l + 1))
+            # the empty sum at n = 0 is F_0, not F_-1, the last entry
+            value = fold[max(2 * n - 1, 0)]
             symmetric = (h * h - self.harm2[2 * n]) / 2
             check_routes("folded sum", value, "symmetric form", symmetric)
             self.h2[n] = value

@@ -839,6 +839,60 @@ def test_poisoned_table_reaches_every_consumer(monkeypatch):
     assert not rows[10, "1"]["ok"] and not rows[10, "0.5"]["ok"]
 
 
+def test_poisoned_fold_prefix_fails_the_cubic_rows_at_its_n(monkeypatch):
+    # F_9 = sum(H_l/(l+1), l=1..9) is H_{10,2} by the folded route: the
+    # cubic rows at n = 5 fail its check against the symmetric form, and no
+    # other row reads it
+    cache = sequences.SequenceCache()
+    cache.harmonic_second(8)
+    cache.hfold[9] += 1
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+    with pytest.raises(bernkit.RouteMismatch, match="symmetric form"):
+        sequences.harmonic_second(5)
+    assert 5 not in cache.h2
+    cubic = ("gessel", "gessel-modified", "fpz-cubic")
+    result = runner.invoke(main, ["verify", *(a for i in (*cubic, "multi") for a in ("--identity", i)),
+                                  "--N", "3", "--n-min", "3", "--n-max", "7", "--format", "json"])
+    assert result.exit_code == 1, result.output
+    rows = {(row["identity"], row["n"]): row for row in json.loads(result.output)}
+    for ident in cubic:
+        assert [rows[ident, n]["ok"] for n in range(3, 8)] == [True, True, False, True, True]
+        assert "symmetric form" in rows[ident, 5]["error"]
+    assert all(rows["multi", n]["ok"] for n in range(3, 8))
+    assert 5 not in cache.h2
+
+
+def test_poisoned_coth_weight_fails_the_cubic_rows_that_read_it(monkeypatch):
+    # the coth weight _fold("coth", 1, 4) = B_8/(8 * 8!) enters the coth
+    # folds of all three cubic right sides from n = 6 on, and the triple sums
+    # of the modified Gessel and cubic FPZ forms read it directly as well;
+    # the multi rows fold other weights
+    ids = ("gessel", "gessel-modified", "fpz-cubic", "multi", "multi-bar")
+
+    def scan(cache):
+        monkeypatch.setattr(sequences, "_DEFAULT", cache)
+        cache.fold["coth"][1, 4] += 1
+        result = runner.invoke(main, ["verify", *(a for i in ids for a in ("--identity", i)),
+                                      "--N", "3", "--n-min", "3", "--n-max", "9", "--format", "json"])
+        assert result.exit_code == 1, result.output
+        ok = {(row["identity"], row["n"]): row["ok"] for row in json.loads(result.output)}
+        assert all(ok[ident, n] for ident in ids[3:] for n in range(3, 10))
+        return {ident: [ok[ident, n] for n in range(3, 10)] for ident in ids[:3]}
+
+    below = [n < 6 for n in range(3, 10)]
+    cache = sequences.SequenceCache()
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+    identities._fold("coth", 1, 4)
+    assert scan(cache) == dict.fromkeys(ids[:3], below)
+    # with every coth fold of two and three parts summed before the poison,
+    # only the direct reads of the weight remain
+    cache = sequences.SequenceCache()
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+    for n in range(3, 10):
+        identities._fold("coth", 3, n)
+    assert scan(cache) == {"gessel": [True] * 7, "gessel-modified": below, "fpz-cubic": below}
+
+
 def test_poisoned_rising_table_fails_the_rows_that_read_it(monkeypatch):
     # gamma_reduce reads (1)_8 from the table at p = 1: the rows whose terms
     # carry Gamma(p+8) fail, n < 4 and every row at p = 2 stay ok

@@ -350,6 +350,26 @@ def test_harmonic_second_runs_both_routes_once_per_n(monkeypatch):
     assert 10 not in cache.h2 and len(checked) == 5
 
 
+def test_harmonic_second_reads_its_prefix_table_in_any_order():
+    # the folded route reads F_(2n-1) = sum(H_l/(l+1), l=1..2n-1); at n = 0
+    # that is the empty sum, never the last entry of a grown table
+    def direct(n):
+        h, total = Fraction(0), Fraction(0)
+        for l in range(1, 2 * n):
+            h += Fraction(1, l)
+            total += h / (l + 1)
+        return total
+
+    expected = {n: direct(n) for n in range(61)}
+    cache = SequenceCache()
+    for n in [*range(60, -1, -1), *range(61)]:
+        assert cache.harmonic_second(n) == expected[n], n
+    assert len(cache.hfold) == 120
+    fresh = SequenceCache()
+    assert [fresh.harmonic_second(n) for n in range(61)] == [expected[n] for n in range(61)]
+    assert cache.harmonic_second(0) == fresh.harmonic_second(0) == 0
+
+
 @given(st.integers(min_value=0, max_value=400))
 def test_harmonic_step(i):
     assert harmonic(i + 1) - harmonic(i) == Fraction(1, i + 1)
