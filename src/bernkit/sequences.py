@@ -31,11 +31,11 @@ tables, so a corrupted ``bern`` or ``eul`` entry never feeds later
 growth.
 
 The cache also holds append-only prefix tables of H_i = sum 1/j,
-H^(2)_i = sum 1/j^2 and F_m = sum(H_l/(l+1), l=1..m), from which
-``harmonic`` reads H_i and ``harmonic_second`` reads H_{2n,2} by two
-routes, F_{2n-1} and (H_2n^2 - H^(2)_2n) / 2; a table ``h2`` of those
-H_{2n,2}, so both routes run and are checked once per n; and one
-prefix table per anchor q of the rising factorials,
+grown by ``harmonic``, and of H^(2)_i = sum 1/j^2 and
+F_m = sum(H_l/(l+1), l=1..m), grown together by their one reader,
+``harmonic_second``, which reads H_{2n,2} by two routes, F_{2n-1} and
+(H_2n^2 - H^(2)_2n) / 2, and checks them against each other on every
+read; and one prefix table per anchor q of the rising factorials,
 ``rising[q.numerator, q.denominator] = [(q)_0, (q)_1, ...]``, from which
 ``rising_factorial`` reads (q)_m; ``gammaalg.gamma_reduce`` reads an
 existing entry straight from the table and grows one only through
@@ -50,10 +50,15 @@ The identity layer's tables, its Pascal-row memo and its reduction slot
 are described in ``identities``.
 
 One process-wide cache, ``_DEFAULT``, backs every plain function here,
-and through them the exact lane, the series and the float lane, so every
-consumer reads the same tables.  A test replaces it with a fresh or
-corrupted instance through ``monkeypatch.setattr(sequences, "_DEFAULT",
-cache)``; the plain functions look it up at call time.
+and through them the exact lane, the series and the float lane.  A test
+replaces it with a fresh or corrupted instance through
+``monkeypatch.setattr(sequences, "_DEFAULT", cache)``; the plain
+functions look it up at call time, so the exact lane and ``named_series``
+follow the replacement.  The float lane does so only in part:
+``floatcheck._PSI_TAIL`` is built from B_2..B_14 at import, and its
+``lru_cache``d coefficient tuples keep the values of the first cache
+they read, so a ``quad_rep`` target computed before the swap does not
+change after it.
 """
 
 from __future__ import annotations
@@ -130,7 +135,8 @@ class SequenceCache:
 
     ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and ``hfold``
     (F_m = sum(H_l/(l+1), l=1..m), F_0 = 0) are plain lists indexed by n;
-    ``h2`` maps n to the checked H_{2n,2}; ``rising``
+    ``harmonic`` grows ``harm``, and ``harmonic_second`` grows ``harm2``
+    and ``hfold`` together, to one length; ``rising``
     maps an anchor's (numerator, denominator) to the list of its (q)_m
     indexed by m.  ``lemma`` maps (lemma id, weight name, n) to a
     finished lemma coefficient, and ``pascal`` is the latest Pascal row
@@ -156,7 +162,6 @@ class SequenceCache:
         self.harm: list[Fraction] = [Fraction(0)]
         self.harm2: list[Fraction] = [Fraction(0)]
         self.hfold: list[Fraction] = [Fraction(0)]
-        self.h2: dict[int, Fraction] = {}
         self.rising: dict[tuple[int, int], list[Fraction]] = {}
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
@@ -200,31 +205,26 @@ class SequenceCache:
         return self.eul[n]
 
     def harmonic(self, i: int) -> Fraction:
-        """H_i, growing the H_i and H^(2)_i prefix tables together."""
+        """H_i from the prefix table ``harm``, grown as needed."""
         _require_index("harmonic", i)
-        while len(self.harm) <= i:
-            j = len(self.harm)
+        for j in range(len(self.harm), i + 1):
             self.harm.append(self.harm[-1] + Fraction(1, j))
-            self.harm2.append(self.harm2[-1] + Fraction(1, j * j))
         return self.harm[i]
 
     def harmonic_second(self, n: int) -> Fraction:
-        """H_{2n,2} as the fold F_{2n-1} = sum(H_l/(l+1), l=1..2n-1), read
-        from the prefix table ``hfold`` (one add per new index; F_0 = 0 at
-        n = 0), and, independently, as the elementary-symmetric form
-        (H_2n^2 - H^(2)_2n) / 2; both routes run once per n, when the
-        ``h2`` entry is filled."""
-        value = self.h2.get(n)
-        if value is None:
-            h = self.harmonic(2 * n)
-            fold = self.hfold
-            for l in range(len(fold), 2 * n):
-                fold.append(fold[-1] + self.harm[l] / (l + 1))
-            # the empty sum at n = 0 is F_0, not F_-1, the last entry
-            value = fold[max(2 * n - 1, 0)]
-            symmetric = (h * h - self.harm2[2 * n]) / 2
-            check_routes("folded sum", value, "symmetric form", symmetric)
-            self.h2[n] = value
+        """H_{2n,2} as the fold F_{2n-1} = sum(H_l/(l+1), l=1..2n-1) (F_0
+        at n = 0) and, independently, as the elementary-symmetric form
+        (H_2n^2 - H^(2)_2n) / 2; both routes run and are checked on every
+        read.  Their prefix tables ``hfold`` and ``harm2`` grow here, in
+        one loop, to index 2n: one add each per new index."""
+        h = self.harmonic(2 * n)
+        harm, harm2, fold = self.harm, self.harm2, self.hfold
+        for l in range(len(harm2), 2 * n + 1):
+            harm2.append(harm2[-1] + Fraction(1, l * l))
+            fold.append(fold[-1] + harm[l] / (l + 1))
+        # the empty sum at n = 0 is F_0, not F_-1, the last entry
+        value = fold[max(2 * n - 1, 0)]
+        check_routes("folded sum", value, "symmetric form", (h * h - harm2[2 * n]) / 2)
         return value
 
     def rising_factorial(self, q: Fraction, m: int) -> Fraction:

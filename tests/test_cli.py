@@ -818,7 +818,7 @@ def test_poisoned_table_reaches_every_consumer(monkeypatch):
     cache.bern[20] += 1
     cache.euler_number(6)
     cache.eul[4] += 1
-    cache.harmonic(10)
+    cache.harmonic_second(5)
     cache.harm2[10] += 1
     monkeypatch.setattr(sequences, "_DEFAULT", cache)
 
@@ -849,7 +849,6 @@ def test_poisoned_fold_prefix_fails_the_cubic_rows_at_its_n(monkeypatch):
     monkeypatch.setattr(sequences, "_DEFAULT", cache)
     with pytest.raises(bernkit.RouteMismatch, match="symmetric form"):
         sequences.harmonic_second(5)
-    assert 5 not in cache.h2
     cubic = ("gessel", "gessel-modified", "fpz-cubic")
     result = runner.invoke(main, ["verify", *(a for i in (*cubic, "multi") for a in ("--identity", i)),
                                   "--N", "3", "--n-min", "3", "--n-max", "7", "--format", "json"])
@@ -859,7 +858,26 @@ def test_poisoned_fold_prefix_fails_the_cubic_rows_at_its_n(monkeypatch):
         assert [rows[ident, n]["ok"] for n in range(3, 8)] == [True, True, False, True, True]
         assert "symmetric form" in rows[ident, 5]["error"]
     assert all(rows["multi", n]["ok"] for n in range(3, 8))
-    assert 5 not in cache.h2
+
+
+@pytest.mark.parametrize("table, index", [("harm2", 10), ("hfold", 9)])
+def test_table_poisoned_after_a_clean_read_fails_the_next_read(monkeypatch, table, index):
+    # H_{10,2} reads H^(2)_10 and F_9; no checked value is kept, so a
+    # poisoned entry fails every later read of H_{10,2}, and so the cubic
+    # rows at n = 5, though n = 5 was read cleanly before
+    cache = sequences.SequenceCache()
+    cache.harmonic_second(5)
+    getattr(cache, table)[index] += 1
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+    with pytest.raises(bernkit.RouteMismatch, match="symmetric form"):
+        sequences.harmonic_second(5)
+    result = runner.invoke(main, ["verify", "--identity", "gessel", "--identity", "fpz-cubic",
+                                  "--n-min", "3", "--n-max", "5", "--format", "json"])
+    assert result.exit_code == 1, result.output
+    rows = {(row["identity"], row["n"]): row for row in json.loads(result.output)}
+    for ident in ("gessel", "fpz-cubic"):
+        assert [rows[ident, n]["ok"] for n in (3, 4, 5)] == [True, True, False]
+        assert "symmetric form" in rows[ident, 5]["error"]
 
 
 def test_poisoned_coth_weight_fails_the_cubic_rows_that_read_it(monkeypatch):

@@ -1179,7 +1179,7 @@ def test_route_checks_survive_optimize():
         from bernkit import RouteMismatch, SequenceCache, identities, series
         assert False, "assert statements must be stripped here"
         cache = SequenceCache()
-        cache.harmonic(10)
+        cache.harmonic_second(5)
         cache.harm2[10] += 1
         try:
             cache.harmonic_second(5)

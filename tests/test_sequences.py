@@ -327,7 +327,9 @@ def test_harmonic_second_brute_force():
         assert harmonic_second(n) == brute
 
 
-def test_harmonic_second_runs_both_routes_once_per_n(monkeypatch):
+def test_harmonic_second_runs_both_routes_on_every_read(monkeypatch):
+    order = [n for _ in range(3) for n in (4, 1, 9, 4)]
+    expected = [harmonic_second(n) for n in order]
     checked = []
     real = bernkit.sequences.check_routes
 
@@ -337,17 +339,16 @@ def test_harmonic_second_runs_both_routes_once_per_n(monkeypatch):
 
     monkeypatch.setattr(bernkit.sequences, "check_routes", counted)
     cache = SequenceCache()
-    values = [cache.harmonic_second(n) for _ in range(3) for n in (4, 1, 9, 4)]
-    assert values == [harmonic_second(n) for _ in range(3) for n in (4, 1, 9, 4)]
-    assert checked == [cache.h2[4], cache.h2[1], cache.h2[9]]
-    assert sorted(cache.h2) == [1, 4, 9]
-    # a route mismatch stores nothing, so the next call checks again
-    cache.harmonic(20)
-    cache.harm2[20] += 1
+    assert [cache.harmonic_second(n) for n in order] == expected
+    assert checked == expected
+    # no value is kept: a table poisoned after a clean read fails every
+    # later read, and the unpoisoned n still read cleanly
+    cache.harm2[18] += 1
     for _ in range(2):
         with pytest.raises(bernkit.RouteMismatch, match="symmetric form"):
-            cache.harmonic_second(10)
-    assert 10 not in cache.h2 and len(checked) == 5
+            cache.harmonic_second(9)
+    assert len(checked) == len(order) + 2
+    assert cache.harmonic_second(4) == expected[0]
 
 
 def test_harmonic_second_reads_its_prefix_table_in_any_order():
@@ -364,7 +365,7 @@ def test_harmonic_second_reads_its_prefix_table_in_any_order():
     cache = SequenceCache()
     for n in [*range(60, -1, -1), *range(61)]:
         assert cache.harmonic_second(n) == expected[n], n
-    assert len(cache.hfold) == 120
+    assert len(cache.hfold) == len(cache.harm2) == 121
     fresh = SequenceCache()
     assert [fresh.harmonic_second(n) for n in range(61)] == [expected[n] for n in range(61)]
     assert cache.harmonic_second(0) == fresh.harmonic_second(0) == 0
@@ -378,11 +379,23 @@ def test_harmonic_step(i):
 def test_harmonic_tables_are_prefix_sums():
     cache = SequenceCache()
     assert cache.harmonic(30) == sum(Fraction(1, j) for j in range(1, 31))
-    assert len(cache.harm) == len(cache.harm2) == 31
+    cache.harmonic_second(15)
+    assert len(cache.harm) == len(cache.harm2) == len(cache.hfold) == 31
     for i in range(31):
         assert cache.harm2[i] == sum((Fraction(1, j * j) for j in range(1, i + 1)), Fraction(0))
     with pytest.raises(DomainError):
         cache.harmonic(-1)
+    with pytest.raises(DomainError):
+        cache.harmonic_second(-1)
+
+
+def test_harmonic_grows_only_its_own_table():
+    # deep rows read H_i to i = 806 and never H^(2) or the fold; those two
+    # tables grow only when harmonic_second reads them
+    cache = SequenceCache()
+    cache.harmonic(806)
+    assert len(cache.harm) == 807
+    assert len(cache.harm2) == len(cache.hfold) == 1
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=200))
