@@ -55,6 +55,18 @@ __all__ = [
 BASES = ("p", "2p")
 
 
+def _is_canonical(factors: tuple[tuple[str, int, int], ...]) -> bool:
+    """True if every base is known, the (base, offset) keys strictly ascend
+    and no exponent is zero."""
+    last = None
+    for base, offset, exponent in factors:
+        key = base, offset
+        if base not in BASES or exponent == 0 or (last is not None and key <= last):
+            return False
+        last = key
+    return True
+
+
 class GammaProduct:
     """Product of Gamma(base+offset)**exponent factors.
 
@@ -67,19 +79,21 @@ class GammaProduct:
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[str, int, int], ...] = ()) -> None:
-        merged: dict[tuple[str, int], int] = {}
-        for base, offset, exponent in factors:
-            if base not in BASES:
-                raise DomainError(f"unknown gamma base {base!r}")
-            merged[(base, offset)] = merged.get((base, offset), 0) + exponent
-        canonical = tuple(
-            (base, offset, exponent)
-            for (base, offset), exponent in sorted(merged.items())
-            if exponent != 0
-        )
-        # an already canonical tuple is kept, so products built from another
-        # product's factors share them
-        self.factors = factors if canonical == factors else canonical
+        # an already canonical tuple is kept as it is, so family_terms, which
+        # writes its tuples in canonical order, merges and sorts nothing; any
+        # other is canonicalised, and an unknown base raises there
+        if type(factors) is not tuple or not _is_canonical(factors):
+            merged: dict[tuple[str, int], int] = {}
+            for base, offset, exponent in factors:
+                if base not in BASES:
+                    raise DomainError(f"unknown gamma base {base!r}")
+                merged[(base, offset)] = merged.get((base, offset), 0) + exponent
+            factors = tuple(
+                (base, offset, exponent)
+                for (base, offset), exponent in sorted(merged.items())
+                if exponent != 0
+            )
+        self.factors = factors
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not GammaProduct:

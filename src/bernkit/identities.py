@@ -34,12 +34,14 @@ _coth_harmonic, _sinh_product, _sinh_harmonic) are written once and are
 the quadratic right sides: Miki's is the sum of the two coth
 coefficients, FPZ's the sum of the two sinh ones, Gessel's reuses the
 coth product and the cubic H_2n sum the sinh product.  The lemma check
-therefore tests the very code those right sides run.  Each product
-coefficient is summed once per n and kept in the ``lemma`` table; the
-harmonic ones are computed on every call.  They read C(2n, 2k) from the
-Pascal row _binomial_row(2n), which the cache's one-slot memo ``pascal``
-keeps until another row is asked for, so the rows at one n build it
-once: at n ~ 400, integer binomials times B products are cheaper than
+therefore tests the weights those right sides sum, but not the B values:
+its closed form and its integral route read the same ``bern`` table, so
+they agree on a corrupted entry.  Each product coefficient is summed once
+per n and kept in the ``lemma`` table; the harmonic ones are computed on
+every call.  Their C(2n, 2k) comes with the B products from the
+``pairs`` slot below, which reads the Pascal row _binomial_row(2n),
+kept by the cache's one-slot memo ``pascal`` until another row is asked
+for: at n ~ 400, integer binomials times B products are cheaper than
 products of coth weights with factorial denominators.  The cubic forms
 share _cubic_form.  The mixed family terms weigh by (1 - 2^(2k-1)) /
 2^(2n-1); the mixed and p = 1 mixed right sides weigh by its numerator
@@ -55,10 +57,22 @@ n ~ 400, so each k < n/2 carries w(k) + w(n-k), an unreduced integer
 pair, and the middle k = n/2 of an even n counts once; each sum then does
 half the big products.  A sum that runs through k = n takes its unpaired
 term, B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
-Euler-number left side pair their equal terms the same way.  Each sum
-pairs its own terms, and no B.B product is shared between sums: only
-finished lemma coefficients are shared, so the two sides of Miki's
-identity stay independent routes, the fold and the coth product.
+Euler-number left side pair their equal terms the same way.
+
+The products are formed once per n, in the cache's one-slot table
+``pairs`` = (n, plain, binomial): plain[k-1] is B_2k B_{2n-2k} and
+binomial[k-1] is C(2n, 2k) B_2k B_{2n-2k}, unreduced _Ratio's for
+k <= n/2.  The first sum at n replaces the slot in one assignment, with
+the plain list, and the binomial list is built from it by the first sum
+at n that asks for it.  As C(2n, 2k) = C(2n, 2n-2k), the binomial factors out
+of each k, n-k pair: the weights that carry it (the Euler left side, the
+coth and sinh products, the mixed and the Euler-Bernoulli right sides)
+drop it and read ``binomial``, while the mixed left side and the p = 1
+sums, whose C(2n+2, 2k+2) is another row, read ``plain``; each term is
+then one multiply of a big product by a small weight.  _fold and the
+Euler-number sum never read the slot: Miki's and FPZ's left sides and
+every multi fold form their own products, so the two sides of each
+quadratic identity stay independent routes.
 
 Every exact sum of this layer is _dot: each fold step, the quadratic,
 p = 1 and cubic sums, and the cofactor sum of each family side.  It
@@ -104,21 +118,22 @@ call time so an injected cache replaces them too:
   later one (Miki, the modified Miki form, FPZ, Gessel and its modified
   form, the cubic FPZ form and the lemma check).
 
-Besides the ``pascal`` memo, the one slot that is not append-only,
-``reduced``, is the pair (n, {(p.numerator, p.denominator): {factor
-tuple: ReducedGamma}}) of the latest family n: the gamma_reduce result
-of each distinct factor tuple at each p met at n.  verify_family alone
-fills and reads it.  Every family factor tuple at n carries Gamma(2p+2n)
-or a pair summing to 2n, so no tuple at n occurs at another n, while the
-three kinds at n have the same tuples and differ in their scalars.  The
-slot is therefore replaced in one assignment, not grown, when a row at
-another n comes, and it holds one n's reductions at most (about 600 at
-n = 30 and eight p).  A row adds scalar x cofactor per tuple, and the
-rows at one n, in any order, reduce each product once per (n, p) for
-every kind and for verify_p1's rerun at p = 1; ``cli verify`` only runs
-its rows n by n.  gamma_reduce alone reads the rising tables for the
-families; a rising entry poisoned after the products that read it were
-stored no longer reaches the rows of that (n, p).
+The third slot that is not append-only, beside the ``pascal`` memo and
+the ``pairs`` slot, is ``reduced``, the pair (n, {(p.numerator,
+p.denominator): {factor tuple: ReducedGamma}}) of the latest family n:
+the gamma_reduce result of each distinct factor tuple at each p met at
+n.  verify_family alone fills and reads it.  Every family factor tuple
+at n carries Gamma(2p+2n) or a pair summing to 2n, so no tuple at n
+occurs at another n, while the three kinds at n have the same tuples and
+differ in their scalars.  The slot is therefore replaced in one
+assignment, not grown, when a row at another n comes, and it holds one
+n's reductions at most (about 600 at n = 30 and eight p).  A row adds
+scalar x cofactor per tuple, and the rows at one n, in any order, reduce
+each product once per (n, p) for every kind and for verify_p1's rerun at
+p = 1; ``cli verify`` only runs its rows n by n.  gamma_reduce alone
+reads the rising tables for the families; a rising entry poisoned after
+the products that read it were stored no longer reaches the rows of that
+(n, p).
 """
 
 from __future__ import annotations
@@ -309,29 +324,51 @@ class _Ratio(NamedTuple):
     denominator: int
 
 
-def _paired(n: int, weight, through_n: bool = False) -> Fraction:
+def _products(n: int, binomial: bool) -> list[_Ratio]:
+    """The products B_2k B_{2n-2k} for k = 1, ..., n//2 as unreduced
+    _Ratio's, each times C(2n, 2k) if ``binomial``, from the cache's
+    one-slot table ``pairs`` = (n, plain, binomial).  The first sum at n
+    replaces the slot in one assignment, with the plain list; the
+    binomial one is built from it when a sum first asks for it.  Callers
+    only read the lists."""
+    cache = sequences._DEFAULT
+    slot, plain, scaled = cache.pairs
+    if slot != n:
+        bernoulli(2 * n)
+        bern, plain, scaled = cache.bern, [], None
+        for k in range(1, n // 2 + 1):
+            a, b = bern[2 * k], bern[2 * n - 2 * k]
+            plain.append(_Ratio(a.numerator * b.numerator, a.denominator * b.denominator))
+    if binomial and scaled is None:
+        row = _binomial_row(2 * n)
+        scaled = [_Ratio(row[2 * k] * num, den) for k, (num, den) in enumerate(plain, 1)]
+    cache.pairs = (n, plain, scaled)
+    return scaled if binomial else plain
+
+
+def _paired(n: int, weight, through_n: bool = False, binomial: bool = False) -> Fraction:
     """Sum of B_2k B_{2n-2k} w(k) over 1 <= k <= n-1, or over 1 <= k <= n
     if ``through_n``, for w(k) = weight(k) an integer (numerator,
-    denominator) pair.
+    denominator) pair, times C(2n, 2k) if ``binomial``.
 
-    Terms k and n-k share the product B_2k B_{2n-2k}, so one _dot runs over
-    k <= n/2: each k < n/2 carries w(k) + w(n-k), added over the product of
-    the two denominators without a gcd, and the middle term k = n/2 of an
-    even n counts once.  The k = n term, B_2n B_0 w(n), has no partner.
-    One bernoulli(2n) grows the table, and the terms read its list.
+    Terms k and n-k share the product B_2k B_{2n-2k}, and C(2n, 2k) =
+    C(2n, 2n-2k), so one _dot runs over k <= n/2 and reads each product
+    from _products: each k < n/2 carries w(k) + w(n-k), added over the
+    product of the two denominators without a gcd, and the middle term
+    k = n/2 of an even n counts once.  The k = n term, B_2n B_0 w(n), has
+    no partner, and C(2n, 2n) = 1.
     """
-    bernoulli(2 * n)
-    bern = sequences._DEFAULT.bern
+    products = _products(n, binomial)
 
     def terms():
-        for k in range(1, n // 2 + 1):
+        for k, product in enumerate(products, 1):
             num, den = weight(k)
             if 2 * k < n:
                 other, other_den = weight(n - k)
                 num, den = num * other_den + other * den, den * other_den
-            yield bern[2 * k], bern[2 * n - 2 * k], _Ratio(num, den)
+            yield product, _Ratio(num, den)
         if through_n:
-            yield bern[2 * n], bern[0], _Ratio(*weight(n))
+            yield bernoulli(2 * n), _Ratio(*weight(n))
 
     return _dot(terms())
 
@@ -423,8 +460,7 @@ def _fold(weight: str, parts: int, total: int) -> Fraction:
 def verify_euler(n: int) -> IdentityReport:
     """sum C(2n,2k) B_2k B_{2n-2k} = -(2n+1) B_2n, for n >= 2."""
     _require_floor("euler", n)
-    row = _binomial_row(2 * n)
-    lhs = _paired(n, lambda k: (row[2 * k], 1))
+    lhs = _paired(n, lambda k: (1, 1), binomial=True)
     rhs = -(2 * n + 1) * bernoulli(2 * n)
     return _report("euler", n, lhs, rhs)
 
@@ -434,8 +470,7 @@ def _coth_product(n: int) -> Fraction:
     per n."""
 
     def coefficient():
-        row = _binomial_row(2 * n)
-        return _paired(n, lambda k: (row[2 * k], 2 * k * (2 * n - 2 * k)))
+        return _paired(n, lambda k: (1, 2 * k * (2 * n - 2 * k)), binomial=True)
 
     return _lemma("coth-product", _unit_scale, n, coefficient)
 
@@ -451,13 +486,11 @@ def _sinh_product(n: int, scale) -> Fraction:
     once per (n, scale)."""
 
     def coefficient():
-        row = _binomial_row(2 * n)
-
         def weight(k):
             num, den = scale(2 * n - 2 * k)
-            return row[2 * k] * num, 2 * k * n * den
+            return num, 2 * k * n * den
 
-        return _paired(n, weight, through_n=True)
+        return _paired(n, weight, through_n=True, binomial=True)
 
     return _lemma("sinh-product", scale, n, coefficient)
 
@@ -507,7 +540,6 @@ def verify_fpz(n: int) -> IdentityReport:
 def verify_mixed(n: int) -> IdentityReport:
     """The mixed identity convolving B with Bbar via the doubling relation."""
     _require_floor("mixed", n)
-    B, row = bernoulli, _binomial_row(2 * n)
 
     def lhs_weight(k):
         num, den = bbar_scale(2 * n - 2 * k)
@@ -516,8 +548,8 @@ def verify_mixed(n: int) -> IdentityReport:
     # the rhs weights (1 - 2^(2k-1)) / 2^(2n-1) share their denominator
     lhs = _paired(n, lhs_weight)
     rhs = _paired(
-        n, lambda k: (row[2 * k] * (1 - 2 ** (2 * k - 1)), 2 * k * n), through_n=True
-    ) / 2 ** (2 * n - 1) + B(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
+        n, lambda k: (1 - 2 ** (2 * k - 1), 2 * k * n), through_n=True, binomial=True
+    ) / 2 ** (2 * n - 1) + bernoulli(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
     return _report("mixed", n, lhs, rhs)
 
 
@@ -802,11 +834,10 @@ def verify_euler_bernoulli(n: int) -> IdentityReport:
         (2 if 2 * k < n + 1 else 1) * eul[2 * k - 2] * eul[2 * n - 2 * k]
         for k in range(1, (n + 1) // 2 + 1)
     ))
-    row = _binomial_row(2 * n)
     # 1 - 2^(2n-2k-1) = (2 - 2^(2n-2k)) / 2
     rhs = _paired(
-        n, lambda k: ((4 ** k - 1) * 4 ** k * row[2 * k] * (2 - 4 ** (n - k)), 2 * k * n),
-        through_n=True,
+        n, lambda k: ((4 ** k - 1) * 4 ** k * (2 - 4 ** (n - k)), 2 * k * n),
+        through_n=True, binomial=True,
     )
     return _report("euler-bernoulli", n, lhs, rhs)
 

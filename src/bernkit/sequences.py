@@ -46,8 +46,8 @@ not once per step of every product.  The key is the (numerator,
 denominator) pair, not the Fraction: hashing a Fraction computes a
 modular inverse on every lookup.
 
-The identity layer's tables, its Pascal-row memo and its reduction slot
-are described in ``identities``.
+The identity layer's tables, its Pascal-row memo, its B-product slot and
+its reduction slot are described in ``identities``.
 
 One process-wide cache, ``_DEFAULT``, backs every plain function here,
 and through them the exact lane, the series and the float lane.  A test
@@ -130,8 +130,8 @@ def _require_index(what: str, n: int) -> None:
 class SequenceCache:
     """Growable Bernoulli, Euler, harmonic and rising-factorial tables,
     and the identity layer's tables ``fold``, ``power``, ``family`` and
-    ``lemma``, its Pascal-row memo ``pascal`` and its gamma-reduction slot
-    ``reduced``.
+    ``lemma``, its Pascal-row memo ``pascal``, its B-product slot ``pairs``
+    and its gamma-reduction slot ``reduced``.
 
     ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and ``hfold``
     (F_m = sum(H_l/(l+1), l=1..m), F_0 = 0) are plain lists indexed by n;
@@ -140,14 +140,18 @@ class SequenceCache:
     maps an anchor's (numerator, denominator) to the list of its (q)_m
     indexed by m.  ``lemma`` maps (lemma id, weight name, n) to a
     finished lemma coefficient, and ``pascal`` is the latest Pascal row
-    built.  ``reduced`` is the pair (n, {(p numerator, p denominator):
+    built.  ``pairs`` is the triple (n, plain, binomial) of the latest n a
+    quadratic sum ran at: the lists of B_2k B_{2n-2k} and of C(2n, 2k)
+    B_2k B_{2n-2k} for k <= n/2, the second None until a sum asks for it.
+    ``reduced`` is the pair (n, {(p numerator, p denominator):
     {factor tuple: ReducedGamma}}) of the latest family n; the
-    ``identities`` docstring describes it and the other tables.
+    ``identities`` docstring describes both slots and the other tables.
     Entries, once computed, are never recomputed or rewritten: a table
     only grows by appending, so an entry or a list read once keeps its
     value however far the table grows later.  ``reduced`` is the
     exception, replaced whole when a family row at another n comes, and
-    so are ``pascal``, replaced when another row is asked for, and
+    so are ``pairs``, replaced whole when a sum at another n comes,
+    ``pascal``, replaced when another row is asked for, and
     ``genocchi_row`` and ``secant_col``, the kernels' state: row
     max(1, (len(bern) - 1) // 2) of Seidel's Genocchi triangle and column
     (len(eul) - 1) // 2 of the secant triangle, each replaced by the next
@@ -168,6 +172,7 @@ class SequenceCache:
         self.family: dict[tuple[str, int], tuple[tuple, tuple]] = {}
         self.lemma: dict[tuple[str, str, int], Fraction] = {}
         self.pascal: list[int] = [1]
+        self.pairs: tuple[int | None, list | None, list | None] = (None, None, None)
         self.reduced: tuple[int | None, dict[tuple[int, int], dict[tuple, ReducedGamma]]] = (None, {})
 
     def bernoulli(self, n: int) -> Fraction:

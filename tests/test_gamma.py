@@ -12,8 +12,10 @@ from math import factorial
 import pytest
 from hypothesis import example, given, strategies as st
 
+import bernkit.gammaalg
 import bernkit.sequences
 from bernkit import (
+    FAMILY_KINDS,
     DomainError,
     GammaProduct,
     PoleEncountered,
@@ -21,6 +23,7 @@ from bernkit import (
     SequenceCache,
     ZeroDivisor,
     beta_factor,
+    family_terms,
     gamma_reduce,
     harmonic,
     rising_factorial,
@@ -64,6 +67,39 @@ def test_product_hash_agrees_with_equality():
 def test_bad_base_rejected():
     with pytest.raises(DomainError):
         GammaProduct((("3p", 1, 1),))
+
+
+def test_canonical_factors_are_kept_and_others_canonicalised():
+    # a tuple already in canonical order is kept as given, the same object
+    factors = (("2p", 3, -1), ("2p", 5, 1), ("p", 1, 2), ("p", 4, 1))
+    assert GammaProduct(factors).factors is factors
+    assert GammaProduct(()).factors == ()
+    # out of order, a repeated (base, offset), a zero exponent or a list
+    # takes the merging path, to the one canonical tuple
+    for given, canonical in (
+        ((("p", 1, 2), ("2p", 3, -1)), (("2p", 3, -1), ("p", 1, 2))),
+        ((("p", 1, 1), ("p", 1, 1)), (("p", 1, 2),)),
+        ((("p", 1, 1), ("p", 1, -1)), ()),
+        ((("2p", 3, 0), ("p", 1, 2)), (("p", 1, 2),)),
+        ([("2p", 3, -1), ("p", 1, 2)], (("2p", 3, -1), ("p", 1, 2))),
+    ):
+        product = GammaProduct(given)
+        assert product.factors == canonical and type(product.factors) is tuple, given
+    # an unknown base raises whether it is met in order or out of it
+    for given in ((("3p", 1, 1),), (("2p", 1, 1), ("3p", 2, 1)), (("p", 2, 1), ("3p", 1, 1))):
+        with pytest.raises(DomainError, match="unknown gamma base '3p'"):
+            GammaProduct(given)
+
+
+def test_family_terms_write_canonical_tuples(monkeypatch):
+    # every family product keeps the tuple family_terms wrote, so none of
+    # them is merged or sorted again
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    canonical = bernkit.gammaalg._is_canonical
+    for n in range(2, 13):
+        for which in FAMILY_KINDS:
+            for side in family_terms(which, n):
+                assert all(canonical(product.factors) for product, _ in side), (which, n)
 
 
 def test_reduce_identity_factor():

@@ -738,6 +738,8 @@ def test_poisoned_lemma_entry_fails_the_rows_that_read_it(monkeypatch):
 
 def test_euler_row_builds_one_binomial_row(monkeypatch):
     assert "binomial" not in vars(identities)
+    # on a fresh cache: the process-wide one may hold the products at n
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     rows = []
     real = identities._binomial_row
 
@@ -752,6 +754,93 @@ def test_euler_row_builds_one_binomial_row(monkeypatch):
         assert rows == [2 * n]
     assert verify_mixed(9).ok and verify_euler_bernoulli(9).ok
     assert all(verify_p1(which, 9).ok for which in FAMILY_KINDS)
+
+
+def _poison(products, i):
+    """Adds 1 to the i-th product of a ``pairs`` list, in place."""
+    num, den = products[i]
+    products[i] = identities._Ratio(num + den, den)
+
+
+def test_poisoned_binomial_product_fails_the_rows_that_read_it(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    n = 9
+    _poison(identities._products(n, True), 2)
+    assert cache.pairs[0] == n
+    assert not verify_euler(n).ok
+    # the sinh and coth products both read the poisoned entry, and their
+    # weights at k, n-k add to the same 1/(2k(n-k)), so the two forms of
+    # the right side still agree and the fold on the left tells them apart
+    assert not verify_miki_modified(n).ok
+    assert not verify_miki(n).ok and not verify_fpz(n).ok
+    assert not verify_mixed(n).ok and not verify_euler_bernoulli(n).ok
+    # a row at another n replaces the slot; the lemma entries at n keep
+    # the poisoned sums
+    assert verify_euler(n + 1).ok and cache.pairs[0] == n + 1
+    assert verify_euler(n).ok and not verify_miki(n).ok
+
+
+def test_poisoned_plain_product_fails_the_rows_that_read_it(monkeypatch):
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    n = 8
+    identities._products(n, True)
+    _poison(identities._products(n, False), 1)
+    # the binomial list was built before the poison, so only the mixed left
+    # side and the p = 1 sums, the readers of the plain list, see it
+    assert verify_euler(n).ok and verify_miki(n).ok and verify_euler_bernoulli(n).ok
+    assert not verify_mixed(n).ok
+    for which in FAMILY_KINDS:
+        with pytest.raises(RouteMismatch, match="the reduced lhs"):
+            verify_p1(which, n)
+
+
+def test_interleaved_rows_equal_their_fresh_cache_values(monkeypatch):
+    rows = [(verify_euler, 40), (verify_mixed, 41), (verify_euler, 40),
+            (verify_euler_bernoulli, 41), (verify_fpz, 40), (verify_mixed, 40),
+            (verify_miki_modified, 41), (verify_euler_bernoulli, 40)]
+    fresh = {}
+    for verify, n in rows:
+        monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+        fresh[verify, n] = verify(n)
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    built = []
+    real = identities._binomial_row
+
+    def counted(m):
+        built.append(m)
+        return real(m)
+
+    monkeypatch.setattr(identities, "_binomial_row", counted)
+    for verify, n in rows:
+        assert verify(n) == fresh[verify, n], (verify.__name__, n)
+        assert cache.pairs[0] == n
+    # the slot is replaced at each change of n and builds each list once
+    # per visit: the mixed row at 40 reads the lists the fpz row left
+    assert built == [80, 82, 80, 82, 80, 82, 80]
+    verify_euler(40)
+    assert built[-1] == 80 and len(built) == 7
+
+
+def test_folds_and_the_euler_number_sum_read_no_pair_product(monkeypatch):
+    # with every slot entry poisoned, the composition folds, the multi
+    # rows and the Euler-number left side keep their fresh-cache values
+    n = 12
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    expected = ([identities._fold(weight, 2, n) for weight in ("plain", "bar")],
+                multi_lhs(3, n), verify_euler_bernoulli(n).lhs)
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    for binomial in (False, True):
+        products = identities._products(n, binomial)
+        for i in range(len(products)):
+            _poison(products, i)
+    assert cache.pairs[0] == n and None not in cache.pairs
+    assert ([identities._fold(weight, 2, n) for weight in ("plain", "bar")],
+            multi_lhs(3, n), verify_euler_bernoulli(n).lhs) == expected
+    assert not verify_euler_bernoulli(n).ok
 
 
 def test_second_routes_do_not_use_the_sum_kernel(monkeypatch):
