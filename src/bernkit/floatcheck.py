@@ -22,7 +22,10 @@ g are the exact ones of ``series.named_series``, which the exact lane
 reads too, so the quadrature checks that code and not a float copy of it;
 at non-integer p the kernel's Taylor series is transformed term by term.
 The in-house ``digamma`` is not used for targets; it stays as public API
-and as an independent oracle for the tests.
+and as an independent oracle for the tests.  The float coefficients read
+from the exact tables (the digamma tail and the series of the targets)
+are memoised per ``sequences._DEFAULT`` cache, so a cache swapped in at
+any time reaches them.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from typing import NamedTuple
 
+from . import sequences
 from .errors import DomainError, QuadFailure, UnknownName
 from .gammaalg import GammaProduct
 from .identities import IdentityReport, family_terms
@@ -104,9 +108,30 @@ class QuadResult(NamedTuple):
         return self.error is None
 
 
-# psi(x) = ln x - 1/(2x) - sum B_2k/(2k x^2k); seven terms reach ~1e-15
-# absolute error once the argument has been recurred up to x >= 8.
-_PSI_TAIL = [float(bernoulli(2 * k)) / (2 * k) for k in range(1, 8)]
+def _per_cache(build):
+    """Memoise build(*args) for the current ``sequences._DEFAULT``.  The
+    memo holds the values read from one cache and is dropped when another
+    cache is swapped in, so every float coefficient here follows the exact
+    tables, as the exact lane does."""
+    memo: list = [None, {}]
+
+    @wraps(build)
+    def read(*args):
+        if memo[0] is not sequences._DEFAULT:
+            memo[:] = sequences._DEFAULT, {}
+        table = memo[1]
+        if args not in table:
+            table[args] = build(*args)
+        return table[args]
+
+    return read
+
+
+@_per_cache
+def _psi_tail() -> tuple[float, ...]:
+    # psi(x) = ln x - 1/(2x) - sum B_2k/(2k x^2k); seven terms reach ~1e-15
+    # absolute error once the argument has been recurred up to x >= 8.
+    return tuple(float(bernoulli(2 * k)) / (2 * k) for k in range(1, 8))
 
 
 def digamma(x: float) -> float:
@@ -119,12 +144,12 @@ def digamma(x: float) -> float:
         x += 1.0
     z = 1.0 / (x * x)
     tail = 0.0
-    for c in reversed(_PSI_TAIL):
+    for c in reversed(_psi_tail()):
         tail = tail * z + c
     return acc + math.log(x) - 0.5 / x - z * tail
 
 
-@lru_cache(maxsize=None)
+@_per_cache
 def _kernel_coeffs(series_name: str) -> tuple[tuple[int, float], ...]:
     s = named_series(series_name, 21)
     return tuple((m, float(c)) for m, c in s.items())
@@ -194,7 +219,7 @@ def _over_power(c: Fraction, base: float, power: int) -> float:
         return float(c / Fraction(base) ** power)
 
 
-@lru_cache(maxsize=None)
+@_per_cache
 def _series_coeffs(name: str, p: int) -> tuple[tuple[int, Fraction], ...]:
     """The exact named_series coefficients that the quad_rep row ``name``
     reads at integer p (any p for g): _MAX_TERMS terms of g, and the
@@ -328,7 +353,7 @@ def check_zeta(n: int) -> QuadResult:
     return QuadResult("zeta", float(n), 0.0, value, est, target, abs(value - target), 1e-12 * abs(target))
 
 
-@lru_cache(maxsize=None)
+@_per_cache
 def _log_cosh_coeffs() -> tuple[tuple[int, float], ...]:
     # ln cosh y = L(2y) - L(y) for L = ln(sinh y / y), so each coefficient
     # of L at order 2k picks up the factor 4^k - 1.

@@ -74,11 +74,11 @@ Euler-number sum never read the slot: Miki's and FPZ's left sides and
 every multi fold form their own products, so the two sides of each
 quadratic identity stay independent routes.
 
-Every exact sum of this layer is _dot: each fold step, the quadratic,
-p = 1 and cubic sums, and the cofactor sum of each family side.  It
-multiplies each term's factors as integer numerators and denominators
-and reduces the total once, where a Fraction sum normalises through gcd
-after every multiply and add (at n ~ 400 the B numerators have about
+Every exact sum of this layer but the family sides is _dot: each fold
+step and the quadratic, p = 1 and cubic sums.  It multiplies each
+term's factors as integer numerators and denominators and reduces the
+total once, where a Fraction sum normalises through gcd after every
+multiply and add (at n ~ 400 the B numerators have about
 1,350 digits).  How it adds the products depends on their size,
 measured as they are built.  When some product's numerator has more
 than _MERGE_BITS = 1024 bits, neighbours are added pairwise, over the
@@ -87,8 +87,9 @@ sum: the lcm of all denominators of a deep sum has about 455 digits,
 and bringing some 200 numerators over it costs more than the merges.
 Smaller products are brought over one lcm.  Every paired B.B sum and
 two-part fold of a deep row (n ~ 400, products of 4,400 bits or more)
-takes the pairwise path, and every family and cubic sum (at most 600
-bits) the one-lcm path.  series and floatcheck keep their own
+takes the pairwise path, and every cubic sum (at most 600 bits) the
+one-lcm path.  A family side is one integer dot product instead (see
+the ``reduced`` slot below).  series and floatcheck keep their own
 arithmetic: the series power and the float twin are the second routes
 of these sums, so they share no summation code with them.
 
@@ -119,27 +120,42 @@ call time so an injected cache replaces them too:
   form, the cubic FPZ form and the lemma check).
 
 The third slot that is not append-only, beside the ``pascal`` memo and
-the ``pairs`` slot, is ``reduced``, the pair (n, {(p.numerator,
-p.denominator): {factor tuple: ReducedGamma}}) of the latest family n:
-the gamma_reduce result of each distinct factor tuple at each p met at
-n.  verify_family alone fills and reads it.  Every family factor tuple
-at n carries Gamma(2p+2n) or a pair summing to 2n, so no tuple at n
-occurs at another n, while the three kinds at n have the same tuples and
-differ in their scalars.  The slot is therefore replaced in one
-assignment, not grown, when a row at another n comes, and it holds one
-n's reductions at most (about 600 at n = 30 and eight p).  A row adds
-scalar x cofactor per tuple, and the rows at one n, in any order, reduce
-each product once per (n, p) for every kind and for verify_p1's rerun at
-p = 1; ``cli verify`` only runs its rows n by n.  gamma_reduce alone
-reads the rising tables for the families; a rising entry poisoned after
-the products that read it were stored no longer reaches the rows of that
-(n, p).
+the ``pairs`` slot, is ``reduced``, the triple (n, scaled, cofactors) of
+the latest family n, which verify_family alone fills and reads.  Each
+family side is one integer dot product, sum(scalar numerators x cofactor
+numerators) / (S V), reduced once:
+
+* ``scaled[which]`` is (entry, sides): the ``family`` entry it was read
+  from, and per side the common denominator S of the scalars, their
+  integer numerators over S, and the side's cofactor vectors.  It is
+  built once per (which, n), and rebuilt when the ``family`` entry is no
+  longer the one it holds, so a replaced entry reaches the rows.
+* ``cofactors`` maps each side's factor-tuple sequence to {(p.numerator,
+  p.denominator): _Cofactors}: the gamma_reduce results of the side's
+  tuples at p, as their common denominator V, their integer numerators
+  over V in the side's order, and the set of their (Gamma(p), Gamma(2p))
+  exponent pairs, which every row checks.  The three kinds at n write
+  the same tuples in the same order and differ in their scalars, so they
+  share one vector per side and p, built once per (n, p), and verify_p1's
+  rerun at p = 1 reads it too; an entry whose sequence differs gets its
+  own.
+
+Every family factor tuple at n carries Gamma(2p+2n) or a pair summing
+to 2n, so no tuple at n occurs at another n.  The slot is therefore
+replaced in one assignment, not grown, when a row at another n comes,
+and it holds one n's vectors at most (two per p, about 600 cofactors at
+n = 30 and eight p).  The rows at one n, in any order, reduce each
+product once per (n, p); ``cli verify`` only runs its rows n by n.
+gamma_reduce alone reads the rising tables for the families; a rising
+entry poisoned after the vectors that read it were stored no longer
+reaches the rows of that (n, p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Any, Callable, NamedTuple
 
 from . import sequences
@@ -272,8 +288,8 @@ def _require_floor(identity: str, n: int) -> None:
 # _dot adds its partial sums pairwise down to one when some product's
 # numerator has more than this many bits, and otherwise sums them over one
 # lcm.  The deep B.B sums break even near 500 bits (n ~ 60) and merge
-# 30-40% faster from 1,000 bits on, while the family and cubic sums, at
-# most 600 bits, ran 13-20% slower merged than over one lcm.
+# 30-40% faster from 1,000 bits on, while the cubic sums, at most 600
+# bits, ran 13% slower merged than over one lcm.
 _MERGE_BITS = 1024
 
 
@@ -624,33 +640,71 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     return terms
 
 
+class _Cofactors(NamedTuple):
+    """One family side's gamma reductions at one p: the set of their
+    (Gamma(p), Gamma(2p)) exponent pairs, and their rational cofactors over
+    one common denominator, as that denominator and the integer numerators
+    in the order of the side's terms."""
+
+    exponents: frozenset[tuple[int, int]]
+    denominator: int
+    numerators: tuple[int, ...]
+
+
+def _cofactors(side, p: Fraction) -> _Cofactors:
+    """gamma_reduce of each product of ``side`` at p, over one denominator."""
+    reductions = [gamma_reduce(product, p) for product, _ in side]
+    common = lcm(*(r.value.denominator for r in reductions))
+    return _Cofactors(
+        frozenset((r.exp_gamma_p, r.exp_gamma_2p) for r in reductions),
+        common,
+        tuple(r.value.numerator * (common // r.value.denominator) for r in reductions),
+    )
+
+
+def _scaled_side(side, cofactors: dict) -> tuple[int, tuple[int, ...], dict]:
+    """A side's scalars over one common denominator, as that denominator and
+    the integer numerators, and the cofactor vectors of its factor-tuple
+    sequence, {(p numerator, p denominator): _Cofactors}, found or made in
+    ``cofactors``, which maps each sequence met at n to its vectors."""
+    common = lcm(*(scalar.denominator for _, scalar in side))
+    numerators = tuple(scalar.numerator * (common // scalar.denominator) for _, scalar in side)
+    sequence = tuple(product.factors for product, _ in side)
+    return common, numerators, cofactors.setdefault(sequence, {})
+
+
 def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     """One-parameter gamma-weighted family of the quadratic identities.
 
-    Both sides of family_terms are reduced at the rational point p, each
-    product by gamma_reduce unless the ``reduced`` slot (see the module
-    docstring) holds it: the slot keeps every p met at the latest n, so
-    the rows at one n reduce each product once per p, in any order, and a
-    row at another n replaces it.  Every product of either side must
-    reduce to one (Gamma(p), Gamma(2p)) exponent pair, checked once per
-    row, and the sides are compared through their rational cofactors.
+    Each side of family_terms is one integer dot product: its scalars over
+    one denominator S, built once per (which, n), times its gamma_reduce
+    cofactors at p over one denominator V, built once per (n, p) and factor
+    tuple sequence and shared by every kind, divided by S V.  Both live in
+    the ``reduced`` slot (see the module docstring), which keeps every p
+    met at the latest n, so the rows at one n reduce each product once per
+    p, in any order, and a row at another n replaces it.  Every product of
+    either side must reduce to one (Gamma(p), Gamma(2p)) exponent pair,
+    checked on every row from the exponent sets stored with the vectors.
     """
     sides = family_terms(which, n)
     p = Fraction(p)
     cache = sequences._DEFAULT
     if cache.reduced[0] != n:
-        cache.reduced = (n, {})
-    table = cache.reduced[1].setdefault((p.numerator, p.denominator), {})
+        cache.reduced = (n, {}, {})
+    _, scaled, cofactors = cache.reduced
+    entry = scaled.get(which)
+    # the scalars are those of the family entry they were read from
+    if entry is None or entry[0] is not sides:
+        entry = scaled[which] = sides, tuple(_scaled_side(side, cofactors) for side in sides)
+    key = p.numerator, p.denominator
     exponents, sums = set(), []
-    for side in sides:
-        pairs = []
-        for product, scalar in side:
-            reduced = table.get(product.factors)
-            if reduced is None:
-                reduced = table[product.factors] = gamma_reduce(product, p)
-            exponents.add((reduced.exp_gamma_p, reduced.exp_gamma_2p))
-            pairs.append((scalar, reduced.value))
-        sums.append(_dot(pairs))
+    for side, (common, scalars, vectors) in zip(sides, entry[1]):
+        vector = vectors.get(key)
+        if vector is None:
+            vector = vectors[key] = _cofactors(side, p)
+        exponents |= vector.exponents
+        top = sum(map(mul, scalars, vector.numerators))
+        sums.append(Fraction(top, common * vector.denominator))
     if len(exponents) != 1:
         raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
     return _report(f"family-{which}", n, *sums, p=p)

@@ -47,18 +47,15 @@ denominator) pair, not the Fraction: hashing a Fraction computes a
 modular inverse on every lookup.
 
 The identity layer's tables, its Pascal-row memo, its B-product slot and
-its reduction slot are described in ``identities``.
+its family slot ``reduced`` are described in ``identities``.
 
 One process-wide cache, ``_DEFAULT``, backs every plain function here,
 and through them the exact lane, the series and the float lane.  A test
 replaces it with a fresh or corrupted instance through
 ``monkeypatch.setattr(sequences, "_DEFAULT", cache)``; the plain
-functions look it up at call time, so the exact lane and ``named_series``
-follow the replacement.  The float lane does so only in part:
-``floatcheck._PSI_TAIL`` is built from B_2..B_14 at import, and its
-``lru_cache``d coefficient tuples keep the values of the first cache
-they read, so a ``quad_rep`` target computed before the swap does not
-change after it.
+functions look it up at call time, so the exact lane, ``named_series``
+and the float lane, whose coefficient memos are kept per cache, follow
+the replacement.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ from typing import TYPE_CHECKING
 from .errors import DomainError, check_routes
 
 if TYPE_CHECKING:
-    from .gammaalg import ReducedGamma
+    from .identities import _Cofactors
 
 __all__ = [
     "SequenceCache",
@@ -131,7 +128,7 @@ class SequenceCache:
     """Growable Bernoulli, Euler, harmonic and rising-factorial tables,
     and the identity layer's tables ``fold``, ``power``, ``family`` and
     ``lemma``, its Pascal-row memo ``pascal``, its B-product slot ``pairs``
-    and its gamma-reduction slot ``reduced``.
+    and its family slot ``reduced``.
 
     ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and ``hfold``
     (F_m = sum(H_l/(l+1), l=1..m), F_0 = 0) are plain lists indexed by n;
@@ -143,14 +140,18 @@ class SequenceCache:
     built.  ``pairs`` is the triple (n, plain, binomial) of the latest n a
     quadratic sum ran at: the lists of B_2k B_{2n-2k} and of C(2n, 2k)
     B_2k B_{2n-2k} for k <= n/2, the second None until a sum asks for it.
-    ``reduced`` is the pair (n, {(p numerator, p denominator):
-    {factor tuple: ReducedGamma}}) of the latest family n; the
-    ``identities`` docstring describes both slots and the other tables.
+    ``reduced`` is the triple (n, scaled, cofactors) of the latest family
+    n: ``scaled`` maps a kind to its ``family`` entry and, per side, the
+    scalars over one denominator and the side's cofactor vectors, and
+    ``cofactors`` maps each factor-tuple sequence met at n to
+    {(p numerator, p denominator): _Cofactors}; the ``identities``
+    docstring describes both slots and the other tables.
     Entries, once computed, are never recomputed or rewritten: a table
     only grows by appending, so an entry or a list read once keeps its
     value however far the table grows later.  ``reduced`` is the
-    exception, replaced whole when a family row at another n comes, and
-    so are ``pairs``, replaced whole when a sum at another n comes,
+    exception, replaced whole when a family row at another n comes (and a
+    kind's ``scaled`` entry rebuilt when its ``family`` entry is replaced),
+    and so are ``pairs``, replaced whole when a sum at another n comes,
     ``pascal``, replaced when another row is asked for, and
     ``genocchi_row`` and ``secant_col``, the kernels' state: row
     max(1, (len(bern) - 1) // 2) of Seidel's Genocchi triangle and column
@@ -173,7 +174,11 @@ class SequenceCache:
         self.lemma: dict[tuple[str, str, int], Fraction] = {}
         self.pascal: list[int] = [1]
         self.pairs: tuple[int | None, list | None, list | None] = (None, None, None)
-        self.reduced: tuple[int | None, dict[tuple[int, int], dict[tuple, ReducedGamma]]] = (None, {})
+        self.reduced: tuple[
+            int | None,
+            dict[str, tuple[tuple, tuple[tuple[int, tuple[int, ...], dict], ...]]],
+            dict[tuple, dict[tuple[int, int], _Cofactors]],
+        ] = (None, {}, {})
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n from the Genocchi numbers; odd entries are 0 except B_1."""

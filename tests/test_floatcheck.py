@@ -278,11 +278,31 @@ def test_quad_target_reads_named_series(monkeypatch):
         return TruncatedSeries(series.kind, coeffs, series.trunc)
 
     monkeypatch.setattr(floatcheck, "named_series", perturbed)
-    floatcheck._series_coeffs.cache_clear()
-    try:
-        assert not quad_rep("psi_tilde_p", 10.0, 1.0).ok
-    finally:
-        floatcheck._series_coeffs.cache_clear()
+    # the coefficients are memoised per cache: a fresh one reads them anew
+    monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+    assert not quad_rep("psi_tilde_p", 10.0, 1.0).ok
+
+
+def _tripled_b4():
+    cache = sequences.SequenceCache()
+    cache.bernoulli(4)
+    cache.bern[4] *= 3
+    return cache
+
+
+@pytest.mark.parametrize("used_first", [False, True], ids=["swap-first", "use-first"])
+def test_float_coefficients_follow_the_swapped_cache(monkeypatch, used_first):
+    # the digamma tail and the quad_rep target read B_4 from the cache that
+    # is current, whether or not the float lane read another one first
+    honest = quad_rep("psi_tilde_p", 10.0, 1.0).target, digamma(3.0)
+    if used_first:
+        monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+        assert (quad_rep("psi_tilde_p", 10.0, 1.0).target, digamma(3.0)) == honest
+    monkeypatch.setattr(sequences, "_DEFAULT", _tripled_b4())
+    tripled = quad_rep("psi_tilde_p", 10.0, 1.0).target, digamma(3.0)
+    assert tripled[0] != honest[0] and tripled[1] != honest[1]
+    monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+    assert (quad_rep("psi_tilde_p", 10.0, 1.0).target, digamma(3.0)) == honest
 
 
 def _mp_g(mpmath, x):

@@ -28,7 +28,6 @@ from bernkit import (
     IDENTITIES,
     LEMMA_IDS,
     PoleEncountered,
-    ReducedGamma,
     RouteMismatch,
     SequenceCache,
     UnknownName,
@@ -1031,6 +1030,16 @@ def _count_reductions(monkeypatch):
     return calls
 
 
+def _sequences(which, n):
+    """The factor-tuple sequence of each side of family_terms(which, n)."""
+    return [tuple(product.factors for product, _ in side) for side in family_terms(which, n)]
+
+
+def _slot_points(cache):
+    """{factor-tuple sequence: the p keys of its stored cofactor vectors}."""
+    return {sequence: list(vectors) for sequence, vectors in cache.reduced[2].items()}
+
+
 def test_family_kinds_reduce_each_factor_tuple_once_per_point(monkeypatch):
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
@@ -1043,18 +1052,22 @@ def test_family_kinds_reduce_each_factor_tuple_once_per_point(monkeypatch):
     summands = sum(_family_summands("miki", 6), [])
     assert len(calls) == len(set(calls)) == len(distinct) == len(terms["miki"]) < len(summands)
     assert set(calls) == distinct
-    assert cache.reduced[0] == 6 and list(cache.reduced[1]) == [(1, 2)]
-    assert set(cache.reduced[1][1, 2]) == distinct
+    # the kinds share one cofactor vector per side: one per factor-tuple sequence
+    assert cache.reduced[0] == 6 and list(cache.reduced[1]) == list(FAMILY_KINDS)
+    assert _slot_points(cache) == {sequence: [(1, 2)] for sequence in _sequences("miki", 6)}
+    assert set(sum(cache.reduced[2], ())) == distinct
     assert not hasattr(terms["miki"][0], "__dict__")
     # another p at the same n joins the slot, so coming back reduces nothing
     verify_family("fpz", 6, F(3))
-    assert cache.reduced[0] == 6 and list(cache.reduced[1]) == [(1, 2), (3, 1)]
+    assert cache.reduced[0] == 6
+    assert _slot_points(cache) == {seq: [(1, 2), (3, 1)] for seq in _sequences("miki", 6)}
     assert len(calls) == 2 * len(distinct)
     verify_family("mixed", 6, F(1, 2))
     assert len(calls) == 2 * len(distinct)
     # a row at another n replaces the slot, so coming back to n = 6 reduces again
     verify_family("miki", 7, F(1, 2))
-    assert cache.reduced[0] == 7 and list(cache.reduced[1]) == [(1, 2)]
+    assert cache.reduced[0] == 7 and list(cache.reduced[1]) == ["miki"]
+    assert _slot_points(cache) == {sequence: [(1, 2)] for sequence in _sequences("miki", 7)}
     calls.clear()
     verify_family("mixed", 6, F(1, 2))
     assert set(calls) == distinct and len(calls) == len(distinct)
@@ -1066,10 +1079,10 @@ def test_reduction_slot_holds_one_n(monkeypatch):
     for n in range(2, 16):
         for p in (F(1, 2), F(3)):
             assert verify_family("miki", n, p).ok
-    lhs, rhs = family_terms("miki", 15)
-    assert cache.reduced[0] == 15 and list(cache.reduced[1]) == [(1, 2), (3, 1)]
-    for table in cache.reduced[1].values():
-        assert set(table) == {product.factors for product, _ in lhs + rhs}
+    assert cache.reduced[0] == 15 and list(cache.reduced[1]) == ["miki"]
+    assert _slot_points(cache) == {seq: [(1, 2), (3, 1)] for seq in _sequences("miki", 15)}
+    for sequence, vectors in cache.reduced[2].items():
+        assert all(len(vector.numerators) == len(sequence) for vector in vectors.values())
 
 
 @pytest.mark.parametrize("which", FAMILY_KINDS)
@@ -1090,13 +1103,15 @@ def test_corrupted_reduction_fails_the_rows_that_read_it(monkeypatch):
         assert verify_family(which, 5, F(1)).ok
     # the k = 1 beta term of the right sides at n = 5 carries Gamma(2p+10)
     key = GammaProduct(beta_factor(1).factors + (("2p", 10, 1),)).factors
-    assert all(key in {product.factors for product, _ in family_terms(which, 5)[1]}
-               for which in FAMILY_KINDS)
+    rhs = _sequences("miki", 5)[1]
+    assert all(_sequences(which, 5)[1] == rhs for which in FAMILY_KINDS) and key in rhs
 
     def corrupt():
-        entry = cache.reduced[1][1, 1][key]
-        cache.reduced[1][1, 1][key] = ReducedGamma(
-            entry.exp_gamma_p, entry.exp_gamma_2p, entry.value + 1)
+        vectors = cache.reduced[2][rhs]
+        entry = vectors[1, 1]
+        numerators = list(entry.numerators)
+        numerators[rhs.index(key)] += entry.denominator
+        vectors[1, 1] = entry._replace(numerators=tuple(numerators))
 
     corrupt()
     assert not any(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
@@ -1132,18 +1147,64 @@ def test_family_sides_sum_each_factor_tuple_once(monkeypatch):
         for p in MERGE_PS:
             for which, (summands, _) in sides.items():
                 row = verify_family(which, n, p)
-                table = bernkit.sequences._DEFAULT.reduced[1][p.numerator, p.denominator]
-                reduced = [[(scalar, table[product.factors]) for product, scalar in each]
-                           for each in summands]
+                slot = bernkit.sequences._DEFAULT.reduced[2]
+                vectors = [slot[sequence][p.numerator, p.denominator]
+                           for sequence in _sequences(which, n)]
+                # each tuple's cofactor, read back from its side's stored vector
+                cofactor = {factors: F(top, vector.denominator)
+                            for sequence, vector in zip(_sequences(which, n), vectors)
+                            for factors, top in zip(sequence, vector.numerators)}
                 # the per-summand sums: one scalar x cofactor per summand
-                assert [row.lhs, row.rhs] == [sum((s * r.value for s, r in each), F(0))
-                                              for each in reduced], (n, p, which)
-                assert len({(r.exp_gamma_p, r.exp_gamma_2p) for each in reduced for _, r in each}) == 1
+                assert [row.lhs, row.rhs] == [
+                    sum((s * cofactor[product.factors] for product, s in each), F(0))
+                    for each in summands], (n, p, which)
+                assert len(vectors[0].exponents | vectors[1].exponents) == 1
     # 29 + 89 summands at n = 30: k and 30-k pair on the left, and each even
     # beta term joins a right term on the right
     for which in FAMILY_KINDS:
         assert tuple(map(len, _family_summands(which, 30))) == (29, 89)
         assert tuple(map(len, family_terms(which, 30))) == (15, 60)
+
+
+def test_interleaved_family_rows_match_a_fresh_cache(monkeypatch):
+    # kinds and p values interleaved at each n, the pole-anchor p = 0 among
+    # them, give the reports of rows each run on a fresh cache, and each
+    # factor tuple is still reduced once per (n, p)
+    ps = (F(0), F(-1, 4), F(5, 2), F(1))
+    rows = [(which, n, p) for n in range(2, 9) for which in FAMILY_KINDS for p in ps]
+    random.Random(7).shuffle(rows)
+    rows.sort(key=lambda row: row[1])
+    fresh = {}
+    for row in rows:
+        monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+        fresh[row] = verify_family(*row)
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    calls = _count_reductions(monkeypatch)
+    points = []
+    for row in rows:
+        start = len(calls)
+        assert verify_family(*row) == fresh[row], row
+        points += [(row[1], row[2], factors) for factors in calls[start:]]
+    assert len(points) == len(set(points))
+    assert set(points) == {(n, p, factors) for n in range(2, 9) for p in ps
+                           for factors in sum(_sequences("miki", n), ())}
+
+
+def test_injected_tuple_order_gets_its_own_vector(monkeypatch):
+    # an entry whose left side lists the kinds' tuples in another order keeps
+    # its own cofactor vector, and the other kinds keep theirs
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    assert verify_family("miki", 6, F(1, 2)).ok
+    lhs, rhs = family_terms("fpz", 6)
+    cache.family["fpz", 6] = (lhs[::-1], rhs)
+    calls = _count_reductions(monkeypatch)
+    assert verify_family("fpz", 6, F(1, 2)).ok
+    assert sorted(calls) == sorted(product.factors for product, _ in lhs)
+    reversed_lhs = tuple(product.factors for product, _ in lhs[::-1])
+    assert set(cache.reduced[2]) == {*_sequences("miki", 6), reversed_lhs}
+    assert verify_family("mixed", 6, F(1, 2)).ok and verify_family("miki", 6, F(1, 2)).ok
+    assert len(calls) == len(lhs)
 
 
 def test_family_rows_reuse_the_family_products(monkeypatch):
