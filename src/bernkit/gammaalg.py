@@ -20,13 +20,19 @@ from ``sequences._DEFAULT.rising``, looked up at call time so an injected
 or corrupted cache reaches every reduction; a missing one is made by
 ``sequences.rising_factorial``, the one place where a table grows.  No
 Legendre duplication is applied: the two bases stay independent, which
-keeps every cofactor rational.  The cofactor is carried as one integer
-numerator and one integer denominator, which each factor multiplies by
-its rising entry's numerator and denominator (swapped for a negative
-offset or a negative exponent), and it becomes one Fraction at the end,
-so a reduction normalises once, not once per factor.  gamma_reduce
-itself keeps no memo; the family rows keep its results for every p at
-the latest n in the cache's ``reduced`` slot (see ``identities``).
+keeps every cofactor rational.
+
+The reduction is one loop, gamma_reduce_pair.  It carries the cofactor
+as one integer numerator and one integer denominator, which each factor
+multiplies by its rising entry's numerator and denominator (swapped for
+a negative offset or a negative exponent), and returns that pair
+unreduced, with a positive denominator: no gcd runs in the loop.
+gamma_reduce is a thin wrapper that builds the one Fraction of a
+ReducedGamma from the pair.  The family rows call the loop directly and
+bring a side's unreduced cofactors over one lcm, so a side is normalised
+once, in its final Fraction, not once per factor tuple.  Neither keeps a
+memo; the family rows keep the vectors for every p at the latest n in
+the cache's ``reduced`` slot (see ``identities``).
 
 When the anchor t (p or 2p) is itself a nonpositive integer, Gamma(t) has
 a pole even where Gamma(t+m) is finite, so such factors are folded all the
@@ -49,6 +55,7 @@ __all__ = [
     "GammaProduct",
     "ReducedGamma",
     "gamma_reduce",
+    "gamma_reduce_pair",
     "beta_factor",
 ]
 
@@ -122,16 +129,26 @@ class ReducedGamma(NamedTuple):
 def gamma_reduce(g: GammaProduct, p: Fraction) -> ReducedGamma:
     """Reduce ``g`` at the rational point ``p`` to base exponents and cofactor.
 
+    gamma_reduce_pair's result, its integer pair made one Fraction; ``p``,
+    the table reads and the errors are those of gamma_reduce_pair.
+    """
+    exp_p, exp_2p, num, den = gamma_reduce_pair(g, p)
+    return ReducedGamma(exp_p, exp_2p, Fraction(num, den))
+
+
+def gamma_reduce_pair(g: GammaProduct, p: Fraction) -> tuple[int, int, int, int]:
+    """The reduction loop: (exp_gamma_p, exp_gamma_2p, numerator,
+    denominator) of ``g`` at the rational point ``p``, the cofactor being
+    numerator / denominator, unreduced, with a positive denominator.
+
     ``p`` is anything Fraction accepts; it is converted only when it is not
     a Fraction already.  The anchors p and 2p are held as reduced integer
     (numerator, denominator) pairs, the keys of the rising tables.  A
     rising entry that exists is read straight from the table of
     ``sequences._DEFAULT``, looked up at call time; a missing one is made
-    by ``rising_factorial``, the one place a table grows.  The cofactor is
-    carried as one integer numerator and one integer denominator: each
-    factor multiplies them by the numerator and denominator of its rising
-    entry (swapped for a negative offset or exponent), and one Fraction is
-    built at the end.
+    by ``rising_factorial``, the one place a table grows.  Each factor
+    multiplies the pair by the numerator and denominator of its rising
+    entry (swapped for a negative offset or exponent); no gcd is taken.
 
     Raises PoleEncountered when any factor's argument is a nonpositive
     integer, and ZeroDivisor if a rising-factorial step would divide by
@@ -189,7 +206,10 @@ def gamma_reduce(g: GammaProduct, p: Fraction) -> ReducedGamma:
             top, bottom = top**exponent, bottom**exponent
         num *= top
         den *= bottom
-    return ReducedGamma(exp_p, exp_2p, Fraction(num, den))
+    # a swapped entry numerator may be negative; the pair keeps den > 0
+    if den < 0:
+        num, den = -num, -den
+    return exp_p, exp_2p, num, den
 
 
 def beta_factor(k: int) -> GammaProduct:

@@ -131,14 +131,16 @@ numerators) / (S V), reduced once:
   built once per (which, n), and rebuilt when the ``family`` entry is no
   longer the one it holds, so a replaced entry reaches the rows.
 * ``cofactors`` maps each side's factor-tuple sequence to {(p.numerator,
-  p.denominator): _Cofactors}: the gamma_reduce results of the side's
-  tuples at p, as their common denominator V, their integer numerators
-  over V in the side's order, and the set of their (Gamma(p), Gamma(2p))
-  exponent pairs, which every row checks.  The three kinds at n write
-  the same tuples in the same order and differ in their scalars, so they
-  share one vector per side and p, built once per (n, p), and verify_p1's
-  rerun at p = 1 reads it too; an entry whose sequence differs gets its
-  own.
+  p.denominator): _Cofactors}: the unreduced integer cofactors that
+  gammaalg.gamma_reduce_pair gives for the side's tuples at p, as V, the
+  lcm of their denominators, their numerators over V in the side's
+  order, and the set of their (Gamma(p), Gamma(2p)) exponent pairs,
+  which every row checks.  No cofactor is reduced on its own: the
+  side's final Fraction is its one normalisation.  The three kinds at n
+  write the same tuples in the same order and differ in their scalars,
+  so they share one vector per side and p, built once per (n, p), and
+  verify_p1's rerun at p = 1 reads it too; an entry whose sequence
+  differs gets its own.
 
 Every family factor tuple at n carries Gamma(2p+2n) or a pair summing
 to 2n, so no tuple at n occurs at another n.  The slot is therefore
@@ -146,9 +148,9 @@ replaced in one assignment, not grown, when a row at another n comes,
 and it holds one n's vectors at most (two per p, about 600 cofactors at
 n = 30 and eight p).  The rows at one n, in any order, reduce each
 product once per (n, p); ``cli verify`` only runs its rows n by n.
-gamma_reduce alone reads the rising tables for the families; a rising
-entry poisoned after the vectors that read it were stored no longer
-reaches the rows of that (n, p).
+gamma_reduce_pair alone reads the rising tables for the families; a
+rising entry poisoned after the vectors that read it were stored no
+longer reaches the rows of that (n, p).
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
-from .gammaalg import GammaProduct, gamma_reduce
+from .gammaalg import GammaProduct, gamma_reduce_pair
 from .sequences import (
     bbar_scale,
     bernoulli,
@@ -652,13 +654,14 @@ class _Cofactors(NamedTuple):
 
 
 def _cofactors(side, p: Fraction) -> _Cofactors:
-    """gamma_reduce of each product of ``side`` at p, over one denominator."""
-    reductions = [gamma_reduce(product, p) for product, _ in side]
-    common = lcm(*(r.value.denominator for r in reductions))
+    """The unreduced integer cofactor of each product of ``side`` at p, from
+    gamma_reduce_pair, over one denominator; no Fraction is built."""
+    reductions = [gamma_reduce_pair(product, p) for product, _ in side]
+    common = lcm(*(den for _, _, _, den in reductions))
     return _Cofactors(
-        frozenset((r.exp_gamma_p, r.exp_gamma_2p) for r in reductions),
+        frozenset((exp_p, exp_2p) for exp_p, exp_2p, _, _ in reductions),
         common,
-        tuple(r.value.numerator * (common // r.value.denominator) for r in reductions),
+        tuple(num * (common // den) for _, _, num, den in reductions),
     )
 
 
@@ -677,14 +680,21 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     """One-parameter gamma-weighted family of the quadratic identities.
 
     Each side of family_terms is one integer dot product: its scalars over
-    one denominator S, built once per (which, n), times its gamma_reduce
-    cofactors at p over one denominator V, built once per (n, p) and factor
-    tuple sequence and shared by every kind, divided by S V.  Both live in
+    one denominator S, built once per (which, n), times its unreduced
+    gamma_reduce_pair cofactors at p over one denominator V, built once per
+    (n, p) and factor tuple sequence and shared by every kind, divided by
+    S V, the side's one normalisation.  Both live in
     the ``reduced`` slot (see the module docstring), which keeps every p
     met at the latest n, so the rows at one n reduce each product once per
     p, in any order, and a row at another n replaces it.  Every product of
     either side must reduce to one (Gamma(p), Gamma(2p)) exponent pair,
     checked on every row from the exponent sets stored with the vectors.
+
+    The reported sides are exact rationals with that common factor
+    Gamma(p)**a * Gamma(2p)**b divided out, and (a, b) is (2, 0) for all
+    three kinds: the true sides are the reported ones times Gamma(p)**2,
+    which is what family_float returns at a float p (family-miki at
+    n = 2, p = 1/2 reports 1/256, its float twin pi/256).
     """
     sides = family_terms(which, n)
     p = Fraction(p)

@@ -37,10 +37,10 @@ F_m = sum(H_l/(l+1), l=1..m), grown together by their one reader,
 (H_2n^2 - H^(2)_2n) / 2, and checks them against each other on every
 read; and one prefix table per anchor q of the rising factorials,
 ``rising[q.numerator, q.denominator] = [(q)_0, (q)_1, ...]``, from which
-``rising_factorial`` reads (q)_m; ``gammaalg.gamma_reduce`` reads an
-existing entry straight from the table and grows one only through
-``rising_factorial``.  Growing an anchor's table from length
-L to m+1 costs m+1-L multiplies, so a scan that reduces many gamma
+``rising_factorial`` reads (q)_m; ``gammaalg.gamma_reduce_pair``, the
+reduction loop, reads an existing entry straight from the table and
+grows one only through ``rising_factorial``.  Growing an anchor's table
+from length L to m+1 costs m+1-L multiplies, so a scan that reduces many gamma
 products at a few anchors multiplies O(anchors x largest offset) times,
 not once per step of every product.  The key is the (numerator,
 denominator) pair, not the Fraction: hashing a Fraction computes a

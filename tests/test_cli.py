@@ -593,13 +593,13 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
     # rerun at p = 1 included, so each factor tuple is reduced once per
     # (n, p) at any --jobs and in any order of --identity and --p
     calls = []
-    real = identities.gamma_reduce
+    real = identities.gamma_reduce_pair
 
     def counted(g, p):
         calls.append((g.factors, p))
         return real(g, p)
 
-    monkeypatch.setattr(identities, "gamma_reduce", counted)
+    monkeypatch.setattr(identities, "gamma_reduce_pair", counted)
     distinct = [{product.factors for product, _ in sum(identities.family_terms("miki", n), ())}
                 for n in range(2, 7)]
     forward = ["--identity", "family-miki", "--identity", "family-fpz", "--identity", "family-mixed",

@@ -494,6 +494,20 @@ def test_family_float_matches_exact_lane(which):
             assert r.ok
 
 
+@pytest.mark.parametrize("p", (Fraction(1, 3), Fraction(3, 4), Fraction(5, 2)))
+@pytest.mark.parametrize("which", FAMILY_KINDS)
+def test_exact_family_sides_omit_gamma_p_squared(which, p):
+    # an exact family row reports its sides with the common factor
+    # Gamma(p)^a Gamma(2p)^b divided out, (a, b) = (2, 0) for every kind;
+    # the float twin reports the true sides
+    assert {gamma_reduce(product, p)[:2]
+            for side in family_terms(which, 5) for product, _ in side} == {(2, 0)}
+    exact, twin = verify_family(which, 5, p), family_float(which, 5, float(p))
+    scale = math.gamma(p) ** 2
+    for true, reported in ((twin.lhs, exact.lhs), (twin.rhs, exact.rhs)):
+        assert abs(true / (float(reported) * scale) - 1) <= 1e-12
+
+
 def test_family_float_has_no_vacuous_pass():
     # once ok with lhs = -inf and rhs = +inf, and a spurious "gamma pole"
     for which, n, p in (("fpz", 75, 2.95), ("miki", 60, 2.75)):

@@ -3,7 +3,8 @@
 Everything reduces against the Gamma(p)/Gamma(2p) bases; the oracle for
 most cases is the functional equation Gamma(t+1) = t Gamma(t) applied by
 hand, plus the telescoping closed forms of the beta sums.  The integer
-gamma_reduce is also held to a Fraction-arithmetic reduction kept here.
+gamma_reduce and its loop gamma_reduce_pair are also held to a
+Fraction-arithmetic reduction kept here.
 """
 
 from fractions import Fraction
@@ -25,6 +26,7 @@ from bernkit import (
     beta_factor,
     family_terms,
     gamma_reduce,
+    gamma_reduce_pair,
     harmonic,
     rising_factorial,
 )
@@ -295,6 +297,26 @@ def test_integer_reduction_matches_the_fraction_reduction(p):
     assert reduced >= 2 * len(OFFSETS) * len(EXPONENTS)
 
 
+@pytest.mark.parametrize("p", ORACLE_PS)
+def test_reduction_loop_matches_the_fraction_reduction(p):
+    # gamma_reduce_pair returns the unreduced integer pair that gamma_reduce
+    # wraps: the oracle's exponents, its value as num / den with den > 0,
+    # and the same pole errors as gamma_reduce and the oracle
+    paired = 0
+    for g in _products():
+        expected = _outcome(_fraction_reduce, g, p)
+        outcome = _outcome(gamma_reduce_pair, g, p)
+        if isinstance(expected, ReducedGamma):
+            assert len(outcome) == 4 and all(type(x) is int for x in outcome), (g.factors, p)
+            exp_p, exp_2p, num, den = outcome
+            assert (exp_p, exp_2p) == expected[:2], (g.factors, p)
+            assert den > 0 and Fraction(num, den) == expected.value, (g.factors, p)
+            paired += 1
+        else:
+            assert outcome == expected == _outcome(gamma_reduce, g, p), (g.factors, p)
+    assert paired >= 2 * len(OFFSETS) * len(EXPONENTS)
+
+
 def test_reduction_takes_any_rational_form_of_p():
     # an int or a string p reduces, and fails, as its Fraction does
     for g in _products():
@@ -327,7 +349,7 @@ def test_vanishing_rising_entry_raises_zero_divisor(monkeypatch):
     for g in (GammaProduct((("p", 4, -1),)), GammaProduct((("p", -2, 1),))):
         outcome = _outcome(gamma_reduce, g, p)
         assert outcome[0] is ZeroDivisor
-        assert outcome == _outcome(_fraction_reduce, g, p)
+        assert outcome == _outcome(_fraction_reduce, g, p) == _outcome(gamma_reduce_pair, g, p)
     # in a numerator the zero entry is a zero value
     assert gamma_reduce(GammaProduct((("p", 4, 2),)), p).value == 0
 

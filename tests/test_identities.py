@@ -1018,15 +1018,16 @@ def test_family_terms_are_built_once_per_cache(monkeypatch):
 
 
 def _count_reductions(monkeypatch):
-    """Record the factor tuple of every gamma_reduce call the family rows make."""
+    """Record the factor tuple of every call the family rows make to the
+    reduction loop, gamma_reduce_pair."""
     calls = []
-    real = identities.gamma_reduce
+    real = identities.gamma_reduce_pair
 
     def counted(g, p):
         calls.append(g.factors)
         return real(g, p)
 
-    monkeypatch.setattr(identities, "gamma_reduce", counted)
+    monkeypatch.setattr(identities, "gamma_reduce_pair", counted)
     return calls
 
 
@@ -1205,6 +1206,39 @@ def test_injected_tuple_order_gets_its_own_vector(monkeypatch):
     assert set(cache.reduced[2]) == {*_sequences("miki", 6), reversed_lhs}
     assert verify_family("mixed", 6, F(1, 2)).ok and verify_family("miki", 6, F(1, 2)).ok
     assert len(calls) == len(lhs)
+
+
+def test_cofactor_vectors_build_no_fraction_on_warm_tables(monkeypatch):
+    # the family rows read unreduced integer pairs from the reduction loop:
+    # on grown rising tables, a side's cofactor vector at a new (n, p) is
+    # built with no Fraction, and the side's final Fraction normalises it
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    points = [(n, p) for n in (6, 13) for p in (F(1, 3), F(-1, 4), F(5, 2), F(0), F(-1, 2))]
+    warm = [verify_family(which, n, p) for n, p in points for which in FAMILY_KINDS]
+    built, counts = [], []
+    real_new, real_cofactors = Fraction.__new__, identities._cofactors
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def cofactors(side, p):
+        before = len(built)
+        vector = real_cofactors(side, p)
+        counts.append(len(built) - before)
+        return vector
+
+    monkeypatch.setattr(identities, "_cofactors", cofactors)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    rows = []
+    for n, p in points:
+        cache.reduced = (None, {}, {})
+        rows += [verify_family(which, n, p) for which in FAMILY_KINDS]
+    monkeypatch.undo()
+    assert rows == warm and all(row.ok for row in rows)
+    assert counts == [0] * 2 * len(points)
+    assert built  # the counter saw the Fractions built outside the loop
 
 
 def test_family_rows_reuse_the_family_products(monkeypatch):
