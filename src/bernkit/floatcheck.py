@@ -23,9 +23,10 @@ reads too, so the quadrature checks that code and not a float copy of it;
 at non-integer p the kernel's Taylor series is transformed term by term.
 The in-house ``digamma`` is not used for targets; it stays as public API
 and as an independent oracle for the tests.  The float coefficients read
-from the exact tables (the digamma tail and the series of the targets)
-are memoised per ``sequences._DEFAULT`` cache, so a cache swapped in at
-any time reaches them.
+from the exact tables (the digamma tail, from ``bern``, and the series of
+the targets, from the series' own B table) are memoised per
+``sequences._DEFAULT`` cache, so a cache swapped in at any time reaches
+them.
 """
 
 from __future__ import annotations

@@ -27,16 +27,18 @@ Every sum over compositions k_1+...+k_parts = n, every k_i >= 1, is
 _fold(weight, parts, n) over a weight sequence named in _WEIGHTS: the
 multi sums and the Miki and FPZ left sides ("plain", "bar"), and the
 cubic right sides' multinomial triple sums, (2n)! times folds of "coth",
-B_2k/(2k (2k)!).  The mixed left side pairs B with Bbar through _paired.
+B_2k/(2k (2k)!).  Each fold step reads its smaller folds straight from
+the memo.  The mixed left side pairs B with Bbar through _paired.
 
 The x^(-2n) coefficients of the four lemma expansions (_coth_product,
 _coth_harmonic, _sinh_product, _sinh_harmonic) are written once and are
 the quadratic right sides: Miki's is the sum of the two coth
 coefficients, FPZ's the sum of the two sinh ones, Gessel's reuses the
 coth product and the cubic H_2n sum the sinh product.  The lemma check
-therefore tests the weights those right sides sum, but not the B values:
-its closed form and its integral route read the same ``bern`` table, so
-they agree on a corrupted entry.  Each product coefficient is summed once
+therefore tests the weights those right sides sum, and the B values too:
+its closed form reads the ``bern`` table and its integral route the
+series' own B table (see ``series``), so a corrupted entry of either
+fails it.  Each product coefficient is summed once
 per n and kept in the ``lemma`` table; the harmonic ones are computed on
 every call.  Their C(2n, 2k) comes with the B products from the
 ``pairs`` slot below, which reads the Pascal row _binomial_row(2n),
@@ -98,10 +100,16 @@ tables of the process-wide ``sequences._DEFAULT`` cache, looked up at
 call time so an injected cache replaces them too:
 
 * ``fold[weight]`` maps (parts, total) to _fold(weight, parts, total).
-* ``power[variant, N]`` lists the x^(-m) coefficients of the N-th power
-  of psi_tilde (plain) or psi_bar (bar), indexed by m.  The fold and the
-  series power keep separate tables, so the two routes of verify_multi
-  stay independent, and multi_lhs still compares them on every row.
+* ``power[variant, N]`` lists the coefficients c_0, c_1, ... of the N-th
+  power of psi_tilde (plain) or psi_bar (bar), c_m at x^-(2N+2m); the
+  entry N = 1 is the series itself, the base a_0, a_1, ... the others
+  are grown from.  A row past the end appends the missing c_m, each by
+  one step of Miller's recurrence, series.power_next, from the earlier
+  ones, so nothing is rebuilt and a corrupted entry reaches every entry
+  grown after it.  The fold and the series power keep separate tables,
+  and the series reads B from its own table, so the two routes of
+  verify_multi stay independent, and multi_lhs compares them on every
+  row.
 * ``family[which, n]`` holds family_terms(which, n): the (lhs, rhs)
   tuples of one (GammaProduct, Fraction scalar) pair per distinct factor
   tuple, the product holding the canonical gamma factors and the scalar
@@ -175,12 +183,13 @@ from .series import (
     ASYMPTOTIC,
     TAYLOR,
     TruncatedSeries,
+    _psi_coefficient,
     _scale,
     laplace_asymptotic,
     named_series,
+    power_next,
     series_add,
     series_mul,
-    series_pow,
 )
 
 __all__ = [
@@ -447,32 +456,52 @@ _WEIGHTS = {
 }
 
 
+def _fold_step(memo: dict, weight: str, parts: int, total: int) -> Fraction:
+    """One fold entry from the smaller ones: w(total) for one part, else
+    the sum of w(k) times the (parts-1)-part fold of total-k, each factor
+    read straight from ``memo``, which must hold them."""
+    if parts == 1:
+        return _WEIGHTS[weight](total)
+    if parts == 2:
+        # terms k and total-k are equal: twice each k < total/2, once the middle
+        return _dot(
+            (2 if 2 * k < total else 1, memo[1, k], memo[1, total - k])
+            for k in range(1, total // 2 + 1)
+        )
+    return _dot((memo[1, k], memo[parts - 1, total - k]) for k in range(1, total - parts + 2))
+
+
+def _fold_memo(weight: str, parts: int, span: int) -> dict:
+    """The cache's memo ``fold[weight]``, holding every entry (q, t) with
+    q <= parts and q <= t < q + span: each missing one is filled, in rising
+    order of q and t, so every step finds its factors in the memo and no
+    call recurses, however many parts."""
+    folds = sequences._DEFAULT.fold
+    memo = folds.get(weight)
+    if memo is None:
+        memo = folds[weight] = {}
+    for q in range(1, parts + 1):
+        for t in range(q, q + span):
+            if (q, t) not in memo:
+                memo[q, t] = _fold_step(memo, weight, q, t)
+    return memo
+
+
 def _fold(weight: str, parts: int, total: int) -> Fraction:
     """Sum of the products w(k_1)...w(k_parts) over k_1+...+k_parts = total,
     every k_i >= 1, for w = _WEIGHTS[weight], by nested summation through
-    the cache's memo ``fold[weight]``."""
-    memo = sequences._DEFAULT.fold.setdefault(weight, {})
-    if (parts, total) not in memo:
-        if parts == 1:
-            acc = _WEIGHTS[weight](total)
-        elif parts == 2:
-            # terms k and total-k are equal: twice each k < total/2, once the middle
-            acc = _dot(
-                (2 if 2 * k < total else 1, _fold(weight, 1, k), _fold(weight, 1, total - k))
-                for k in range(1, total // 2 + 1)
-            )
-        else:
-            # fill the smaller folds this one reaches in rising order of
-            # parts, so the recursion below stays a few frames deep for any
-            # parts instead of one level per part
-            for q in range(3, parts):
-                _fold(weight, q, total - parts + q)
-            acc = _dot(
-                (_fold(weight, 1, k), _fold(weight, parts - 1, total - k))
-                for k in range(1, total - parts + 2)
-            )
-        memo[parts, total] = acc
-    return memo[parts, total]
+    the cache's memo ``fold[weight]``, fetched once: on a miss, the entries
+    of fewer parts that the sum reads are filled first by _fold_memo."""
+    memo = sequences._DEFAULT.fold.get(weight)
+    value = None if memo is None else memo.get((parts, total))
+    if value is None:
+        span = total - parts + 1  # the largest part
+        if span < 1:
+            # no composition of total has that many parts: the empty sum
+            return Fraction(0)
+        memo = _fold_memo(weight, parts - 1, span)
+        value = memo[parts, total] = _fold_step(memo, weight, parts, total)
+    return value
 
 
 def verify_euler(n: int) -> IdentityReport:
@@ -795,18 +824,17 @@ def _cubic_form(n: int, scale) -> Fraction:
     B_2n/(2n^2) (as B_0 = Bbar_0 = 1), times n; and the H_{2n,2} term.
 
     The triple sum runs over B_2m scale(2m) / (2m)!, which is 2m scale(2m)
-    times the coth weight B_2m/(2m (2m)!), _fold("coth", 1, m): each term
-    reads that memo entry and carries 2m scale(2m) as an unreduced
-    _Ratio, so no B weight or factorial is rebuilt per (n, m)."""
+    times the coth weight B_2m/(2m (2m)!), the coth memo's entry (1, m):
+    _fold_memo holds every (1, m) and (2, n-m) entry the sum reads, each
+    term reads them from the memo and carries 2m scale(2m) as an
+    unreduced _Ratio, so no B weight or factorial is rebuilt per (n, m)."""
 
     def weight(m):
         num, den = scale(2 * m)
         return _Ratio(2 * m * num, den)
 
-    triple = _dot(
-        (_fold("coth", 2, n - m), _fold("coth", 1, m), weight(m))
-        for m in range(1, n - 1)
-    )
+    memo = _fold_memo("coth", 2, n - 2)
+    triple = _dot((memo[2, n - m], memo[1, m], weight(m)) for m in range(1, n - 1))
     return (
         3 * factorial(2 * n - 1) * triple
         + Fraction(3, n) * harmonic(2 * n)
@@ -840,27 +868,27 @@ def verify_fpz_cubic(n: int) -> IdentityReport:
     return _report("fpz-cubic", n, lhs, rhs)
 
 
-def _block_end(order: int) -> int:
-    """Growth rule of the ``power`` table: the least power of two >= order,
-    so a table that grows by small steps rebuilds its power O(log) times."""
-    return 1 << (order - 1).bit_length()
+def _power_coeff(variant: str, N: int, n: int) -> Fraction:
+    """x^(-2n) coefficient, n >= N, of the N-th power of psi_tilde (plain)
+    or psi_bar (bar), from the cache's append-only ``power`` table.
 
-
-def _power_coeff(variant: str, N: int, order: int) -> Fraction:
-    """x^(-order) coefficient of the N-th power of psi_tilde (plain) or
-    psi_bar (bar), from the cache's append-only ``power`` table.
-
-    The first build is at ``order`` itself; a later, higher order rebuilds
-    the power at the end of its growth block and appends only the new
-    coefficients, through the truncation order the power vouches for.
+    psi = x^-2 A(u) with u = x^-2 and a_j = -B_(2j+2)/(2j+2) (Bbar for bar),
+    so psi^N = x^-2N sum c_m u^m and the coefficient is c_(n-N).  The base
+    a_0, a_1, ... is the table's entry (variant, 1), read from the series'
+    own B table by _psi_coefficient, and each missing c_m is appended to
+    (variant, N) by Miller's recurrence, power_next, from the earlier
+    ones: no coefficient is rebuilt when a later row asks for more.
     """
-    table = sequences._DEFAULT.power.setdefault((variant, N), [])
-    if order >= len(table):
-        build = _block_end(order) if table else order
-        base = named_series("psi_tilde" if variant == "plain" else "psi_bar", build)
-        power = series_pow(base, N)
-        table.extend(power.coeff(m) for m in range(len(table), power.trunc + 1))
-    return table[order]
+    powers = sequences._DEFAULT.power
+    name = "psi_tilde" if variant == "plain" else "psi_bar"
+    base = powers.setdefault((variant, 1), [])
+    table = powers.setdefault((variant, N), [])
+    top = n - N
+    for j in range(len(base), top + 1):
+        base.append(_psi_coefficient(name, j + 1))
+    for _ in range(len(table), top + 1):
+        table.append(power_next(base, table, N))
+    return table[top]
 
 
 def verify_multi(N: int, n: int, variant: str = "plain") -> IdentityReport:
@@ -868,15 +896,17 @@ def verify_multi(N: int, n: int, variant: str = "plain") -> IdentityReport:
 
     lhs is the direct nested summation; rhs is, independently, the x^(-2n)
     coefficient of the N-th power of the matching asymptotic series (up to
-    the sign (-1)^N).  Each route reads its own table in the cache (fold
-    memo, series power), so neither is rebuilt from scratch per row.
+    the sign (-1)^N).  Each route reads its own tables in the cache (the
+    fold memo over ``bern``, the series power over the series' B table),
+    so neither is rebuilt from scratch per row, and a corrupted B entry
+    in either table fails the row.
     """
     identity = "multi" if variant == "plain" else f"multi-{variant}"
     _require(N >= 2, f"convolution fold count must be >= 2, got {N}")
     _require_floor(identity, n)
     _require(n >= N, f"order n must be at least N={N}, got {n}")
     direct = _fold(variant, N, n)
-    via_series = (-1) ** N * _power_coeff(variant, N, 2 * n)
+    via_series = (-1) ** N * _power_coeff(variant, N, n)
     return _report(identity, n, direct, via_series, N=N)
 
 

@@ -6,7 +6,7 @@ plain integers, so every downstream identity check is exact.  Conventions:
 * Bernoulli numbers follow x/(e^x - 1) = sum B_n x^n / n!, so B_1 = -1/2.
 * Modified Bernoulli numbers are Bbar_n = ((1 - 2^(n-1)) / 2^(n-1)) B_n,
   the weight written once, as the integer pair ``bbar_scale(n)``; Bbar is
-  not stored, so it always follows the B table.
+  not stored, so it always follows the B table it is read from.
 * Euler numbers are the sech coefficients, sech s = sum E_n s^n / n!.
 
 Bernoulli and Euler tables grow on demand inside a ``SequenceCache``;
@@ -29,6 +29,16 @@ Only the new entries are appended (one gcd each); existing entries are
 never rewritten, and the row and column are the kernels' state, not
 tables, so a corrupted ``bern`` or ``eul`` entry never feeds later
 growth.
+
+The series layer reads B from a second table of its own, ``series_bern``,
+grown by ``series_bernoulli`` from the tangent triangle of the same
+paper: column j ends in the tangent number T_j, and
+B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).  ``_next_tangent_column``
+steps it with integer multiply-adds, and the cache keeps its latest
+column, ``tangent_col``.  The two tables share no kernel and no entry,
+so a corrupted ``bern`` entry reaches the folds and closed forms but
+not the series, and a corrupted ``series_bern`` entry the series but
+not the folds: a row that compares the two cannot agree on either.
 
 The cache also holds append-only prefix tables of H_i = sum 1/j,
 grown by ``harmonic``, and of H^(2)_i = sum 1/j^2 and
@@ -86,6 +96,12 @@ def bbar_scale(m: int) -> tuple[int, int]:
     return 2 - power, power
 
 
+def _bbar_from(b: Fraction, m: int) -> Fraction:
+    """Bbar_m from B_m = b: b times the weight bbar_scale(m), reduced once."""
+    num, den = bbar_scale(m)
+    return Fraction(b.numerator * num, b.denominator * den)
+
+
 def _next_genocchi_row(row: list[int]) -> list[int]:
     """Row k+1 of Seidel's Genocchi triangle from row k, both kept in the
     order the right-to-left pass writes them, so row[0] = |G_2k| and
@@ -94,6 +110,26 @@ def _next_genocchi_row(row: list[int]) -> list[int]:
     from its repeated end, is the next row."""
     up = list(accumulate(reversed(row)))
     return list(accumulate(reversed(up), initial=up[-1]))
+
+
+def _next_tangent_column(col: list[int]) -> list[int]:
+    """Column j+1 of the tangent triangle from column j = [A_1(j), ...,
+    A_j(j)], whose last entry is T_j; the empty column 0 gives [1]:
+    A_1(j+1) = j A_1(j), A_k(j+1) = (j+1-k) A_k(j) + (j+3-k) A_(k-1)(j+1)
+    for 2 <= k <= j, and A_(j+1)(j+1) = 2 A_j(j+1)."""
+    j = len(col)
+    if not j:
+        return [1]
+    prev = j * col[0]
+    nxt = [prev]
+    append = nxt.append
+    u = j  # stepped down to j+1-k for each row k = 2, ..., j
+    for a in col[1:]:
+        u -= 1
+        prev = u * a + (u + 2) * prev
+        append(prev)
+    append(2 * prev)
+    return nxt
 
 
 def _next_secant_column(col: list[int]) -> list[int]:
@@ -125,13 +161,16 @@ def _require_index(what: str, n: int) -> None:
 
 
 class SequenceCache:
-    """Growable Bernoulli, Euler, harmonic and rising-factorial tables,
-    and the identity layer's tables ``fold``, ``power``, ``family`` and
-    ``lemma``, its Pascal-row memo ``pascal``, its B-product slot ``pairs``
-    and its family slot ``reduced``.
+    """Growable Bernoulli (``bern``, and the series' own ``series_bern``),
+    Euler, harmonic and rising-factorial tables, and the identity layer's
+    tables ``fold``, ``power``, ``family`` and ``lemma``, its Pascal-row
+    memo ``pascal``, its B-product slot ``pairs`` and its family slot
+    ``reduced``.
 
-    ``bern``, ``eul``, ``harm`` (H_i), ``harm2`` (H^(2)_i) and ``hfold``
-    (F_m = sum(H_l/(l+1), l=1..m), F_0 = 0) are plain lists indexed by n;
+    ``bern``, ``series_bern``, ``eul``, ``harm`` (H_i), ``harm2``
+    (H^(2)_i) and ``hfold`` (F_m = sum(H_l/(l+1), l=1..m), F_0 = 0) are
+    plain lists indexed by n; ``bernoulli`` grows ``bern`` and
+    ``series_bernoulli`` grows ``series_bern``, each from its own kernel;
     ``harmonic`` grows ``harm``, and ``harmonic_second`` grows ``harm2``
     and ``hfold`` together, to one length; ``rising``
     maps an anchor's (numerator, denominator) to the list of its (q)_m
@@ -153,16 +192,19 @@ class SequenceCache:
     kind's ``scaled`` entry rebuilt when its ``family`` entry is replaced),
     and so are ``pairs``, replaced whole when a sum at another n comes,
     ``pascal``, replaced when another row is asked for, and
-    ``genocchi_row`` and ``secant_col``, the kernels' state: row
-    max(1, (len(bern) - 1) // 2) of Seidel's Genocchi triangle and column
-    (len(eul) - 1) // 2 of the secant triangle, each replaced by the next
-    one as its table grows.
+    ``genocchi_row``, ``tangent_col`` and ``secant_col``, the kernels'
+    state: row max(1, (len(bern) - 1) // 2) of Seidel's Genocchi
+    triangle, column (len(series_bern) - 1) // 2 of the tangent triangle
+    and column (len(eul) - 1) // 2 of the secant triangle, each replaced
+    by the next one as its table grows.
     """
 
     def __init__(self) -> None:
         self.bern: list[Fraction] = [Fraction(1)]
         self.eul: list[int] = [1]
         self.genocchi_row: list[int] = [1]
+        self.series_bern: list[Fraction] = [Fraction(1)]
+        self.tangent_col: list[int] = []
         self.secant_col: list[int] = []
         self.harm: list[Fraction] = [Fraction(0)]
         self.harm2: list[Fraction] = [Fraction(0)]
@@ -195,11 +237,25 @@ class SequenceCache:
                     self.bern.append(Fraction((-1) ** (k - 1) * G, 2 * ((1 << m) - 1)))
         return self.bern[n]
 
+    def series_bernoulli(self, n: int) -> Fraction:
+        """B_n from the tangent numbers, in the series' own table
+        ``series_bern``; odd entries are 0 except B_1."""
+        _require_index("series_bernoulli", n)
+        table = self.series_bern
+        for m in range(len(table), n + 1):
+            if m % 2:
+                table.append(Fraction(-1, 2) if m == 1 else Fraction(0))
+            else:
+                k, four = m // 2, 1 << m
+                while len(self.tangent_col) < k:
+                    self.tangent_col = _next_tangent_column(self.tangent_col)
+                T = self.tangent_col[-1]
+                table.append(Fraction((-1) ** (k - 1) * m * T, four * (four - 1)))
+        return table[n]
+
     def bernoulli_bar(self, n: int) -> Fraction:
         """Bbar_n = B_n times the weight bbar_scale(n)."""
-        b = self.bernoulli(n)
-        num, den = bbar_scale(n)
-        return Fraction(b.numerator * num, b.denominator * den)
+        return _bbar_from(self.bernoulli(n), n)
 
     def euler_number(self, n: int) -> int:
         """E_n from the secant numbers; odd entries are 0."""

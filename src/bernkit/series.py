@@ -16,10 +16,24 @@ the product is trusted to the smaller of the two such bounds.
 can land at or below the product's truncation are put over the lcm of
 their denominators, the integer products are summed per output order, and
 each output coefficient is built once as Fraction(total, den_a * den_b),
-so it is reduced by one gcd rather than after every product and add.  The
-N-th series power checks the nested folds of ``identities``, whose sums
-run through ``identities._dot``; this module keeps its own product and
-imports nothing from that layer, so the two routes share no summation code.
+so it is reduced by one gcd rather than after every product and add.
+``series_pow`` takes the N-th power by binary powering over that product.
+
+The N-th powers of psi_tilde and psi_bar check the nested folds of
+``identities``, whose sums run through ``identities._dot``.  They grow
+one coefficient at a time by ``power_next``, J.C.P. Miller's recurrence
+(Knuth, TAOCP vol. 2, 4.7): for A(u) = sum a_k u^k with a_0 != 0, the
+coefficients of A^N are c_0 = a_0^N and
+c_m = sum(((N+1) k - m) a_k c_(m-k), k = 1..m) / (m a_0), each step
+summed as integers over one lcm and reduced once.  A new order costs m
+products whatever N is, and no earlier coefficient is recomputed.  This
+module keeps its own arithmetic and imports nothing from that layer, so
+the two routes share no summation code.
+
+Every B and Bbar here is read from the series' own table,
+``SequenceCache.series_bern``, grown by the tangent kernel, not from the
+``bern`` table that the folds and closed forms of ``identities`` read:
+a corrupted entry of either table makes the two routes disagree.
 """
 
 from __future__ import annotations
@@ -27,8 +41,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm, perm
 
+from . import sequences
 from .errors import DomainError, KindMismatch, UnknownName, ZeroScale
-from .sequences import bernoulli, bernoulli_bar, euler_number
+from .sequences import euler_number
 
 __all__ = [
     "TAYLOR",
@@ -37,6 +52,7 @@ __all__ = [
     "series_add",
     "series_mul",
     "series_pow",
+    "power_next",
     "named_series",
     "laplace_asymptotic",
     "argument_scale",
@@ -165,6 +181,26 @@ def series_pow(a: TruncatedSeries, n: int) -> TruncatedSeries:
         a = series_mul(a, a)
 
 
+def power_next(base: list[Fraction], power: list[Fraction], N: int) -> Fraction:
+    """The next coefficient c_m, m = len(power), of A(u)^N, where
+    A = sum base[k] u^k with base[0] != 0 and len(base) > m, and ``power``
+    holds c_0, ..., c_(m-1): c_0 = a_0^N and, by Miller's recurrence,
+    c_m = sum(((N+1) k - m) a_k c_(m-k), k = 1..m) / (m a_0).  The terms
+    are summed as integers over the lcm of their denominators, and c_m is
+    reduced once."""
+    m = len(power)
+    a0 = base[0]
+    if not m:
+        return a0**N
+    parts = []
+    for k in range(1, m + 1):
+        a, c = base[k], power[m - k]
+        parts.append((((N + 1) * k - m) * a.numerator * c.numerator, a.denominator * c.denominator))
+    common = lcm(*(den for _, den in parts))
+    total = sum(num * (common // den) for num, den in parts)
+    return Fraction(total * a0.denominator, common * m * a0.numerator)
+
+
 def _scale(a: TruncatedSeries, c: Fraction) -> TruncatedSeries:
     return TruncatedSeries(a.kind, {m: c * v for m, v in a.coeffs.items()}, a.trunc)
 
@@ -175,6 +211,25 @@ def _derivative(a: TruncatedSeries) -> TruncatedSeries:
         raise KindMismatch("derivative implemented for Taylor series only")
     coeffs = {m - 1: m * c for m, c in a.coeffs.items() if m != 0}
     return TruncatedSeries(TAYLOR, coeffs, a.trunc - 1)
+
+
+def _bernoulli(n: int) -> Fraction:
+    """B_n from the series' own table in the current cache."""
+    return sequences._DEFAULT.series_bernoulli(n)
+
+
+def _bernoulli_bar(n: int) -> Fraction:
+    """Bbar_n from B_n in the series' own table."""
+    return sequences._bbar_from(_bernoulli(n), n)
+
+
+def _psi_coefficient(name: str, k: int, p: int = 0) -> Fraction:
+    """The x^-(2k+p) coefficient, k >= 1, of the p-th derivative of
+    psi_tilde (``name`` "psi_tilde") or psi_bar (any other psi name):
+    -B_2k/(2k) or -Bbar_2k/(2k) times (-1)^p (2k)_p."""
+    # d^p/dx^p x^(-2k) = (-1)^p (2k)_p x^(-2k-p), (2k)_p = perm(2k+p-1, p)
+    value = _bernoulli if name.startswith("psi_tilde") else _bernoulli_bar
+    return value(2 * k) * Fraction((-1) ** (p + 1) * perm(2 * k + p - 1, p), 2 * k)
 
 
 def named_series(name: str, order: int, *, p: int | None = None) -> TruncatedSeries:
@@ -188,7 +243,8 @@ def named_series(name: str, order: int, *, p: int | None = None) -> TruncatedSer
     the integer keyword p >= 0, with p = 0 the series itself; g (the sech
     transform, odd orders E_2n/2^(2n+1)).  These are the coefficients the
     exact lane reads and the float lane's quadrature targets are built
-    from.
+    from; B and Bbar come from the series' own table (see the module
+    docstring).
     """
     if name not in NAMED:
         raise UnknownName(f"no series named {name!r}")
@@ -201,10 +257,10 @@ def named_series(name: str, order: int, *, p: int | None = None) -> TruncatedSer
     coeffs: dict[int, Fraction] = {}
     if name == "b":
         for n in range(order + 1):
-            coeffs[n] = Fraction(bernoulli(n), factorial(n))
+            coeffs[n] = Fraction(_bernoulli(n), factorial(n))
         return TruncatedSeries(TAYLOR, coeffs, order)
     if name == "coth_minus_inv" or name == "inv_sinh_minus_inv":
-        value = bernoulli if name == "coth_minus_inv" else bernoulli_bar
+        value = _bernoulli if name == "coth_minus_inv" else _bernoulli_bar
         for k in range(1, order // 2 + 2):
             if 2 * k - 1 <= order:
                 coeffs[2 * k - 1] = Fraction(4**k, factorial(2 * k)) * value(2 * k)
@@ -215,14 +271,12 @@ def named_series(name: str, order: int, *, p: int | None = None) -> TruncatedSer
         return TruncatedSeries(TAYLOR, coeffs, order)
     if name == "log_sinh_ratio":
         for k in range(1, order // 2 + 1):
-            coeffs[2 * k] = Fraction(2 ** (2 * k - 1), k * factorial(2 * k)) * bernoulli(2 * k)
+            coeffs[2 * k] = Fraction(2 ** (2 * k - 1), k * factorial(2 * k)) * _bernoulli(2 * k)
         return TruncatedSeries(TAYLOR, coeffs, order)
     if name.startswith("psi_"):
-        # d^p/dx^p x^(-2k) = (-1)^p (2k)_p x^(-2k-p), (2k)_p = perm(2k+p-1, p)
-        value = bernoulli if name.startswith("psi_tilde") else bernoulli_bar
         p = p or 0
         for k in range(1, (order - p) // 2 + 1):
-            coeffs[2 * k + p] = value(2 * k) * Fraction((-1) ** (p + 1) * perm(2 * k + p - 1, p), 2 * k)
+            coeffs[2 * k + p] = _psi_coefficient(name, k, p)
         return TruncatedSeries(ASYMPTOTIC, coeffs, order)
     # g
     for n in range(0, (order - 1) // 2 + 1):

@@ -342,12 +342,14 @@ def test_verify_float_out_of_range_row():
 def test_route_mismatch_fails_rows(monkeypatch):
     # a corrupted series route: multi rows show both routes, gessel's
     # internal cross-check turns into a failed row with a reason; a fresh
-    # cache, so no series power built by an earlier test hides the patch
+    # cache, so no series power built by an earlier test hides the patch;
+    # the recurrence is linear in the coefficients, so doubling c_0
+    # doubles every one grown from it
     monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
-    real_pow = identities.series_pow
+    real_next = identities.power_next
     monkeypatch.setattr(
-        identities, "series_pow",
-        lambda a, n: series_engine.series_add(real_pow(a, n), real_pow(a, n)))
+        identities, "power_next",
+        lambda base, power, N: (1 if power else 2) * real_next(base, power, N))
     result = runner.invoke(
         main, ["verify", "--identity", "multi", "--identity", "gessel",
                "--n-min", "3", "--n-max", "3", "--jobs", "1", "--format", "json"])

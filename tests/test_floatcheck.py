@@ -283,10 +283,15 @@ def test_quad_target_reads_named_series(monkeypatch):
     assert not quad_rep("psi_tilde_p", 10.0, 1.0).ok
 
 
-def _tripled_b4():
+def _tripled_b4(*tables):
+    """A fresh cache with B_4 tripled in each of ``tables``: ``bern``,
+    which the digamma tail reads, and ``series_bern``, the series' own
+    table, which the quad_rep targets read through named_series."""
     cache = sequences.SequenceCache()
     cache.bernoulli(4)
-    cache.bern[4] *= 3
+    cache.series_bernoulli(4)
+    for table in tables:
+        getattr(cache, table)[4] *= 3
     return cache
 
 
@@ -298,9 +303,14 @@ def test_float_coefficients_follow_the_swapped_cache(monkeypatch, used_first):
     if used_first:
         monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
         assert (quad_rep("psi_tilde_p", 10.0, 1.0).target, digamma(3.0)) == honest
-    monkeypatch.setattr(sequences, "_DEFAULT", _tripled_b4())
+    monkeypatch.setattr(sequences, "_DEFAULT", _tripled_b4("bern", "series_bern"))
     tripled = quad_rep("psi_tilde_p", 10.0, 1.0).target, digamma(3.0)
     assert tripled[0] != honest[0] and tripled[1] != honest[1]
+    # each float coefficient follows the one table it reads
+    monkeypatch.setattr(sequences, "_DEFAULT", _tripled_b4("series_bern"))
+    assert (quad_rep("psi_tilde_p", 10.0, 1.0).target, digamma(3.0)) == (tripled[0], honest[1])
+    monkeypatch.setattr(sequences, "_DEFAULT", _tripled_b4("bern"))
+    assert (quad_rep("psi_tilde_p", 10.0, 1.0).target, digamma(3.0)) == (honest[0], tripled[1])
     monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
     assert (quad_rep("psi_tilde_p", 10.0, 1.0).target, digamma(3.0)) == honest
 

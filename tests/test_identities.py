@@ -290,9 +290,9 @@ def test_deep_fold_stays_within_the_recursion_limit(monkeypatch):
 @pytest.mark.parametrize("name", ["psi_tilde", "psi_bar"])
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_power_coefficients_do_not_depend_on_the_build_order(name, N):
-    # the power table keeps every coefficient through the power's truncation
-    # order and grows by rebuilding at a higher order, so each coefficient
-    # must be the same whatever order the power was built at
+    # series_pow vouches for every coefficient through the power's
+    # truncation order, so each must be the same whatever order the power
+    # was built at
     for n in range(2, 9):
         low = series_pow(named_series(name, 2 * n), N)
         high = series_pow(named_series(name, 4 * n), N)
@@ -305,28 +305,31 @@ def test_gessel_forms_share_one_fold_and_one_power(monkeypatch):
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     calls = []
-    real_pow = identities.series_pow
+    real_next = identities.power_next
 
-    def counted(a, n):
-        calls.append((a.trunc, n))
-        return real_pow(a, n)
+    def counted(base, power, N):
+        calls.append((len(power), N))
+        return real_next(base, power, N)
 
-    monkeypatch.setattr(identities, "series_pow", counted)
+    monkeypatch.setattr(identities, "power_next", counted)
     assert verify_gessel(7).ok
-    assert calls == [(14, 3)]  # the first build is at exactly 2n
+    # one recurrence step per coefficient c_0, ..., c_4, the last at x^-14
+    assert calls == [(m, 3) for m in range(5)]
     folds = dict(cache.fold["plain"])
     memos = {weight: dict(memo) for weight, memo in cache.fold.items()}
     powers = {key: list(table) for key, table in cache.power.items()}
     assert verify_gessel_modified(7).ok
-    assert calls == [(14, 3)]
+    assert calls == [(m, 3) for m in range(5)]
     assert cache.fold["plain"] == folds and cache.power == powers
     # the modified form's triple sum reads only coth folds gessel built
     assert {weight: dict(memo) for weight, memo in cache.fold.items()} == memos
-    assert (3, 7) in folds and list(powers) == [("plain", 3)]
-    # a later row past the table rebuilds once, at the end of its block
+    assert (3, 7) in folds and sorted(powers) == [("plain", 1), ("plain", 3)]
+    # a later row past the table appends its new coefficients and keeps
+    # the earlier ones, the same objects: nothing is rebuilt
     assert verify_gessel(10).ok
-    assert calls == [(14, 3), (32, 3)]
-    assert cache.power["plain", 3][:len(powers["plain", 3])] == powers["plain", 3]
+    assert calls == [(m, 3) for m in range(8)]
+    assert len(powers["plain", 3]) == 5 and len(cache.power["plain", 3]) == 8
+    assert all(a is b for a, b in zip(cache.power["plain", 3], powers["plain", 3]))
     # Gessel's triple sum alone reads the coth fold at parts = 3
     cache.fold["coth"][3, 7] += 1
     assert [n for n in range(3, 11) if not verify_gessel(n).ok] == [7]
@@ -868,7 +871,7 @@ def test_series_power_route_shares_no_code_with_the_sum_kernel(monkeypatch):
             names.add(getattr(node, "module", None) or "")
             names.update(alias.name for alias in node.names)
     assert "identities" not in {part for name in names for part in name.split(".")}, names
-    real_dot, real_pow = identities._dot, identities.series_pow
+    real_dot = identities._dot
     depth, calls = [], {"dot": 0, "pow": 0}
 
     def dot(terms):
@@ -877,17 +880,21 @@ def test_series_power_route_shares_no_code_with_the_sum_kernel(monkeypatch):
         calls["dot"] += 1
         return real_dot(terms)
 
-    def power(base, N):
-        calls["pow"] += 1
-        depth.append(N)
-        try:
-            return real_pow(base, N)
-        finally:
-            depth.pop()
+    def on_power_route(real):
+        def run(*args):
+            calls["pow"] += 1
+            depth.append(real)
+            try:
+                return real(*args)
+            finally:
+                depth.pop()
+        return run
 
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     monkeypatch.setattr(identities, "_dot", dot)
-    monkeypatch.setattr(identities, "series_pow", power)
+    # the power route is the recurrence step and the base it reads
+    for name in ("power_next", "_psi_coefficient"):
+        monkeypatch.setattr(identities, name, on_power_route(getattr(identities, name)))
     for variant in ("plain", "bar"):
         for n in range(4, 51):
             multi_lhs(4, n, variant)
@@ -908,23 +915,98 @@ def test_fresh_cache_after_warm_rows_flips_the_rows_that_read_it(monkeypatch):
     assert not verify_fpz_cubic(4).ok
     assert verify_family("miki", 3, F(1, 2)).ok
     assert not verify_family("miki", 4, F(1, 2)).ok
-    # both routes of a multi row read B_8 here, so the row stays ok, but
-    # from the corrupted table
+    # a multi row's fold reads B_8 from the corrupted table and its series
+    # power reads the series' own, so the row fails
     poisoned = verify_multi(2, 5)
-    assert poisoned.ok and poisoned.lhs != warm_multi
+    assert not poisoned.ok and poisoned.lhs != warm_multi and poisoned.rhs == warm_multi
 
 
 def test_corrupted_power_entry_fails_the_multi_row_at_that_n(monkeypatch):
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     assert verify_multi(2, 4).ok
-    cache.power["plain", 2][8] += 1
-    assert [verify_multi(2, n).ok for n in range(2, 6)] == [True, True, False, True]
-    assert verify_multi(2, 12).ok  # grows the table past the corrupted entry
-    assert len(cache.power["plain", 2]) > 24
-    assert [n for n in range(2, 13) if not verify_multi(2, n).ok] == [4]
+    # entry m of ("plain", N) is the x^-(2N+2m) coefficient: n = 4 reads c_2
+    assert len(cache.power["plain", 2]) == 3
+    cache.power["plain", 2][2] += 1
+    assert [verify_multi(2, n).ok for n in range(2, 5)] == [True, True, False]
+    # the recurrence grows each c_m from the earlier ones, so every row
+    # grown past the corrupted entry fails too, but n = 5: its step weighs
+    # c_2 by (N+1) k - m = 0
+    assert not verify_multi(2, 12).ok
+    assert len(cache.power["plain", 2]) == 11
+    assert [n for n in range(2, 13) if not verify_multi(2, n).ok] == [4, *range(6, 13)]
     with pytest.raises(RouteMismatch, match="series power"):
         multi_lhs(2, 4)
+
+
+@pytest.mark.parametrize("orders", [
+    list(range(3, 41)),
+    [40],
+    [17, 3, 40, 9, 25, 4, 31],
+], ids=["ascending", "one-jump", "out-of-order"])
+def test_power_table_does_not_depend_on_the_order_of_requests(monkeypatch, orders):
+    # the recurrence appends c_m from c_0, ..., c_(m-1) alone, so any order
+    # of rows leaves the table that one row at the top n leaves
+    tables = []
+    for asked in ([40], orders):
+        cache = SequenceCache()
+        monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+        for n in asked:
+            for variant in ("plain", "bar"):
+                assert verify_multi(3, n, variant).ok, (variant, n)
+        tables.append(cache.power)
+    assert tables[0] == tables[1]
+    assert sorted(tables[1]) == [("bar", 1), ("bar", 3), ("plain", 1), ("plain", 3)]
+    assert len(tables[1]["plain", 3]) == 38
+
+
+@pytest.mark.parametrize("variant, name", [("plain", "psi_tilde"), ("bar", "psi_bar")])
+def test_power_table_matches_binary_powering(monkeypatch, variant, name):
+    # entry m of the ("variant", N) table is the x^-(2N+2m) coefficient of
+    # psi^N; series_pow squares and multiplies whole series instead
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    for N in range(2, 9):
+        identities._power_coeff(variant, N, 60)
+        power = series_pow(named_series(name, 120), N)
+        table = bernkit.sequences._DEFAULT.power[variant, N]
+        assert len(table) == 61 - N and power.trunc == 120 + 2 * N - 2
+        assert [power.coeff(m) for m in range(121)] == [
+            table[(m - 2 * N) // 2] if m >= 2 * N and m % 2 == 0 else 0 for m in range(121)], N
+
+
+def _poisoned_b4(table):
+    """A fresh cache with B_4 + 1 in ``table``, "bern" or "series_bern"."""
+    cache = SequenceCache()
+    cache.bernoulli(12)
+    cache.series_bernoulli(12)
+    getattr(cache, table)[4] += 1
+    return cache
+
+
+@pytest.mark.parametrize("table", ["bern", "series_bern"])
+def test_each_b_table_fails_the_rows_that_compare_it_with_the_other(monkeypatch, table):
+    # a multi row's fold reads ``bern`` and its series power the series'
+    # own table, and so do the lemma checks' closed forms and integral
+    # routes: a corrupted B_4 in either table fails them.  The rows at
+    # n = 3 read B_2 alone.
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", _poisoned_b4(table))
+    for variant in ("plain", "bar"):
+        assert [verify_multi(3, n, variant).ok for n in range(3, 8)] == [True] + [False] * 4, variant
+    for which in LEMMA_IDS:
+        assert not verify_lemma_expansion(which, 20), which
+
+
+def test_a_poisoned_series_table_reaches_only_the_series_readers(monkeypatch):
+    # check_b_quadratic reads the series' b(x) alone; the quadratic and
+    # family rows read ``bern`` alone, so they stay ok
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", _poisoned_b4("series_bern"))
+    assert not bernkit.check_b_quadratic(60)
+    assert all(verify_euler(n).ok and verify_miki(n).ok for n in range(2, 8))
+    for which in FAMILY_KINDS:
+        assert all(verify_family(which, n, F(1, 2)).ok for n in range(2, 8)), which
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", _poisoned_b4("bern"))
+    assert bernkit.check_b_quadratic(60)
+    assert not verify_euler(4).ok and not verify_miki(4).ok
 
 
 def _family_summands(which, n):
@@ -1346,8 +1428,10 @@ def test_poisoned_cache_breaks_identities(monkeypatch):
     assert not verify_fpz(3).ok
     # internal dual-route asserts survive a consistent corruption
     assert not verify_miki_modified(4).ok
-    report = verify_gessel(4)
-    assert not report.ok
+    # the series route reads B from its own table, so Gessel's nested fold
+    # disagrees with it before the row is built
+    with pytest.raises(RouteMismatch, match="series power"):
+        verify_gessel(4)
     assert not verify_mixed(4).ok
     assert not verify_euler_bernoulli(4).ok
     for which in FAMILY_KINDS:
@@ -1360,7 +1444,7 @@ def test_route_checks_survive_optimize():
     # RouteMismatch
     script = textwrap.dedent("""
         import sys
-        from bernkit import RouteMismatch, SequenceCache, identities, series
+        from bernkit import RouteMismatch, SequenceCache, identities
         assert False, "assert statements must be stripped here"
         cache = SequenceCache()
         cache.harmonic_second(5)
@@ -1370,8 +1454,8 @@ def test_route_checks_survive_optimize():
             sys.exit(4)
         except RouteMismatch as exc:
             print(exc)
-        real_pow = identities.series_pow
-        identities.series_pow = lambda a, n: series._scale(real_pow(a, n), 2)
+        real_next = identities.power_next
+        identities.power_next = lambda base, power, N: 2 * real_next(base, power, N)
         try:
             identities.multi_lhs(2, 4)
         except RouteMismatch as exc:

@@ -15,6 +15,12 @@ them, and the B kernel shares its triangle with none of them:
   numbers, tied to the Genocchi row by |G_2n| = n T_n / 4^(n-1), and the
   secant numbers, the triangle the E kernel grows one column at a time.
 
+The series layer reads B from a second table, ``series_bern``, grown by
+the tangent triangle of Brent and Harvey one column at a time.  The
+in-place tangent kernel mirrors that triangle, so for that table only the
+zigzag triangle and the Fraction recurrence are independent oracles; the
+two B tables must also agree entry for entry.
+
 The rising-factorial prefix tables are checked against the direct product
 q (q+1) ... (q+m-1), which the package no longer computes.
 """
@@ -119,8 +125,8 @@ def secant_numbers(N: int) -> list[int]:
 
 def test_column_kernels_match_the_in_place_kernels():
     N = ORACLE_MAX
-    genocchi, secant = [1], [1]
-    g_row, s_col = [1], []
+    genocchi, secant, tangent_ends = [1], [1], [0]
+    g_row, s_col, t_col = [1], [], []
     for j in range(2, N + 1):
         g_row = bernkit.sequences._next_genocchi_row(g_row)
         assert len(g_row) == j
@@ -129,7 +135,11 @@ def test_column_kernels_match_the_in_place_kernels():
         s_col = bernkit.sequences._next_secant_column(s_col)
         assert len(s_col) == j
         secant.append(s_col[-1])
+        t_col = bernkit.sequences._next_tangent_column(t_col)
+        assert len(t_col) == j
+        tangent_ends.append(t_col[-1])
     tangent = tangent_numbers(N)
+    assert tangent_ends == tangent
     assert genocchi == [Fraction(n * tangent[n], 4 ** (n - 1)) for n in range(1, N + 1)]
     assert secant == secant_numbers(N)
     assert genocchi[:6] == [1, 1, 3, 17, 155, 2073] and secant[:6] == [1, 1, 5, 61, 1385, 50521]
@@ -192,6 +202,45 @@ def test_bernoulli_matches_recurrence_oracle(order):
     for n in GROWTH_ORDERS[order]:
         assert cache.bernoulli(n) == recurrence_bernoulli()[n], n
     assert cache.bern[: ORACLE_MAX + 1] == recurrence_bernoulli()
+
+
+@pytest.mark.parametrize("order", sorted(GROWTH_ORDERS))
+def test_series_bernoulli_matches_recurrence_oracle(order):
+    cache = SequenceCache()
+    for n in GROWTH_ORDERS[order]:
+        assert cache.series_bernoulli(n) == recurrence_bernoulli()[n], n
+    assert cache.series_bern[: ORACLE_MAX + 1] == recurrence_bernoulli()
+    assert len(cache.bern) == 1  # the folds' table is not touched
+
+
+@pytest.mark.parametrize("stepwise", [False, True], ids=["one-request", "index-by-index"])
+def test_the_two_bernoulli_tables_agree_through_b806(stepwise):
+    # the Genocchi table of the folds and the tangent table of the series
+    # share no kernel, and must hold the same numbers through a deep
+    # scan's B_806, however the series table grows
+    cache = SequenceCache()
+    cache.bernoulli(806)
+    for n in range(807) if stepwise else [806]:
+        cache.series_bernoulli(n)
+    assert len(cache.series_bern) == 807 and len(cache.tangent_col) == 403
+    assert cache.series_bern == cache.bern
+
+
+def test_series_table_grows_from_its_own_column():
+    # the tangent column is the series table's kernel state: growth past a
+    # corrupted entry appends true entries, and neither table's growth
+    # reads or writes the other
+    cache = SequenceCache()
+    cache.series_bernoulli(10)
+    cache.series_bern[4] += 1
+    assert cache.series_bernoulli(100) == recurrence_bernoulli()[100]
+    assert cache.series_bern[4] == Fraction(-1, 30) + 1
+    assert cache.series_bern[11:] == recurrence_bernoulli()[11:101]
+    assert len(cache.bern) == 1 and cache.genocchi_row == [1]
+    assert cache.bernoulli(100) == recurrence_bernoulli()[100] and cache.bern[4] == Fraction(-1, 30)
+    assert len(cache.tangent_col) == 50
+    with pytest.raises(DomainError):
+        cache.series_bernoulli(-1)
 
 
 @pytest.mark.parametrize("order", sorted(GROWTH_ORDERS))
