@@ -21,8 +21,8 @@ verify reads every fact about an identity id from identities.IDENTITIES:
 its floor, its runner and its parameter kind, which decides whether a row
 takes --p/--float-p or --N.  The help texts and usage errors of those
 options list the ids of their kind from the same registry.  verify runs
-its rows n by n, so the family rows at one n reuse the gamma reductions
-that ``identities`` keeps per n, and sorts them for output.
+its rows n by n, so the rows at one n share the work that ``identities``
+keeps in the cache's per-n slot, and sorts them for output.
 
 A verify scan runs in one process.  `verify --jobs` is accepted and
 checked (an integer >= 1) but ignored, until the benchmark retires it

@@ -5,7 +5,6 @@ __all__ = [
     "DomainError",
     "KindMismatch",
     "UnknownName",
-    "ZeroScale",
     "PoleEncountered",
     "ZeroDivisor",
     "ExponentMismatch",
@@ -29,10 +28,6 @@ class KindMismatch(BernkitError):
 
 class UnknownName(BernkitError):
     """Unrecognized series or integrand name."""
-
-
-class ZeroScale(BernkitError):
-    """Argument scaling by zero."""
 
 
 class PoleEncountered(BernkitError):

@@ -32,7 +32,7 @@ ReducedGamma from the pair.  The family rows call the loop directly and
 bring a side's unreduced cofactors over one lcm, so a side is normalised
 once, in its final Fraction, not once per factor tuple.  Neither keeps a
 memo; the family rows keep the vectors for every p at the latest n in
-the cache's ``reduced`` slot (see ``identities``).
+the cache's per-n slot (see ``identities``).
 
 When the anchor t (p or 2p) is itself a nonpositive integer, Gamma(t) has
 a pole even where Gamma(t+m) is finite, so such factors are folded all the

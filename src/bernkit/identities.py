@@ -38,16 +38,18 @@ coth product and the cubic H_2n sum the sinh product.  The lemma check
 therefore tests the weights those right sides sum, and the B values too:
 its closed form reads the ``bern`` table and its integral route the
 series' own B table (see ``series``), so a corrupted entry of either
-fails it.  Each product coefficient is summed once
-per n and kept in the ``lemma`` table; the harmonic ones are computed on
-every call.  Their C(2n, 2k) comes with the B products from the
-``pairs`` slot below, which reads the Pascal row _binomial_row(2n),
-kept by the cache's one-slot memo ``pascal`` until another row is asked
-for: at n ~ 400, integer binomials times B products are cheaper than
-products of coth weights with factorial denominators.  The cubic forms
-share _cubic_form.  The mixed family terms weigh by (1 - 2^(2k-1)) /
-2^(2n-1); the mixed and p = 1 mixed right sides weigh by its numerator
-and divide the sum by its common denominator 2^(2n-1) once.
+fails it.  The two harmonic checks read H_m from the ``harm`` table in
+their closed forms, while their integral routes sum the inner integral,
+H_m = 1 + 1/2 + ... + 1/m, themselves, so a corrupted H entry fails them
+too.  Each product coefficient is summed once per n and kept in the
+per-n slot below; the harmonic ones are computed on every call.  Their
+C(2n, 2k) comes with the B products of the slot, whose binomial list
+reads the Pascal row _binomial_row(2n): at n ~ 400, integer binomials
+times B products are cheaper than products of coth weights with
+factorial denominators.  The cubic forms share _cubic_form.  The mixed
+family terms weigh by (1 - 2^(2k-1)) / 2^(2n-1); the mixed and p = 1
+mixed right sides weigh by its numerator and divide the sum by its
+common denominator 2^(2n-1) once.
 
 Every quadratic sum over products B_2k B_{2n-2k} times a small weight
 w(k) is _paired(n, weight): the Euler left side, the coth and sinh
@@ -61,20 +63,19 @@ half the big products.  A sum that runs through k = n takes its unpaired
 term, B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
 Euler-number left side pair their equal terms the same way.
 
-The products are formed once per n, in the cache's one-slot table
-``pairs`` = (n, plain, binomial): plain[k-1] is B_2k B_{2n-2k} and
-binomial[k-1] is C(2n, 2k) B_2k B_{2n-2k}, unreduced _Ratio's for
-k <= n/2.  The first sum at n replaces the slot in one assignment, with
-the plain list, and the binomial list is built from it by the first sum
-at n that asks for it.  As C(2n, 2k) = C(2n, 2n-2k), the binomial factors out
-of each k, n-k pair: the weights that carry it (the Euler left side, the
-coth and sinh products, the mixed and the Euler-Bernoulli right sides)
-drop it and read ``binomial``, while the mixed left side and the p = 1
-sums, whose C(2n+2, 2k+2) is another row, read ``plain``; each term is
+The products are formed once per n, as two entries of the per-n slot
+below: ("products", False) lists B_2k B_{2n-2k} and ("products", True)
+C(2n, 2k) B_2k B_{2n-2k}, unreduced _Ratio's for k <= n/2, the second
+built from the first by the first sum at n that asks for it.  As
+C(2n, 2k) = C(2n, 2n-2k), the binomial factors out of each k, n-k pair:
+the weights that carry it (the Euler left side, the coth and sinh
+products, the mixed and the Euler-Bernoulli right sides) drop it and
+read the binomial list, while the mixed left side and the p = 1 sums,
+whose C(2n+2, 2k+2) is another row, read the plain one; each term is
 then one multiply of a big product by a small weight.  _fold and the
-Euler-number sum never read the slot: Miki's and FPZ's left sides and
-every multi fold form their own products, so the two sides of each
-quadratic identity stay independent routes.
+Euler-number sum never read the products: Miki's and FPZ's left sides
+and every multi fold form their own, so the two sides of each quadratic
+identity stay independent routes.
 
 Every exact sum of this layer but the family sides is _dot: each fold
 step and the quadratic, p = 1 and cubic sums.  It multiplies each
@@ -91,13 +92,14 @@ Smaller products are brought over one lcm.  Every paired B.B sum and
 two-part fold of a deep row (n ~ 400, products of 4,400 bits or more)
 takes the pairwise path, and every cubic sum (at most 600 bits) the
 one-lcm path.  A family side is one integer dot product instead (see
-the ``reduced`` slot below).  series and floatcheck keep their own
-arithmetic: the series power and the float twin are the second routes
-of these sums, so they share no summation code with them.
+the family entries of the per-n slot below).  series and floatcheck
+keep their own arithmetic: the series power and the float twin are the
+second routes of these sums, so they share no summation code with them.
 
-Work that does not depend on the row is done once per process, in
-tables of the process-wide ``sequences._DEFAULT`` cache, looked up at
-call time so an injected cache replaces them too:
+Work that does not depend on the row is kept in the process-wide
+``sequences._DEFAULT`` cache, looked up at call time so an injected
+cache replaces it too.  Two memos are shared across n, because the rows
+at later n read their entries:
 
 * ``fold[weight]`` maps (parts, total) to _fold(weight, parts, total).
 * ``power[variant, N]`` lists the coefficients c_0, c_1, ... of the N-th
@@ -110,52 +112,53 @@ call time so an injected cache replaces them too:
   and the series reads B from its own table, so the two routes of
   verify_multi stay independent, and multi_lhs compares them on every
   row.
-* ``family[which, n]`` holds family_terms(which, n): the (lhs, rhs)
-  tuples of one (GammaProduct, Fraction scalar) pair per distinct factor
-  tuple, the product holding the canonical gamma factors and the scalar
-  the sum of the exact rational coefficients of the summands with that
-  tuple.  The left terms k and n-k share a tuple, and so do the beta
-  term at an even k' and the right term at k'/2.  Each summand writes
-  its tuple in canonical order and adds its scalar as an integer pair,
-  so one product and one Fraction are built per distinct tuple, not per
-  summand.  The exact family rows and the float twin both read this
-  table.
-* ``lemma[kind, weight, n]`` holds the x^(-2n) coefficient of the
-  product lemma expansion ``kind`` ("coth-product" or "sinh-product")
-  for the B weight ``weight`` ("plain" or "bar"): at most three entries
-  per n, each written by the first row that sums it and read by every
-  later one (Miki, the modified Miki form, FPZ, Gessel and its modified
+
+Every other entry depends on n alone: each identity is stated at one n,
+and its quadratic, family and lemma sums run over terms at that n.  It
+lives in the cache's per-n ``slot``, the pair (n, entries), read through
+_at_n(n, key, build), which builds an entry on first use and replaces
+the slot whole, with no entry, the first time anything is looked up at
+another n.  ``cli verify`` runs its rows n by n, so the rows at one n,
+in any order, share every entry, and the slot holds one n's work at
+most.  Its keys:
+
+* ("products", binomial): the B products above.
+* "coth-product" and ("sinh-product", scale): the x^(-2n) coefficient of
+  the product lemma expansion for the B weight ``scale`` (_unit_scale or
+  bbar_scale), summed by the first row that needs it and read by the
+  others (Miki, the modified Miki form, FPZ, Gessel and its modified
   form, the cubic FPZ form and the lemma check).
-
-The third slot that is not append-only, beside the ``pascal`` memo and
-the ``pairs`` slot, is ``reduced``, the triple (n, scaled, cofactors) of
-the latest family n, which verify_family alone fills and reads.  Each
-family side is one integer dot product, sum(scalar numerators x cofactor
-numerators) / (S V), reduced once:
-
-* ``scaled[which]`` is (entry, sides): the ``family`` entry it was read
-  from, and per side the common denominator S of the scalars, their
-  integer numerators over S, and the side's cofactor vectors.  It is
-  built once per (which, n), and rebuilt when the ``family`` entry is no
-  longer the one it holds, so a replaced entry reaches the rows.
-* ``cofactors`` maps each side's factor-tuple sequence to {(p.numerator,
-  p.denominator): _Cofactors}: the unreduced integer cofactors that
-  gammaalg.gamma_reduce_pair gives for the side's tuples at p, as V, the
-  lcm of their denominators, their numerators over V in the side's
-  order, and the set of their (Gamma(p), Gamma(2p)) exponent pairs,
-  which every row checks.  No cofactor is reduced on its own: the
+* ("family", which): family_terms(which, n), the (lhs, rhs) tuples of
+  one (GammaProduct, Fraction scalar) pair per distinct factor tuple,
+  the product holding the canonical gamma factors and the scalar the sum
+  of the exact rational coefficients of the summands with that tuple.
+  The left terms k and n-k share a tuple, and so do the beta term at an
+  even k' and the right term at k'/2.  Each summand writes its tuple in
+  canonical order and adds its scalar as an integer pair, so one product
+  and one Fraction are built per distinct tuple, not per summand.  The
+  exact family rows and the float twin both read this entry.
+* ("scaled", which): (entry, sides), the family entry it was read from
+  and, per side, the common denominator S of the scalars, their integer
+  numerators over S, and the side's cofactor vectors.  verify_family
+  builds it afresh whenever the family entry is no longer the one it
+  holds, so a replaced entry reaches the rows.
+* ("cofactors", sequence): for a side's factor-tuple sequence,
+  {(p.numerator, p.denominator): _Cofactors}, the unreduced integer
+  cofactors that gammaalg.gamma_reduce_pair gives for the side's tuples
+  at p, as V, the lcm of their denominators, their numerators over V in
+  the side's order, and the set of their (Gamma(p), Gamma(2p)) exponent
+  pairs, which every row checks.  No cofactor is reduced on its own: the
   side's final Fraction is its one normalisation.  The three kinds at n
   write the same tuples in the same order and differ in their scalars,
   so they share one vector per side and p, built once per (n, p), and
   verify_p1's rerun at p = 1 reads it too; an entry whose sequence
   differs gets its own.
 
-Every family factor tuple at n carries Gamma(2p+2n) or a pair summing
-to 2n, so no tuple at n occurs at another n.  The slot is therefore
-replaced in one assignment, not grown, when a row at another n comes,
-and it holds one n's vectors at most (two per p, about 600 cofactors at
-n = 30 and eight p).  The rows at one n, in any order, reduce each
-product once per (n, p); ``cli verify`` only runs its rows n by n.
+Each family side is one integer dot product, sum(scalar numerators x
+cofactor numerators) / (S V), reduced once.  Every family factor tuple
+at n carries Gamma(2p+2n) or a pair summing to 2n, so no tuple at n
+occurs at another n, and a row at another n drops nothing it could read
+(the slot holds about 600 cofactors at n = 30 and eight p).
 gamma_reduce_pair alone reads the rising tables for the families; a
 rising entry poisoned after the vectors that read it were stored no
 longer reaches the rows of that (n, p).
@@ -164,6 +167,7 @@ longer reaches the rows of that (n, p).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Any, Callable, NamedTuple
@@ -351,26 +355,40 @@ class _Ratio(NamedTuple):
     denominator: int
 
 
+def _at_n(n: int, key, build: Callable[[], Any]) -> Any:
+    """The entry ``key`` of the cache's per-n slot at n: build() the first
+    time, then the entry it left.  The slot, the pair (n, entries), is
+    replaced whole, with no entry, the first time anything is looked up at
+    another n.  Callers only read the entries."""
+    cache = sequences._DEFAULT
+    at, entries = cache.slot
+    if at != n:
+        entries = {}
+        cache.slot = n, entries
+    value = entries.get(key)
+    if value is None:
+        value = entries[key] = build()
+    return value
+
+
 def _products(n: int, binomial: bool) -> list[_Ratio]:
     """The products B_2k B_{2n-2k} for k = 1, ..., n//2 as unreduced
-    _Ratio's, each times C(2n, 2k) if ``binomial``, from the cache's
-    one-slot table ``pairs`` = (n, plain, binomial).  The first sum at n
-    replaces the slot in one assignment, with the plain list; the
-    binomial one is built from it when a sum first asks for it.  Callers
-    only read the lists."""
-    cache = sequences._DEFAULT
-    slot, plain, scaled = cache.pairs
-    if slot != n:
+    _Ratio's, each times C(2n, 2k) if ``binomial``, from the per-n slot;
+    the binomial list is built from the plain one when a sum first asks
+    for it."""
+
+    def build():
+        if binomial:
+            row, plain = _binomial_row(2 * n), _products(n, False)
+            return [_Ratio(row[2 * k] * num, den) for k, (num, den) in enumerate(plain, 1)]
         bernoulli(2 * n)
-        bern, plain, scaled = cache.bern, [], None
+        bern, plain = sequences._DEFAULT.bern, []
         for k in range(1, n // 2 + 1):
             a, b = bern[2 * k], bern[2 * n - 2 * k]
             plain.append(_Ratio(a.numerator * b.numerator, a.denominator * b.denominator))
-    if binomial and scaled is None:
-        row = _binomial_row(2 * n)
-        scaled = [_Ratio(row[2 * k] * num, den) for k, (num, den) in enumerate(plain, 1)]
-    cache.pairs = (n, plain, scaled)
-    return scaled if binomial else plain
+        return plain
+
+    return _at_n(n, ("products", binomial), build)
 
 
 def _paired(n: int, weight, through_n: bool = False, binomial: bool = False) -> Fraction:
@@ -418,33 +436,12 @@ def _scaled(m: int, scale, divisor: int = 1) -> Fraction:
     return Fraction(num, den * divisor)
 
 
-# the name of each B weight in the ``lemma`` table's keys, as in _WEIGHTS
-_WEIGHT_NAMES = {_unit_scale: "plain", bbar_scale: "bar"}
-
-
-def _lemma(kind: str, scale, n: int, coefficient: Callable[[], Fraction]) -> Fraction:
-    """The x^(-2n) coefficient of the lemma expansion ``kind`` for the B
-    weight ``scale``: coefficient() the first time, then the entry it left
-    in the cache's append-only ``lemma`` table."""
-    table = sequences._DEFAULT.lemma
-    key = kind, _WEIGHT_NAMES[scale], n
-    value = table.get(key)
-    if value is None:
-        value = table[key] = coefficient()
-    return value
-
-
 def _binomial_row(m: int) -> list[int]:
-    """The Pascal row C(m, 0), ..., C(m, m), by C(m, j+1) = C(m, j) (m-j)/(j+1),
-    held in the cache's one-slot memo ``pascal`` until another row is asked
-    for.  Callers only read it."""
-    cache = sequences._DEFAULT
-    if len(cache.pascal) != m + 1:
-        row = [1]
-        for j in range(m):
-            row.append(row[-1] * (m - j) // (j + 1))
-        cache.pascal = row
-    return cache.pascal
+    """The Pascal row C(m, 0), ..., C(m, m), by C(m, j+1) = C(m, j) (m-j)/(j+1)."""
+    row = [1]
+    for j in range(m):
+        row.append(row[-1] * (m - j) // (j + 1))
+    return row
 
 
 # the weight sequences w(k), k >= 1, of the composition sums; "coth" is the
@@ -514,12 +511,9 @@ def verify_euler(n: int) -> IdentityReport:
 
 def _coth_product(n: int) -> Fraction:
     """x^(-2n) coefficient of the coth-product lemma expansion, summed once
-    per n."""
-
-    def coefficient():
-        return _paired(n, lambda k: (1, 2 * k * (2 * n - 2 * k)), binomial=True)
-
-    return _lemma("coth-product", _unit_scale, n, coefficient)
+    per n and kept in the per-n slot."""
+    return _at_n(n, "coth-product",
+                 lambda: _paired(n, lambda k: (1, 2 * k * (2 * n - 2 * k)), binomial=True))
 
 
 def _coth_harmonic(n: int) -> Fraction:
@@ -530,16 +524,14 @@ def _coth_harmonic(n: int) -> Fraction:
 def _sinh_product(n: int, scale) -> Fraction:
     """x^(-2n) coefficient of the sinh-product lemma expansion for
     ``scale`` = bbar_scale; _unit_scale gives Miki's k=n form.  Summed
-    once per (n, scale)."""
+    once per (n, scale) and kept in the per-n slot."""
 
-    def coefficient():
-        def weight(k):
-            num, den = scale(2 * n - 2 * k)
-            return num, 2 * k * n * den
+    def weight(k):
+        num, den = scale(2 * n - 2 * k)
+        return num, 2 * k * n * den
 
-        return _paired(n, weight, through_n=True, binomial=True)
-
-    return _lemma("sinh-product", scale, n, coefficient)
+    return _at_n(n, ("sinh-product", scale),
+                 lambda: _paired(n, weight, through_n=True, binomial=True))
 
 
 def _sinh_harmonic(n: int, scale) -> Fraction:
@@ -615,9 +607,11 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     tuple at the end: at n = 30 the 29 + 89 summands leave 15 + 60 pairs.
     """
     _require_floor(f"family-{which}", n)
-    table = sequences._DEFAULT.family
-    if (which, n) in table:
-        return table[which, n]
+    return _at_n(n, ("family", which), lambda: _family_terms(which, n))
+
+
+def _family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
+    """family_terms(which, n), built."""
     # B and Bbar enter as unreduced integer pairs, B_m times its weight
     lhs_first = bbar_scale if which == "fpz" else _unit_scale
     lhs_second = _unit_scale if which == "miki" else bbar_scale
@@ -664,11 +658,10 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
         gamma_2p = (("2p", k + 1, -1), ("2p", 2 * n, 1)) if k < 2 * n - 1 else ()
         gamma_p = (("p", 1, 2),) if k == 1 else (("p", 1, 1), ("p", k, 1))
         add(rhs_terms, gamma_2p + gamma_p, *tail)
-    table[which, n] = terms = tuple(
+    return tuple(
         tuple((GammaProduct(factors), Fraction(num, den)) for factors, (num, den) in side.items())
         for side in (lhs_terms, rhs_terms)
     )
-    return terms
 
 
 class _Cofactors(NamedTuple):
@@ -694,15 +687,15 @@ def _cofactors(side, p: Fraction) -> _Cofactors:
     )
 
 
-def _scaled_side(side, cofactors: dict) -> tuple[int, tuple[int, ...], dict]:
+def _scaled_side(side, n: int) -> tuple[int, tuple[int, ...], dict]:
     """A side's scalars over one common denominator, as that denominator and
     the integer numerators, and the cofactor vectors of its factor-tuple
-    sequence, {(p numerator, p denominator): _Cofactors}, found or made in
-    ``cofactors``, which maps each sequence met at n to its vectors."""
+    sequence, {(p numerator, p denominator): _Cofactors}, the per-n slot's
+    entry for that sequence at n."""
     common = lcm(*(scalar.denominator for _, scalar in side))
     numerators = tuple(scalar.numerator * (common // scalar.denominator) for _, scalar in side)
     sequence = tuple(product.factors for product, _ in side)
-    return common, numerators, cofactors.setdefault(sequence, {})
+    return common, numerators, _at_n(n, ("cofactors", sequence), dict)
 
 
 def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
@@ -712,10 +705,10 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     one denominator S, built once per (which, n), times its unreduced
     gamma_reduce_pair cofactors at p over one denominator V, built once per
     (n, p) and factor tuple sequence and shared by every kind, divided by
-    S V, the side's one normalisation.  Both live in
-    the ``reduced`` slot (see the module docstring), which keeps every p
-    met at the latest n, so the rows at one n reduce each product once per
-    p, in any order, and a row at another n replaces it.  Every product of
+    S V, the side's one normalisation.  Both live in the per-n slot (see
+    the module docstring), which keeps every p met at its n, so the rows
+    at one n reduce each product once per p, in any order, and a row at
+    another n replaces it.  Every product of
     either side must reduce to one (Gamma(p), Gamma(2p)) exponent pair,
     checked on every row from the exponent sets stored with the vectors.
 
@@ -727,14 +720,14 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     """
     sides = family_terms(which, n)
     p = Fraction(p)
-    cache = sequences._DEFAULT
-    if cache.reduced[0] != n:
-        cache.reduced = (n, {}, {})
-    _, scaled, cofactors = cache.reduced
-    entry = scaled.get(which)
+
+    def scaled():
+        return sides, tuple(_scaled_side(side, n) for side in sides)
+
+    entry = _at_n(n, ("scaled", which), scaled)
     # the scalars are those of the family entry they were read from
-    if entry is None or entry[0] is not sides:
-        entry = scaled[which] = sides, tuple(_scaled_side(side, cofactors) for side in sides)
+    if entry[0] is not sides:
+        entry = scaled()
     key = p.numerator, p.denominator
     exponents, sums = set(), []
     for side, (common, scalars, vectors) in zip(sides, entry[1]):
@@ -787,7 +780,7 @@ def verify_p1(which: str, n: int) -> IdentityReport:
     on both sides while the mixed variant coincides; both facts are
     checked where the domains overlap.  That family row is rerun at
     p = 1; when a family row at (n, 1) ran since the last row at another
-    n, the rerun reads the reductions it stored in the ``reduced`` slot.
+    n, the rerun reads the reductions it stored in the per-n slot.
     """
     _require_floor(f"p1-{which}", n)
     lhs, rhs, shift = _p1_sums(which, n)
@@ -960,10 +953,13 @@ def _lemma_integral(which: str, order: int) -> TruncatedSeries:
     # The harmonic-number lemmas: the inner integral of the bracketed
     # difference quotient turns each y^(2m-1) term into -H_2m (plain case,
     # bracket carries an extra u) or -H_{2m-1} (Bbar case, u-free bracket).
+    # H_m is that integral, of (1 - t^m)/(1 - t) over [0, 1], summed here as
+    # 1 + 1/2 + ... + 1/m, so this route reads no harmonic table.
     name = "coth_minus_inv" if which == "coth-harmonic" else "inv_sinh_minus_inv"
     source = named_series(name, order - 1)
     offset = 1 if which == "coth-harmonic" else 0
-    coeffs = {m: 2 * c * harmonic(m + offset) for m, c in source.coeffs.items()}
+    inner = list(accumulate((Fraction(1, j) for j in range(1, order + 1)), initial=Fraction(0)))
+    coeffs = {m: 2 * c * inner[m + offset] for m, c in source.coeffs.items()}
     return laplace_asymptotic(TruncatedSeries(TAYLOR, coeffs, order - 1))
 
 

@@ -56,8 +56,9 @@ not once per step of every product.  The key is the (numerator,
 denominator) pair, not the Fraction: hashing a Fraction computes a
 modular inverse on every lookup.
 
-The identity layer's tables, its Pascal-row memo, its B-product slot and
-its family slot ``reduced`` are described in ``identities``.
+The identity layer keeps two memos shared across n, ``fold`` and
+``power``, and one per-n ``slot`` for all of its work that depends on n
+alone; ``identities`` describes them.
 
 One process-wide cache, ``_DEFAULT``, backs every plain function here,
 and through them the exact lane, the series and the float lane.  A test
@@ -72,12 +73,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import Any, Hashable
 
 from .errors import DomainError, check_routes
-
-if TYPE_CHECKING:
-    from .identities import _Cofactors
 
 __all__ = [
     "SequenceCache",
@@ -162,10 +160,8 @@ def _require_index(what: str, n: int) -> None:
 
 class SequenceCache:
     """Growable Bernoulli (``bern``, and the series' own ``series_bern``),
-    Euler, harmonic and rising-factorial tables, and the identity layer's
-    tables ``fold``, ``power``, ``family`` and ``lemma``, its Pascal-row
-    memo ``pascal``, its B-product slot ``pairs`` and its family slot
-    ``reduced``.
+    Euler, harmonic and rising-factorial tables, the identity layer's
+    memos ``fold`` and ``power``, and its per-n ``slot``.
 
     ``bern``, ``series_bern``, ``eul``, ``harm`` (H_i), ``harm2``
     (H^(2)_i) and ``hfold`` (F_m = sum(H_l/(l+1), l=1..m), F_0 = 0) are
@@ -174,26 +170,16 @@ class SequenceCache:
     ``harmonic`` grows ``harm``, and ``harmonic_second`` grows ``harm2``
     and ``hfold`` together, to one length; ``rising``
     maps an anchor's (numerator, denominator) to the list of its (q)_m
-    indexed by m.  ``lemma`` maps (lemma id, weight name, n) to a
-    finished lemma coefficient, and ``pascal`` is the latest Pascal row
-    built.  ``pairs`` is the triple (n, plain, binomial) of the latest n a
-    quadratic sum ran at: the lists of B_2k B_{2n-2k} and of C(2n, 2k)
-    B_2k B_{2n-2k} for k <= n/2, the second None until a sum asks for it.
-    ``reduced`` is the triple (n, scaled, cofactors) of the latest family
-    n: ``scaled`` maps a kind to its ``family`` entry and, per side, the
-    scalars over one denominator and the side's cofactor vectors, and
-    ``cofactors`` maps each factor-tuple sequence met at n to
-    {(p numerator, p denominator): _Cofactors}; the ``identities``
-    docstring describes both slots and the other tables.
+    indexed by m.  ``slot`` is the pair (n, entries) of the latest n the
+    identity layer looked anything up at: ``entries`` maps a key to work
+    that depends on that n alone; the ``identities`` docstring lists the
+    keys and the two memos.
     Entries, once computed, are never recomputed or rewritten: a table
     only grows by appending, so an entry or a list read once keeps its
-    value however far the table grows later.  ``reduced`` is the
-    exception, replaced whole when a family row at another n comes (and a
-    kind's ``scaled`` entry rebuilt when its ``family`` entry is replaced),
-    and so are ``pairs``, replaced whole when a sum at another n comes,
-    ``pascal``, replaced when another row is asked for, and
-    ``genocchi_row``, ``tangent_col`` and ``secant_col``, the kernels'
-    state: row max(1, (len(bern) - 1) // 2) of Seidel's Genocchi
+    value however far the table grows later.  ``slot`` is the exception,
+    replaced whole, with no entry, when anything is looked up at another
+    n, and so are ``genocchi_row``, ``tangent_col`` and ``secant_col``, the
+    kernels' state: row max(1, (len(bern) - 1) // 2) of Seidel's Genocchi
     triangle, column (len(series_bern) - 1) // 2 of the tangent triangle
     and column (len(eul) - 1) // 2 of the secant triangle, each replaced
     by the next one as its table grows.
@@ -212,15 +198,7 @@ class SequenceCache:
         self.rising: dict[tuple[int, int], list[Fraction]] = {}
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
-        self.family: dict[tuple[str, int], tuple[tuple, tuple]] = {}
-        self.lemma: dict[tuple[str, str, int], Fraction] = {}
-        self.pascal: list[int] = [1]
-        self.pairs: tuple[int | None, list | None, list | None] = (None, None, None)
-        self.reduced: tuple[
-            int | None,
-            dict[str, tuple[tuple, tuple[tuple[int, tuple[int, ...], dict], ...]]],
-            dict[tuple, dict[tuple[int, int], _Cofactors]],
-        ] = (None, {}, {})
+        self.slot: tuple[int | None, dict[Hashable, Any]] = (None, {})
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n from the Genocchi numbers; odd entries are 0 except B_1."""

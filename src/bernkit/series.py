@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 
 from . import sequences
-from .errors import DomainError, KindMismatch, UnknownName, ZeroScale
+from .errors import DomainError, KindMismatch, UnknownName
 from .sequences import euler_number
 
 __all__ = [
@@ -55,9 +55,7 @@ __all__ = [
     "power_next",
     "named_series",
     "laplace_asymptotic",
-    "argument_scale",
     "check_b_quadratic",
-    "check_doubling",
 ]
 
 TAYLOR = "taylor"
@@ -298,16 +296,6 @@ def laplace_asymptotic(t: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(ASYMPTOTIC, coeffs, t.trunc + 1)
 
 
-def argument_scale(a: TruncatedSeries, lam: Fraction) -> TruncatedSeries:
-    """Substitute y -> lam*y (Taylor) or x -> lam*x (asymptotic)."""
-    lam = Fraction(lam)
-    if lam == 0:
-        raise ZeroScale("scale factor must be nonzero")
-    power = 1 if a.kind == TAYLOR else -1
-    coeffs = {m: c * lam ** (power * m) for m, c in a.coeffs.items()}
-    return TruncatedSeries(a.kind, coeffs, a.trunc)
-
-
 def _agree_through(a: TruncatedSeries, b: TruncatedSeries, order: int) -> bool:
     _require_same_kind(a, b)
     if min(a.trunc, b.trunc) < order:
@@ -326,16 +314,3 @@ def check_b_quadratic(order: int) -> bool:
     rhs = series_add(series_mul(one_minus_x, b), _scale(series_mul(x, _derivative(b)), Fraction(-1)))
     return _agree_through(lhs, rhs, order)
 
-
-def check_doubling(order: int) -> bool:
-    """Check psi_tilde(x) + psi_bar(x) = 2 psi_tilde(2x) through ``order``.
-
-    Coefficient-wise this is B_2k + Bbar_2k = 2 B_2k / 2^(2k).
-    """
-    if order < 2 or order % 2 != 0:
-        raise DomainError("order must be even and at least 2")
-    tilde = named_series("psi_tilde", order)
-    bar = named_series("psi_bar", order)
-    lhs = series_add(tilde, bar)
-    rhs = _scale(argument_scale(tilde, Fraction(2)), Fraction(2))
-    return _agree_through(lhs, rhs, order)

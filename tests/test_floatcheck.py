@@ -536,8 +536,9 @@ def test_family_float_is_relative_on_small_sides(monkeypatch):
     assert family_float("fpz", 5, -0.999).ok
     lhs, rhs = family_terms("fpz", 5)
     (product, scalar), *rest = lhs
+    poisoned = (((product, scalar * (1 + Fraction(1, 10**6))), *rest), rhs)
     cache = sequences.SequenceCache()
-    cache.family["fpz", 5] = (((product, scalar * (1 + Fraction(1, 10**6))), *rest), rhs)
+    cache.slot = (5, {("family", "fpz"): poisoned})
     monkeypatch.setattr(sequences, "_DEFAULT", cache)
     r = family_float("fpz", 5, -0.999)
     assert abs(r.lhs) < 1e-4 and abs(r.residual) < 1e-8

@@ -14,11 +14,8 @@ from bernkit import (
     KindMismatch,
     TruncatedSeries,
     UnknownName,
-    ZeroScale,
-    argument_scale,
     bernoulli,
     check_b_quadratic,
-    check_doubling,
     laplace_asymptotic,
     named_series,
     series_add,
@@ -276,22 +273,6 @@ def test_laplace_transform():
         laplace_asymptotic(taylor({-1: 1}, 4))
 
 
-def test_argument_scale():
-    t = taylor({2: 3}, 6)
-    assert argument_scale(t, F(2)).coeff(2) == 12
-    a = TruncatedSeries(ASYMPTOTIC, {2: F(3)}, 6)
-    assert argument_scale(a, F(2)).coeff(2) == F(3, 4)
-    with pytest.raises(ZeroScale):
-        argument_scale(t, 0)
-
-
-@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=6))
-def test_argument_scale_roundtrip(seed, denom):
-    lam = F(seed, denom)
-    b = named_series("b", 7)
-    assert argument_scale(argument_scale(b, lam), 1 / lam) == b
-
-
 small_series = st.builds(
     lambda d, trunc: TruncatedSeries(
         TAYLOR, {m: F(num, den) for m, (num, den) in d.items()}, trunc
@@ -324,8 +305,3 @@ def test_check_b_quadratic():
     with pytest.raises(DomainError):
         check_b_quadratic(1)
 
-
-def test_check_doubling():
-    assert check_doubling(40)
-    with pytest.raises(DomainError):
-        check_doubling(7)
