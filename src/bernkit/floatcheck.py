@@ -382,14 +382,16 @@ def check_g_squared(x: float) -> QuadResult:
     return QuadResult("g_squared", x, 0.0, value, err, target, abs(value - target), tol)
 
 
-def _float_side(terms: tuple[tuple[GammaProduct, Fraction], ...], p: float) -> float:
+def _float_side(terms: tuple[tuple[GammaProduct, tuple[int, int]], ...], p: float) -> float:
     """Sum of the (product, scalar) terms at float p.  Each term is carried
     as a mantissa and a binary exponent, so it overflows only if the sum
-    itself does.  The rational scalars shrink like (2 pi)^(-2n) and stay
-    far inside the double range wherever math.gamma does not overflow."""
+    itself does.  The rational scalars, integer pairs, shrink like
+    (2 pi)^(-2n) and stay far inside the double range wherever math.gamma
+    does not overflow; num / den is the correctly rounded quotient, the
+    very float that float(Fraction(num, den)) gives."""
     scaled = []
-    for product, scalar in terms:
-        m, e = math.frexp(float(scalar))
+    for product, (num, den) in terms:
+        m, e = math.frexp(num / den)
         for base, offset, exponent in product.factors:
             gm, ge = math.frexp(math.gamma((p if base == "p" else 2.0 * p) + offset))
             m, de = math.frexp(m * gm**exponent)

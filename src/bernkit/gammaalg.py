@@ -15,18 +15,21 @@ the prefix table of its anchor (t, resp. t+m) in the process-wide
 pair instead of once per step of every factor.  The anchors p and 2p are
 held as reduced integer (numerator, denominator) pairs, the very keys of
 ``SequenceCache.rising`` (2p is (a, b/2) for an even b, else (2a, b)), so
-no Fraction is built for them.  An entry that exists is read straight
-from ``sequences._DEFAULT.rising``, looked up at call time so an injected
-or corrupted cache reaches every reduction; a missing one is made by
-``sequences.rising_factorial``, the one place where a table grows.  No
-Legendre duplication is applied: the two bases stay independent, which
-keeps every cofactor rational.
+no Fraction is built for them.  Each table entry is itself a reduced
+integer pair.  An entry that exists is read straight from
+``sequences._DEFAULT.rising``, looked up at call time so an injected or
+corrupted cache reaches every reduction; a missing one is made by
+``sequences.rising_factorial``, the one place where a table grows, and
+then read from the table like any other.  No Legendre duplication is
+applied: the two bases stay independent, which keeps every cofactor
+rational.
 
 The reduction is one loop, gamma_reduce_pair.  It carries the cofactor
 as one integer numerator and one integer denominator, which each factor
-multiplies by its rising entry's numerator and denominator (swapped for
-a negative offset or a negative exponent), and returns that pair
-unreduced, with a positive denominator: no gcd runs in the loop.
+multiplies by the integer pair it reads from its rising table (swapped
+for a negative offset or a negative exponent), and returns that pair
+unreduced, with a positive denominator: no gcd runs in the loop, and it
+reads no Fraction property.
 gamma_reduce is a thin wrapper that builds the one Fraction of a
 ReducedGamma from the pair.  The family rows call the loop directly and
 bring a side's unreduced cofactors over one lcm, so a side is normalised
@@ -49,7 +52,7 @@ from typing import NamedTuple
 
 from . import sequences
 from .errors import DomainError, PoleEncountered, ZeroDivisor
-from .sequences import rising_factorial
+from .sequences import _rational, rising_factorial
 
 __all__ = [
     "GammaProduct",
@@ -141,22 +144,23 @@ def gamma_reduce_pair(g: GammaProduct, p: Fraction) -> tuple[int, int, int, int]
     denominator) of ``g`` at the rational point ``p``, the cofactor being
     numerator / denominator, unreduced, with a positive denominator.
 
-    ``p`` is anything Fraction accepts; it is converted only when it is not
-    a Fraction already.  The anchors p and 2p are held as reduced integer
-    (numerator, denominator) pairs, the keys of the rising tables.  A
-    rising entry that exists is read straight from the table of
-    ``sequences._DEFAULT``, looked up at call time; a missing one is made
-    by ``rising_factorial``, the one place a table grows.  Each factor
-    multiplies the pair by the numerator and denominator of its rising
-    entry (swapped for a negative offset or exponent); no gcd is taken.
+    ``p`` is anything Fraction accepts; it is converted once, only when it
+    is not a Fraction already, and anything else raises DomainError.  The
+    anchors p and 2p are held as reduced integer (numerator, denominator)
+    pairs, the keys of the rising tables.  A rising entry that exists is
+    read straight from the table of ``sequences._DEFAULT``, looked up at
+    call time; a missing one is made by ``rising_factorial``, the one
+    place a table grows, and read from the table after it.  Each factor
+    multiplies the pair by its entry's integer pair (swapped for a
+    negative offset or exponent); no gcd is taken.
 
     Raises PoleEncountered when any factor's argument is a nonpositive
     integer, and ZeroDivisor if a rising-factorial step would divide by
     zero (unreachable once the pole guard has passed, but kept explicit).
     """
     if not isinstance(p, Fraction):
-        p = Fraction(p)
-    a, b = p.numerator, p.denominator
+        p = _rational("gamma_reduce", p)
+    a, b = p.as_integer_ratio()
     # 2p in lowest terms: b is odd or halves, so no gcd is needed
     anchor_p, anchor_2p = (a, b), ((a, b // 2) if b % 2 == 0 else (2 * a, b))
     tables = sequences._DEFAULT.rising
@@ -183,17 +187,16 @@ def gamma_reduce_pair(g: GammaProduct, p: Fraction) -> tuple[int, int, int, int]
         if offset < 0:
             key, steps = (t_num + offset * t_den, t_den), -offset
         table = tables.get(key)
-        if table is not None and steps < len(table):
-            entry = table[steps]
-        else:
-            entry = rising_factorial(Fraction(*key), steps)
+        if table is None or steps >= len(table):
+            rising_factorial(Fraction(*key), steps)
+            table = tables[key]
         if offset >= 0:
-            top, bottom = entry.numerator, entry.denominator
+            top, bottom = table[steps]
             if top == 0 and exponent < 0:
                 raise ZeroDivisor(
                     f"({Fraction(*anchor)})_{offset} vanishes in a denominator at p={p}")
         else:
-            top, bottom = entry.denominator, entry.numerator
+            bottom, top = table[steps]
             if bottom == 0:
                 raise ZeroDivisor(f"({Fraction(*key)})_{steps} vanishes at p={p}")
         if base == "p":

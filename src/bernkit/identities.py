@@ -129,14 +129,18 @@ most.  Its keys:
   others (Miki, the modified Miki form, FPZ, Gessel and its modified
   form, the cubic FPZ form and the lemma check).
 * ("family", which): family_terms(which, n), the (lhs, rhs) tuples of
-  one (GammaProduct, Fraction scalar) pair per distinct factor tuple,
-  the product holding the canonical gamma factors and the scalar the sum
-  of the exact rational coefficients of the summands with that tuple.
-  The left terms k and n-k share a tuple, and so do the beta term at an
-  even k' and the right term at k'/2.  Each summand writes its tuple in
-  canonical order and adds its scalar as an integer pair, so one product
-  and one Fraction are built per distinct tuple, not per summand.  The
-  exact family rows and the float twin both read this entry.
+  one (GammaProduct, scalar) pair per distinct factor tuple, the product
+  holding the canonical gamma factors and the scalar the sum of the
+  exact rational coefficients of the summands with that tuple, as a
+  reduced integer pair (numerator, denominator) with a positive
+  denominator.  The left terms k and n-k share a tuple, and so do the
+  beta term at an even k' and the right term at k'/2.  Each summand
+  writes its tuple in canonical order and adds its scalar as an integer
+  pair, and each tuple's pair is reduced once, so no Fraction is built.
+  The exact family rows and the float twin both read this entry.
+* "family-products": {factor tuple: GammaProduct}, the one product of
+  each tuple, built by the first kind at n that writes it; the three
+  kinds write the same tuples and share these products.
 * ("scaled", which): (entry, sides), the family entry it was read from
   and, per side, the common denominator S of the scalars, their integer
   numerators over S, and the side's cofactor vectors.  verify_family
@@ -148,14 +152,17 @@ most.  Its keys:
   at p, as V, the lcm of their denominators, their numerators over V in
   the side's order, and the set of their (Gamma(p), Gamma(2p)) exponent
   pairs, which every row checks.  No cofactor is reduced on its own: the
-  side's final Fraction is its one normalisation.  The three kinds at n
+  row's final Fraction is its one normalisation.  The three kinds at n
   write the same tuples in the same order and differ in their scalars,
   so they share one vector per side and p, built once per (n, p), and
   verify_p1's rerun at p = 1 reads it too; an entry whose sequence
   differs gets its own.
 
 Each family side is one integer dot product, sum(scalar numerators x
-cofactor numerators) / (S V), reduced once.  Every family factor tuple
+cofactor numerators) over S V.  The two sides are compared unreduced, by
+cross-multiplication; sides that agree are normalised once, into one
+Fraction reported as both, and only sides that differ are each reduced
+and subtracted (_report subtracts only then).  Every family factor tuple
 at n carries Gamma(2p+2n) or a pair summing to 2n, so no tuple at n
 occurs at another n, and a row at another n drops nothing it could read
 (the slot holds about 600 cofactors at n = 30 and eight p).
@@ -176,6 +183,7 @@ from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
 from .gammaalg import GammaProduct, gamma_reduce_pair
 from .sequences import (
+    _rational,
     bbar_scale,
     bernoulli,
     bernoulli_bar,
@@ -271,6 +279,9 @@ IDENTITIES = {
 }
 
 
+_ZERO = Fraction(0)
+
+
 def _report(
     identity: str,
     n: int,
@@ -279,8 +290,9 @@ def _report(
     p: Fraction | None = None,
     N: int | None = None,
 ) -> IdentityReport:
-    residual = lhs - rhs
-    return IdentityReport(identity, n, lhs, rhs, residual, residual == 0, p, N)
+    if lhs == rhs:
+        return IdentityReport(identity, n, lhs, rhs, _ZERO, True, p, N)
+    return IdentityReport(identity, n, lhs, rhs, lhs - rhs, False, p, N)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -426,8 +438,8 @@ def _unit_scale(m: int) -> tuple[int, int]:
 def _scaled_pair(m: int, scale) -> tuple[int, int]:
     """B_m times its weight scale(m) as an unreduced integer pair: B_m for
     _unit_scale, Bbar_m for bbar_scale."""
-    b, (num, den) = bernoulli(m), scale(m)
-    return b.numerator * num, b.denominator * den
+    (b, b_den), (num, den) = bernoulli(m).as_integer_ratio(), scale(m)
+    return b * num, b_den * den
 
 
 def _scaled(m: int, scale, divisor: int = 1) -> Fraction:
@@ -592,10 +604,11 @@ def verify_mixed(n: int) -> IdentityReport:
     return _report("mixed", n, lhs, rhs)
 
 
-def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
+def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, tuple[int, int]], ...], ...]:
     """(lhs, rhs) terms of one gamma-weighted family, symbolic in p: one
     (GammaProduct, scalar) pair per distinct factor tuple, in order of first
-    occurrence, built once per (which, n).
+    occurrence, built once per (which, n); each scalar is a reduced
+    integer pair (numerator, denominator) with a positive denominator.
 
     which selects the plain (miki), Bbar (fpz) or mixed variant.  Each
     summand's factor tuple is written in GammaProduct's canonical order
@@ -603,19 +616,22 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction
     left term carries ("p", n, 2), the k = 1 tail term ("p", 1, 2), and
     at k = 2n-1 the tail's Gamma(2p+2n) / Gamma(2p+k+1) cancels.  Each
     summand's scalar is an unreduced integer pair, added to the pair of
-    its tuple; one GammaProduct and one Fraction are built per distinct
-    tuple at the end: at n = 30 the 29 + 89 summands leave 15 + 60 pairs.
+    its tuple, and each tuple's pair is reduced once at the end: at n = 30
+    the 29 + 89 summands leave 15 + 60 pairs.  The three kinds at n write
+    the same tuples and share one GammaProduct per tuple, built by the
+    first kind that meets it.
     """
     _require_floor(f"family-{which}", n)
     return _at_n(n, ("family", which), lambda: _family_terms(which, n))
 
 
-def _family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fraction], ...], ...]:
+def _family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, tuple[int, int]], ...], ...]:
     """family_terms(which, n), built."""
     # B and Bbar enter as unreduced integer pairs, B_m times its weight
     lhs_first = bbar_scale if which == "fpz" else _unit_scale
     lhs_second = _unit_scale if which == "miki" else bbar_scale
     rhs_second = bbar_scale if which == "fpz" else _unit_scale
+    products = _at_n(n, "family-products", dict)
     fact = [1]
     for j in range(1, 2 * n + 1):
         fact.append(fact[-1] * j)
@@ -658,8 +674,16 @@ def _family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, Fractio
         gamma_2p = (("2p", k + 1, -1), ("2p", 2 * n, 1)) if k < 2 * n - 1 else ()
         gamma_p = (("p", 1, 2),) if k == 1 else (("p", 1, 1), ("p", k, 1))
         add(rhs_terms, gamma_2p + gamma_p, *tail)
+
+    def term(factors, num, den):
+        product = products.get(factors)
+        if product is None:
+            product = products[factors] = GammaProduct(factors)
+        g = gcd(num, den)
+        return product, (num // g, den // g)
+
     return tuple(
-        tuple((GammaProduct(factors), Fraction(num, den)) for factors, (num, den) in side.items())
+        tuple(term(factors, num, den) for factors, (num, den) in side.items())
         for side in (lhs_terms, rhs_terms)
     )
 
@@ -692,8 +716,8 @@ def _scaled_side(side, n: int) -> tuple[int, tuple[int, ...], dict]:
     the integer numerators, and the cofactor vectors of its factor-tuple
     sequence, {(p numerator, p denominator): _Cofactors}, the per-n slot's
     entry for that sequence at n."""
-    common = lcm(*(scalar.denominator for _, scalar in side))
-    numerators = tuple(scalar.numerator * (common // scalar.denominator) for _, scalar in side)
+    common = lcm(*(den for _, (_, den) in side))
+    numerators = tuple(num * (common // den) for _, (num, den) in side)
     sequence = tuple(product.factors for product, _ in side)
     return common, numerators, _at_n(n, ("cofactors", sequence), dict)
 
@@ -704,22 +728,27 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     Each side of family_terms is one integer dot product: its scalars over
     one denominator S, built once per (which, n), times its unreduced
     gamma_reduce_pair cofactors at p over one denominator V, built once per
-    (n, p) and factor tuple sequence and shared by every kind, divided by
-    S V, the side's one normalisation.  Both live in the per-n slot (see
+    (n, p) and factor tuple sequence and shared by every kind, over S V.
+    Both live in the per-n slot (see
     the module docstring), which keeps every p met at its n, so the rows
     at one n reduce each product once per p, in any order, and a row at
     another n replaces it.  Every product of
     either side must reduce to one (Gamma(p), Gamma(2p)) exponent pair,
     checked on every row from the exponent sets stored with the vectors.
 
+    The two unreduced sides are compared by cross-multiplication: sides
+    that agree are one Fraction, reported as both lhs and rhs with a zero
+    residual, and only sides that differ are each reduced and subtracted.
     The reported sides are exact rationals with that common factor
     Gamma(p)**a * Gamma(2p)**b divided out, and (a, b) is (2, 0) for all
     three kinds: the true sides are the reported ones times Gamma(p)**2,
     which is what family_float returns at a float p (family-miki at
-    n = 2, p = 1/2 reports 1/256, its float twin pi/256).
+    n = 2, p = 1/2 reports 1/256, its float twin pi/256).  ``p`` is
+    anything Fraction accepts; anything else raises DomainError.
     """
     sides = family_terms(which, n)
-    p = Fraction(p)
+    if not isinstance(p, Fraction):
+        p = _rational("verify_family", p)
 
     def scaled():
         return sides, tuple(_scaled_side(side, n) for side in sides)
@@ -728,18 +757,20 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     # the scalars are those of the family entry they were read from
     if entry[0] is not sides:
         entry = scaled()
-    key = p.numerator, p.denominator
+    key = p.as_integer_ratio()
     exponents, sums = set(), []
     for side, (common, scalars, vectors) in zip(sides, entry[1]):
         vector = vectors.get(key)
         if vector is None:
             vector = vectors[key] = _cofactors(side, p)
         exponents |= vector.exponents
-        top = sum(map(mul, scalars, vector.numerators))
-        sums.append(Fraction(top, common * vector.denominator))
+        sums.append((sum(map(mul, scalars, vector.numerators)), common * vector.denominator))
     if len(exponents) != 1:
         raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
-    return _report(f"family-{which}", n, *sums, p=p)
+    (top, den), (rhs_top, rhs_den) = sums
+    lhs = Fraction(top, den)
+    rhs = lhs if top * rhs_den == rhs_top * den else Fraction(rhs_top, rhs_den)
+    return _report(f"family-{which}", n, lhs, rhs, p=p)
 
 
 def _p1_sums(which: str, n: int) -> tuple[Fraction, Fraction, Fraction]:

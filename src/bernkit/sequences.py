@@ -45,13 +45,18 @@ grown by ``harmonic``, and of H^(2)_i = sum 1/j^2 and
 F_m = sum(H_l/(l+1), l=1..m), grown together by their one reader,
 ``harmonic_second``, which reads H_{2n,2} by two routes, F_{2n-1} and
 (H_2n^2 - H^(2)_2n) / 2, and checks them against each other on every
-read; and one prefix table per anchor q of the rising factorials,
-``rising[q.numerator, q.denominator] = [(q)_0, (q)_1, ...]``, from which
-``rising_factorial`` reads (q)_m; ``gammaalg.gamma_reduce_pair``, the
-reduction loop, reads an existing entry straight from the table and
-grows one only through ``rising_factorial``.  Growing an anchor's table
-from length L to m+1 costs m+1-L multiplies, so a scan that reduces many gamma
-products at a few anchors multiplies O(anchors x largest offset) times,
+read; and one prefix table per anchor q = a/b of the rising factorials,
+``rising[a, b] = [(q)_0, (q)_1, ...]``, each entry the reduced integer
+pair (numerator, denominator) with a positive denominator, from which
+``rising_factorial`` builds the Fraction (q)_m;
+``gammaalg.gamma_reduce_pair``, the reduction loop, multiplies by the
+pair it reads straight from the table and grows one only through
+``rising_factorial``.  For a reduced a/b every factor a + jb is prime to
+b, so (q)_m = (a (a+b) ... (a+(m-1)b)) / b^m is in lowest terms as it
+stands (a zero factor needs b = 1, so a zero entry is (0, 1)): growth is
+two integer multiplies per entry and no gcd.  Growing an anchor's table
+from length L to m+1 takes m+1-L such steps, so a scan that reduces many
+gamma products at a few anchors steps O(anchors x largest offset) times,
 not once per step of every product.  The key is the (numerator,
 denominator) pair, not the Fraction: hashing a Fraction computes a
 modular inverse on every lookup.
@@ -158,6 +163,15 @@ def _require_index(what: str, n: int) -> None:
         raise DomainError(f"{what} needs an index >= 0, got {n}")
 
 
+def _rational(what: str, value: Any) -> Fraction:
+    """``value`` as a Fraction: anything Fraction accepts, converted once;
+    DomainError for anything else (None, "abc", inf, nan, "1/0")."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"{what} needs a rational value, got {value!r}") from None
+
+
 class SequenceCache:
     """Growable Bernoulli (``bern``, and the series' own ``series_bern``),
     Euler, harmonic and rising-factorial tables, the identity layer's
@@ -170,7 +184,8 @@ class SequenceCache:
     ``harmonic`` grows ``harm``, and ``harmonic_second`` grows ``harm2``
     and ``hfold`` together, to one length; ``rising``
     maps an anchor's (numerator, denominator) to the list of its (q)_m
-    indexed by m.  ``slot`` is the pair (n, entries) of the latest n the
+    indexed by m, each a reduced (numerator, denominator) integer pair.
+    ``slot`` is the pair (n, entries) of the latest n the
     identity layer looked anything up at: ``entries`` maps a key to work
     that depends on that n alone; the ``identities`` docstring lists the
     keys and the two memos.
@@ -195,7 +210,7 @@ class SequenceCache:
         self.harm: list[Fraction] = [Fraction(0)]
         self.harm2: list[Fraction] = [Fraction(0)]
         self.hfold: list[Fraction] = [Fraction(0)]
-        self.rising: dict[tuple[int, int], list[Fraction]] = {}
+        self.rising: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
         self.slot: tuple[int | None, dict[Hashable, Any]] = (None, {})
@@ -272,15 +287,22 @@ class SequenceCache:
         return value
 
     def rising_factorial(self, q: Fraction, m: int) -> Fraction:
-        """(q)_m from the prefix table of the anchor q, grown as needed."""
+        """(q)_m from the prefix table of the anchor q, grown as needed.
+
+        ``q`` is anything Fraction accepts, converted once when it is not a
+        Fraction already; anything else raises DomainError.  Each new entry
+        is the last one times (a + jb, b) for q = a/b, already reduced."""
         _require_index("rising_factorial", m)
-        key = (q.numerator, q.denominator)
+        if not isinstance(q, Fraction):
+            q = _rational("rising_factorial", q)
+        a, b = key = q.as_integer_ratio()
         table = self.rising.get(key)
         if table is None:
-            table = self.rising[key] = [Fraction(1)]
+            table = self.rising[key] = [(1, 1)]
         for j in range(len(table) - 1, m):
-            table.append(table[j] * (q + j))
-        return table[m]
+            num, den = table[j]
+            table.append((num * (a + j * b), den * b))
+        return Fraction(*table[m])
 
 
 _DEFAULT = SequenceCache()
@@ -316,5 +338,6 @@ def harmonic_second(n: int) -> Fraction:
 
 
 def rising_factorial(q: Fraction, m: int) -> Fraction:
-    """Rising factorial (q)_m = q (q+1) ... (q+m-1); empty product is 1."""
+    """Rising factorial (q)_m = q (q+1) ... (q+m-1); empty product is 1.
+    ``q`` is anything Fraction accepts; anything else raises DomainError."""
     return _DEFAULT.rising_factorial(q, m)

@@ -918,7 +918,8 @@ def test_poisoned_rising_table_fails_the_rows_that_read_it(monkeypatch):
     # carry Gamma(p+8) fail, n < 4 and every row at p = 2 stay ok
     cache = sequences.SequenceCache()
     cache.rising_factorial(F(1), 14)
-    cache.rising[1, 1][8] += 1
+    num, den = cache.rising[1, 1][8]
+    cache.rising[1, 1][8] = num + den, den
     monkeypatch.setattr(sequences, "_DEFAULT", cache)
     result = runner.invoke(main, ["verify", "--identity", "family-miki", "--p", "1", "--p", "2",
                                   "--n-max", "6", "--format", "json"])

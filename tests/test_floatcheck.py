@@ -483,7 +483,7 @@ def _exact_sides(which, n, p):
     sides = []
     for value, terms in zip((report.lhs, report.rhs), family_terms(which, n)):
         reduced = [gamma_reduce(product, p) for product, _ in terms]
-        values = [scalar * r.value for (_, scalar), r in zip(terms, reduced)]
+        values = [Fraction(*scalar) * r.value for (_, scalar), r in zip(terms, reduced)]
         assert sum(values) == value
         a, b = reduced[0].exp_gamma_p, reduced[0].exp_gamma_2p
         scale = (math.gamma(p) ** a if a else 1.0) * (math.gamma(2 * p) ** b if b else 1.0)
@@ -518,6 +518,16 @@ def test_exact_family_sides_omit_gamma_p_squared(which, p):
         assert abs(true / (float(reported) * scale) - 1) <= 1e-12
 
 
+def test_family_scalar_floats_are_the_fraction_floats():
+    # the float twin reads each scalar pair as num / den, bit for bit the
+    # float of the exact rational, so its rows keep their digits
+    for which in FAMILY_KINDS:
+        for n in range(2, 31):
+            for side in family_terms(which, n):
+                for _, (num, den) in side:
+                    assert (num / den).hex() == float(Fraction(num, den)).hex(), (which, n)
+
+
 def test_family_float_has_no_vacuous_pass():
     # once ok with lhs = -inf and rhs = +inf, and a spurious "gamma pole"
     for which, n, p in (("fpz", 75, 2.95), ("miki", 60, 2.75)):
@@ -535,8 +545,8 @@ def test_family_float_is_relative_on_small_sides(monkeypatch):
     # 1e-8 but 1e-6 of the sides
     assert family_float("fpz", 5, -0.999).ok
     lhs, rhs = family_terms("fpz", 5)
-    (product, scalar), *rest = lhs
-    poisoned = (((product, scalar * (1 + Fraction(1, 10**6))), *rest), rhs)
+    (product, (num, den)), *rest = lhs
+    poisoned = (((product, (num * (10**6 + 1), den * 10**6)), *rest), rhs)
     cache = sequences.SequenceCache()
     cache.slot = (5, {("family", "fpz"): poisoned})
     monkeypatch.setattr(sequences, "_DEFAULT", cache)

@@ -7,6 +7,7 @@ gamma_reduce and its loop gamma_reduce_pair are also held to a
 Fraction-arithmetic reduction kept here.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -318,11 +319,24 @@ def test_reduction_loop_matches_the_fraction_reduction(p):
 
 
 def test_reduction_takes_any_rational_form_of_p():
-    # an int or a string p reduces, and fails, as its Fraction does
+    # an int, a string, a float or a Decimal p reduces, and fails, as its
+    # Fraction does
     for g in _products():
         assert _outcome(gamma_reduce, g, 2) == _outcome(gamma_reduce, g, F(2))
         assert _outcome(gamma_reduce, g, "1/3") == _outcome(gamma_reduce, g, F(1, 3))
         assert _outcome(gamma_reduce, g, -1) == _outcome(gamma_reduce, g, F(-1))
+        for p in (0.5, Decimal("0.5")):
+            assert _outcome(gamma_reduce, g, p) == _outcome(gamma_reduce, g, F(1, 2))
+            assert _outcome(gamma_reduce_pair, g, p) == _outcome(gamma_reduce_pair, g, F(1, 2))
+
+
+@pytest.mark.parametrize("p", ("abc", None, float("inf"), float("nan"), "1/0", [1, 2]),
+                         ids=["word", "None", "inf", "nan", "zero-denominator", "list"])
+@pytest.mark.parametrize("reduce", (gamma_reduce, gamma_reduce_pair))
+def test_non_rational_p_is_a_domain_error(reduce, p):
+    # once a bare ValueError, TypeError or OverflowError
+    with pytest.raises(DomainError, match="rational"):
+        reduce(beta_factor(2), p)
 
 
 @pytest.mark.parametrize("p", (F(-1), F(-3, 2)))
@@ -344,8 +358,8 @@ def test_vanishing_rising_entry_raises_zero_divisor(monkeypatch):
     p = F(1, 3)
     cache.rising_factorial(p, 4)
     cache.rising_factorial(p - 2, 2)
-    cache.rising[1, 3][4] = F(0)
-    cache.rising[-5, 3][2] = F(0)
+    cache.rising[1, 3][4] = 0, 1
+    cache.rising[-5, 3][2] = 0, 1
     for g in (GammaProduct((("p", 4, -1),)), GammaProduct((("p", -2, 1),))):
         outcome = _outcome(gamma_reduce, g, p)
         assert outcome[0] is ZeroDivisor
@@ -360,8 +374,10 @@ def test_poisoned_rising_entry_changes_the_reduction(monkeypatch):
     p = F(5, 2)
     products = [GammaProduct((("2p", 6, 1), ("p", 3, -1))), GammaProduct((("2p", -1, 2),))]
     clean = [gamma_reduce(g, p) for g in products]
-    cache.rising[5, 1][6] *= 3  # (5)_6, read by Gamma(2p+6)
-    cache.rising[4, 1][1] *= 5  # (4)_1, read by Gamma(2p-1) = Gamma(2p) / (2p-1)_1
+    num, den = cache.rising[5, 1][6]
+    cache.rising[5, 1][6] = 3 * num, den  # (5)_6, read by Gamma(2p+6)
+    num, den = cache.rising[4, 1][1]
+    cache.rising[4, 1][1] = 5 * num, den  # (4)_1, read by Gamma(2p-1) = Gamma(2p) / (2p-1)_1
     poisoned = [gamma_reduce(g, p) for g in products]
     assert poisoned[0].value == 3 * clean[0].value
     assert poisoned[1].value == clean[1].value / 25

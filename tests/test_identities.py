@@ -13,7 +13,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -464,8 +464,8 @@ def test_p1_and_family_sums_match_the_plain_sums():
     for n, p in ((5, F(1, 2)), (9, F(-1, 4)), (12, F(3))):
         for which in FAMILY_KINDS:
             report = verify_family(which, n, p)
-            lhs, rhs = (sum((scalar * gamma_reduce(product, p).value for product, scalar in side),
-                            F(0))
+            lhs, rhs = (sum((F(*scalar) * gamma_reduce(product, p).value
+                             for product, scalar in side), F(0))
                         for side in family_terms(which, n))
             assert (report.lhs, report.rhs) == (lhs, rhs), (which, n, p)
 
@@ -856,7 +856,8 @@ def test_slot_keeps_the_entries_of_one_n(monkeypatch):
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     assert all(verify(n).ok for verify in rows.values())
     assert {key if isinstance(key, str) else key[0] for key in cache.slot[1]} == {
-        "products", "coth-product", "sinh-product", "family", "scaled", "cofactors"}
+        "products", "coth-product", "sinh-product", "family-products", "family", "scaled",
+        "cofactors"}
     # after the rows at n+1, the slot holds what they alone leave: no entry of n
     assert all(verify(n + 1).ok for verify in rows.values())
     assert cache.slot == fresh.slot
@@ -870,8 +871,8 @@ def test_slot_keeps_the_entries_of_one_n(monkeypatch):
 
     def poison_family():
         lhs, rhs = family_terms("mixed", n)
-        (product, scalar), *rest = lhs
-        cache.slot[1]["family", "mixed"] = (((product, scalar + 1), *rest), rhs)
+        (product, (num, den)), *rest = lhs
+        cache.slot[1]["family", "mixed"] = (((product, (num + den, den)), *rest), rhs)
 
     # a poisoned entry at n fails the rows at n that read it, and no row at n+1
     for poison, readers in ((poison_products, {"euler", "miki", "fpz", "mixed", "fpz-cubic"}),
@@ -1111,12 +1112,13 @@ def _collected(summands):
 
 
 def test_family_terms_are_product_scalar_pairs(monkeypatch):
-    # one (GammaProduct, Fraction) pair per distinct factor tuple, whose
-    # scalar adds the summands of that tuple; the three kinds at n list the
-    # same factor tuples in the same order and differ in scalars.  The
-    # hand-written tuples must be GammaProduct's canonical ones, among them
-    # the k = n/2 square, the k = 1 tail square and the k = 2n-1 tail whose
-    # Gamma(2p+...) pair cancels
+    # one (GammaProduct, scalar) pair per distinct factor tuple, whose
+    # scalar, a reduced integer pair with a positive denominator, adds the
+    # summands of that tuple; the three kinds at n list the same factor
+    # tuples in the same order, share one product per tuple and differ in
+    # scalars.  The hand-written tuples must be GammaProduct's canonical
+    # ones, among them the k = n/2 square, the k = 1 tail square and the
+    # k = 2n-1 tail whose Gamma(2p+...) pair cancels
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     written = []
     real = identities.GammaProduct
@@ -1129,20 +1131,25 @@ def test_family_terms_are_product_scalar_pairs(monkeypatch):
     for n in range(2, 13):
         written.clear()
         sides = {which: family_terms(which, n) for which in FAMILY_KINDS}
-        assert len(written) == 3 * (n // 2 + 2 * n)
+        assert len(written) == n // 2 + 2 * n
         assert all(real(factors).factors == factors for factors in written), n
         for which, terms in sides.items():
             summands = _family_summands(which, n)
             assert tuple(map(len, summands)) == (n - 1, 3 * n - 1)
             assert tuple(map(len, terms)) == (n // 2, 2 * n)
             for side, each in zip(terms, summands):
-                for product, scalar in side:
-                    assert type(product) is GammaProduct and type(scalar) is F and scalar != 0
-                assert [(product.factors, scalar) for product, scalar in side] == list(
-                    _collected(each).items()), (which, n)
+                for product, (num, den) in side:
+                    assert type(product) is GammaProduct and type(num) is type(den) is int
+                    assert num != 0 and den > 0 and gcd(num, den) == 1
+                assert [(product.factors, scalar) for product, scalar in side] == [
+                    (factors, (total.numerator, total.denominator))
+                    for factors, total in _collected(each).items()], (which, n)
         tuples = {which: [[product.factors for product, _ in side] for side in terms]
                   for which, terms in sides.items()}
         assert tuples["miki"] == tuples["fpz"] == tuples["mixed"]
+        products = {which: [product for side in terms for product, _ in side]
+                    for which, terms in sides.items()}
+        assert all(map(lambda a, b, c: a is b is c, *products.values()))
         assert sides["miki"][0][0][1] != sides["fpz"][0][0][1]
         lhs, rhs = tuples["miki"]
         assert ((("p", n, 2),) in lhs) == (n % 2 == 0)
@@ -1162,7 +1169,8 @@ def test_family_terms_are_built_once_per_cache(monkeypatch):
     terms = family_terms("fpz", 5)
     assert family_terms("fpz", 5) is terms
     assert all(isinstance(side, tuple) for side in terms)
-    assert cache.slot == (5, {("family", "fpz"): terms})
+    products = {product.factors: product for side in terms for product, _ in side}
+    assert cache.slot == (5, {"family-products": products, ("family", "fpz"): terms})
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     rebuilt = family_terms("fpz", 5)
     assert rebuilt is not terms and rebuilt == terms
@@ -1395,8 +1403,8 @@ def test_cofactor_vectors_build_no_fraction_on_warm_tables(monkeypatch):
 
 
 def test_family_rows_reuse_the_family_products(monkeypatch):
-    # family_terms builds one product per distinct factor tuple; the rows
-    # read those and build none of their own
+    # family_terms builds one product per distinct factor tuple, shared by
+    # the three kinds at n; the rows read those and build none of their own
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     built = []
     real = identities.GammaProduct
@@ -1407,7 +1415,6 @@ def test_family_rows_reuse_the_family_products(monkeypatch):
 
     monkeypatch.setattr(identities, "GammaProduct", counted)
     for which in FAMILY_KINDS:
-        built.clear()
         terms = family_terms(which, 7)
         summands = sum(_family_summands(which, 7), [])
         assert len(built) == len(_collected(summands)) < len(summands)
@@ -1421,6 +1428,27 @@ def test_family_rows_reuse_the_family_products(monkeypatch):
         assert verify_family(which, 7, F(2, 3)).ok
 
 
+def test_agreeing_family_sides_are_one_fraction(monkeypatch):
+    # sides that agree are normalised once: the row reports its lhs as its
+    # rhs, with a zero residual; sides that differ are each reduced and
+    # subtracted
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    for which in FAMILY_KINDS:
+        for n, p in ((2, F(1, 2)), (7, F(-1, 4)), (12, F(3)), (9, F(0))):
+            r = verify_family(which, n, p)
+            assert r.ok and r.lhs is r.rhs, (which, n, p)
+            assert type(r.residual) is F and r.residual == 0
+    p = F(1, 3)
+    clean = verify_family("fpz", 6, p)
+    entries = bernkit.sequences._DEFAULT.slot[1]
+    (product, (num, den)), *rest = entries["family", "fpz"][0]
+    entries["family", "fpz"] = (((product, (num + den, den)), *rest), entries["family", "fpz"][1])
+    r = verify_family("fpz", 6, p)
+    assert not r.ok and r.rhs == clean.rhs
+    assert r.lhs - clean.lhs == gamma_reduce(product, p).value
+    assert type(r.residual) is F and r.residual == r.lhs - r.rhs != 0
+
+
 def test_injected_cache_replaces_the_family_table(monkeypatch):
     assert verify_family("fpz", 6, F(1, 2)).ok
     warm = bernkit.sequences._DEFAULT.slot[1]["family", "fpz"]
@@ -1432,8 +1460,8 @@ def test_injected_cache_replaces_the_family_table(monkeypatch):
     assert entries["family", "fpz"] == warm and entries["family", "fpz"] is not warm
     # the exact rows and the float twin read the one family entry: a
     # changed collected scalar flips them at every p
-    (product, scalar), *rest = entries["family", "fpz"][0]
-    entries["family", "fpz"] = (((product, scalar + 1), *rest), entries["family", "fpz"][1])
+    (product, (num, den)), *rest = entries["family", "fpz"][0]
+    entries["family", "fpz"] = (((product, (num + den, den)), *rest), entries["family", "fpz"][1])
     assert not verify_family("fpz", 6, F(1, 2)).ok
     assert not verify_family("fpz", 6, F(3)).ok
     assert not floatcheck.family_float("fpz", 6, 0.5).ok

@@ -26,9 +26,10 @@ q (q+1) ... (q+m-1), which the package no longer computes.
 """
 
 import inspect
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -272,12 +273,14 @@ def test_growth_never_rewrites_entries():
     q = Fraction(2, 3)
     cache.rising_factorial(q, 6)
     table = cache.rising[2, 3]
-    table[3] += 1
+    num, den = table[3]
+    table[3] = num + den, den
     rising_before = list(table)
     assert cache.rising_factorial(q, 20) == direct_rising(q, 20)
     assert table[: len(rising_before)] == rising_before
-    assert table[3] == direct_rising(q, 3) + 1
-    assert table[len(rising_before):] == [direct_rising(q, m) for m in range(len(rising_before), 21)]
+    assert Fraction(*table[3]) == direct_rising(q, 3) + 1
+    assert table[len(rising_before):] == [
+        direct_rising(q, m).as_integer_ratio() for m in range(len(rising_before), 21)]
 
 
 def test_bernoulli_small_table():
@@ -463,6 +466,29 @@ def test_rising_factorial():
     assert rising_factorial(Fraction(-2), 3) == 0
 
 
+@pytest.mark.parametrize("q", (0.5, "1/2", "0.5", Decimal("0.5")),
+                         ids=["float", "str-ratio", "str-decimal", "Decimal"])
+def test_rising_factorial_converts_what_fraction_accepts(q):
+    # a float, string or Decimal anchor is converted once and keys the
+    # table of its reduced Fraction
+    cache = SequenceCache()
+    assert cache.rising_factorial(q, 3) == rising_factorial(Fraction(1, 2), 3) == Fraction(15, 8)
+    assert rising_factorial(q, 3) == Fraction(15, 8)
+    assert cache.rising == {(1, 2): [(1, 1), (1, 2), (3, 4), (15, 8)]}
+
+
+@pytest.mark.parametrize("q", ("abc", None, float("inf"), float("nan"), "1/0", [1, 2]),
+                         ids=["word", "None", "inf", "nan", "zero-denominator", "list"])
+def test_non_rational_anchor_is_a_domain_error(q):
+    # once a bare AttributeError ('float' object has no attribute 'numerator')
+    cache = SequenceCache()
+    with pytest.raises(DomainError, match="rational"):
+        cache.rising_factorial(q, 3)
+    with pytest.raises(DomainError, match="rational"):
+        rising_factorial(q, 3)
+    assert cache.rising == {}
+
+
 def direct_rising(q: Fraction, m: int) -> Fraction:
     """(q)_m as the direct product q (q+1) ... (q+m-1), the test oracle."""
     result = Fraction(1)
@@ -485,11 +511,19 @@ RISING_ORDERS = {
     st.sampled_from(sorted(RISING_ORDERS)),
 )
 def test_rising_factorial_matches_direct_product(q, top, order):
-    # nonpositive integers q included: there (q)_m = 0 for every m > -q
+    # nonpositive integers q included: there (q)_m = 0 for every m > -q.
+    # Every table entry is the oracle's reduced integer pair with a
+    # positive denominator, (0, 1) for a zero, in any growth order
     cache = SequenceCache()
     for m in RISING_ORDERS[order](top):
-        assert cache.rising_factorial(q, m) == direct_rising(q, m), (q, m)
-    assert cache.rising == {(q.numerator, q.denominator): [direct_rising(q, m) for m in range(top + 1)]}
+        value = cache.rising_factorial(q, m)
+        assert type(value) is Fraction and value == direct_rising(q, m), (q, m)
+    (key, table), = cache.rising.items()
+    assert key == (q.numerator, q.denominator)
+    assert len(table) == top + 1
+    for m, (num, den) in enumerate(table):
+        assert type(num) is type(den) is int and den > 0 and gcd(num, den) == 1, (q, m)
+        assert (num, den) == direct_rising(q, m).as_integer_ratio(), (q, m)
 
 
 def test_cache_injection_is_isolated(monkeypatch):
