@@ -141,7 +141,7 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
     exact_ps = []
     for text in p_values:
         try:
-            exact_ps.append(str(Fraction(text)))
+            exact_ps.append(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--p values must be exact rationals, got {text!r}")
     if not all(math.isfinite(fp) for fp in float_ps):
@@ -155,8 +155,8 @@ def verify(idents, n_min, n_max, p_values, n_parts, float_ps, fmt, jobs) -> None
     if n_parts is not None and "N" not in params:
         raise UsageError(f"--N applies only to {_ids('N')}")
 
-    # a task is (ident, n, p, n_parts); a family row's p is a str on the
-    # exact lane and a float on the float lane: its type picks the lane
+    # a task is (ident, n, p, n_parts); a family row's p is a Fraction on
+    # the exact lane and a float on the float lane: its type picks the lane
     tasks = []
     for ident in idents:
         spec = identities.IDENTITIES[ident]

@@ -39,8 +39,7 @@ from typing import NamedTuple
 
 from . import sequences
 from .errors import DomainError, QuadFailure, UnknownName
-from .gammaalg import GammaProduct
-from .identities import IdentityReport, family_terms
+from .identities import IdentityReport, _family
 from .sequences import bernoulli
 from .series import named_series
 
@@ -382,16 +381,17 @@ def check_g_squared(x: float) -> QuadResult:
     return QuadResult("g_squared", x, 0.0, value, err, target, abs(value - target), tol)
 
 
-def _float_side(terms: tuple[tuple[GammaProduct, tuple[int, int]], ...], p: float) -> float:
-    """Sum of the (product, scalar) terms at float p.  Each term is carried
-    as a mantissa and a binary exponent, so it overflows only if the sum
-    itself does.  The rational scalars, integer pairs, shrink like
-    (2 pi)^(-2n) and stay far inside the double range wherever math.gamma
-    does not overflow; num / den is the correctly rounded quotient, the
-    very float that float(Fraction(num, den)) gives."""
+def _float_side(products, common: int, numerators: list[int], p: float) -> float:
+    """Sum of each product times its scalar at float p, the scalars given
+    as their common denominator S and their numerators over S.  Each term
+    is carried as a mantissa and a binary exponent, so it overflows only
+    if the sum itself does.  The rational scalars shrink like (2 pi)^(-2n)
+    and stay far inside the double range wherever math.gamma does not
+    overflow; Python's int true division rounds correctly, so num / S is
+    the very float that float(Fraction(num, S)) gives."""
     scaled = []
-    for product, (num, den) in terms:
-        m, e = math.frexp(num / den)
+    for product, num in zip(products, numerators):
+        m, e = math.frexp(num / common)
         for base, offset, exponent in product.factors:
             gm, ge = math.frexp(math.gamma((p if base == "p" else 2.0 * p) + offset))
             m, de = math.frexp(m * gm**exponent)
@@ -405,10 +405,10 @@ def family_float(which: str, n: int, p: float) -> IdentityReport:
     """Both sides of a family identity in double precision via math.gamma.
 
     The float twin of the exact family verifier: it evaluates the same
-    family_terms, but takes each gamma factor from math.gamma instead of
-    reducing it exactly, so it is the only lane that takes a float p; the
-    exact lane checks rational p, integer or not (1/2, 3/2, 5/2 and -1/4
-    on every acceptance scan).  Its IdentityReport carries float sides,
+    family_terms over the same layout products, but takes each gamma
+    factor from math.gamma instead of reducing it exactly, so it is the
+    only lane that takes a float p; the exact lane checks rational p,
+    integer or not (1/2, 3/2, 5/2 and -1/4 on every acceptance scan).  Its IdentityReport carries float sides,
     residual and p.  Agreement is relative, to 1e-8 of the larger side,
     with no absolute floor under small sides.
     A side outside the double range (about 2n + 2p > 171) raises
@@ -416,10 +416,10 @@ def family_float(which: str, n: int, p: float) -> IdentityReport:
     """
     if not -1 < p < math.inf:
         raise DomainError(f"float family evaluation needs finite p > -1, got {p}")
-    lhs_terms, rhs_terms = family_terms(which, n)
+    sides, layout = _family(which, n)
     try:
-        lhs = _float_side(lhs_terms, p)
-        rhs = _float_side(rhs_terms, p)
+        lhs, rhs = (_float_side(products.values(), *scalars, p)
+                    for products, scalars in zip(layout.products, sides))
     except OverflowError:
         raise DomainError(f"family-{which} at n = {n}, p = {p} leaves the double range") from None
     residual = lhs - rhs

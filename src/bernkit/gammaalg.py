@@ -18,9 +18,10 @@ held as reduced integer (numerator, denominator) pairs, the very keys of
 no Fraction is built for them.  Each table entry is itself a reduced
 integer pair.  An entry that exists is read straight from
 ``sequences._DEFAULT.rising``, looked up at call time so an injected or
-corrupted cache reaches every reduction; a missing one is made by
-``sequences.rising_factorial``, the one place where a table grows, and
-then read from the table like any other.  No Legendre duplication is
+corrupted cache reaches every reduction; a missing one is grown by
+``SequenceCache.rising_table``, the one grower of the tables, which
+takes the anchor's integer pair and returns its table, so a miss builds
+no Fraction either.  No Legendre duplication is
 applied: the two bases stay independent, which keeps every cofactor
 rational.
 
@@ -52,7 +53,7 @@ from typing import NamedTuple
 
 from . import sequences
 from .errors import DomainError, PoleEncountered, ZeroDivisor
-from .sequences import _rational, rising_factorial
+from .sequences import _rational
 
 __all__ = [
     "GammaProduct",
@@ -149,8 +150,8 @@ def gamma_reduce_pair(g: GammaProduct, p: Fraction) -> tuple[int, int, int, int]
     anchors p and 2p are held as reduced integer (numerator, denominator)
     pairs, the keys of the rising tables.  A rising entry that exists is
     read straight from the table of ``sequences._DEFAULT``, looked up at
-    call time; a missing one is made by ``rising_factorial``, the one
-    place a table grows, and read from the table after it.  Each factor
+    call time; on a miss the table is grown by that cache's
+    ``rising_table``, the one grower, which returns it.  Each factor
     multiplies the pair by its entry's integer pair (swapped for a
     negative offset or exponent); no gcd is taken.
 
@@ -188,8 +189,7 @@ def gamma_reduce_pair(g: GammaProduct, p: Fraction) -> tuple[int, int, int, int]
             key, steps = (t_num + offset * t_den, t_den), -offset
         table = tables.get(key)
         if table is None or steps >= len(table):
-            rising_factorial(Fraction(*key), steps)
-            table = tables[key]
+            table = sequences._DEFAULT.rising_table(key, steps)
         if offset >= 0:
             top, bottom = table[steps]
             if top == 0 and exponent < 0:

@@ -8,10 +8,11 @@ The quadratic identities (Euler, Miki, the modified Miki form, the FPZ
 identity and the mixed B/Bbar identity) are plain folded sums.  The
 one-parameter families evaluate gamma-weighted versions of the latter
 three at any rational p where no gamma factor is singular: both sides are
-assembled as (GammaProduct, scalar) pairs, one per distinct factor tuple,
-reduced against the Gamma(p) and Gamma(2p) bases, checked for one
-exponent pair common to both sides, and compared through their rational
-cofactors; the float lane reads the same family_terms.  The cubic
+assembled as one scalar per distinct gamma factor tuple, the products of
+those tuples are reduced against the Gamma(p) and Gamma(2p) bases,
+checked for one exponent pair common to both sides, and the sides are
+compared through their rational cofactors; the float lane reads the same
+scalars and products.  The cubic
 identities are triple convolutions.  Lemma-expansion checks reconstruct
 the intermediate asymptotic series of the squared generating functions by
 two independent routes.
@@ -128,47 +129,43 @@ most.  Its keys:
   bbar_scale), summed by the first row that needs it and read by the
   others (Miki, the modified Miki form, FPZ, Gessel and its modified
   form, the cubic FPZ form and the lemma check).
-* ("family", which): family_terms(which, n), the (lhs, rhs) tuples of
-  one (GammaProduct, scalar) pair per distinct factor tuple, the product
-  holding the canonical gamma factors and the scalar the sum of the
-  exact rational coefficients of the summands with that tuple, as a
-  reduced integer pair (numerator, denominator) with a positive
-  denominator.  The left terms k and n-k share a tuple, and so do the
-  beta term at an even k' and the right term at k'/2.  Each summand
-  writes its tuple in canonical order and adds its scalar as an integer
-  pair, and each tuple's pair is reduced once, so no Fraction is built.
-  The exact family rows and the float twin both read this entry.
-* "family-products": {factor tuple: GammaProduct}, the one product of
-  each tuple, built by the first kind at n that writes it; the three
-  kinds write the same tuples and share these products.
-* ("scaled", which): (entry, sides), the family entry it was read from
-  and, per side, the common denominator S of the scalars, their integer
-  numerators over S, and the side's cofactor vectors.  verify_family
-  builds it afresh whenever the family entry is no longer the one it
-  holds, so a replaced entry reaches the rows.
-* ("cofactors", sequence): for a side's factor-tuple sequence,
-  {(p.numerator, p.denominator): _Cofactors}, the unreduced integer
-  cofactors that gammaalg.gamma_reduce_pair gives for the side's tuples
-  at p, as V, the lcm of their denominators, their numerators over V in
-  the side's order, and the set of their (Gamma(p), Gamma(2p)) exponent
-  pairs, which every row checks.  No cofactor is reduced on its own: the
-  row's final Fraction is its one normalisation.  The three kinds at n
-  write the same tuples in the same order and differ in their scalars,
-  so they share one vector per side and p, built once per (n, p), and
-  verify_p1's rerun at p = 1 reads it too; an entry whose sequence
-  differs gets its own.
+* "family-layout": what the three family kinds share at n.  All three
+  write the same factor tuples, since their gamma structure is one and
+  only their B and Bbar weights differ; the first kind at n builds the
+  layout from its own.  Per side it holds {factor tuple: GammaProduct},
+  one product per distinct tuple in order of first occurrence, and for
+  each p met at n, keyed by (p numerator, p denominator), the cofactor
+  vectors of both sides: the unreduced integer cofactors that
+  gammaalg.gamma_reduce_pair gives for the side's products, as V, the
+  lcm of their denominators, and their numerators over V in the side's
+  order.  A pair of vectors is built once per (n, p), every kind and
+  verify_p1's rerun at p = 1 read it, and its build checks that every
+  product of both sides reduces to one (Gamma(p), Gamma(2p)) exponent
+  pair; a build that fails that check stores nothing.
+* ("family", which): family_terms(which, n), each side's scalars as S,
+  the lcm of their denominators, and their integer numerators over S,
+  placed in the layout's order by looking each factor tuple up there.
+  A scalar is the sum of the exact rational coefficients of the summands
+  with that tuple: the left terms k and n-k share a tuple, and so do the
+  beta term at an even k' and the right term at k'/2.  Each summand adds
+  its scalar as an unreduced integer pair, so no scalar is reduced on
+  its own and no Fraction is built.  The exact family rows and the float
+  twin both read this entry and the layout, each from the slot on every
+  row, so a replaced entry reaches them all.
 
 Each family side is one integer dot product, sum(scalar numerators x
 cofactor numerators) over S V.  The two sides are compared unreduced, by
 cross-multiplication; sides that agree are normalised once, into one
 Fraction reported as both, and only sides that differ are each reduced
-and subtracted (_report subtracts only then).  Every family factor tuple
-at n carries Gamma(2p+2n) or a pair summing to 2n, so no tuple at n
-occurs at another n, and a row at another n drops nothing it could read
-(the slot holds about 600 cofactors at n = 30 and eight p).
-gamma_reduce_pair alone reads the rising tables for the families; a
-rising entry poisoned after the vectors that read it were stored no
-longer reaches the rows of that (n, p).
+and subtracted (_report subtracts only then).  _over_lcm brings integer
+pairs over one lcm for the scalars, the cofactors and _dot's one-lcm
+sums alike.  Every family factor tuple at n carries Gamma(2p+2n) or a
+pair summing to 2n, so no tuple at n occurs at another n, and a row at
+another n drops nothing it could read (the layout holds about 600
+cofactors at n = 30 and eight p).  gamma_reduce_pair alone reads the
+rising tables for the families; a rising entry poisoned after the
+vectors that read it were stored no longer reaches the rows of that
+(n, p).
 """
 
 from __future__ import annotations
@@ -355,8 +352,15 @@ def _dot(terms) -> Fraction:
             parts[half] = parts[-1]
             half += 1
         del parts[half:]
-    common = lcm(*(den for _, den in parts))
-    return Fraction(sum(num * (common // den) for num, den in parts), common)
+    common, numerators = _over_lcm(parts)
+    return Fraction(sum(numerators), common)
+
+
+def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """Integer (numerator, denominator) pairs over one common denominator:
+    the lcm of the denominators, and each numerator over it, in order."""
+    common = lcm(*(den for _, den in pairs))
+    return common, [num * (common // den) for num, den in pairs]
 
 
 class _Ratio(NamedTuple):
@@ -604,11 +608,13 @@ def verify_mixed(n: int) -> IdentityReport:
     return _report("mixed", n, lhs, rhs)
 
 
-def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, tuple[int, int]], ...], ...]:
-    """(lhs, rhs) terms of one gamma-weighted family, symbolic in p: one
-    (GammaProduct, scalar) pair per distinct factor tuple, in order of first
-    occurrence, built once per (which, n); each scalar is a reduced
-    integer pair (numerator, denominator) with a positive denominator.
+def family_terms(which: str, n: int) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
+    """(lhs, rhs) scalars of one gamma-weighted family, symbolic in p, built
+    once per (which, n): per side, the common denominator S of its scalars
+    and their integer numerators over S, in the order of the side's
+    products in the family layout at n.  Each scalar is the sum of the
+    exact rational coefficients of the summands that share one factor
+    tuple, and the product of that tuple is the layout's.
 
     which selects the plain (miki), Bbar (fpz) or mixed variant.  Each
     summand's factor tuple is written in GammaProduct's canonical order
@@ -616,27 +622,32 @@ def family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, tuple[in
     left term carries ("p", n, 2), the k = 1 tail term ("p", 1, 2), and
     at k = 2n-1 the tail's Gamma(2p+2n) / Gamma(2p+k+1) cancels.  Each
     summand's scalar is an unreduced integer pair, added to the pair of
-    its tuple, and each tuple's pair is reduced once at the end: at n = 30
-    the 29 + 89 summands leave 15 + 60 pairs.  The three kinds at n write
-    the same tuples and share one GammaProduct per tuple, built by the
-    first kind that meets it.
+    its tuple: at n = 30 the 29 + 89 summands leave 15 + 60 pairs.  The
+    first kind at n builds the layout from its tuples; every kind places
+    its pairs by looking each tuple up in the layout, and brings them over
+    one lcm, so no scalar is reduced on its own and no Fraction is built.
     """
     _require_floor(f"family-{which}", n)
     return _at_n(n, ("family", which), lambda: _family_terms(which, n))
 
 
-def _family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, tuple[int, int]], ...], ...]:
+def _family_terms(which: str, n: int) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
     """family_terms(which, n), built."""
+    sides = _summands(which, n)
+    return tuple(_over_lcm([terms[factors] for factors in products])
+                 for terms, products in zip(sides, _layout(n, lambda: sides).products))
+
+
+def _summands(which: str, n: int) -> tuple[dict, dict]:
+    """(lhs, rhs) of one family as {factor tuple: unreduced integer pair},
+    the scalars of each tuple's summands added, in order of first
+    occurrence."""
     # B and Bbar enter as unreduced integer pairs, B_m times its weight
     lhs_first = bbar_scale if which == "fpz" else _unit_scale
     lhs_second = _unit_scale if which == "miki" else bbar_scale
     rhs_second = bbar_scale if which == "fpz" else _unit_scale
-    products = _at_n(n, "family-products", dict)
-    fact = [1]
-    for j in range(1, 2 * n + 1):
-        fact.append(fact[-1] * j)
-    lhs_terms: dict[tuple, tuple[int, int]] = {}
-    rhs_terms: dict[tuple, tuple[int, int]] = {}
+    fact = list(accumulate(range(1, 2 * n + 1), mul, initial=1))
+    lhs_terms, rhs_terms = {}, {}
 
     def add(terms, factors, num, den):
         other, other_den = terms.get(factors, (0, 1))
@@ -674,67 +685,57 @@ def _family_terms(which: str, n: int) -> tuple[tuple[tuple[GammaProduct, tuple[i
         gamma_2p = (("2p", k + 1, -1), ("2p", 2 * n, 1)) if k < 2 * n - 1 else ()
         gamma_p = (("p", 1, 2),) if k == 1 else (("p", 1, 1), ("p", k, 1))
         add(rhs_terms, gamma_2p + gamma_p, *tail)
-
-    def term(factors, num, den):
-        product = products.get(factors)
-        if product is None:
-            product = products[factors] = GammaProduct(factors)
-        g = gcd(num, den)
-        return product, (num // g, den // g)
-
-    return tuple(
-        tuple(term(factors, num, den) for factors, (num, den) in side.items())
-        for side in (lhs_terms, rhs_terms)
-    )
+    return lhs_terms, rhs_terms
 
 
-class _Cofactors(NamedTuple):
-    """One family side's gamma reductions at one p: the set of their
-    (Gamma(p), Gamma(2p)) exponent pairs, and their rational cofactors over
-    one common denominator, as that denominator and the integer numerators
-    in the order of the side's terms."""
+class _Layout(NamedTuple):
+    """The family layout at one n, shared by the three kinds: per side,
+    {factor tuple: GammaProduct} in the side's order, and the cofactor
+    vectors of both sides at each p met at n, keyed by (p numerator,
+    p denominator), each side's as (V, numerators over V)."""
 
-    exponents: frozenset[tuple[int, int]]
-    denominator: int
-    numerators: tuple[int, ...]
-
-
-def _cofactors(side, p: Fraction) -> _Cofactors:
-    """The unreduced integer cofactor of each product of ``side`` at p, from
-    gamma_reduce_pair, over one denominator; no Fraction is built."""
-    reductions = [gamma_reduce_pair(product, p) for product, _ in side]
-    common = lcm(*(den for _, _, _, den in reductions))
-    return _Cofactors(
-        frozenset((exp_p, exp_2p) for exp_p, exp_2p, _, _ in reductions),
-        common,
-        tuple(num * (common // den) for _, _, num, den in reductions),
-    )
+    products: tuple[dict[tuple, GammaProduct], dict[tuple, GammaProduct]]
+    vectors: dict[tuple[int, int], tuple[tuple[int, list[int]], tuple[int, list[int]]]]
 
 
-def _scaled_side(side, n: int) -> tuple[int, tuple[int, ...], dict]:
-    """A side's scalars over one common denominator, as that denominator and
-    the integer numerators, and the cofactor vectors of its factor-tuple
-    sequence, {(p numerator, p denominator): _Cofactors}, the per-n slot's
-    entry for that sequence at n."""
-    common = lcm(*(den for _, (_, den) in side))
-    numerators = tuple(num * (common // den) for _, (num, den) in side)
-    sequence = tuple(product.factors for product, _ in side)
-    return common, numerators, _at_n(n, ("cofactors", sequence), dict)
+def _layout(n: int, summands: Callable[[], tuple[dict, dict]]) -> _Layout:
+    """The family layout at n from the per-n slot, built on first use from
+    the factor tuples of summands(), one GammaProduct per tuple."""
+    return _at_n(n, "family-layout", lambda: _Layout(
+        tuple({factors: GammaProduct(factors) for factors in side} for side in summands()), {}))
+
+
+def _family(which: str, n: int) -> tuple[tuple[tuple[int, list[int]], ...], _Layout]:
+    """family_terms(which, n) and the family layout at n, each read from the
+    per-n slot on every call, so a replaced entry reaches every reader."""
+    return family_terms(which, n), _layout(n, lambda: _summands(which, n))
+
+
+def _cofactors(products, p: Fraction) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
+    """Each side's unreduced gamma_reduce_pair cofactors at p over one
+    denominator V, as (V, numerators); no Fraction is built.  Every
+    product of both sides must reduce to one (Gamma(p), Gamma(2p))
+    exponent pair, else ExponentMismatch."""
+    reductions = [[gamma_reduce_pair(g, p) for g in side.values()] for side in products]
+    exponents = {(exp_p, exp_2p) for side in reductions for exp_p, exp_2p, _, _ in side}
+    if len(exponents) != 1:
+        raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
+    return tuple(_over_lcm([(num, den) for _, _, num, den in side]) for side in reductions)
 
 
 def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     """One-parameter gamma-weighted family of the quadratic identities.
 
-    Each side of family_terms is one integer dot product: its scalars over
-    one denominator S, built once per (which, n), times its unreduced
-    gamma_reduce_pair cofactors at p over one denominator V, built once per
-    (n, p) and factor tuple sequence and shared by every kind, over S V.
-    Both live in the per-n slot (see
-    the module docstring), which keeps every p met at its n, so the rows
-    at one n reduce each product once per p, in any order, and a row at
-    another n replaces it.  Every product of
-    either side must reduce to one (Gamma(p), Gamma(2p)) exponent pair,
-    checked on every row from the exponent sets stored with the vectors.
+    Each side is one integer dot product: the scalars of family_terms over
+    their denominator S, built once per (which, n), times the side's
+    unreduced gamma_reduce_pair cofactors at p over their denominator V,
+    over S V.  The cofactor vectors of both sides are built together once
+    per (n, p), in the family layout at n, and every kind reads them, so
+    the rows at one n reduce each product once per p, in any order, and a
+    row at another n replaces them.  Every product of either side must
+    reduce to one (Gamma(p), Gamma(2p)) exponent pair; that is checked
+    when the vectors are built, and a failed build stores nothing, so
+    every row at that (n, p) raises ExponentMismatch.
 
     The two unreduced sides are compared by cross-multiplication: sides
     that agree are one Fraction, reported as both lhs and rhs with a zero
@@ -746,28 +747,16 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     n = 2, p = 1/2 reports 1/256, its float twin pi/256).  ``p`` is
     anything Fraction accepts; anything else raises DomainError.
     """
-    sides = family_terms(which, n)
+    sides, layout = _family(which, n)
     if not isinstance(p, Fraction):
         p = _rational("verify_family", p)
-
-    def scaled():
-        return sides, tuple(_scaled_side(side, n) for side in sides)
-
-    entry = _at_n(n, ("scaled", which), scaled)
-    # the scalars are those of the family entry they were read from
-    if entry[0] is not sides:
-        entry = scaled()
     key = p.as_integer_ratio()
-    exponents, sums = set(), []
-    for side, (common, scalars, vectors) in zip(sides, entry[1]):
-        vector = vectors.get(key)
-        if vector is None:
-            vector = vectors[key] = _cofactors(side, p)
-        exponents |= vector.exponents
-        sums.append((sum(map(mul, scalars, vector.numerators)), common * vector.denominator))
-    if len(exponents) != 1:
-        raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
-    (top, den), (rhs_top, rhs_den) = sums
+    vectors = layout.vectors.get(key)
+    if vectors is None:
+        vectors = layout.vectors[key] = _cofactors(layout.products, p)
+    (top, den), (rhs_top, rhs_den) = (
+        (sum(map(mul, scalars, cofactors)), common * denominator)
+        for (common, scalars), (denominator, cofactors) in zip(sides, vectors))
     lhs = Fraction(top, den)
     rhs = lhs if top * rhs_den == rhs_top * den else Fraction(rhs_top, rhs_den)
     return _report(f"family-{which}", n, lhs, rhs, p=p)

@@ -47,14 +47,16 @@ F_m = sum(H_l/(l+1), l=1..m), grown together by their one reader,
 (H_2n^2 - H^(2)_2n) / 2, and checks them against each other on every
 read; and one prefix table per anchor q = a/b of the rising factorials,
 ``rising[a, b] = [(q)_0, (q)_1, ...]``, each entry the reduced integer
-pair (numerator, denominator) with a positive denominator, from which
-``rising_factorial`` builds the Fraction (q)_m;
-``gammaalg.gamma_reduce_pair``, the reduction loop, multiplies by the
-pair it reads straight from the table and grows one only through
-``rising_factorial``.  For a reduced a/b every factor a + jb is prime to
-b, so (q)_m = (a (a+b) ... (a+(m-1)b)) / b^m is in lowest terms as it
-stands (a zero factor needs b = 1, so a zero entry is (0, 1)): growth is
-two integer multiplies per entry and no gcd.  Growing an anchor's table
+pair (numerator, denominator) with a positive denominator.  One grower,
+``SequenceCache.rising_table``, takes the key (a, b) and returns the
+table grown to the index asked for; ``rising_factorial`` wraps it and
+builds the one Fraction (q)_m, and ``gammaalg.gamma_reduce_pair``, the
+reduction loop, multiplies by the pair it reads straight from the table
+and calls the grower on a miss, so it builds no Fraction.  For a
+reduced a/b every factor a + jb is prime to b, so (q)_m =
+(a (a+b) ... (a+(m-1)b)) / b^m is in lowest terms as it stands (a zero
+factor needs b = 1, so a zero entry is (0, 1)): growth is two integer
+multiplies per entry and no gcd.  Growing an anchor's table
 from length L to m+1 takes m+1-L such steps, so a scan that reduces many
 gamma products at a few anchors steps O(anchors x largest offset) times,
 not once per step of every product.  The key is the (numerator,
@@ -182,9 +184,10 @@ class SequenceCache:
     plain lists indexed by n; ``bernoulli`` grows ``bern`` and
     ``series_bernoulli`` grows ``series_bern``, each from its own kernel;
     ``harmonic`` grows ``harm``, and ``harmonic_second`` grows ``harm2``
-    and ``hfold`` together, to one length; ``rising``
-    maps an anchor's (numerator, denominator) to the list of its (q)_m
-    indexed by m, each a reduced (numerator, denominator) integer pair.
+    and ``hfold`` together, to one length; ``rising``, grown by
+    ``rising_table``, maps an anchor's (numerator, denominator) to the
+    list of its (q)_m indexed by m, each a reduced (numerator,
+    denominator) integer pair.
     ``slot`` is the pair (n, entries) of the latest n the
     identity layer looked anything up at: ``entries`` maps a key to work
     that depends on that n alone; the ``identities`` docstring lists the
@@ -286,23 +289,29 @@ class SequenceCache:
         check_routes("folded sum", value, "symmetric form", (h * h - harm2[2 * n]) / 2)
         return value
 
-    def rising_factorial(self, q: Fraction, m: int) -> Fraction:
-        """(q)_m from the prefix table of the anchor q, grown as needed.
-
-        ``q`` is anything Fraction accepts, converted once when it is not a
-        Fraction already; anything else raises DomainError.  Each new entry
-        is the last one times (a + jb, b) for q = a/b, already reduced."""
-        _require_index("rising_factorial", m)
-        if not isinstance(q, Fraction):
-            q = _rational("rising_factorial", q)
-        a, b = key = q.as_integer_ratio()
+    def rising_table(self, key: tuple[int, int], m: int) -> list[tuple[int, int]]:
+        """The prefix table of the anchor q = a/b, ``key`` = (a, b) in lowest
+        terms with b > 0, grown to index m at least: the one grower of
+        ``rising``.  Each new entry is the last one times (a + jb, b),
+        already reduced, so no Fraction is built."""
         table = self.rising.get(key)
         if table is None:
             table = self.rising[key] = [(1, 1)]
+        a, b = key
         for j in range(len(table) - 1, m):
             num, den = table[j]
             table.append((num * (a + j * b), den * b))
-        return Fraction(*table[m])
+        return table
+
+    def rising_factorial(self, q: Fraction, m: int) -> Fraction:
+        """(q)_m from the prefix table of the anchor q, grown as needed by
+        ``rising_table``.  ``q`` is anything Fraction accepts, converted
+        once when it is not a Fraction already; anything else raises
+        DomainError."""
+        _require_index("rising_factorial", m)
+        if not isinstance(q, Fraction):
+            q = _rational("rising_factorial", q)
+        return Fraction(*self.rising_table(q.as_integer_ratio(), m)[m])
 
 
 _DEFAULT = SequenceCache()

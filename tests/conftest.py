@@ -3,8 +3,11 @@
 import io
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
+
+from bernkit import identities
 
 
 class CliRunner:
@@ -24,3 +27,15 @@ class CliRunner:
                 exception = exc if code else None
         return SimpleNamespace(exit_code=code, output=out.getvalue() + err.getvalue(),
                                stdout_bytes=out.getvalue().encode(), exception=exception)
+
+
+def family_pairs(which, n):
+    """(lhs, rhs) of one family at n as (GammaProduct, scalar) pairs, one per
+    distinct factor tuple in the layout's order: the layout's product and
+    the scalar of family_terms(which, n) at its position, as a reduced
+    integer pair (numerator, denominator)."""
+    sides, layout = identities._family(which, n)
+    return tuple(
+        tuple((product, Fraction(num, common).as_integer_ratio())
+              for product, num in zip(products.values(), numerators))
+        for products, (common, numerators) in zip(layout.products, sides))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import CliRunner
+from conftest import CliRunner, family_pairs
 
 import bernkit
 from bernkit import cli as cli_module, floatcheck, identities, sequences
@@ -602,7 +602,7 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
         return real(g, p)
 
     monkeypatch.setattr(identities, "gamma_reduce_pair", counted)
-    distinct = [{product.factors for product, _ in sum(identities.family_terms("miki", n), ())}
+    distinct = [{product.factors for product, _ in sum(family_pairs("miki", n), ())}
                 for n in range(2, 7)]
     forward = ["--identity", "family-miki", "--identity", "family-fpz", "--identity", "family-mixed",
                "--identity", "p1-mixed", "--p", "1/2", "--p", "1"]
@@ -618,6 +618,29 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
         assert len(calls) == len(set(calls)) == 2 * sum(map(len, distinct)), order
         outputs.append(result.stdout_bytes)
     assert outputs[0] == outputs[1]
+
+
+def test_family_scan_parses_each_p_once(monkeypatch):
+    # verify parses each --p once, into the Fraction its exact rows take,
+    # so no row converts p again; a float p still selects the float lane
+    calls = []
+    real = sequences._rational
+
+    def counted(what, value):
+        calls.append((what, value))
+        return real(what, value)
+
+    for module in (sequences, identities, bernkit.gammaalg):
+        monkeypatch.setattr(module, "_rational", counted)
+    monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+    args = ["verify", "--identity", "family-miki", "--identity", "family-mixed", "--p", "1/2",
+            "--p", "-0.25", "--p", "2/4", "--float-p", "0.75", "--n-max", "6", "--format", "json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert calls == []
+    rows = json.loads(result.output)
+    assert len(rows) == 2 * 5 * 3
+    assert {row["p"] for row in rows} == {"1/2", "-1/4", 0.75}
 
 
 @pytest.mark.parametrize("repeated, once", [
@@ -926,7 +949,7 @@ def test_poisoned_rising_table_fails_the_rows_that_read_it(monkeypatch):
     assert result.exit_code == 1, result.output
     ok = {(row["n"], row["p"]): row["ok"] for row in json.loads(result.output)}
     reads = {
-        n: any(factor[:2] == ("p", 8) for product, _ in sum(identities.family_terms("miki", n), ())
+        n: any(factor[:2] == ("p", 8) for product, _ in sum(family_pairs("miki", n), ())
                for factor in product.factors)
         for n in range(2, 7)
     }

@@ -11,8 +11,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import family_pairs
 
-from bernkit import floatcheck, sequences
+from bernkit import floatcheck, identities, sequences
 from bernkit import (
     DomainError,
     FAMILY_KINDS,
@@ -481,7 +482,7 @@ def _exact_sides(which, n, p):
     terms (the scale that rounding errors in the float lane live on)."""
     report = verify_family(which, n, p)
     sides = []
-    for value, terms in zip((report.lhs, report.rhs), family_terms(which, n)):
+    for value, terms in zip((report.lhs, report.rhs), family_pairs(which, n)):
         reduced = [gamma_reduce(product, p) for product, _ in terms]
         values = [Fraction(*scalar) * r.value for (_, scalar), r in zip(terms, reduced)]
         assert sum(values) == value
@@ -511,7 +512,7 @@ def test_exact_family_sides_omit_gamma_p_squared(which, p):
     # Gamma(p)^a Gamma(2p)^b divided out, (a, b) = (2, 0) for every kind;
     # the float twin reports the true sides
     assert {gamma_reduce(product, p)[:2]
-            for side in family_terms(which, 5) for product, _ in side} == {(2, 0)}
+            for side in family_pairs(which, 5) for product, _ in side} == {(2, 0)}
     exact, twin = verify_family(which, 5, p), family_float(which, 5, float(p))
     scale = math.gamma(p) ** 2
     for true, reported in ((twin.lhs, exact.lhs), (twin.rhs, exact.rhs)):
@@ -519,13 +520,14 @@ def test_exact_family_sides_omit_gamma_p_squared(which, p):
 
 
 def test_family_scalar_floats_are_the_fraction_floats():
-    # the float twin reads each scalar pair as num / den, bit for bit the
-    # float of the exact rational, so its rows keep their digits
+    # the float twin reads each scalar as num / S, its numerator over the
+    # side's common denominator, bit for bit the float of the exact
+    # rational, so its rows keep their digits
     for which in FAMILY_KINDS:
         for n in range(2, 31):
-            for side in family_terms(which, n):
-                for _, (num, den) in side:
-                    assert (num / den).hex() == float(Fraction(num, den)).hex(), (which, n)
+            for common, numerators in family_terms(which, n):
+                for num in numerators:
+                    assert (num / common).hex() == float(Fraction(num, common)).hex(), (which, n)
 
 
 def test_family_float_has_no_vacuous_pass():
@@ -544,11 +546,11 @@ def test_family_float_is_relative_on_small_sides(monkeypatch):
     # a relative 1e-6 moves the residual by about 5e-11, under an absolute
     # 1e-8 but 1e-6 of the sides
     assert family_float("fpz", 5, -0.999).ok
-    lhs, rhs = family_terms("fpz", 5)
-    (product, (num, den)), *rest = lhs
-    poisoned = (((product, (num * (10**6 + 1), den * 10**6)), *rest), rhs)
+    (common, (num, *rest)), rhs = family_terms("fpz", 5)
+    poisoned = ((common * 10**6, [num * (10**6 + 1), *(m * 10**6 for m in rest)]), rhs)
+    layout = identities._family("fpz", 5)[1]
     cache = sequences.SequenceCache()
-    cache.slot = (5, {("family", "fpz"): poisoned})
+    cache.slot = (5, {("family", "fpz"): poisoned, "family-layout": layout})
     monkeypatch.setattr(sequences, "_DEFAULT", cache)
     r = family_float("fpz", 5, -0.999)
     assert abs(r.lhs) < 1e-4 and abs(r.residual) < 1e-8

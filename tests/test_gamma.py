@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from conftest import family_pairs
 from hypothesis import example, given, strategies as st
 
 import bernkit.gammaalg
@@ -25,7 +26,6 @@ from bernkit import (
     SequenceCache,
     ZeroDivisor,
     beta_factor,
-    family_terms,
     gamma_reduce,
     gamma_reduce_pair,
     harmonic,
@@ -95,13 +95,13 @@ def test_canonical_factors_are_kept_and_others_canonicalised():
 
 
 def test_family_terms_write_canonical_tuples(monkeypatch):
-    # every family product keeps the tuple family_terms wrote, so none of
-    # them is merged or sorted again
+    # every product of the family layout keeps the tuple family_terms
+    # wrote, so none of them is merged or sorted again
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     canonical = bernkit.gammaalg._is_canonical
     for n in range(2, 13):
         for which in FAMILY_KINDS:
-            for side in family_terms(which, n):
+            for side in family_pairs(which, n):
                 assert all(canonical(product.factors) for product, _ in side), (which, n)
 
 

@@ -17,6 +17,7 @@ from math import comb, factorial, gcd
 from pathlib import Path
 
 import pytest
+from conftest import family_pairs
 from hypothesis import given, settings, strategies as st
 
 import bernkit
@@ -162,15 +163,24 @@ def test_family_errors():
         verify_family("fpz", 3, F(-2))
 
 
+def _layout(which, n):
+    """The family layout at n, read after family_terms(which, n)."""
+    return identities._family(which, n)[1]
+
+
+def _with_gamma_p(product):
+    """``product`` times one more Gamma(p)."""
+    return GammaProduct(product.factors + (("p", 0, 1),))
+
+
 def test_family_side_with_mixed_exponents_raises(monkeypatch):
-    # one left term carrying an extra Gamma(p) no longer shares the side's
+    # one left product carrying an extra Gamma(p) no longer shares the side's
     # exponent pair, which the row must refuse rather than sum
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
-    lhs, rhs = family_terms("miki", 4)
-    product, scalar = lhs[-1]
-    extra = (GammaProduct(product.factors + (("p", 0, 1),)), scalar)
-    cache.slot[1]["family", "miki"] = (lhs[:-1] + (extra,), rhs)
+    lhs = _layout("miki", 4).products[0]
+    last = list(lhs)[-1]
+    lhs[last] = _with_gamma_p(lhs[last])
     with pytest.raises(ExponentMismatch, match="mixed gamma exponents"):
         verify_family("miki", 4, F(1, 2))
 
@@ -181,16 +191,39 @@ def test_family_sides_with_different_exponents_raise(monkeypatch):
     # refuse rather than compare
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
-    lhs, rhs = family_terms("miki", 4)
-    shifted = tuple((GammaProduct(product.factors + (("p", 0, 1),)), scalar)
-                    for product, scalar in lhs)
-    cache.slot[1]["family", "miki"] = (shifted, rhs)
+    layout = _layout("miki", 4)
+    lhs = layout.products[0]
+    for factors, product in lhs.items():
+        lhs[factors] = _with_gamma_p(product)
     pairs = [{(r.exp_gamma_p, r.exp_gamma_2p) for r in (gamma_reduce(product, F(1, 2))
-                                                        for product, _ in side)}
-             for side in (shifted, rhs)]
+                                                        for product in side.values())}
+             for side in layout.products]
     assert len(pairs[0]) == len(pairs[1]) == 1 and pairs[0] != pairs[1]
     with pytest.raises(ExponentMismatch, match="mixed gamma exponents"):
         verify_family("miki", 4, F(1, 2))
+
+
+def test_mixed_exponent_layout_raises_on_every_row(monkeypatch):
+    # the exponent check runs when the vectors at (n, p) are built, and a
+    # failed build stores nothing: every kind at that point raises, each
+    # time it is asked, the p = 1 rerun of verify_p1 included
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    assert verify_family("fpz", 5, F(3)).ok
+    layout = _layout("fpz", 5)
+    rhs = layout.products[1]
+    first = next(iter(rhs))
+    rhs[first] = _with_gamma_p(rhs[first])
+    for _ in range(2):
+        for which in FAMILY_KINDS:
+            for p in (F(1, 2), F(1)):
+                with pytest.raises(ExponentMismatch, match="mixed gamma exponents"):
+                    verify_family(which, 5, p)
+            with pytest.raises(ExponentMismatch):
+                verify_p1(which, 5)
+    assert list(layout.vectors) == [(3, 1)]
+    # the vectors built before the change are still read
+    assert all(verify_family(which, 5, F(3)).ok for which in FAMILY_KINDS)
 
 
 def test_family_rising_tables_stay_small(monkeypatch):
@@ -466,7 +499,7 @@ def test_p1_and_family_sums_match_the_plain_sums():
             report = verify_family(which, n, p)
             lhs, rhs = (sum((F(*scalar) * gamma_reduce(product, p).value
                              for product, scalar in side), F(0))
-                        for side in family_terms(which, n))
+                        for side in family_pairs(which, n))
             assert (report.lhs, report.rhs) == (lhs, rhs), (which, n, p)
 
 
@@ -835,6 +868,13 @@ def test_interleaved_rows_equal_their_fresh_cache_values(monkeypatch):
     assert built[-1] == 80 and len(built) == 7
 
 
+def _bump(entries, which):
+    """Adds 1 to the first left scalar of the slot entry ("family", which):
+    its numerator over S grows by S."""
+    (common, (num, *rest)), rhs = entries["family", which]
+    entries["family", which] = ((common, [num + common, *rest]), rhs)
+
+
 def _fails(verify, n):
     """True if the row at n is not ok, or its two routes disagree."""
     try:
@@ -856,8 +896,7 @@ def test_slot_keeps_the_entries_of_one_n(monkeypatch):
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     assert all(verify(n).ok for verify in rows.values())
     assert {key if isinstance(key, str) else key[0] for key in cache.slot[1]} == {
-        "products", "coth-product", "sinh-product", "family-products", "family", "scaled",
-        "cofactors"}
+        "products", "coth-product", "sinh-product", "family-layout", "family"}
     # after the rows at n+1, the slot holds what they alone leave: no entry of n
     assert all(verify(n + 1).ok for verify in rows.values())
     assert cache.slot == fresh.slot
@@ -870,9 +909,8 @@ def test_slot_keeps_the_entries_of_one_n(monkeypatch):
         cache.slot[1]["coth-product"] += 1
 
     def poison_family():
-        lhs, rhs = family_terms("mixed", n)
-        (product, (num, den)), *rest = lhs
-        cache.slot[1]["family", "mixed"] = (((product, (num + den, den)), *rest), rhs)
+        family_terms("mixed", n)
+        _bump(cache.slot[1], "mixed")
 
     # a poisoned entry at n fails the rows at n that read it, and no row at n+1
     for poison, readers in ((poison_products, {"euler", "miki", "fpz", "mixed", "fpz-cubic"}),
@@ -1130,8 +1168,13 @@ def test_family_terms_are_product_scalar_pairs(monkeypatch):
     monkeypatch.setattr(identities, "GammaProduct", recorded)
     for n in range(2, 13):
         written.clear()
-        sides = {which: family_terms(which, n) for which in FAMILY_KINDS}
+        sides = {which: family_pairs(which, n) for which in FAMILY_KINDS}
         assert len(written) == n // 2 + 2 * n
+        # family_terms itself: per side, S and the numerators over S, one
+        # per product of the layout
+        for which in FAMILY_KINDS:
+            for (common, numerators), side in zip(family_terms(which, n), sides[which]):
+                assert type(common) is int and common > 0 and len(numerators) == len(side)
         assert all(real(factors).factors == factors for factors in written), n
         for which, terms in sides.items():
             summands = _family_summands(which, n)
@@ -1169,8 +1212,11 @@ def test_family_terms_are_built_once_per_cache(monkeypatch):
     terms = family_terms("fpz", 5)
     assert family_terms("fpz", 5) is terms
     assert all(isinstance(side, tuple) for side in terms)
-    products = {product.factors: product for side in terms for product, _ in side}
-    assert cache.slot == (5, {"family-products": products, ("family", "fpz"): terms})
+    products = tuple({factors: GammaProduct(factors) for factors in _collected(each)}
+                     for each in _family_summands("fpz", 5))
+    layout = identities._Layout(products, {})
+    assert cache.slot == (5, {"family-layout": layout, ("family", "fpz"): terms})
+    assert list(map(list, cache.slot[1]["family-layout"].products)) == list(map(list, products))
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     rebuilt = family_terms("fpz", 5)
     assert rebuilt is not terms and rebuilt == terms
@@ -1190,15 +1236,19 @@ def _count_reductions(monkeypatch):
     return calls
 
 
-def _sequences(which, n):
-    """The factor-tuple sequence of each side of family_terms(which, n)."""
-    return [tuple(product.factors for product, _ in side) for side in family_terms(which, n)]
+def _layout_tuples(which, n):
+    """Every factor tuple of the family layout at n."""
+    return {factors for side in _layout(which, n).products for factors in side}
 
 
-def _slot_points(cache):
-    """{factor-tuple sequence: the p keys of its stored cofactor vectors}."""
-    return {sequence: list(cache.slot[1]["cofactors", sequence])
-            for sequence in _slot_keys(cache, "cofactors")}
+def _vector_points(cache):
+    """The p keys of the cofactor vectors in the slot's family layout."""
+    return list(cache.slot[1]["family-layout"].vectors)
+
+
+def _family_keys(cache):
+    """The family keys of the per-n slot."""
+    return {key for key in cache.slot[1] if key == "family-layout" or key[0] == "family"}
 
 
 def test_family_kinds_reduce_each_factor_tuple_once_per_point(monkeypatch):
@@ -1207,28 +1257,28 @@ def test_family_kinds_reduce_each_factor_tuple_once_per_point(monkeypatch):
     calls = _count_reductions(monkeypatch)
     for which in FAMILY_KINDS:
         assert verify_family(which, 6, F(1, 2)).ok
-    terms = {which: sum(family_terms(which, 6), ()) for which in FAMILY_KINDS}
+    terms = {which: sum(family_pairs(which, 6), ()) for which in FAMILY_KINDS}
     distinct = {product.factors for product, _ in terms["miki"]}
     assert all({product.factors for product, _ in side} == distinct for side in terms.values())
     summands = sum(_family_summands("miki", 6), [])
     assert len(calls) == len(set(calls)) == len(distinct) == len(terms["miki"]) < len(summands)
     assert set(calls) == distinct
-    # the kinds share one cofactor vector per side: one per factor-tuple sequence
-    assert cache.slot[0] == 6 and _slot_keys(cache, "scaled") == list(FAMILY_KINDS)
-    assert _slot_points(cache) == {sequence: [(1, 2)] for sequence in _sequences("miki", 6)}
-    assert set(sum(_slot_keys(cache, "cofactors"), ())) == distinct
-    assert not hasattr(terms["miki"][0], "__dict__")
+    # the kinds share one layout, and in it one pair of cofactor vectors per p
+    assert cache.slot[0] == 6 and _slot_keys(cache, "family") == list(FAMILY_KINDS)
+    assert _vector_points(cache) == [(1, 2)]
+    assert _layout_tuples("miki", 6) == distinct
+    assert not hasattr(cache.slot[1]["family-layout"], "__dict__")
     # another p at the same n joins the slot, so coming back reduces nothing
     verify_family("fpz", 6, F(3))
     assert cache.slot[0] == 6
-    assert _slot_points(cache) == {seq: [(1, 2), (3, 1)] for seq in _sequences("miki", 6)}
+    assert _vector_points(cache) == [(1, 2), (3, 1)]
     assert len(calls) == 2 * len(distinct)
     verify_family("mixed", 6, F(1, 2))
     assert len(calls) == 2 * len(distinct)
     # a row at another n replaces the slot, so coming back to n = 6 reduces again
     verify_family("miki", 7, F(1, 2))
-    assert cache.slot[0] == 7 and _slot_keys(cache, "scaled") == ["miki"]
-    assert _slot_points(cache) == {sequence: [(1, 2)] for sequence in _sequences("miki", 7)}
+    assert cache.slot[0] == 7 and _slot_keys(cache, "family") == ["miki"]
+    assert _vector_points(cache) == [(1, 2)]
     calls.clear()
     verify_family("mixed", 6, F(1, 2))
     assert set(calls) == distinct and len(calls) == len(distinct)
@@ -1240,11 +1290,11 @@ def test_reduction_slot_holds_one_n(monkeypatch):
     for n in range(2, 16):
         for p in (F(1, 2), F(3)):
             assert verify_family("miki", n, p).ok
-    assert cache.slot[0] == 15 and _slot_keys(cache, "scaled") == ["miki"]
-    assert _slot_points(cache) == {seq: [(1, 2), (3, 1)] for seq in _sequences("miki", 15)}
-    for sequence in _slot_keys(cache, "cofactors"):
-        vectors = cache.slot[1]["cofactors", sequence].values()
-        assert all(len(vector.numerators) == len(sequence) for vector in vectors)
+    assert cache.slot[0] == 15 and _slot_keys(cache, "family") == ["miki"]
+    assert _vector_points(cache) == [(1, 2), (3, 1)]
+    layout = cache.slot[1]["family-layout"]
+    for vectors in layout.vectors.values():
+        assert [len(numerators) for _, numerators in vectors] == list(map(len, layout.products))
 
 
 @pytest.mark.parametrize("which", FAMILY_KINDS)
@@ -1265,15 +1315,12 @@ def test_corrupted_reduction_fails_the_rows_that_read_it(monkeypatch):
         assert verify_family(which, 5, F(1)).ok
     # the k = 1 beta term of the right sides at n = 5 carries Gamma(2p+10)
     key = GammaProduct(beta_factor(1).factors + (("2p", 10, 1),)).factors
-    rhs = _sequences("miki", 5)[1]
-    assert all(_sequences(which, 5)[1] == rhs for which in FAMILY_KINDS) and key in rhs
+    rhs = list(_layout("miki", 5).products[1])
+    assert key in rhs
 
     def corrupt():
-        vectors = cache.slot[1]["cofactors", rhs]
-        entry = vectors[1, 1]
-        numerators = list(entry.numerators)
-        numerators[rhs.index(key)] += entry.denominator
-        vectors[1, 1] = entry._replace(numerators=tuple(numerators))
+        common, numerators = _layout("miki", 5).vectors[1, 1][1]
+        numerators[rhs.index(key)] += common
 
     corrupt()
     assert not any(verify_family(which, 5, F(1)).ok for which in FAMILY_KINDS)
@@ -1296,7 +1343,7 @@ MERGE_PS = (F(0), F(1), F(3), F(-1, 4), F(-1, 2), F(1, 3), F(5, 2), F(7, 3))
 def test_family_sides_sum_each_factor_tuple_once(monkeypatch):
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     for n in range(2, 31):
-        sides = {which: (_family_summands(which, n), family_terms(which, n))
+        sides = {which: (_family_summands(which, n), family_pairs(which, n))
                  for which in FAMILY_KINDS}
         order = [[[product.factors for product, _ in side] for side in terms]
                  for _, terms in sides.values()]
@@ -1306,26 +1353,27 @@ def test_family_sides_sum_each_factor_tuple_once(monkeypatch):
                 factors = [product.factors for product, _ in side]
                 assert len(factors) == len(set(factors)) <= len(each)
                 assert set(factors) == {product.factors for product, _ in each}
+        layout = _layout("miki", n)
         for p in MERGE_PS:
             for which, (summands, _) in sides.items():
                 row = verify_family(which, n, p)
-                slot = bernkit.sequences._DEFAULT.slot[1]
-                vectors = [slot["cofactors", sequence][p.numerator, p.denominator]
-                           for sequence in _sequences(which, n)]
                 # each tuple's cofactor, read back from its side's stored vector
-                cofactor = {factors: F(top, vector.denominator)
-                            for sequence, vector in zip(_sequences(which, n), vectors)
-                            for factors, top in zip(sequence, vector.numerators)}
+                cofactor = {factors: F(top, common)
+                            for side, (common, tops) in zip(
+                                layout.products, layout.vectors[p.numerator, p.denominator])
+                            for factors, top in zip(side, tops)}
                 # the per-summand sums: one scalar x cofactor per summand
                 assert [row.lhs, row.rhs] == [
                     sum((s * cofactor[product.factors] for product, s in each), F(0))
                     for each in summands], (n, p, which)
-                assert len(vectors[0].exponents | vectors[1].exponents) == 1
+            # every product of both sides reduces to one exponent pair
+            assert len({bernkit.gamma_reduce_pair(g, p)[:2]
+                        for side in layout.products for g in side.values()}) == 1
     # 29 + 89 summands at n = 30: k and 30-k pair on the left, and each even
     # beta term joins a right term on the right
     for which in FAMILY_KINDS:
         assert tuple(map(len, _family_summands(which, 30))) == (29, 89)
-        assert tuple(map(len, family_terms(which, 30))) == (15, 60)
+        assert tuple(len(numerators) for _, numerators in family_terms(which, 30)) == (15, 60)
 
 
 def test_interleaved_family_rows_match_a_fresh_cache(monkeypatch):
@@ -1349,24 +1397,7 @@ def test_interleaved_family_rows_match_a_fresh_cache(monkeypatch):
         points += [(row[1], row[2], factors) for factors in calls[start:]]
     assert len(points) == len(set(points))
     assert set(points) == {(n, p, factors) for n in range(2, 9) for p in ps
-                           for factors in sum(_sequences("miki", n), ())}
-
-
-def test_injected_tuple_order_gets_its_own_vector(monkeypatch):
-    # an entry whose left side lists the kinds' tuples in another order keeps
-    # its own cofactor vector, and the other kinds keep theirs
-    cache = SequenceCache()
-    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
-    assert verify_family("miki", 6, F(1, 2)).ok
-    lhs, rhs = family_terms("fpz", 6)
-    cache.slot[1]["family", "fpz"] = (lhs[::-1], rhs)
-    calls = _count_reductions(monkeypatch)
-    assert verify_family("fpz", 6, F(1, 2)).ok
-    assert sorted(calls) == sorted(product.factors for product, _ in lhs)
-    reversed_lhs = tuple(product.factors for product, _ in lhs[::-1])
-    assert set(_slot_keys(cache, "cofactors")) == {*_sequences("miki", 6), reversed_lhs}
-    assert verify_family("mixed", 6, F(1, 2)).ok and verify_family("miki", 6, F(1, 2)).ok
-    assert len(calls) == len(lhs)
+                           for factors in _layout_tuples("miki", n)}
 
 
 def test_cofactor_vectors_build_no_fraction_on_warm_tables(monkeypatch):
@@ -1384,11 +1415,11 @@ def test_cofactor_vectors_build_no_fraction_on_warm_tables(monkeypatch):
         built.append(args)
         return real_new(cls, *args, **kwargs)
 
-    def cofactors(side, p):
+    def cofactors(products, p):
         before = len(built)
-        vector = real_cofactors(side, p)
+        vectors = real_cofactors(products, p)
         counts.append(len(built) - before)
-        return vector
+        return vectors
 
     monkeypatch.setattr(identities, "_cofactors", cofactors)
     monkeypatch.setattr(Fraction, "__new__", counted_new)
@@ -1398,8 +1429,34 @@ def test_cofactor_vectors_build_no_fraction_on_warm_tables(monkeypatch):
         rows += [verify_family(which, n, p) for which in FAMILY_KINDS]
     monkeypatch.undo()
     assert rows == warm and all(row.ok for row in rows)
-    assert counts == [0] * 2 * len(points)
+    assert counts == [0] * len(points)
     assert built  # the counter saw the Fractions built outside the loop
+
+
+def test_cofactor_vectors_build_no_fraction_on_cold_tables(monkeypatch):
+    # a missing rising entry is grown by SequenceCache.rising_table, which
+    # appends integer pairs: on empty rising tables too, a vector pair is
+    # built with no Fraction, and each cofactor is gamma_reduce's value
+    for n, p in [(n, p) for n in (6, 13) for p in (F(1, 3), F(-1, 4), F(5, 2), F(0), F(-1, 2))]:
+        cache = SequenceCache()
+        monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+        products = _layout("mixed", n).products
+        assert cache.rising == {}
+        built = []
+        real_new = Fraction.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Fraction, "__new__", counted_new)
+            vectors = identities._cofactors(products, p)
+        # p = 0 reads no table: both anchors are poles, every factor a factorial
+        assert built == [] and bool(cache.rising) == (p != 0), (n, p)
+        for side, (common, numerators) in zip(products, vectors):
+            assert [F(num, common) for num in numerators] == [
+                gamma_reduce(product, p).value for product in side.values()], (n, p)
 
 
 def test_family_rows_reuse_the_family_products(monkeypatch):
@@ -1415,7 +1472,7 @@ def test_family_rows_reuse_the_family_products(monkeypatch):
 
     monkeypatch.setattr(identities, "GammaProduct", counted)
     for which in FAMILY_KINDS:
-        terms = family_terms(which, 7)
+        terms = family_pairs(which, 7)
         summands = sum(_family_summands(which, 7), [])
         assert len(built) == len(_collected(summands)) < len(summands)
         first = {}
@@ -1441,8 +1498,8 @@ def test_agreeing_family_sides_are_one_fraction(monkeypatch):
     p = F(1, 3)
     clean = verify_family("fpz", 6, p)
     entries = bernkit.sequences._DEFAULT.slot[1]
-    (product, (num, den)), *rest = entries["family", "fpz"][0]
-    entries["family", "fpz"] = (((product, (num + den, den)), *rest), entries["family", "fpz"][1])
+    _bump(entries, "fpz")
+    product = next(iter(entries["family-layout"].products[0].values()))
     r = verify_family("fpz", 6, p)
     assert not r.ok and r.rhs == clean.rhs
     assert r.lhs - clean.lhs == gamma_reduce(product, p).value
@@ -1460,8 +1517,7 @@ def test_injected_cache_replaces_the_family_table(monkeypatch):
     assert entries["family", "fpz"] == warm and entries["family", "fpz"] is not warm
     # the exact rows and the float twin read the one family entry: a
     # changed collected scalar flips them at every p
-    (product, (num, den)), *rest = entries["family", "fpz"][0]
-    entries["family", "fpz"] = (((product, (num + den, den)), *rest), entries["family", "fpz"][1])
+    _bump(entries, "fpz")
     assert not verify_family("fpz", 6, F(1, 2)).ok
     assert not verify_family("fpz", 6, F(3)).ok
     assert not floatcheck.family_float("fpz", 6, 0.5).ok
@@ -1472,6 +1528,52 @@ def test_injected_cache_replaces_the_family_table(monkeypatch):
     assert bernkit.sequences._DEFAULT is cache
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     assert verify_family("fpz", 6, F(1, 2)).ok
+
+
+def test_family_slot_keys_are_the_kinds_run_and_one_layout(monkeypatch):
+    # the family work at n lives in one entry per kind run, exact or
+    # float, and one layout, whatever the p and the other rows at n
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    for n in (5, 6):
+        for p in (F(1, 2), F(-1, 4), F(1)):
+            assert verify_family("fpz", n, p).ok and verify_family("mixed", n, p).ok
+        assert floatcheck.family_float("fpz", n, 0.75).ok and verify_p1("mixed", n).ok
+        assert verify_euler(n).ok and cache.slot[0] == n
+        assert _family_keys(cache) == {("family", "fpz"), ("family", "mixed"), "family-layout"}
+    assert floatcheck.family_float("miki", 6, 0.75).ok
+    assert _family_keys(cache) == {("family", which) for which in FAMILY_KINDS} | {
+        "family-layout"}
+
+
+def test_poisoned_layout_fails_every_kind(monkeypatch):
+    # the three kinds and the float twin read one layout at n: a changed
+    # product fails them all at every p whose vectors are built after the
+    # change, the p = 1 rerun of verify_p1 included, and a changed vector
+    # fails the three kinds at its p
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    n = 6
+    assert all(verify_family(which, n, F(1, 3)).ok for which in FAMILY_KINDS)
+    layout = _layout("miki", n)
+    lhs = layout.products[0]
+    first = next(iter(lhs))
+    assert first == (("p", 2, 1), ("p", 2 * n - 2, 1))
+    lhs[first] = GammaProduct((("p", 3, 1), ("p", 2 * n - 2, 1)))
+    for which in FAMILY_KINDS:
+        assert not verify_family(which, n, F(5, 2)).ok
+        assert not floatcheck.family_float(which, n, 0.75).ok
+        with pytest.raises(RouteMismatch):
+            verify_p1(which, n)
+    # the vectors at 1/3 were built before the change and still agree
+    assert all(verify_family(which, n, F(1, 3)).ok for which in FAMILY_KINDS)
+    common, numerators = layout.vectors[1, 3][1]
+    numerators[0] += common
+    assert not any(verify_family(which, n, F(1, 3)).ok for which in FAMILY_KINDS)
+    # a row at another n replaces the slot, the layout with it
+    assert verify_family("miki", n + 1, F(1, 3)).ok
+    assert all(verify_family(which, n, p).ok for which in FAMILY_KINDS for p in (F(1, 3), F(5, 2)))
+    assert all(floatcheck.family_float(which, n, 0.75).ok for which in FAMILY_KINDS)
 
 
 def test_fpz_cubic_sums_each_sinh_product_once(monkeypatch):
