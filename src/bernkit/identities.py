@@ -13,9 +13,14 @@ those tuples are reduced against the Gamma(p) and Gamma(2p) bases,
 checked for one exponent pair common to both sides, and the sides are
 compared through their rational cofactors; the float lane reads the same
 scalars and products.  The cubic
-identities are triple convolutions.  Lemma-expansion checks reconstruct
-the intermediate asymptotic series of the squared generating functions by
-two independent routes.
+identities are triple convolutions.  Lemma-expansion checks compare the
+closed form of an intermediate asymptotic series of a squared generating
+function with the series route's integral.
+
+The series route lives in ``series``, which this layer calls through two
+entry points: _power_coeff, the series power that verify_multi compares
+with the nested fold, and _lemma_integral, the second route of
+verify_lemma_expansion.
 
 IDENTITIES is the one statement of each command-line identity id, an
 Identity record of its floor, parameter kind and runner.  Every verifier
@@ -36,14 +41,11 @@ _coth_harmonic, _sinh_product, _sinh_harmonic) are written once and are
 the quadratic right sides: Miki's is the sum of the two coth
 coefficients, FPZ's the sum of the two sinh ones, Gessel's reuses the
 coth product and the cubic H_2n sum the sinh product.  The lemma check
-therefore tests the weights those right sides sum, and the B values too:
-its closed form reads the ``bern`` table and its integral route the
-series' own B table (see ``series``), so a corrupted entry of either
-fails it.  The two harmonic checks read H_m from the ``harm`` table in
-their closed forms, while their integral routes sum the inner integral,
-H_m = 1 + 1/2 + ... + 1/m, themselves, so a corrupted H entry fails them
-too.  Each product coefficient is summed once per n and kept in the
-per-n slot below; the harmonic ones are computed on every call.  Their
+therefore tests the weights those right sides sum, and the B and H
+values too: its closed form reads the ``bern`` and ``harm`` tables, and
+its integral route neither (see ``series``).  Each product coefficient
+is summed once per n and kept in the per-n slot below; the harmonic
+ones are computed on every call.  Their
 C(2n, 2k) comes with the B products of the slot, whose binomial list
 reads the Pascal row _binomial_row(2n): at n ~ 400, integer binomials
 times B products are cheaper than products of coth weights with
@@ -100,19 +102,11 @@ second routes of these sums, so they share no summation code with them.
 Work that does not depend on the row is kept in the process-wide
 ``sequences._DEFAULT`` cache, looked up at call time so an injected
 cache replaces it too.  Two memos are shared across n, because the rows
-at later n read their entries:
-
-* ``fold[weight]`` maps (parts, total) to _fold(weight, parts, total).
-* ``power[variant, N]`` lists the coefficients c_0, c_1, ... of the N-th
-  power of psi_tilde (plain) or psi_bar (bar), c_m at x^-(2N+2m); the
-  entry N = 1 is the series itself, the base a_0, a_1, ... the others
-  are grown from.  A row past the end appends the missing c_m, each by
-  one step of Miller's recurrence, series.power_next, from the earlier
-  ones, so nothing is rebuilt and a corrupted entry reaches every entry
-  grown after it.  The fold and the series power keep separate tables,
-  and the series reads B from its own table, so the two routes of
-  verify_multi stay independent, and multi_lhs compares them on every
-  row.
+at later n read their entries: ``fold[weight]`` maps (parts, total) to
+_fold(weight, parts, total), and ``series`` keeps the series powers in
+``power[variant, N]``.  The fold and the series power keep separate
+tables, so the two routes of verify_multi stay independent, and
+multi_lhs compares them on every row.
 
 Every other entry depends on n alone: each identity is stated at one n,
 and its quadratic, family and lemma sums run over terms at that n.  It
@@ -188,18 +182,7 @@ from .sequences import (
     harmonic,
     harmonic_second,
 )
-from .series import (
-    ASYMPTOTIC,
-    TAYLOR,
-    TruncatedSeries,
-    _psi_coefficient,
-    _scale,
-    laplace_asymptotic,
-    named_series,
-    power_next,
-    series_add,
-    series_mul,
-)
+from .series import _lemma_integral, _power_coeff
 
 __all__ = [
     "IDENTITIES",
@@ -881,29 +864,6 @@ def verify_fpz_cubic(n: int) -> IdentityReport:
     return _report("fpz-cubic", n, lhs, rhs)
 
 
-def _power_coeff(variant: str, N: int, n: int) -> Fraction:
-    """x^(-2n) coefficient, n >= N, of the N-th power of psi_tilde (plain)
-    or psi_bar (bar), from the cache's append-only ``power`` table.
-
-    psi = x^-2 A(u) with u = x^-2 and a_j = -B_(2j+2)/(2j+2) (Bbar for bar),
-    so psi^N = x^-2N sum c_m u^m and the coefficient is c_(n-N).  The base
-    a_0, a_1, ... is the table's entry (variant, 1), read from the series'
-    own B table by _psi_coefficient, and each missing c_m is appended to
-    (variant, N) by Miller's recurrence, power_next, from the earlier
-    ones: no coefficient is rebuilt when a later row asks for more.
-    """
-    powers = sequences._DEFAULT.power
-    name = "psi_tilde" if variant == "plain" else "psi_bar"
-    base = powers.setdefault((variant, 1), [])
-    table = powers.setdefault((variant, N), [])
-    top = n - N
-    for j in range(len(base), top + 1):
-        base.append(_psi_coefficient(name, j + 1))
-    for _ in range(len(table), top + 1):
-        table.append(power_next(base, table, N))
-    return table[top]
-
-
 def verify_multi(N: int, n: int, variant: str = "plain") -> IdentityReport:
     """N-fold convolution sum of B_2k/(2k) (or Bbar) over k_1+...+k_N = n.
 
@@ -949,38 +909,14 @@ def verify_euler_bernoulli(n: int) -> IdentityReport:
     return _report("euler-bernoulli", n, lhs, rhs)
 
 
-def _lemma_closed_form(which: str, order: int) -> TruncatedSeries:
+def _lemma_closed_form(which: str, order: int) -> dict[int, Fraction]:
     coefficient = {
         "coth-product": _coth_product,
         "coth-harmonic": _coth_harmonic,
         "sinh-product": lambda n: _sinh_product(n, bbar_scale),
         "sinh-harmonic": lambda n: _sinh_harmonic(n, bbar_scale),
     }[which]
-    coeffs = {2 * n: coefficient(n) for n in range(1, order // 2 + 1)}
-    return TruncatedSeries(ASYMPTOTIC, coeffs, order)
-
-
-def _lemma_integral(which: str, order: int) -> TruncatedSeries:
-    if which == "coth-product":
-        coth = named_series("coth_minus_inv", order)
-        log_ratio = named_series("log_sinh_ratio", order)
-        return laplace_asymptotic(_scale(series_mul(coth, log_ratio), Fraction(2)))
-    if which == "sinh-product":
-        inv_sinh = named_series("inv_sinh_minus_inv", order)
-        full = series_add(inv_sinh, TruncatedSeries(TAYLOR, {-1: Fraction(1)}, order))
-        log_ratio = named_series("log_sinh_ratio", order)
-        return laplace_asymptotic(_scale(series_mul(full, log_ratio), Fraction(2)))
-    # The harmonic-number lemmas: the inner integral of the bracketed
-    # difference quotient turns each y^(2m-1) term into -H_2m (plain case,
-    # bracket carries an extra u) or -H_{2m-1} (Bbar case, u-free bracket).
-    # H_m is that integral, of (1 - t^m)/(1 - t) over [0, 1], summed here as
-    # 1 + 1/2 + ... + 1/m, so this route reads no harmonic table.
-    name = "coth_minus_inv" if which == "coth-harmonic" else "inv_sinh_minus_inv"
-    source = named_series(name, order - 1)
-    offset = 1 if which == "coth-harmonic" else 0
-    inner = list(accumulate((Fraction(1, j) for j in range(1, order + 1)), initial=Fraction(0)))
-    coeffs = {m: 2 * c * inner[m + offset] for m, c in source.coeffs.items()}
-    return laplace_asymptotic(TruncatedSeries(TAYLOR, coeffs, order - 1))
+    return {2 * n: coefficient(n) for n in range(1, order // 2 + 1)}
 
 
 def verify_lemma_expansion(which: str, order: int) -> bool:
@@ -999,4 +935,4 @@ def verify_lemma_expansion(which: str, order: int) -> bool:
     _require(order >= 4 and order % 2 == 0, f"order must be even and >= 4, got {order}")
     closed = _lemma_closed_form(which, order)
     integral = _lemma_integral(which, order)
-    return all(closed.coeff(m) == integral.coeff(m) for m in range(order + 1))
+    return all(closed.get(m, 0) == integral.coeff(m) for m in range(order + 1))

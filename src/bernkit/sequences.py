@@ -63,9 +63,10 @@ not once per step of every product.  The key is the (numerator,
 denominator) pair, not the Fraction: hashing a Fraction computes a
 modular inverse on every lookup.
 
-The identity layer keeps two memos shared across n, ``fold`` and
-``power``, and one per-n ``slot`` for all of its work that depends on n
-alone; ``identities`` describes them.
+The identity layer keeps the memo ``fold`` shared across n and one
+per-n ``slot`` for all of its work that depends on n alone, and the
+series route the memo ``power``, also shared across n; ``identities``
+and ``series`` describe them.
 
 One process-wide cache, ``_DEFAULT``, backs every plain function here,
 and through them the exact lane, the series and the float lane.  A test
@@ -177,7 +178,8 @@ def _rational(what: str, value: Any) -> Fraction:
 class SequenceCache:
     """Growable Bernoulli (``bern``, and the series' own ``series_bern``),
     Euler, harmonic and rising-factorial tables, the identity layer's
-    memos ``fold`` and ``power``, and its per-n ``slot``.
+    memo ``fold`` and its per-n ``slot``, and the series route's memo
+    ``power``.
 
     ``bern``, ``series_bern``, ``eul``, ``harm`` (H_i), ``harm2``
     (H^(2)_i) and ``hfold`` (F_m = sum(H_l/(l+1), l=1..m), F_0 = 0) are
@@ -191,7 +193,7 @@ class SequenceCache:
     ``slot`` is the pair (n, entries) of the latest n the
     identity layer looked anything up at: ``entries`` maps a key to work
     that depends on that n alone; the ``identities`` docstring lists the
-    keys and the two memos.
+    keys and ``fold``, and the ``series`` docstring ``power``.
     Entries, once computed, are never recomputed or rewritten: a table
     only grows by appending, so an entry or a list read once keeps its
     value however far the table grows later.  ``slot`` is the exception,

@@ -11,34 +11,45 @@ never enters: every check here is an exact statement about coefficients.
 Truncation bookkeeping for products is conservative: unknown terms of one
 factor first pollute the product at (trunc + min order of the other), so
 the product is trusted to the smaller of the two such bounds.
+``series_mul`` is the Cauchy product over Fractions, and ``series_pow``
+takes the N-th power by binary powering over it.
 
-``series_mul`` does its arithmetic in integers: each factor's terms that
-can land at or below the product's truncation are put over the lcm of
-their denominators, the integer products are summed per output order, and
-each output coefficient is built once as Fraction(total, den_a * den_b),
-so it is reduced by one gcd rather than after every product and add.
-``series_pow`` takes the N-th power by binary powering over that product.
+This module is the series route of ``identities``, which calls it through
+two entry points, _power_coeff and _lemma_integral.  It keeps its own
+arithmetic and imports nothing from that layer, so the two routes share
+no summation code, and every B and Bbar here is read from the series' own
+table, ``SequenceCache.series_bern``, grown by the tangent kernel, not
+from the ``bern`` table that the folds and closed forms of ``identities``
+read: a corrupted entry of either table makes the two routes disagree.
 
 The N-th powers of psi_tilde and psi_bar check the nested folds of
-``identities``, whose sums run through ``identities._dot``.  They grow
-one coefficient at a time by ``power_next``, J.C.P. Miller's recurrence
-(Knuth, TAOCP vol. 2, 4.7): for A(u) = sum a_k u^k with a_0 != 0, the
+``identities``.  _power_coeff reads them from the cache's memo
+``power[variant, N]``, shared across n: it lists the coefficients c_0,
+c_1, ... of the N-th power of psi_tilde (plain) or psi_bar (bar), c_m at
+x^-(2N+2m); the entry N = 1 is the series itself, the base a_0, a_1, ...
+the others are grown from.  A row past the end appends the missing c_m,
+each by one step of ``power_next``, J.C.P. Miller's recurrence (Knuth,
+TAOCP vol. 2, 4.7): for A(u) = sum a_k u^k with a_0 != 0, the
 coefficients of A^N are c_0 = a_0^N and
 c_m = sum(((N+1) k - m) a_k c_(m-k), k = 1..m) / (m a_0), each step
 summed as integers over one lcm and reduced once.  A new order costs m
-products whatever N is, and no earlier coefficient is recomputed.  This
-module keeps its own arithmetic and imports nothing from that layer, so
-the two routes share no summation code.
+products whatever N is, no earlier coefficient is recomputed, and a
+corrupted entry reaches every entry grown after it.
 
-Every B and Bbar here is read from the series' own table,
-``SequenceCache.series_bern``, grown by the tangent kernel, not from the
-``bern`` table that the folds and closed forms of ``identities`` read:
-a corrupted entry of either table makes the two routes disagree.
+_lemma_integral is the second route of the four lemma checks of
+``identities.verify_lemma_expansion``: it rebuilds each intermediate
+asymptotic expansion of a squared generating function by exact inner
+integration of the named Taylor series followed by the term-wise Laplace
+transform.  The two harmonic ids sum that inner integral,
+H_m = 1 + 1/2 + ... + 1/m, themselves, so this route reads no harmonic
+table, while the closed forms read ``harm``: a corrupted H entry fails
+them too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, lcm, perm
 
 from . import sequences
@@ -133,33 +144,17 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.kind, coeffs, trunc)
 
 
-def _over_one_denominator(a: TruncatedSeries, top: int) -> tuple[list[tuple[int, int]], int]:
-    """a's terms of order <= top, in rising order, as (order, integer
-    numerator) pairs over one common denominator, the lcm of theirs."""
-    kept = sorted((m, c) for m, c in a.coeffs.items() if m <= top)
-    den = lcm(*(c.denominator for _, c in kept))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in kept], den
-
-
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated where unknown tail terms could first land.
-
-    Each factor is put over one denominator, the products are summed as
-    integers per order, and each output coefficient is reduced once.
-    """
+    """Cauchy product, truncated where unknown tail terms could first land."""
     _require_same_kind(a, b)
     trunc = min(a.trunc + b.min_order, b.trunc + a.min_order)
-    terms_a, den_a = _over_one_denominator(a, trunc - b.min_order)
-    terms_b, den_b = _over_one_denominator(b, trunc - a.min_order)
-    totals: dict[int, int] = {}
-    for ma, na in terms_a:
-        for mb, nb in terms_b:
+    coeffs: dict[int, Fraction] = {}
+    for ma, ca in a.coeffs.items():
+        for mb, cb in b.coeffs.items():
             m = ma + mb
-            if m > trunc:
-                break
-            totals[m] = totals.get(m, 0) + na * nb
-    den = den_a * den_b
-    return TruncatedSeries(a.kind, {m: Fraction(t, den) for m, t in totals.items() if t}, trunc)
+            if m <= trunc:
+                coeffs[m] = coeffs.get(m, 0) + ca * cb
+    return TruncatedSeries(a.kind, coeffs, trunc)
 
 
 def series_pow(a: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -282,6 +277,29 @@ def named_series(name: str, order: int, *, p: int | None = None) -> TruncatedSer
     return TruncatedSeries(ASYMPTOTIC, coeffs, order)
 
 
+def _power_coeff(variant: str, N: int, n: int) -> Fraction:
+    """x^(-2n) coefficient, n >= N, of the N-th power of psi_tilde (plain)
+    or psi_bar (bar), from the cache's append-only ``power`` table.
+
+    psi = x^-2 A(u) with u = x^-2 and a_j = -B_(2j+2)/(2j+2) (Bbar for bar),
+    so psi^N = x^-2N sum c_m u^m and the coefficient is c_(n-N).  The base
+    a_0, a_1, ... is the table's entry (variant, 1), read from the series'
+    own B table by _psi_coefficient, and each missing c_m is appended to
+    (variant, N) by Miller's recurrence, power_next, from the earlier
+    ones: no coefficient is rebuilt when a later row asks for more.
+    """
+    powers = sequences._DEFAULT.power
+    name = "psi_tilde" if variant == "plain" else "psi_bar"
+    base = powers.setdefault((variant, 1), [])
+    table = powers.setdefault((variant, N), [])
+    top = n - N
+    for j in range(len(base), top + 1):
+        base.append(_psi_coefficient(name, j + 1))
+    for _ in range(len(table), top + 1):
+        table.append(power_next(base, table, N))
+    return table[top]
+
+
 def laplace_asymptotic(t: TruncatedSeries) -> TruncatedSeries:
     """Term-wise Watson transform y^m -> m!/(2x)^(m+1).
 
@@ -294,6 +312,30 @@ def laplace_asymptotic(t: TruncatedSeries) -> TruncatedSeries:
         raise DomainError("negative powers of y have no transform")
     coeffs = {m + 1: c * Fraction(factorial(m), 2 ** (m + 1)) for m, c in t.coeffs.items()}
     return TruncatedSeries(ASYMPTOTIC, coeffs, t.trunc + 1)
+
+
+def _lemma_integral(which: str, order: int) -> TruncatedSeries:
+    """The integral route of lemma ``which`` (an ``identities.LEMMA_IDS``
+    id) through x^-order: the transform of the integrated kernel series."""
+    if which.endswith("-product"):
+        if which == "coth-product":
+            kernel = named_series("coth_minus_inv", order)
+        else:
+            inv_sinh = named_series("inv_sinh_minus_inv", order)
+            kernel = series_add(inv_sinh, TruncatedSeries(TAYLOR, {-1: Fraction(1)}, order))
+        log_ratio = named_series("log_sinh_ratio", order)
+        return laplace_asymptotic(_scale(series_mul(kernel, log_ratio), Fraction(2)))
+    # The harmonic-number lemmas: the inner integral of the bracketed
+    # difference quotient turns each y^(2m-1) term into -H_2m (plain case,
+    # bracket carries an extra u) or -H_{2m-1} (Bbar case, u-free bracket).
+    # H_m is that integral, of (1 - t^m)/(1 - t) over [0, 1], summed here as
+    # 1 + 1/2 + ... + 1/m, so this route reads no harmonic table.
+    name = "coth_minus_inv" if which == "coth-harmonic" else "inv_sinh_minus_inv"
+    source = named_series(name, order - 1)
+    offset = 1 if which == "coth-harmonic" else 0
+    inner = list(accumulate((Fraction(1, j) for j in range(1, order + 1)), initial=Fraction(0)))
+    coeffs = {m: 2 * c * inner[m + offset] for m, c in source.coeffs.items()}
+    return laplace_asymptotic(TruncatedSeries(TAYLOR, coeffs, order - 1))
 
 
 def _agree_through(a: TruncatedSeries, b: TruncatedSeries, order: int) -> bool:

@@ -346,9 +346,9 @@ def test_route_mismatch_fails_rows(monkeypatch):
     # the recurrence is linear in the coefficients, so doubling c_0
     # doubles every one grown from it
     monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
-    real_next = identities.power_next
+    real_next = series_engine.power_next
     monkeypatch.setattr(
-        identities, "power_next",
+        series_engine, "power_next",
         lambda base, power, N: (1 if power else 2) * real_next(base, power, N))
     result = runner.invoke(
         main, ["verify", "--identity", "multi", "--identity", "gessel",

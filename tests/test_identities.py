@@ -338,13 +338,13 @@ def test_gessel_forms_share_one_fold_and_one_power(monkeypatch):
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     calls = []
-    real_next = identities.power_next
+    real_next = bernkit.series.power_next
 
     def counted(base, power, N):
         calls.append((len(power), N))
         return real_next(base, power, N)
 
-    monkeypatch.setattr(identities, "power_next", counted)
+    monkeypatch.setattr(bernkit.series, "power_next", counted)
     assert verify_gessel(7).ok
     # one recurrence step per coefficient c_0, ..., c_4, the last at x^-14
     assert calls == [(m, 3) for m in range(5)]
@@ -958,15 +958,31 @@ def test_second_routes_do_not_use_the_sum_kernel(monkeypatch):
         assert floatcheck.family_float(which, 6, 0.75).ok
 
 
+def _imports(module):
+    """Each (module, name) pair that ``module``'s source imports."""
+    pairs = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            pairs.update((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            pairs.update((node.module or "", alias.name) for alias in node.names)
+    return pairs
+
+
+def test_identities_reaches_the_series_route_through_two_entry_points():
+    # identities imports exactly the power and the lemma integral from
+    # series, and series imports nothing from identities
+    from_series = {name for module, name in _imports(identities) if "series" in module.split(".")}
+    assert from_series == {"_lemma_integral", "_power_coeff"}
+    assert ("", "series") not in _imports(identities)
+    parts = {part for pair in _imports(bernkit.series) for name in pair if name
+             for part in name.split(".")}
+    assert "identities" not in parts, parts
+
+
 def test_series_power_route_shares_no_code_with_the_sum_kernel(monkeypatch):
-    # series.py imports nothing from identities, and a multi row's power
-    # route never reaches _dot while its fold route does
-    names = set()
-    for node in ast.walk(ast.parse(Path(bernkit.series.__file__).read_text())):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.add(getattr(node, "module", None) or "")
-            names.update(alias.name for alias in node.names)
-    assert "identities" not in {part for name in names for part in name.split(".")}, names
+    # a multi row's power route never reaches _dot while its fold route
+    # does; that series imports nothing from identities is pinned above
     real_dot = identities._dot
     depth, calls = [], {"dot": 0, "pow": 0}
 
@@ -990,7 +1006,7 @@ def test_series_power_route_shares_no_code_with_the_sum_kernel(monkeypatch):
     monkeypatch.setattr(identities, "_dot", dot)
     # the power route is the recurrence step and the base it reads
     for name in ("power_next", "_psi_coefficient"):
-        monkeypatch.setattr(identities, name, on_power_route(getattr(identities, name)))
+        monkeypatch.setattr(bernkit.series, name, on_power_route(getattr(bernkit.series, name)))
     for variant in ("plain", "bar"):
         for n in range(4, 51):
             multi_lhs(4, n, variant)
@@ -1062,7 +1078,7 @@ def test_power_table_matches_binary_powering(monkeypatch, variant, name):
     # psi^N; series_pow squares and multiplies whole series instead
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     for N in range(2, 9):
-        identities._power_coeff(variant, N, 60)
+        bernkit.series._power_coeff(variant, N, 60)
         power = series_pow(named_series(name, 120), N)
         table = bernkit.sequences._DEFAULT.power[variant, N]
         assert len(table) == 61 - N and power.trunc == 120 + 2 * N - 2
@@ -1102,6 +1118,26 @@ def test_a_poisoned_harmonic_entry_fails_the_harmonic_lemma_checks(monkeypatch):
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     assert LEMMA_IDS == ("coth-product", "coth-harmonic", "sinh-product", "sinh-harmonic")
     assert [verify_lemma_expansion(which, 20) for which in LEMMA_IDS] == [True, False, True, False]
+
+
+@pytest.mark.parametrize("table, index, failing", [
+    ("bern", 6, LEMMA_IDS),
+    ("harm", 8, ("coth-harmonic", "sinh-harmonic")),
+])
+def test_the_lemma_integral_route_reads_only_the_series_table(monkeypatch, table, index, failing):
+    # a corrupted bern or harm entry leaves every integral route as it is
+    # on a fresh cache, and fails exactly the checks whose closed form
+    # reads that table
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    fresh = {which: bernkit.series._lemma_integral(which, 20) for which in LEMMA_IDS}
+    cache = SequenceCache()
+    cache.bernoulli(index)
+    cache.harmonic(index)
+    getattr(cache, table)[index] += 1
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    for which in LEMMA_IDS:
+        assert bernkit.series._lemma_integral(which, 20) == fresh[which], which
+        assert verify_lemma_expansion(which, 20) == (which not in failing), which
 
 
 def test_a_poisoned_series_table_reaches_only_the_series_readers(monkeypatch):
@@ -1648,7 +1684,7 @@ def test_route_checks_survive_optimize():
     # RouteMismatch
     script = textwrap.dedent("""
         import sys
-        from bernkit import RouteMismatch, SequenceCache, identities
+        from bernkit import RouteMismatch, SequenceCache, identities, series
         assert False, "assert statements must be stripped here"
         cache = SequenceCache()
         cache.harmonic_second(5)
@@ -1658,8 +1694,8 @@ def test_route_checks_survive_optimize():
             sys.exit(4)
         except RouteMismatch as exc:
             print(exc)
-        real_next = identities.power_next
-        identities.power_next = lambda base, power, N: 2 * real_next(base, power, N)
+        real_next = series.power_next
+        series.power_next = lambda base, power, N: 2 * real_next(base, power, N)
         try:
             identities.multi_lhs(2, 4)
         except RouteMismatch as exc:

@@ -82,8 +82,8 @@ def test_mul_truncation_is_sound():
 
 
 def plain_cauchy(a, b):
-    """The Fraction Cauchy product series_mul replaced, one gcd per product
-    and per add: the reference its integer arithmetic must match."""
+    """The Cauchy product written out term by term: the definition
+    series_mul must match."""
     if a.kind != b.kind:
         raise KindMismatch(f"cannot combine {a.kind} with {b.kind}")
     trunc = min(a.trunc + b.min_order, b.trunc + a.min_order)
