@@ -43,9 +43,10 @@ coefficients, FPZ's the sum of the two sinh ones, Gessel's reuses the
 coth product and the cubic H_2n sum the sinh product.  The lemma check
 therefore tests the weights those right sides sum, and the B and H
 values too: its closed form reads the ``bern`` and ``harm`` tables, and
-its integral route neither (see ``series``).  Each product coefficient
-is summed once per n and kept in the per-n slot below; the harmonic
-ones are computed on every call.  Their
+its integral route neither (see ``series``).  The coth product is summed
+once per n, and each sinh product is a combination of the power-of-four
+sums S_j below, each summed once per n; all are kept in the per-n slot
+below, and the harmonic coefficients are computed on every call.  Their
 C(2n, 2k) comes with the B products of the slot, whose binomial list
 reads the Pascal row _binomial_row(2n): at n ~ 400, integer binomials
 times B products are cheaper than products of coth weights with
@@ -55,28 +56,40 @@ mixed right sides weigh by its numerator and divide the sum by its
 common denominator 2^(2n-1) once.
 
 Every quadratic sum over products B_2k B_{2n-2k} times a small weight
-w(k) is _paired(n, weight): the Euler left side, the coth and sinh
-products, both mixed sides, the Euler-Bernoulli right side and the p = 1
-sums.  Bbar_m enters as B_m times its weight bbar_scale(m): a form
-shared by B and Bbar takes the weight, bbar_scale or _unit_scale.
-Terms k and n-k share one product of numerators of about 1,350 digits at
-n ~ 400, so each k < n/2 carries w(k) + w(n-k), an unreduced integer
-pair, and the middle k = n/2 of an even n counts once; each sum then does
-half the big products.  A sum that runs through k = n takes its unpaired
-term, B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
+w(k) is _paired(n, weight): the Euler left side, the coth product, the
+power-of-four sums S_j, the mixed left side and the p = 1 sums.  Bbar_m
+enters as B_m times its weight bbar_scale(m): a form shared by B and
+Bbar takes the weight, bbar_scale or _unit_scale.  Terms k and n-k
+share one product of numerators of about 1,350 digits at n ~ 400, so
+each k < n/2 carries w(k) + w(n-k), an unreduced integer pair, and the
+middle k = n/2 of an even n counts once; each sum then does half the big
+products.  A sum that runs through k = n takes its unpaired term,
+B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
 Euler-number left side pair their equal terms the same way.
+
+The weights of the sinh products and of the mixed and Euler-Bernoulli
+right sides are polynomials in 4^k over 2kn, so those four sums are
+combinations of three power-of-four sums, for j = 0, 1, 2,
+
+    S_j(n) = sum over 1 <= k <= n of C(2n, 2k) B_2k B_{2n-2k} 4^(jk) / (2kn),
+
+and they read S_0, S_1 and S_2 from the slot (see ("shifted", j)
+below), so a deep n runs three big sums for them, not four.  The coth
+product stays its own sum.  Its weight gives it as S_0 - B_2n / (2n^2),
+but then the modified Miki form's check of its k=n form, S_0 plus a
+harmonic term, against its H_2n form would reduce to H_2n - H_{2n-1} =
+1/(2n) and check nothing.
 
 The products are formed once per n, as two entries of the per-n slot
 below: ("products", False) lists B_2k B_{2n-2k} and ("products", True)
 C(2n, 2k) B_2k B_{2n-2k}, unreduced _Ratio's for k <= n/2, the second
 built from the first by the first sum at n that asks for it.  As
 C(2n, 2k) = C(2n, 2n-2k), the binomial factors out of each k, n-k pair:
-the weights that carry it (the Euler left side, the coth and sinh
-products, the mixed and the Euler-Bernoulli right sides) drop it and
-read the binomial list, while the mixed left side and the p = 1 sums,
-whose C(2n+2, 2k+2) is another row, read the plain one; each term is
-then one multiply of a big product by a small weight.  _fold and the
-Euler-number sum never read the products: Miki's and FPZ's left sides
+the weights that carry it (the Euler left side, the coth product and the
+S_j) drop it and read the binomial list, while the mixed left side and
+the p = 1 sums, whose C(2n+2, 2k+2) is another row, read the plain one;
+each term is then one multiply of a big product by a small weight.
+_fold and the Euler-number sum never read the products: Miki's and FPZ's left sides
 and every multi fold form their own, so the two sides of each quadratic
 identity stay independent routes.
 
@@ -118,11 +131,19 @@ in any order, share every entry, and the slot holds one n's work at
 most.  Its keys:
 
 * ("products", binomial): the B products above.
-* "coth-product" and ("sinh-product", scale): the x^(-2n) coefficient of
-  the product lemma expansion for the B weight ``scale`` (_unit_scale or
-  bbar_scale), summed by the first row that needs it and read by the
-  others (Miki, the modified Miki form, FPZ, Gessel and its modified
-  form, the cubic FPZ form and the lemma check).
+* "coth-product": the x^(-2n) coefficient of the coth-product lemma
+  expansion, summed by the first row that needs it and read by the
+  others (Miki, the modified Miki form, Gessel and the lemma check).
+* ("shifted", j): S_j(n) for j = 0, 1, 2, summed by the first row that
+  needs it.  As Bbar's weight (2 - 4^(n-k)) / 4^(n-k) on B_{2n-2k} is
+  (2 4^k - 4^n) / 4^n, and 1 - 2^(2k-1) = 1 - 4^k / 2:
+
+  - the sinh product for B is S_0, and for Bbar 2 S_1 / 4^n - S_0
+    (the modified Miki form, FPZ, the modified Gessel and cubic FPZ
+    forms and the lemma check);
+  - the mixed right side's sum is S_0 - S_1 / 2;
+  - the Euler-Bernoulli right side is 2 S_2 - (2 + 4^n) S_1 + 4^n S_0,
+    as (4^k - 1) 4^k (2 - 4^(n-k)) = 2 16^k - (2 + 4^n) 4^k + 4^n.
 * "family-layout": what the three family kinds share at n.  All three
   write the same factor tuples, since their gamma structure is one and
   only their B and Bbar weights differ; the first kind at n builds the
@@ -520,17 +541,22 @@ def _coth_harmonic(n: int) -> Fraction:
     return bernoulli(2 * n) * harmonic(2 * n) / n
 
 
+def _shifted(n: int, j: int) -> Fraction:
+    """S_j(n), the sum of C(2n, 2k) B_2k B_{2n-2k} 4^(jk) / (2kn) over
+    1 <= k <= n, summed once per (n, j) and kept in the per-n slot."""
+    return _at_n(n, ("shifted", j), lambda: _paired(
+        n, lambda k: (1 << 2 * j * k, 2 * k * n), through_n=True, binomial=True))
+
+
 def _sinh_product(n: int, scale) -> Fraction:
     """x^(-2n) coefficient of the sinh-product lemma expansion for
-    ``scale`` = bbar_scale; _unit_scale gives Miki's k=n form.  Summed
-    once per (n, scale) and kept in the per-n slot."""
-
-    def weight(k):
-        num, den = scale(2 * n - 2 * k)
-        return num, 2 * k * n * den
-
-    return _at_n(n, ("sinh-product", scale),
-                 lambda: _paired(n, weight, through_n=True, binomial=True))
+    ``scale`` = bbar_scale; _unit_scale gives Miki's k=n form.  Both are
+    read from the power-of-four sums of the per-n slot: the k=n form is
+    S_0, and as Bbar's weight (2 - 4^(n-k)) / 4^(n-k) on B_{2n-2k} is
+    (2 4^k - 4^n) / 4^n, the Bbar form is 2 S_1 / 4^n - S_0."""
+    if scale is _unit_scale:
+        return _shifted(n, 0)
+    return 2 * _shifted(n, 1) / 4 ** n - _shifted(n, 0)
 
 
 def _sinh_harmonic(n: int, scale) -> Fraction:
@@ -583,11 +609,11 @@ def verify_mixed(n: int) -> IdentityReport:
         num, den = bbar_scale(2 * n - 2 * k)
         return num, den * 2 * k * (2 * n - 2 * k)
 
-    # the rhs weights (1 - 2^(2k-1)) / 2^(2n-1) share their denominator
+    # the rhs weights (1 - 2^(2k-1)) / 2^(2n-1) share their denominator,
+    # and the sum of their numerators is S_0 - S_1 / 2
     lhs = _paired(n, lhs_weight)
-    rhs = _paired(
-        n, lambda k: (1 - 2 ** (2 * k - 1), 2 * k * n), through_n=True, binomial=True
-    ) / 2 ** (2 * n - 1) + bernoulli(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
+    rhs = (_shifted(n, 0) - _shifted(n, 1) / 2) / 2 ** (2 * n - 1)
+    rhs += bernoulli(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
     return _report("mixed", n, lhs, rhs)
 
 
@@ -901,11 +927,11 @@ def verify_euler_bernoulli(n: int) -> IdentityReport:
         (2 if 2 * k < n + 1 else 1) * eul[2 * k - 2] * eul[2 * n - 2 * k]
         for k in range(1, (n + 1) // 2 + 1)
     ))
-    # 1 - 2^(2n-2k-1) = (2 - 2^(2n-2k)) / 2
-    rhs = _paired(
-        n, lambda k: ((4 ** k - 1) * 4 ** k * (2 - 4 ** (n - k)), 2 * k * n),
-        through_n=True, binomial=True,
-    )
+    # C(2n, 2k) B_2k B_{2n-2k} weighs (4^k - 1) 4^k (1 - 2^(2n-2k-1)) / (kn)
+    # = (4^k - 1) 4^k (2 - 4^(n-k)) / (2kn), whose numerator is
+    # 2 16^k - (2 + 4^n) 4^k + 4^n
+    power = 4 ** n
+    rhs = 2 * _shifted(n, 2) - (2 + power) * _shifted(n, 1) + power * _shifted(n, 0)
     return _report("euler-bernoulli", n, lhs, rhs)
 
 

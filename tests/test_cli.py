@@ -620,6 +620,20 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
     assert outputs[0] == outputs[1]
 
 
+def test_pair_sum_scan_is_the_same_in_either_identity_order(monkeypatch):
+    # the rows that share the binomial B products and the power-of-four
+    # sums S_j at one n, in both orders, each on a fresh cache
+    forward = ("euler", "mixed", "euler-bernoulli", "fpz", "miki-modified")
+    outputs = []
+    for order in (forward, forward[::-1]):
+        monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+        result = runner.invoke(main, ["verify", *(a for i in order for a in ("--identity", i)),
+                                      "--n-min", "20", "--n-max", "30", "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        outputs.append(result.stdout_bytes)
+    assert outputs[0] == outputs[1]
+
+
 def test_family_scan_parses_each_p_once(monkeypatch):
     # verify parses each --p once, into the Fraction its exact rows take,
     # so no row converts p again; a float p still selects the float lane
@@ -934,6 +948,25 @@ def test_poisoned_coth_weight_fails_the_cubic_rows_that_read_it(monkeypatch):
     for n in range(3, 10):
         identities._fold("coth", 3, n)
     assert scan(cache) == {"gessel": [True] * 7, "gessel-modified": below, "fpz-cubic": below}
+
+
+@pytest.mark.parametrize("j, readers", [
+    (0, {"miki-modified", "fpz", "mixed", "euler-bernoulli"}),
+    (1, {"fpz", "mixed", "euler-bernoulli"}),
+    (2, {"euler-bernoulli"}),
+])
+def test_poisoned_power_of_four_sum_fails_the_rows_that_read_it(monkeypatch, j, readers):
+    # S_j + 1 after all six deep ids ran at n = 9: the rows whose right
+    # sides are combinations of S_j fail, euler and miki sum their own
+    deep = ("euler", "miki", "miki-modified", "fpz", "mixed", "euler-bernoulli")
+    cache = sequences.SequenceCache()
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+    assert all(cli_module._run_task((ident, 9, None, None))["ok"] for ident in deep)
+    cache.slot[1]["shifted", j] += 1
+    rows = {ident: cli_module._run_task((ident, 9, None, None)) for ident in deep}
+    assert {ident for ident, row in rows.items() if not row["ok"]} == readers
+    if j == 0:
+        assert "the H_2n form" in rows["miki-modified"]["error"]
 
 
 def test_poisoned_rising_table_fails_the_rows_that_read_it(monkeypatch):

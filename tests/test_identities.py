@@ -745,13 +745,15 @@ def _slot_keys(cache, kind):
 
 
 def _lemma_keys(cache):
-    """The keys of the coth and sinh product coefficients in the per-n slot."""
-    return {key for key in cache.slot[1] if key == "coth-product" or key[0] == "sinh-product"}
+    """The keys of the coth product coefficient and of the power-of-four
+    sums S_j, which give the sinh product coefficients, in the per-n slot."""
+    return {key for key in cache.slot[1] if key == "coth-product" or key[0] == "shifted"}
 
 
 def test_coth_product_is_summed_once_per_n(monkeypatch):
-    # miki sums the coth product; miki-modified sums only its sinh product
-    # and reads the coth product for its H_2n cross-check; gessel reads it
+    # miki sums the coth product; miki-modified sums only S_0, its sinh
+    # product, and reads the coth product for its H_2n cross-check; gessel
+    # reads it
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     calls = _count_paired(monkeypatch)
@@ -762,7 +764,7 @@ def test_coth_product_is_summed_once_per_n(monkeypatch):
         counts.append(calls[0])
     assert counts == [1, 1, 0]
     assert cache.slot[0] == n
-    assert _lemma_keys(cache) == {"coth-product", ("sinh-product", identities._unit_scale)}
+    assert _lemma_keys(cache) == {"coth-product", ("shifted", 0)}
     row = identities._binomial_row(2 * n)
     assert cache.slot[1]["coth-product"] == identities._paired(
         n, lambda k: (row[2 * k], 2 * k * (2 * n - 2 * k)))
@@ -896,7 +898,7 @@ def test_slot_keeps_the_entries_of_one_n(monkeypatch):
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     assert all(verify(n).ok for verify in rows.values())
     assert {key if isinstance(key, str) else key[0] for key in cache.slot[1]} == {
-        "products", "coth-product", "sinh-product", "family-layout", "family"}
+        "products", "coth-product", "shifted", "family-layout", "family"}
     # after the rows at n+1, the slot holds what they alone leave: no entry of n
     assert all(verify(n + 1).ok for verify in rows.values())
     assert cache.slot == fresh.slot
@@ -1613,18 +1615,32 @@ def test_poisoned_layout_fails_every_kind(monkeypatch):
 
 
 def test_fpz_cubic_sums_each_sinh_product_once(monkeypatch):
-    # the B and the Bbar sinh products are its only paired sums, each run
-    # once however often the right side reads it; a rerun reads both
+    # S_0 and S_1, which give the B and the Bbar sinh products, are its only
+    # paired sums, each run once however often the right side reads it; a
+    # rerun reads both
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     calls = _count_paired(monkeypatch)
     assert verify_fpz_cubic(9).ok
     assert calls == [2]
     assert cache.slot[0] == 9
-    assert _lemma_keys(cache) == {("sinh-product", bernkit.sequences.bbar_scale),
-                                  ("sinh-product", identities._unit_scale)}
+    assert _lemma_keys(cache) == {("shifted", 0), ("shifted", 1)}
     assert verify_fpz_cubic(9).ok
     assert calls == [2]
+
+
+def test_deep_rows_share_three_power_of_four_sums(monkeypatch):
+    # the six deep ids at one n: the euler left side, the coth product,
+    # the mixed left side and S_0, S_1, S_2, which give both sinh products
+    # and the mixed and Euler-Bernoulli right sides
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    calls = _count_paired(monkeypatch)
+    deep = ("euler", "miki", "miki-modified", "fpz", "mixed", "euler-bernoulli")
+    assert all(IDENTITIES[ident].run(9, None).ok for ident in deep)
+    assert calls == [6]
+    assert cache.slot[0] == 9
+    assert _lemma_keys(cache) == {"coth-product", ("shifted", 0), ("shifted", 1), ("shifted", 2)}
 
 
 def test_multi_lhs_errors():
