@@ -7,7 +7,12 @@ checks ok, 1 some check failed, 2 usage error.
 
 The parser is the standard library's argparse, and every result record is
 a typing.NamedTuple, so a scan process loads neither a third-party
-package nor dataclasses and inspect before its first row.  Every option
+package nor dataclasses and inspect before its first row.  Importing
+this module loads identities, sequences, errors and floatcheck; csv,
+``series`` and ``quadrature`` are imported by the commands that use
+them (--format csv, series, quadcheck), and ``identities`` imports
+``series`` and ``gammaalg`` only for the rows that read them, so a
+process compiles only the modules its command runs.  Every option
 here takes one value, and main joins a value that starts with '-' to its
 option (--p=-1/4) before parsing, because argparse would read -1/4,
 -0.25 or -1e-3 as an option of its own.  Options may not be abbreviated.
@@ -32,7 +37,6 @@ together with its --jobs 2 workload.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -40,8 +44,10 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import floatcheck, identities, sequences
-from . import series as series_engine
+from . import identities, sequences
+# after identities, so that floatcheck's line under `python -X importtime`
+# is the float twin's own import, as the benchmark's trace reads it
+from . import floatcheck
 from .errors import BernkitError, DomainError, QuadFailure, UnknownName
 
 _FORMATS = ("plain", "csv", "json")
@@ -111,6 +117,8 @@ def _emit(rows: list[dict], fmt: str, columns: tuple, pairs: bool = False) -> No
         return
     table = [[_format_cell(r.get(c, "")) for c in columns] for r in rows]
     if fmt == "csv":
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows([columns, *table])
     else:
         for cells in table:
@@ -192,8 +200,10 @@ def series(name: str, order: int, fmt: str) -> None:
             p = int(arg[:-1])
         except ValueError:
             raise UsageError(f"bad series parameter in {name!r}")
+    from .series import named_series
+
     try:
-        expansion = series_engine.named_series(base, order, p=p)
+        expansion = named_series(base, order, p=p)
     except (UnknownName, DomainError) as exc:
         raise UsageError(str(exc))
     rows = [{"order": m, "coeff": str(c)} for m, c in expansion.items()]
@@ -202,9 +212,10 @@ def series(name: str, order: int, fmt: str) -> None:
 
 def quadcheck(name: str, xs, p: float, fmt: str) -> None:
     """Compare integral representations against their targets on a grid."""
-    if name not in floatcheck.QUAD_NAMES:
-        raise UsageError(
-            f"unknown representation {name!r}; known: {', '.join(floatcheck.QUAD_NAMES)}")
+    from .quadrature import QUAD_NAMES, quad_rep
+
+    if name not in QUAD_NAMES:
+        raise UsageError(f"unknown representation {name!r}; known: {', '.join(QUAD_NAMES)}")
     bad = [v for v in (*xs, p) if not math.isfinite(v)]
     if bad:
         raise UsageError(f"--x and --p must be finite, got {bad}")
@@ -212,7 +223,7 @@ def quadcheck(name: str, xs, p: float, fmt: str) -> None:
     rows = []
     for x in grid:
         try:
-            result = floatcheck.quad_rep(name, x, p)
+            result = quad_rep(name, x, p)
         except (DomainError, QuadFailure) as exc:
             result = SimpleNamespace(name=name, x=x, p=p, ok=False, error=str(exc))
         rows.append(_row(result, _QUAD_COLUMNS))

@@ -20,7 +20,11 @@ function with the series route's integral.
 The series route lives in ``series``, which this layer calls through two
 entry points: _power_coeff, the series power that verify_multi compares
 with the nested fold, and _lemma_integral, the second route of
-verify_lemma_expansion.
+verify_lemma_expansion.  ``series`` and ``gammaalg`` are imported inside
+the functions that call them (verify_multi, verify_lemma_expansion, and
+the builders of the family layout and cofactors), so a process that runs
+no multi, lemma or family row never loads them: a deep quadratic scan
+reads neither.
 
 IDENTITIES is the one statement of each command-line identity id, an
 Identity record of its floor, parameter kind and runner.  Every verifier
@@ -193,7 +197,6 @@ from typing import Any, Callable, NamedTuple
 
 from . import sequences
 from .errors import DomainError, ExponentMismatch, UnknownName, check_routes
-from .gammaalg import GammaProduct, gamma_reduce_pair
 from .sequences import (
     _rational,
     bbar_scale,
@@ -203,7 +206,6 @@ from .sequences import (
     harmonic,
     harmonic_second,
 )
-from .series import _lemma_integral, _power_coeff
 
 __all__ = [
     "IDENTITIES",
@@ -710,8 +712,14 @@ class _Layout(NamedTuple):
 def _layout(n: int, summands: Callable[[], tuple[dict, dict]]) -> _Layout:
     """The family layout at n from the per-n slot, built on first use from
     the factor tuples of summands(), one GammaProduct per tuple."""
-    return _at_n(n, "family-layout", lambda: _Layout(
-        tuple({factors: GammaProduct(factors) for factors in side} for side in summands()), {}))
+
+    def build():
+        from .gammaalg import GammaProduct
+
+        return _Layout(
+            tuple({factors: GammaProduct(factors) for factors in side} for side in summands()), {})
+
+    return _at_n(n, "family-layout", build)
 
 
 def _family(which: str, n: int) -> tuple[tuple[tuple[int, list[int]], ...], _Layout]:
@@ -725,6 +733,8 @@ def _cofactors(products, p: Fraction) -> tuple[tuple[int, list[int]], tuple[int,
     denominator V, as (V, numerators); no Fraction is built.  Every
     product of both sides must reduce to one (Gamma(p), Gamma(2p))
     exponent pair, else ExponentMismatch."""
+    from .gammaalg import gamma_reduce_pair
+
     reductions = [[gamma_reduce_pair(g, p) for g in side.values()] for side in products]
     exponents = {(exp_p, exp_2p) for side in reductions for exp_p, exp_2p, _, _ in side}
     if len(exponents) != 1:
@@ -904,6 +914,8 @@ def verify_multi(N: int, n: int, variant: str = "plain") -> IdentityReport:
     _require(N >= 2, f"convolution fold count must be >= 2, got {N}")
     _require_floor(identity, n)
     _require(n >= N, f"order n must be at least N={N}, got {n}")
+    from .series import _power_coeff
+
     direct = _fold(variant, N, n)
     via_series = (-1) ** N * _power_coeff(variant, N, n)
     return _report(identity, n, direct, via_series, N=N)
@@ -959,6 +971,8 @@ def verify_lemma_expansion(which: str, order: int) -> bool:
     if which not in LEMMA_IDS:
         raise UnknownName(f"no lemma expansion {which!r}")
     _require(order >= 4 and order % 2 == 0, f"order must be even and >= 4, got {order}")
+    from .series import _lemma_integral
+
     closed = _lemma_closed_form(which, order)
     integral = _lemma_integral(which, order)
     return all(closed.get(m, 0) == integral.coeff(m) for m in range(order + 1))

@@ -22,7 +22,7 @@ import pytest
 from conftest import CliRunner, family_pairs
 
 import bernkit
-from bernkit import cli as cli_module, floatcheck, identities, sequences
+from bernkit import cli as cli_module, gammaalg, identities, quadrature, sequences
 from bernkit import series as series_engine
 from bernkit.cli import main
 
@@ -387,13 +387,15 @@ def test_exact_scan_does_not_import_scipy():
 def test_cli_import_loads_floatcheck_eagerly():
     # the benchmark's --trace 1 reads bernkit.floatcheck's line from
     # `python -X importtime -c "import bernkit.cli"` and stops without it,
-    # so the float lane stays an eager import, re-exported as plain names
+    # so the float lane stays an eager import; the quadrature lane loads on
+    # first use, and a name once resolved is kept as a plain name
     script = textwrap.dedent("""
         import sys
         import bernkit.cli
         import bernkit
         assert "bernkit.floatcheck" in sys.modules
-        assert vars(bernkit)["quad_rep"] is sys.modules["bernkit.floatcheck"].quad_rep
+        assert bernkit.quad_rep is sys.modules["bernkit.quadrature"].quad_rep
+        assert vars(bernkit)["quad_rep"] is sys.modules["bernkit.quadrature"].quad_rep
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
@@ -415,6 +417,46 @@ def test_cli_import_loads_no_click_dataclasses_or_inspect():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]", "True"]
+
+
+_WATCHED = ("bernkit.floatcheck", "bernkit.series", "bernkit.gammaalg", "bernkit.quadrature", "csv")
+
+
+@pytest.mark.parametrize("args, loaded, not_loaded", [
+    ([], {"bernkit.floatcheck"},
+     {"bernkit.series", "bernkit.gammaalg", "bernkit.quadrature", "csv"}),
+    (["verify", "--identity", "euler", "--identity", "fpz", "--identity", "mixed",
+      "--n-max", "8", "--format", "json"], set(),
+     {"bernkit.series", "bernkit.gammaalg", "bernkit.quadrature", "csv"}),
+    (["verify", "--identity", "family-miki", "--p", "1/2", "--n-max", "3", "--format", "json"],
+     {"bernkit.gammaalg"}, {"bernkit.series"}),
+    (["verify", "--identity", "multi", "--N", "3", "--n-max", "4", "--format", "json"],
+     {"bernkit.series"}, set()),
+    (["quadcheck", "psi_tilde", "--x", "5", "--format", "json"], {"bernkit.quadrature"}, set()),
+    (["seq", "bernoulli", "--n-max", "4", "--format", "csv"], {"csv"}, set()),
+], ids=["import", "deep-scan", "family-row", "multi-row", "quadcheck", "csv"])
+def test_each_command_loads_only_the_modules_it_runs(args, loaded, not_loaded):
+    # a fresh process compiles every module it loads (with
+    # PYTHONDONTWRITEBYTECODE, on every run), so series, gammaalg,
+    # quadrature and csv wait for the command that uses them
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from bernkit.cli import main
+        if sys.argv[1:]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    main(sys.argv[1:], standalone_mode=False)
+                except SystemExit as exc:
+                    assert exc.code == 0, exc.code
+        print(json.dumps([m for m in %r if m in sys.modules]))
+    """ % (_WATCHED,))
+    env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    present = set(json.loads(done.stdout))
+    assert "bernkit.floatcheck" in present
+    assert loaded <= present and not present & not_loaded, present
 
 
 @pytest.mark.parametrize("args, p", [
@@ -595,13 +637,13 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
     # rerun at p = 1 included, so each factor tuple is reduced once per
     # (n, p) at any --jobs and in any order of --identity and --p
     calls = []
-    real = identities.gamma_reduce_pair
+    real = gammaalg.gamma_reduce_pair
 
     def counted(g, p):
         calls.append((g.factors, p))
         return real(g, p)
 
-    monkeypatch.setattr(identities, "gamma_reduce_pair", counted)
+    monkeypatch.setattr(gammaalg, "gamma_reduce_pair", counted)
     distinct = [{product.factors for product, _ in sum(family_pairs("miki", n), ())}
                 for n in range(2, 7)]
     forward = ["--identity", "family-miki", "--identity", "family-fpz", "--identity", "family-mixed",
@@ -772,6 +814,12 @@ def test_quadcheck_errors():
                              'psi_tilde,0.5,0.0,,,,,,false,"quadrature grid starts at x = 1, got 0.5"']
     result = runner.invoke(main, ["quadcheck", "psi_tilde", "--p", "1", "--x", "5"])
     assert result.exit_code == 1
+    # g has no _p variant, and its row names none
+    result = runner.invoke(main, ["quadcheck", "g", "--p", "3", "--x", "5", "--format", "json"])
+    assert result.exit_code == 1
+    [row] = json.loads(result.output)
+    assert row["ok"] is False and "g_p" not in row["error"]
+    assert "psi_tilde_p" in row["error"] and "psi_bar_p" in row["error"]
 
 
 def test_quadcheck_loose_series_target_is_unverified():
@@ -806,7 +854,7 @@ def test_quad_json_row_fields():
     [row] = json.loads(result.output)
     assert list(row) == ["name", "x", "p", "value", "target", "abs_dev", "tol", "est_error", "ok",
                          "error"]
-    assert row["ok"] is False and row["error"] == floatcheck.quad_rep("g", 1.0).error
+    assert row["ok"] is False and row["error"] == quadrature.quad_rep("g", 1.0).error
     # a row that could not run has no values at all
     result = runner.invoke(
         main, ["quadcheck", "psi_tilde_p", "--p", "1000", "--x", "5", "--format", "json"])

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from conftest import family_pairs
 
-from bernkit import floatcheck, identities, sequences
+from bernkit import identities, quadrature, sequences
 from bernkit import (
     DomainError,
     FAMILY_KINDS,
@@ -123,7 +123,7 @@ def test_recurred_target_is_verified(name, x, p):
 def test_recurrence_bound_keeps_the_series_tolerance(monkeypatch):
     # with no shift allowed the target is the series at x itself, held to
     # its omitted term, so the row says it is unverified
-    monkeypatch.setattr(floatcheck, "_MAX_SHIFT", 0)
+    monkeypatch.setattr(quadrature, "_MAX_SHIFT", 0)
     r = quad_rep("psi_tilde_p", 1.0, 3.0)
     assert r.tol == optimal_series("psi_tilde_p", 1.0, 3.0)[1] > 1e-6
     assert r.error.startswith("target unverified")
@@ -240,11 +240,11 @@ def test_high_weight_quadrature_keeps_its_tail(name, x):
                                   (1.0, 60.0), (30.0, 3.0)])
 def test_tail_cut_is_where_the_weight_has_fallen(x, p):
     # s^p exp(-2xs) at the cut is 1e-18 of its value at the peak p/(2x)
-    cut = floatcheck._tail_cut(x, p)
+    cut = quadrature._tail_cut(x, p)
     peak = p / (2.0 * x)
     assert cut > peak
     log_ratio = (p * math.log(cut / peak) if p else 0.0) - 2.0 * x * (cut - peak)
-    assert log_ratio == pytest.approx(math.log(floatcheck._TAIL_EPS), rel=1e-8)
+    assert log_ratio == pytest.approx(math.log(quadrature._TAIL_EPS), rel=1e-8)
 
 
 @pytest.mark.parametrize("name, x, p", [
@@ -268,7 +268,7 @@ def test_quad_target_reads_named_series(monkeypatch):
     # the float target is built from the exact coefficients the identity
     # lane reads, so a wrong named_series coefficient fails the row
     assert quad_rep("psi_tilde_p", 10.0, 1.0).ok
-    real = floatcheck.named_series
+    real = quadrature.named_series
 
     def perturbed(name, order, **kwargs):
         series = real(name, order, **kwargs)
@@ -278,7 +278,7 @@ def test_quad_target_reads_named_series(monkeypatch):
         coeffs[3] *= 2
         return TruncatedSeries(series.kind, coeffs, series.trunc)
 
-    monkeypatch.setattr(floatcheck, "named_series", perturbed)
+    monkeypatch.setattr(quadrature, "named_series", perturbed)
     # the coefficients are memoised per cache: a fresh one reads them anew
     monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
     assert not quad_rep("psi_tilde_p", 10.0, 1.0).ok
@@ -358,13 +358,13 @@ def test_quadrature_bound_is_relative_to_the_value(monkeypatch):
     piece = {}
     monkeypatch.setattr(integrate, "quad", lambda f, a, b, **options: piece["result"])
     piece["result"] = (1e6, 5e-7)
-    assert floatcheck._integrate(None, 1.0) == (2e6, 1e-6)
+    assert quadrature._integrate(None, 1.0) == (2e6, 1e-6)
     piece["result"] = (1e6, 2e-6)
     with pytest.raises(QuadFailure, match="exceeds 2.000e-06"):
-        floatcheck._integrate(None, 1.0)
+        quadrature._integrate(None, 1.0)
     piece["result"] = (1.0, 1e-8)
     with pytest.raises(QuadFailure, match="exceeds 1.000e-08"):
-        floatcheck._integrate(None, 1.0)
+        quadrature._integrate(None, 1.0)
 
 
 def test_quad_errors():
@@ -378,6 +378,18 @@ def test_quad_errors():
         quad_rep("psi_tilde", 5.0, p=1.0)
     with pytest.raises(DomainError):
         quad_rep("g", 5.0, p=2.0)
+
+
+@pytest.mark.parametrize("name", ["psi_tilde", "psi_bar", "g"])
+def test_p_zero_rows_name_their_real_variants(name):
+    # g has no _p variant: its error names the two representations that
+    # take p != 0, and a psi row names its own _p variant
+    with pytest.raises(DomainError) as raised:
+        quad_rep(name, 5.0, p=3.0)
+    message = str(raised.value)
+    assert "g_p" not in message and "the _p variant" not in message
+    variants = ("psi_tilde_p", "psi_bar_p") if name == "g" else (f"{name}_p",)
+    assert all(v in message for v in variants)
 
 
 

@@ -56,7 +56,7 @@ from bernkit import (
     verify_multi,
     verify_p1,
 )
-from bernkit import floatcheck, identities
+from bernkit import floatcheck, gammaalg, identities
 
 F = Fraction
 
@@ -1197,13 +1197,13 @@ def test_family_terms_are_product_scalar_pairs(monkeypatch):
     # k = 2n-1 tail whose Gamma(2p+...) pair cancels
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     written = []
-    real = identities.GammaProduct
+    real = gammaalg.GammaProduct
 
     def recorded(factors):
         written.append(factors)
         return real(factors)
 
-    monkeypatch.setattr(identities, "GammaProduct", recorded)
+    monkeypatch.setattr(gammaalg, "GammaProduct", recorded)
     for n in range(2, 13):
         written.clear()
         sides = {which: family_pairs(which, n) for which in FAMILY_KINDS}
@@ -1264,13 +1264,13 @@ def _count_reductions(monkeypatch):
     """Record the factor tuple of every call the family rows make to the
     reduction loop, gamma_reduce_pair."""
     calls = []
-    real = identities.gamma_reduce_pair
+    real = gammaalg.gamma_reduce_pair
 
     def counted(g, p):
         calls.append(g.factors)
         return real(g, p)
 
-    monkeypatch.setattr(identities, "gamma_reduce_pair", counted)
+    monkeypatch.setattr(gammaalg, "gamma_reduce_pair", counted)
     return calls
 
 
@@ -1502,13 +1502,13 @@ def test_family_rows_reuse_the_family_products(monkeypatch):
     # the three kinds at n; the rows read those and build none of their own
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     built = []
-    real = identities.GammaProduct
+    real = gammaalg.GammaProduct
 
     def counted(factors):
         built.append(real(factors))
         return built[-1]
 
-    monkeypatch.setattr(identities, "GammaProduct", counted)
+    monkeypatch.setattr(gammaalg, "GammaProduct", counted)
     for which in FAMILY_KINDS:
         terms = family_pairs(which, 7)
         summands = sum(_family_summands(which, 7), [])
@@ -1518,7 +1518,7 @@ def test_family_rows_reuse_the_family_products(monkeypatch):
             first.setdefault(product.factors, product)
         assert [product.factors for product, _ in sum(terms, ())] == list(first)
         assert all(product is first[product.factors] for product, _ in sum(terms, ()))
-    monkeypatch.setattr(identities, "GammaProduct", lambda *a: pytest.fail("product built"))
+    monkeypatch.setattr(gammaalg, "GammaProduct", lambda *a: pytest.fail("product built"))
     for which in FAMILY_KINDS:
         assert verify_family(which, 7, F(2, 3)).ok
 

@@ -3,12 +3,19 @@
 import ast
 import doctest
 import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import bernkit
 
-MODULES = ("errors", "sequences", "series", "gammaalg", "identities", "floatcheck")
+MODULES = ("errors", "sequences", "series", "gammaalg", "identities", "floatcheck", "quadrature")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -44,3 +51,45 @@ def test_modules_use_every_name_they_import():
                     for alias in node.names if alias.name != "*"}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def _fresh(script: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _union() -> set[str]:
+    return {name for module in MODULES
+            for name in importlib.import_module(f"bernkit.{module}").__all__}
+
+
+def test_star_import_gives_the_union_of_the_modules():
+    out = _fresh("""
+        import json
+        before = set(globals())
+        from bernkit import *
+        print(json.dumps(sorted(set(globals()) - before - {"before"})))
+    """)
+    assert set(json.loads(out)) == _union()
+
+
+def test_namespace_is_listed_before_any_module_loads():
+    # import bernkit loads no module of the package; dir lists every export
+    out = _fresh("""
+        import json, sys
+        import bernkit
+        print(json.dumps([dir(bernkit), [m for m in sys.modules if m.startswith("bernkit.")]]))
+    """)
+    listed, loaded = json.loads(out)
+    assert _union() <= set(listed) and loaded == []
+    assert _union() <= set(dir(bernkit))
+
+
+def test_names_resolve_from_their_module():
+    assert bernkit.quad_rep is bernkit.quadrature.quad_rep
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bernkit.no_such_name

@@ -581,9 +581,9 @@ def test_negative_indices_are_domain_errors(call, args):
 
 def test_no_function_takes_a_cache():
     # one table set: tests inject a table by replacing sequences._DEFAULT
-    from bernkit import cli, floatcheck, gammaalg, identities, series
+    from bernkit import cli, floatcheck, gammaalg, identities, quadrature, series
 
-    for module in (bernkit.sequences, series, gammaalg, identities, floatcheck, cli):
+    for module in (bernkit.sequences, series, gammaalg, identities, floatcheck, quadrature, cli):
         for name, fn in vars(module).items():
             if inspect.isfunction(fn) and fn.__module__ == module.__name__:
                 assert "cache" not in inspect.signature(fn).parameters, f"{module.__name__}.{name}"
