@@ -57,19 +57,29 @@ times B products are cheaper than products of coth weights with
 factorial denominators.  The cubic forms share _cubic_form.  The mixed
 family terms weigh by (1 - 2^(2k-1)) / 2^(2n-1); the mixed and p = 1
 mixed right sides weigh by its numerator and divide the sum by its
-common denominator 2^(2n-1) once.
+common denominator 2^(2n-1) once.  The mixed and p = 1 mixed left sides
+weigh B_{2n-2k} by Bbar's weight times 4^n, 2^(2k+1) - 2^(2n), and
+divide the sum by 4^n once.
 
-Every quadratic sum over products B_2k B_{2n-2k} times a small weight
-w(k) is _paired(n, weight): the Euler left side, the coth product, the
+Every quadratic sum over products B_2k B_{2n-2k} times a weight w(k)
+is _paired(n, weight): the Euler left side, the coth product, the
 power-of-four sums S_j, the mixed left side and the p = 1 sums.  Bbar_m
 enters as B_m times its weight bbar_scale(m): a form shared by B and
-Bbar takes the weight, bbar_scale or _unit_scale.  Terms k and n-k
-share one product of numerators of about 1,350 digits at n ~ 400, so
-each k < n/2 carries w(k) + w(n-k), an unreduced integer pair, and the
-middle k = n/2 of an even n counts once; each sum then does half the big
-products.  A sum that runs through k = n takes its unpaired term,
-B_2n B_0 w(n), from the same weight.  _fold(weight, 2, n) and the
-Euler-number left side pair their equal terms the same way.
+Bbar takes the weight, bbar_scale or _unit_scale.  A weight is written
+as (terms, d), the sum of c 2^s over its (c, s) terms over d: 1 is
+(_ONE, 1), S_j's 4^(jk) / (2kn) is ((1, 2jk),) over 2kn, and the mixed
+left side's weight over 4^n the two terms of _bbar_terms.  c and d are
+small integers in every sum.  Terms k and n-k share one product of
+numerators of about 1,350 digits at n ~ 400, so each k < n/2 carries
+w(k) + w(n-k) over the product of the two d's, and the middle k = n/2
+of an even n counts once; each sum then does half the big products.  A
+pair multiplies the product by each term's c times the other d and
+shifts it left by s: two small multiplies, two shifts and an add for
+S_j, where one integer weight (n-k) 4^(jk) + k 4^(j(n-k)) of up to
+1,600 bits would cost a multiply of two big integers.  A sum that runs
+through k = n takes its unpaired term, B_2n B_0 w(n), from the same
+weight.  _fold(weight, 2, n) and the Euler-number left side pair their
+equal terms the same way.
 
 The weights of the sinh products and of the mixed and Euler-Bernoulli
 right sides are polynomials in 4^k over 2kn, so those four sums are
@@ -90,9 +100,10 @@ C(2n, 2k) B_2k B_{2n-2k}, unreduced _Ratio's for k <= n/2, the second
 built from the first by the first sum at n that asks for it.  As
 C(2n, 2k) = C(2n, 2n-2k), the binomial factors out of each k, n-k pair:
 the weights that carry it (the Euler left side, the coth product and the
-S_j) drop it and read the binomial list, while the mixed left side and
-the p = 1 sums, whose C(2n+2, 2k+2) is another row, read the plain one;
-each term is then one multiply of a big product by a small weight.
+S_j) drop it and read the binomial list, and so do the p = 1 right
+sides, whose C(2n+2, 2k+2) / (n+1) is C(2n, 2k) 2(2n+1) / ((2k+1)(2k+2)).
+The mixed and p = 1 left sides read the plain list.  Each term then
+multiplies a big product by small integers and shifts it.
 _fold and the Euler-number sum never read the products: Miki's and FPZ's left sides
 and every multi fold form their own, so the two sides of each quadratic
 identity stay independent routes.
@@ -139,7 +150,8 @@ most.  Its keys:
   expansion, summed by the first row that needs it and read by the
   others (Miki, the modified Miki form, Gessel and the lemma check).
 * ("shifted", j): S_j(n) for j = 0, 1, 2, summed by the first row that
-  needs it.  As Bbar's weight (2 - 4^(n-k)) / 4^(n-k) on B_{2n-2k} is
+  needs it, its weight's 4^(jk) applied as a left shift by 2jk bits (see
+  _paired above).  As Bbar's weight (2 - 4^(n-k)) / 4^(n-k) on B_{2n-2k} is
   (2 4^k - 4^n) / 4^n, and 1 - 2^(2k-1) = 1 - 4^k / 2:
 
   - the sinh product for B is S_0, and for Bbar 2 S_1 / 4^n - S_0
@@ -415,29 +427,46 @@ def _products(n: int, binomial: bool) -> list[_Ratio]:
 
 def _paired(n: int, weight, through_n: bool = False, binomial: bool = False) -> Fraction:
     """Sum of B_2k B_{2n-2k} w(k) over 1 <= k <= n-1, or over 1 <= k <= n
-    if ``through_n``, for w(k) = weight(k) an integer (numerator,
-    denominator) pair, times C(2n, 2k) if ``binomial``.
+    if ``through_n``, times C(2n, 2k) if ``binomial``.  weight(k) gives
+    w(k) as (terms, d): the sum of c 2^s over its (c, s) terms, over the
+    integer d.
 
     Terms k and n-k share the product B_2k B_{2n-2k}, and C(2n, 2k) =
     C(2n, 2n-2k), so one _dot runs over k <= n/2 and reads each product
-    from _products: each k < n/2 carries w(k) + w(n-k), added over the
-    product of the two denominators without a gcd, and the middle term
-    k = n/2 of an even n counts once.  The k = n term, B_2n B_0 w(n), has
-    no partner, and C(2n, 2n) = 1.
+    from _products: each k < n/2 carries w(k) + w(n-k) over the product of
+    the two d's, without a gcd, and the middle term k = n/2 of an even n
+    counts once.  The product's numerator is multiplied by each term's c
+    and the other d, then shifted left by s, so a power of two in a weight
+    costs a shift, not a multiply by an integer of hundreds of digits.
+    The k = n term, B_2n B_0 w(n), has no partner, and C(2n, 2n) = 1.
     """
     products = _products(n, binomial)
+    ks = range(1, n // 2 + 1)
+    if through_n:
+        products, ks = [*products, bernoulli(2 * n).as_integer_ratio()], [*ks, n]
 
     def terms():
-        for k, product in enumerate(products, 1):
-            num, den = weight(k)
-            if 2 * k < n:
-                other, other_den = weight(n - k)
-                num, den = num * other_den + other * den, den * other_den
-            yield product, _Ratio(num, den)
-        if through_n:
-            yield bernoulli(2 * n), _Ratio(*weight(n))
+        for k, (num, den) in zip(ks, products):
+            own, scale = weight(k)
+            other, other_scale = weight(n - k) if 2 * k < n else ((), 1)
+            top = 0
+            for c, s in own:
+                top += num * (c * other_scale) << s
+            for c, s in other:
+                top += num * (c * scale) << s
+            yield (_Ratio(top, den * scale * other_scale),)
 
     return _dot(terms())
+
+
+# the (c, s) terms of the _paired weight 1
+_ONE = ((1, 0),)
+
+
+def _bbar_terms(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Bbar_{2n-2k}'s weight on B_{2n-2k}, (2 4^k - 4^n) / 4^n, times 4^n
+    as _paired's (c, s) terms: 2^(2k+1) - 2^(2n)."""
+    return (1, 2 * k + 1), (-1, 2 * n)
 
 
 def _unit_scale(m: int) -> tuple[int, int]:
@@ -526,7 +555,7 @@ def _fold(weight: str, parts: int, total: int) -> Fraction:
 def verify_euler(n: int) -> IdentityReport:
     """sum C(2n,2k) B_2k B_{2n-2k} = -(2n+1) B_2n, for n >= 2."""
     _require_floor("euler", n)
-    lhs = _paired(n, lambda k: (1, 1), binomial=True)
+    lhs = _paired(n, lambda k: (_ONE, 1), binomial=True)
     rhs = -(2 * n + 1) * bernoulli(2 * n)
     return _report("euler", n, lhs, rhs)
 
@@ -535,7 +564,7 @@ def _coth_product(n: int) -> Fraction:
     """x^(-2n) coefficient of the coth-product lemma expansion, summed once
     per n and kept in the per-n slot."""
     return _at_n(n, "coth-product",
-                 lambda: _paired(n, lambda k: (1, 2 * k * (2 * n - 2 * k)), binomial=True))
+                 lambda: _paired(n, lambda k: (_ONE, 2 * k * (2 * n - 2 * k)), binomial=True))
 
 
 def _coth_harmonic(n: int) -> Fraction:
@@ -547,7 +576,7 @@ def _shifted(n: int, j: int) -> Fraction:
     """S_j(n), the sum of C(2n, 2k) B_2k B_{2n-2k} 4^(jk) / (2kn) over
     1 <= k <= n, summed once per (n, j) and kept in the per-n slot."""
     return _at_n(n, ("shifted", j), lambda: _paired(
-        n, lambda k: (1 << 2 * j * k, 2 * k * n), through_n=True, binomial=True))
+        n, lambda k: (((1, 2 * j * k),), 2 * k * n), through_n=True, binomial=True))
 
 
 def _sinh_product(n: int, scale) -> Fraction:
@@ -606,14 +635,11 @@ def verify_fpz(n: int) -> IdentityReport:
 def verify_mixed(n: int) -> IdentityReport:
     """The mixed identity convolving B with Bbar via the doubling relation."""
     _require_floor("mixed", n)
-
-    def lhs_weight(k):
-        num, den = bbar_scale(2 * n - 2 * k)
-        return num, den * 2 * k * (2 * n - 2 * k)
-
-    # the rhs weights (1 - 2^(2k-1)) / 2^(2n-1) share their denominator,
-    # and the sum of their numerators is S_0 - S_1 / 2
-    lhs = _paired(n, lhs_weight)
+    # Bbar's weight on B_{2n-2k} is (2 4^k - 4^n) / 4^n, so the lhs weight
+    # over 4^n is 2^(2k+1) - 2^(2n) over 2k (2n-2k); the rhs weights
+    # (1 - 2^(2k-1)) / 2^(2n-1) share their denominator, and the sum of
+    # their numerators is S_0 - S_1 / 2
+    lhs = _paired(n, lambda k: (_bbar_terms(n, k), 2 * k * (2 * n - 2 * k))) / 4 ** n
     rhs = (_shifted(n, 0) - _shifted(n, 1) / 2) / 2 ** (2 * n - 1)
     rhs += bernoulli(2 * n) * harmonic(2 * n - 1) / (n * Fraction(2) ** (2 * n))
     return _report("mixed", n, lhs, rhs)
@@ -784,30 +810,35 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
 def _p1_sums(which: str, n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Both sides of the reduced p = 1 form, and the shift from the family
     sides at p = 1.  Each sum runs over B_2k B_{2n-2k} products through
-    _paired: the mixed left side through k = n-1, every other through n."""
+    _paired: the mixed left side through k = n-1, every other through n.
+
+    The left sides read the plain products.  A right side's
+    C(2n+2, 2k+2) / (n+1) is C(2n, 2k) 2(2n+1) / ((2k+1)(2k+2)), so the
+    right sides read the binomial products, and every weight is small:
+    Bbar enters through its weight times 4^n, a few powers of two, and
+    each Bbar sum is divided by 4^n once."""
     B = bernoulli
-    row = _binomial_row(2 * n + 2)
-    if which != "mixed":
-        scale = _unit_scale if which == "miki" else bbar_scale
-        shift = _scaled(2 * n, scale)
-
-        def square(k):
-            a, b = scale(2 * k)
-            c, d = scale(2 * n - 2 * k)
-            return a * c, b * d
-
-        def rhs_weight(k):
-            num, den = scale(2 * n - 2 * k)
-            return row[2 * k + 2] * num, (n + 1) * den
-
-        lhs = _paired(n, square, through_n=True)
-        rhs = _paired(n, rhs_weight, through_n=True) + 2 * n * shift
-        return lhs, rhs, shift
-    lhs = _paired(n, lambda k: bbar_scale(2 * n - 2 * k))
-    rhs = _paired(
-        n, lambda k: (row[2 * k + 2] * (1 - 2 ** (2 * k - 1)), n + 1), through_n=True
-    ) / 2 ** (2 * n - 1) + (2 * n - 1) * B(2 * n) / Fraction(2) ** (2 * n)
-    return lhs, rhs, Fraction(0)
+    c = 2 * (2 * n + 1)
+    if which == "mixed":
+        lhs = _paired(n, lambda k: (_bbar_terms(n, k), 1)) / 4 ** n
+        rhs = _paired(
+            n, lambda k: (((c, 0), (-c, 2 * k - 1)), (2 * k + 1) * (2 * k + 2)),
+            through_n=True, binomial=True,
+        ) / 2 ** (2 * n - 1) + (2 * n - 1) * B(2 * n) / Fraction(2) ** (2 * n)
+        return lhs, rhs, Fraction(0)
+    if which == "miki":
+        shift = B(2 * n)
+        lhs = _paired(n, lambda k: (_ONE, 1), through_n=True)
+        rhs = _paired(n, lambda k: (((c, 0),), (2 * k + 1) * (2 * k + 2)),
+                      through_n=True, binomial=True)
+    else:
+        # (2 - 4^k)(2 - 4^(n-k)) = 4 - 2^(2k+1) - 2^(2n-2k+1) + 4^n
+        shift = _scaled(2 * n, bbar_scale)
+        lhs = _paired(n, lambda k: (((1, 2), (-1, 2 * k + 1), (-1, 2 * n - 2 * k + 1), (1, 2 * n)), 1),
+                      through_n=True) / 4 ** n
+        rhs = _paired(n, lambda k: (((c, 2 * k + 1), (-c, 2 * n)), (2 * k + 1) * (2 * k + 2)),
+                      through_n=True, binomial=True) / 4 ** n
+    return lhs, rhs + 2 * n * shift, shift
 
 
 def verify_p1(which: str, n: int) -> IdentityReport:

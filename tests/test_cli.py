@@ -676,6 +676,38 @@ def test_pair_sum_scan_is_the_same_in_either_identity_order(monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_deep_scan_is_the_same_under_optimize():
+    # the deep ids that read the power-of-four sums, in fresh interpreters
+    # with and without -O: no row may depend on an assert statement
+    deep = ("miki-modified", "euler-bernoulli", "fpz", "mixed")
+    scan = ["-m", "bernkit.cli", "verify", *(a for i in deep for a in ("--identity", i)),
+            "--n-min", "200", "--n-max", "201", "--format", "csv"]
+    env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).resolve().parents[1]))
+    outputs = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, *scan], env=env,
+                              capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    rows = list(csv.DictReader(io.StringIO(outputs[0].decode())))
+    assert len(rows) == 8 and all(row["ok"] == "true" for row in rows)
+    assert outputs[0] == outputs[1]
+
+
+def test_decimal_and_ratio_p_give_the_same_rows(monkeypatch):
+    # 0.5 and -0.25 are exact p values, parsed to the Fractions 1/2 and -1/4
+    outputs = []
+    for ps in (("0.5", "-0.25", "1"), ("1/2", "-1/4", "1")):
+        monkeypatch.setattr(sequences, "_DEFAULT", sequences.SequenceCache())
+        result = runner.invoke(main, ["verify", "--identity", "family-mixed", "--identity", "p1-mixed",
+                                      *(a for p in ps for a in ("--p", p)),
+                                      "--n-max", "8", "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        outputs.append(result.stdout_bytes)
+    assert b",1/2," in outputs[0] and b",-1/4," in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_family_scan_parses_each_p_once(monkeypatch):
     # verify parses each --p once, into the Fraction its exact rows take,
     # so no row converts p again; a float p still selects the float lane

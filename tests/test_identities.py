@@ -584,10 +584,35 @@ def test_paired_weights_need_no_common_factor():
     # need not be in lowest terms, and the middle k = n/2 counts once
     B = bernoulli
     for n in (6, 7):
-        weight = lambda k: (k, 3 * (n - k))
+        weight = lambda k: (((k, 0),), 3 * (n - k))
         expected = sum((B(2 * k) * B(2 * n - 2 * k) * F(k, 3 * (n - k)) for k in range(1, n)), F(0))
         assert identities._paired(n, weight) == expected
     assert identities._paired(1, lambda k: pytest.fail("no term at n = 1")) == 0
+
+
+_shift_terms = st.lists(
+    st.tuples(st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=48)),
+    min_size=1, max_size=3).map(tuple)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=1, max_value=14), st.booleans(), st.booleans(), st.booleans(),
+       st.data())
+def test_paired_shifted_weights_match_the_term_by_term_sum(n, through_n, binomial, mirror, data):
+    # each k draws its (c, s) terms and d; with ``mirror`` each k > n/2
+    # takes the weight of n-k, so the two terms of a pair shift equally
+    weights = {}
+    for k in range(1, n + 1):
+        if mirror and n < 2 * k < 2 * n:
+            weights[k] = weights[n - k]
+        else:
+            weights[k] = data.draw(_shift_terms), data.draw(st.integers(min_value=1, max_value=30))
+    B = bernoulli
+    expected = sum(
+        (comb(2 * n, 2 * k) if binomial else 1) * B(2 * k) * B(2 * n - 2 * k)
+        * F(sum(c * 2 ** s for c, s in weights[k][0]), weights[k][1])
+        for k in range(1, n + 1 if through_n else n))
+    assert identities._paired(n, weights.__getitem__, through_n, binomial) == expected
 
 
 _factors = st.one_of(
@@ -767,7 +792,7 @@ def test_coth_product_is_summed_once_per_n(monkeypatch):
     assert _lemma_keys(cache) == {"coth-product", ("shifted", 0)}
     row = identities._binomial_row(2 * n)
     assert cache.slot[1]["coth-product"] == identities._paired(
-        n, lambda k: (row[2 * k], 2 * k * (2 * n - 2 * k)))
+        n, lambda k: (((row[2 * k], 0),), 2 * k * (2 * n - 2 * k)))
 
 
 def test_poisoned_lemma_entry_fails_the_rows_that_read_it(monkeypatch):
@@ -915,7 +940,8 @@ def test_slot_keeps_the_entries_of_one_n(monkeypatch):
         _bump(cache.slot[1], "mixed")
 
     # a poisoned entry at n fails the rows at n that read it, and no row at n+1
-    for poison, readers in ((poison_products, {"euler", "miki", "fpz", "mixed", "fpz-cubic"}),
+    for poison, readers in ((poison_products,
+                             {"euler", "miki", "fpz", "mixed", "fpz-cubic", "p1-mixed"}),
                             (poison_coth, {"miki"}),
                             (poison_family, {"family-mixed", "p1-mixed"})):
         poison()
