@@ -23,24 +23,32 @@ from .identities import IdentityReport, _family
 __all__ = ["family_float"]
 
 
-def _float_side(products, common: int, numerators: list[int], p: float) -> float:
-    """Sum of each product times its scalar at float p, the scalars given
-    as their common denominator S and their numerators over S.  Each term
-    is carried as a mantissa and a binary exponent, so it overflows only
-    if the sum itself does.  The rational scalars shrink like (2 pi)^(-2n)
-    and stay far inside the double range wherever math.gamma does not
-    overflow; Python's int true division rounds correctly, so num / S is
-    the very float that float(Fraction(num, S)) gives."""
-    scaled = []
-    for product, num in zip(products, numerators):
-        m, e = math.frexp(num / common)
-        for base, offset, exponent in product.factors:
-            gm, ge = math.frexp(math.gamma((p if base == "p" else 2.0 * p) + offset))
-            m, de = math.frexp(m * gm**exponent)
-            e += de + ge * exponent
-        scaled.append((m, e))
+def _times_gammas(m: float, e: int, factors, p: float) -> tuple[float, int]:
+    """m 2^e times the product of gamma ``factors`` at float p, as a
+    mantissa and a binary exponent."""
+    for base, offset, exponent in factors:
+        gm, ge = math.frexp(math.gamma((p if base == "p" else 2.0 * p) + offset))
+        m, de = math.frexp(m * gm**exponent)
+        e += de + ge * exponent
+    return m, e
+
+
+def _float_side(products, common: int, numerators: list[int], p: float, factors=()) -> float:
+    """Sum of each product times its scalar at float p, times the product of
+    the side's common gamma ``factors``, the scalars given as their common
+    denominator S and their numerators over S.  Each term, and the sum
+    before the common factors are folded in once, is carried as a mantissa
+    and a binary exponent, so it overflows only if the side itself does.
+    The rational scalars shrink like (2 pi)^(-2n) and stay far inside the
+    double range wherever math.gamma does not overflow; Python's int true
+    division rounds correctly, so num / S is the very float that
+    float(Fraction(num, S)) gives."""
+    scaled = [_times_gammas(*math.frexp(num / common), product.factors, p)
+              for product, num in zip(products, numerators)]
     top = max(e for _, e in scaled)
-    return math.ldexp(math.fsum(math.ldexp(m, e - top) for m, e in scaled), top)
+    m, e = math.frexp(math.fsum(math.ldexp(m, e - top) for m, e in scaled))
+    m, e = _times_gammas(m, e, factors, p)
+    return math.ldexp(m, e + top)
 
 
 def family_float(which: str, n: int, p: float) -> IdentityReport:
@@ -58,10 +66,11 @@ def family_float(which: str, n: int, p: float) -> IdentityReport:
     """
     if not -1 < p < math.inf:
         raise DomainError(f"float family evaluation needs finite p > -1, got {p}")
-    sides, layout = _family(which, n)
+    (lhs_scalars, rhs_scalars), layout = _family(which, n)
+    lhs_products, rhs_products = layout.products
     try:
-        lhs, rhs = (_float_side(products.values(), *scalars, p)
-                    for products, scalars in zip(layout.products, sides))
+        lhs = _float_side(lhs_products.values(), *lhs_scalars, p)
+        rhs = _float_side(rhs_products.values(), *rhs_scalars, p, layout.common.factors)
     except OverflowError:
         raise DomainError(f"family-{which} at n = {n}, p = {p} leaves the double range") from None
     residual = lhs - rhs

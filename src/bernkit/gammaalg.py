@@ -34,9 +34,12 @@ reads no Fraction property.
 gamma_reduce is a thin wrapper that builds the one Fraction of a
 ReducedGamma from the pair.  The family rows call the loop directly and
 bring a side's unreduced cofactors over one lcm, so a side is normalised
-once, in its final Fraction, not once per factor tuple.  Neither keeps a
-memo; the family rows keep the vectors for every p at the latest n in
-the cache's per-n slot (see ``identities``).
+once, in its final Fraction, not once per factor tuple.  beta_factor
+builds their right sides: each right term is a beta factor times one
+common Gamma(2p+2n).  The rows keep what they read from the loop (see
+``identities``): the left and common cofactors of every p at the latest
+n in the cache's per-n slot, and each beta factor's reduction in the
+cache's table ``beta`` of its p, shared by every n.
 
 When the anchor t (p or 2p) is itself a nonpositive integer, Gamma(t) has
 a pole even where Gamma(t+m) is finite, so such factors are folded all the
@@ -90,9 +93,10 @@ class GammaProduct:
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[str, int, int], ...] = ()) -> None:
-        # an already canonical tuple is kept as it is, so family_terms, which
-        # writes its tuples in canonical order, merges and sorts nothing; any
-        # other is canonicalised, and an unknown base raises there
+        # an already canonical tuple is kept as it is, so the family layout
+        # and beta_factor, which write their tuples in canonical order, merge
+        # and sort nothing; any other is canonicalised, and an unknown base
+        # raises there
         if type(factors) is not tuple or not _is_canonical(factors):
             merged: dict[tuple[str, int], int] = {}
             for base, offset, exponent in factors:
@@ -219,7 +223,12 @@ def beta_factor(k: int) -> GammaProduct:
     """Beta factor beta(p+k, p+1) = Gamma(p+k) Gamma(p+1) / Gamma(2p+k+1).
 
     Symbolic in p; evaluate with gamma_reduce at a concrete rational point.
+    The family right sides are built from these, times Gamma(2p+2n) (see
+    ``identities``).  The tuple is written in canonical order, so the
+    product keeps it as it is.
     """
     if k < 1:
         raise DomainError(f"beta factor index must be positive, got {k}")
-    return GammaProduct((("p", k, 1), ("p", 1, 1), ("2p", k + 1, -1)))
+    if k == 1:
+        return GammaProduct((("2p", 2, -1), ("p", 1, 2)))
+    return GammaProduct((("2p", k + 1, -1), ("p", 1, 1), ("p", k, 1)))

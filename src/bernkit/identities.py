@@ -8,14 +8,14 @@ The quadratic identities (Euler, Miki, the modified Miki form, the FPZ
 identity and the mixed B/Bbar identity) are plain folded sums.  The
 one-parameter families evaluate gamma-weighted versions of the latter
 three at any rational p where no gamma factor is singular: both sides are
-assembled as one scalar per distinct gamma factor tuple, the products of
-those tuples are reduced against the Gamma(p) and Gamma(2p) bases,
-checked for one exponent pair common to both sides, and the sides are
-compared through their rational cofactors; the float lane reads the same
-scalars and products.  The cubic
-identities are triple convolutions.  Lemma-expansion checks compare the
-closed form of an intermediate asymptotic series of a squared generating
-function with the series route's integral.
+assembled as one scalar per distinct gamma factor, on the right a beta
+factor times the side's one common factor Gamma(2p+2n); the factors are
+reduced against the Gamma(p) and Gamma(2p) bases, checked for one
+exponent pair common to both sides, and the sides are compared through
+their rational cofactors; the float lane reads the same scalars and
+products.  The cubic identities are triple convolutions.  Lemma-expansion
+checks compare the closed form of an intermediate asymptotic series of a
+squared generating function with the series route's integral.
 
 The series route lives in ``series``, which this layer calls through two
 entry points: _power_coeff, the series power that verify_multi compares
@@ -129,12 +129,14 @@ second routes of these sums, so they share no summation code with them.
 
 Work that does not depend on the row is kept in the process-wide
 ``sequences._DEFAULT`` cache, looked up at call time so an injected
-cache replaces it too.  Two memos are shared across n, because the rows
-at later n read their entries: ``fold[weight]`` maps (parts, total) to
-_fold(weight, parts, total), and ``series`` keeps the series powers in
-``power[variant, N]``.  The fold and the series power keep separate
-tables, so the two routes of verify_multi stay independent, and
-multi_lhs compares them on every row.
+cache replaces it too.  Three memos are shared across n, because the
+rows at later n read their entries: ``fold[weight]`` maps (parts, total)
+to _fold(weight, parts, total), ``series`` keeps the series powers in
+``power[variant, N]``, and ``beta`` holds the reductions of the family
+right sides' beta factors at each p (see the family entries below).  The
+fold and the series power keep separate tables, so the two routes of
+verify_multi stay independent, and multi_lhs compares them on every
+row.
 
 Every other entry depends on n alone: each identity is stated at one n,
 and its quadratic, family and lemma sums run over terms at that n.  It
@@ -160,43 +162,57 @@ most.  Its keys:
   - the mixed right side's sum is S_0 - S_1 / 2;
   - the Euler-Bernoulli right side is 2 S_2 - (2 + 4^n) S_1 + 4^n S_0,
     as (4^k - 1) 4^k (2 - 4^(n-k)) = 2 16^k - (2 + 4^n) 4^k + 4^n.
-* "family-layout": what the three family kinds share at n.  All three
-  write the same factor tuples, since their gamma structure is one and
-  only their B and Bbar weights differ; the first kind at n builds the
-  layout from its own.  Per side it holds {factor tuple: GammaProduct},
-  one product per distinct tuple in order of first occurrence, and for
-  each p met at n, keyed by (p numerator, p denominator), the cofactor
-  vectors of both sides: the unreduced integer cofactors that
-  gammaalg.gamma_reduce_pair gives for the side's products, as V, the
-  lcm of their denominators, and their numerators over V in the side's
-  order.  A pair of vectors is built once per (n, p), every kind and
-  verify_p1's rerun at p = 1 read it, and its build checks that every
-  product of both sides reduces to one (Gamma(p), Gamma(2p)) exponent
-  pair; a build that fails that check stores nothing.
+* "family-layout": what the three family kinds share at n, which
+  depends on n alone, since their gamma structure is one and only their
+  B and Bbar weights differ.  Per side it holds {factor tuple:
+  GammaProduct}: on the left Gamma(p+2k) Gamma(p+2n-2k) for k = 1, ...,
+  n//2, on the right the beta factors gammaalg.beta_factor(j) for j = 1,
+  ..., 2n; and, once, the right side's common factor Gamma(2p+2n).  For
+  each p met at n, keyed by (p numerator, p denominator), it holds the
+  cofactors: the left vector, the unreduced integer cofactors that
+  gammaalg.gamma_reduce_pair gives for the left products, as V, the lcm
+  of their denominators, and their numerators over V; the right vector,
+  the beta entries 1, ..., 2n of p (below) over their lcm the same way;
+  and Gamma(2p+2n)'s unreduced integer pair.  They are built once per
+  (n, p), every kind and verify_p1's rerun at p = 1 read them, and their
+  build checks that every left product, and every beta factor times
+  Gamma(2p+2n), reduces to one (Gamma(p), Gamma(2p)) exponent pair; a
+  build that fails that check stores no cofactors (the beta entries it
+  grew stay: they depend on p alone).
 * ("family", which): family_terms(which, n), each side's scalars as S,
   the lcm of their denominators, and their integer numerators over S,
-  placed in the layout's order by looking each factor tuple up there.
-  A scalar is the sum of the exact rational coefficients of the summands
-  with that tuple: the left terms k and n-k share a tuple, and so do the
-  beta term at an even k' and the right term at k'/2.  Each summand adds
-  its scalar as an unreduced integer pair, so no scalar is reduced on
-  its own and no Fraction is built.  The exact family rows and the float
-  twin both read this entry and the layout, each from the slot on every
-  row, so a replaced entry reaches them all.
+  in the layout's order.  A scalar is the sum of the exact rational
+  coefficients of the summands with that gamma factor: the left terms k
+  and n-k share one, and so do the right term at k and the beta term at
+  j = 2k.  Each summand adds its scalar as an unreduced integer pair, so
+  no scalar is reduced on its own and no Fraction is built.  The exact
+  family rows and the float twin both read this entry and the layout,
+  each from the slot on every row, so a replaced entry reaches them
+  all.
 
 Each family side is one integer dot product, sum(scalar numerators x
-cofactor numerators) over S V.  The two sides are compared unreduced, by
-cross-multiplication; sides that agree are normalised once, into one
-Fraction reported as both, and only sides that differ are each reduced
-and subtracted (_report subtracts only then).  _over_lcm brings integer
-pairs over one lcm for the scalars, the cofactors and _dot's one-lcm
-sums alike.  Every family factor tuple at n carries Gamma(2p+2n) or a
-pair summing to 2n, so no tuple at n occurs at another n, and a row at
-another n drops nothing it could read (the layout holds about 600
-cofactors at n = 30 and eight p).  gamma_reduce_pair alone reads the
+cofactor numerators) over S V; the right one is multiplied by the
+numerator of Gamma(2p+2n)'s cofactor, whose denominator joins S V.  The
+two sides are compared unreduced, by cross-multiplication; sides that
+agree are normalised once, into one Fraction reported as both, and only
+sides that differ are each reduced and subtracted (_report subtracts
+only then).  _over_lcm brings integer pairs over one lcm for the
+scalars, the cofactors and _dot's one-lcm sums alike.
+
+The left products and Gamma(2p+2n) carry offsets that sum to 2n, so
+none of them recurs at another n, and a row at another n drops nothing
+it could read.  The beta factors recur: beta_factor(j) is on every right
+side with 2n >= j.  So their reductions are kept across n, in the
+cache's table ``beta``, keyed like ``rising`` by p's reduced (numerator,
+denominator): entry j - 1 is gamma_reduce_pair(beta_factor(j), p), its
+exponents and unreduced pair, appended by _beta_table, the table's one
+grower, when a row at p first reads it.  A family scan over n = 2..30 at
+eight p then reduces 2,512 products, where one that reduced every right
+product at every (n, p) took 9,224.  gamma_reduce_pair alone reads the
 rising tables for the families; a rising entry poisoned after the
-vectors that read it were stored no longer reaches the rows of that
-(n, p).
+cofactors that read it were stored no longer reaches the rows of that
+(n, p), and one poisoned after a beta entry read it no longer reaches
+that entry at any n.
 """
 
 from __future__ import annotations
@@ -351,7 +367,11 @@ def _dot(terms) -> Fraction:
     parts = []
     large = False
     for factors in terms:
-        num = den = 1
+        # from the first factor, not from 1, so a one-factor term copies
+        # nothing; an empty term is 1
+        factors = iter(factors)
+        first = next(factors, 1)
+        num, den = first.numerator, first.denominator
         for factor in factors:
             num *= factor.numerator
             den *= factor.denominator
@@ -650,66 +670,53 @@ def family_terms(which: str, n: int) -> tuple[tuple[int, list[int]], tuple[int, 
     once per (which, n): per side, the common denominator S of its scalars
     and their integer numerators over S, in the order of the side's
     products in the family layout at n.  Each scalar is the sum of the
-    exact rational coefficients of the summands that share one factor
-    tuple, and the product of that tuple is the layout's.
+    exact rational coefficients of the summands that share one gamma
+    factor: a left scalar multiplies Gamma(p+2k) Gamma(p+2n-2k) for
+    k = 1, ..., n//2, and the j-th right scalar multiplies the beta factor
+    gammaalg.beta_factor(j) = Gamma(p+j) Gamma(p+1) / Gamma(2p+j+1) for
+    j = 1, ..., 2n, times the side's common factor Gamma(2p+2n).
 
     which selects the plain (miki), Bbar (fpz) or mixed variant.  Each
-    summand's factor tuple is written in GammaProduct's canonical order
-    ("2p" before "p", offsets ascending, equal factors merged): a k = n/2
-    left term carries ("p", n, 2), the k = 1 tail term ("p", 1, 2), and
-    at k = 2n-1 the tail's Gamma(2p+2n) / Gamma(2p+k+1) cancels.  Each
     summand's scalar is an unreduced integer pair, added to the pair of
-    its tuple: at n = 30 the 29 + 89 summands leave 15 + 60 pairs.  The
-    first kind at n builds the layout from its tuples; every kind places
-    its pairs by looking each tuple up in the layout, and brings them over
-    one lcm, so no scalar is reduced on its own and no Fraction is built.
+    its factor: the left terms k and n-k share one, and so do the right
+    term at k and the beta term at j = 2k.  At n = 30 the 29 + 89 summands
+    leave 15 + 60 pairs.  Each side's pairs are brought over one lcm, so
+    no scalar is reduced on its own and no Fraction is built.
     """
     _require_floor(f"family-{which}", n)
-    return _at_n(n, ("family", which), lambda: _family_terms(which, n))
+    return _at_n(n, ("family", which), lambda: tuple(map(_over_lcm, _summands(which, n))))
 
 
-def _family_terms(which: str, n: int) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
-    """family_terms(which, n), built."""
-    sides = _summands(which, n)
-    return tuple(_over_lcm([terms[factors] for factors in products])
-                 for terms, products in zip(sides, _layout(n, lambda: sides).products))
-
-
-def _summands(which: str, n: int) -> tuple[dict, dict]:
-    """(lhs, rhs) of one family as {factor tuple: unreduced integer pair},
-    the scalars of each tuple's summands added, in order of first
-    occurrence."""
+def _summands(which: str, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(lhs, rhs) of one family as lists of unreduced integer pairs, the
+    scalars of the summands that share a gamma factor added: the left term
+    k at index min(k, n-k) - 1, and the right term with the beta factor
+    beta_factor(j) at index j - 1."""
     # B and Bbar enter as unreduced integer pairs, B_m times its weight
     lhs_first = bbar_scale if which == "fpz" else _unit_scale
     lhs_second = _unit_scale if which == "miki" else bbar_scale
     rhs_second = bbar_scale if which == "fpz" else _unit_scale
     fact = list(accumulate(range(1, 2 * n + 1), mul, initial=1))
-    lhs_terms, rhs_terms = {}, {}
+    lhs_terms, rhs_terms = [(0, 1)] * (n // 2), [(0, 1)] * (2 * n)
 
-    def add(terms, factors, num, den):
-        other, other_den = terms.get(factors, (0, 1))
-        terms[factors] = num * other_den + other * den, den * other_den
+    def add(terms, index, num, den):
+        other, other_den = terms[index]
+        terms[index] = num * other_den + other * den, den * other_den
 
     for k in range(1, n):
         # first(2k) second(2n-2k) / (2k (2n-2k) (2k-1)! (2n-2k-1)!), whose
-        # denominator is (2k)! (2n-2k)!
+        # denominator is (2k)! (2n-2k)!, times Gamma(p+2k) Gamma(p+2n-2k)
         a, a_den = _scaled_pair(2 * k, lhs_first)
         b, b_den = _scaled_pair(2 * n - 2 * k, lhs_second)
-        low, high = sorted((2 * k, 2 * n - 2 * k))
-        factors = (("p", low, 2),) if low == high else (("p", low, 1), ("p", high, 1))
-        add(lhs_terms, factors, a * b, a_den * b_den * fact[2 * k] * fact[2 * n - 2 * k])
+        add(lhs_terms, min(k, n - k) - 1, a * b, a_den * b_den * fact[2 * k] * fact[2 * n - 2 * k])
     for k in range(1, n + 1):
         # 2 B_2k second(2n-2k) w_k / ((2k)! (2n-2k)!), with the mixed
         # weight w_k = (1 - 2^(2k-1)) / 2^(2n-1), else 1, times
-        # Gamma(p+1) Gamma(p+2k) Gamma(2p+2n) / Gamma(2p+2k+1)
+        # Gamma(p+1) Gamma(p+2k) / Gamma(2p+2k+1), the beta factor j = 2k
         a, a_den = _scaled_pair(2 * k, _unit_scale)
         b, b_den = _scaled_pair(2 * n - 2 * k, rhs_second)
         w_num, w_den = (1 - 2 ** (2 * k - 1), 2 ** (2 * n - 1)) if which == "mixed" else (1, 1)
-        if k < n:
-            gamma_2p = (("2p", 2 * k + 1, -1), ("2p", 2 * n, 1))
-        else:
-            gamma_2p = (("2p", 2 * n, 1), ("2p", 2 * n + 1, -1))
-        add(rhs_terms, gamma_2p + (("p", 1, 1), ("p", 2 * k, 1)),
+        add(rhs_terms, 2 * k - 1,
             2 * a * b * w_num, a_den * b_den * w_den * fact[2 * k] * fact[2 * n - 2 * k])
     b, b_den = _scaled_pair(2 * n, rhs_second)
     if which == "mixed":
@@ -718,32 +725,38 @@ def _summands(which: str, n: int) -> tuple[dict, dict]:
         tail = 2 * b, b_den * fact[2 * n]
     for k in range(1, 2 * n):
         # the beta factor beta(p+k, p+1) = Gamma(p+k) Gamma(p+1) / Gamma(2p+k+1)
-        # of gammaalg.beta_factor, times Gamma(2p+2n)
-        gamma_2p = (("2p", k + 1, -1), ("2p", 2 * n, 1)) if k < 2 * n - 1 else ()
-        gamma_p = (("p", 1, 2),) if k == 1 else (("p", 1, 1), ("p", k, 1))
-        add(rhs_terms, gamma_2p + gamma_p, *tail)
+        add(rhs_terms, k - 1, *tail)
     return lhs_terms, rhs_terms
 
 
 class _Layout(NamedTuple):
     """The family layout at one n, shared by the three kinds: per side,
-    {factor tuple: GammaProduct} in the side's order, and the cofactor
-    vectors of both sides at each p met at n, keyed by (p numerator,
-    p denominator), each side's as (V, numerators over V)."""
+    {factor tuple: GammaProduct} in the side's order; the right side's
+    common factor Gamma(2p+2n); and the cofactors at each p met at n,
+    keyed by (p numerator, p denominator): each side's vector as (V,
+    numerators over V), and the common factor's unreduced integer pair."""
 
     products: tuple[dict[tuple, GammaProduct], dict[tuple, GammaProduct]]
-    vectors: dict[tuple[int, int], tuple[tuple[int, list[int]], tuple[int, list[int]]]]
+    common: GammaProduct
+    vectors: dict[tuple[int, int], tuple[tuple[int, list[int]], tuple[int, list[int]],
+                                         tuple[int, int]]]
 
 
-def _layout(n: int, summands: Callable[[], tuple[dict, dict]]) -> _Layout:
-    """The family layout at n from the per-n slot, built on first use from
-    the factor tuples of summands(), one GammaProduct per tuple."""
+def _layout(n: int) -> _Layout:
+    """The family layout at n from the per-n slot, built on first use: the
+    left products Gamma(p+2k) Gamma(p+2n-2k) for k = 1, ..., n//2, the
+    beta factors j = 1, ..., 2n and Gamma(2p+2n), each tuple written in
+    GammaProduct's canonical order."""
 
     def build():
-        from .gammaalg import GammaProduct
+        from .gammaalg import GammaProduct, beta_factor
 
-        return _Layout(
-            tuple({factors: GammaProduct(factors) for factors in side} for side in summands()), {})
+        lhs = {}
+        for k in range(1, n // 2 + 1):
+            factors = (("p", n, 2),) if 2 * k == n else (("p", 2 * k, 1), ("p", 2 * n - 2 * k, 1))
+            lhs[factors] = GammaProduct(factors)
+        rhs = {g.factors: g for g in map(beta_factor, range(1, 2 * n + 1))}
+        return _Layout((lhs, rhs), GammaProduct((("2p", 2 * n, 1),)), {})
 
     return _at_n(n, "family-layout", build)
 
@@ -751,21 +764,45 @@ def _layout(n: int, summands: Callable[[], tuple[dict, dict]]) -> _Layout:
 def _family(which: str, n: int) -> tuple[tuple[tuple[int, list[int]], ...], _Layout]:
     """family_terms(which, n) and the family layout at n, each read from the
     per-n slot on every call, so a replaced entry reaches every reader."""
-    return family_terms(which, n), _layout(n, lambda: _summands(which, n))
+    return family_terms(which, n), _layout(n)
 
 
-def _cofactors(products, p: Fraction) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
-    """Each side's unreduced gamma_reduce_pair cofactors at p over one
-    denominator V, as (V, numerators); no Fraction is built.  Every
-    product of both sides must reduce to one (Gamma(p), Gamma(2p))
-    exponent pair, else ExponentMismatch."""
+def _beta_table(p: Fraction, key: tuple[int, int], m: int) -> list[tuple[int, int, int, int]]:
+    """The cache's table ``beta[key]`` of p, key = (p numerator, p
+    denominator), grown to m entries at least: the one grower of ``beta``.
+    Entry j - 1 is gamma_reduce_pair(beta_factor(j), p), exponents and
+    unreduced pair."""
+    table = sequences._DEFAULT.beta.setdefault(key, [])
+    if len(table) < m:
+        from .gammaalg import beta_factor, gamma_reduce_pair
+
+        for j in range(len(table) + 1, m + 1):
+            table.append(gamma_reduce_pair(beta_factor(j), p))
+    return table
+
+
+def _cofactors(layout: _Layout, p: Fraction, key: tuple[int, int]) -> tuple[
+        tuple[int, list[int]], tuple[int, list[int]], tuple[int, int]]:
+    """The cofactors of both sides at p, key = (p numerator, p
+    denominator): each side's unreduced cofactors over one denominator V,
+    as (V, numerators), and the common factor's unreduced integer pair; no
+    Fraction is built.  The left products and the common factor are
+    reduced here, and the right side reads the beta entries 1, ..., 2n
+    from the table ``beta`` of p.  Every left product, and every beta
+    factor times the common factor, must reduce to one (Gamma(p),
+    Gamma(2p)) exponent pair, else ExponentMismatch."""
     from .gammaalg import gamma_reduce_pair
 
-    reductions = [[gamma_reduce_pair(g, p) for g in side.values()] for side in products]
-    exponents = {(exp_p, exp_2p) for side in reductions for exp_p, exp_2p, _, _ in side}
+    lhs, rhs = layout.products
+    left = [gamma_reduce_pair(g, p) for g in lhs.values()]
+    common_p, common_2p, num, den = gamma_reduce_pair(layout.common, p)
+    right = _beta_table(p, key, len(rhs))[:len(rhs)]
+    exponents = {(exp_p, exp_2p) for exp_p, exp_2p, _, _ in left}
+    exponents.update((exp_p + common_p, exp_2p + common_2p) for exp_p, exp_2p, _, _ in right)
     if len(exponents) != 1:
         raise ExponentMismatch(f"terms reduce to mixed gamma exponents {sorted(exponents)}")
-    return tuple(_over_lcm([(num, den) for _, _, num, den in side]) for side in reductions)
+    return (*(_over_lcm([(top, bottom) for _, _, top, bottom in side]) for side in (left, right)),
+            (num, den))
 
 
 def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
@@ -773,14 +810,17 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
 
     Each side is one integer dot product: the scalars of family_terms over
     their denominator S, built once per (which, n), times the side's
-    unreduced gamma_reduce_pair cofactors at p over their denominator V,
-    over S V.  The cofactor vectors of both sides are built together once
-    per (n, p), in the family layout at n, and every kind reads them, so
-    the rows at one n reduce each product once per p, in any order, and a
-    row at another n replaces them.  Every product of either side must
-    reduce to one (Gamma(p), Gamma(2p)) exponent pair; that is checked
-    when the vectors are built, and a failed build stores nothing, so
-    every row at that (n, p) raises ExponentMismatch.
+    unreduced cofactors at p over their denominator V, over S V; the right
+    one is then multiplied by the numerator of its common factor
+    Gamma(2p+2n), whose denominator joins S V.  The cofactors are built
+    once per (n, p), in the family layout at n, and every kind reads them,
+    so the rows at one n reduce each left product and Gamma(2p+2n) once
+    per p, in any order, and a row at another n replaces them.  The right
+    cofactors are read from the table ``beta`` of p, which every n shares,
+    so each beta factor is reduced once per p.  Every product must reduce
+    to one (Gamma(p), Gamma(2p)) exponent pair; that is checked when the
+    cofactors are built, and a failed build stores none, so every row
+    at that (n, p) raises ExponentMismatch.
 
     The two unreduced sides are compared by cross-multiplication: sides
     that agree are one Fraction, reported as both lhs and rhs with a zero
@@ -792,16 +832,17 @@ def verify_family(which: str, n: int, p: Fraction) -> IdentityReport:
     n = 2, p = 1/2 reports 1/256, its float twin pi/256).  ``p`` is
     anything Fraction accepts; anything else raises DomainError.
     """
-    sides, layout = _family(which, n)
+    ((lhs_s, lhs_scalars), (rhs_s, rhs_scalars)), layout = _family(which, n)
     if not isinstance(p, Fraction):
         p = _rational("verify_family", p)
     key = p.as_integer_ratio()
     vectors = layout.vectors.get(key)
     if vectors is None:
-        vectors = layout.vectors[key] = _cofactors(layout.products, p)
-    (top, den), (rhs_top, rhs_den) = (
-        (sum(map(mul, scalars, cofactors)), common * denominator)
-        for (common, scalars), (denominator, cofactors) in zip(sides, vectors))
+        vectors = layout.vectors[key] = _cofactors(layout, p, key)
+    (lhs_v, lhs_cofactors), (rhs_v, rhs_cofactors), (factor, factor_den) = vectors
+    top, den = sum(map(mul, lhs_scalars, lhs_cofactors)), lhs_s * lhs_v
+    rhs_top = factor * sum(map(mul, rhs_scalars, rhs_cofactors))
+    rhs_den = rhs_s * rhs_v * factor_den
     lhs = Fraction(top, den)
     rhs = lhs if top * rhs_den == rhs_top * den else Fraction(rhs_top, rhs_den)
     return _report(f"family-{which}", n, lhs, rhs, p=p)

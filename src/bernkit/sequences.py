@@ -63,10 +63,12 @@ not once per step of every product.  The key is the (numerator,
 denominator) pair, not the Fraction: hashing a Fraction computes a
 modular inverse on every lookup.
 
-The identity layer keeps the memo ``fold`` shared across n and one
-per-n ``slot`` for all of its work that depends on n alone, and the
-series route the memo ``power``, also shared across n; ``identities``
-and ``series`` describe them.
+The identity layer keeps two memos shared across n, ``fold`` and the
+family table ``beta``, and one per-n ``slot`` for all of its work that
+depends on n alone, and the series route the memo ``power``, also shared
+across n; ``identities`` and ``series`` describe them.  ``beta`` is
+keyed like ``rising``, by p's reduced (numerator, denominator), and
+lists the reductions of the family right sides' beta factors at p.
 
 One process-wide cache, ``_DEFAULT``, backs every plain function here,
 and through them the exact lane, the series and the float lane.  A test
@@ -178,8 +180,8 @@ def _rational(what: str, value: Any) -> Fraction:
 class SequenceCache:
     """Growable Bernoulli (``bern``, and the series' own ``series_bern``),
     Euler, harmonic and rising-factorial tables, the identity layer's
-    memo ``fold`` and its per-n ``slot``, and the series route's memo
-    ``power``.
+    memos ``fold`` and ``beta`` and its per-n ``slot``, and the series
+    route's memo ``power``.
 
     ``bern``, ``series_bern``, ``eul``, ``harm`` (H_i), ``harm2``
     (H^(2)_i) and ``hfold`` (F_m = sum(H_l/(l+1), l=1..m), F_0 = 0) are
@@ -189,11 +191,14 @@ class SequenceCache:
     and ``hfold`` together, to one length; ``rising``, grown by
     ``rising_table``, maps an anchor's (numerator, denominator) to the
     list of its (q)_m indexed by m, each a reduced (numerator,
-    denominator) integer pair.
+    denominator) integer pair.  ``beta`` maps p's (numerator,
+    denominator) to the list whose entry j - 1 is
+    gammaalg.gamma_reduce_pair(gammaalg.beta_factor(j), p), grown by
+    ``identities._beta_table``.
     ``slot`` is the pair (n, entries) of the latest n the
     identity layer looked anything up at: ``entries`` maps a key to work
     that depends on that n alone; the ``identities`` docstring lists the
-    keys and ``fold``, and the ``series`` docstring ``power``.
+    keys, ``fold`` and ``beta``, and the ``series`` docstring ``power``.
     Entries, once computed, are never recomputed or rewritten: a table
     only grows by appending, so an entry or a list read once keeps its
     value however far the table grows later.  ``slot`` is the exception,
@@ -216,6 +221,7 @@ class SequenceCache:
         self.harm2: list[Fraction] = [Fraction(0)]
         self.hfold: list[Fraction] = [Fraction(0)]
         self.rising: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.beta: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
         self.fold: dict[str, dict[tuple[int, int], Fraction]] = {}
         self.power: dict[tuple[str, int], list[Fraction]] = {}
         self.slot: tuple[int | None, dict[Hashable, Any]] = (None, {})

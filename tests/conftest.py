@@ -8,6 +8,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 from bernkit import identities
+from bernkit.gammaalg import GammaProduct
 
 
 class CliRunner:
@@ -31,11 +32,14 @@ class CliRunner:
 
 def family_pairs(which, n):
     """(lhs, rhs) of one family at n as (GammaProduct, scalar) pairs, one per
-    distinct factor tuple in the layout's order: the layout's product and
-    the scalar of family_terms(which, n) at its position, as a reduced
-    integer pair (numerator, denominator)."""
+    distinct gamma factor in the layout's order: the layout's product, on
+    the right side times the common factor Gamma(2p+2n), and the scalar of
+    family_terms(which, n) at its position, as a reduced integer pair
+    (numerator, denominator)."""
     sides, layout = identities._family(which, n)
+    lhs, rhs = layout.products
+    full = (lhs, {factors: GammaProduct(factors + layout.common.factors) for factors in rhs})
     return tuple(
         tuple((product, Fraction(num, common).as_integer_ratio())
               for product, num in zip(products.values(), numerators))
-        for products, (common, numerators) in zip(layout.products, sides))
+        for products, (common, numerators) in zip(full, sides))

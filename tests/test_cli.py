@@ -17,9 +17,11 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import CliRunner, family_pairs
+from hypothesis import given, settings, strategies as st
 
 import bernkit
 from bernkit import cli as cli_module, gammaalg, identities, quadrature, sequences
@@ -634,8 +636,9 @@ def test_verify_parallel_matches_serial():
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
     # the family rows at one n share the reductions of each p, a p1-* row's
-    # rerun at p = 1 included, so each factor tuple is reduced once per
-    # (n, p) at any --jobs and in any order of --identity and --p
+    # rerun at p = 1 included, so each left product and Gamma(2p+2n) is
+    # reduced once per (n, p), and each beta factor of the right sides once
+    # per p, at any --jobs and in any order of --identity and --p
     calls = []
     real = gammaalg.gamma_reduce_pair
 
@@ -644,8 +647,10 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
         return real(g, p)
 
     monkeypatch.setattr(gammaalg, "gamma_reduce_pair", counted)
-    distinct = [{product.factors for product, _ in sum(family_pairs("miki", n), ())}
-                for n in range(2, 7)]
+    expected = {(factors, p) for p in (F(1, 2), F(1)) for factors in (
+        *(factors for n in range(2, 7) for factors in (
+            *identities._family("miki", n)[1].products[0], (("2p", 2 * n, 1),))),
+        *(gammaalg.beta_factor(j).factors for j in range(1, 13)))}
     forward = ["--identity", "family-miki", "--identity", "family-fpz", "--identity", "family-mixed",
                "--identity", "p1-mixed", "--p", "1/2", "--p", "1"]
     reverse = ["--identity", "p1-mixed", "--identity", "family-mixed", "--identity", "family-fpz",
@@ -657,7 +662,7 @@ def test_verify_reduces_each_product_once_per_point(monkeypatch, jobs):
         result = runner.invoke(main, ["verify", *order, "--n-min", "2", "--n-max", "6",
                                       "--jobs", jobs])
         assert result.exit_code == 0, result.output
-        assert len(calls) == len(set(calls)) == 2 * sum(map(len, distinct)), order
+        assert len(calls) == len(set(calls)) and set(calls) == expected, order
         outputs.append(result.stdout_bytes)
     assert outputs[0] == outputs[1]
 
@@ -706,6 +711,47 @@ def test_decimal_and_ratio_p_give_the_same_rows(monkeypatch):
         outputs.append(result.stdout_bytes)
     assert b",1/2," in outputs[0] and b",-1/4," in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+_FAMILY_IDS = tuple(f"family-{which}" for which in identities.FAMILY_KINDS)
+_OTHER_IDS = tuple(i for i in identities.IDENTITIES if i not in _FAMILY_IDS)
+_SCAN_PS = ("0", "1", "1/2", "-1/2", "1/3", "7/3", "-1/4", "-1")
+
+
+def _scan_rows(args):
+    """The json rows of one verify scan on the process-wide cache."""
+    return json.loads(runner.invoke(main, ["verify", *args, "--format", "json"]).output)
+
+
+@settings(deadline=None, max_examples=150)
+@given(ids=st.tuples(st.lists(st.sampled_from(_FAMILY_IDS), min_size=1, unique=True),
+                     st.lists(st.sampled_from(_OTHER_IDS), max_size=3, unique=True))
+       .flatmap(lambda drawn: st.permutations(drawn[0] + drawn[1])),
+       ps=st.lists(st.sampled_from(_SCAN_PS), min_size=1, max_size=3, unique=True),
+       N=st.integers(2, 4), n_min=st.integers(1, 12), width=st.integers(0, 3),
+       ahead=st.integers(0, 4))
+def test_scan_rows_are_the_rows_of_a_fresh_cache(ids, ps, N, n_min, width, ahead):
+    # a scan of any ids in any order, at any exact p values, N and n range,
+    # on a cache that ran the same scan to a larger --n-max first or on a
+    # fresh one, gives the rows that each row run alone on a fresh cache
+    # gives: no table or slot entry left by other rows, other n or a larger
+    # n (the beta tables among them) changes a row
+    args = [a for i in ids for a in ("--identity", i)]
+    args += [a for p in ps for a in ("--p", p)]
+    args += ["--N", str(N)] if any(identities.IDENTITIES[i].param == "N" for i in ids) else []
+    args += ["--n-min", str(n_min)]
+    n_max = n_min + width
+    with mock.patch.object(sequences, "_DEFAULT", sequences.SequenceCache()):
+        if ahead:
+            _scan_rows([*args, "--n-max", str(n_max + ahead)])
+        rows = _scan_rows([*args, "--n-max", str(n_max)])
+    assert len(rows) == sum((width + 1) * (len(ps) if identities.IDENTITIES[i].param == "p" else 1)
+                            for i in ids)
+    for row in rows:
+        p = row.get("p")
+        task = (row["identity"], row["n"], None if p is None else Fraction(p), row.get("N"))
+        with mock.patch.object(sequences, "_DEFAULT", sequences.SequenceCache()):
+            assert cli_module._run_task(task) == row, task
 
 
 def test_family_scan_parses_each_p_once(monkeypatch):
@@ -1047,6 +1093,47 @@ def test_poisoned_power_of_four_sum_fails_the_rows_that_read_it(monkeypatch, j, 
     assert {ident for ident, row in rows.items() if not row["ok"]} == readers
     if j == 0:
         assert "the H_2n form" in rows["miki-modified"]["error"]
+
+
+def _family_scan_ok(ps, n_max):
+    """{(identity, n, p): ok} of a family scan of all three kinds on the
+    process-wide cache."""
+    ids = [a for which in identities.FAMILY_KINDS for a in ("--identity", f"family-{which}")]
+    result = runner.invoke(main, ["verify", *ids, *(a for p in ps for a in ("--p", p)),
+                                  "--n-max", str(n_max), "--format", "json"])
+    return {(row["identity"], row["n"], row["p"]): row["ok"] for row in json.loads(result.output)}
+
+
+@pytest.mark.parametrize("j", (1, 6, 7, 14))
+def test_poisoned_beta_entry_fails_the_rows_that_read_it(monkeypatch, j):
+    # the right side at n reads the beta entries 1..2n of its p: a poisoned
+    # entry j of p = 1/3 fails exactly the rows at 1/3 with 2n >= j, of all
+    # three kinds, and no row at another p or at a smaller n
+    cache = sequences.SequenceCache()
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+    ps = ("1/3", "5/2", "0")
+    assert all(_family_scan_ok(ps, 7).values())
+    exp_p, exp_2p, num, den = cache.beta[1, 3][j - 1]
+    cache.beta[1, 3][j - 1] = exp_p, exp_2p, num + den, den
+    ok = _family_scan_ok(ps, 7)
+    assert len(ok) == 3 * 6 * 3
+    assert {key for key, passed in ok.items() if not passed} == {
+        (f"family-{which}", n, "1/3") for which in identities.FAMILY_KINDS
+        for n in range(2, 8) if 2 * n >= j}
+
+
+def test_rising_entry_poisoned_after_its_beta_entry_is_not_read_by_it(monkeypatch):
+    # the beta entry 8 of p = 1 has read (1)_8: a poisoned (1)_8 then fails
+    # the rows whose left products carry Gamma(p+8), n >= 5, but no longer
+    # reaches that beta entry, so the rows at n = 4, which read (1)_8 only
+    # through it, stay ok
+    cache = sequences.SequenceCache()
+    monkeypatch.setattr(sequences, "_DEFAULT", cache)
+    assert all(_family_scan_ok(("1",), 6).values())
+    num, den = cache.rising[1, 1][8]
+    cache.rising[1, 1][8] = num + den, den
+    ok = _family_scan_ok(("1",), 6)
+    assert {n for (_, n, _), passed in ok.items() if not passed} == {5, 6}
 
 
 def test_poisoned_rising_table_fails_the_rows_that_read_it(monkeypatch):

@@ -553,6 +553,16 @@ def test_family_float_has_no_vacuous_pass():
         family_float("fpz", 90, 0.5)
 
 
+@pytest.mark.parametrize("which", FAMILY_KINDS)
+def test_family_float_range_edge(which):
+    # at p = 0.75 the largest gamma argument, 2p+2n+1, passes math.gamma's
+    # limit near 171.6 between n = 84 and n = 85; the common factor
+    # Gamma(2p+2n) of the right side does not move that edge
+    assert family_float(which, 84, 0.75).ok
+    with pytest.raises(DomainError, match="leaves the double range"):
+        family_float(which, 85, 0.75)
+
+
 def test_family_float_is_relative_on_small_sides(monkeypatch):
     # fpz at n = 5, p = -0.999 has sides near 5.3e-5: a left scalar off by
     # a relative 1e-6 moves the residual by about 5e-11, under an absolute

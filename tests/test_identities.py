@@ -206,14 +206,14 @@ def test_family_sides_with_different_exponents_raise(monkeypatch):
 def test_mixed_exponent_layout_raises_on_every_row(monkeypatch):
     # the exponent check runs when the vectors at (n, p) are built, and a
     # failed build stores nothing: every kind at that point raises, each
-    # time it is asked, the p = 1 rerun of verify_p1 included
+    # time it is asked, the p = 1 rerun of verify_p1 included.  The right
+    # side's common factor Gamma(2p+2n) carrying an extra Gamma(p) moves
+    # every right product off the left side's exponent pair
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     assert verify_family("fpz", 5, F(3)).ok
     layout = _layout("fpz", 5)
-    rhs = layout.products[1]
-    first = next(iter(rhs))
-    rhs[first] = _with_gamma_p(rhs[first])
+    cache.slot[1]["family-layout"] = layout._replace(common=_with_gamma_p(layout.common))
     for _ in range(2):
         for which in FAMILY_KINDS:
             for p in (F(1, 2), F(1)):
@@ -1217,10 +1217,12 @@ def test_family_terms_are_product_scalar_pairs(monkeypatch):
     # one (GammaProduct, scalar) pair per distinct factor tuple, whose
     # scalar, a reduced integer pair with a positive denominator, adds the
     # summands of that tuple; the three kinds at n list the same factor
-    # tuples in the same order, share one product per tuple and differ in
+    # tuples in the same order, the left ones by k and the right ones by
+    # the index j of their beta factor, share one layout and differ in
     # scalars.  The hand-written tuples must be GammaProduct's canonical
-    # ones, among them the k = n/2 square, the k = 1 tail square and the
-    # k = 2n-1 tail whose Gamma(2p+...) pair cancels
+    # ones, among them the k = n/2 square, the beta factor j = 1's square
+    # and Gamma(2p+2n); with it, the k = 2n-1 tail's Gamma(2p+...) pair
+    # cancels
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
     written = []
     real = gammaalg.GammaProduct
@@ -1233,7 +1235,7 @@ def test_family_terms_are_product_scalar_pairs(monkeypatch):
     for n in range(2, 13):
         written.clear()
         sides = {which: family_pairs(which, n) for which in FAMILY_KINDS}
-        assert len(written) == n // 2 + 2 * n
+        assert len(written) == n // 2 + 2 * n + 1
         # family_terms itself: per side, S and the numerators over S, one
         # per product of the layout
         for which in FAMILY_KINDS:
@@ -1248,17 +1250,18 @@ def test_family_terms_are_product_scalar_pairs(monkeypatch):
                 for product, (num, den) in side:
                     assert type(product) is GammaProduct and type(num) is type(den) is int
                     assert num != 0 and den > 0 and gcd(num, den) == 1
-                assert [(product.factors, scalar) for product, scalar in side] == [
-                    (factors, (total.numerator, total.denominator))
-                    for factors, total in _collected(each).items()], (which, n)
+                assert {product.factors: scalar for product, scalar in side} == {
+                    factors: (total.numerator, total.denominator)
+                    for factors, total in _collected(each).items()}, (which, n)
         tuples = {which: [[product.factors for product, _ in side] for side in terms]
                   for which, terms in sides.items()}
         assert tuples["miki"] == tuples["fpz"] == tuples["mixed"]
-        products = {which: [product for side in terms for product, _ in side]
-                    for which, terms in sides.items()}
-        assert all(map(lambda a, b, c: a is b is c, *products.values()))
+        assert _layout("miki", n) is _layout("fpz", n) is _layout("mixed", n)
         assert sides["miki"][0][0][1] != sides["fpz"][0][0][1]
         lhs, rhs = tuples["miki"]
+        assert lhs == [product.factors for product, _ in _family_summands("miki", n)[0][:n // 2]]
+        assert rhs == [GammaProduct(beta_factor(j).factors + (("2p", 2 * n, 1),)).factors
+                       for j in range(1, 2 * n + 1)]
         assert ((("p", n, 2),) in lhs) == (n % 2 == 0)
         assert (("2p", 2, -1), ("2p", 2 * n, 1), ("p", 1, 2)) in rhs
         assert (("p", 1, 1), ("p", 2 * n - 1, 1)) in rhs
@@ -1276,9 +1279,15 @@ def test_family_terms_are_built_once_per_cache(monkeypatch):
     terms = family_terms("fpz", 5)
     assert family_terms("fpz", 5) is terms
     assert all(isinstance(side, tuple) for side in terms)
-    products = tuple({factors: GammaProduct(factors) for factors in _collected(each)}
-                     for each in _family_summands("fpz", 5))
-    layout = identities._Layout(products, {})
+    # the left products by k, the right side's beta factors by j and its
+    # common factor Gamma(2p+10)
+    lhs = _collected(_family_summands("fpz", 5)[0])
+    products = ({factors: GammaProduct(factors) for factors in lhs},
+                {beta_factor(j).factors: beta_factor(j) for j in range(1, 11)})
+    layout = identities._Layout(products, GammaProduct((("2p", 10, 1),)), {})
+    # the layout depends on n alone: the rows build it beside the scalars
+    assert cache.slot == (5, {("family", "fpz"): terms})
+    assert identities._family("fpz", 5) == (terms, layout)
     assert cache.slot == (5, {"family-layout": layout, ("family", "fpz"): terms})
     assert list(map(list, cache.slot[1]["family-layout"].products)) == list(map(list, products))
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
@@ -1300,11 +1309,6 @@ def _count_reductions(monkeypatch):
     return calls
 
 
-def _layout_tuples(which, n):
-    """Every factor tuple of the family layout at n."""
-    return {factors for side in _layout(which, n).products for factors in side}
-
-
 def _vector_points(cache):
     """The p keys of the cofactor vectors in the slot's family layout."""
     return list(cache.slot[1]["family-layout"].vectors)
@@ -1316,36 +1320,45 @@ def _family_keys(cache):
 
 
 def test_family_kinds_reduce_each_factor_tuple_once_per_point(monkeypatch):
+    # each left product and the right side's common factor Gamma(2p+2n) are
+    # reduced once per (n, p), and each beta factor of the right side once
+    # per p, whatever the n
     cache = SequenceCache()
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     calls = _count_reductions(monkeypatch)
     for which in FAMILY_KINDS:
         assert verify_family(which, 6, F(1, 2)).ok
-    terms = {which: sum(family_pairs(which, 6), ()) for which in FAMILY_KINDS}
-    distinct = {product.factors for product, _ in terms["miki"]}
-    assert all({product.factors for product, _ in side} == distinct for side in terms.values())
-    summands = sum(_family_summands("miki", 6), [])
-    assert len(calls) == len(set(calls)) == len(distinct) == len(terms["miki"]) < len(summands)
-    assert set(calls) == distinct
-    # the kinds share one layout, and in it one pair of cofactor vectors per p
+    layout = _layout("miki", 6)
+    left = [product.factors for product, _ in family_pairs("miki", 6)[0]]
+    betas = [beta_factor(j).factors for j in range(1, 13)]
+    assert list(layout.products[0]) == left and list(layout.products[1]) == betas
+    assert calls == [*left, (("2p", 12, 1),), *betas]
+    assert len(calls) < len(sum(_family_summands("miki", 6), []))
+    # the kinds share one layout, and in it one set of cofactors per p
     assert cache.slot[0] == 6 and _slot_keys(cache, "family") == list(FAMILY_KINDS)
     assert _vector_points(cache) == [(1, 2)]
-    assert _layout_tuples("miki", 6) == distinct
-    assert not hasattr(cache.slot[1]["family-layout"], "__dict__")
+    assert not hasattr(layout, "__dict__")
+    assert list(cache.beta) == [(1, 2)] and len(cache.beta[1, 2]) == 12
     # another p at the same n joins the slot, so coming back reduces nothing
     verify_family("fpz", 6, F(3))
     assert cache.slot[0] == 6
     assert _vector_points(cache) == [(1, 2), (3, 1)]
-    assert len(calls) == 2 * len(distinct)
+    assert calls[len(calls) // 2:] == calls[:len(calls) // 2]
     verify_family("mixed", 6, F(1, 2))
-    assert len(calls) == 2 * len(distinct)
-    # a row at another n replaces the slot, so coming back to n = 6 reduces again
+    assert len(calls) == 2 * (len(left) + 1 + len(betas))
+    # a row at another n replaces the slot: it reduces its own left products
+    # and common factor, and only the beta factors no smaller n read
+    del calls[:]
     verify_family("miki", 7, F(1, 2))
     assert cache.slot[0] == 7 and _slot_keys(cache, "family") == ["miki"]
     assert _vector_points(cache) == [(1, 2)]
+    assert calls == [*_layout("miki", 7).products[0], (("2p", 14, 1),),
+                     beta_factor(13).factors, beta_factor(14).factors]
+    # coming back to n = 6 reduces its left products and common factor
+    # again, and no beta factor
     calls.clear()
     verify_family("mixed", 6, F(1, 2))
-    assert set(calls) == distinct and len(calls) == len(distinct)
+    assert calls == [*left, (("2p", 12, 1),)]
 
 
 def test_reduction_slot_holds_one_n(monkeypatch):
@@ -1357,8 +1370,9 @@ def test_reduction_slot_holds_one_n(monkeypatch):
     assert cache.slot[0] == 15 and _slot_keys(cache, "family") == ["miki"]
     assert _vector_points(cache) == [(1, 2), (3, 1)]
     layout = cache.slot[1]["family-layout"]
-    for vectors in layout.vectors.values():
+    for *vectors, common in layout.vectors.values():
         assert [len(numerators) for _, numerators in vectors] == list(map(len, layout.products))
+        assert all(type(part) is int for part in common)
 
 
 @pytest.mark.parametrize("which", FAMILY_KINDS)
@@ -1377,8 +1391,9 @@ def test_corrupted_reduction_fails_the_rows_that_read_it(monkeypatch):
     monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
     for which in FAMILY_KINDS:
         assert verify_family(which, 5, F(1)).ok
-    # the k = 1 beta term of the right sides at n = 5 carries Gamma(2p+10)
-    key = GammaProduct(beta_factor(1).factors + (("2p", 10, 1),)).factors
+    # the k = 1 beta term of the right sides at n = 5, whose cofactor the
+    # right vector at (5, 1) holds
+    key = beta_factor(1).factors
     rhs = list(_layout("miki", 5).products[1])
     assert key in rhs
 
@@ -1418,21 +1433,23 @@ def test_family_sides_sum_each_factor_tuple_once(monkeypatch):
                 assert len(factors) == len(set(factors)) <= len(each)
                 assert set(factors) == {product.factors for product, _ in each}
         layout = _layout("miki", n)
+        full = [product for side in sides["miki"][1] for product, _ in side]
         for p in MERGE_PS:
             for which, (summands, _) in sides.items():
                 row = verify_family(which, n, p)
-                # each tuple's cofactor, read back from its side's stored vector
-                cofactor = {factors: F(top, common)
-                            for side, (common, tops) in zip(
-                                layout.products, layout.vectors[p.numerator, p.denominator])
-                            for factors, top in zip(side, tops)}
+                # each tuple's cofactor, read back from its side's stored
+                # vector, the right ones times the common factor's
+                *vectors, (num, den) = layout.vectors[p.numerator, p.denominator]
+                scales = (1, F(num, den))
+                cofactor = dict(zip((product.factors for product in full), (
+                    F(top, common) * scale for (common, tops), scale in zip(vectors, scales)
+                    for top in tops)))
                 # the per-summand sums: one scalar x cofactor per summand
                 assert [row.lhs, row.rhs] == [
                     sum((s * cofactor[product.factors] for product, s in each), F(0))
                     for each in summands], (n, p, which)
             # every product of both sides reduces to one exponent pair
-            assert len({bernkit.gamma_reduce_pair(g, p)[:2]
-                        for side in layout.products for g in side.values()}) == 1
+            assert len({bernkit.gamma_reduce_pair(g, p)[:2] for g in full}) == 1
     # 29 + 89 summands at n = 30: k and 30-k pair on the left, and each even
     # beta term joins a right term on the right
     for which in FAMILY_KINDS:
@@ -1442,8 +1459,9 @@ def test_family_sides_sum_each_factor_tuple_once(monkeypatch):
 
 def test_interleaved_family_rows_match_a_fresh_cache(monkeypatch):
     # kinds and p values interleaved at each n, the pole-anchor p = 0 among
-    # them, give the reports of rows each run on a fresh cache, and each
-    # factor tuple is still reduced once per (n, p)
+    # them, give the reports of rows each run on a fresh cache; each left
+    # product and Gamma(2p+2n) is still reduced once per (n, p), and each
+    # beta factor once per p
     ps = (F(0), F(-1, 4), F(5, 2), F(1))
     rows = [(which, n, p) for n in range(2, 9) for which in FAMILY_KINDS for p in ps]
     random.Random(7).shuffle(rows)
@@ -1459,9 +1477,13 @@ def test_interleaved_family_rows_match_a_fresh_cache(monkeypatch):
         start = len(calls)
         assert verify_family(*row) == fresh[row], row
         points += [(row[1], row[2], factors) for factors in calls[start:]]
-    assert len(points) == len(set(points))
-    assert set(points) == {(n, p, factors) for n in range(2, 9) for p in ps
-                           for factors in _layout_tuples("miki", n)}
+    betas = {beta_factor(j).factors for j in range(1, 17)}
+    per_p = [(p, factors) for _, p, factors in points if factors in betas]
+    per_point = [point for point in points if point[2] not in betas]
+    assert len(per_p) == len(set(per_p)) and len(per_point) == len(set(per_point))
+    assert set(per_p) == {(p, factors) for p in ps for factors in betas}
+    assert set(per_point) == {(n, p, factors) for n in range(2, 9) for p in ps
+                              for factors in (*_layout("miki", n).products[0], (("2p", 2 * n, 1),))}
 
 
 def test_cofactor_vectors_build_no_fraction_on_warm_tables(monkeypatch):
@@ -1479,9 +1501,9 @@ def test_cofactor_vectors_build_no_fraction_on_warm_tables(monkeypatch):
         built.append(args)
         return real_new(cls, *args, **kwargs)
 
-    def cofactors(products, p):
+    def cofactors(*args):
         before = len(built)
-        vectors = real_cofactors(products, p)
+        vectors = real_cofactors(*args)
         counts.append(len(built) - before)
         return vectors
 
@@ -1499,13 +1521,15 @@ def test_cofactor_vectors_build_no_fraction_on_warm_tables(monkeypatch):
 
 def test_cofactor_vectors_build_no_fraction_on_cold_tables(monkeypatch):
     # a missing rising entry is grown by SequenceCache.rising_table, which
-    # appends integer pairs: on empty rising tables too, a vector pair is
-    # built with no Fraction, and each cofactor is gamma_reduce's value
+    # appends integer pairs, and a missing beta entry by its one grower: on
+    # empty rising and beta tables too, the cofactors are built with no
+    # Fraction, and each cofactor is gamma_reduce's value
     for n, p in [(n, p) for n in (6, 13) for p in (F(1, 3), F(-1, 4), F(5, 2), F(0), F(-1, 2))]:
         cache = SequenceCache()
         monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
-        products = _layout("mixed", n).products
-        assert cache.rising == {}
+        layout = _layout("mixed", n)
+        products = layout.products
+        assert cache.rising == {} and cache.beta == {}
         built = []
         real_new = Fraction.__new__
 
@@ -1515,18 +1539,25 @@ def test_cofactor_vectors_build_no_fraction_on_cold_tables(monkeypatch):
 
         with monkeypatch.context() as patched:
             patched.setattr(Fraction, "__new__", counted_new)
-            vectors = identities._cofactors(products, p)
+            *vectors, factor = identities._cofactors(layout, p, p.as_integer_ratio())
         # p = 0 reads no table: both anchors are poles, every factor a factorial
         assert built == [] and bool(cache.rising) == (p != 0), (n, p)
+        key = p.as_integer_ratio()
+        assert list(cache.beta) == [key] and len(cache.beta[key]) == 2 * n
         for side, (common, numerators) in zip(products, vectors):
             assert [F(num, common) for num in numerators] == [
                 gamma_reduce(product, p).value for product in side.values()], (n, p)
+        assert F(*factor) == gamma_reduce(layout.common, p).value
 
 
 def test_family_rows_reuse_the_family_products(monkeypatch):
-    # family_terms builds one product per distinct factor tuple, shared by
-    # the three kinds at n; the rows read those and build none of their own
-    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", SequenceCache())
+    # the family layout holds one product per distinct gamma factor and the
+    # right side's common factor, shared by the three kinds at n; the rows
+    # read those, and build no product of their own but the beta factors
+    # that the beta table of their p lacks, each once
+    cache = SequenceCache()
+    monkeypatch.setattr(bernkit.sequences, "_DEFAULT", cache)
+    betas = [beta_factor(j).factors for j in range(1, 15)]
     built = []
     real = gammaalg.GammaProduct
 
@@ -1536,15 +1567,17 @@ def test_family_rows_reuse_the_family_products(monkeypatch):
 
     monkeypatch.setattr(gammaalg, "GammaProduct", counted)
     for which in FAMILY_KINDS:
-        terms = family_pairs(which, 7)
+        lhs, rhs = _layout(which, 7).products
         summands = sum(_family_summands(which, 7), [])
-        assert len(built) == len(_collected(summands)) < len(summands)
-        first = {}
-        for product in built:
-            first.setdefault(product.factors, product)
-        assert [product.factors for product, _ in sum(terms, ())] == list(first)
-        assert all(product is first[product.factors] for product, _ in sum(terms, ()))
+        assert len(built) == len(_collected(summands)) + 1 < len(summands)
+        assert all(a is b for a, b in zip(
+            (*lhs.values(), *rhs.values(), _layout(which, 7).common), built, strict=True))
+    built.clear()
+    for which in FAMILY_KINDS:
+        assert verify_family(which, 7, F(2, 3)).ok
+    assert [product.factors for product in built] == betas
     monkeypatch.setattr(gammaalg, "GammaProduct", lambda *a: pytest.fail("product built"))
+    cache.slot[1]["family-layout"].vectors.clear()
     for which in FAMILY_KINDS:
         assert verify_family(which, 7, F(2, 3)).ok
 
